@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"dehealth/internal/corpus"
 )
@@ -221,7 +220,7 @@ func TestStatsApproxBlock(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Landmarks = 5
 	opt.Approx = ApproxConfig{Enabled: true, Theta: 1.1}
-	srv := NewServer(pw, ServeOptions{K: 5, FlushInterval: time.Millisecond, Attack: opt})
+	srv := NewServer(pw, ServeOptions{K: 5, Attack: opt})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

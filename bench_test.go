@@ -9,15 +9,12 @@ package dehealth
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -936,110 +933,6 @@ func BenchmarkScoreKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput measures end-to-end HTTP query throughput of
-// the dehealthd service, micro-batched versus unbatched, with concurrent
-// clients. It writes a BENCH_serving.json summary next to the package so
-// the serving-path perf trajectory is tracked across PRs.
-func BenchmarkServeThroughput(b *testing.B) {
-	w := GenerateWorld(WorldConfig{WebMDUsers: 250, HBUsers: 250, Seed: 93})
-	split := SplitClosedWorld(w.WebMD, 0.5, 94)
-	opt := DefaultOptions()
-	opt.MaxBigrams = 100
-	opt.Landmarks = 10
-	pw := PrepareWorld(split.Anon, split.Aux, opt)
-	anonN, auxN := pw.Sizes()
-	if _, err := pw.QueryUser(0, 10, opt); err != nil {
-		b.Fatal(err)
-	}
-
-	const clients = 16
-	qps := map[string]float64{}
-	modes := map[string]map[string]any{}
-	// The batched micro-batch size is kept at half the client concurrency
-	// so the size trigger (not the deadline) does the flushing under load;
-	// the deadline only bounds tail latency when traffic thins out.
-	for _, bc := range []struct {
-		name  string
-		batch int
-		flush time.Duration
-	}{
-		{"unbatched", 1, time.Millisecond},
-		{"batched", 8, 250 * time.Microsecond},
-	} {
-		modes[bc.name] = map[string]any{"max_batch": bc.batch, "flush_us": bc.flush.Microseconds()}
-		b.Run(bc.name, func(b *testing.B) {
-			srv := NewServer(pw, ServeOptions{Batch: bc.batch, FlushInterval: bc.flush, K: 10, Attack: opt})
-			defer srv.Close()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			client := ts.Client()
-
-			var next int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			start := time.Now()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := atomic.AddInt64(&next, 1)
-						if i > int64(b.N) {
-							return
-						}
-						body := fmt.Sprintf(`{"user": %d, "k": 10}`, int(i)%anonN)
-						resp, err := client.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						_, _ = io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode != 200 {
-							b.Errorf("status %d", resp.StatusCode)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-			rate := float64(b.N) / elapsed.Seconds()
-			b.ReportMetric(rate, "qps")
-			if prev, ok := qps[bc.name]; !ok || rate > prev {
-				qps[bc.name] = rate
-			}
-		})
-	}
-
-	// Micro-batching trades per-request dispatch overhead for worker-pool
-	// parallelism within a flush; on a single-core runner there is no
-	// parallelism to buy, so batched ~<= unbatched is the expected reading
-	// (queueing delay with nothing in return), not a regression — label
-	// the artifact the same way BENCH_sharding.json is labeled.
-	singleCore := runtime.GOMAXPROCS(0) == 1
-	interpretation := "multi-core: batched vs unbatched qps measures the micro-batching win under concurrent clients"
-	if singleCore {
-		interpretation = "single-core environment: batching buys no parallelism and only adds flush queueing, so batched ~<= unbatched is expected; run on a multi-core machine to measure the batching win"
-	}
-	summary := map[string]any{
-		"benchmark":      "serving",
-		"generated":      time.Now().UTC().Format(time.RFC3339),
-		"gomaxprocs":     runtime.GOMAXPROCS(0),
-		"single_core":    singleCore,
-		"interpretation": interpretation,
-		"world":          map[string]int{"anon_users": anonN, "aux_users": auxN},
-		"qps":            qps,
-		"config":         map[string]any{"clients": clients, "k": 10, "modes": modes},
-	}
-	if buf, err := json.MarshalIndent(summary, "", "  "); err == nil {
-		if err := os.WriteFile("BENCH_serving.json", append(buf, '\n'), 0o644); err != nil {
-			b.Logf("writing BENCH_serving.json: %v", err)
-		}
-	}
-}
-
 // BenchmarkIngest measures incremental single-user ingestion into a live
 // prepared world — extraction, graph extension and similarity-cache sync.
 func BenchmarkIngest(b *testing.B) {
@@ -1243,7 +1136,7 @@ func BenchmarkScoreKernelBatch(b *testing.B) {
 		},
 		"qps":                qps,
 		"querybatch_speedup": querySpeedup,
-		"baseline":           "flat-q1 is the per-query flat kernel (PrepareQuery + ScoreRange); batch-qN is PrepareBatch + ScoreRangeBatch at width N — parity with ScoreSlow asserted inline, bit-identical. BENCH_serving.json tracks the HTTP dispatch the batched flush rides; this artifact tracks the kernel-level win under it",
+		"baseline":           "flat-q1 is the per-query flat kernel (PrepareQuery + ScoreRange); batch-qN is PrepareBatch + ScoreRangeBatch at width N — parity with ScoreSlow asserted inline, bit-identical. this artifact tracks the kernel-level win under the serving flush",
 	}
 	if buf, err := json.MarshalIndent(summary, "", "  "); err == nil {
 		if err := os.WriteFile("BENCH_batch.json", append(buf, '\n'), 0o644); err != nil {

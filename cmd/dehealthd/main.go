@@ -5,7 +5,7 @@
 // batch attack.
 //
 // With -snapshot the daemon becomes warm-restartable: on SIGINT/SIGTERM it
-// drains the pending micro-batch and writes the prepared world to the
+// lets the running flush finish and writes the prepared world to the
 // snapshot path (atomically), and on the next start it memory-maps that
 // file back instead of re-running feature extraction and similarity
 // precomputation — the restored world answers queries bit-identically to
@@ -16,7 +16,7 @@
 //	dehealthd -aux aux.json                          # start with an empty anonymized side
 //	dehealthd -aux aux.json -anon anon.json          # preload known anonymized accounts
 //	dehealthd -synth 300                             # demo mode: synthetic auxiliary world
-//	dehealthd -addr :8700 -workers 8 -batch 64 -flush-ms 2 -shards 8 -prune
+//	dehealthd -addr :8700 -workers 8 -batch 64 -shards 8 -prune
 //	dehealthd -synth 300 -approx -approx-theta 1.3     # approximate tier, per-query opt-in
 //	dehealthd -synth 300 -snapshot world.snap        # warm restart: load if present, write on shutdown
 //	dehealthd -snapshot world.snap -no-mmap          # warm restart with the copying loader
@@ -54,8 +54,6 @@ import (
 	"dehealth"
 )
 
-func msToDuration(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
-
 func main() {
 	var (
 		addr         = flag.String("addr", ":8700", "HTTP listen address")
@@ -69,8 +67,7 @@ func main() {
 		approx       = flag.Bool("approx", false, "enable the approximate retrieval tier: max-score/WAND posting cursors with exact rescore (per-query opt-in via the \"approx\" knob; see /v1/stats approx counters)")
 		approxTheta  = flag.Float64("approx-theta", 0, "approx skip-threshold scale; 0 or 1 keeps the tier exact-equivalent, values above 1 (e.g. 1.3) skip more aggressively and trade recall for speed")
 		approxBudget = flag.Int("approx-budget", 0, "approx cap on exact rescores per shard-query (0 = unbounded)")
-		batch        = flag.Int("batch", 32, "micro-batch size: pending requests flush at this count")
-		flushMS      = flag.Int("flush-ms", 2, "micro-batch flush deadline in milliseconds")
+		batch        = flag.Int("batch", 32, "most waiting requests one flush takes (an idle server flushes at once)")
 		k            = flag.Int("k", 10, "default Top-K candidate set size")
 		hbar         = flag.Int("landmarks", 50, "landmark count for the structural similarity")
 		bigrams      = flag.Int("max-bigrams", 300, "POS-bigram feature cap (fitted on the auxiliary texts)")
@@ -131,16 +128,15 @@ func main() {
 	}
 
 	srv := dehealth.NewServer(pw, dehealth.ServeOptions{
-		Workers:       *workers,
-		Batch:         *batch,
-		FlushInterval: msToDuration(*flushMS),
-		K:             *k,
-		Attack:        opt,
-		SnapshotPath:  *snapPath,
+		Workers:      *workers,
+		Batch:        *batch,
+		K:            *k,
+		Attack:       opt,
+		SnapshotPath: *snapPath,
 	})
 
-	// Graceful drain on SIGINT/SIGTERM: Close flushes the pending
-	// micro-batch (every in-flight waiter gets its answer), then the
+	// Graceful drain on SIGINT/SIGTERM: Close lets the running flush
+	// finish (each of its waiters gets its answer), then the
 	// post-drain snapshot below captures the fully-applied world —
 	// including any accounts ingested moments before the signal.
 	sigs := make(chan os.Signal, 1)
@@ -153,7 +149,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("dehealthd: listening on %s (batch %d, flush %dms, k %d)", *addr, *batch, *flushMS, *k)
+	log.Printf("dehealthd: listening on %s (batch %d, k %d)", *addr, *batch, *k)
 	if err := srv.ListenAndServe(*addr); err != nil {
 		log.Fatalf("dehealthd: %v", err)
 	}

@@ -773,17 +773,19 @@ type ServeOptions struct {
 	Addr string
 	// Workers bounds the per-flush query fan-out (<= 0 uses all CPUs).
 	Workers int
-	// Batch is the micro-batch size: pending requests flush at this count
-	// (default 32). A flush's queries are answered through the multi-query
-	// blocked scoring kernel, so Batch also bounds how many queries one
-	// pass over the auxiliary data scores together.
+	// Batch caps how many waiting requests one flush takes (default 32).
+	// The server flushes as soon as it is idle, so batches form only from
+	// what arrived while the previous flush ran. A flush's queries are
+	// answered through the multi-query blocked scoring kernel, so Batch
+	// also bounds how many queries one pass over the auxiliary data scores
+	// together.
 	Batch int
-	// FlushInterval flushes a non-empty micro-batch after this deadline
-	// (default 2ms).
+	// Deprecated: FlushInterval is ignored; the server never waits for a
+	// batch to fill.
 	FlushInterval time.Duration
-	// DrainTimeout bounds how long Close waits for the pending micro-batch
-	// to finish flushing before returning serve.ErrDrainTimeout (default
-	// 5s); in-flight waiters are answered either way.
+	// DrainTimeout bounds how long Close waits for the running flush to
+	// finish before returning serve.ErrDrainTimeout (default 5s); that
+	// flush's waiters are answered either way.
 	DrainTimeout time.Duration
 	// K is the candidate-set size of queries that omit k (default 10).
 	K int
@@ -798,8 +800,8 @@ type ServeOptions struct {
 }
 
 // Server is the running dehealthd query service (see internal/serve): an
-// HTTP API over a prepared world, admitting queries and ingests through a
-// micro-batching channel that flushes on size or deadline. Within a flush,
+// HTTP API over a prepared world, admitting queries and ingests through
+// one dispatcher that flushes whenever it is idle. Within a flush,
 // ingests apply before queries and queries are answered in same-k groups
 // through the batched scoring kernel, so the service is race-free by
 // construction and each auxiliary pass serves the whole group.
@@ -899,11 +901,10 @@ func (b serveBackend) ShardSizes() []serve.ShardCount {
 // and stop it with Close.
 func NewServer(pw *PreparedWorld, opt ServeOptions) *Server {
 	cfg := serve.Config{
-		Workers:       opt.Workers,
-		MaxBatch:      opt.Batch,
-		FlushInterval: opt.FlushInterval,
-		DrainTimeout:  opt.DrainTimeout,
-		DefaultK:      opt.K,
+		Workers:      opt.Workers,
+		MaxBatch:     opt.Batch,
+		DrainTimeout: opt.DrainTimeout,
+		DefaultK:     opt.K,
 	}
 	if path := opt.SnapshotPath; path != "" {
 		cfg.Snapshot = func() (serve.SnapshotInfo, error) {

@@ -12,7 +12,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"time"
 
 	"dehealth"
 )
@@ -32,7 +31,7 @@ func main() {
 	// service knows about will have arrived through /v1/ingest.
 	pw := dehealth.PrepareWorld(&dehealth.Dataset{Name: "observed"}, split.Aux, opt)
 	srv := dehealth.NewServer(pw, dehealth.ServeOptions{
-		Workers: 4, Batch: 16, FlushInterval: 2 * time.Millisecond, K: 5, Attack: opt,
+		Workers: 4, Batch: 16, K: 5, Attack: opt,
 	})
 	defer srv.Close()
 

@@ -89,7 +89,7 @@ func expectTopK(u, k, total int) []shard.Candidate {
 // its base URL.
 func newShardServer(t *testing.T, slice serve.ShardSlice) string {
 	t.Helper()
-	srv := serve.New(stubBackend{slice: slice}, serve.Config{FlushInterval: time.Millisecond})
+	srv := serve.New(stubBackend{slice: slice}, serve.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -470,7 +470,7 @@ func (b approxStub) ApproxCounters() (serve.ApproxCounters, bool) { return b.cou
 
 func newApproxShardServer(t *testing.T, slice serve.ShardSlice, c serve.ApproxCounters) string {
 	t.Helper()
-	srv := serve.New(approxStub{stubBackend{slice: slice}, c}, serve.Config{FlushInterval: time.Millisecond})
+	srv := serve.New(approxStub{stubBackend{slice: slice}, c}, serve.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.Close()

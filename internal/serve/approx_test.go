@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dehealth/internal/core"
 )
@@ -46,7 +45,7 @@ func (b *approxBackend) ApproxCounters() (ApproxCounters, bool) {
 // ones, and a mixed micro-batch splits into per-flag groups.
 func TestQueryApproxRouting(t *testing.T) {
 	b := &approxBackend{testBackend: newTestBackend(t, 16, 81)}
-	s := New(b, Config{MaxBatch: 8, FlushInterval: 2 * time.Millisecond, DefaultK: 5})
+	s := New(b, Config{MaxBatch: 8, DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -89,7 +88,7 @@ func TestQueryApproxRouting(t *testing.T) {
 // and the stats omit the approx block entirely.
 func TestQueryApproxWithoutCapableBackend(t *testing.T) {
 	b := newTestBackend(t, 14, 83)
-	s := New(b, Config{MaxBatch: 4, FlushInterval: time.Millisecond, DefaultK: 5})
+	s := New(b, Config{MaxBatch: 4, DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

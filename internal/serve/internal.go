@@ -14,10 +14,7 @@
 
 package serve
 
-import (
-	"encoding/json"
-	"net/http"
-)
+import "net/http"
 
 // ShardSlice is a backend's slice identity: shard Shard of Shards,
 // serving the global auxiliary id window [Lo, Hi) out of AuxTotal users.
@@ -106,22 +103,16 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInternalQuery answers one shard batch through the dispatcher (the
-// micro-batch channel stays the backend's single entry point, so internal
+// request channel stays the backend's single entry point, so internal
 // traffic obeys the same single-writer flush discipline as public
 // traffic), then rebases candidate ids to global at the wire boundary.
 func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	var q InternalQuery
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid internal query body: " + err.Error()})
+	if !decodeBody(w, r, "internal query", &q) {
 		return
 	}
-	res, err := s.submit(&request{bquery: &q, done: make(chan result, 1)}, r.Context().Done())
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorWire{Error: err.Error()})
-		return
-	}
-	if res.err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: res.err.Error()})
+	res, ok := s.do(w, r, &request{bquery: &q})
+	if !ok {
 		return
 	}
 	sl := s.slice()

@@ -4,10 +4,12 @@
 // anonymous accounts as they appear — the continuous-tracking threat model
 // behind the paper, rather than the offline batch experiments.
 //
-// Concurrency is organized around a micro-batching channel: every request
-// (query or ingest) is enqueued to a single dispatcher goroutine that
-// flushes when the pending batch reaches Config.MaxBatch or when
-// Config.FlushInterval elapses, whichever comes first. Within a flush,
+// Concurrency is organized around one channel and natural batching: every
+// request (query or ingest) is handed to a single dispatcher goroutine
+// that blocks for one request, takes whatever other senders are already
+// parked on the channel (up to Config.MaxBatch) and flushes at once. An
+// idle server therefore answers with no wait, and batches form on their
+// own from whatever arrived while the previous flush ran. Within a flush,
 // ingests are applied first — serially, in arrival order, as one backend
 // call — and then the flush's queries are handed to the backend whole:
 // grouped by effective k, each group is one Backend.QueryBatch call, which
@@ -126,7 +128,7 @@ type Backend interface {
 	QueryUser(u, k int) ([]core.Candidate, error)
 	// QueryBatch answers one QueryUser per entry of users, bit-identically,
 	// with results aligned by index. The flush hands it a whole same-k group
-	// of the micro-batch at once so the backend can score all of them per
+	// of its requests at once so the backend can score all of them per
 	// pass over its auxiliary data (the multi-query blocked kernel). An
 	// error fails the whole group; the flush then re-runs the group's
 	// queries individually through QueryUser so each waiter gets an answer
@@ -145,18 +147,19 @@ type Config struct {
 	// when a batched query group fails (<= 0 uses GOMAXPROCS). The batched
 	// path itself delegates fan-out to Backend.QueryBatch.
 	Workers int
-	// MaxBatch flushes the pending micro-batch at this size (default 32).
+	// MaxBatch caps how many parked requests one flush takes (default 32);
+	// the remainder forms the next flush.
 	MaxBatch int
-	// FlushInterval flushes a non-empty micro-batch after this deadline
-	// (default 2ms).
+	// Deprecated: FlushInterval is ignored. The dispatcher flushes as soon
+	// as it is idle and never waits for company.
 	FlushInterval time.Duration
 	// DefaultK is the candidate-set size of queries that omit k (default 10).
 	DefaultK int
 	// DrainTimeout bounds how long Close waits for the dispatcher to
-	// finish the pending micro-batch (default 5s). Within the deadline
-	// every in-flight waiter gets its response; past it Close returns
-	// ErrDrainTimeout while the flush finishes in the background, and
-	// late-arriving requests get ErrClosed either way.
+	// finish the running flush (default 5s). Within the deadline every
+	// waiter of that flush gets its response; past it Close returns
+	// ErrDrainTimeout while the flush finishes in the background. Requests
+	// still parked on the channel, and late arrivals, get ErrClosed.
 	DrainTimeout time.Duration
 	// Snapshot, when set, enables the POST /v1/snapshot admin endpoint:
 	// the callback persists the backend's world and reports where and how
@@ -182,9 +185,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
-	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 10
 	}
@@ -197,8 +197,8 @@ func (c Config) withDefaults() Config {
 // ErrClosed is returned to requests that arrive after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrDrainTimeout is returned by Close when the pending batch did not
-// finish flushing within Config.DrainTimeout. The flush keeps running in
+// ErrDrainTimeout is returned by Close when the running flush did not
+// finish within Config.DrainTimeout. The flush keeps running in
 // the background so its waiters still get answers; the error only tells
 // the closer that shutdown did not observe a quiesced dispatcher.
 var ErrDrainTimeout = errors.New("serve: drain deadline exceeded")
@@ -219,7 +219,13 @@ type Stats struct {
 	Ingests       int64           `json:"ingests"`
 	Batches       int64           `json:"batches"`
 	MeanBatchSize float64         `json:"mean_batch_size"`
-	UptimeSeconds float64         `json:"uptime_seconds"`
+	// QueueWaitUS sums, over every request flushed, the time from submit to
+	// the start of its flush; FlushUS sums the flushes' own durations. Both
+	// are cumulative microseconds on the dispatcher's clock: divide the
+	// first by queries+ingests and the second by batches for means.
+	QueueWaitUS   int64   `json:"queue_wait_us"`
+	FlushUS       int64   `json:"flush_us"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 // Server is the running query service. Create with New, expose with
@@ -239,6 +245,8 @@ type Server struct {
 	ingests int64
 	batches int64
 	batched int64
+	waitNS  int64
+	flushNS int64
 
 	// Flush-local grouping scratch, touched only by the dispatcher
 	// goroutine: the same-k request groups and their user-id vectors are
@@ -259,6 +267,8 @@ type request struct {
 	ingest []features.UserPosts // one client's ingest batch from /v1/ingest
 	bquery *InternalQuery       // one router-side shard batch from /internal/query
 	done   chan result          // buffered(1): flush never blocks on it
+	cancel <-chan struct{}      // closed once the client has gone; nil never cancels
+	enq    time.Time            // when submit offered it to the dispatcher
 }
 
 type result struct {
@@ -283,59 +293,55 @@ func New(b Backend, cfg Config) *Server {
 	return s
 }
 
-// dispatch is the single consumer of the request channel: it accumulates a
-// micro-batch and flushes on size or deadline.
+// dispatch is the single consumer of the request channel: it blocks for
+// one request, takes the senders already parked on the channel (up to
+// MaxBatch) and flushes at once. Whatever arrives while the flush runs
+// parks on the channel and forms the next batch.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
-	var batch []*request
-	timer := time.NewTimer(s.cfg.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	flush := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		s.flush(batch)
-		batch = nil
-	}
+	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
 		select {
 		case r := <-s.reqs:
-			if len(batch) == 0 {
-				timer.Reset(s.cfg.FlushInterval)
-			}
-			batch = append(batch, r)
-			if len(batch) >= s.cfg.MaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			s.flush(batch)
-			batch = nil
+			batch = append(batch[:0], r)
 		case <-s.quit:
-			flush()
 			return
 		}
+	parked:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case r := <-s.reqs:
+				batch = append(batch, r)
+			default:
+				break parked
+			}
+		}
+		start := time.Now()
+		var waited time.Duration
+		for _, r := range batch {
+			waited += start.Sub(r.enq)
+		}
+		atomic.AddInt64(&s.waitNS, int64(waited))
+		s.flush(batch)
+		atomic.AddInt64(&s.flushNS, int64(time.Since(start)))
 	}
 }
 
-// flush applies one micro-batch: all ingests first (one backend call, in
-// arrival order), then the queries over the worker pool.
+// flush applies one batch: all ingests first (one backend call, in arrival
+// order), then the queries. Requests whose client has already gone are
+// dropped unscored and unapplied — nobody reads their answer.
 func (s *Server) flush(batch []*request) {
-	if len(batch) == 0 {
-		return
-	}
 	atomic.AddInt64(&s.batches, 1)
 	atomic.AddInt64(&s.batched, int64(len(batch)))
 
-	var ingests []*request
-	var queries []*request
-	var bqueries []*request
+	var ingests, queries, bqueries []*request
 	var users []features.UserPosts
 	for _, r := range batch {
+		select {
+		case <-r.cancel:
+			continue
+		default:
+		}
 		switch {
 		case r.ingest != nil:
 			ingests = append(ingests, r)
@@ -346,7 +352,10 @@ func (s *Server) flush(batch []*request) {
 			queries = append(queries, r)
 		}
 	}
+	// Each counter is bumped before the replies it describes, so a client
+	// holding an answer always finds it counted in /v1/stats.
 	if len(ingests) > 0 {
+		atomic.AddInt64(&s.ingests, int64(len(ingests)))
 		ids, err := s.backend.Ingest(users)
 		if err == nil {
 			at := 0
@@ -369,7 +378,6 @@ func (s *Server) flush(batch []*request) {
 				}
 			}
 		}
-		atomic.AddInt64(&s.ingests, int64(len(ingests)))
 	}
 	// Internal shard batches: each already arrives grouped (the router
 	// builds one per shard call), so each is one ready-made kernel group —
@@ -377,19 +385,13 @@ func (s *Server) flush(batch []*request) {
 	// call; the router's retry/hedge layer owns recovery.
 	for _, r := range bqueries {
 		q := r.bquery
-		k := q.K
-		if k <= 0 {
-			k = s.cfg.DefaultK
-		}
-		cands, err := s.queryGroup(q.Users, k, q.Approx)
-		r.done <- result{batch: cands, err: err}
+		cands, err := s.queryGroup(q.Users, s.effectiveK(q.K), q.Approx)
 		if err == nil {
 			atomic.AddInt64(&s.queries, int64(len(q.Users)))
 		}
+		r.done <- result{batch: cands, err: err}
 	}
-	if len(queries) == 0 {
-		return
-	}
+	atomic.AddInt64(&s.queries, int64(len(queries)))
 	// Batched query path: peel the flush's queries into same-(k, approx)
 	// groups (in first-arrival order) and answer each group with one
 	// Backend.QueryBatch (or QueryBatchApprox) call, so the backend's
@@ -397,12 +399,12 @@ func (s *Server) flush(batch []*request) {
 	// auxiliary data. MaxBatch is thus the kernel's batch width. The
 	// group/user scratch lives on the Server and is reused across flushes.
 	for qs := queries; len(qs) > 0; {
-		k := s.effectiveK(qs[0])
+		k := s.effectiveK(qs[0].query.K)
 		approx := qs[0].query.Approx
 		grp, users := s.grpReqs[:0], s.grpUsers[:0]
 		rest := qs[:0]
 		for _, r := range qs {
-			if s.effectiveK(r) == k && r.query.Approx == approx {
+			if s.effectiveK(r.query.K) == k && r.query.Approx == approx {
 				grp = append(grp, r)
 				users = append(users, r.query.User)
 			} else {
@@ -424,13 +426,12 @@ func (s *Server) flush(batch []*request) {
 		s.grpReqs, s.grpUsers = grp[:0], users[:0]
 		qs = rest
 	}
-	atomic.AddInt64(&s.queries, int64(len(queries)))
 }
 
-// effectiveK resolves a query's candidate-set size against DefaultK.
-func (s *Server) effectiveK(r *request) int {
-	if r.query.K > 0 {
-		return r.query.K
+// effectiveK resolves a request's candidate-set size against DefaultK.
+func (s *Server) effectiveK(k int) int {
+	if k > 0 {
+		return k
 	}
 	return s.cfg.DefaultK
 }
@@ -452,19 +453,16 @@ func (s *Server) queryGroup(users []int, k int, approx bool) ([][]core.Candidate
 func (s *Server) queryOne(r *request) ([]core.Candidate, error) {
 	if r.query.Approx {
 		if aq, ok := s.backend.(ApproxQueryer); ok {
-			return aq.QueryUserApprox(r.query.User, s.effectiveK(r))
+			return aq.QueryUserApprox(r.query.User, s.effectiveK(r.query.K))
 		}
 	}
-	return s.backend.QueryUser(r.query.User, s.effectiveK(r))
+	return s.backend.QueryUser(r.query.User, s.effectiveK(r.query.K))
 }
 
 // queryFallback answers a failed batch group one query at a time over the
 // Config.Workers pool, giving every waiter its own per-request verdict.
 func (s *Server) queryFallback(queries []*request) {
-	workers := s.cfg.Workers
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	workers := min(s.cfg.Workers, len(queries))
 	var wg sync.WaitGroup
 	jobs := make(chan *request)
 	for w := 0; w < workers; w++ {
@@ -495,6 +493,7 @@ func firstID(ids []int) int {
 
 // submit enqueues a request and waits for its result or cancellation.
 func (s *Server) submit(r *request, cancel <-chan struct{}) (result, error) {
+	r.cancel, r.enq = cancel, time.Now()
 	select {
 	case s.reqs <- r:
 	case <-s.quit:
@@ -540,18 +539,20 @@ func (s *Server) Stats() Stats {
 		Ingests:       atomic.LoadInt64(&s.ingests),
 		Batches:       batches,
 		MeanBatchSize: mean,
+		QueueWaitUS:   atomic.LoadInt64(&s.waitNS) / 1e3,
+		FlushUS:       atomic.LoadInt64(&s.flushNS) / 1e3,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 }
 
-// Close stops the dispatcher, draining the pending micro-batch so every
-// in-flight waiter gets its response, then shuts the HTTP side down
-// gracefully if a listener was started — http.Server.Shutdown, so handler
-// goroutines finish writing the responses the drain just produced before
-// connections close. The whole shutdown is bounded by Config.DrainTimeout:
-// past the deadline Close returns ErrDrainTimeout and force-closes
-// whatever is left (a stuck flush keeps running in the background and
-// still answers its waiters). Requests arriving after Close get ErrClosed.
+// Close stops the dispatcher once the running flush (if any) has answered
+// its waiters, then shuts the HTTP side down gracefully if a listener was
+// started — http.Server.Shutdown, so handler goroutines finish writing the
+// responses that flush just produced before connections close. The whole
+// shutdown is bounded by Config.DrainTimeout: past the deadline Close
+// returns ErrDrainTimeout and force-closes whatever is left (a stuck flush
+// keeps running in the background and still answers its waiters). Requests
+// still parked on the channel, or arriving after Close, get ErrClosed.
 // Safe to call more than once.
 func (s *Server) Close() error {
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
@@ -668,19 +669,51 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps every request body the service decodes; larger bodies
+// are answered 413 before anything is buffered past the cap.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's size-capped JSON body into v. On failure it
+// answers the client itself (413 past maxBodyBytes, 400 otherwise, naming
+// what the body was) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorWire{Error: "invalid " + what + " body: " + err.Error()})
+	return false
+}
+
+// do runs one request through the dispatcher on behalf of an HTTP client.
+// On failure it answers the client itself (503 when the server is closed
+// or the client gone, 400 when the backend rejected the request) and
+// returns false.
+func (s *Server) do(w http.ResponseWriter, r *http.Request, req *request) (result, bool) {
+	req.done = make(chan result, 1)
+	res, err := s.submit(req, r.Context().Done())
+	code := http.StatusServiceUnavailable
+	if err == nil {
+		code, err = http.StatusBadRequest, res.err
+	}
+	if err != nil {
+		writeJSON(w, code, errorWire{Error: err.Error()})
+	}
+	return res, err == nil
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryWire
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid query body: " + err.Error()})
+	if !decodeBody(w, r, "query", &q) {
 		return
 	}
-	res, err := s.submit(&request{query: &q, done: make(chan result, 1)}, r.Context().Done())
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorWire{Error: err.Error()})
-		return
-	}
-	if res.err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: res.err.Error()})
+	res, ok := s.do(w, r, &request{query: &q})
+	if !ok {
 		return
 	}
 	reply := queryReplyWire{User: res.user, Candidates: make([]candidateWire, len(res.candidates))}
@@ -692,8 +725,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid ingest body: " + err.Error()})
+	if !decodeBody(w, r, "ingest", &raw) {
 		return
 	}
 	// A JSON array is a batched ingest; a single object remains accepted
@@ -732,13 +764,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[bi] = up
 	}
-	res, err := s.submit(&request{ingest: batch, done: make(chan result, 1)}, r.Context().Done())
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorWire{Error: err.Error()})
-		return
-	}
-	if res.err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: res.err.Error()})
+	res, ok := s.do(w, r, &request{ingest: batch})
+	if !ok {
 		return
 	}
 	if batched {
@@ -751,7 +778,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot runs the configured snapshot callback. The callback is
 // invoked on the request goroutine, not through the dispatcher: world
 // locking inside the callback already serializes it against ingestion,
-// and routing a potentially long write through the micro-batch channel
+// and routing a potentially long write through the request channel
 // would stall every query behind it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Snapshot == nil {

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,7 +120,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 // user, and read back stats.
 func TestHTTPRoundTrip(t *testing.T) {
 	b := newTestBackend(t, 16, 61)
-	s := New(b, Config{MaxBatch: 4, FlushInterval: time.Millisecond, DefaultK: 5})
+	s := New(b, Config{MaxBatch: 4, DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -195,7 +198,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 // users, bad thread references, wrong methods, and a closed server.
 func TestHTTPErrors(t *testing.T) {
 	b := newTestBackend(t, 10, 71)
-	s := New(b, Config{FlushInterval: time.Millisecond})
+	s := New(b, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -240,113 +243,6 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestMicroBatching checks both flush triggers: a lone request flushes on
-// the deadline despite a huge MaxBatch, and a burst flushes by size into
-// far fewer batches than requests.
-func TestMicroBatching(t *testing.T) {
-	b := newTestBackend(t, 12, 81)
-	s := New(b, Config{MaxBatch: 1024, FlushInterval: 5 * time.Millisecond, DefaultK: 3})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp := postJSON(t, ts.URL+"/v1/query", map[string]int{"user": 0})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deadline-flushed query: status %d", resp.StatusCode)
-	}
-
-	const burst = 48
-	var wg sync.WaitGroup
-	errs := make([]error, burst)
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json",
-				bytes.NewReader([]byte(fmt.Sprintf(`{"user": %d}`, i%12))))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("burst query %d: %v", i, err)
-		}
-	}
-	stats := s.Stats()
-	if stats.Queries != burst+1 {
-		t.Fatalf("queries = %d, want %d", stats.Queries, burst+1)
-	}
-	if stats.MeanBatchSize <= 1 && stats.Batches >= burst {
-		t.Logf("warning: burst did not batch (batches=%d mean=%.1f)", stats.Batches, stats.MeanBatchSize)
-	}
-}
-
-// TestIngestBatchFailureIsolation forces a valid and an invalid ingest
-// into the same micro-batch (MaxBatch 2, long deadline) and checks the
-// valid client succeeds while only the bad request is rejected.
-func TestIngestBatchFailureIsolation(t *testing.T) {
-	b := newTestBackend(t, 12, 91)
-	anon0, _ := b.Sizes()
-	s := New(b, Config{MaxBatch: 2, FlushInterval: 10 * time.Second})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	type reply struct {
-		status int
-		body   string
-	}
-	results := make(chan reply, 2)
-	send := func(w ingestWire) {
-		buf, _ := json.Marshal(w)
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Error(err)
-			results <- reply{}
-			return
-		}
-		defer resp.Body.Close()
-		var body bytes.Buffer
-		_, _ = body.ReadFrom(resp.Body)
-		results <- reply{status: resp.StatusCode, body: body.String()}
-	}
-	bad := 9999
-	go send(ingestWire{Name: "good", Posts: []ingestPostWire{{Text: "valid post about recovery"}}})
-	// Give the first request time to enter the pending batch; the second
-	// fills the batch and triggers the size flush. (If scheduling reorders
-	// them, the test still checks one success + one failure.)
-	time.Sleep(50 * time.Millisecond)
-	go send(ingestWire{Name: "bad", Posts: []ingestPostWire{{Thread: &bad, Text: "x"}}})
-
-	var ok, failed int
-	for i := 0; i < 2; i++ {
-		r := <-results
-		switch r.status {
-		case http.StatusOK:
-			ok++
-		case http.StatusBadRequest:
-			failed++
-		default:
-			t.Fatalf("unexpected status %d (%s)", r.status, r.body)
-		}
-	}
-	if ok != 1 || failed != 1 {
-		t.Fatalf("got %d ok / %d failed, want 1 / 1: a bad batch peer must not fail valid ingests", ok, failed)
-	}
-	if anon1, _ := b.Sizes(); anon1 != anon0+1 {
-		t.Fatalf("anon users = %d, want %d (exactly the valid ingest applied)", anon1, anon0+1)
-	}
-}
-
 // TestServeAfterClose pins the Close/Serve ordering contract: Serve on a
 // closed server must close the listener and return ErrClosed instead of
 // blocking forever.
@@ -375,7 +271,7 @@ func TestServeAfterClose(t *testing.T) {
 func TestBatchedIngest(t *testing.T) {
 	b := newTestBackend(t, 12, 101)
 	anon0, _ := b.Sizes()
-	s := New(b, Config{FlushInterval: time.Millisecond})
+	s := New(b, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -447,7 +343,7 @@ func TestBatchedIngest(t *testing.T) {
 // backend reports.
 func TestStatsShards(t *testing.T) {
 	b := newTestBackend(t, 14, 111)
-	s := New(b, Config{FlushInterval: time.Millisecond})
+	s := New(b, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -465,82 +361,350 @@ func TestStatsShards(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsInFlight pins the graceful-drain contract: a query
-// sitting in the pending micro-batch when Close arrives is answered (the
-// final flush runs inside the drain window) and Close returns nil.
-func TestCloseDrainsInFlight(t *testing.T) {
-	b := newTestBackend(t, 10, 121)
-	// Huge MaxBatch + long deadline: the request can only be flushed by
-	// Close's quit path, never by size or timer.
-	s := New(b, Config{MaxBatch: 1024, FlushInterval: time.Hour, DrainTimeout: 5 * time.Second})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	type outcome struct {
-		status int
-		err    error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"user": 1, "k": 3}`)))
-		if err != nil {
-			got <- outcome{err: err}
-			return
-		}
-		resp.Body.Close()
-		got <- outcome{status: resp.StatusCode}
-	}()
-	// Let the request reach the dispatcher's pending batch.
-	time.Sleep(100 * time.Millisecond)
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close = %v, want nil (drained)", err)
-	}
-	o := <-got
-	if o.err != nil {
-		t.Fatalf("in-flight query failed: %v", o.err)
-	}
-	if o.status != http.StatusOK {
-		t.Fatalf("in-flight query status %d, want 200 (drained with a response)", o.status)
-	}
-}
-
-// stallBackend wraps a backend whose QueryUser blocks until released —
-// the pathological flush the drain deadline exists for.
-type stallBackend struct {
+// gateBackend is the one backend behind every test that pins what a flush
+// contains. Its first call blocks until the test opens the gate, and the
+// test opens it only after it has seen the senders it wants parked on the
+// request channel behind that held flush — so the flush that follows has
+// exactly that content, with no clock involved. Every call is logged, so a
+// test can read off how each flush was routed.
+type gateBackend struct {
 	*testBackend
-	release chan struct{}
+	entered chan struct{} // closed when the first call reaches the backend
+	open    chan struct{} // closed by the test to let that call go on
+	once    sync.Once
+	mu      sync.Mutex
+	calls   []string // "ingest:<users>", "batch:<width>@<k>", "user:<id>", in call order
 }
 
-func (b *stallBackend) QueryUser(u, k int) ([]core.Candidate, error) {
-	<-b.release
+func newGateBackend(t *testing.T, users int, seed int64) *gateBackend {
+	return &gateBackend{
+		testBackend: newTestBackend(t, users, seed),
+		entered:     make(chan struct{}),
+		open:        make(chan struct{}),
+	}
+}
+
+func (b *gateBackend) call(format string, args ...any) {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.open
+	})
+	b.mu.Lock()
+	b.calls = append(b.calls, fmt.Sprintf(format, args...))
+	b.mu.Unlock()
+}
+
+func (b *gateBackend) Ingest(batch []features.UserPosts) ([]int, error) {
+	b.call("ingest:%d", len(batch))
+	return b.testBackend.Ingest(batch)
+}
+
+func (b *gateBackend) QueryUser(u, k int) ([]core.Candidate, error) {
+	b.call("user:%d", u)
 	return b.testBackend.QueryUser(u, k)
 }
 
-func (b *stallBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
-	<-b.release
+func (b *gateBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
+	b.call("batch:%d@%d", len(users), k)
 	return b.testBackend.QueryBatch(users, k)
+}
+
+// log returns the calls made after the opener's ("batch:1@1"), sorted when
+// their order depends on which sender parked first.
+func (b *gateBackend) log(t *testing.T, sorted bool) []string {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.calls) == 0 || b.calls[0] != "batch:1@1" {
+		t.Fatalf("backend calls %v do not start with the opener's batch:1@1", b.calls)
+	}
+	out := slices.Clone(b.calls[1:])
+	if sorted {
+		slices.Sort(out)
+	}
+	return out
+}
+
+// hold submits the opener — a lone query on the idle server — and returns
+// once its flush is inside the backend, blocked on the gate. From then on
+// the dispatcher takes nothing off the channel until the gate opens. The
+// opener's outcome arrives on the returned channel.
+func (b *gateBackend) hold(s *Server) <-chan error {
+	opener := make(chan error, 1)
+	go func() {
+		res, err := s.submit(&request{query: &queryWire{User: 0, K: 1}, done: make(chan result, 1)}, nil)
+		if err == nil {
+			err = res.err
+		}
+		opener <- err
+	}()
+	<-b.entered
+	return opener
+}
+
+// waitParked blocks until exactly n senders are parked on the request
+// channel behind the held flush. It reads goroutine states, not a clock: a
+// goroutine blocked in a select inside submit is either a parked sender or
+// the held flush's one waiter.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 4<<20)
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		in := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			state, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(state, "[select") && strings.Contains(g, "serve.(*Server).submit") {
+				in++
+			}
+		}
+		if in == n+1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines blocked in submit, want %d parked senders + the held flush's waiter", in, n)
+		}
+	}
+}
+
+// openWhenParked opens the gate once n senders are parked behind it.
+func (b *gateBackend) openWhenParked(t *testing.T, n int) {
+	t.Helper()
+	waitParked(t, n)
+	close(b.open)
+}
+
+type reply struct {
+	status int // -1 on a transport error
+	body   string
+}
+
+// postEach posts every body to url from its own goroutine and returns a
+// function that waits for all the replies, aligned with bodies.
+func postEach(url string, bodies ...any) func() []reply {
+	replies := make([]reply, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf, _ := json.Marshal(body)
+			resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+			if err != nil {
+				replies[i] = reply{status: -1, body: err.Error()}
+				return
+			}
+			defer resp.Body.Close()
+			text, _ := io.ReadAll(resp.Body)
+			replies[i] = reply{status: resp.StatusCode, body: string(text)}
+		}()
+	}
+	return func() []reply {
+		wg.Wait()
+		return replies
+	}
+}
+
+// wantStatuses fails unless every reply carries its wanted status code.
+func wantStatuses(t *testing.T, got []reply, want ...int) {
+	t.Helper()
+	for i, r := range got {
+		if r.status != want[i%len(want)] {
+			t.Fatalf("request %d: status %d (%s), want %d", i, r.status, r.body, want[i%len(want)])
+		}
+	}
+}
+
+// TestLoneQueryNoWait pins flush-when-idle: a lone query on an idle server
+// is answered without any deadline elapsing. The ignored FlushInterval is
+// set to an hour, so a dispatcher that still lingered for company would
+// hold the query until the watchdog fires.
+func TestLoneQueryNoWait(t *testing.T) {
+	s := New(newTestBackend(t, 10, 85), Config{MaxBatch: 1024, FlushInterval: time.Hour})
+	defer s.Close()
+	done := make(chan error, 1)
+	go func() {
+		res, err := s.submit(&request{query: &queryWire{User: 1, K: 3}, done: make(chan result, 1)}, nil)
+		if err == nil && len(res.candidates) != 3 {
+			err = fmt.Errorf("got %d candidates, want 3", len(res.candidates))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("lone query still unanswered: the dispatcher is waiting for company")
+	}
+	if st := s.Stats(); st.Batches != 1 || st.MeanBatchSize != 1 {
+		t.Fatalf("stats %+v, want one flush of one request", st)
+	}
+}
+
+// TestMicroBatching pins natural batching: requests that arrive while a
+// flush runs come out together as the next flush, and /v1/stats accounts
+// for the time they spent parked.
+func TestMicroBatching(t *testing.T) {
+	b := newGateBackend(t, 12, 81)
+	s := New(b, Config{MaxBatch: 1024, DefaultK: 3})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	opener := b.hold(s)
+	const burst = 48
+	bodies := make([]any, burst)
+	for i := range bodies {
+		bodies[i] = queryWire{User: i % 12}
+	}
+	wait := postEach(ts.URL+"/v1/query", bodies...)
+	b.openWhenParked(t, burst)
+	wantStatuses(t, wait(), http.StatusOK)
+	if err := <-opener; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.log(t, false), []string{"batch:48@3"}; !slices.Equal(got, want) {
+		t.Fatalf("backend calls after the opener %v, want %v", got, want)
+	}
+	stats := decode[map[string]any](t, mustGet(t, ts.URL+"/v1/stats"))
+	for key, want := range map[string]float64{"queries": burst + 1, "batches": 2, "mean_batch_size": (burst + 1) / 2.0} {
+		if stats[key] != want {
+			t.Fatalf("stats %s = %v, want %v", key, stats[key], want)
+		}
+	}
+	// The burst sat parked behind the held flush, so both clocks have run.
+	for _, key := range []string{"queue_wait_us", "flush_us"} {
+		if us, ok := stats[key].(float64); !ok || us <= 0 {
+			t.Fatalf("stats %s = %v, want a positive count of microseconds", key, stats[key])
+		}
+	}
+}
+
+// TestFlushCapsAtMaxBatch checks the one bound on a flush: with more
+// senders parked than MaxBatch, the next flush takes MaxBatch of them and
+// the remainder forms the flush after.
+func TestFlushCapsAtMaxBatch(t *testing.T) {
+	b := newGateBackend(t, 12, 83)
+	s := New(b, Config{MaxBatch: 4, DefaultK: 3})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	opener := b.hold(s)
+	bodies := make([]any, 6)
+	for i := range bodies {
+		bodies[i] = queryWire{User: i}
+	}
+	wait := postEach(ts.URL+"/v1/query", bodies...)
+	b.openWhenParked(t, len(bodies))
+	wantStatuses(t, wait(), http.StatusOK)
+	if err := <-opener; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.log(t, false), []string{"batch:4@3", "batch:2@3"}; !slices.Equal(got, want) {
+		t.Fatalf("backend calls after the opener %v, want %v", got, want)
+	}
+	if st := s.Stats(); st.Batches != 3 {
+		t.Fatalf("batches = %d, want 3 (opener, MaxBatch, remainder)", st.Batches)
+	}
+}
+
+// TestIngestBeforeQuery parks an ingest and a query for the id that ingest
+// will mint: they share a flush, and the query can only succeed if the
+// flush applied the ingest first.
+func TestIngestBeforeQuery(t *testing.T) {
+	b := newGateBackend(t, 12, 87)
+	anon0, _ := b.Sizes()
+	s := New(b, Config{DefaultK: 3})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	opener := b.hold(s)
+	waitQuery := postEach(ts.URL+"/v1/query", queryWire{User: anon0})
+	waitParked(t, 1) // the query parks first, so arrival order cannot explain a pass
+	waitIngest := postEach(ts.URL+"/v1/ingest", ingestWire{Name: "fresh", Posts: []ingestPostWire{{Text: "a new account appears"}}})
+	b.openWhenParked(t, 2)
+	wantStatuses(t, waitIngest(), http.StatusOK)
+	wantStatuses(t, waitQuery(), http.StatusOK)
+	if err := <-opener; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.log(t, false), []string{"ingest:1", "batch:1@3"}; !slices.Equal(got, want) {
+		t.Fatalf("backend calls after the opener %v, want %v", got, want)
+	}
+}
+
+// TestIngestBatchFailureIsolation parks a valid and an invalid ingest into
+// one flush and checks the valid client succeeds while only the bad
+// request is rejected.
+func TestIngestBatchFailureIsolation(t *testing.T) {
+	b := newGateBackend(t, 12, 91)
+	anon0, _ := b.Sizes()
+	s := New(b, Config{MaxBatch: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	opener := b.hold(s)
+	bad := 9999
+	wait := postEach(ts.URL+"/v1/ingest",
+		ingestWire{Name: "good", Posts: []ingestPostWire{{Text: "valid post about recovery"}}},
+		ingestWire{Name: "bad", Posts: []ingestPostWire{{Thread: &bad, Text: "x"}}})
+	b.openWhenParked(t, 2)
+	wantStatuses(t, wait(), http.StatusOK, http.StatusBadRequest)
+	if err := <-opener; err != nil {
+		t.Fatal(err)
+	}
+	// One combined call that the store rejects whole, then one call each.
+	if got, want := b.log(t, false), []string{"ingest:2", "ingest:1", "ingest:1"}; !slices.Equal(got, want) {
+		t.Fatalf("backend calls after the opener %v, want %v", got, want)
+	}
+	if anon1, _ := b.Sizes(); anon1 != anon0+1 {
+		t.Fatalf("anon users = %d, want %d (exactly the valid ingest applied)", anon1, anon0+1)
+	}
+}
+
+// TestCloseDrainsInFlight pins the graceful-drain contract: Close during a
+// running flush lets that flush answer its waiters and returns nil, while
+// the senders still parked on the channel get ErrClosed at once — before
+// the flush has even finished — and never reach the backend.
+func TestCloseDrainsInFlight(t *testing.T) {
+	b := newGateBackend(t, 10, 121)
+	s := New(b, Config{MaxBatch: 1024, DrainTimeout: 20 * time.Second})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	opener := b.hold(s)
+	wait := postEach(ts.URL+"/v1/query", queryWire{User: 1, K: 3}, queryWire{User: 2, K: 3})
+	waitParked(t, 2)
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	wantStatuses(t, wait(), http.StatusServiceUnavailable) // the gate is still shut
+	close(b.open)
+	if err := <-opener; err != nil {
+		t.Fatalf("in-flight query failed: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close = %v, want nil (drained)", err)
+	}
+	if got := b.log(t, false); len(got) != 0 {
+		t.Fatalf("parked senders reached the backend after Close: %v", got)
+	}
 }
 
 // TestCloseDrainTimeout checks Close gives up after DrainTimeout with
 // ErrDrainTimeout while the stuck flush still answers its waiter once the
 // backend recovers — late, but never dropped.
 func TestCloseDrainTimeout(t *testing.T) {
-	b := &stallBackend{testBackend: newTestBackend(t, 10, 131), release: make(chan struct{})}
-	s := New(b, Config{MaxBatch: 1, FlushInterval: time.Millisecond, DrainTimeout: 50 * time.Millisecond})
+	b := newGateBackend(t, 10, 131)
+	s := New(b, Config{DrainTimeout: 50 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	status := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"user": 0, "k": 2}`)))
-		if err != nil {
-			status <- -1
-			return
-		}
-		resp.Body.Close()
-		status <- resp.StatusCode
-	}()
-	time.Sleep(50 * time.Millisecond) // let the flush enter the stalled backend
+	wait := postEach(ts.URL+"/v1/query", queryWire{User: 0, K: 1})
+	<-b.entered // the flush is inside the stalled backend
 
 	start := time.Now()
 	err := s.Close()
@@ -551,8 +715,8 @@ func TestCloseDrainTimeout(t *testing.T) {
 		t.Fatalf("Close blocked %v despite the drain deadline", elapsed)
 	}
 
-	close(b.release) // backend recovers; the background flush completes
-	if got := <-status; got != http.StatusOK && got != -1 {
+	close(b.open) // backend recovers; the background flush completes
+	if got := wait()[0].status; got != http.StatusOK && got != -1 {
 		t.Fatalf("stalled query finished with status %d", got)
 	}
 }
@@ -562,8 +726,8 @@ func TestCloseDrainTimeout(t *testing.T) {
 // goroutine finish writing the drained response before the connection is
 // torn down — http.Server.Shutdown semantics, not Close semantics.
 func TestCloseDrainsServePath(t *testing.T) {
-	b := newTestBackend(t, 10, 141)
-	s := New(b, Config{MaxBatch: 1024, FlushInterval: time.Hour, DrainTimeout: 5 * time.Second})
+	b := newGateBackend(t, 10, 141)
+	s := New(b, Config{MaxBatch: 1024, DrainTimeout: 20 * time.Second})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -571,66 +735,28 @@ func TestCloseDrainsServePath(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(l) }()
 
-	type outcome struct {
-		status int
-		err    error
-	}
-	got := make(chan outcome, 1)
-	go func() {
-		resp, err := http.Post("http://"+l.Addr().String()+"/v1/query", "application/json",
-			bytes.NewReader([]byte(`{"user": 1, "k": 3}`)))
-		if err != nil {
-			got <- outcome{err: err}
-			return
-		}
-		resp.Body.Close()
-		got <- outcome{status: resp.StatusCode}
-	}()
-	time.Sleep(100 * time.Millisecond) // let the request reach the pending batch
-	if err := s.Close(); err != nil {
+	wait := postEach("http://"+l.Addr().String()+"/v1/query", queryWire{User: 0, K: 1})
+	<-b.entered
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-s.quit // Close has begun; only now does the flush get to finish
+	close(b.open)
+	wantStatuses(t, wait(), http.StatusOK)
+	if err := <-closed; err != nil {
 		t.Fatalf("Close = %v, want nil", err)
-	}
-	o := <-got
-	if o.err != nil {
-		t.Fatalf("in-flight query over the live listener failed: %v", o.err)
-	}
-	if o.status != http.StatusOK {
-		t.Fatalf("in-flight query status %d, want 200", o.status)
 	}
 	if err := <-serveDone; err != nil {
 		t.Fatalf("Serve returned %v after graceful shutdown", err)
 	}
 }
 
-// batchSpyBackend counts backend calls so tests can see how a flush was
-// routed: whole same-k groups through QueryBatch, per-query fallback
-// through QueryUser.
-type batchSpyBackend struct {
-	*testBackend
-	batchCalls  int32
-	batchedQs   int32
-	singleCalls int32
-}
-
-func (b *batchSpyBackend) QueryUser(u, k int) ([]core.Candidate, error) {
-	atomic.AddInt32(&b.singleCalls, 1)
-	return b.testBackend.QueryUser(u, k)
-}
-
-func (b *batchSpyBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
-	atomic.AddInt32(&b.batchCalls, 1)
-	atomic.AddInt32(&b.batchedQs, int32(len(users)))
-	return b.testBackend.QueryBatch(users, k)
-}
-
-// TestQueryFlushGroupsByK forces queries with two distinct k values (and
-// one omitting k, which resolves to DefaultK) into one micro-batch and
-// checks the flush answers them as exactly two QueryBatch groups — no
-// per-query backend calls — with every client's reply correct for its own
-// k.
+// TestQueryFlushGroupsByK parks queries with two distinct k values (and
+// some omitting k, which resolves to DefaultK) into one flush and checks
+// it answers them as exactly three QueryBatch groups — no per-query
+// backend calls — with every client's reply correct for its own k.
 func TestQueryFlushGroupsByK(t *testing.T) {
-	b := &batchSpyBackend{testBackend: newTestBackend(t, 12, 151)}
-	s := New(b, Config{MaxBatch: 6, FlushInterval: 10 * time.Second, DefaultK: 3})
+	b := newGateBackend(t, 12, 151)
+	s := New(b, Config{MaxBatch: 6, DefaultK: 3})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -638,83 +764,139 @@ func TestQueryFlushGroupsByK(t *testing.T) {
 	reqs := []struct{ user, k, wantLen int }{
 		{0, 2, 2}, {1, 0, 3}, {2, 5, 5}, {3, 2, 2}, {4, 3, 3}, {5, 5, 5},
 	}
-	var wg sync.WaitGroup
-	replies := make([]queryReplyWire, len(reqs))
-	errs := make([]error, len(reqs))
+	opener := b.hold(s)
+	bodies := make([]any, len(reqs))
 	for i, q := range reqs {
-		wg.Add(1)
-		go func(i int, user, k int) {
-			defer wg.Done()
-			resp := postJSON(t, ts.URL+"/v1/query", queryWire{User: user, K: k})
-			if resp.StatusCode != http.StatusOK {
-				resp.Body.Close()
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			replies[i] = decode[queryReplyWire](t, resp)
-		}(i, q.user, q.k)
+		bodies[i] = queryWire{User: q.user, K: q.k}
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
+	wait := postEach(ts.URL+"/v1/query", bodies...)
+	b.openWhenParked(t, len(reqs))
+	replies := wait()
+	wantStatuses(t, replies, http.StatusOK)
+	if err := <-opener; err != nil {
+		t.Fatal(err)
 	}
 	for i, q := range reqs {
-		if len(replies[i].Candidates) != q.wantLen {
-			t.Fatalf("query %d (k=%d): %d candidates, want %d", i, q.k, len(replies[i].Candidates), q.wantLen)
+		var got queryReplyWire
+		if err := json.Unmarshal([]byte(replies[i].body), &got); err != nil {
+			t.Fatal(err)
 		}
 		want, _ := b.testBackend.QueryUser(q.user, q.wantLen)
-		for j, c := range replies[i].Candidates {
+		if len(got.Candidates) != len(want) {
+			t.Fatalf("query %d (k=%d): %d candidates, want %d", i, q.k, len(got.Candidates), len(want))
+		}
+		for j, c := range got.Candidates {
 			if c.User != want[j].User || c.Score != want[j].Score {
 				t.Fatalf("query %d candidate %d: %+v, want %+v", i, j, c, want[j])
 			}
 		}
 	}
-	// k∈{2, 3(default), 5} → exactly 3 groups; the fallback path never runs.
-	if got := atomic.LoadInt32(&b.batchCalls); got != 3 {
-		t.Fatalf("flush made %d QueryBatch calls, want 3 (one per distinct k)", got)
-	}
-	if got := atomic.LoadInt32(&b.batchedQs); got != int32(len(reqs)) {
-		t.Fatalf("QueryBatch saw %d queries total, want %d", got, len(reqs))
-	}
-	if got := atomic.LoadInt32(&b.singleCalls); got != 0 {
-		t.Fatalf("flush fell back to %d QueryUser calls, want 0", got)
+	// One group per distinct k, whichever parked first; no fallback calls.
+	if got, want := b.log(t, true), []string{"batch:2@2", "batch:2@3", "batch:2@5"}; !slices.Equal(got, want) {
+		t.Fatalf("backend calls after the opener %v, want %v", got, want)
 	}
 }
 
-// TestQueryBatchFailureIsolation forces a bad user into the same flush as
+// TestQueryBatchFailureIsolation parks a bad user into the same flush as
 // two valid queries of the same k: the group's QueryBatch fails whole, the
 // per-query fallback must reject only the bad request and still answer its
 // peers correctly.
 func TestQueryBatchFailureIsolation(t *testing.T) {
-	b := &batchSpyBackend{testBackend: newTestBackend(t, 12, 161)}
-	s := New(b, Config{MaxBatch: 3, FlushInterval: 10 * time.Second})
+	b := newGateBackend(t, 12, 161)
+	s := New(b, Config{MaxBatch: 3})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	users := []int{0, 9999, 1}
-	var wg sync.WaitGroup
-	statuses := make([]int, len(users))
-	for i, u := range users {
-		wg.Add(1)
-		go func(i, u int) {
-			defer wg.Done()
-			resp := postJSON(t, ts.URL+"/v1/query", queryWire{User: u, K: 4})
-			resp.Body.Close()
-			statuses[i] = resp.StatusCode
-		}(i, u)
+	opener := b.hold(s)
+	wait := postEach(ts.URL+"/v1/query", queryWire{User: 0, K: 4}, queryWire{User: 9999, K: 4}, queryWire{User: 1, K: 4})
+	b.openWhenParked(t, 3)
+	wantStatuses(t, wait(), http.StatusOK, http.StatusBadRequest, http.StatusOK)
+	if err := <-opener; err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if statuses[0] != http.StatusOK || statuses[2] != http.StatusOK {
-		t.Fatalf("valid batch peers got statuses %v, want 200s", statuses)
+	// The whole failed group is re-run, one QueryUser each.
+	if got, want := b.log(t, true), []string{"batch:3@4", "user:0", "user:1", "user:9999"}; !slices.Equal(got, want) {
+		t.Fatalf("backend calls after the opener %v, want %v", got, want)
 	}
-	if statuses[1] != http.StatusBadRequest {
-		t.Fatalf("bad user got status %d, want 400", statuses[1])
+}
+
+// TestFlushDropsCanceled hands flush a request of each kind whose client
+// has already gone, next to a live query: the dead request is neither
+// scored, applied nor answered, and the live one is unaffected.
+func TestFlushDropsCanceled(t *testing.T) {
+	gone := make(chan struct{})
+	close(gone)
+	for _, tc := range []struct {
+		name string
+		dead request
+	}{
+		{"query", request{query: &queryWire{User: 1}}},
+		{"ingest", request{ingest: []features.UserPosts{{User: corpusUser("ghost")}}}},
+		{"internal query", request{bquery: &InternalQuery{Users: []int{1, 2}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newGateBackend(t, 10, 171)
+			close(b.open) // nothing to hold: flush is called directly
+			anon0, _ := b.Sizes()
+			s := New(b, Config{DefaultK: 3})
+			defer s.Close()
+
+			dead := tc.dead
+			dead.cancel, dead.done = gone, make(chan result, 1)
+			live := &request{query: &queryWire{User: 0, K: 1}, done: make(chan result, 1)}
+			s.flush([]*request{&dead, live})
+			if res := <-live.done; res.err != nil || len(res.candidates) != 1 {
+				t.Fatalf("live query next to a canceled %s: %+v", tc.name, res)
+			}
+			select {
+			case res := <-dead.done:
+				t.Fatalf("canceled %s was answered: %+v", tc.name, res)
+			default:
+			}
+			if got := b.log(t, false); len(got) != 0 {
+				t.Fatalf("canceled %s reached the backend: %v", tc.name, got)
+			}
+			if anon1, _ := b.Sizes(); anon1 != anon0 {
+				t.Fatalf("canceled %s grew the world to %d users, want %d", tc.name, anon1, anon0)
+			}
+		})
 	}
-	if got := atomic.LoadInt32(&b.singleCalls); got != 3 {
-		t.Fatalf("fallback made %d QueryUser calls, want 3 (the whole failed group)", got)
+}
+
+// TestBodyTooLarge checks every body-decoding endpoint caps what it reads:
+// a body past maxBodyBytes is answered 413 with the JSON error shape and
+// never reaches the backend.
+func TestBodyTooLarge(t *testing.T) {
+	b := newGateBackend(t, 10, 181)
+	close(b.open)
+	s := New(b, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat("a", maxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", `{"user": 1, "pad": "` + pad + `"}`},
+		{"/v1/ingest", `{"name": "` + pad + `", "posts": []}`},
+		{"/v1/ingest", `[{"name": "` + pad + `", "posts": []}]`},
+		{"/internal/query", `{"users": [1], "pad": "` + pad + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", tc.path, resp.StatusCode)
+		}
+		if e := decode[errorWire](t, resp); e.Error == "" {
+			t.Fatalf("%s: 413 without an error message", tc.path)
+		}
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.calls) != 0 {
+		t.Fatalf("oversized bodies reached the backend: %v", b.calls)
 	}
 }
 
@@ -724,7 +906,7 @@ func TestQueryBatchFailureIsolation(t *testing.T) {
 // scratch is pooled, leaving only per-result slices and bookkeeping.
 func TestFlushQueryAllocs(t *testing.T) {
 	b := newTestBackend(t, 30, 171)
-	s := New(b, Config{MaxBatch: 64, FlushInterval: 10 * time.Second, DefaultK: 5})
+	s := New(b, Config{MaxBatch: 64, DefaultK: 5})
 	defer s.Close()
 
 	const q = 8

@@ -18,6 +18,7 @@ package shard
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dehealth/internal/similarity"
 )
@@ -123,86 +124,68 @@ func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
 	return res
 }
 
-// queryBatchFanOut answers a whole batch through the batched shard scan:
-// users are cut into contiguous chunks of at most maxBatchQ (balanced
-// across the worker budget), and each worker walks every shard once per
-// chunk with TopKBatch before merging the per-shard lists per user. The
-// across-query cache reuse lives inside TopKBatch; workers only add
-// across-chunk parallelism, so results are identical at every worker
-// count.
-func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate) {
-	chunk := (len(users) + workers - 1) / workers
-	if chunk > maxBatchQ {
-		chunk = maxBatchQ
+// parallelFor calls fn(0) … fn(n-1) on at most workers goroutines — the
+// caller is one of them, so one worker spawns nothing — each taking the
+// next index off a shared counter.
+func parallelFor(n, workers int, fn func(i int)) {
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	type job struct{ lo, hi int }
-	jobs := make(chan job)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for h := 1; h < min(workers, n); h++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts := make([][]Candidate, len(w.shards))
-			all := make([][][]Candidate, len(w.shards))
-			for j := range jobs {
-				us := users[j.lo:j.hi]
-				if len(w.shards) == 1 {
-					copy(out[j.lo:j.hi], w.shards[0].TopKBatch(us, k))
-					continue
-				}
-				for si, sh := range w.shards {
-					all[si] = sh.TopKBatch(us, k)
-				}
-				for qi := range us {
-					for si := range all {
-						parts[si] = all[si][qi]
-					}
-					out[j.lo+qi] = MergeTopK(parts, k)
-				}
-			}
+			run()
 		}()
 	}
-	for lo := 0; lo < len(users); lo += chunk {
-		hi := lo + chunk
-		if hi > len(users) {
-			hi = len(users)
-		}
-		jobs <- job{lo, hi}
-	}
-	close(jobs)
+	run()
 	wg.Wait()
 }
 
-// queryBatchPerUser answers a batch one query at a time over a worker
-// pool — the pruned world's path: TopKPruned gathers per-query candidate
+// queryBatchFanOut answers a whole batch through the batched shard scan:
+// users are cut into contiguous chunks of at most maxBatchQ (balanced
+// across the worker budget), and every (chunk, shard) cell is one
+// TopKBatch scheduled over the workers, so a batch narrower than the
+// worker budget still scans its shards in parallel. The per-shard lists
+// are merged per user once every cell is in. The across-query cache reuse
+// lives inside TopKBatch; workers only decide which cells run side by
+// side, so results are identical at every worker count.
+func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate) {
+	chunk := min(max((len(users)+workers-1)/workers, 1), maxBatchQ)
+	ns := len(w.shards)
+	cells := make([][][]Candidate, (len(users)+chunk-1)/chunk*ns)
+	parallelFor(len(cells), workers, func(i int) {
+		lo := i / ns * chunk
+		cells[i] = w.shards[i%ns].TopKBatch(users[lo:min(lo+chunk, len(users))], k)
+	})
+	parts := make([][]Candidate, ns)
+	for qi := range users {
+		if ns == 1 {
+			out[qi] = cells[qi/chunk][qi%chunk]
+			continue
+		}
+		for si := range parts {
+			parts[si] = cells[qi/chunk*ns+si][qi%chunk]
+		}
+		out[qi] = MergeTopK(parts, k)
+	}
+}
+
+// queryBatchPerUser answers a batch one query at a time over the worker
+// budget — the pruned world's path: TopKPruned gathers per-query candidate
 // postings, which the multi-query kernel cannot batch, so pruned worlds
 // keep the candidate-pruned engine and its bit-identity guarantee intact.
+// With a single worker each query fans out across shards itself.
 func (w *World) queryBatchPerUser(users []int, k, workers int, out [][]Candidate) {
-	if workers <= 1 {
-		for i, u := range users {
-			out[i] = w.QueryUser(u, k)
-		}
-		return
+	query := w.queryInline
+	if min(workers, len(users)) <= 1 {
+		query = w.QueryUser
 	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = w.queryInline(users[i], k)
-			}
-		}()
-	}
-	for i := range users {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	parallelFor(len(users), workers, func(i int) { out[i] = query(users[i], k) })
 }
 
 // QueryBatch answers one QueryUser per entry of users (workers <= 0 uses
@@ -210,8 +193,8 @@ func (w *World) queryBatchPerUser(users []int, k, workers int, out [][]Candidate
 // len(users) independent QueryUser calls. On an unpruned world the batch
 // routes through the multi-query blocked kernel — each shard is walked
 // once per chunk of up to maxBatchQ queries instead of once per query; a
-// pruned world falls back to per-query TopKPruned over a worker pool,
-// since index-gathered candidate sets are per-query by construction.
+// pruned world falls back to per-query TopKPruned over the workers, since
+// index-gathered candidate sets are per-query by construction.
 func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
 	out := make([][]Candidate, len(users))
 	if len(users) == 0 {
@@ -219,9 +202,6 @@ func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(users) {
-		workers = len(users)
 	}
 	if w.prune != nil {
 		w.queryBatchPerUser(users, k, workers, out)

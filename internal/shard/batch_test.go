@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -44,32 +46,38 @@ func TestTopKBatchParity(t *testing.T) {
 	}
 }
 
-// TestQueryBatchWorkerCounts checks QueryBatch against QueryUser at worker
-// counts that force every chunking shape — sequential, one chunk per
-// worker, and more chunks than workers — on multi-shard worlds.
+// TestQueryBatchWorkerCounts checks QueryBatch against QueryUser, bit for
+// bit, over every shape the (chunk x shard) cell schedule takes: worlds of
+// 1 to 5 shards, worker budgets from sequential to more workers than
+// cells, and batches narrower than the budget (widths 1 and 2, where only
+// the shard fan-out can use the spare workers), one wider than it, one of
+// many chunks per worker, and one wider than a kernel pass (maxBatchQ).
 func TestQueryBatchWorkerCounts(t *testing.T) {
 	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 19)
-	users := make([]int, 2*anonN+3)
-	for i := range users {
-		users[i] = i % anonN
-	}
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 3, 4, 5} {
 		w := New(base, auxUDA, auxS, shards)
-		want := make([][]Candidate, len(users))
-		for i, u := range users {
-			want[i] = w.QueryUser(u, 5)
+		want := make([][]Candidate, anonN)
+		for u := range want {
+			want[u] = w.QueryUser(u, 5)
 		}
-		for _, workers := range []int{0, 1, 2, 7, len(users) + 9} {
-			got := w.QueryBatch(users, 5, workers)
-			for i := range want {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("shards=%d workers=%d u=%d: batch len %d, want %d",
-						shards, workers, users[i], len(got[i]), len(want[i]))
+		for _, workers := range []int{0, 1, 2, 7, maxBatchQ + 20} {
+			resolved := workers
+			if resolved <= 0 {
+				resolved = runtime.GOMAXPROCS(0)
+			}
+			for _, width := range []int{1, 2, resolved + 1, 2*anonN + 3, maxBatchQ + 5} {
+				users := make([]int, width)
+				for i := range users {
+					users[i] = (i + width) % anonN
 				}
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("shards=%d workers=%d u=%d pos %d: %+v, want %+v",
-							shards, workers, users[i], j, got[i][j], want[i][j])
+				got := w.QueryBatch(users, 5, workers)
+				if len(got) != width {
+					t.Fatalf("shards=%d workers=%d width=%d: %d results", shards, workers, width, len(got))
+				}
+				for i, u := range users {
+					if !slices.Equal(got[i], want[u]) {
+						t.Fatalf("shards=%d workers=%d width=%d u=%d: %+v, want %+v",
+							shards, workers, width, u, got[i], want[u])
 					}
 				}
 			}
@@ -81,6 +89,9 @@ func TestQueryBatchWorkerCounts(t *testing.T) {
 // allocates only its result slices (and the final sorts), independent of
 // how many scoreBlock passes the shard scan makes.
 func TestTopKBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts at random")
+	}
 	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 23)
 	w := New(base, auxUDA, auxS, 1)
 	sh := w.Shards()[0]

@@ -52,7 +52,7 @@ func BenchmarkRouterScatterGather(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv := NewServer(sw, ServeOptions{FlushInterval: 250 * time.Microsecond, Batch: 8, K: k, Attack: sw.PreparedOptions()})
+		srv := NewServer(sw, ServeOptions{Batch: 8, K: k, Attack: sw.PreparedOptions()})
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
 		defer srv.Close()
@@ -85,7 +85,7 @@ func BenchmarkRouterScatterGather(b *testing.B) {
 		}
 	}
 
-	directSrv := NewServer(pw, ServeOptions{FlushInterval: 250 * time.Microsecond, Batch: 8, K: k, Attack: opt})
+	directSrv := NewServer(pw, ServeOptions{Batch: 8, K: k, Attack: opt})
 	defer directSrv.Close()
 	directHS := httptest.NewServer(directSrv.Handler())
 	defer directHS.Close()

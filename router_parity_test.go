@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"dehealth/internal/router"
 )
@@ -28,7 +27,7 @@ func routerOver(t *testing.T, slices []*PreparedWorld, approxKnobs ApproxConfig)
 		opt := sw.PreparedOptions()
 		opt.Approx.Theta = approxKnobs.Theta
 		opt.Approx.Budget = approxKnobs.Budget
-		srv := NewServer(sw, ServeOptions{FlushInterval: time.Millisecond, Attack: opt})
+		srv := NewServer(sw, ServeOptions{Attack: opt})
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() {
 			hs.Close()

@@ -27,9 +27,9 @@ echo "== writing snapshot slices"
 ls -l "$WORK"/world.slice-*.snap
 
 echo "== booting shard servers"
-"$WORK/dehealthd" -addr 127.0.0.1:8701 -snapshot "$WORK/world.slice-0-of-2.snap" -flush-ms 1 &
+"$WORK/dehealthd" -addr 127.0.0.1:8701 -snapshot "$WORK/world.slice-0-of-2.snap" &
 PIDS+=($!)
-"$WORK/dehealthd" -addr 127.0.0.1:8702 -snapshot "$WORK/world.slice-1-of-2.snap" -flush-ms 1 &
+"$WORK/dehealthd" -addr 127.0.0.1:8702 -snapshot "$WORK/world.slice-1-of-2.snap" &
 PIDS+=($!)
 
 wait_200() { # url [tries]

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"dehealth/internal/corpus"
 )
@@ -113,7 +112,7 @@ func TestServeConcurrentQueryIngest(t *testing.T) {
 	pw := servingWorld(t, 20, 921)
 	opt := DefaultOptions()
 	opt.Landmarks = 5
-	srv := NewServer(pw, ServeOptions{Workers: 4, Batch: 8, FlushInterval: time.Millisecond, K: 5, Attack: opt})
+	srv := NewServer(pw, ServeOptions{Workers: 4, Batch: 8, K: 5, Attack: opt})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -278,7 +277,7 @@ func TestShardSizesStats(t *testing.T) {
 
 	opt := DefaultOptions()
 	opt.Landmarks = 5
-	srv := NewServer(pw, ServeOptions{FlushInterval: time.Millisecond, K: 5, Attack: opt})
+	srv := NewServer(pw, ServeOptions{K: 5, Attack: opt})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

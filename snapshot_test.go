@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // snapOptions is the preparation configuration the snapshot tests pin:
@@ -202,7 +201,7 @@ func TestSnapshotAfterIngestDrain(t *testing.T) {
 	shutdownPath := filepath.Join(dir, "shutdown.snap")
 
 	srv := NewServer(pw, ServeOptions{
-		Workers: 2, Batch: 4, FlushInterval: time.Millisecond,
+		Workers: 2, Batch: 4,
 		K: 5, Attack: opt, SnapshotPath: endpointPath,
 	})
 	ts := httptest.NewServer(srv.Handler())
