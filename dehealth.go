@@ -525,33 +525,10 @@ func (w *PreparedWorld) ShardSizes() []ShardSize {
 type PruneStats struct {
 	// Enabled reports whether the world was prepared with Options.Prune.
 	Enabled bool
-	// Queries counts pruned-path shard queries.
-	Queries int64
-	// Fallbacks counts shard queries that fell back to the full window
-	// scan (no index, or a similarity configuration with negative weights
-	// that cannot certify bounds).
-	Fallbacks int64
-	// DenseQueries counts shard queries whose candidate set exceeded the
-	// dense threshold; they still run the banded engine, but most of
-	// their cost is the candidate rescore and only partial band skips
-	// are available.
-	DenseQueries int64
-	// Candidates sums candidate-set sizes (attribute-overlap users that
-	// were exact-rescored) over non-fallback queries.
-	Candidates int64
-	// Scanned sums zero-overlap users exact-scored anyway because their
-	// degree band's structural bound could not certify skipping them.
-	Scanned int64
-	// Skipped sums users never scored: the structural bound proved they
-	// cannot enter the top-K.
-	Skipped int64
-	// BandsChecked counts per-band bound evaluations; BandsSkipped counts
-	// how many certified a skip — together they read out how tight the
-	// per-band degree and norm ranges are on this world.
-	BandsChecked int64
-	// BandsSkipped counts band bound evaluations that certified skipping
-	// every zero-overlap member of the band.
-	BandsSkipped int64
+	// Stats holds the counters, each documented on the embedded type:
+	// Queries, Fallbacks, DenseQueries, Candidates, Scanned, Skipped,
+	// BandsChecked and BandsSkipped.
+	index.Stats
 }
 
 // PruneStats snapshots the world's pruning counters; the zero value (with
@@ -560,18 +537,7 @@ func (w *PreparedWorld) PruneStats() PruneStats {
 	if w.pruneStats == nil {
 		return PruneStats{}
 	}
-	s := w.pruneStats.Snapshot()
-	return PruneStats{
-		Enabled:      true,
-		Queries:      s.Queries,
-		Fallbacks:    s.Fallbacks,
-		DenseQueries: s.DenseQueries,
-		Candidates:   s.Candidates,
-		Scanned:      s.Scanned,
-		Skipped:      s.Skipped,
-		BandsChecked: s.BandsChecked,
-		BandsSkipped: s.BandsSkipped,
-	}
+	return PruneStats{Enabled: true, Stats: w.pruneStats.Snapshot()}
 }
 
 // approxParams maps the options' per-call approximate knobs into the
@@ -588,33 +554,10 @@ func (o Options) approxParams() index.ApproxParams {
 type ApproxStats struct {
 	// Enabled reports whether the world was prepared with the tier on.
 	Enabled bool
-	// Queries counts approximate-path shard queries.
-	Queries int64
-	// Fallbacks counts shard queries answered by the exact full scan (no
-	// index, or a similarity configuration with negative weights).
-	Fallbacks int64
-	// CursorsOpened sums posting cursors opened (query attributes with
-	// non-empty posting lists).
-	CursorsOpened int64
-	// PostingsSkipped sums posting entries the pivot walk passed over
-	// without rescoring.
-	PostingsSkipped int64
-	// Rescored sums the surviving candidates exact-rescored by the flat
-	// kernel.
-	Rescored int64
-	// BudgetExhausted counts shard queries whose finite ApproxConfig.Budget
-	// dropped at least one surviving candidate from the bound-ordered
-	// pending pool.
-	BudgetExhausted int64
-	// BlocksChecked counts block-max evaluations: pivot candidates
-	// re-checked against their id-range block's structural bound.
-	BlocksChecked int64
-	// BlocksSkipped counts block-max evaluations that certified skipping
-	// the pivot's whole id range.
-	BlocksSkipped int64
-	// CursorsDemoted counts posting cursors folded out of walks as
-	// non-essential once the running threshold outgrew their bound mass.
-	CursorsDemoted int64
+	// ApproxStats holds the counters, each documented on the embedded
+	// type: Queries, Fallbacks, CursorsOpened, PostingsSkipped, Rescored,
+	// BudgetExhausted, BlocksChecked, BlocksSkipped and CursorsDemoted.
+	index.ApproxStats
 }
 
 // ApproxStats snapshots the world's approximate-tier counters; the zero
@@ -624,19 +567,7 @@ func (w *PreparedWorld) ApproxStats() ApproxStats {
 	if w.approxStats == nil {
 		return ApproxStats{}
 	}
-	s := w.approxStats.Snapshot()
-	return ApproxStats{
-		Enabled:         true,
-		Queries:         s.Queries,
-		Fallbacks:       s.Fallbacks,
-		CursorsOpened:   s.CursorsOpened,
-		PostingsSkipped: s.PostingsSkipped,
-		Rescored:        s.Rescored,
-		BudgetExhausted: s.BudgetExhausted,
-		BlocksChecked:   s.BlocksChecked,
-		BlocksSkipped:   s.BlocksSkipped,
-		CursorsDemoted:  s.CursorsDemoted,
-	}
+	return ApproxStats{Enabled: true, ApproxStats: w.approxStats.Snapshot()}
 }
 
 // QueryUser returns anonymized user u's top-k auxiliary candidates in
@@ -831,30 +762,11 @@ func (b serveBackend) QueryBatch(users []int, k int) ([][]Candidate, error) {
 func (b serveBackend) Sizes() (int, int) { return b.w.Sizes() }
 func (b serveBackend) PruneCounters() (serve.PruneCounters, bool) {
 	s := b.w.PruneStats()
-	return serve.PruneCounters{
-		Queries:      s.Queries,
-		Fallbacks:    s.Fallbacks,
-		DenseQueries: s.DenseQueries,
-		Candidates:   s.Candidates,
-		Scanned:      s.Scanned,
-		Skipped:      s.Skipped,
-		BandsChecked: s.BandsChecked,
-		BandsSkipped: s.BandsSkipped,
-	}, s.Enabled
+	return s.Stats, s.Enabled
 }
 func (b serveBackend) ApproxCounters() (serve.ApproxCounters, bool) {
 	s := b.w.ApproxStats()
-	return serve.ApproxCounters{
-		Queries:         s.Queries,
-		Fallbacks:       s.Fallbacks,
-		CursorsOpened:   s.CursorsOpened,
-		PostingsSkipped: s.PostingsSkipped,
-		Rescored:        s.Rescored,
-		BudgetExhausted: s.BudgetExhausted,
-		BlocksChecked:   s.BlocksChecked,
-		BlocksSkipped:   s.BlocksSkipped,
-		CursorsDemoted:  s.CursorsDemoted,
-	}, s.Enabled
+	return s.ApproxStats, s.Enabled
 }
 
 // QueryUserApprox answers a per-request approximate query: the attack

@@ -20,6 +20,22 @@ import (
 	"dehealth/internal/index"
 )
 
+// checkQuery panics unless every user is an anonymized id and k is a valid
+// candidate-set size; op names the calling method in the message. The
+// public layer validates requests into errors before they reach here, so
+// a violation is a caller bug.
+func (p *Pipeline) checkQuery(op string, k int, users ...int) {
+	n1 := p.G1.NumNodes()
+	for _, u := range users {
+		if u < 0 || u >= n1 {
+			panic(fmt.Sprintf("core: %s user %d out of range [0, %d)", op, u, n1))
+		}
+	}
+	if k < 1 {
+		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
+	}
+}
+
 // QueryUser computes anonymized user u's top-k auxiliary candidates in
 // decreasing score order (ties by smaller auxiliary index), exactly as
 // TopK(k, DirectSelection, nil).Candidates[u] would, without materializing
@@ -27,12 +43,7 @@ import (
 // in parallel. Safe for concurrent use with other queries; not with
 // ingestion (the serving layer serializes the two).
 func (p *Pipeline) QueryUser(u, k int) []Candidate {
-	if n1 := p.G1.NumNodes(); u < 0 || u >= n1 {
-		panic(fmt.Sprintf("core: QueryUser user %d out of range [0, %d)", u, n1))
-	}
-	if k < 1 {
-		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
-	}
+	p.checkQuery("QueryUser", k, u)
 	return p.shardWorld().QueryUser(u, k)
 }
 
@@ -40,15 +51,7 @@ func (p *Pipeline) QueryUser(u, k int) []Candidate {
 // out over a bounded worker pool (workers <= 0 uses GOMAXPROCS). Results
 // line up with users by index.
 func (p *Pipeline) QueryBatch(users []int, k, workers int) [][]Candidate {
-	n1 := p.G1.NumNodes()
-	for _, u := range users {
-		if u < 0 || u >= n1 {
-			panic(fmt.Sprintf("core: QueryBatch user %d out of range [0, %d)", u, n1))
-		}
-	}
-	if k < 1 {
-		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
-	}
+	p.checkQuery("QueryBatch", k, users...)
 	return p.shardWorld().QueryBatch(users, k, workers)
 }
 
@@ -60,12 +63,7 @@ func (p *Pipeline) QueryBatch(users []int, k, workers int) [][]Candidate {
 // approximate — every returned score is exact. On a pipeline without the
 // tier it degrades to the exact path.
 func (p *Pipeline) QueryUserApprox(u, k int, ap index.ApproxParams) []Candidate {
-	if n1 := p.G1.NumNodes(); u < 0 || u >= n1 {
-		panic(fmt.Sprintf("core: QueryUserApprox user %d out of range [0, %d)", u, n1))
-	}
-	if k < 1 {
-		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
-	}
+	p.checkQuery("QueryUserApprox", k, u)
 	return p.shardWorld().QueryUserApprox(u, k, ap)
 }
 
@@ -73,15 +71,7 @@ func (p *Pipeline) QueryUserApprox(u, k int, ap index.ApproxParams) []Candidate 
 // bounded worker pool (workers <= 0 uses GOMAXPROCS). Results line up
 // with users by index.
 func (p *Pipeline) QueryBatchApprox(users []int, k, workers int, ap index.ApproxParams) [][]Candidate {
-	n1 := p.G1.NumNodes()
-	for _, u := range users {
-		if u < 0 || u >= n1 {
-			panic(fmt.Sprintf("core: QueryBatchApprox user %d out of range [0, %d)", u, n1))
-		}
-	}
-	if k < 1 {
-		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
-	}
+	p.checkQuery("QueryBatchApprox", k, users...)
 	return p.shardWorld().QueryBatchApprox(users, k, workers, ap)
 }
 

@@ -43,6 +43,17 @@ func TestQueryUserMatchesTopK(t *testing.T) {
 	for name, split := range splits {
 		t.Run(name, func(t *testing.T) {
 			p := queryPipeline(split, 5)
+			// The matrix TopK selects from comes from the batched kernel
+			// and QueryUser scores with the flat one; pin both to the
+			// naive reference on this real-text world, so agreement below
+			// is agreement with ScoreSlow and not just with each other.
+			for u, row := range p.Scorer.ScoreMatrix() {
+				for v, got := range row {
+					if want := p.Scorer.ScoreSlow(u, v); got != want || p.Scorer.Score(u, v) != want {
+						t.Fatalf("pair (%d,%d): batched %v, flat %v, ScoreSlow %v", u, v, got, p.Scorer.Score(u, v), want)
+					}
+				}
+			}
 			for _, k := range []int{1, 3, 10, split.Aux.NumUsers() + 5} {
 				tk := p.TopK(k, DirectSelection, nil)
 				for u := 0; u < split.Anon.NumUsers(); u++ {

@@ -406,36 +406,38 @@ func (x *Index) CandidateCount(attrs stylometry.AttrSet) int {
 
 // Stats are the cumulative pruning counters of a query engine (one struct
 // per shard world, aggregated across shards and queries). All fields are
-// monotone counts; see shard.World.PruneStats for the read side.
+// monotone counts; see shard.World.PruneStats for the read side. This is
+// the one declaration of the block: the public PruneStats embeds it and
+// /v1/stats marshals it as its "prune" object under these JSON keys.
 type Stats struct {
 	// Queries counts per-shard pruned-path invocations.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Fallbacks counts invocations that bailed to the full window scan
 	// (no index, or a non-prune-safe similarity configuration).
-	Fallbacks int64
+	Fallbacks int64 `json:"fallbacks"`
 	// DenseQueries counts invocations whose candidate set exceeded
 	// MaxCandidateFrac of the window. They still run the banded engine —
 	// the candidate rescore plus band scan never exact-scores more users
 	// than the full scan it would otherwise repeat — but most of their
 	// cost is the rescore, so the counter labels how often pruning ran in
 	// the dense regime where only partial band skips are available.
-	DenseQueries int64
+	DenseQueries int64 `json:"dense_queries"`
 	// Candidates sums the candidate-set sizes of non-fallback invocations.
-	Candidates int64
+	Candidates int64 `json:"candidates"`
 	// Scanned sums the band members exact-scored because their band's
 	// bound could not certify skipping (plus candidate rescores are counted
 	// under Candidates, not here).
-	Scanned int64
+	Scanned int64 `json:"scanned"`
 	// Skipped sums the users never scored: their band's structural bound
 	// proved they cannot enter the top-K.
-	Skipped int64
-	// BandsChecked counts per-band bound evaluations (one ScoreBoundBand
-	// call each); BandsSkipped counts how many of those certified a skip.
-	// Their ratio is the direct read on how tight the band bounds are.
-	BandsChecked int64
+	Skipped int64 `json:"skipped"`
+	// BandsChecked counts band bounds compared against a full heap's K-th
+	// score; BandsSkipped counts how many of those certified a skip. Their
+	// ratio is the direct read on how tight the band bounds are.
+	BandsChecked int64 `json:"bands_checked"`
 	// BandsSkipped counts bound evaluations that certified skipping the
 	// band's zero-overlap members.
-	BandsSkipped int64
+	BandsSkipped int64 `json:"bands_skipped"`
 }
 
 // Snapshot returns an atomically read copy of the counters, safe to take

@@ -86,37 +86,39 @@ func (p ApproxParams) WithDefaults() ApproxParams {
 
 // ApproxStats are the cumulative counters of the approximate query tier
 // (one struct per shard world, shared across derived pipelines exactly
-// like Stats). All fields are monotone counts updated atomically.
+// like Stats). All fields are monotone counts updated atomically. Like
+// Stats it is declared once: the public ApproxStats embeds it, /v1/stats
+// marshals it as its "approx" object and the router sums it across shards.
 type ApproxStats struct {
 	// Queries counts per-shard approximate-path invocations.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Fallbacks counts invocations that bailed to the exact full scan
 	// (no index, or a non-prune-safe similarity configuration).
-	Fallbacks int64
+	Fallbacks int64 `json:"fallbacks"`
 	// CursorsOpened sums posting cursors opened (one per query attribute
 	// with a non-empty posting list).
-	CursorsOpened int64
+	CursorsOpened int64 `json:"cursors_opened"`
 	// PostingsSkipped sums posting entries the pivot walk passed over
 	// without rescoring — the tier's direct read on sublinearity.
-	PostingsSkipped int64
+	PostingsSkipped int64 `json:"postings_skipped"`
 	// Rescored sums the survivors exact-rescored by the flat kernel.
-	Rescored int64
+	Rescored int64 `json:"rescored"`
 	// BudgetExhausted counts shard queries whose finite
 	// ApproxParams.Budget dropped at least one surviving candidate from
 	// the bound-ordered pending pool.
-	BudgetExhausted int64
+	BudgetExhausted int64 `json:"budget_exhausted"`
 	// BlocksChecked counts block-max evaluations: pivots re-checked
 	// against their id-range block's structural bound before being
 	// returned as candidates.
-	BlocksChecked int64
+	BlocksChecked int64 `json:"blocks_checked"`
 	// BlocksSkipped counts block-max evaluations that certified skipping
 	// the pivot's whole id range — the direct read on how much tighter the
 	// per-block bounds are than the global base.
-	BlocksSkipped int64
+	BlocksSkipped int64 `json:"blocks_skipped"`
 	// CursorsDemoted counts posting cursors folded out of walks as
 	// non-essential: the running threshold rose beyond what the base plus
 	// the cursor's own bound could reach.
-	CursorsDemoted int64
+	CursorsDemoted int64 `json:"cursors_demoted"`
 }
 
 // Snapshot returns an atomically read copy of the counters, safe to take

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"dehealth/internal/serve"
 	"dehealth/internal/shard"
 )
 
@@ -58,7 +59,9 @@ type errorWire struct {
 //	GET  /v1/stats                               -> Stats (topology health + robustness counters)
 //	GET  /healthz                                -> 200 "ok" / 503 "degraded" (a shard has no healthy replica)
 //
-// Queries that no shard can answer get 503 with the error body; partial
+// Bodies are capped at serve.MaxBodyBytes (413 past it). A query the
+// shards reject (an out-of-range user id, say) gets their 400; queries
+// that no shard can answer get 503 with the error body; partial
 // degradation is a 200 with the report fields set.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -81,8 +84,7 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	var q queryWire
-	if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid query body: " + err.Error()})
+	if !serve.DecodeBody(w, req, "query", &q) {
 		return
 	}
 	res, err := r.QueryUser(req.Context(), q.User, q.K, q.Approx)
@@ -98,8 +100,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var q batchWire
-	if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorWire{Error: "invalid batch body: " + err.Error()})
+	if !serve.DecodeBody(w, req, "batch", &q) {
 		return
 	}
 	if len(q.Users) == 0 {
@@ -126,12 +127,13 @@ func wireCandidates(cs []shard.Candidate) []candidateWire {
 	return out
 }
 
-// errorStatus maps router errors to HTTP: a fleet that cannot answer is
-// unavailability, not a client fault. Shard-side 400s (an out-of-range
-// user id, say) surface through the retry layer's wrapped message but
-// still arrive here as "no shard answered" — every replica rejected the
-// request — so 503 with the underlying text is the honest mapping.
+// errorStatus maps router errors to HTTP: a request a shard rejected is
+// the client's fault and keeps its 400 (the error text carries the shard's
+// message); a fleet that cannot answer is unavailability.
 func errorStatus(err error) int {
+	if rejected(err) {
+		return http.StatusBadRequest
+	}
 	if errors.Is(err, ErrAllShardsDown) || errors.Is(err, ErrNoShards) {
 		return http.StatusServiceUnavailable
 	}

@@ -58,6 +58,33 @@ var ErrNoShards = errors.New("router: no shards configured")
 // Anything short of that degrades to a partial result instead.
 var ErrAllShardsDown = errors.New("router: no shard answered")
 
+// rejection is a shard's 4xx verdict on the request itself — an
+// out-of-range user id, a malformed batch. Every replica would answer the
+// same, so it is not a replica failure: callShard returns it at once,
+// without marking, retrying or hedging, and the handler passes it to the
+// client as a 400 carrying the shard's message.
+type rejection struct {
+	status int
+	msg    string
+}
+
+func (e *rejection) Error() string {
+	return fmt.Sprintf("shard rejected the request (%d): %s", e.status, e.msg)
+}
+
+// rejected reports whether err is, or wraps, a shard's rejection.
+func rejected(err error) bool {
+	var rej *rejection
+	return errors.As(err, &rej)
+}
+
+// maxReplyBytes caps how much of one shard reply the router reads: room
+// for the candidate lists of the largest batch a MaxBodyBytes request body
+// can name at everyday k, and a bound on what a misbehaving replica can
+// make the router buffer. A longer reply is cut off here, fails to decode
+// and counts as a replica failure, like a truncated one.
+const maxReplyBytes = 8 * serve.MaxBodyBytes
+
 // Config tunes the router.
 type Config struct {
 	// Shards is the topology: Shards[i] lists the base URLs (scheme://host:port)
@@ -257,6 +284,11 @@ func (r *Router) QueryBatch(ctx context.Context, users []int, k int, approx bool
 	var lastErr error
 	for range r.shards {
 		out := <-ch
+		if rejected(out.err) {
+			// The request is bad, not the shard: no partial answer, no
+			// point waiting for the other shards to say the same.
+			return BatchResult{}, out.err
+		}
 		if out.err != nil {
 			missing = append(missing, out.id)
 			lastErr = out.err
@@ -290,7 +322,8 @@ func (r *Router) QueryBatch(ctx context.Context, users []int, k int, approx bool
 // attempts racing slow replicas — all sharing one attempt budget of
 // 1+Retries launches and one per-shard context, so the first reply to
 // land cancels every other attempt still in flight when callShard
-// returns.
+// returns. A shard's rejection of the request is such a reply: it is
+// returned at once, and the replica that sent it stays in rotation.
 func (r *Router) callShard(ctx context.Context, sc *shardClient, q *serve.InternalQuery) ([][]shard.Candidate, error) {
 	sctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 	defer cancel() // the winner (or the error return) cancels the losers
@@ -334,6 +367,9 @@ func (r *Router) callShard(ctx context.Context, sc *shardClient, q *serve.Intern
 				}
 				return out.res, nil
 			}
+			if rejected(out.err) {
+				return nil, fmt.Errorf("router: shard %d: %w", sc.id, out.err)
+			}
 			lastErr = out.err
 			if sctx.Err() == nil {
 				// A real replica failure, not fallout of our own deadline
@@ -367,9 +403,10 @@ func (r *Router) callShard(ctx context.Context, sc *shardClient, q *serve.Intern
 }
 
 // post runs one attempt: POST the batch to a replica's /internal/query
-// and decode the reply. Transport errors, non-200 statuses, truncated or
-// malformed bodies, and identity mismatches all come back as errors — the
-// caller treats every one as a retryable replica failure.
+// and decode the reply. A 4xx status comes back as a *rejection. Transport
+// errors, other non-200 statuses, truncated, over-long or malformed bodies,
+// and identity mismatches all come back as plain errors — the caller
+// treats every one of those as a retryable replica failure.
 func (r *Router) post(ctx context.Context, sc *shardClient, rep *replica, q *serve.InternalQuery) ([][]shard.Candidate, error) {
 	body, err := json.Marshal(q)
 	if err != nil {
@@ -386,11 +423,19 @@ func (r *Router) post(ctx context.Context, sc *shardClient, rep *replica, q *ser
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("router: replica %s replied %d: %s", rep.base, resp.StatusCode, strings.TrimSpace(string(msg)))
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		msg := strings.TrimSpace(string(raw))
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			var body errorWire
+			if json.Unmarshal(raw, &body) == nil && body.Error != "" {
+				msg = body.Error
+			}
+			return nil, &rejection{status: resp.StatusCode, msg: msg}
+		}
+		return nil, fmt.Errorf("router: replica %s replied %d: %s", rep.base, resp.StatusCode, msg)
 	}
 	var reply serve.InternalQueryReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplyBytes)).Decode(&reply); err != nil {
 		return nil, fmt.Errorf("router: replica %s reply: %w", rep.base, err)
 	}
 	if reply.Shard != sc.id {

@@ -36,6 +36,10 @@ func stubScore(u, g int) float64 {
 	return float64((u*31+g*17)%101) / 7
 }
 
+// stubAnonUsers is the stub world's anonymized population: queries for
+// user ids at or past it are rejected, like a real backend's range check.
+const stubAnonUsers = 1000
+
 // stubBackend serves one window [slice.Lo, slice.Hi) of the stub world
 // under LOCAL ids, exactly like a slice-booted PreparedWorld: the serve
 // layer's /internal/query handler owns the rebase to global.
@@ -48,6 +52,9 @@ func (b stubBackend) Ingest([]features.UserPosts) ([]int, error) {
 }
 
 func (b stubBackend) QueryUser(u, k int) ([]core.Candidate, error) {
+	if u < 0 || u >= stubAnonUsers {
+		return nil, fmt.Errorf("stub: user %d out of range [0, %d)", u, stubAnonUsers)
+	}
 	n := b.slice.Hi - b.slice.Lo
 	cands := make([]shard.Candidate, n)
 	for j := 0; j < n; j++ {
@@ -131,6 +138,7 @@ const (
 	modeDrop     flakyMode = "drop"     // accept, then slam the connection
 	modeDelay    flakyMode = "delay"    // stall before forwarding
 	modeTruncate flakyMode = "truncate" // forward, return half the body
+	modeBloat    flakyMode = "bloat"    // forward, pad the (still valid) body past maxReplyBytes
 )
 
 func newFlakyShard(t *testing.T, target string, mode flakyMode, delay time.Duration) *flakyShard {
@@ -171,18 +179,16 @@ func (f *flakyShard) handle(w http.ResponseWriter, r *http.Request) {
 	case modeDelay:
 		select {
 		case <-time.After(f.delay):
-			f.forward(w, r, body, false)
+			f.forward(w, r, body)
 		case <-r.Context().Done():
 			f.canceled.Add(1)
 		}
-	case modeTruncate:
-		f.forward(w, r, body, true)
 	default:
-		f.forward(w, r, body, false)
+		f.forward(w, r, body)
 	}
 }
 
-func (f *flakyShard) forward(w http.ResponseWriter, r *http.Request, body []byte, truncate bool) {
+func (f *flakyShard) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, f.target+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -201,11 +207,18 @@ func (f *flakyShard) forward(w http.ResponseWriter, r *http.Request, body []byte
 		return
 	}
 	f.forwarded.Add(1)
-	if truncate {
-		reply = reply[:len(reply)/2]
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(resp.StatusCode)
+	switch f.currentMode() {
+	case modeTruncate:
+		reply = reply[:len(reply)/2]
+	case modeBloat:
+		// Whitespace after the opening brace keeps the reply valid JSON,
+		// so only its length can make the router refuse it.
+		_, _ = w.Write(reply[:1])
+		_, _ = w.Write(bytes.Repeat([]byte{' '}, maxReplyBytes))
+		reply = reply[1:]
+	}
 	_, _ = w.Write(reply)
 }
 
@@ -317,6 +330,109 @@ func TestRouterTruncateFailover(t *testing.T) {
 	}
 	if st := r.Stats(); st.Retries < 1 {
 		t.Fatalf("retries = %d, want >= 1", st.Retries)
+	}
+}
+
+// TestRouterBloatedReplyFailover: a reply longer than maxReplyBytes is a
+// replica failure like a truncated one, even when it would decode.
+func TestRouterBloatedReplyFailover(t *testing.T) {
+	urls, total := twoShards(t)
+	bad := newFlakyShard(t, urls[0], modeBloat, 0)
+	r := newRouter(t, Config{Shards: [][]string{{bad.URL(), urls[0]}, {urls[1]}}, Retries: 2, ShardTimeout: 30 * time.Second})
+	res, err := r.QueryUser(context.Background(), 9, 4, false)
+	if err != nil {
+		t.Fatalf("QueryUser: %v", err)
+	}
+	sameCandidates(t, "bloat failover", expectTopK(9, 4, total), res.Candidates)
+	st := r.Stats()
+	if st.Retries < 1 {
+		t.Fatalf("retries = %d, want >= 1", st.Retries)
+	}
+	if rep := st.Shards[0].Replicas[0]; rep.Healthy {
+		t.Fatalf("replica %s sent an over-long reply and is still marked healthy", rep.URL)
+	}
+}
+
+// TestRouterRejectedRequest: a request the shards answer 4xx is the
+// client's fault, not the fleet's. The router passes the 400 and the
+// shard's message through, launches no retry or hedge, leaves every
+// replica in rotation, and answers the next valid query in full.
+func TestRouterRejectedRequest(t *testing.T) {
+	urls, total := twoShards(t)
+	r := newRouter(t, Config{
+		Shards:     [][]string{{urls[0]}, {urls[1]}},
+		Retries:    2,
+		HedgeDelay: 5 * time.Second,
+	})
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", `{"user": 1000000000}`},
+		{"/v1/batch", `{"users": [1, 1000000000]}`},
+	} {
+		before := r.Stats()
+		resp, err := http.Post(front.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		var e errorWire
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: error body: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%q), want 400", tc.path, resp.StatusCode, e.Error)
+		}
+		if !strings.Contains(e.Error, "user 1000000000 out of range") {
+			t.Fatalf("%s: error %q does not carry the shard's message", tc.path, e.Error)
+		}
+		after := r.Stats()
+		if after.Retries != before.Retries || after.Hedges != before.Hedges || after.Partials != before.Partials {
+			t.Fatalf("%s: a rejected request moved the robustness counters: %+v -> %+v", tc.path, before, after)
+		}
+		if !r.Healthy() {
+			t.Fatalf("%s: a rejected request marked replicas unhealthy: %+v", tc.path, after.Shards)
+		}
+		res, err := r.QueryUser(context.Background(), 3, 6, false)
+		if err != nil {
+			t.Fatalf("%s: valid query after the rejection: %v", tc.path, err)
+		}
+		if res.Partial {
+			t.Fatalf("%s: valid query after the rejection came back partial: %+v", tc.path, res)
+		}
+		sameCandidates(t, tc.path+" then valid", expectTopK(3, 6, total), res.Candidates)
+	}
+}
+
+// TestRouterBodyTooLarge: both public endpoints cap what they read at
+// serve.MaxBodyBytes and answer 413 without calling a shard.
+func TestRouterBodyTooLarge(t *testing.T) {
+	urls, _ := twoShards(t)
+	shard0 := newFlakyShard(t, urls[0], modePass, 0)
+	r := newRouter(t, Config{Shards: [][]string{{shard0.URL()}, {urls[1]}}})
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	pad := strings.Repeat("a", serve.MaxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", `{"user": 1, "pad": "` + pad + `"}`},
+		{"/v1/batch", `{"users": [1], "pad": "` + pad + `"}`},
+	} {
+		resp, err := http.Post(front.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		var e errorWire
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", tc.path, resp.StatusCode)
+		}
+		if err != nil || e.Error == "" {
+			t.Fatalf("%s: 413 without a JSON error message (%v)", tc.path, err)
+		}
+	}
+	if n := shard0.forwarded.Load(); n != 0 {
+		t.Fatalf("oversized bodies reached a shard %d times", n)
 	}
 }
 

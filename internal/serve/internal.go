@@ -84,8 +84,8 @@ type ShardInfo struct {
 // slice resolves the backend's shard identity: its advertised slice, or
 // the full-world identity (shard 0 of 1 over the whole population).
 func (s *Server) slice() ShardSlice {
-	if si, ok := s.backend.(SliceInfoer); ok {
-		if sl, isSlice := si.ShardSlice(); isSlice {
+	if s.slicer != nil {
+		if sl, isSlice := s.slicer.ShardSlice(); isSlice {
 			return sl
 		}
 	}
@@ -108,7 +108,7 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 // traffic), then rebases candidate ids to global at the wire boundary.
 func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	var q InternalQuery
-	if !decodeBody(w, r, "internal query", &q) {
+	if !DecodeBody(w, r, "internal query", &q) {
 		return
 	}
 	res, ok := s.do(w, r, &request{bquery: &q})

@@ -41,6 +41,7 @@ import (
 	"dehealth/internal/core"
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
+	"dehealth/internal/index"
 )
 
 // corpusUser builds the user record of an ingested anonymous account: no
@@ -62,16 +63,7 @@ type ShardCount struct {
 // per-shard-query counters describing how much of the auxiliary
 // population the attribute inverted index let queries skip. Pruning never
 // changes results — only the amount of scanning.
-type PruneCounters struct {
-	Queries      int64 `json:"queries"`
-	Fallbacks    int64 `json:"fallbacks"`
-	DenseQueries int64 `json:"dense_queries"`
-	Candidates   int64 `json:"candidates"`
-	Scanned      int64 `json:"scanned"`
-	Skipped      int64 `json:"skipped"`
-	BandsChecked int64 `json:"bands_checked"`
-	BandsSkipped int64 `json:"bands_skipped"`
-}
+type PruneCounters = index.Stats
 
 // PruneStatser is the optional Backend extension for candidate-pruning
 // counters: backends that prune report (counters, true); /v1/stats then
@@ -85,17 +77,7 @@ type PruneStatser interface {
 // per-shard-query counters of the max-score/WAND candidate generation.
 // Returned scores are always exact; the counters describe how much
 // scanning the posting cursors skipped.
-type ApproxCounters struct {
-	Queries         int64 `json:"queries"`
-	Fallbacks       int64 `json:"fallbacks"`
-	CursorsOpened   int64 `json:"cursors_opened"`
-	PostingsSkipped int64 `json:"postings_skipped"`
-	Rescored        int64 `json:"rescored"`
-	BudgetExhausted int64 `json:"budget_exhausted"`
-	BlocksChecked   int64 `json:"blocks_checked"`
-	BlocksSkipped   int64 `json:"blocks_skipped"`
-	CursorsDemoted  int64 `json:"cursors_demoted"`
-}
+type ApproxCounters = index.ApproxStats
 
 // ApproxStatser is the optional Backend extension for approximate-tier
 // counters, mirroring PruneStatser: backends with the tier enabled report
@@ -233,6 +215,12 @@ type Stats struct {
 type Server struct {
 	backend Backend
 	cfg     Config
+	// The backend's optional extensions, resolved once by New; each is nil
+	// when the backend does not implement it.
+	approx      ApproxQueryer
+	pruneStats  PruneStatser
+	approxStats ApproxStatser
+	slicer      SliceInfoer
 
 	reqs chan *request
 	quit chan struct{}
@@ -288,6 +276,10 @@ func New(b Backend, cfg Config) *Server {
 		quit:    make(chan struct{}),
 		start:   time.Now(),
 	}
+	s.approx, _ = b.(ApproxQueryer)
+	s.pruneStats, _ = b.(PruneStatser)
+	s.approxStats, _ = b.(ApproxStatser)
+	s.slicer, _ = b.(SliceInfoer)
 	s.wg.Add(1)
 	go s.dispatch()
 	return s
@@ -440,10 +432,8 @@ func (s *Server) effectiveK(k int) int {
 // through the backend's ApproxQueryer when it has one, and degrade to the
 // exact batch path otherwise — the knob accelerates, never errors.
 func (s *Server) queryGroup(users []int, k int, approx bool) ([][]core.Candidate, error) {
-	if approx {
-		if aq, ok := s.backend.(ApproxQueryer); ok {
-			return aq.QueryBatchApprox(users, k)
-		}
+	if approx && s.approx != nil {
+		return s.approx.QueryBatchApprox(users, k)
 	}
 	return s.backend.QueryBatch(users, k)
 }
@@ -451,10 +441,8 @@ func (s *Server) queryGroup(users []int, k int, approx bool) ([][]core.Candidate
 // queryOne answers a single query on the fallback path, honoring its
 // approx flag the same way queryGroup does.
 func (s *Server) queryOne(r *request) ([]core.Candidate, error) {
-	if r.query.Approx {
-		if aq, ok := s.backend.(ApproxQueryer); ok {
-			return aq.QueryUserApprox(r.query.User, s.effectiveK(r.query.K))
-		}
+	if r.query.Approx && s.approx != nil {
+		return s.approx.QueryUserApprox(r.query.User, s.effectiveK(r.query.K))
 	}
 	return s.backend.QueryUser(r.query.User, s.effectiveK(r.query.K))
 }
@@ -518,14 +506,14 @@ func (s *Server) Stats() Stats {
 		mean = float64(atomic.LoadInt64(&s.batched)) / float64(batches)
 	}
 	var prune *PruneCounters
-	if ps, ok := s.backend.(PruneStatser); ok {
-		if c, enabled := ps.PruneCounters(); enabled {
+	if s.pruneStats != nil {
+		if c, enabled := s.pruneStats.PruneCounters(); enabled {
 			prune = &c
 		}
 	}
 	var approx *ApproxCounters
-	if as, ok := s.backend.(ApproxStatser); ok {
-		if c, enabled := as.ApproxCounters(); enabled {
+	if s.approxStats != nil {
+		if c, enabled := s.approxStats.ApproxCounters(); enabled {
 			approx = &c
 		}
 	}
@@ -669,15 +657,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// maxBodyBytes caps every request body the service decodes; larger bodies
-// are answered 413 before anything is buffered past the cap.
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes caps every request body the service — and the router in
+// front of it — decodes; larger bodies are answered 413 before anything is
+// buffered past the cap.
+const MaxBodyBytes = 8 << 20
 
-// decodeBody decodes r's size-capped JSON body into v. On failure it
-// answers the client itself (413 past maxBodyBytes, 400 otherwise, naming
-// what the body was) and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+// DecodeBody decodes r's size-capped JSON body into v. On failure it
+// answers the client itself (413 past MaxBodyBytes, 400 otherwise, naming
+// what the body was) and returns false. Exported for the router, whose
+// public endpoints take the same bodies under the same cap.
+func DecodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 	if err == nil {
 		return true
 	}
@@ -709,7 +699,7 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, req *request) (resul
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryWire
-	if !decodeBody(w, r, "query", &q) {
+	if !DecodeBody(w, r, "query", &q) {
 		return
 	}
 	res, ok := s.do(w, r, &request{query: &q})
@@ -725,7 +715,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
-	if !decodeBody(w, r, "ingest", &raw) {
+	if !DecodeBody(w, r, "ingest", &raw) {
 		return
 	}
 	// A JSON array is a batched ingest; a single object remains accepted

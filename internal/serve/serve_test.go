@@ -865,7 +865,7 @@ func TestFlushDropsCanceled(t *testing.T) {
 }
 
 // TestBodyTooLarge checks every body-decoding endpoint caps what it reads:
-// a body past maxBodyBytes is answered 413 with the JSON error shape and
+// a body past MaxBodyBytes is answered 413 with the JSON error shape and
 // never reaches the backend.
 func TestBodyTooLarge(t *testing.T) {
 	b := newGateBackend(t, 10, 181)
@@ -875,7 +875,7 @@ func TestBodyTooLarge(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	pad := strings.Repeat("a", maxBodyBytes)
+	pad := strings.Repeat("a", MaxBodyBytes)
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/query", `{"user": 1, "pad": "` + pad + `"}`},
 		{"/v1/ingest", `{"name": "` + pad + `", "posts": []}`},

@@ -19,8 +19,6 @@ package shard
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"dehealth/internal/index"
@@ -153,32 +151,10 @@ func (sh *Shard) TopKApprox(u, k int, cfg index.Config, ap index.ApproxParams, s
 		}
 		atomic.AddInt64(&st.PostingsSkipped, cur.Skipped())
 
-		// Zero-overlap remainder against the pool bar: every unmarked
-		// member of a band shares the band's structural bound, so a band at
-		// or below the bar cannot contribute (ties at the pool floor resolve
-		// to the already-pooled, lower-bound-heap candidates). The marking
-		// pass is deferred until a band actually clears the bar.
-		var s *index.Scratch
-		for bi := range bands {
-			b := &bands[bi]
-			bb := sh.Scorer.ScoreBoundBand(&prof, bandStats(b))
-			if len(pool) == ap.Budget && bb <= ap.Theta*pool[0].bound {
-				continue
-			}
-			if s == nil {
-				s = x.AcquireScratch()
-				defer x.ReleaseScratch(s)
-				x.Candidates(attrs, s)
-			}
-			if len(b.IDs)-s.BandCandidates(bi) == 0 {
-				continue
-			}
-			for _, j := range b.IDs {
-				if !s.Marked(j) {
-					offer(j, bb)
-				}
-			}
-		}
+		// Zero-overlap remainder against the pool bar: a band at or below it
+		// cannot contribute (ties at the pool floor resolve to the
+		// already-pooled, lower-bound-heap candidates).
+		sh.zeroOverlap(&prof, attrs, nil, func(bound float64) bool { return bound <= bar() }, offer)
 		for _, p := range pool {
 			rescore(p.id)
 		}
@@ -204,33 +180,8 @@ func (sh *Shard) TopKApprox(u, k int, cfg index.Config, ap index.ApproxParams, s
 		atomic.AddInt64(&st.PostingsSkipped, cur.Skipped())
 
 		// Zero-overlap remainder, exactly as TopKPruned but against the
-		// Theta-scaled bar: per band one structural bound covers every
-		// unmarked member; an uncertified band scans them exactly. The
-		// marking pass — one sweep over the query's posting lists labelling
-		// every attribute-overlap user, including users the WAND walk
-		// skipped — is deferred until the first band actually fails its
-		// bound, so queries whose structural bounds certify every band (the
-		// common dense case) never pay for it.
-		var s *index.Scratch
-		for bi := range bands {
-			b := &bands[bi]
-			if len(h) == k && sh.Scorer.ScoreBoundBand(&prof, bandStats(b)) < ap.Theta*h[0].Score {
-				continue
-			}
-			if s == nil {
-				s = x.AcquireScratch()
-				defer x.ReleaseScratch(s)
-				x.Candidates(attrs, s)
-			}
-			if len(b.IDs)-s.BandCandidates(bi) == 0 {
-				continue
-			}
-			for _, j := range b.IDs {
-				if !s.Marked(j) {
-					rescore(j)
-				}
-			}
-		}
+		// Theta-scaled bar.
+		sh.zeroOverlap(&prof, attrs, nil, func(bound float64) bool { return bound < threshold() }, func(j int32, _ float64) { rescore(j) })
 	}
 	atomic.AddInt64(&st.Rescored, rescored)
 	atomic.AddInt64(&st.BlocksChecked, cur.BlocksChecked())
@@ -304,27 +255,8 @@ func (w *World) WithApprox(cfg index.Config, st *index.ApproxStats) *World {
 	if st == nil {
 		st = &index.ApproxStats{}
 	}
-	out := &World{
-		shards:     make([]*Shard, len(w.shards)),
-		scanTokens: w.scanTokens,
-		prune:      w.prune,
-		pstats:     w.pstats,
-		approx:     &cfg,
-		astats:     st,
-	}
-	var wg sync.WaitGroup
-	for i, sh := range w.shards {
-		ns := *sh
-		out.shards[i] = &ns
-		if ns.Index == nil || ns.Index.BuildConfig().Bands != cfg.Bands || ns.Index.BlockSize() == 0 {
-			wg.Add(1)
-			go func(s *Shard) {
-				defer wg.Done()
-				s.BuildIndex(cfg)
-			}(out.shards[i])
-		}
-	}
-	wg.Wait()
+	out := w.withIndex(cfg)
+	out.approx, out.astats = &cfg, st
 	return out
 }
 
@@ -351,66 +283,11 @@ func (w *World) ApproxStats() index.ApproxStats {
 	return w.astats.Snapshot()
 }
 
-// shardTopKApprox routes one shard's slice of an approximate query;
-// a world without the tier answers exactly, so callers can always ask.
-func (w *World) shardTopKApprox(sh *Shard, u, k int, ap index.ApproxParams) []Candidate {
-	if w.approx == nil {
-		return w.shardTopK(sh, u, k)
-	}
-	return sh.TopKApprox(u, k, *w.approx, ap, w.astats)
-}
-
-// QueryUserApprox is QueryUser through the approximate tier: same
-// fan-out/merge and the same adaptive helper-token parallelism, with
-// each shard answered by TopKApprox under ap. On a world without the
-// tier it degrades to the exact QueryUser result.
+// QueryUserApprox is QueryUser through the approximate tier: the same
+// fan-out, with each shard answered by TopKApprox under ap. On a world
+// without the tier it degrades to the exact QueryUser result.
 func (w *World) QueryUserApprox(u, k int, ap index.ApproxParams) []Candidate {
-	if len(w.shards) == 1 {
-		return w.shardTopKApprox(w.shards[0], u, k, ap)
-	}
-	parts := make([][]Candidate, len(w.shards))
-	var next int64
-	var wg sync.WaitGroup
-	scan := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= len(w.shards) {
-				return
-			}
-			parts[i] = w.shardTopKApprox(w.shards[i], u, k, ap)
-		}
-	}
-spawn:
-	for h := 0; h < len(w.shards)-1; h++ {
-		select {
-		case <-w.scanTokens:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { w.scanTokens <- struct{}{} }()
-				scan()
-			}()
-		default:
-			break spawn
-		}
-	}
-	scan()
-	wg.Wait()
-	return MergeTopK(parts, k)
-}
-
-// queryInlineApprox is QueryUserApprox with the shard scan run
-// sequentially on the calling goroutine — the batch path's per-worker
-// form, where across-query parallelism already saturates the pool.
-func (w *World) queryInlineApprox(u, k int, ap index.ApproxParams) []Candidate {
-	if len(w.shards) == 1 {
-		return w.shardTopKApprox(w.shards[0], u, k, ap)
-	}
-	parts := make([][]Candidate, len(w.shards))
-	for i, sh := range w.shards {
-		parts[i] = w.shardTopKApprox(sh, u, k, ap)
-	}
-	return MergeTopK(parts, k)
+	return w.fanOut(u, k, queryMode{approx: true, ap: ap}, true)
 }
 
 // QueryBatchApprox answers one QueryUserApprox per entry of users over a
@@ -418,37 +295,5 @@ func (w *World) queryInlineApprox(u, k int, ap index.ApproxParams) []Candidate {
 // batch path, queries run one at a time per worker: WAND cursor walks
 // gather per-query candidate sets the multi-query kernel cannot batch.
 func (w *World) QueryBatchApprox(users []int, k, workers int, ap index.ApproxParams) [][]Candidate {
-	out := make([][]Candidate, len(users))
-	if len(users) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(users) {
-		workers = len(users)
-	}
-	if workers <= 1 {
-		for i, u := range users {
-			out[i] = w.QueryUserApprox(u, k, ap)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = w.queryInlineApprox(users[i], k, ap)
-			}
-		}()
-	}
-	for i := range users {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
+	return w.queryBatch(users, k, workers, queryMode{approx: true, ap: ap})
 }

@@ -175,27 +175,22 @@ func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate)
 	}
 }
 
-// queryBatchPerUser answers a batch one query at a time over the worker
-// budget — the pruned world's path: TopKPruned gathers per-query candidate
-// postings, which the multi-query kernel cannot batch, so pruned worlds
-// keep the candidate-pruned engine and its bit-identity guarantee intact.
-// With a single worker each query fans out across shards itself.
-func (w *World) queryBatchPerUser(users []int, k, workers int, out [][]Candidate) {
-	query := w.queryInline
-	if min(workers, len(users)) <= 1 {
-		query = w.QueryUser
-	}
-	parallelFor(len(users), workers, func(i int) { out[i] = query(users[i], k) })
-}
-
 // QueryBatch answers one QueryUser per entry of users (workers <= 0 uses
 // GOMAXPROCS). Results align with users by index and are bit-identical to
-// len(users) independent QueryUser calls. On an unpruned world the batch
-// routes through the multi-query blocked kernel — each shard is walked
-// once per chunk of up to maxBatchQ queries instead of once per query; a
-// pruned world falls back to per-query TopKPruned over the workers, since
-// index-gathered candidate sets are per-query by construction.
+// len(users) independent QueryUser calls.
 func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
+	return w.queryBatch(users, k, workers, queryMode{})
+}
+
+// queryBatch is the one batch loop behind QueryBatch and QueryBatchApprox.
+// The exact mode of an unpruned world routes through the multi-query
+// blocked kernel — each shard is walked once per chunk of up to maxBatchQ
+// queries instead of once per query. The indexed engines gather per-query
+// candidate sets, which that kernel cannot batch, so pruned worlds and
+// approximate queries run one query at a time over the workers, each
+// scanning its shards inline; when a single worker is left to run the
+// batch, each query fans out across shards itself.
+func (w *World) queryBatch(users []int, k, workers int, m queryMode) [][]Candidate {
 	out := make([][]Candidate, len(users))
 	if len(users) == 0 {
 		return out
@@ -203,10 +198,11 @@ func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if w.prune != nil {
-		w.queryBatchPerUser(users, k, workers, out)
+	if !m.approx && w.prune == nil {
+		w.queryBatchFanOut(users, k, workers, out)
 		return out
 	}
-	w.queryBatchFanOut(users, k, workers, out)
+	helpers := min(workers, len(users)) <= 1
+	parallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, m, helpers) })
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"dehealth/internal/index"
 )
 
 // TestTopKBatchParity pins the batched shard scan's bit-identity contract:
@@ -46,12 +48,15 @@ func TestTopKBatchParity(t *testing.T) {
 	}
 }
 
-// TestQueryBatchWorkerCounts checks QueryBatch against QueryUser, bit for
-// bit, over every shape the (chunk x shard) cell schedule takes: worlds of
-// 1 to 5 shards, worker budgets from sequential to more workers than
-// cells, and batches narrower than the budget (widths 1 and 2, where only
-// the shard fan-out can use the spare workers), one wider than it, one of
-// many chunks per worker, and one wider than a kernel pass (maxBatchQ).
+// TestQueryBatchWorkerCounts checks every engine's batch loop against the
+// plain world's QueryUser, bit for bit — the batched kernel (plain world
+// QueryBatch), the pruner (WithPruning world QueryBatch) and the cursor
+// walk at theta 1 (WithApprox world QueryBatchApprox) — over every shape
+// the schedule takes: worlds of 1 to 5 shards, worker budgets from
+// sequential to more workers than cells, and batches narrower than the
+// budget (widths 1 and 2, where only the shard fan-out can use the spare
+// workers), one wider than it, one of many chunks per worker, and one
+// wider than a kernel pass (maxBatchQ).
 func TestQueryBatchWorkerCounts(t *testing.T) {
 	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 19)
 	for _, shards := range []int{1, 2, 3, 4, 5} {
@@ -59,6 +64,17 @@ func TestQueryBatchWorkerCounts(t *testing.T) {
 		want := make([][]Candidate, anonN)
 		for u := range want {
 			want[u] = w.QueryUser(u, 5)
+		}
+		aw := w.WithApprox(index.Config{}, nil)
+		engines := []struct {
+			name  string
+			batch func(users []int, k, workers int) [][]Candidate
+		}{
+			{"scan", w.QueryBatch},
+			{"pruned", w.WithPruning(index.Config{}, nil).QueryBatch},
+			{"approx", func(users []int, k, workers int) [][]Candidate {
+				return aw.QueryBatchApprox(users, k, workers, index.ApproxParams{Theta: 1})
+			}},
 		}
 		for _, workers := range []int{0, 1, 2, 7, maxBatchQ + 20} {
 			resolved := workers
@@ -70,14 +86,16 @@ func TestQueryBatchWorkerCounts(t *testing.T) {
 				for i := range users {
 					users[i] = (i + width) % anonN
 				}
-				got := w.QueryBatch(users, 5, workers)
-				if len(got) != width {
-					t.Fatalf("shards=%d workers=%d width=%d: %d results", shards, workers, width, len(got))
-				}
-				for i, u := range users {
-					if !slices.Equal(got[i], want[u]) {
-						t.Fatalf("shards=%d workers=%d width=%d u=%d: %+v, want %+v",
-							shards, workers, width, u, got[i], want[u])
+				for _, e := range engines {
+					got := e.batch(users, 5, workers)
+					if len(got) != width {
+						t.Fatalf("%s shards=%d workers=%d width=%d: %d results", e.name, shards, workers, width, len(got))
+					}
+					for i, u := range users {
+						if !slices.Equal(got[i], want[u]) {
+							t.Fatalf("%s shards=%d workers=%d width=%d u=%d: %+v, want %+v",
+								e.name, shards, workers, width, u, got[i], want[u])
+						}
 					}
 				}
 			}

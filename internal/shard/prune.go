@@ -19,7 +19,6 @@
 package shard
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dehealth/internal/index"
@@ -92,6 +91,48 @@ func (w *World) EnsureBlocks(blockSize int) {
 	}
 }
 
+// zeroOverlap walks the part of the window both indexed engines owe after
+// their attribute-overlap candidates: the users sharing no attribute with
+// the query. Those have AttrSim exactly 0 (disjoint attribute sets zero
+// both Jaccard terms), so per degree band one structural bound covers
+// every unmarked member. The caller's skip decides, from that bound and
+// its own running bar, whether the whole band can be passed over — the bar
+// only rises afterwards, so a member skipped now can never be owed later —
+// and visit receives each unmarked member of a band that was not, with the
+// band's bound. A skipped or candidate-free band is never visited, so the
+// cost is O(uncertified band members), not O(window).
+//
+// s carries the query's candidate marks. The pruner has them already (it
+// rescored the candidates) and passes its scratch; the cursor walk passes
+// nil, and the marking pass — one sweep over the query's posting lists
+// labelling every attribute-overlap user, including users the walk skipped
+// — is deferred until the first band fails its bound, so queries whose
+// bounds certify every band (the common dense case) never pay for it.
+func (sh *Shard) zeroOverlap(prof *similarity.QueryProfile, attrs stylometry.AttrSet, s *index.Scratch, skip func(bound float64) bool, visit func(j int32, bound float64)) {
+	x := sh.Index
+	bands := x.Bands()
+	for bi := range bands {
+		b := &bands[bi]
+		if s != nil && len(b.IDs) == s.BandCandidates(bi) {
+			continue
+		}
+		bound := sh.Scorer.ScoreBoundBand(prof, bandStats(b))
+		if skip(bound) {
+			continue
+		}
+		if s == nil {
+			s = x.AcquireScratch()
+			defer x.ReleaseScratch(s)
+			x.Candidates(attrs, s)
+		}
+		for _, j := range b.IDs {
+			if !s.Marked(j) {
+				visit(j, bound)
+			}
+		}
+	}
+}
+
 // TopKPruned is Shard.TopK through the candidate-pruning engine: same
 // candidates, same order, same scores — bit-identical — with the scan
 // restricted to attribute-overlap candidates plus the degree bands whose
@@ -114,7 +155,8 @@ func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candi
 
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
-	cands := x.Candidates(sh.Scorer.AnonAttrs(u), s)
+	attrs := sh.Scorer.AnonAttrs(u)
+	cands := x.Candidates(attrs, s)
 	if float64(len(cands)) > cfg.MaxCandidateFrac*float64(n) {
 		// Dense overlap: the candidate rescore is most of a full scan, so
 		// pruning can only win at the margin — but it can never lose: the
@@ -142,38 +184,27 @@ func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candi
 		push(j)
 	}
 
-	// Non-candidates have AttrSim exactly 0 (disjoint attribute sets zero
-	// both Jaccard terms), so per band a single structural bound covers
-	// every unmarked member. Skipping demands a strict inequality against
-	// the heap's current K-th score: the heap only improves afterwards, so
-	// a user skipped now can never belong to the final top-K. Ties must
-	// scan — an equal-scoring smaller id would displace the heap root. A
-	// skipped or candidate-free band is never visited, so query cost is
-	// O(candidates + uncertified band members), not O(window).
-	var scanned, skipped, checked, bskipped int64
-	bands := x.Bands()
-	for bi := range bands {
-		b := &bands[bi]
-		nonCand := int64(len(b.IDs) - s.BandCandidates(bi))
-		if nonCand == 0 {
-			continue
+	// Zero-overlap remainder against the heap's current K-th score. Ties
+	// must scan — an equal-scoring smaller id would displace the heap root —
+	// so skipping demands a strict inequality; an unfilled heap skips
+	// nothing. Every zero-overlap user is either scanned or skipped, which
+	// is where the skipped count comes from.
+	var scanned, checked, bskipped int64
+	sh.zeroOverlap(&prof, attrs, s, func(bound float64) bool {
+		if len(h) < k {
+			return false
 		}
-		if len(h) == k {
-			checked++
-			bound := sh.Scorer.ScoreBoundBand(&prof, bandStats(b))
-			if bound < h[0].Score {
-				skipped += nonCand
-				bskipped++
-				continue
-			}
+		checked++
+		if bound < h[0].Score {
+			bskipped++
+			return true
 		}
-		for _, j := range b.IDs {
-			if !s.Marked(j) {
-				push(j)
-				scanned++
-			}
-		}
-	}
+		return false
+	}, func(j int32, _ float64) {
+		push(j)
+		scanned++
+	})
+	skipped := int64(n-len(cands)) - scanned
 	atomic.AddInt64(&st.Scanned, scanned)
 	atomic.AddInt64(&st.Skipped, skipped)
 	atomic.AddInt64(&st.BandsChecked, checked)
@@ -198,31 +229,23 @@ func (w *World) WithPruning(cfg index.Config, st *index.Stats) *World {
 	if st == nil {
 		st = &index.Stats{}
 	}
-	out := &World{
-		shards:     make([]*Shard, len(w.shards)),
-		scanTokens: w.scanTokens,
-		prune:      &cfg,
-		pstats:     st,
-		approx:     w.approx,
-		astats:     w.astats,
-	}
-	var wg sync.WaitGroup
-	for i, sh := range w.shards {
-		ns := *sh
-		out.shards[i] = &ns
-		// Reuse an existing index only when the new configuration's
-		// build-relevant part matches; a different band count — or an index
-		// predating block-max metadata — rebuilds, so re-pruning under a
-		// new Config is never partially applied.
-		if ns.Index == nil || ns.Index.BuildConfig().Bands != cfg.Bands || ns.Index.BlockSize() == 0 {
-			wg.Add(1)
-			go func(s *Shard) {
-				defer wg.Done()
-				s.BuildIndex(cfg)
-			}(out.shards[i])
+	out := w.withIndex(cfg)
+	out.prune, out.pstats = &cfg, st
+	return out
+}
+
+// withIndex returns a view of w whose every shard carries an index built
+// under cfg, building the missing ones in parallel. An existing index is
+// reused only when the configuration's build-relevant part matches; a
+// different band count — or an index predating block-max metadata —
+// rebuilds, so re-indexing under a new Config is never partially applied.
+func (w *World) withIndex(cfg index.Config) *World {
+	out := w.view()
+	parallelFor(len(out.shards), len(out.shards), func(i int) {
+		if sh := out.shards[i]; sh.Index == nil || sh.Index.BuildConfig().Bands != cfg.Bands || sh.Index.BlockSize() == 0 {
+			sh.BuildIndex(cfg)
 		}
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -248,13 +271,4 @@ func (w *World) PruneStats() index.Stats {
 		return index.Stats{}
 	}
 	return w.pstats.Snapshot()
-}
-
-// shardTopK routes one shard's slice of a query through the pruned or
-// plain engine, whichever the world is configured for.
-func (w *World) shardTopK(sh *Shard, u, k int) []Candidate {
-	if w.prune != nil {
-		return sh.TopKPruned(u, k, *w.prune, w.pstats)
-	}
-	return sh.TopK(u, k)
 }

@@ -34,33 +34,45 @@ func candidatesEqual(t *testing.T, got, want []Candidate, ctx string) {
 	}
 }
 
-// TestPrunedParitySparse is the tentpole guarantee on the favorable
-// workload: over a sparse-overlap world, the pruned path must return
-// bit-identical top-K to the unsharded full scan at every shard count and
-// K — while actually skipping work (the stats must show skipped users).
+// TestPrunedParitySparse is the tentpole guarantee on the synthetic
+// worlds: the pruned path must return bit-identical top-K to the unsharded
+// full scan at every shard count and K. On the favorable sparse-overlap
+// world it must also actually skip work (the stats must show skipped
+// users); on the single-community world every query's candidate set is
+// essentially the window and no band skip certifies — the pruner's worst
+// case, where only parity is owed.
 func TestPrunedParitySparse(t *testing.T) {
-	g1, g2 := sparseWorld(t, 120, 12, 400, 7)
-	base := similarity.NewScorer(g1, g2, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
-	full := New(base, g2, nil, 1)
+	for _, world := range []struct {
+		name      string
+		community int
+		wantSkips bool
+	}{
+		{"sparse", 12, true},
+		{"single-community", 120, false},
+	} {
+		g1, g2 := sparseWorld(t, 120, world.community, 400, 7)
+		base := similarity.NewScorer(g1, g2, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
+		full := New(base, g2, nil, 1)
 
-	for _, shards := range []int{1, 3, 8} {
-		st := &index.Stats{}
-		pruned := New(base, g2, nil, shards).WithPruning(index.Config{}, st)
-		if !pruned.Pruned() {
-			t.Fatal("WithPruning world must report Pruned")
-		}
-		for _, k := range []int{1, 5, 17} {
-			for u := 0; u < g1.NumNodes(); u++ {
-				candidatesEqual(t, pruned.QueryUser(u, k), full.QueryUser(u, k),
-					"sparse pruned parity")
+		for _, shards := range []int{1, 3, 8} {
+			st := &index.Stats{}
+			pruned := New(base, g2, nil, shards).WithPruning(index.Config{}, st)
+			if !pruned.Pruned() {
+				t.Fatal("WithPruning world must report Pruned")
 			}
-		}
-		s := pruned.PruneStats()
-		if s.Queries == 0 {
-			t.Fatal("pruned queries not counted")
-		}
-		if s.Skipped == 0 {
-			t.Fatalf("sparse world skipped no users: %+v", s)
+			for _, k := range []int{1, 5, 17} {
+				for u := 0; u < g1.NumNodes(); u++ {
+					candidatesEqual(t, pruned.QueryUser(u, k), full.QueryUser(u, k),
+						world.name+" pruned parity")
+				}
+			}
+			s := pruned.PruneStats()
+			if s.Queries == 0 {
+				t.Fatalf("%s: pruned queries not counted", world.name)
+			}
+			if world.wantSkips && s.Skipped == 0 {
+				t.Fatalf("%s world skipped no users: %+v", world.name, s)
+			}
 		}
 	}
 }

@@ -81,10 +81,11 @@ type Shard struct {
 	// (local index j = global user Lo+j). For a single-shard world it is
 	// the base scorer.
 	Scorer *similarity.Scorer
-	// Index is the shard's attribute inverted index plus degree bands over
-	// the same window, backing the candidate-pruned query path (TopKPruned).
-	// Nil until the world enables pruning (WithPruning / BuildIndex); the
-	// aux side is immutable, so a built index never goes stale.
+	// Index is the shard's attribute inverted index plus degree bands and
+	// id-range blocks over the same window, backing both indexed engines:
+	// the candidate pruner (TopKPruned) and the cursor walk (TopKApprox).
+	// Nil until the world enables either (WithPruning / WithApprox); the aux
+	// side is immutable, so a built index never goes stale.
 	Index *index.Index
 }
 
@@ -152,7 +153,7 @@ func sortCandidates(cs []Candidate) {
 type World struct {
 	shards []*Shard
 	// scanTokens bounds the helper goroutines that all concurrent
-	// QueryUser calls on this world (and every WithScorer derivative — the
+	// single-user queries on this world (and every derived view — the
 	// channel is shared) may have in flight at once, at GOMAXPROCS-1. A
 	// lone query fans out across all cores; when a caller-side pool (the
 	// serving flush, QueryBatch) already saturates the CPUs the tokens run
@@ -232,22 +233,28 @@ func New(base *similarity.Scorer, auxUDA *graph.UDA, auxStore *features.Store, n
 // approximate-tier world keeps the tier, both still accumulating into the
 // same shared stats.
 func (w *World) WithScorer(base *similarity.Scorer) *World {
-	out := &World{
-		shards:     make([]*Shard, len(w.shards)),
-		scanTokens: w.scanTokens,
-		prune:      w.prune,
-		pstats:     w.pstats,
-		approx:     w.approx,
-		astats:     w.astats,
-	}
-	for i, sh := range w.shards {
-		ns := &Shard{Lo: sh.Lo, Hi: sh.Hi, View: sh.View, Sub: sh.Sub, Scorer: base, Index: sh.Index}
-		if len(w.shards) > 1 {
-			ns.Scorer = base.Shard(sh.Sub, sh.Lo, sh.Hi)
+	out := w.view()
+	for _, sh := range out.shards {
+		sh.Scorer = base
+		if len(out.shards) > 1 {
+			sh.Scorer = base.Shard(sh.Sub, sh.Lo, sh.Hi)
 		}
-		out.shards[i] = ns
 	}
 	return out
+}
+
+// view copies the world header and every shard header — engines, stats,
+// token budget, store views, subgraphs and indexes all carried over — so
+// a derived world can re-point its copy's scorers, indexes or engines
+// without touching w.
+func (w *World) view() *World {
+	out := *w
+	out.shards = make([]*Shard, len(w.shards))
+	for i, sh := range w.shards {
+		ns := *sh
+		out.shards[i] = &ns
+	}
+	return &out
 }
 
 // N returns the shard count.
@@ -274,33 +281,52 @@ func newScanTokens() chan struct{} {
 	return t
 }
 
-// QueryUser computes anonymized user u's global top-k by fanning the
-// single row out across shards and merging the per-shard results under the
-// global selection order. Helper workers are claimed from the world's
-// shared token budget (GOMAXPROCS-1): a standalone query parallelizes
-// across all cores, while queries arriving from an already-parallel caller
-// find no idle capacity and scan their shards inline — the fan-out adapts
-// to load instead of multiplying goroutines. The outcome is bit-identical
-// to the single-shard (unsharded) path either way: same candidate set,
-// same order, same scores.
-func (w *World) QueryUser(u, k int) []Candidate {
+// queryMode names the engine a query asks for: the zero value is the
+// world's exact engine (the candidate pruner on a pruned world, the full
+// scan otherwise); approx asks for the cursor walk under ap. It travels by
+// value down to shardTopK, so selecting an engine allocates nothing.
+type queryMode struct {
+	approx bool
+	ap     index.ApproxParams
+}
+
+// shardTopK answers one shard's slice of a query with the engine the mode
+// and the world's configuration select. A world without the approximate
+// tier answers approximate queries exactly, so callers can always ask.
+func (w *World) shardTopK(sh *Shard, u, k int, m queryMode) []Candidate {
+	switch {
+	case m.approx && w.approx != nil:
+		return sh.TopKApprox(u, k, *w.approx, m.ap, w.astats)
+	case w.prune != nil:
+		return sh.TopKPruned(u, k, *w.prune, w.pstats)
+	}
+	return sh.TopK(u, k)
+}
+
+// fanOut answers one query on every shard and merges the per-shard results
+// under the global selection order. With helpers set, workers are claimed
+// from the world's shared token budget (GOMAXPROCS-1): a standalone query
+// parallelizes across all cores, while queries arriving from an
+// already-parallel caller find no idle capacity and scan their shards on
+// the calling goroutine — the fan-out adapts to load instead of
+// multiplying goroutines. Batch workers pass helpers false: across-query
+// parallelism already saturates the pool and per-query fan-out would only
+// add scheduling churn. The outcome is bit-identical to the single-shard
+// (unsharded) path either way: same candidate set, same order, same scores.
+func (w *World) fanOut(u, k int, m queryMode, helpers bool) []Candidate {
 	if len(w.shards) == 1 {
-		return w.shardTopK(w.shards[0], u, k)
+		return w.shardTopK(w.shards[0], u, k, m)
 	}
 	parts := make([][]Candidate, len(w.shards))
-	var next int64
-	var wg sync.WaitGroup
+	var next atomic.Int64
 	scan := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= len(w.shards) {
-				return
-			}
-			parts[i] = w.shardTopK(w.shards[i], u, k)
+		for i := int(next.Add(1)) - 1; i < len(w.shards); i = int(next.Add(1)) - 1 {
+			parts[i] = w.shardTopK(w.shards[i], u, k, m)
 		}
 	}
+	var wg sync.WaitGroup
 spawn:
-	for h := 0; h < len(w.shards)-1; h++ {
+	for h := 1; helpers && h < len(w.shards); h++ {
 		select {
 		case <-w.scanTokens:
 			wg.Add(1)
@@ -318,19 +344,10 @@ spawn:
 	return MergeTopK(parts, k)
 }
 
-// queryInline is QueryUser with the shard scan run sequentially on the
-// calling goroutine — same merge, same result — used by QueryBatch, where
-// across-query parallelism already saturates the pool and per-query
-// fan-out would only add scheduling churn.
-func (w *World) queryInline(u, k int) []Candidate {
-	if len(w.shards) == 1 {
-		return w.shardTopK(w.shards[0], u, k)
-	}
-	parts := make([][]Candidate, len(w.shards))
-	for i, sh := range w.shards {
-		parts[i] = w.shardTopK(sh, u, k)
-	}
-	return MergeTopK(parts, k)
+// QueryUser computes anonymized user u's global top-k: the single row
+// fanned out across shards (see fanOut) through the world's exact engine.
+func (w *World) QueryUser(u, k int) []Candidate {
+	return w.fanOut(u, k, queryMode{}, true)
 }
 
 // MergeTopK merges per-shard top-k lists into the global top-k under the

@@ -29,9 +29,9 @@
 //     within a sorted set, weights are >= 1 (stylometry.AttrSet), so -1
 //     marks absence unambiguously.
 //
-// The parity tests (batch_test.go) and the inline assertion in
-// BenchmarkScoreKernelBatch pin the equivalence on randomized worlds,
-// mixed batch widths, shard windows and nodes appended after SyncAnon.
+// The parity tests (batch_test.go) pin the equivalence on randomized
+// worlds, mixed batch widths, shard windows and nodes appended after
+// SyncAnon; core's TestQueryUserMatchesTopK pins it on a real-text world.
 
 package similarity
 

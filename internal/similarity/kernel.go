@@ -20,9 +20,9 @@
 //     the final float64 divisions see identical numerators/denominators;
 //   - the ratio terms read the same frozen degree values.
 //
-// The parity tests (kernel_test.go) and the inline assertion in
-// BenchmarkScoreKernel pin this equivalence on randomized worlds,
-// including nodes appended after SyncAnon.
+// The parity tests (kernel_test.go) pin this equivalence on randomized
+// worlds, including nodes appended after SyncAnon; core's
+// TestQueryUserMatchesTopK pins it on a real-text world.
 
 package similarity
 
@@ -154,9 +154,9 @@ func attrSimFused(a stylometry.AttrSet, atot int, b stylometry.AttrSet, btot int
 // implementation that re-derives every invariant per pair — live graph
 // reads for the anonymized degree terms, full norm re-summation inside
 // each cosine, and two independent attribute merges with explicit tail
-// loops. It exists so parity tests and BenchmarkScoreKernel can prove the
-// flat kernel bit-identical to it (and measure the win); production paths
-// never call it.
+// loops. It exists so the parity tests and the benchmark's correctness
+// check can prove the production kernels bit-identical to it; production
+// paths never call it.
 func (s *Scorer) ScoreSlow(u, v int) float64 {
 	return s.cfg.C1*s.degreeSimSlow(u, v) + s.cfg.C2*s.distanceSimSlow(u, v) + s.cfg.C3*s.attrSimSlow(u, v)
 }

@@ -17,8 +17,8 @@ import (
 // candidate-pruning index (internal/index) targets, standing in for
 // stylometric attributes clustering by writing style. Topology comes from
 // random co-posting threads, as in the real corpus model. Deterministic
-// per seed; the pruning parity tests and BenchmarkQueryUserPruned build
-// both world sides with it.
+// per seed; the pruning parity tests and the benchmark's sparse_walk
+// workload build both world sides with it.
 func SparseAttrUDA(n, comm, dim int, seed int64) *graph.UDA {
 	rng := rand.New(rand.NewSource(seed))
 	d := &corpus.Dataset{Name: "sparse-attr"}
