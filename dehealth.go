@@ -422,7 +422,9 @@ func (w *PreparedWorld) Attack(opt Options) (*Result, error) {
 }
 
 // AttackWithTruth is Attack plus ground truth for rank bookkeeping; the
-// truth never influences the attack itself.
+// truth never influences the attack itself. A pair mapping to an auxiliary
+// user that does not exist is an error, as is Options.GraphMatching on a
+// world too large for its score matrices (core.ErrMatchingTooLarge).
 func (w *PreparedWorld) AttackWithTruth(opt Options, trueMapping map[int]int) (*Result, error) {
 	opt = opt.normalized()
 	mkClf, err := opt.classifierFactory()
@@ -441,6 +443,9 @@ func (w *PreparedWorld) AttackWithTruth(opt Options, trueMapping map[int]int) (*
 	sel := core.DirectSelection
 	if opt.GraphMatching {
 		sel = core.GraphMatchingSelection
+	}
+	if err := p.CheckTopK(opt.K, sel, trueMapping); err != nil {
+		return nil, err
 	}
 	tk := p.TopK(opt.K, sel, trueMapping)
 	if opt.Filter {
@@ -658,7 +663,8 @@ func Attack(anon, aux *Dataset, opt Options) (*Result, error) {
 }
 
 // AttackWithTruth is Attack plus ground truth for rank bookkeeping; the
-// truth never influences the attack itself.
+// truth never influences the attack itself. It fails as
+// PreparedWorld.AttackWithTruth does.
 func AttackWithTruth(anon, aux *Dataset, opt Options, trueMapping map[int]int) (*Result, error) {
 	// Reject invalid options before paying for feature extraction.
 	if _, err := opt.classifierFactory(); err != nil {

@@ -2,6 +2,7 @@ package dehealth
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -87,6 +88,12 @@ func TestAttackOptionValidation(t *testing.T) {
 	}
 	if _, err := Attack(split.Anon, split.Aux, Options{Scheme: "bogus"}); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+	// Ground truth naming an auxiliary user that does not exist used to
+	// crash a Top-K worker goroutine; it is the caller's input, so an error.
+	bad := map[int]int{0: split.Aux.NumUsers()}
+	if _, err := AttackWithTruth(split.Anon, split.Aux, Options{Classifier: KNN}, bad); err == nil || !strings.Contains(err.Error(), "true mapping 0 ->") {
+		t.Errorf("out-of-range true mapping: err = %v, want one naming the pair", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dehealth/internal/corpus"
@@ -296,13 +298,37 @@ func TestStylometryBaselineRuns(t *testing.T) {
 	}
 }
 
+// TestTopKPanicsOnBadK pins TopK's argument contract: a violation panics
+// on the caller's goroutine — where it can be recovered, unlike a crash
+// inside a scan worker — with a message naming the offending value, and
+// CheckTopK reports the same condition as an error.
 func TestTopKPanicsOnBadK(t *testing.T) {
 	split := world(t, 6, 4, 0.5, 12)
 	p := pipelineFor(split)
-	defer func() {
-		if recover() == nil {
-			t.Error("K=0 must panic")
-		}
-	}()
-	p.TopK(0, DirectSelection, nil)
+	n2 := split.Aux.NumUsers()
+	for _, tc := range []struct {
+		name   string
+		k      int
+		method SelectionMethod
+		truth  map[int]int
+		want   string
+	}{
+		{"K=0", 0, DirectSelection, nil, "K must be >= 1, got 0"},
+		{"truth past the auxiliary side", 3, DirectSelection, map[int]int{1: n2}, fmt.Sprintf("true mapping 1 -> %d", n2)},
+		{"negative truth", 3, GraphMatchingSelection, map[int]int{0: -1}, "true mapping 0 -> -1"},
+		{"unknown method", 3, SelectionMethod(7), nil, "unknown selection method 7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := p.CheckTopK(tc.k, tc.method, tc.truth); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("CheckTopK = %v, want an error containing %q", err, tc.want)
+			}
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("TopK panicked with %q, want a message containing %q", msg, tc.want)
+				}
+			}()
+			p.TopK(tc.k, tc.method, tc.truth)
+			t.Error("TopK returned")
+		})
+	}
 }

@@ -6,12 +6,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
+	"dehealth/internal/bipartite"
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
 	"dehealth/internal/graph"
@@ -190,7 +192,7 @@ func (p *Pipeline) Sharded(n int) *Pipeline {
 // — results stay bit-identical to the unpruned path at every
 // configuration (see internal/index). st, when non-nil, is the shared
 // counter block the pruned queries accumulate into; nil allocates a
-// fresh one. Batch TopK (the offline evaluation) is unaffected.
+// fresh one. The offline TopK phase always runs the full scan.
 func (p *Pipeline) Pruned(cfg index.Config, st *index.Stats) *Pipeline {
 	q := *p
 	q.world = p.shardWorld().WithPruning(cfg, st)
@@ -242,30 +244,116 @@ func (p *Pipeline) shardWorld() *shard.World {
 	return shard.New(p.Scorer, p.G2, nil, 1)
 }
 
+// ErrMatchingTooLarge is wrapped by CheckTopK when GraphMatchingSelection
+// is asked of a world whose score matrix exceeds maxMatchingCells.
+var ErrMatchingTooLarge = errors.New("core: world too large for graph-matching selection")
+
+// maxMatchingCells caps |V1|·|V2| under GraphMatchingSelection, which
+// holds two dense float64 matrices of that many cells (the scores and the
+// working copy matched edges are struck from): 2^28 cells keep the pair at
+// 4 GiB. At the paper's WebMD population (89,393 × 89,393) each matrix
+// alone would be 64 GB, so the selection refuses instead of thrashing.
+const maxMatchingCells = 1 << 28
+
+// scanStrip is how many anonymized users one offline scan pass scores
+// together: each strip is one shard.World.ScanBatch call, so the Top-K
+// phase holds workers × scanStrip block buffers instead of full rows.
+const scanStrip = 8
+
 // TopK runs the Top-K DA phase (Algorithm 1, lines 2–5). trueMapping is
 // optional evaluation ground truth (anon user -> aux user) used only to
-// compute TrueRank; pass nil in attack settings.
+// compute TrueRank; pass nil in attack settings. It panics on arguments
+// CheckTopK rejects.
 //
-// Rows of the similarity matrix are computed in parallel and discarded after
-// candidate extraction, so memory stays O(|V1|·K) for direct selection.
-// GraphMatchingSelection materializes the full matrix and is intended for
-// the small refined-DA datasets.
+// The phase runs on the served engine: strips of anonymized users stream
+// through the blocked batched shard scan, which keeps the candidates while
+// an observer folds each scored block into the row statistics, so memory
+// stays O(|V1|·K) for direct selection. GraphMatchingSelection
+// materializes the full matrix and is intended for the small refined-DA
+// datasets.
 func (p *Pipeline) TopK(k int, method SelectionMethod, trueMapping map[int]int) *TopKResult {
+	if err := p.CheckTopK(k, method, trueMapping); err != nil {
+		panic(err.Error())
+	}
+	if method == GraphMatchingSelection {
+		return p.topKMatching(k, trueMapping)
+	}
+	return p.topKDirect(k, trueMapping, nil)
+}
+
+// CheckTopK reports why TopK(k, method, trueMapping) cannot run: a
+// candidate-set size below one, an unknown selection method, a
+// ground-truth pair naming an auxiliary user that does not exist, or a
+// graph-matching score matrix beyond maxMatchingCells (wrapping
+// ErrMatchingTooLarge). Layers fed from outside the program call it first
+// and return the error; TopK itself treats a violation as a caller bug.
+func (p *Pipeline) CheckTopK(k int, method SelectionMethod, trueMapping map[int]int) error {
 	if k < 1 {
-		panic(fmt.Sprintf("core: K must be >= 1, got %d", k))
+		return fmt.Errorf("core: K must be >= 1, got %d", k)
+	}
+	n1, n2 := p.G1.NumNodes(), p.G2.NumNodes()
+	for u, v := range trueMapping {
+		if u >= 0 && u < n1 && (v < 0 || v >= n2) {
+			return fmt.Errorf("core: true mapping %d -> %d names no auxiliary user in [0, %d)", u, v, n2)
+		}
 	}
 	switch method {
 	case DirectSelection:
-		return p.topKDirect(k, trueMapping)
+		return nil
 	case GraphMatchingSelection:
-		return p.topKMatching(k, trueMapping)
-	default:
-		panic(fmt.Sprintf("core: unknown selection method %d", method))
+		return checkMatchingSize(n1, n2)
+	}
+	return fmt.Errorf("core: unknown selection method %d", method)
+}
+
+func checkMatchingSize(n1, n2 int) error {
+	if n1 > 0 && n2 > maxMatchingCells/n1 {
+		return fmt.Errorf("%w: %d x %d users exceed %d score-matrix cells", ErrMatchingTooLarge, n1, n2, maxMatchingCells)
+	}
+	return nil
+}
+
+// rowStats folds one anonymized user's similarity row, block by block in
+// ascending auxiliary order, into what the attack keeps of it: the row
+// extremes, the row sum, and the true mapping's rank.
+type rowStats struct {
+	min, max, sum float64
+	// truth is the true mapping's auxiliary id and truthScore its score;
+	// above counts the rows ranking before it under the selection order
+	// (higher score, ties to the smaller id). A row without ground truth
+	// sets truthScore to +Inf, which nothing ranks before.
+	truth      int
+	truthScore float64
+	above      int
+}
+
+// observe is the row's shard.World.ScanBatch observer.
+func (r *rowStats) observe(lo int, scores []float64) {
+	if lo == 0 {
+		r.min, r.max = scores[0], scores[0]
+	}
+	for j, s := range scores {
+		if s > r.max {
+			r.max = s
+		}
+		if s < r.min {
+			r.min = s
+		}
+		r.sum += s
+		if s > r.truthScore || (s == r.truthScore && lo+j < r.truth) {
+			r.above++
+		}
 	}
 }
 
-func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
-	n1, n2 := p.G1.NumNodes(), p.G2.NumNodes()
+// topKDirect is the whole-matrix pass behind both selection methods:
+// strips of scanStrip anonymized users run through the shard world's
+// batched scan in parallel, the scan's heaps yield each user's K best
+// candidates, and a rowStats observer per user yields the row minimum, the
+// score extremes and the true mapping's rank. rows, when non-nil, also
+// receives every score (rows[u][v] = s_uv) for the graph-matching rounds.
+func (p *Pipeline) topKDirect(k int, trueMapping map[int]int, rows [][]float64) *TopKResult {
+	n1 := p.G1.NumNodes()
 	res := &TopKResult{
 		K:          k,
 		Candidates: make([][]Candidate, n1),
@@ -274,71 +362,38 @@ func (p *Pipeline) topKDirect(k int, trueMapping map[int]int) *TopKResult {
 		RowMin:     make([]float64, n1),
 	}
 	maxs := make([]float64, n1)
-	mins := make([]float64, n1)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n1 {
-		workers = n1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			row := make([]float64, n2)
-			var prof similarity.QueryProfile
-			for u := range rows {
-				p.Scorer.PrepareQuery(u, &prof)
-				p.Scorer.ScoreRange(&prof, 0, n2, row)
-				res.Candidates[u] = topCandidates(row, k)
-				res.MeanScore[u] = meanScore(res.Candidates[u])
-				maxs[u], mins[u] = rowExtremes(row)
-				res.RowMin[u] = mins[u]
-				if trueMapping != nil {
-					if tv, ok := trueMapping[u]; ok {
-						res.TrueRank[u] = rankOf(row, tv)
-					}
-				}
+	world := p.shardWorld()
+	shard.ParallelFor((n1+scanStrip-1)/scanStrip, runtime.GOMAXPROCS(0), func(strip int) {
+		var users [scanStrip]int
+		var stats [scanStrip]rowStats
+		first := strip * scanStrip
+		n := min(scanStrip, n1-first)
+		for i := 0; i < n; i++ {
+			u := first + i
+			users[i], stats[i] = u, rowStats{truthScore: math.Inf(1)}
+			if tv, ok := trueMapping[u]; ok {
+				// Read up front: the parity contract makes Score bit-identical
+				// to the score the scan will produce for the same pair.
+				stats[i].truth, stats[i].truthScore = tv, p.Scorer.Score(u, tv)
 			}
-		}()
-	}
-	for u := 0; u < n1; u++ {
-		rows <- u
-	}
-	close(rows)
-	wg.Wait()
-
-	res.MaxScore, res.MinScore = extremes(maxs, mins)
-	return res
-}
-
-// topCandidates returns the k highest-scoring columns of row, sorted
-// descending (ties by smaller index).
-func topCandidates(row []float64, k int) []Candidate {
-	if k > len(row) {
-		k = len(row)
-	}
-	idx := make([]int, len(row))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection: simple full sort is fine at these sizes and keeps
-	// ordering deterministic.
-	sort.Slice(idx, func(a, b int) bool {
-		if row[idx[a]] != row[idx[b]] {
-			return row[idx[a]] > row[idx[b]]
 		}
-		return idx[a] < idx[b]
+		cands := world.ScanBatch(users[:n], k, func(q, lo int, scores []float64) {
+			stats[q].observe(lo, scores)
+			if rows != nil {
+				copy(rows[users[q]][lo:], scores)
+			}
+		})
+		for i, u := range users[:n] {
+			res.Candidates[u] = cands[i]
+			res.MeanScore[u] = meanScore(cands[i])
+			res.RowMin[u], maxs[u] = stats[i].min, stats[i].max
+			if _, ok := trueMapping[u]; ok {
+				res.TrueRank[u] = stats[i].above + 1
+			}
+		}
 	})
-	out := make([]Candidate, k)
-	for i := 0; i < k; i++ {
-		out[i] = Candidate{User: idx[i], Score: row[idx[i]]}
-	}
-	return out
+	res.MaxScore, res.MinScore = extremes(maxs, res.RowMin)
+	return res
 }
 
 // meanScore averages candidate scores (λ_u).
@@ -351,32 +406,6 @@ func meanScore(cs []Candidate) float64 {
 		s += c.Score
 	}
 	return s / float64(len(cs))
-}
-
-// rankOf returns the 1-based rank of column v in row (1 = highest score;
-// ties count scores strictly greater plus earlier-index equal scores, which
-// matches the deterministic candidate ordering).
-func rankOf(row []float64, v int) int {
-	r := 1
-	for j, s := range row {
-		if s > row[v] || (s == row[v] && j < v) {
-			r++
-		}
-	}
-	return r
-}
-
-func rowExtremes(row []float64) (mx, mn float64) {
-	mx, mn = row[0], row[0]
-	for _, s := range row[1:] {
-		if s > mx {
-			mx = s
-		}
-		if s < mn {
-			mn = s
-		}
-	}
-	return mx, mn
 }
 
 func extremes(maxs, mins []float64) (mx, mn float64) {
@@ -397,46 +426,30 @@ func extremes(maxs, mins []float64) (mx, mn float64) {
 
 func (p *Pipeline) topKMatching(k int, trueMapping map[int]int) *TopKResult {
 	n1, n2 := p.G1.NumNodes(), p.G2.NumNodes()
-	scores := p.Scorer.ScoreMatrix()
-	res := &TopKResult{
-		K:          k,
-		Candidates: make([][]Candidate, n1),
-		TrueRank:   make([]int, n1),
-		MeanScore:  make([]float64, n1),
-		RowMin:     make([]float64, n1),
+	scores := make([][]float64, n1)
+	for u := range scores {
+		scores[u] = make([]float64, n2)
 	}
-	if trueMapping != nil {
-		for u := 0; u < n1; u++ {
-			if tv, ok := trueMapping[u]; ok {
-				res.TrueRank[u] = rankOf(scores[u], tv)
-			}
-		}
-	}
+	// The direct pass fills the matrix and supplies the ranks, row minima
+	// and score extremes; the matching rounds replace its candidate sets.
+	res := p.topKDirect(k, trueMapping, scores)
+	clear(res.Candidates)
 
 	// Working copy: matched edges are struck out with -inf sentinels.
 	work := make([][]float64, n1)
 	for u := range scores {
 		work[u] = append([]float64(nil), scores[u]...)
-		res.MaxScore, res.MinScore = rowMergeExtremes(res, u, scores[u])
-		_, res.RowMin[u] = rowExtremes(scores[u])
 	}
 	const struck = -1e18
-	rounds := k
-	if n2 < n1 {
-		// Not all anonymized users can be matched each round; still run k
-		// rounds, collecting what each round yields.
-		rounds = k
+	// The exact algorithm while the matrix is small enough; the greedy
+	// 1/2-approximation otherwise.
+	match := bipartite.GreedyMatching
+	if n1*n2 <= 250_000 {
+		match = bipartite.MaxWeightMatching
 	}
-	exact := n1*n2 <= 250_000
-	for r := 0; r < rounds; r++ {
-		var match []int
-		if exact {
-			match = maxWeightMatch(work)
-		} else {
-			match = greedyMatch(work)
-		}
+	for r := 0; r < k; r++ {
 		progress := false
-		for u, v := range match {
+		for u, v := range match(work) {
 			if v < 0 || work[u][v] == struck {
 				continue
 			}
@@ -460,21 +473,6 @@ func (p *Pipeline) topKMatching(k int, trueMapping map[int]int) *TopKResult {
 		res.MeanScore[u] = meanScore(cs)
 	}
 	return res
-}
-
-func rowMergeExtremes(res *TopKResult, u int, row []float64) (mx, mn float64) {
-	rmx, rmn := rowExtremes(row)
-	if u == 0 {
-		return rmx, rmn
-	}
-	mx, mn = res.MaxScore, res.MinScore
-	if rmx > mx {
-		mx = rmx
-	}
-	if rmn < mn {
-		mn = rmn
-	}
-	return mx, mn
 }
 
 // FilterConfig parametrizes Algorithm 2.
@@ -586,34 +584,14 @@ func (p *Pipeline) RefinedDA(tk *TopKResult, opt RefineOptions) (*DAResult, erro
 	res := &DAResult{Mapping: make([]int, n1)}
 	rng := rand.New(rand.NewSource(opt.Seed + 7))
 
-	type job struct{ u int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
 	errs := make([]error, n1)
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
 	seeds := make([]int64, n1)
 	for u := 0; u < n1; u++ {
 		seeds[u] = rng.Int63()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				m, err := p.refineUser(j.u, tk, opt, seeds[j.u])
-				res.Mapping[j.u] = m
-				errs[j.u] = err
-			}
-		}()
-	}
-	for u := 0; u < n1; u++ {
-		jobs <- job{u}
-	}
-	close(jobs)
-	wg.Wait()
+	shard.ParallelFor(n1, runtime.GOMAXPROCS(0), func(u int) {
+		res.Mapping[u], errs[u] = p.refineUser(u, tk, opt, seeds[u])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -681,16 +659,7 @@ func (p *Pipeline) refineUser(u int, tk *TopKResult, opt RefineOptions, seed int
 	}
 
 	// Classify u's posts and aggregate scores.
-	su := p.Scorer.StructuralVector(1, u)
-	total := make([]float64, len(classes))
-	for _, pv := range p.G1.PostVectors[u] {
-		scores := clf.Scores(concat(pv, su))
-		for i, s := range scores {
-			if i < len(total) {
-				total[i] += s
-			}
-		}
-	}
+	total := p.classScores(u, clf, len(classes))
 	best := ml.ArgMax(total)
 	if best < 0 {
 		return -1, nil
@@ -719,6 +688,22 @@ func (p *Pipeline) refineUser(u int, tk *TopKResult, opt RefineOptions, seed int
 		}
 	}
 	return v, nil
+}
+
+// classScores classifies each of anonymized user u's posts (stylometric
+// vector ⊕ u's structural vector) and sums the per-class scores over the
+// posts, for the first n classes.
+func (p *Pipeline) classScores(u int, clf ml.Classifier, n int) []float64 {
+	su := p.Scorer.StructuralVector(1, u)
+	total := make([]float64, n)
+	for _, pv := range p.G1.PostVectors[u] {
+		for i, s := range clf.Scores(concat(pv, su)) {
+			if i < len(total) {
+				total[i] += s
+			}
+		}
+	}
+	return total
 }
 
 // verifyMean implements the mean-verification acceptance test on row-min
@@ -766,26 +751,9 @@ func (p *Pipeline) StylometryBaseline(opt RefineOptions) (*DAResult, error) {
 	}
 
 	res := &DAResult{Mapping: make([]int, n1)}
-	var wg sync.WaitGroup
-	users := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range users {
-				res.Mapping[u] = p.baselineUser(u, clf, n2, opt)
-			}
-		}()
-	}
-	for u := 0; u < n1; u++ {
-		users <- u
-	}
-	close(users)
-	wg.Wait()
+	shard.ParallelFor(n1, runtime.GOMAXPROCS(0), func(u int) {
+		res.Mapping[u] = p.baselineUser(u, clf, n2, opt)
+	})
 	return res, nil
 }
 
@@ -796,33 +764,14 @@ func (p *Pipeline) baselineUser(u int, clf ml.Classifier, n2 int, opt RefineOpti
 	if len(p.G1.PostVectors[u]) == 0 {
 		return -1
 	}
-	su := p.Scorer.StructuralVector(1, u)
-	total := make([]float64, n2)
-	for _, pv := range p.G1.PostVectors[u] {
-		scores := clf.Scores(concat(pv, su))
-		for i, s := range scores {
-			if i < len(total) {
-				total[i] += s
-			}
-		}
-	}
-	best := ml.ArgMax(total)
+	best := ml.ArgMax(p.classScores(u, clf, n2))
 	if best < 0 {
 		return -1
 	}
 	if opt.Scheme == MeanVerification {
-		var prof similarity.QueryProfile
-		p.Scorer.PrepareQuery(u, &prof)
-		mean, rowMin := 0.0, 0.0
-		for v := 0; v < n2; v++ {
-			s := p.Scorer.ScoreWith(&prof, v)
-			mean += s
-			if v == 0 || s < rowMin {
-				rowMin = s
-			}
-		}
-		mean /= float64(n2)
-		if !verifyMean(p.Scorer.ScoreWith(&prof, best), mean, rowMin, opt.R) {
+		row := rowStats{truthScore: math.Inf(1)}
+		p.shardWorld().ScanBatch([]int{u}, 1, func(_, lo int, scores []float64) { row.observe(lo, scores) })
+		if !verifyMean(p.Scorer.Score(u, best), row.sum/float64(n2), row.min, opt.R) {
 			return -1
 		}
 	}

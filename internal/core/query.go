@@ -1,15 +1,14 @@
-// Online single-user query path. The batch TopK phase computes (and
-// discards) full similarity-matrix rows; serving a newly observed account
-// needs exactly one row's top-K, so QueryUser routes the query through the
-// pipeline's shard world instead: each auxiliary shard streams its slice
-// of the row through a bounded min-heap (O(shard size) time, O(K) memory,
-// no row or matrix allocation) and the per-shard heaps merge into the
-// global top-K under the stable selection order (score descending, global
-// auxiliary id ascending). The candidate set and its ordering are
-// bit-identical to the full-matrix direct selection — and identical across
-// every shard count (see the equivalence and sharded parity tests) — so
-// the serving path, the sharded serving path and the offline evaluation
-// can never drift. Pipeline is deliberately a thin coordinator here:
+// Online single-user query path. Serving a newly observed account needs
+// exactly one row's top-K, so QueryUser routes the query through the
+// pipeline's shard world: each auxiliary shard streams its slice of the
+// row through a bounded min-heap (O(shard size) time, O(K) memory, no row
+// or matrix allocation) and the per-shard heaps merge into the global
+// top-K under the stable selection order (score descending, global
+// auxiliary id ascending). The offline Top-K phase (TopK) runs strips of
+// users through the same shard scan, so the serving path, the sharded
+// serving path and the offline evaluation share one engine and cannot
+// drift; what pins all of them is the sort-based ScoreSlow oracle in
+// oracle_test.go. Pipeline is deliberately a thin coordinator here:
 // validation lives below, scoring and merging live in internal/shard.
 
 package core
@@ -38,10 +37,9 @@ func (p *Pipeline) checkQuery(op string, k int, users ...int) {
 
 // QueryUser computes anonymized user u's top-k auxiliary candidates in
 // decreasing score order (ties by smaller auxiliary index), exactly as
-// TopK(k, DirectSelection, nil).Candidates[u] would, without materializing
-// a similarity row. On a sharded pipeline the row fans out across shards
-// in parallel. Safe for concurrent use with other queries; not with
-// ingestion (the serving layer serializes the two).
+// TopK(k, DirectSelection, nil).Candidates[u] would. On a sharded pipeline
+// the row fans out across shards in parallel. Safe for concurrent use with
+// other queries; not with ingestion (the serving layer serializes the two).
 func (p *Pipeline) QueryUser(u, k int) []Candidate {
 	p.checkQuery("QueryUser", k, u)
 	return p.shardWorld().QueryUser(u, k)

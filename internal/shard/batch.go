@@ -1,17 +1,19 @@
-// The batched shard scan. A serving flush hands the world a whole
-// micro-batch of queries; scanning them one by one streams each shard's
-// flat aux-side caches through memory once per query. TopKBatch instead
-// prepares Q query profiles at once (similarity.BatchProfile) and drains Q
-// bounded heaps from one blocked walk of the shard — each 512-row block is
-// scored against every query while it is hot in cache, and the batch
+// The shard scan: the only code that walks a whole auxiliary window. A
+// serving flush hands the world a micro-batch of queries, the offline
+// Top-K DA phase hands it strips of anonymized users, and a lone
+// Shard.TopK is a batch of one — all three are one blocked loop (scan):
+// prepare Q query profiles at once (similarity.BatchProfile), score each
+// 512-row block against every query while it is hot in cache
+// (ScoreRangeBatch — this is its one production call site), and drain Q
+// bounded heaps. Scanning queries one by one would stream each shard's
+// flat aux-side caches through memory once per query; the batch also
 // amortizes the per-query preparation (dense attribute tables) the batched
-// kernel's cheap merge depends on. Results are bit-identical to Q
-// independent TopK calls: per query, scores arrive in the same ascending
-// row order, so the heap passes through identical states, and the final
-// sort is under the same total order. The per-batch scratch (profiles,
-// block buffers, heaps) is pooled across calls — and therefore across
-// serving flushes — so a steady-state batch query allocates only its
-// result slices.
+// kernel's cheap merge depends on. Results do not depend on the batch a
+// query travels in: per query, scores arrive in the same ascending row
+// order, so the heap passes through identical states, and the final sort
+// is under the same total order. The per-batch scratch (profiles, block
+// buffers, heaps) is pooled across calls — and therefore across serving
+// flushes — so a steady-state scan allocates only its result slices.
 
 package shard
 
@@ -23,14 +25,14 @@ import (
 	"dehealth/internal/similarity"
 )
 
-// maxBatchQ caps how many queries one TopKBatch kernel pass scores
+// maxBatchQ caps how many queries one served kernel pass scores
 // together. A serving flush's batch (Config.MaxBatch) maps onto kernel
 // batches of up to this width; wider batches would grow the per-batch
 // scratch (Q dense attribute tables + Q block buffers) past what stays
 // cache-resident, past the point where the blocked scan's reuse pays.
 const maxBatchQ = 64
 
-// batchScratch is the pooled per-call state of TopKBatch: the prepared
+// batchScratch is the pooled per-call state of the scan: the prepared
 // batch profile, the flat Q × scoreBlock score buffer with its per-query
 // row views, and the Q bounded heaps. Pooling it makes steady-state
 // batched queries allocation-free up to their result slices.
@@ -65,40 +67,38 @@ func (sc *batchScratch) grow(q, k int) {
 	}
 }
 
-// TopKBatch is Shard.TopK for a whole batch of anonymized users in one
-// blocked scan: the batch profile is prepared once, each scoreBlock-row
-// block is scored against every query by the batched kernel while its
-// aux-side data is cache-hot, and Q bounded heaps accumulate the per-query
-// top-k. Results align with users by index; each entry is bit-identical
-// to TopK(users[q], k).
-func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
-	res := make([][]Candidate, len(users))
-	if len(users) == 0 {
-		return res
-	}
+// scan is the one loop that walks a whole auxiliary window (see the file
+// comment). res[q] receives users[q]'s k best candidates with global
+// auxiliary ids, sorted under the global selection order; k is clamped to
+// the window size, and a k below one scans nothing. observe, when non-nil,
+// is handed every scored block before the heaps consume it —
+// observe(q, lo, scores) carries users[q]'s scores of global rows lo,
+// lo+1, … in ascending block order, valid only during the call — and is
+// checked once per block, never per row.
+func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float64), res [][]Candidate) {
 	n := sh.NumUsers()
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	if k <= 0 {
 		for q := range res {
 			res[q] = []Candidate{}
 		}
-		return res
+		return
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.grow(len(users), k)
 	sh.Scorer.PrepareBatch(users, &sc.prof)
 	heaps := sc.heaps
 	for lo := 0; lo < n; lo += scoreBlock {
-		hi := lo + scoreBlock
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+scoreBlock, n)
 		for q := range sc.out {
 			sc.out[q] = sc.buf[q*scoreBlock : q*scoreBlock+(hi-lo)]
 		}
 		sh.Scorer.ScoreRangeBatch(&sc.prof, lo, hi, sc.out)
+		if observe != nil {
+			for q, scores := range sc.out {
+				observe(q, sh.Lo+lo, scores)
+			}
+		}
 		for q := range heaps {
 			h := heaps[q]
 			for i, score := range sc.out[q] {
@@ -121,13 +121,21 @@ func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
 		res[q] = out
 	}
 	batchScratchPool.Put(sc)
+}
+
+// TopKBatch answers a whole batch of anonymized users from one blocked
+// scan of the shard (see scan). Results align with users by index; each
+// entry is bit-identical to TopK(users[q], k).
+func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
+	res := make([][]Candidate, len(users))
+	sh.scan(users, k, nil, res)
 	return res
 }
 
-// parallelFor calls fn(0) … fn(n-1) on at most workers goroutines — the
+// ParallelFor calls fn(0) … fn(n-1) on at most workers goroutines — the
 // caller is one of them, so one worker spawns nothing — each taking the
 // next index off a shared counter.
-func parallelFor(n, workers int, fn func(i int)) {
+func ParallelFor(n, workers int, fn func(i int)) {
 	var next atomic.Int64
 	run := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
@@ -152,13 +160,13 @@ func parallelFor(n, workers int, fn func(i int)) {
 // TopKBatch scheduled over the workers, so a batch narrower than the
 // worker budget still scans its shards in parallel. The per-shard lists
 // are merged per user once every cell is in. The across-query cache reuse
-// lives inside TopKBatch; workers only decide which cells run side by
+// lives inside the scan; workers only decide which cells run side by
 // side, so results are identical at every worker count.
 func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate) {
 	chunk := min(max((len(users)+workers-1)/workers, 1), maxBatchQ)
 	ns := len(w.shards)
 	cells := make([][][]Candidate, (len(users)+chunk-1)/chunk*ns)
-	parallelFor(len(cells), workers, func(i int) {
+	ParallelFor(len(cells), workers, func(i int) {
 		lo := i / ns * chunk
 		cells[i] = w.shards[i%ns].TopKBatch(users[lo:min(lo+chunk, len(users))], k)
 	})
@@ -173,6 +181,28 @@ func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate)
 		}
 		out[qi] = MergeTopK(parts, k)
 	}
+}
+
+// ScanBatch is the scan for callers that need more of a row than its
+// top-k — the offline Top-K DA phase (internal/core). It runs users
+// through every shard in turn on the calling goroutine, always by the full
+// scan (the indexed engines skip rows), so observe (see Shard.scan) sees
+// users[q]'s whole similarity row exactly once, in ascending global row
+// order; callers parallelize across calls, so one call's observations
+// never race. It returns each user's global top-k as QueryBatch would:
+// folding the shards' lists in pairwise is as exact as merging them at
+// once, since every global top-k candidate survives its own shard's top-k.
+func (w *World) ScanBatch(users []int, k int, observe func(q, lo int, scores []float64)) [][]Candidate {
+	out := make([][]Candidate, len(users))
+	w.shards[0].scan(users, k, observe, out)
+	part := make([][]Candidate, len(users))
+	for _, sh := range w.shards[1:] {
+		sh.scan(users, k, observe, part)
+		for q := range out {
+			out[q] = MergeTopK([][]Candidate{out[q], part[q]}, k)
+		}
+	}
+	return out
 }
 
 // QueryBatch answers one QueryUser per entry of users (workers <= 0 uses
@@ -203,6 +233,6 @@ func (w *World) queryBatch(users []int, k, workers int, m queryMode) [][]Candida
 		return out
 	}
 	helpers := min(workers, len(users)) <= 1
-	parallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, m, helpers) })
+	ParallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, m, helpers) })
 	return out
 }

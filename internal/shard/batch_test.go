@@ -131,3 +131,37 @@ func TestTopKBatchAllocs(t *testing.T) {
 		t.Fatalf("TopKBatch allocates %v times per batch, want <= %v", allocs, max)
 	}
 }
+
+// TestScanBatchObserver pins the observer contract the offline Top-K phase
+// builds on: every query's whole similarity row arrives exactly once, in
+// ascending global row order, with the scores the gather kernel computes,
+// and the returned candidates are QueryBatch's — at one shard and several.
+func TestScanBatchObserver(t *testing.T) {
+	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 29)
+	auxN := auxUDA.NumNodes()
+	users := []int{2, 0, anonN - 1, 2}
+	for _, shards := range []int{1, 3, auxN} {
+		w := New(base, auxUDA, auxS, shards)
+		next := make([]int, len(users))
+		got := w.ScanBatch(users, 4, func(q, lo int, scores []float64) {
+			if lo != next[q] || len(scores) == 0 {
+				t.Fatalf("shards=%d query %d: block at row %d (%d scores), want row %d", shards, q, lo, len(scores), next[q])
+			}
+			for i, s := range scores {
+				if want := base.Score(users[q], lo+i); s != want {
+					t.Fatalf("shards=%d query %d row %d: observed %v, Score %v", shards, q, lo+i, s, want)
+				}
+			}
+			next[q] += len(scores)
+		})
+		want := w.QueryBatch(users, 4, 1)
+		for q := range users {
+			if next[q] != auxN {
+				t.Fatalf("shards=%d query %d: observed %d rows, want %d", shards, q, next[q], auxN)
+			}
+			if !slices.Equal(got[q], want[q]) {
+				t.Fatalf("shards=%d query %d: %+v, QueryBatch %+v", shards, q, got[q], want[q])
+			}
+		}
+	}
+}

@@ -93,7 +93,7 @@ func (w *World) EnsureBlocks(blockSize int) {
 
 // zeroOverlap walks the part of the window both indexed engines owe after
 // their attribute-overlap candidates: the users sharing no attribute with
-// the query. Those have AttrSim exactly 0 (disjoint attribute sets zero
+// the query. Those have s^a exactly 0 (disjoint attribute sets zero
 // both Jaccard terms), so per degree band one structural bound covers
 // every unmarked member. The caller's skip decides, from that bound and
 // its own running bar, whether the whole band can be passed over — the bar
@@ -241,7 +241,7 @@ func (w *World) WithPruning(cfg index.Config, st *index.Stats) *World {
 // rebuilds, so re-indexing under a new Config is never partially applied.
 func (w *World) withIndex(cfg index.Config) *World {
 	out := w.view()
-	parallelFor(len(out.shards), len(out.shards), func(i int) {
+	ParallelFor(len(out.shards), len(out.shards), func(i int) {
 		if sh := out.shards[i]; sh.Index == nil || sh.Index.BuildConfig().Bands != cfg.Bands || sh.Index.BlockSize() == 0 {
 			sh.BuildIndex(cfg)
 		}

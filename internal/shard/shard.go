@@ -93,50 +93,19 @@ type Shard struct {
 func (sh *Shard) NumUsers() int { return sh.Hi - sh.Lo }
 
 // scoreBlock is the row-kernel block size of the shard scan: one
-// ScoreRange call fills a stack buffer of this many scores before the
-// heap consumes them, so the scorer streams the flat aux-side arrays
-// sequentially and the scan performs zero per-row heap allocations.
+// ScoreRangeBatch call fills a pooled buffer of this many scores per query
+// before the heaps consume them, so the scorer streams the flat aux-side
+// arrays sequentially and the scan performs zero per-row heap allocations.
 const scoreBlock = 512
 
-// TopK streams the shard's scores of anonymized user u through a bounded
-// worst-first heap — O(shard size) time, O(k) memory — and returns the
-// shard's k best candidates with global auxiliary ids, sorted under the
-// global selection order. k is clamped to the shard size. The row is
-// evaluated by the flat kernel: the query profile is prepared once and
-// ScoreRange fills fixed-size blocks the heap drains.
+// TopK returns the shard's k best candidates for anonymized user u with
+// global auxiliary ids, sorted under the global selection order; k is
+// clamped to the shard size. It is the batched scan (see scan in batch.go)
+// at width one — the single-user and batched paths share one loop.
 func (sh *Shard) TopK(u, k int) []Candidate {
-	n := sh.NumUsers()
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return []Candidate{}
-	}
-	var prof similarity.QueryProfile
-	sh.Scorer.PrepareQuery(u, &prof)
-	var buf [scoreBlock]float64
-	h := make(candidateHeap, 0, k)
-	for lo := 0; lo < n; lo += scoreBlock {
-		hi := lo + scoreBlock
-		if hi > n {
-			hi = n
-		}
-		out := buf[:hi-lo]
-		sh.Scorer.ScoreRange(&prof, lo, hi, out)
-		for i, sc := range out {
-			c := Candidate{User: sh.Lo + lo + i, Score: sc}
-			if len(h) < k {
-				h = append(h, c)
-				h.up(len(h) - 1)
-			} else if worse(h[0], c) {
-				h[0] = c
-				h.down(0)
-			}
-		}
-	}
-	res := []Candidate(h)
-	sortCandidates(res)
-	return res
+	users, res := [1]int{u}, [1][]Candidate{}
+	sh.scan(users[:], k, nil, res[:])
+	return res[0]
 }
 
 // sortCandidates orders candidates under the global selection order.
@@ -392,7 +361,7 @@ func RouteName(name string, n int) int {
 }
 
 // candidateHeap is a worst-first binary heap of candidates, the bounded
-// top-K accumulator of Shard.TopK.
+// top-K accumulator of the shard scan and the indexed engines' gathers.
 type candidateHeap []Candidate
 
 func (h candidateHeap) up(i int) {

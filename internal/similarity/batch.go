@@ -1,9 +1,11 @@
-// The multi-query batched scoring kernel. ScoreRange walks the aux-side
-// flat arrays once per query; under the serving dispatcher's micro-batches
-// that means Q full passes over the same SoA blocks. ScoreRangeBatch
-// inverts the loop nest: it walks each aux row once and evaluates all Q
-// prepared queries against it while the row's closeness/NCS/attribute data
-// is hot in cache.
+// The range-scan kernel: the multi-query batched scorer behind every
+// whole-window walk (its one production caller is the shard scan,
+// internal/shard/batch.go). A per-query loop over ScoreWith walks the
+// aux-side flat arrays once per query; under the serving dispatcher's
+// micro-batches, or the offline Top-K phase's strips, that means Q full
+// passes over the same SoA blocks. ScoreRangeBatch inverts the loop nest:
+// it walks each aux row once and evaluates all Q prepared queries against
+// it while the row's closeness/NCS/attribute data is hot in cache.
 //
 // The batch also buys the attribute merge a cheaper shape. The per-pair
 // sorted-list merge (attrSimFused) is O(|A|+|B|) with a data-dependent
@@ -31,7 +33,8 @@
 //
 // The parity tests (batch_test.go) pin the equivalence on randomized
 // worlds, mixed batch widths, shard windows and nodes appended after
-// SyncAnon; core's TestQueryUserMatchesTopK pins it on a real-text world.
+// SyncAnon; core's oracle table (oracle_test.go) pins it on real-text
+// worlds.
 
 package similarity
 

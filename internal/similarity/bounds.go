@@ -134,7 +134,7 @@ func cosBound(queryNorm, bandNormHi float64) float64 {
 
 // ScoreBoundBand returns an upper bound on Score(p.User(), v) over every
 // auxiliary user v that (a) shares no attribute with the query user — so
-// both Jaccard terms of AttrSim are exactly zero — and (b) falls inside
+// both Jaccard terms of s^a are exactly zero — and (b) falls inside
 // the band's degree, weighted-degree and vector-norm ranges. The ratio
 // terms are bounded by RatioSimBound over the band's intervals; each
 // cosine term by cosBound, which is 0 whenever either side of that cosine
@@ -166,7 +166,7 @@ func (s *Scorer) ScoreBoundBand(p *QueryProfile, b BandStats) float64 {
 // since the intersection never exceeds either side (|I| <= |B| and the
 // min-weight overlap never exceeds W_B keep both denominators >= the
 // query-side totals). Summing ub[i] over any candidate attribute subset
-// therefore bounds the candidate's whole AttrSim term, which is what the
+// therefore bounds the candidate's whole s^a term, which is what the
 // max-score/WAND pivot walk accumulates per posting cursor. Each bound
 // carries the safety margin, so a strict comparison against a sum of
 // these bounds can never lose an exact-path candidate to rounding. The

@@ -1,15 +1,22 @@
-// The flat scoring kernel. Score's per-pair cost used to re-derive
-// query-side invariants for every auxiliary user: each of the three
-// cosines re-summed both vectors' norms, the anonymized side's weighted
-// degree re-walked the adjacency list, and the two Jaccard terms merged
-// the attribute lists twice. This file is the query-prepared rewrite: a
-// QueryProfile captures the anonymized side once per query (degree,
-// weighted degree, attribute set + total weight, flat vector views and
-// precomputed norms), and ScoreWith / ScoreRange evaluate rows of the
-// similarity against the contiguous aux-side arrays with zero allocations.
+// The per-pair gather kernel and the naive oracle. The package scores in
+// three roles, all bit-identical on every pair:
 //
-// Bit-identity with the retained naive reference (ScoreSlow) holds because
-// no floating-point operation changes order or operands:
+//   - range scan: ScoreRangeBatch (batch.go) streams a contiguous aux
+//     window against a batch of prepared queries. Its one production
+//     caller is the shard scan (internal/shard/batch.go), which serves
+//     every whole-window walk: /v1/query and /v1/batch, Shard.TopK, and
+//     the offline Top-K DA phase behind Attack and the paper figures.
+//   - per-pair gather: ScoreWith scores one prepared query against one
+//     auxiliary user, for callers that visit scattered rows — the pruner's
+//     and the cursor walk's exact rescores, refined-DA verification and
+//     Score. ScoreRange is the same expression looped over a range; no
+//     production path calls it (the benchmark's per-layer probe does).
+//   - oracle: ScoreSlow re-derives everything per pair from the graphs;
+//     tests and the benchmark's correctness check compare against it.
+//
+// Both production kernels prepare the anonymized side once per query
+// (QueryProfile) and allocate nothing per pair. Bit-identity with ScoreSlow
+// holds because no floating-point operation changes order or operands:
 //
 //   - each cosine's dot product accumulates in the same index order over
 //     the same values; the norm factors are the same index-order sums,
@@ -21,8 +28,8 @@
 //   - the ratio terms read the same frozen degree values.
 //
 // The parity tests (kernel_test.go) pin this equivalence on randomized
-// worlds, including nodes appended after SyncAnon; core's
-// TestQueryUserMatchesTopK pins it on a real-text world.
+// worlds, including nodes appended after SyncAnon; core's oracle table
+// (oracle_test.go) pins it on real-text worlds.
 
 package similarity
 
@@ -70,7 +77,7 @@ func (s *Scorer) PrepareQuery(u int, p *QueryProfile) {
 }
 
 // ScoreWith computes Score(p.User(), v) from the prepared profile — the
-// per-pair flat kernel: two ratio terms, three precomputed-norm cosines
+// per-pair gather kernel: two ratio terms, three precomputed-norm cosines
 // and one fused attribute merge, all over dense frozen state. It is
 // bit-identical to Score and ScoreSlow.
 func (s *Scorer) ScoreWith(p *QueryProfile, v int) float64 {
@@ -85,9 +92,9 @@ func (s *Scorer) ScoreWith(p *QueryProfile, v int) float64 {
 }
 
 // ScoreRange evaluates the row slice Score(p.User(), v) for v in [lo, hi)
-// into out (len(out) must be hi-lo) — the blocked row kernel behind the
-// shard scan, ScoreMatrix and the batch Top-K phase. It performs zero
-// allocations; callers stream a fixed-size block buffer over the window.
+// into out (len(out) must be hi-lo): ScoreWith looped over a range, with
+// zero allocations. Whole-window scans use ScoreRangeBatch instead; this
+// stays for the benchmark's per-pair cost probe.
 func (s *Scorer) ScoreRange(p *QueryProfile, lo, hi int, out []float64) {
 	_ = out[:hi-lo]
 	for v := lo; v < hi; v++ {

@@ -29,11 +29,35 @@ func TestRatioSim(t *testing.T) {
 	}
 }
 
+// oneHot returns cfg's three single-component weightings: under
+// {C1: 1}, ScoreWith is 1*d + 0*ds + 0*a, which is d exactly (every
+// component is finite and non-negative), so a component's production
+// expression can be compared with its *SimSlow reference bit for bit.
+func oneHot(landmarks int) [3]Config {
+	return [3]Config{
+		{C1: 1, Landmarks: landmarks},
+		{C2: 1, Landmarks: landmarks},
+		{C3: 1, Landmarks: landmarks},
+	}
+}
+
+// componentSlow returns the naive reference of component c (0 degree,
+// 1 distance, 2 attribute) for the pair.
+func (s *Scorer) componentSlow(c, u, v int) float64 {
+	switch c {
+	case 0:
+		return s.degreeSimSlow(u, v)
+	case 1:
+		return s.distanceSimSlow(u, v)
+	}
+	return s.attrSimSlow(u, v)
+}
+
 // TestFlatKernelParityRandomWorlds is the tentpole bit-identity guarantee:
 // on randomized synthetic worlds, Score, ScoreWith and ScoreRange (the
-// flat kernel) must equal the retained naive reference ScoreSlow exactly —
-// not approximately — for every pair, per component, and across several
-// similarity configurations.
+// per-pair kernel) must equal the retained naive reference ScoreSlow
+// exactly — not approximately — for every pair, per component (through
+// one-hot weightings), and across several similarity configurations.
 func TestFlatKernelParityRandomWorlds(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g1 := synth.SparseAttrUDA(40, 8, 200, seed)
@@ -58,14 +82,16 @@ func TestFlatKernelParityRandomWorlds(t *testing.T) {
 					if row[v] != want {
 						t.Fatalf("seed %d cfg %+v: ScoreRange[%d][%d] = %v, ScoreSlow = %v", seed, cfg, u, v, row[v], want)
 					}
-					if got := s.DegreeSim(u, v); got != s.degreeSimSlow(u, v) {
-						t.Fatalf("DegreeSim(%d,%d) drifted from slow reference", u, v)
-					}
-					if got := s.DistanceSim(u, v); got != s.distanceSimSlow(u, v) {
-						t.Fatalf("DistanceSim(%d,%d) drifted from slow reference", u, v)
-					}
-					if got := s.AttrSim(u, v); got != s.attrSimSlow(u, v) {
-						t.Fatalf("AttrSim(%d,%d) drifted from slow reference", u, v)
+				}
+			}
+			for c, hot := range oneHot(cfg.Landmarks) {
+				sc := s.Reweighted(hot)
+				for u := 0; u < n1; u++ {
+					sc.PrepareQuery(u, &p)
+					for v := 0; v < n2; v++ {
+						if got, want := sc.ScoreWith(&p, v), s.componentSlow(c, u, v); got != want {
+							t.Fatalf("seed %d component %d: ScoreWith(%d,%d) = %v, slow reference %v", seed, c, u, v, got, want)
+						}
 					}
 				}
 			}

@@ -21,8 +21,6 @@ package similarity
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"dehealth/internal/graph"
 	"dehealth/internal/stylometry"
@@ -399,95 +397,14 @@ func ratioSim(a, b float64) float64 {
 	return lo / hi
 }
 
-// DegreeSim computes s^d_uv = min(d)/max(d) + min(wd)/max(wd) + cos(NCS).
-// v is a window-local auxiliary index; the aux-side degree reads come from
-// the frozen window arrays (value-identical to live graph reads: the aux
-// graph never mutates).
-func (s *Scorer) DegreeSim(u, v int) float64 {
-	d := ratioSim(float64(s.g1.Degree(u)), s.ax.deg[v])
-	wd := ratioSim(s.g1.WeightedDegree(u), s.ax.wdeg[v])
-	return d + wd + cosinePre(s.c.ncsVec(u), s.c.ncsNorm1[u], s.ax.ncsVec(v), s.ax.ncsNorm[v])
-}
-
-// DistanceSim computes s^s_uv = cos(H_u(S1), H_v(S2)) + cos(WH_u(S1),
-// WH_v(S2)) over landmark closeness vectors.
-func (s *Scorer) DistanceSim(u, v int) float64 {
-	return cosinePre(s.c.closeVec(u), s.c.closeNorm1[u], s.ax.closeVec(v), s.ax.closeNorm[v]) +
-		cosinePre(s.c.wclVec(u), s.c.wclNorm1[u], s.ax.wclVec(v), s.ax.wclNorm[v])
-}
-
-// AttrSim computes s^a_uv = Jaccard(A(u), A(v)) + WeightedJaccard(WA(u),
-// WA(v)).
-func (s *Scorer) AttrSim(u, v int) float64 {
-	au := s.g1.Attrs[u]
-	return attrSimFused(au, au.TotalWeight(), s.ax.attrs[v], s.ax.attrTotW[v])
-}
-
 // Score computes the combined structural similarity s_uv. Per-pair callers
-// get the flat kernel through a throwaway profile; row-oriented callers
-// should PrepareQuery once and use ScoreWith / ScoreRange.
+// get the gather kernel through a throwaway profile; callers scoring many
+// v for one u should PrepareQuery once and use ScoreWith.
 func (s *Scorer) Score(u, v int) float64 {
 	var p QueryProfile
 	s.PrepareQuery(u, &p)
 	return s.ScoreWith(&p, v)
 }
-
-// ScoreMatrix computes the full |V1| × |V2| similarity matrix in parallel
-// (|V2| is the window size on a shard window), each worker streaming strips
-// of scoreMatrixStrip query rows through the batched kernel
-// (PrepareBatch/ScoreRangeBatch): one pass over the aux-side arrays scores
-// a whole strip, instead of one pass per row. Rows are bit-identical to
-// the per-row flat kernel's.
-func (s *Scorer) ScoreMatrix() [][]float64 {
-	const strip = scoreMatrixStrip
-	n1, n2 := s.g1.NumNodes(), s.AuxUsers()
-	out := make([][]float64, n1)
-	nstrips := (n1 + strip - 1) / strip
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nstrips {
-		workers = nstrips
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	strips := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var b BatchProfile
-			users := make([]int, 0, strip)
-			rows := make([][]float64, 0, strip)
-			for st := range strips {
-				lo, hi := st*strip, (st+1)*strip
-				if hi > n1 {
-					hi = n1
-				}
-				users, rows = users[:0], rows[:0]
-				for u := lo; u < hi; u++ {
-					users = append(users, u)
-					rows = append(rows, make([]float64, n2))
-				}
-				s.PrepareBatch(users, &b)
-				s.ScoreRangeBatch(&b, 0, n2, rows)
-				for i, u := range users {
-					out[u] = rows[i]
-				}
-			}
-		}()
-	}
-	for st := 0; st < nstrips; st++ {
-		strips <- st
-	}
-	close(strips)
-	wg.Wait()
-	return out
-}
-
-// scoreMatrixStrip is ScoreMatrix's batch width: how many query rows one
-// ScoreRangeBatch pass scores per walk of the aux-side arrays.
-const scoreMatrixStrip = 8
 
 // StructuralVector returns a fixed-length numeric summary of a user's
 // structural features, used to augment the stylometric vectors fed to the

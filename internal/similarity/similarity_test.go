@@ -97,29 +97,21 @@ func TestScoreSelfHighest(t *testing.T) {
 func TestScoreComponentsBounded(t *testing.T) {
 	g1, g2 := twoForumWorld()
 	s := NewScorer(g1, g2, DefaultConfig())
-	for u := 0; u < 4; u++ {
-		for v := 0; v < 4; v++ {
-			if d := s.DegreeSim(u, v); d < 0 || d > 3+1e-9 {
-				t.Errorf("DegreeSim(%d,%d) = %v out of [0,3]", u, v, d)
-			}
-			if ds := s.DistanceSim(u, v); ds < 0 || ds > 2+1e-9 {
-				t.Errorf("DistanceSim(%d,%d) = %v out of [0,2]", u, v, ds)
-			}
-			if a := s.AttrSim(u, v); a < 0 || a > 2+1e-9 {
-				t.Errorf("AttrSim(%d,%d) = %v out of [0,2]", u, v, a)
-			}
-		}
-	}
-}
-
-func TestScoreMatrixMatchesScore(t *testing.T) {
-	g1, g2 := twoForumWorld()
-	s := NewScorer(g1, g2, DefaultConfig())
-	m := s.ScoreMatrix()
-	for u := range m {
-		for v := range m[u] {
-			if math.Abs(m[u][v]-s.Score(u, v)) > 1e-12 {
-				t.Fatalf("matrix[%d][%d] mismatch", u, v)
+	names := [3]string{"degree", "distance", "attribute"}
+	bounds := [3]float64{3, 2, 2}
+	var p QueryProfile
+	for c, hot := range oneHot(s.cfg.Landmarks) {
+		sc := s.Reweighted(hot)
+		for u := 0; u < 4; u++ {
+			sc.PrepareQuery(u, &p)
+			for v := 0; v < 4; v++ {
+				got := sc.ScoreWith(&p, v)
+				if got != s.componentSlow(c, u, v) {
+					t.Errorf("%s component (%d,%d) = %v, slow reference %v", names[c], u, v, got, s.componentSlow(c, u, v))
+				}
+				if got < 0 || got > bounds[c]+1e-9 {
+					t.Errorf("%s component (%d,%d) = %v out of [0,%v]", names[c], u, v, got, bounds[c])
+				}
 			}
 		}
 	}
@@ -212,8 +204,8 @@ func TestSyncAnonMatchesRebuild(t *testing.T) {
 		if got, want := rw.Score(u, v), fresh.Score(u, v); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("Score(%d,%d) = %v, want %v", u, v, got, want)
 		}
-		if got, want := s.DistanceSim(u, v), fresh.DistanceSim(u, v); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("DistanceSim(%d,%d) = %v, want %v", u, v, got, want)
+		if got, want := s.distanceSimSlow(u, v), fresh.distanceSimSlow(u, v); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("distance similarity (%d,%d) = %v, want %v", u, v, got, want)
 		}
 	}
 }
@@ -237,10 +229,10 @@ func TestShardWindowParity(t *testing.T) {
 					if got, want := w.Score(u, j), s.Score(u, v); got != want {
 						t.Fatalf("window [%d,%d): Score(%d,%d) = %v, want %v", lo, hi, u, j, got, want)
 					}
-					if w.DegreeSim(u, j) != s.DegreeSim(u, v) ||
-						w.DistanceSim(u, j) != s.DistanceSim(u, v) ||
-						w.AttrSim(u, j) != s.AttrSim(u, v) {
-						t.Fatalf("window [%d,%d): component mismatch at (%d,%d)", lo, hi, u, j)
+					for c, hot := range oneHot(2) {
+						if w.Reweighted(hot).Score(u, j) != s.componentSlow(c, u, v) {
+							t.Fatalf("window [%d,%d): component %d mismatch at (%d,%d)", lo, hi, c, u, j)
+						}
 					}
 				}
 			}
