@@ -10,7 +10,7 @@
 // who shares no attribute with the query user. QueryUser can therefore
 // gather the union of the query user's attribute postings, exact-rescore
 // only those candidates, and skip everyone else whenever the structural
-// terms alone (bounded per degree band by similarity.ScoreBoundNoAttr)
+// terms alone (bounded per degree band by similarity.ScoreBoundBand)
 // provably cannot reach the current top-K threshold. When the proof fails
 // — the candidate set is too large, fewer than K candidates exist, or a
 // band's bound meets the threshold — the engine falls back to scanning

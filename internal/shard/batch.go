@@ -4,20 +4,26 @@
 // Shard.TopK is a batch of one — all three are one blocked loop (scan):
 // prepare Q query profiles at once (similarity.BatchProfile), score each
 // 512-row block against every query while it is hot in cache
-// (ScoreRangeBatch — this is its one production call site), and drain Q
-// bounded heaps. Scanning queries one by one would stream each shard's
-// flat aux-side caches through memory once per query; the batch also
-// amortizes the per-query preparation (dense attribute tables) the batched
-// kernel's cheap merge depends on. Results do not depend on the batch a
-// query travels in: per query, scores arrive in the same ascending row
-// order, so the heap passes through identical states, and the final sort
+// (ScoreRangeAbove — this is its one production call site), and drain Q
+// bounded heaps. When only the heaps read the scores, each full heap's
+// k-th score goes down to the kernel as that query's floor, and rows the
+// kernel can prove below it cost a popcount instead of a merge (see scan).
+// Scanning queries one by one would stream each shard's flat aux-side
+// caches through memory once per query; the batch also amortizes the
+// per-query preparation (dense attribute tables, presence bitsets) the
+// batched kernel depends on. Results do not depend on the batch a query
+// travels in: per query, scores arrive in the same ascending row order — a
+// row answered with a bound is rejected exactly where its score would have
+// been — so the heap passes through identical states, and the final sort
 // is under the same total order. The per-batch scratch (profiles, block
-// buffers, heaps) is pooled across calls — and therefore across serving
-// flushes — so a steady-state scan allocates only its result slices.
+// buffers, heaps, floors) is pooled across calls — and therefore across
+// serving flushes — so a steady-state scan allocates only its result
+// slices.
 
 package shard
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,13 +40,14 @@ const maxBatchQ = 64
 
 // batchScratch is the pooled per-call state of the scan: the prepared
 // batch profile, the flat Q × scoreBlock score buffer with its per-query
-// row views, and the Q bounded heaps. Pooling it makes steady-state
-// batched queries allocation-free up to their result slices.
+// row views, the Q bounded heaps and their Q floors. Pooling it makes
+// steady-state batched queries allocation-free up to their result slices.
 type batchScratch struct {
-	prof  similarity.BatchProfile
-	buf   []float64
-	out   [][]float64
-	heaps []candidateHeap
+	prof   similarity.BatchProfile
+	buf    []float64
+	out    [][]float64
+	heaps  []candidateHeap
+	floors []float64
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -59,11 +66,16 @@ func (sc *batchScratch) grow(q, k int) {
 		sc.heaps = make([]candidateHeap, q)
 	}
 	sc.heaps = sc.heaps[:q]
+	if cap(sc.floors) < q {
+		sc.floors = make([]float64, q)
+	}
+	sc.floors = sc.floors[:q]
 	for i := range sc.heaps {
 		if cap(sc.heaps[i]) < k {
 			sc.heaps[i] = make(candidateHeap, 0, k)
 		}
 		sc.heaps[i] = sc.heaps[i][:0]
+		sc.floors[i] = math.Inf(-1)
 	}
 }
 
@@ -75,25 +87,45 @@ func (sc *batchScratch) grow(q, k int) {
 // observe(q, lo, scores) carries users[q]'s scores of global rows lo,
 // lo+1, … in ascending block order, valid only during the call — and is
 // checked once per block, never per row.
-func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float64), res [][]Candidate) {
+//
+// Without an observer only the heaps read the scores, and a full heap
+// rejects every score below its root, so the scan is threshold-aware: before
+// each block it hands the kernel every full heap's k-th score as that
+// query's floor, and the kernel answers a row it can prove strictly below
+// the floor with the proof (an upper bound, still below the floor) instead
+// of the score. The heaps pass through the states exact scores would drive
+// them through — a root only rises within a block, so a row below the floor
+// taken at the block's start is below the root when its turn comes — and
+// scan returns how many (query, row) pairs were answered that way. With an
+// observer no floor is set and every row is scored exactly.
+func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float64), res [][]Candidate) (skipped int) {
 	n := sh.NumUsers()
 	k = min(k, n)
 	if k <= 0 {
 		for q := range res {
 			res[q] = []Candidate{}
 		}
-		return
+		return 0
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.grow(len(users), k)
 	sh.Scorer.PrepareBatch(users, &sc.prof)
 	heaps := sc.heaps
+	var floors []float64 // stays nil under an observer: whole exact rows
+	if observe == nil {
+		floors = sc.floors
+	}
 	for lo := 0; lo < n; lo += scoreBlock {
 		hi := min(lo+scoreBlock, n)
 		for q := range sc.out {
 			sc.out[q] = sc.buf[q*scoreBlock : q*scoreBlock+(hi-lo)]
 		}
-		sh.Scorer.ScoreRangeBatch(&sc.prof, lo, hi, sc.out)
+		for q := range floors {
+			if len(heaps[q]) == k {
+				floors[q] = heaps[q][0].Score
+			}
+		}
+		skipped += sh.Scorer.ScoreRangeAbove(&sc.prof, lo, hi, floors, sc.out)
 		if observe != nil {
 			for q, scores := range sc.out {
 				observe(q, sh.Lo+lo, scores)
@@ -121,6 +153,7 @@ func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float
 		res[q] = out
 	}
 	batchScratchPool.Put(sc)
+	return skipped
 }
 
 // TopKBatch answers a whole batch of anonymized users from one blocked

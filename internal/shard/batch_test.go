@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
+	"dehealth/internal/corpus"
+	"dehealth/internal/features"
 	"dehealth/internal/index"
+	"dehealth/internal/similarity"
 )
 
 // TestTopKBatchParity pins the batched shard scan's bit-identity contract:
@@ -163,5 +167,99 @@ func TestScanBatchObserver(t *testing.T) {
 				t.Fatalf("shards=%d query %d: %+v, QueryBatch %+v", shards, q, got[q], want[q])
 			}
 		}
+	}
+}
+
+// TestScanFloorMatchesFullRows pins the threshold-aware scan to the scan
+// that scores every row: with a no-op observer the kernel gets no floors
+// and produces whole exact rows, without one it may answer rows below a
+// heap's k-th score with their bounds — and both must return the same
+// lists, bit for bit, at batch widths 1, 8 and 64, on one shard and three,
+// over a freshly built scorer and one restored from its parts (the
+// snapshot path), before and after users are appended behind the world.
+// The fixture is dense (every shard spans several score blocks and carries
+// presence bitsets), so the filter must also be seen to fire: a scan that
+// skips nothing would pass every parity test while the optimization is
+// silently off.
+func TestScanFloorMatchesFullRows(t *testing.T) {
+	anonS, auxS, base := testStores(t, 2000, 2, 37)
+	auxUDA := auxS.UDA()
+	if auxUDA.NumNodes() <= 3*scoreBlock {
+		t.Fatalf("fixture has %d auxiliary users; each of three shards must span more than one score block", auxUDA.NumNodes())
+	}
+	const k = 5
+	noop := func(int, int, []float64) {}
+	check := func(stage string) {
+		restored, err := similarity.NewScorerFromParts(anonS.UDA(), auxUDA, testConfig, base.Parts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		anonN := anonS.UDA().NumNodes()
+		for name, sc := range map[string]*similarity.Scorer{"built": base, "restored": restored} {
+			for _, shards := range []int{1, 3} {
+				for _, sh := range New(sc, auxUDA, auxS, shards).Shards() {
+					for _, width := range []int{1, 8, maxBatchQ} {
+						users := make([]int, width)
+						for i := range users {
+							users[i] = anonN - 1 - (i*131+width)%anonN // reaches the appended users first
+						}
+						full, fast := make([][]Candidate, width), make([][]Candidate, width)
+						if n := sh.scan(users, k, noop, full); n != 0 {
+							t.Fatalf("%s %s shards=%d width=%d: observed scan skipped %d rows, want whole rows", stage, name, shards, width, n)
+						}
+						if n := sh.scan(users, k, nil, fast); n == 0 {
+							t.Fatalf("%s %s shards=%d width=%d: the scan skipped no row of shard [%d, %d)", stage, name, shards, width, sh.Lo, sh.Hi)
+						}
+						for q := range users {
+							if !slices.Equal(fast[q], full[q]) {
+								t.Fatalf("%s %s shards=%d width=%d u=%d: %+v, whole rows give %+v", stage, name, shards, width, users[q], fast[q], full[q])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	check("built")
+	texts := auxS.Dataset.Posts
+	if _, err := anonS.Append([]features.UserPosts{
+		{User: corpus.User{Name: "late-1", TrueIdentity: -1}, Posts: []features.IncomingPost{
+			{Thread: 0, Text: texts[0].Text}, {Thread: 1, Text: texts[1].Text},
+		}},
+		{User: corpus.User{Name: "late-2", TrueIdentity: -1}, Posts: []features.IncomingPost{
+			{Thread: features.NewThread, Text: texts[2].Text},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if added := base.SyncAnon(); added != 2 {
+		t.Fatalf("SyncAnon added %d, want 2", added)
+	}
+	check("appended")
+}
+
+// BenchmarkShardScan times the one whole-window scan on a synthetic
+// WebMD-like world at the two widths serving uses most — a lone query and
+// a flush of eight — and reports the cost per (query, row) pair next to
+// the share of pairs the floors let the kernel answer with a bound.
+func BenchmarkShardScan(b *testing.B) {
+	anonS, auxS, base := testStores(b, 3000, 0, 41)
+	sh := New(base, auxS.UDA(), auxS, 1).Shards()[0]
+	anonN := anonS.UDA().NumNodes()
+	for _, width := range []int{1, 8} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			users, res := make([]int, width), make([][]Candidate, width)
+			skipped := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for q := range users {
+					users[q] = (i*width + q) % anonN
+				}
+				skipped += sh.scan(users, 10, nil, res)
+			}
+			pairs := float64(b.N * width * sh.NumUsers())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+			b.ReportMetric(float64(skipped)/pairs, "skipped/row")
+		})
 	}
 }

@@ -93,7 +93,7 @@ type Shard struct {
 func (sh *Shard) NumUsers() int { return sh.Hi - sh.Lo }
 
 // scoreBlock is the row-kernel block size of the shard scan: one
-// ScoreRangeBatch call fills a pooled buffer of this many scores per query
+// ScoreRangeAbove call fills a pooled buffer of this many scores per query
 // before the heaps consume them, so the scorer streams the flat aux-side
 // arrays sequentially and the scan performs zero per-row heap allocations.
 const scoreBlock = 512

@@ -11,9 +11,14 @@ import (
 	"dehealth/internal/synth"
 )
 
-// testWorld builds a small closed-world split's stores, aux UDA and base
-// scorer — the ingredients a World is partitioned from.
-func testWorld(t *testing.T, users, posts int, seed int64) (*features.Store, *graph.UDA, *similarity.Scorer, int) {
+// testConfig is the paper's weighting at the small landmark count the test
+// worlds afford.
+var testConfig = similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}
+
+// testStores builds a closed-world split of a synthetic WebMD-like forum
+// (posts per user fixed when positive, Zipf-distributed otherwise), both
+// sides' stores and the base scorer over them.
+func testStores(t testing.TB, users, posts int, seed int64) (anonS, auxS *features.Store, base *similarity.Scorer) {
 	t.Helper()
 	u := synth.NewUniverse(users, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
@@ -22,8 +27,15 @@ func testWorld(t *testing.T, users, posts int, seed int64) (*features.Store, *gr
 	cfg.FixedPosts = posts
 	d := synth.Generate(cfg, u, members)
 	split := corpus.SplitClosedWorld(d, 0.5, rand.New(rand.NewSource(seed+3)))
-	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
-	base := similarity.NewScorer(anonS.UDA(), auxS.UDA(), similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
+	anonS, auxS = features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
+	return anonS, auxS, similarity.NewScorer(anonS.UDA(), auxS.UDA(), testConfig)
+}
+
+// testWorld builds a small closed-world split's stores, aux UDA and base
+// scorer — the ingredients a World is partitioned from.
+func testWorld(t testing.TB, users, posts int, seed int64) (*features.Store, *graph.UDA, *similarity.Scorer, int) {
+	t.Helper()
+	anonS, auxS, base := testStores(t, users, posts, seed)
 	return auxS, auxS.UDA(), base, anonS.UDA().NumNodes()
 }
 

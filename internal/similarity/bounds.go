@@ -8,6 +8,12 @@
 // point rounding in the exact path can never exceed it. A conservative
 // bound costs only extra scanning, never correctness.
 //
+// The whole-window scan prunes with the same pieces one pair at a time
+// (ScoreRangeAbove, batch.go): the two ratio terms exactly, each cosine
+// through cosBound against the row's own norm, and the attribute term
+// through attrSimBound from an exact popcount intersection — inflated the
+// same way, and only under PruneSafe.
+//
 // Beyond the degree/weighted-degree ranges, a band can carry the min/max
 // L2 norms of its members' NCS and closeness vectors (BandStats). Cosine
 // similarity is scale-invariant, so nonzero norm ranges cannot pull a
@@ -191,20 +197,23 @@ func (s *Scorer) AttrScoreBounds(p *QueryProfile, ub []float64) []float64 {
 	return ub
 }
 
-// ScoreBoundNoAttr is ScoreBoundBand with unknown norm ranges: an upper
-// bound on Score(u, v) over every zero-attribute-overlap v with degree in
-// [degLo, degHi] and weighted degree in [wdegLo, wdegHi], each cosine
-// bounded by 1 (or 0 when the query side's own vector is all-zero).
-// Callers holding per-band norm ranges get strictly tighter bounds from
-// ScoreBoundBand.
-func (s *Scorer) ScoreBoundNoAttr(u int, degLo, degHi, wdegLo, wdegHi float64) float64 {
-	var p QueryProfile
-	s.PrepareQuery(u, &p)
-	return s.ScoreBoundBand(&p, BandStats{
-		DegLo: degLo, DegHi: degHi,
-		WdegLo: wdegLo, WdegHi: wdegHi,
-		NCSNormHi:   math.Inf(1),
-		CloseNormHi: math.Inf(1),
-		WclNormHi:   math.Inf(1),
-	})
+// attrSimBound returns an upper bound on the attribute similarity
+// (Jaccard + weighted Jaccard) of two attribute sets A and B given inter =
+// |A∩B| exactly — the batched kernel reads it off two presence bitsets by
+// AND+popcount — and each side's size and total weight. The Jaccard term is
+// exact: it is the very quotient the merge computes. The weighted term
+// needs Σmin(w) over the intersection, which only the merge knows; weights
+// are >= 1 (stylometry.AttrSet), so each shared attribute contributes 1
+// plus at most its excess w-1 on either side, and the excesses of a side
+// sum to at most that side's total excess:
+//
+//	Σmin(w) <= |A∩B| + min(W_A - |A|, W_B - |B|)   and   Σmin(w) <= min(W_A, W_B)
+//
+// The bound is attrSimOf — the merge's own final step — at that larger
+// Σmin(w): x / (W_A + W_B - x) grows with x, and int-to-float conversion,
+// division and the final addition round monotonically, so the result is >=
+// the attrSim the kernel would compute, rounding included.
+func attrSimBound(inter, lenA, lenB, totA, totB int) float64 {
+	winter := min(inter+min(totA-lenA, totB-lenB), totA, totB)
+	return attrSimOf(inter, winter, lenA+lenB, totA+totB)
 }

@@ -32,6 +32,19 @@ func TestRatioSimBound(t *testing.T) {
 	}
 }
 
+// boundNoNorms is ScoreBoundBand over a band whose norm ranges are unknown
+// (+Inf maxima): each cosine bounded by 1, or by 0 when the query side's
+// own vector is all-zero.
+func boundNoNorms(s *Scorer, u int, degLo, degHi, wdegLo, wdegHi float64) float64 {
+	var p QueryProfile
+	s.PrepareQuery(u, &p)
+	inf := math.Inf(1)
+	return s.ScoreBoundBand(&p, BandStats{
+		DegLo: degLo, DegHi: degHi, WdegLo: wdegLo, WdegHi: wdegHi,
+		NCSNormHi: inf, CloseNormHi: inf, WclNormHi: inf,
+	})
+}
+
 // TestScoreBoundNoAttrCoversScores is the safety property the pruned
 // query path rests on: for every pair (u, v) with zero attribute overlap,
 // Score(u, v) must not exceed the bound computed from v's exact degree
@@ -56,7 +69,7 @@ func TestScoreBoundNoAttrCoversScores(t *testing.T) {
 		for u := 0; u < g1.NumNodes(); u++ {
 			for v := 0; v < g2.NumNodes(); v++ {
 				d, wd := s.AuxDegree(v), s.AuxWeightedDegree(v)
-				bound := s.ScoreBoundNoAttr(u, d, d, wd, wd)
+				bound := boundNoNorms(s, u, d, d, wd, wd)
 				if got := s.Score(u, v); got > bound {
 					t.Fatalf("cfg %+v: Score(%d,%d) = %v above bound %v", cfg, u, v, got, bound)
 				}
@@ -73,8 +86,8 @@ func TestScoreBoundWideBands(t *testing.T) {
 	for u := 0; u < g1.NumNodes(); u++ {
 		for v := 0; v < g2.NumNodes(); v++ {
 			d, wd := s.AuxDegree(v), s.AuxWeightedDegree(v)
-			tight := s.ScoreBoundNoAttr(u, d, d, wd, wd)
-			wide := s.ScoreBoundNoAttr(u, math.Max(0, d-3), d+3, math.Max(0, wd-3), wd+3)
+			tight := boundNoNorms(s, u, d, d, wd, wd)
+			wide := boundNoNorms(s, u, math.Max(0, d-3), d+3, math.Max(0, wd-3), wd+3)
 			if wide < tight {
 				t.Fatalf("widening the band shrank the bound: %v < %v", wide, tight)
 			}
@@ -86,7 +99,7 @@ func TestScoreBoundWideBands(t *testing.T) {
 // norm-tightened band bound: with each auxiliary user's exact degree,
 // weighted degree and vector norms as a singleton band, the bound must
 // still cover the exact score of every zero-attribute-overlap pair — and
-// must be no looser than the norm-less ScoreBoundNoAttr.
+// must be no looser than the same band with unknown norm ranges.
 func TestScoreBoundBandCoversScores(t *testing.T) {
 	g1, g2 := twoForumWorld()
 	for u := range g2.Attrs {
@@ -115,7 +128,7 @@ func TestScoreBoundBandCoversScores(t *testing.T) {
 				if got := s.Score(u, v); got > bound {
 					t.Fatalf("cfg %+v: Score(%d,%d) = %v above band bound %v", cfg, u, v, got, bound)
 				}
-				if loose := s.ScoreBoundNoAttr(u, d, d, wd, wd); bound > loose {
+				if loose := boundNoNorms(s, u, d, d, wd, wd); bound > loose {
 					t.Fatalf("cfg %+v: norm-tightened bound %v looser than norm-less %v", cfg, bound, loose)
 				}
 			}
@@ -133,7 +146,7 @@ func TestScoreBoundBandZeroNorms(t *testing.T) {
 	var p QueryProfile
 	s.PrepareQuery(0, &p)
 	zero := BandStats{DegLo: 1, DegHi: 2, WdegLo: 1, WdegHi: 2}
-	loose := s.ScoreBoundNoAttr(0, 1, 2, 1, 2)
+	loose := boundNoNorms(s, 0, 1, 2, 1, 2)
 	tight := s.ScoreBoundBand(&p, zero)
 	if tight >= loose {
 		t.Fatalf("zero-norm band bound %v not strictly below norm-less bound %v", tight, loose)
@@ -158,7 +171,7 @@ func TestPruneSafe(t *testing.T) {
 	if unsafe.PruneSafe() {
 		t.Fatal("negative weight must not be prune-safe")
 	}
-	if b := unsafe.ScoreBoundNoAttr(0, 0, 10, 0, 10); !math.IsInf(b, 1) {
+	if b := boundNoNorms(unsafe, 0, 0, 10, 0, 10); !math.IsInf(b, 1) {
 		t.Fatalf("unsafe scorer bound = %v, want +Inf", b)
 	}
 }

@@ -1,11 +1,14 @@
 // The per-pair gather kernel and the naive oracle. The package scores in
 // three roles, all bit-identical on every pair:
 //
-//   - range scan: ScoreRangeBatch (batch.go) streams a contiguous aux
-//     window against a batch of prepared queries. Its one production
-//     caller is the shard scan (internal/shard/batch.go), which serves
-//     every whole-window walk: /v1/query and /v1/batch, Shard.TopK, and
-//     the offline Top-K DA phase behind Attack and the paper figures.
+//   - range scan: ScoreRangeAbove (batch.go) streams a contiguous aux
+//     window against a batch of prepared queries, answering pairs it can
+//     prove below a caller-supplied floor with that proof instead of the
+//     score. Its one production caller is the shard scan
+//     (internal/shard/batch.go), which serves every whole-window walk:
+//     /v1/query and /v1/batch, Shard.TopK, and the offline Top-K DA phase
+//     behind Attack and the paper figures. ScoreRangeBatch is the same
+//     kernel without floors.
 //   - per-pair gather: ScoreWith scores one prepared query against one
 //     auxiliary user, for callers that visit scattered rows — the pruner's
 //     and the cursor walk's exact rescores, refined-DA verification and
@@ -93,7 +96,7 @@ func (s *Scorer) ScoreWith(p *QueryProfile, v int) float64 {
 
 // ScoreRange evaluates the row slice Score(p.User(), v) for v in [lo, hi)
 // into out (len(out) must be hi-lo): ScoreWith looped over a range, with
-// zero allocations. Whole-window scans use ScoreRangeBatch instead; this
+// zero allocations. Whole-window scans use ScoreRangeAbove instead; this
 // stays for the benchmark's per-pair cost probe.
 func (s *Scorer) ScoreRange(p *QueryProfile, lo, hi int, out []float64) {
 	_ = out[:hi-lo]
@@ -147,11 +150,19 @@ func attrSimFused(a stylometry.AttrSet, atot int, b stylometry.AttrSet, btot int
 			j++
 		}
 	}
+	return attrSimOf(inter, winter, len(ai)+len(bi), atot+btot)
+}
+
+// attrSimOf turns a merge's integer outcome — |A∩B| and Σmin(w) — into
+// Jaccard + weighted Jaccard, given |A|+|B| and W_A+W_B: the two unions are
+// integer identities, so every caller's quotients see the numerators and
+// denominators the naive two-pass computation sees.
+func attrSimOf(inter, winter, sizes, weights int) float64 {
 	var sim float64
-	if union := len(ai) + len(bi) - inter; union > 0 {
+	if union := sizes - inter; union > 0 {
 		sim = float64(inter) / float64(union)
 	}
-	if wunion := atot + btot - winter; wunion > 0 {
+	if wunion := weights - winter; wunion > 0 {
 		sim += float64(winter) / float64(wunion)
 	}
 	return sim

@@ -4,8 +4,8 @@
 // warm-restart path. The parity contract holds because every float the
 // scoring kernel reads is carried through Parts verbatim; only
 // integer-derived auxiliary state (attribute total weights, the dense
-// table width) is recomputed, by the same exact-integer arithmetic as
-// NewScorer.
+// table width, the presence bitsets of the scan's pair bound) is
+// recomputed, by the same function NewScorer runs (freezeAttrs).
 
 package similarity
 
@@ -31,7 +31,7 @@ type Parts struct {
 	WclNorm   []float64
 
 	// Auxiliary side (auxWindow), minus what NewScorerFromParts re-derives
-	// from the graph's attribute sets (attrs, attrTotW, attrW).
+	// from the graph's attribute sets (attrs, attrTotW, attrW, attrBits).
 	Hbar2        int
 	AuxDeg       []float64
 	AuxWdeg      []float64
@@ -131,8 +131,6 @@ func NewScorerFromParts(g1, g2 *graph.UDA, cfg Config, p Parts) (*Scorer, error)
 	ax := &auxWindow{
 		deg:       p.AuxDeg,
 		wdeg:      p.AuxWdeg,
-		attrs:     g2.Attrs,
-		attrTotW:  make([]int, n2),
 		hbar2:     p.Hbar2,
 		ncs:       p.AuxNCS,
 		ncsOff:    p.AuxNCSOff,
@@ -142,12 +140,7 @@ func NewScorerFromParts(g1, g2 *graph.UDA, cfg Config, p Parts) (*Scorer, error)
 		wcl:       p.AuxWcl,
 		wclNorm:   p.AuxWclNorm,
 	}
-	for v := 0; v < n2; v++ {
-		ax.attrTotW[v] = g2.Attrs[v].TotalWeight()
-		if n := g2.Attrs[v].Len(); n > 0 && g2.Attrs[v].Idx[n-1]+1 > ax.attrW {
-			ax.attrW = g2.Attrs[v].Idx[n-1] + 1
-		}
-	}
+	ax.freezeAttrs(g2.Attrs)
 	return &Scorer{cfg: cfg, g1: g1, g2: g2, c: c, ax: ax}, nil
 }
 

@@ -117,6 +117,19 @@ type auxWindow struct {
 	// never goes stale. Query-side attributes at or beyond attrW cannot
 	// appear in any auxiliary set and are simply never tabulated.
 	attrW int
+	// attrBits holds one presence bitset per auxiliary user over the id
+	// space [0, attrW), row-major with stride bitW = ⌈attrW/64⌉ words: the
+	// batched kernel's pair bound reads |A∩B| off it by AND+popcount before
+	// deciding whether a row is worth its merge (see attrSimBound). One bit
+	// per id, never folded — a hashed or wrapped set would undercount
+	// colliding ids and stop bounding. Derived state, rebuilt from the attribute sets
+	// by both constructors (freezeAttrs) and never serialized. Built only
+	// when a row's bitset is no longer than its attribute list on average
+	// (bitW <= mean |attrs[v]|), which is when the popcount is cheaper than
+	// the merge it can save; otherwise bitW is 0, attrBits nil, and the
+	// kernel scores every row.
+	attrBits []uint64
+	bitW     int
 
 	hbar2   int       // aux-side landmark count: row stride of close/wcl
 	ncs     []float64 // full flat NCS array (shared whole across windows)
@@ -149,25 +162,58 @@ func NewScorer(g1, g2 *graph.UDA, cfg Config) *Scorer {
 	n2 := g2.NumNodes()
 	landmarks2 := g2.TopDegreeNodes(cfg.Landmarks)
 	ax := &auxWindow{
-		deg:      make([]float64, n2),
-		wdeg:     make([]float64, n2),
-		attrs:    g2.Attrs,
-		attrTotW: make([]int, n2),
-		hbar2:    len(landmarks2),
+		deg:   make([]float64, n2),
+		wdeg:  make([]float64, n2),
+		hbar2: len(landmarks2),
 	}
 	for v := 0; v < n2; v++ {
 		ax.deg[v] = float64(g2.Degree(v))
 		ax.wdeg[v] = g2.WeightedDegree(v)
-		ax.attrTotW[v] = g2.Attrs[v].TotalWeight()
-		if n := g2.Attrs[v].Len(); n > 0 && g2.Attrs[v].Idx[n-1]+1 > ax.attrW {
-			ax.attrW = g2.Attrs[v].Idx[n-1] + 1 // Idx is sorted: the last entry is the max
-		}
 	}
+	ax.freezeAttrs(g2.Attrs)
 	ax.ncs, ax.ncsOff, ax.ncsNorm = flattenRagged(cacheNCS(g2))
 	hop2, w2 := landmarkCloseness(g2, landmarks2)
 	ax.close, ax.closeNorm = flattenFixed(hop2, ax.hbar2)
 	ax.wcl, ax.wclNorm = flattenFixed(w2, ax.hbar2)
 	return &Scorer{cfg: cfg, g1: g1, g2: g2, c: c, ax: ax}
+}
+
+// freezeAttrs derives the window's attribute state from the full auxiliary
+// side's sets: the per-user total weights, the id-space width, and — when
+// the rule on auxWindow.attrBits admits them — the presence bitsets. All of
+// it is exact integer work, shared by NewScorer and NewScorerFromParts so a
+// restored scorer filters exactly as a freshly built one.
+func (ax *auxWindow) freezeAttrs(attrs []stylometry.AttrSet) {
+	ax.attrs = attrs
+	ax.attrTotW = make([]int, len(attrs))
+	total := 0
+	for v, a := range attrs {
+		ax.attrTotW[v] = a.TotalWeight()
+		total += a.Len()
+		if n := a.Len(); n > 0 && a.Idx[n-1]+1 > ax.attrW {
+			ax.attrW = a.Idx[n-1] + 1 // Idx is sorted: the last entry is the max
+		}
+	}
+	w := (ax.attrW + 63) / 64
+	if w == 0 || w*len(attrs) > total {
+		return
+	}
+	ax.bitW = w
+	ax.attrBits = make([]uint64, w*len(attrs))
+	for v, a := range attrs {
+		setBits(ax.attrBits[v*w:(v+1)*w], a.Idx)
+	}
+}
+
+// setBits sets bit id of bits for every id it spans; ids beyond it (a
+// query attribute no auxiliary user carries) cannot intersect and are left
+// out, exactly as PrepareBatch leaves them out of the weight table.
+func setBits(bits []uint64, ids []int) {
+	for _, id := range ids {
+		if w := uint(id) >> 6; w < uint(len(bits)) {
+			bits[w] |= 1 << (uint(id) & 63)
+		}
+	}
 }
 
 // Reweighted returns a scorer over the same graphs under a new Config. When
@@ -219,6 +265,8 @@ func (s *Scorer) Shard(sub *graph.UDA, lo, hi int) *Scorer {
 		attrs:     s.ax.attrs[lo:hi:hi],
 		attrTotW:  s.ax.attrTotW[lo:hi:hi],
 		attrW:     s.ax.attrW,
+		attrBits:  s.ax.attrBits[lo*s.ax.bitW : hi*s.ax.bitW : hi*s.ax.bitW],
+		bitW:      s.ax.bitW,
 		hbar2:     h,
 		ncs:       s.ax.ncs,
 		ncsOff:    s.ax.ncsOff[lo : hi+1 : hi+1],
