@@ -159,71 +159,13 @@ func withTwins(d *corpus.Dataset) *corpus.Dataset {
 	return out
 }
 
-// lateUsers are the two accounts the oracle tables append behind a live
-// pipeline: one replying into existing threads, one starting its own.
-func lateUsers(aux *corpus.Dataset) []features.UserPosts {
-	return []features.UserPosts{
-		{User: corpus.User{Name: "late-1", TrueIdentity: -1}, Posts: []features.IncomingPost{
-			{Thread: 0, Text: aux.Posts[0].Text},
-			{Thread: 1, Text: aux.Posts[1].Text},
-		}},
-		{User: corpus.User{Name: "late-2", TrueIdentity: -1}, Posts: []features.IncomingPost{
-			{Thread: features.NewThread, Text: aux.Posts[2].Text},
-		}},
-	}
-}
-
-// textWorld builds an oracle-table world from a forum split: a pipeline
-// over fresh stores, and the append of lateUsers behind it.
-func textWorld(split *corpus.Split, cfg similarity.Config) func(*testing.T) (*Pipeline, func()) {
-	return func(t *testing.T) (*Pipeline, func()) {
-		anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
-		return NewPipelineFromStore(anonS, auxS, cfg), func() {
-			if _, err := anonS.Append(lateUsers(split.Aux)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// sparseWorld builds an oracle-table world straight from two
-// community-pooled sparse UDA graphs (8 attributes per user over an id
-// space thousands wide), appending two nodes for the late users.
-func sparseWorld(n1, n2 int, cfg similarity.Config) func(*testing.T) (*Pipeline, func()) {
-	return func(*testing.T) (*Pipeline, func()) {
-		g1, g2 := synth.SparseAttrUDA(n1, 5, 16384, 91), synth.SparseAttrUDA(n2, 5, 16384, 92)
-		return &Pipeline{G1: g1, G2: g2, Scorer: similarity.NewScorer(g1, g2, cfg)}, func() {
-			for i := 0; i < 2; i++ {
-				u := g1.AppendNode(g2.Attrs[i], [][]float64{{1}})
-				g1.AddEdge(u, i, 1)
-			}
-		}
-	}
-}
-
-// hasAttrBitsets re-derives, from the auxiliary attribute sets alone, the
-// rule under which the scorer carries presence bitsets: one bit per id of
-// the auxiliary id space, kept only when that is no longer than the
-// average attribute list.
-func hasAttrBitsets(p *Pipeline) bool {
-	width, total := 0, 0
-	for _, a := range p.G2.Attrs {
-		total += a.Len()
-		if n := a.Len(); n > 0 {
-			width = max(width, a.Idx[n-1]+1)
-		}
-	}
-	words := (width + 63) / 64
-	return words > 0 && words*p.G2.NumNodes() <= total
-}
-
 // assertServedMatchesRows checks the served queries of users — one by one
 // and as one batch — against full-sort selection over their oracle rows.
-func assertServedMatchesRows(t *testing.T, p *Pipeline, users []int, rows [][]float64, k int) {
+func assertServedMatchesRows(t *testing.T, p *Pipeline, users []int, k int) {
 	t.Helper()
 	batch := p.QueryBatch(users, k, 0)
 	for i, u := range users {
-		want := topCandidates(rows[i], k)
+		want := topCandidates(oracleRow(p, u), k)
 		assertSameCandidates(t, u, p.QueryUser(u, k), want)
 		assertSameCandidates(t, u, batch[i], want)
 	}
@@ -234,15 +176,16 @@ func assertServedMatchesRows(t *testing.T, p *Pipeline, users []int, rows [][]fl
 // to beyond |V2| and K from one to beyond |V2|, before and after users are
 // appended behind the live pipeline.
 //
-// The rows marked blocks hold worlds whose shards span several score
+// The rows with a stride hold worlds whose shards span several score
 // blocks — the only place the served scan's floors engage (a floor is the
 // heap's k-th score at a block boundary) — and check the served queries of
-// a sample of users (the offline phase observes whole rows and never
+// every stride-th user (the offline phase observes whole rows and never
 // filters): a dense world where the filter runs, its tie-heavy twin where
 // scores land exactly on the floor, the same world under a negative weight
-// (the filter must switch itself off through PruneSafe), and an id space
-// too wide for bitsets (the filter has nothing to read). K beyond the
-// window never fills a heap, so those columns score every row.
+// (the filter must switch itself off through PruneSafe), and, with no
+// split, two sparse graphs over an id space too wide for bitsets (the
+// filter has nothing to read). K beyond the window never fills a heap, so
+// those columns score every row.
 func TestTopKMatchesOracle(t *testing.T) {
 	d := fixedForum(24, 8, 71)
 	paper := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}
@@ -260,74 +203,92 @@ func TestTopKMatchesOracle(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		name    string
-		truth   map[int]int
-		cfg     similarity.Config
-		build   func(*testing.T) (*Pipeline, func())
-		twins   bool
-		blocks  bool // shards span several score blocks; served queries of a user sample are checked
-		bitsets bool // the auxiliary side is dense enough to carry presence bitsets
+		name   string
+		split  *corpus.Split // nil: SparseAttrUDA graphs, 8 attributes per user over a 16,384-id space
+		cfg    similarity.Config
+		twins  bool
+		stride int // > 0: a multi-block world, checked through the served queries of every stride-th user
 	}{
-		{name: "closed", truth: closed.TrueMapping, cfg: paper, build: textWorld(closed, paper), bitsets: true},
-		{name: "open", cfg: paper, build: textWorld(corpus.OpenWorldOverlap(d, 0.5, rand.New(rand.NewSource(73))), paper), bitsets: true},
-		{name: "twins", truth: twinned(closed).TrueMapping, cfg: attrOnly, build: textWorld(twinned(closed), attrOnly), twins: true, bitsets: true},
-		{name: "dense", cfg: paper, build: textWorld(dense, paper), blocks: true, bitsets: true},
-		{name: "dense-twins", cfg: attrOnly, build: textWorld(twinned(dense), attrOnly), twins: true, blocks: true, bitsets: true},
-		{name: "negative-weight", cfg: similarity.Config{C1: -0.05, C2: 0.05, C3: 0.9, Landmarks: 5},
-			build: textWorld(dense, similarity.Config{C1: -0.05, C2: 0.05, C3: 0.9, Landmarks: 5}), blocks: true, bitsets: true},
-		{name: "wide-ids", cfg: paper, build: sparseWorld(40, 1300, paper), blocks: true},
+		{name: "closed", split: closed, cfg: paper},
+		{name: "open", split: corpus.OpenWorldOverlap(d, 0.5, rand.New(rand.NewSource(73))), cfg: paper},
+		{name: "twins", split: twinned(closed), cfg: attrOnly, twins: true},
+		{name: "dense", split: dense, cfg: paper, stride: 23},
+		{name: "dense-twins", split: twinned(dense), cfg: attrOnly, twins: true, stride: 23},
+		{name: "negative-weight", split: dense, cfg: similarity.Config{C1: -0.05, C2: 0.05, C3: 0.9, Landmarks: 5}, stride: 23},
+		{name: "wide-ids", cfg: paper, stride: 23},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base, appendLate := tc.build(t)
-			n2 := base.G2.NumNodes()
+			n2 := 1300
+			if tc.split != nil {
+				n2 = tc.split.Aux.NumUsers()
+			}
 			shardCounts, ks := []int{1, 2, 3, n2 + 5}, []int{1, 3, 10, n2 + 5}
-			if tc.blocks {
+			if tc.stride > 0 {
 				shardCounts, ks = []int{1, 2}, []int{1, 10, n2 + 5}
 				if n2 <= 512 {
 					t.Fatalf("%d auxiliary users fit one score block", n2)
 				}
 			}
-			if got := hasAttrBitsets(base); got != tc.bitsets {
-				t.Fatalf("auxiliary side dense enough for bitsets: %v, want %v", got, tc.bitsets)
-			}
-			if got, want := base.Scorer.PruneSafe(), tc.name != "negative-weight"; got != want {
-				t.Fatalf("PruneSafe() = %v under %+v", got, tc.cfg)
-			}
-			if tc.twins {
-				for u := 0; u < base.G1.NumNodes(); u += 1 + base.G1.NumNodes()/24 {
-					if row := oracleRow(base, u); row[0] != row[n2/2] {
-						t.Fatalf("twin columns 0 and %d of row %d score %v and %v; the world is not tie-heavy", n2/2, u, row[0], row[n2/2])
+			for _, shards := range shardCounts {
+				var p *Pipeline
+				var appendLate func()
+				if tc.split == nil {
+					g1, g2 := synth.SparseAttrUDA(40, 5, 16384, 91), synth.SparseAttrUDA(n2, 5, 16384, 92)
+					p = (&Pipeline{G1: g1, G2: g2, Scorer: similarity.NewScorer(g1, g2, tc.cfg)}).Sharded(shards)
+					appendLate = func() {
+						for i := 0; i < 2; i++ {
+							g1.AddEdge(g1.AppendNode(g2.Attrs[i], [][]float64{{1}}), i, 1)
+						}
 					}
-				}
-			}
-			// Every shard count is a view over base's scorer family, so the one
-			// SyncAppended between the two passes extends them all.
-			check := func() {
-				var users []int
-				var rows [][]float64
-				if tc.blocks {
-					for u := base.G1.NumNodes() - 1; u >= 0; u -= 23 { // from the last user down: covers the appended ones
-						users = append(users, u)
-						rows = append(rows, oracleRow(base, u))
-					}
-				}
-				for _, shards := range shardCounts {
-					p := base.Sharded(shards)
-					for _, k := range ks {
-						if tc.blocks {
-							assertServedMatchesRows(t, p, users, rows, k)
-						} else {
-							assertMatchesOracle(t, p, k, tc.truth)
+				} else {
+					anonS, auxS := features.BuildPair(tc.split.Anon, tc.split.Aux, 50, features.Options{})
+					p = NewShardedPipelineFromStore(anonS, auxS, tc.cfg, shards)
+					appendLate = func() {
+						if _, err := anonS.Append([]features.UserPosts{
+							{User: corpus.User{Name: "late-1", TrueIdentity: -1}, Posts: []features.IncomingPost{
+								{Thread: 0, Text: tc.split.Aux.Posts[0].Text},
+								{Thread: 1, Text: tc.split.Aux.Posts[1].Text},
+							}},
+							{User: corpus.User{Name: "late-2", TrueIdentity: -1}, Posts: []features.IncomingPost{
+								{Thread: features.NewThread, Text: tc.split.Aux.Posts[2].Text},
+							}},
+						}); err != nil {
+							t.Fatal(err)
 						}
 					}
 				}
+				if tc.name == "negative-weight" && p.Scorer.PruneSafe() {
+					t.Fatalf("PruneSafe() under %+v", tc.cfg)
+				}
+				if tc.twins {
+					for u := 0; u < p.G1.NumNodes(); u += max(tc.stride, 1) {
+						if row := oracleRow(p, u); row[0] != row[n2/2] {
+							t.Fatalf("twin columns 0 and %d of row %d score %v and %v; the world is not tie-heavy", n2/2, u, row[0], row[n2/2])
+						}
+					}
+				}
+				// The same pipeline answers before and after the append: only
+				// SyncAppended touches it in between.
+				check := func() {
+					var users []int
+					for u := p.G1.NumNodes() - 1; u >= 0 && tc.stride > 0; u -= tc.stride { // from the last user down: covers the appended ones
+						users = append(users, u)
+					}
+					for _, k := range ks {
+						if tc.stride > 0 {
+							assertServedMatchesRows(t, p, users, k)
+						} else {
+							assertMatchesOracle(t, p, k, tc.split.TrueMapping)
+						}
+					}
+				}
+				check()
+				appendLate()
+				if added := p.SyncAppended(); added != 2 {
+					t.Fatalf("SyncAppended added %d, want 2", added)
+				}
+				check()
 			}
-			check()
-			appendLate()
-			if added := base.SyncAppended(); added != 2 {
-				t.Fatalf("SyncAppended added %d, want 2", added)
-			}
-			check()
 		})
 	}
 }

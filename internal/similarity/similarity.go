@@ -122,12 +122,16 @@ type auxWindow struct {
 	// batched kernel's pair bound reads |A∩B| off it by AND+popcount before
 	// deciding whether a row is worth its merge (see attrSimBound). One bit
 	// per id, never folded — a hashed or wrapped set would undercount
-	// colliding ids and stop bounding. Derived state, rebuilt from the attribute sets
-	// by both constructors (freezeAttrs) and never serialized. Built only
-	// when a row's bitset is no longer than its attribute list on average
-	// (bitW <= mean |attrs[v]|), which is when the popcount is cheaper than
-	// the merge it can save; otherwise bitW is 0, attrBits nil, and the
-	// kernel scores every row.
+	// colliding ids and stop bounding. Derived state, rebuilt from the
+	// attribute sets by both constructors (freezeAttrs) and never
+	// serialized. Built only when the bitsets take no more words than the
+	// attribute lists they shadow (bitW <= mean |attrs[v]|); otherwise bitW
+	// is 0, attrBits nil, and the kernel scores every row. The rule is a
+	// memory bound, not a tuned crossover: on the benchmark's SparseAttrUDA
+	// world (256 words against 8 attributes) building them anyway took
+	// sparse_walk from 175 to 755 MB peak RSS. The repo's two regimes sit
+	// far apart (16 words against ~190 attributes on forum text) and the
+	// scan's cost on either side of a ratio near 1 has not been measured.
 	attrBits []uint64
 	bitW     int
 
