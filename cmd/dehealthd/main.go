@@ -5,7 +5,7 @@
 // batch attack.
 //
 // With -snapshot the daemon becomes warm-restartable: on SIGINT/SIGTERM it
-// lets the running flush finish and writes the prepared world to the
+// lets the requests in flight finish and writes the prepared world to the
 // snapshot path (atomically), and on the next start it memory-maps that
 // file back instead of re-running feature extraction and similarity
 // precomputation — the restored world answers queries bit-identically to
@@ -16,7 +16,7 @@
 //	dehealthd -aux aux.json                          # start with an empty anonymized side
 //	dehealthd -aux aux.json -anon anon.json          # preload known anonymized accounts
 //	dehealthd -synth 300                             # demo mode: synthetic auxiliary world
-//	dehealthd -addr :8700 -workers 8 -batch 64 -shards 8 -prune
+//	dehealthd -addr :8700 -workers 8 -shards 8 -prune
 //	dehealthd -synth 300 -approx -approx-theta 1.3     # approximate tier, per-query opt-in
 //	dehealthd -synth 300 -snapshot world.snap        # warm restart: load if present, write on shutdown
 //	dehealthd -snapshot world.snap -no-mmap          # warm restart with the copying loader
@@ -61,13 +61,12 @@ func main() {
 		anon         = flag.String("anon", "", "optional anonymized dataset JSON to preload; default starts empty")
 		synth        = flag.Int("synth", 0, "demo mode: generate a synthetic auxiliary world with this many users instead of -aux")
 		synthAnon    = flag.Bool("synth-anon", false, "with -synth: closed-world split the synthetic data so the anonymized side starts populated (queryable out of the box)")
-		workers      = flag.Int("workers", 0, "query worker pool per flush (0 = all CPUs)")
+		workers      = flag.Int("workers", 0, "fan-out bound of one /internal/query batch (0 = all CPUs)")
 		shards       = flag.Int("shards", 1, "partition-parallel auxiliary scoring shards (0 = one per CPU)")
 		prune        = flag.Bool("prune", false, "candidate-pruned queries via per-shard attribute inverted indexes (results identical; see /v1/stats prune counters)")
 		approx       = flag.Bool("approx", false, "enable the approximate retrieval tier: max-score/WAND posting cursors with exact rescore (per-query opt-in via the \"approx\" knob; see /v1/stats approx counters)")
 		approxTheta  = flag.Float64("approx-theta", 0, "approx skip-threshold scale; 0 or 1 keeps the tier exact-equivalent, values above 1 (e.g. 1.3) skip more aggressively and trade recall for speed")
 		approxBudget = flag.Int("approx-budget", 0, "approx cap on exact rescores per shard-query (0 = unbounded)")
-		batch        = flag.Int("batch", 32, "most waiting requests one flush takes (an idle server flushes at once)")
 		k            = flag.Int("k", 10, "default Top-K candidate set size")
 		hbar         = flag.Int("landmarks", 50, "landmark count for the structural similarity")
 		bigrams      = flag.Int("max-bigrams", 300, "POS-bigram feature cap (fitted on the auxiliary texts)")
@@ -129,16 +128,15 @@ func main() {
 
 	srv := dehealth.NewServer(pw, dehealth.ServeOptions{
 		Workers:      *workers,
-		Batch:        *batch,
 		K:            *k,
 		Attack:       opt,
 		SnapshotPath: *snapPath,
 	})
 
-	// Graceful drain on SIGINT/SIGTERM: Close lets the running flush
-	// finish (each of its waiters gets its answer), then the
-	// post-drain snapshot below captures the fully-applied world —
-	// including any accounts ingested moments before the signal.
+	// Graceful drain on SIGINT/SIGTERM: Close lets the requests in flight
+	// finish (each client gets its answer), then the post-drain snapshot
+	// below captures the fully-applied world — including any accounts
+	// ingested moments before the signal.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
@@ -149,7 +147,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("dehealthd: listening on %s (batch %d, k %d)", *addr, *batch, *k)
+	log.Printf("dehealthd: listening on %s (k %d)", *addr, *k)
 	if err := srv.ListenAndServe(*addr); err != nil {
 		log.Fatalf("dehealthd: %v", err)
 	}

@@ -708,21 +708,18 @@ type ServeOptions struct {
 	// Addr is the listen address (default ":8700"); used by Serve, ignored
 	// by NewServer.
 	Addr string
-	// Workers bounds the per-flush query fan-out (<= 0 uses all CPUs).
+	// Workers bounds the fan-out of one /internal/query batch — how many
+	// goroutines share the router's group (<= 0 uses all CPUs). A /v1/query
+	// is one backend call on its own request goroutine and ignores it.
 	Workers int
-	// Batch caps how many waiting requests one flush takes (default 32).
-	// The server flushes as soon as it is idle, so batches form only from
-	// what arrived while the previous flush ran. A flush's queries are
-	// answered through the multi-query blocked scoring kernel, so Batch
-	// also bounds how many queries one pass over the auxiliary data scores
-	// together.
+	// Deprecated: Batch is ignored. Every request is answered on its own
+	// goroutine; nothing batches across requests.
 	Batch int
-	// Deprecated: FlushInterval is ignored; the server never waits for a
-	// batch to fill.
+	// Deprecated: FlushInterval is ignored, as Batch is.
 	FlushInterval time.Duration
-	// DrainTimeout bounds how long Close waits for the running flush to
-	// finish before returning serve.ErrDrainTimeout (default 5s); that
-	// flush's waiters are answered either way.
+	// DrainTimeout bounds how long Close waits for the backend calls in
+	// flight before returning serve.ErrDrainTimeout (default 5s); their
+	// clients are answered either way.
 	DrainTimeout time.Duration
 	// K is the candidate-set size of queries that omit k (default 10).
 	K int
@@ -737,18 +734,17 @@ type ServeOptions struct {
 }
 
 // Server is the running dehealthd query service (see internal/serve): an
-// HTTP API over a prepared world, admitting queries and ingests through
-// one dispatcher that flushes whenever it is idle. Within a flush,
-// ingests apply before queries and queries are answered in same-k groups
-// through the batched scoring kernel, so the service is race-free by
-// construction and each auxiliary pass serves the whole group.
+// HTTP API over a prepared world that answers every request on its own
+// goroutine under one reader/writer lock — queries shared, so they overlap
+// on every core; ingests exclusive, so a query never sees a half-applied
+// one — with no queue or batching between a connection and the world.
 type Server = serve.Server
 
 // serveBackend adapts a PreparedWorld to the serving layer.
 type serveBackend struct {
 	w       *PreparedWorld
 	opt     Options
-	workers int // ServeOptions.Workers: bounds the batched query fan-out
+	workers int // ServeOptions.Workers: bounds an /internal/query batch's fan-out
 }
 
 func (b serveBackend) Ingest(batch []UserPosts) ([]int, error) { return b.w.Ingest(batch) }
@@ -756,7 +752,7 @@ func (b serveBackend) QueryUser(u, k int) ([]Candidate, error) {
 	return b.w.QueryUser(u, k, b.opt)
 }
 
-// QueryBatch routes a flush's same-k query group through the world's
+// QueryBatch routes an /internal/query group through the world's
 // batched query path — the multi-query blocked scoring kernel — under the
 // serve-level worker bound rather than the attack options' extraction
 // worker count.
@@ -784,8 +780,8 @@ func (b serveBackend) QueryUserApprox(u, k int) ([]Candidate, error) {
 	return b.w.QueryUser(u, k, opt)
 }
 
-// QueryBatchApprox is QueryUserApprox for a flush's same-k approximate
-// group, under the serve-level worker bound.
+// QueryBatchApprox is QueryUserApprox for an /internal/query group, under
+// the serve-level worker bound.
 func (b serveBackend) QueryBatchApprox(users []int, k int) ([][]Candidate, error) {
 	opt := b.opt
 	opt.Approx.Enabled = true
@@ -819,8 +815,6 @@ func (b serveBackend) ShardSizes() []serve.ShardCount {
 // and stop it with Close.
 func NewServer(pw *PreparedWorld, opt ServeOptions) *Server {
 	cfg := serve.Config{
-		Workers:      opt.Workers,
-		MaxBatch:     opt.Batch,
 		DrainTimeout: opt.DrainTimeout,
 		DefaultK:     opt.K,
 	}

@@ -30,9 +30,7 @@ func main() {
 	// Serve over an initially empty anonymized side: every account the
 	// service knows about will have arrived through /v1/ingest.
 	pw := dehealth.PrepareWorld(&dehealth.Dataset{Name: "observed"}, split.Aux, opt)
-	srv := dehealth.NewServer(pw, dehealth.ServeOptions{
-		Workers: 4, Batch: 16, K: 5, Attack: opt,
-	})
+	srv := dehealth.NewServer(pw, dehealth.ServeOptions{K: 5, Attack: opt})
 	defer srv.Close()
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -89,9 +87,9 @@ func main() {
 
 	var stats map[string]any
 	getJSON(base+"/v1/stats", &stats)
-	fmt.Printf("\nstats: anon_users=%v aux_users=%v queries=%v ingests=%v batches=%v mean_batch=%.1f\n",
+	fmt.Printf("\nstats: anon_users=%v aux_users=%v queries=%v ingests=%v backend_calls=%v backend_us=%v\n",
 		stats["anon_users"], stats["aux_users"], stats["queries"], stats["ingests"],
-		stats["batches"], stats["mean_batch_size"])
+		stats["batches"], stats["backend_us"])
 }
 
 func postJSON(url string, body, out any) {

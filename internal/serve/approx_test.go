@@ -41,11 +41,11 @@ func (b *approxBackend) ApproxCounters() (ApproxCounters, bool) {
 }
 
 // TestQueryApproxRouting pins the wire knob: {"approx": true} requests
-// route to the backend's approximate methods, plain requests to the exact
-// ones, and a mixed micro-batch splits into per-flag groups.
+// route to the backend's approximate methods and plain requests to the
+// exact ones, on /v1/query and on /internal/query alike.
 func TestQueryApproxRouting(t *testing.T) {
 	b := &approxBackend{testBackend: newTestBackend(t, 16, 81)}
-	s := New(b, Config{MaxBatch: 8, DefaultK: 5})
+	s := New(b, Config{DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -76,10 +76,17 @@ func TestQueryApproxRouting(t *testing.T) {
 		}
 	}
 
+	// A router group carries the knob for all of its users.
+	postJSON(t, ts.URL+"/internal/query", InternalQuery{Users: []int{1, 2}, K: 4}).Body.Close()
+	postJSON(t, ts.URL+"/internal/query", InternalQuery{Users: []int{1, 2, 3}, K: 4, Approx: true}).Body.Close()
+	if got := atomic.LoadInt64(&b.approxUsers); got != 4 {
+		t.Fatalf("approx path answered %d users, want 4 (one query plus one group of three)", got)
+	}
+
 	// The stats block surfaces the backend's counters.
 	stats := decode[Stats](t, mustGet(t, ts.URL+"/v1/stats"))
-	if stats.Approx == nil || stats.Approx.Queries != 1 {
-		t.Fatalf("stats approx block = %+v, want 1 query", stats.Approx)
+	if stats.Approx == nil || stats.Approx.Queries != 4 {
+		t.Fatalf("stats approx block = %+v, want 4 queries", stats.Approx)
 	}
 }
 
@@ -88,7 +95,7 @@ func TestQueryApproxRouting(t *testing.T) {
 // and the stats omit the approx block entirely.
 func TestQueryApproxWithoutCapableBackend(t *testing.T) {
 	b := newTestBackend(t, 14, 83)
-	s := New(b, Config{MaxBatch: 4, DefaultK: 5})
+	s := New(b, Config{DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

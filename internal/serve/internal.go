@@ -14,7 +14,11 @@
 
 package serve
 
-import "net/http"
+import (
+	"net/http"
+
+	"dehealth/internal/core"
+)
 
 // ShardSlice is a backend's slice identity: shard Shard of Shards,
 // serving the global auxiliary id window [Lo, Hi) out of AuxTotal users.
@@ -82,7 +86,8 @@ type ShardInfo struct {
 }
 
 // slice resolves the backend's shard identity: its advertised slice, or
-// the full-world identity (shard 0 of 1 over the whole population).
+// the full-world identity (shard 0 of 1 over the whole population). It
+// reads the backend's sizes, so callers hold the server lock.
 func (s *Server) slice() ShardSlice {
 	if s.slicer != nil {
 		if sl, isSlice := s.slicer.ShardSlice(); isSlice {
@@ -94,30 +99,42 @@ func (s *Server) slice() ShardSlice {
 }
 
 func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
+	s.backendMu.RLock()
 	sl := s.slice()
 	anon, aux := s.backend.Sizes()
+	s.backendMu.RUnlock()
 	writeJSON(w, http.StatusOK, ShardInfo{
 		Shard: sl.Shard, Shards: sl.Shards, Lo: sl.Lo, Hi: sl.Hi, AuxTotal: sl.AuxTotal,
 		AnonUsers: anon, AuxUsers: aux,
 	})
 }
 
-// handleInternalQuery answers one shard batch through the dispatcher (the
-// request channel stays the backend's single entry point, so internal
-// traffic obeys the same single-writer flush discipline as public
-// traffic), then rebases candidate ids to global at the wire boundary.
+// handleInternalQuery answers one shard batch as a single backend call —
+// the router built it per shard, so it arrives as a ready-made kernel
+// group — then rebases candidate ids to global at the wire boundary. An
+// error fails the whole call; the router's retry/hedge layer owns recovery.
 func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	var q InternalQuery
 	if !DecodeBody(w, r, "internal query", &q) {
 		return
 	}
-	res, ok := s.do(w, r, &request{bquery: &q})
-	if !ok {
+	var (
+		sl    ShardSlice
+		cands [][]core.Candidate
+	)
+	if !s.do(w, r, false, len(q.Users), func() (err error) {
+		sl = s.slice()
+		if q.Approx && s.approx != nil {
+			cands, err = s.approx.QueryBatchApprox(q.Users, s.effectiveK(q.K))
+		} else {
+			cands, err = s.backend.QueryBatch(q.Users, s.effectiveK(q.K))
+		}
+		return err
+	}) {
 		return
 	}
-	sl := s.slice()
-	reply := InternalQueryReply{Shard: sl.Shard, Lo: sl.Lo, Results: make([][]WireCandidate, len(res.batch))}
-	for i, cs := range res.batch {
+	reply := InternalQueryReply{Shard: sl.Shard, Lo: sl.Lo, Results: make([][]WireCandidate, len(cands))}
+	for i, cs := range cands {
 		out := make([]WireCandidate, len(cs))
 		for j, c := range cs {
 			out[j] = WireCandidate{User: c.User + sl.Lo, Score: c.Score}

@@ -4,25 +4,21 @@
 // anonymous accounts as they appear — the continuous-tracking threat model
 // behind the paper, rather than the offline batch experiments.
 //
-// Concurrency is organized around one channel and natural batching: every
-// request (query or ingest) is handed to a single dispatcher goroutine
-// that blocks for one request, takes whatever other senders are already
-// parked on the channel (up to Config.MaxBatch) and flushes at once. An
-// idle server therefore answers with no wait, and batches form on their
-// own from whatever arrived while the previous flush ran. Within a flush,
-// ingests are applied first — serially, in arrival order, as one backend
-// call — and then the flush's queries are handed to the backend whole:
-// grouped by effective k, each group is one Backend.QueryBatch call, which
-// lets the backend drive its multi-query blocked scoring kernel (every aux
-// block scored against the whole group while cache-hot) instead of one
-// scan per query. Config.MaxBatch therefore bounds the kernel's batch
-// width Q. The dispatcher is the only writer the backend ever sees, and
-// reads never overlap mutation, so the whole service is race-free without
-// locks on the scoring hot path. A sharded backend changes none of this:
-// per-shard state is immutable after partitioning and queries fan out
-// inside the backend's QueryBatch, so the single-writer flush discipline
-// survives sharding; /v1/stats additionally reports the per-shard
-// breakdown.
+// Concurrency is one reader/writer lock owned by the Server, taken on the
+// request goroutine: a query handler decodes its body, takes the lock
+// shared, calls the backend and writes the reply; an ingest handler does
+// the same with the lock held exclusively. Concurrent queries therefore
+// overlap on every core, ingestion never overlaps a query (or a size
+// read), and there is no queue, dispatcher goroutine or cross-request
+// batching between a connection and the backend: a lone query is answered
+// with no wait, and what a loaded server's requests wait for is the lock —
+// that is, for an ingest to finish. /v1/query is one Backend.QueryUser
+// call; /internal/query, whose batch the router already grouped, is one
+// Backend.QueryBatch call driving the backend's multi-query blocked
+// scoring kernel. A sharded backend changes none of this: per-shard state
+// is immutable after partitioning and a query fans out across shards
+// inside the backend, scanning inline when no core is idle; /v1/stats
+// additionally reports the per-shard breakdown.
 package serve
 
 import (
@@ -33,7 +29,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,20 +83,20 @@ type ApproxStatser interface {
 
 // ApproxQueryer is the optional Backend extension behind the per-request
 // "approx" query knob: requests flagged approximate are answered through
-// these methods (grouped per flush exactly like the exact path). A
-// backend without the extension answers such requests exactly — the knob
-// is an opt-in accelerator, never a correctness switch.
+// these methods (under the same shared lock as the exact path). A backend
+// without the extension answers such requests exactly — the knob is an
+// opt-in accelerator, never a correctness switch.
 type ApproxQueryer interface {
 	QueryUserApprox(u, k int) ([]core.Candidate, error)
 	QueryBatchApprox(users []int, k int) ([][]core.Candidate, error)
 }
 
 // Backend is the prepared world a Server queries and grows. Implementations
-// need no internal locking against the Server: all calls arrive from the
-// dispatcher's flush, ingestion strictly before queries. When the backend
-// shards its auxiliary side, queries fan out inside QueryUser; the
-// dispatcher stays the world's only writer either way, so the lock-free
-// flush discipline survives sharding unchanged.
+// need no locking against the Server, which holds its reader/writer lock
+// around every call: Ingest is exclusive with every other call; the query
+// and size methods (and the optional extensions') may run concurrently with
+// each other and must be safe for that. When the backend shards its
+// auxiliary side, queries fan out inside it.
 type Backend interface {
 	// Ingest appends newly observed anonymous users and returns their new
 	// user indices, aligned with the batch.
@@ -109,12 +104,10 @@ type Backend interface {
 	// QueryUser returns the top-k auxiliary candidates of anonymized user u.
 	QueryUser(u, k int) ([]core.Candidate, error)
 	// QueryBatch answers one QueryUser per entry of users, bit-identically,
-	// with results aligned by index. The flush hands it a whole same-k group
-	// of its requests at once so the backend can score all of them per
-	// pass over its auxiliary data (the multi-query blocked kernel). An
-	// error fails the whole group; the flush then re-runs the group's
-	// queries individually through QueryUser so each waiter gets an answer
-	// (or an error) about its own request.
+	// with results aligned by index. /internal/query hands it the router's
+	// whole group at once so the backend can score all of it per pass over
+	// its auxiliary data (the multi-query blocked kernel). An error fails
+	// the whole group.
 	QueryBatch(users []int, k int) ([][]core.Candidate, error)
 	// Sizes reports the current aggregate world sizes (for /v1/stats).
 	Sizes() (anonUsers, auxUsers int)
@@ -125,30 +118,25 @@ type Backend interface {
 
 // Config tunes the service.
 type Config struct {
-	// Workers bounds the worker pool of the per-query fallback path taken
-	// when a batched query group fails (<= 0 uses GOMAXPROCS). The batched
-	// path itself delegates fan-out to Backend.QueryBatch.
-	Workers int
-	// MaxBatch caps how many parked requests one flush takes (default 32);
-	// the remainder forms the next flush.
+	// Deprecated: MaxBatch is ignored. Every request is its own backend
+	// call on its own goroutine; nothing batches across requests.
 	MaxBatch int
-	// Deprecated: FlushInterval is ignored. The dispatcher flushes as soon
-	// as it is idle and never waits for company.
+	// Deprecated: FlushInterval is ignored, as MaxBatch is.
 	FlushInterval time.Duration
 	// DefaultK is the candidate-set size of queries that omit k (default 10).
 	DefaultK int
-	// DrainTimeout bounds how long Close waits for the dispatcher to
-	// finish the running flush (default 5s). Within the deadline every
-	// waiter of that flush gets its response; past it Close returns
-	// ErrDrainTimeout while the flush finishes in the background. Requests
-	// still parked on the channel, and late arrivals, get ErrClosed.
+	// DrainTimeout bounds how long Close waits for the backend calls in
+	// flight to finish (default 5s). Within the deadline each of them
+	// answers its client; past it Close returns ErrDrainTimeout while they
+	// finish in the background. Requests still waiting for the lock, and
+	// late arrivals, get ErrClosed.
 	DrainTimeout time.Duration
 	// Snapshot, when set, enables the POST /v1/snapshot admin endpoint:
 	// the callback persists the backend's world and reports where and how
-	// big. The callback must be safe against concurrent queries and
-	// ingestion (the dehealth backend takes the world's read lock, so a
-	// snapshot waits out any in-flight ingest batch and vice versa). When
-	// nil, the endpoint answers 501 Not Implemented.
+	// big. It runs outside the server lock, so it must be safe against
+	// concurrent queries and ingestion (the dehealth backend takes the
+	// world's read lock, so a snapshot waits out any in-flight ingest batch
+	// and vice versa). When nil, the endpoint answers 501 Not Implemented.
 	Snapshot func() (SnapshotInfo, error)
 }
 
@@ -161,12 +149,6 @@ type SnapshotInfo struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 10
 	}
@@ -179,10 +161,10 @@ func (c Config) withDefaults() Config {
 // ErrClosed is returned to requests that arrive after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrDrainTimeout is returned by Close when the running flush did not
-// finish within Config.DrainTimeout. The flush keeps running in
-// the background so its waiters still get answers; the error only tells
-// the closer that shutdown did not observe a quiesced dispatcher.
+// ErrDrainTimeout is returned by Close when a backend call in flight did
+// not finish within Config.DrainTimeout. The call keeps running in the
+// background so its client still gets an answer; the error only tells the
+// closer that shutdown did not observe a quiesced backend.
 var ErrDrainTimeout = errors.New("serve: drain deadline exceeded")
 
 // Stats is the /v1/stats payload: aggregate sizes and counters plus the
@@ -196,17 +178,21 @@ type Stats struct {
 	Prune *PruneCounters `json:"prune,omitempty"`
 	// Approx carries the approximate-tier counters when the backend has
 	// the tier enabled (see ApproxStatser); omitted otherwise.
-	Approx        *ApproxCounters `json:"approx,omitempty"`
-	Queries       int64           `json:"queries"`
-	Ingests       int64           `json:"ingests"`
-	Batches       int64           `json:"batches"`
-	MeanBatchSize float64         `json:"mean_batch_size"`
-	// QueueWaitUS sums, over every request flushed, the time from submit to
-	// the start of its flush; FlushUS sums the flushes' own durations. Both
-	// are cumulative microseconds on the dispatcher's clock: divide the
-	// first by queries+ingests and the second by batches for means.
+	Approx *ApproxCounters `json:"approx,omitempty"`
+	// Queries counts the users queried and Ingests the ingest requests
+	// applied; Batches counts the backend calls made for them and
+	// MeanBatchSize the users answered or ingested per call (1 on
+	// /v1/query, the router's group width on /internal/query).
+	Queries       int64   `json:"queries"`
+	Ingests       int64   `json:"ingests"`
+	Batches       int64   `json:"batches"`
+	MeanBatchSize float64 `json:"mean_batch_size"`
+	// QueueWaitUS sums the time requests waited for the server lock and
+	// BackendUS the time they then spent inside the backend, concurrent
+	// calls each counted in full. Both are cumulative microseconds: divide
+	// either by batches for the mean per call.
 	QueueWaitUS   int64   `json:"queue_wait_us"`
-	FlushUS       int64   `json:"flush_us"`
+	BackendUS     int64   `json:"backend_us"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
@@ -222,202 +208,33 @@ type Server struct {
 	approxStats ApproxStatser
 	slicer      SliceInfoer
 
-	reqs chan *request
-	quit chan struct{}
-	wg   sync.WaitGroup
-
-	closeOnce sync.Once
+	// backendMu is the one exclusion between the server and its backend:
+	// queries and size reads hold it shared, Ingest exclusively, each on
+	// its request's own goroutine; Close takes it to wait out the calls in
+	// flight.
+	backendMu sync.RWMutex
+	closed    atomic.Bool
 	start     time.Time
 
-	queries int64
-	ingests int64
-	batches int64
-	batched int64
-	waitNS  int64
-	flushNS int64
+	queries   atomic.Int64
+	ingests   atomic.Int64
+	batches   atomic.Int64
+	batched   atomic.Int64
+	waitNS    atomic.Int64
+	backendNS atomic.Int64
 
-	// Flush-local grouping scratch, touched only by the dispatcher
-	// goroutine: the same-k request groups and their user-id vectors are
-	// rebuilt into these slices every flush, so steady-state flushes reuse
-	// one allocation's capacity instead of growing fresh slices per batch
-	// (the backend's kernel scratch is pooled the same way one layer down).
-	grpReqs  []*request
-	grpUsers []int
-
-	mu     sync.Mutex
-	closed bool
-	http   *http.Server
+	mu   sync.Mutex // guards http
+	http *http.Server
 }
 
-type request struct {
-	// Exactly one of query / ingest / bquery is set.
-	query  *queryWire
-	ingest []features.UserPosts // one client's ingest batch from /v1/ingest
-	bquery *InternalQuery       // one router-side shard batch from /internal/query
-	done   chan result          // buffered(1): flush never blocks on it
-	cancel <-chan struct{}      // closed once the client has gone; nil never cancels
-	enq    time.Time            // when submit offered it to the dispatcher
-}
-
-type result struct {
-	candidates []core.Candidate
-	user       int
-	users      []int              // new ids of an ingest request, aligned with its batch
-	batch      [][]core.Candidate // per-user answers of a bquery, aligned with it
-	err        error
-}
-
-// New builds a Server over the backend and starts its dispatcher.
+// New builds a Server over the backend.
 func New(b Backend, cfg Config) *Server {
-	s := &Server{
-		backend: b,
-		cfg:     cfg.withDefaults(),
-		reqs:    make(chan *request),
-		quit:    make(chan struct{}),
-		start:   time.Now(),
-	}
+	s := &Server{backend: b, cfg: cfg.withDefaults(), start: time.Now()}
 	s.approx, _ = b.(ApproxQueryer)
 	s.pruneStats, _ = b.(PruneStatser)
 	s.approxStats, _ = b.(ApproxStatser)
 	s.slicer, _ = b.(SliceInfoer)
-	s.wg.Add(1)
-	go s.dispatch()
 	return s
-}
-
-// dispatch is the single consumer of the request channel: it blocks for
-// one request, takes the senders already parked on the channel (up to
-// MaxBatch) and flushes at once. Whatever arrives while the flush runs
-// parks on the channel and forms the next batch.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	batch := make([]*request, 0, s.cfg.MaxBatch)
-	for {
-		select {
-		case r := <-s.reqs:
-			batch = append(batch[:0], r)
-		case <-s.quit:
-			return
-		}
-	parked:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r := <-s.reqs:
-				batch = append(batch, r)
-			default:
-				break parked
-			}
-		}
-		start := time.Now()
-		var waited time.Duration
-		for _, r := range batch {
-			waited += start.Sub(r.enq)
-		}
-		atomic.AddInt64(&s.waitNS, int64(waited))
-		s.flush(batch)
-		atomic.AddInt64(&s.flushNS, int64(time.Since(start)))
-	}
-}
-
-// flush applies one batch: all ingests first (one backend call, in arrival
-// order), then the queries. Requests whose client has already gone are
-// dropped unscored and unapplied — nobody reads their answer.
-func (s *Server) flush(batch []*request) {
-	atomic.AddInt64(&s.batches, 1)
-	atomic.AddInt64(&s.batched, int64(len(batch)))
-
-	var ingests, queries, bqueries []*request
-	var users []features.UserPosts
-	for _, r := range batch {
-		select {
-		case <-r.cancel:
-			continue
-		default:
-		}
-		switch {
-		case r.ingest != nil:
-			ingests = append(ingests, r)
-			users = append(users, r.ingest...)
-		case r.bquery != nil:
-			bqueries = append(bqueries, r)
-		default:
-			queries = append(queries, r)
-		}
-	}
-	// Each counter is bumped before the replies it describes, so a client
-	// holding an answer always finds it counted in /v1/stats.
-	if len(ingests) > 0 {
-		atomic.AddInt64(&s.ingests, int64(len(ingests)))
-		ids, err := s.backend.Ingest(users)
-		if err == nil {
-			at := 0
-			for _, r := range ingests {
-				mine := ids[at : at+len(r.ingest)]
-				r.done <- result{user: firstID(mine), users: mine}
-				at += len(r.ingest)
-			}
-		} else {
-			// The combined batch was rejected (stores validate before any
-			// mutation). Re-apply each request on its own so one client's
-			// bad payload cannot fail its batch peers, and each waiter gets
-			// an error about its own request.
-			for _, r := range ingests {
-				ids, err := s.backend.Ingest(r.ingest)
-				if err != nil {
-					r.done <- result{err: err}
-				} else {
-					r.done <- result{user: firstID(ids), users: ids}
-				}
-			}
-		}
-	}
-	// Internal shard batches: each already arrives grouped (the router
-	// builds one per shard call), so each is one ready-made kernel group —
-	// a single queryGroup call, no regrouping. An error fails the whole
-	// call; the router's retry/hedge layer owns recovery.
-	for _, r := range bqueries {
-		q := r.bquery
-		cands, err := s.queryGroup(q.Users, s.effectiveK(q.K), q.Approx)
-		if err == nil {
-			atomic.AddInt64(&s.queries, int64(len(q.Users)))
-		}
-		r.done <- result{batch: cands, err: err}
-	}
-	atomic.AddInt64(&s.queries, int64(len(queries)))
-	// Batched query path: peel the flush's queries into same-(k, approx)
-	// groups (in first-arrival order) and answer each group with one
-	// Backend.QueryBatch (or QueryBatchApprox) call, so the backend's
-	// multi-query kernel scores the whole group per pass over the
-	// auxiliary data. MaxBatch is thus the kernel's batch width. The
-	// group/user scratch lives on the Server and is reused across flushes.
-	for qs := queries; len(qs) > 0; {
-		k := s.effectiveK(qs[0].query.K)
-		approx := qs[0].query.Approx
-		grp, users := s.grpReqs[:0], s.grpUsers[:0]
-		rest := qs[:0]
-		for _, r := range qs {
-			if s.effectiveK(r.query.K) == k && r.query.Approx == approx {
-				grp = append(grp, r)
-				users = append(users, r.query.User)
-			} else {
-				rest = append(rest, r)
-			}
-		}
-		cands, err := s.queryGroup(users, k, approx)
-		if err == nil && len(cands) == len(grp) {
-			for i, r := range grp {
-				r.done <- result{candidates: cands[i], user: users[i]}
-			}
-		} else {
-			// The combined group was rejected (backends validate the whole
-			// batch before scoring). Re-run each query on its own so one
-			// client's bad request cannot fail its batch peers, and each
-			// waiter gets an error about its own query.
-			s.queryFallback(grp)
-		}
-		s.grpReqs, s.grpUsers = grp[:0], users[:0]
-		qs = rest
-	}
 }
 
 // effectiveK resolves a request's candidate-set size against DefaultK.
@@ -428,82 +245,57 @@ func (s *Server) effectiveK(k int) int {
 	return s.cfg.DefaultK
 }
 
-// queryGroup answers one same-(k, approx) group: approximate groups go
-// through the backend's ApproxQueryer when it has one, and degrade to the
-// exact batch path otherwise — the knob accelerates, never errors.
-func (s *Server) queryGroup(users []int, k int, approx bool) ([][]core.Candidate, error) {
-	if approx && s.approx != nil {
-		return s.approx.QueryBatchApprox(users, k)
+// locked makes one backend call, answering or ingesting `users` users, on
+// the calling goroutine under the server lock — exclusive for an ingest,
+// shared for a query — and returns its error with the status that reports
+// it: 400, the backend rejected the request. A request that finds the
+// server closed, or whose client has gone by the time it holds the lock,
+// never reaches the backend and is refused 503. The counters are bumped
+// before the call, so a client holding an answer always finds it counted
+// in /v1/stats.
+func (s *Server) locked(ctx context.Context, ingest bool, users int, call func() error) (int, error) {
+	if s.closed.Load() {
+		// Without queueing behind Close's pending write lock.
+		return http.StatusServiceUnavailable, ErrClosed
 	}
-	return s.backend.QueryBatch(users, k)
-}
-
-// queryOne answers a single query on the fallback path, honoring its
-// approx flag the same way queryGroup does.
-func (s *Server) queryOne(r *request) ([]core.Candidate, error) {
-	if r.query.Approx && s.approx != nil {
-		return s.approx.QueryUserApprox(r.query.User, s.effectiveK(r.query.K))
+	arrived := time.Now()
+	if ingest {
+		s.backendMu.Lock()
+		defer s.backendMu.Unlock()
+	} else {
+		s.backendMu.RLock()
+		defer s.backendMu.RUnlock()
 	}
-	return s.backend.QueryUser(r.query.User, s.effectiveK(r.query.K))
-}
-
-// queryFallback answers a failed batch group one query at a time over the
-// Config.Workers pool, giving every waiter its own per-request verdict.
-func (s *Server) queryFallback(queries []*request) {
-	workers := min(s.cfg.Workers, len(queries))
-	var wg sync.WaitGroup
-	jobs := make(chan *request)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				cands, err := s.queryOne(r)
-				r.done <- result{candidates: cands, user: r.query.User, err: err}
-			}
-		}()
+	start := time.Now()
+	s.waitNS.Add(int64(start.Sub(arrived)))
+	if s.closed.Load() {
+		return http.StatusServiceUnavailable, ErrClosed
 	}
-	for _, r := range queries {
-		jobs <- r
+	if ctx.Err() != nil {
+		return http.StatusServiceUnavailable, errors.New("serve: request canceled")
 	}
-	close(jobs)
-	wg.Wait()
-}
-
-// firstID returns the first id of an ingest reply, or -1 for an empty
-// batch (a degenerate but accepted request).
-func firstID(ids []int) int {
-	if len(ids) == 0 {
-		return -1
+	if ingest {
+		s.ingests.Add(1)
+	} else {
+		s.queries.Add(int64(users))
 	}
-	return ids[0]
-}
-
-// submit enqueues a request and waits for its result or cancellation.
-func (s *Server) submit(r *request, cancel <-chan struct{}) (result, error) {
-	r.cancel, r.enq = cancel, time.Now()
-	select {
-	case s.reqs <- r:
-	case <-s.quit:
-		return result{}, ErrClosed
-	case <-cancel:
-		return result{}, errors.New("serve: request canceled")
-	}
-	select {
-	case res := <-r.done:
-		return res, nil
-	case <-cancel:
-		return result{}, errors.New("serve: request canceled")
-	}
+	s.batches.Add(1)
+	s.batched.Add(int64(users))
+	err := call()
+	s.backendNS.Add(int64(time.Since(start)))
+	return http.StatusBadRequest, err
 }
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
+	s.backendMu.RLock()
 	anon, aux := s.backend.Sizes()
-	batches := atomic.LoadInt64(&s.batches)
+	shards := s.backend.ShardSizes()
+	s.backendMu.RUnlock()
+	batches := s.batches.Load()
 	mean := 0.0
 	if batches > 0 {
-		mean = float64(atomic.LoadInt64(&s.batched)) / float64(batches)
+		mean = float64(s.batched.Load()) / float64(batches)
 	}
 	var prune *PruneCounters
 	if s.pruneStats != nil {
@@ -520,36 +312,36 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		AnonUsers:     anon,
 		AuxUsers:      aux,
-		Shards:        s.backend.ShardSizes(),
+		Shards:        shards,
 		Prune:         prune,
 		Approx:        approx,
-		Queries:       atomic.LoadInt64(&s.queries),
-		Ingests:       atomic.LoadInt64(&s.ingests),
+		Queries:       s.queries.Load(),
+		Ingests:       s.ingests.Load(),
 		Batches:       batches,
 		MeanBatchSize: mean,
-		QueueWaitUS:   atomic.LoadInt64(&s.waitNS) / 1e3,
-		FlushUS:       atomic.LoadInt64(&s.flushNS) / 1e3,
+		QueueWaitUS:   s.waitNS.Load() / 1e3,
+		BackendUS:     s.backendNS.Load() / 1e3,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 }
 
-// Close stops the dispatcher once the running flush (if any) has answered
-// its waiters, then shuts the HTTP side down gracefully if a listener was
-// started — http.Server.Shutdown, so handler goroutines finish writing the
-// responses that flush just produced before connections close. The whole
-// shutdown is bounded by Config.DrainTimeout: past the deadline Close
-// returns ErrDrainTimeout and force-closes whatever is left (a stuck flush
-// keeps running in the background and still answers its waiters). Requests
-// still parked on the channel, or arriving after Close, get ErrClosed.
-// Safe to call more than once.
+// Close marks the server closed, waits for the backend calls in flight —
+// each still answers its client — and then shuts the HTTP side down
+// gracefully if a listener was started — http.Server.Shutdown, so handler
+// goroutines finish writing those answers before connections close. The
+// whole shutdown is bounded by Config.DrainTimeout: past the deadline Close
+// returns ErrDrainTimeout and force-closes whatever is left (a stuck
+// backend call keeps running in the background and still answers its
+// client). After a nil return no query or ingest is inside the backend and
+// none will enter it: requests still waiting for the lock, or arriving
+// after Close, get ErrClosed. Safe to call more than once.
 func (s *Server) Close() error {
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
-	s.closeOnce.Do(func() {
-		close(s.quit)
-	})
+	s.closed.Store(true)
 	drained := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		s.backendMu.Lock() // granted once every call in flight has returned
+		defer s.backendMu.Unlock()
 		close(drained)
 	}()
 	timer := time.NewTimer(time.Until(deadline))
@@ -561,7 +353,6 @@ func (s *Server) Close() error {
 		drainErr = ErrDrainTimeout
 	}
 	s.mu.Lock()
-	s.closed = true
 	srv := s.http
 	s.http = nil
 	s.mu.Unlock()
@@ -680,21 +471,14 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool
 	return false
 }
 
-// do runs one request through the dispatcher on behalf of an HTTP client.
-// On failure it answers the client itself (503 when the server is closed
-// or the client gone, 400 when the backend rejected the request) and
-// returns false.
-func (s *Server) do(w http.ResponseWriter, r *http.Request, req *request) (result, bool) {
-	req.done = make(chan result, 1)
-	res, err := s.submit(req, r.Context().Done())
-	code := http.StatusServiceUnavailable
-	if err == nil {
-		code, err = http.StatusBadRequest, res.err
-	}
+// do makes one backend call on behalf of an HTTP client (see locked). On
+// failure it answers the client itself and returns false.
+func (s *Server) do(w http.ResponseWriter, r *http.Request, ingest bool, users int, call func() error) bool {
+	code, err := s.locked(r.Context(), ingest, users, call)
 	if err != nil {
 		writeJSON(w, code, errorWire{Error: err.Error()})
 	}
-	return res, err == nil
+	return err == nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -702,12 +486,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, "query", &q) {
 		return
 	}
-	res, ok := s.do(w, r, &request{query: &q})
-	if !ok {
+	var cands []core.Candidate
+	if !s.do(w, r, false, 1, func() (err error) {
+		// An approximate query degrades to the exact path on a backend
+		// without the tier — the knob accelerates, never errors.
+		if q.Approx && s.approx != nil {
+			cands, err = s.approx.QueryUserApprox(q.User, s.effectiveK(q.K))
+		} else {
+			cands, err = s.backend.QueryUser(q.User, s.effectiveK(q.K))
+		}
+		return err
+	}) {
 		return
 	}
-	reply := queryReplyWire{User: res.user, Candidates: make([]candidateWire, len(res.candidates))}
-	for i, c := range res.candidates {
+	reply := queryReplyWire{User: q.User, Candidates: make([]candidateWire, len(cands))}
+	for i, c := range cands {
 		reply.Candidates[i] = candidateWire{User: c.User, Score: c.Score}
 	}
 	writeJSON(w, http.StatusOK, reply)
@@ -754,22 +547,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		batch[bi] = up
 	}
-	res, ok := s.do(w, r, &request{ingest: batch})
-	if !ok {
+	var ids []int
+	if !s.do(w, r, true, len(batch), func() (err error) {
+		ids, err = s.backend.Ingest(batch)
+		return err
+	}) {
 		return
 	}
 	if batched {
-		writeJSON(w, http.StatusOK, ingestBatchReplyWire{Users: res.users})
+		writeJSON(w, http.StatusOK, ingestBatchReplyWire{Users: ids})
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestReplyWire{User: res.user})
+	writeJSON(w, http.StatusOK, ingestReplyWire{User: ids[0]})
 }
 
-// handleSnapshot runs the configured snapshot callback. The callback is
-// invoked on the request goroutine, not through the dispatcher: world
-// locking inside the callback already serializes it against ingestion,
-// and routing a potentially long write through the request channel
-// would stall every query behind it.
+// handleSnapshot runs the configured snapshot callback outside the server
+// lock: world locking inside the callback already serializes it against
+// ingestion, and a potentially long write holding the server lock shared
+// would stall every query behind the first ingest that queued for it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Snapshot == nil {
 		writeJSON(w, http.StatusNotImplemented, errorWire{Error: "snapshotting not configured (start the server with a snapshot path)"})
@@ -795,7 +590,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) Serve(l net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		l.Close()
 		return ErrClosed

@@ -1,6 +1,6 @@
 // The shard scan: the only code that walks a whole auxiliary window. A
-// serving flush hands the world a micro-batch of queries, the offline
-// Top-K DA phase hands it strips of anonymized users, and a lone
+// served /internal/query hands the world the router's group of queries,
+// the offline Top-K DA phase hands it strips of anonymized users, and a lone
 // Shard.TopK is a batch of one — all three are one blocked loop (scan):
 // prepare Q query profiles at once (similarity.BatchProfile), score each
 // 512-row block against every query while it is hot in cache
@@ -17,7 +17,7 @@
 // been — so the heap passes through identical states, and the final sort
 // is under the same total order. The per-batch scratch (profiles, block
 // buffers, heaps, floors) is pooled across calls — and therefore across
-// serving flushes — so a steady-state scan allocates only its result
+// served requests — so a steady-state scan allocates only its result
 // slices.
 
 package shard
@@ -32,8 +32,8 @@ import (
 )
 
 // maxBatchQ caps how many queries one served kernel pass scores
-// together. A serving flush's batch (Config.MaxBatch) maps onto kernel
-// batches of up to this width; wider batches would grow the per-batch
+// together. A served group (the width of a router /v1/batch) maps onto
+// kernel batches of up to this width; wider batches would grow the per-batch
 // scratch (Q dense attribute tables + Q block buffers) past what stays
 // cache-resident, past the point where the blocked scan's reuse pays.
 const maxBatchQ = 64

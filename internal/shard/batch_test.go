@@ -240,7 +240,7 @@ func TestScanFloorMatchesFullRows(t *testing.T) {
 
 // BenchmarkShardScan times the one whole-window scan on a synthetic
 // WebMD-like world at the two widths serving uses most — a lone query and
-// a flush of eight — and reports the cost per (query, row) pair next to
+// a group of eight — and reports the cost per (query, row) pair next to
 // the share of pairs the floors let the kernel answer with a bound.
 func BenchmarkShardScan(b *testing.B) {
 	anonS, auxS, base := testStores(b, 3000, 0, 41)

@@ -18,8 +18,9 @@
 //
 // Mutation discipline: shards are immutable after partitioning. The
 // anonymized side grows through the base scorer family's shared caches
-// (similarity.SyncAnon), so the serving layer's single-writer flush
-// discipline carries over unchanged — a World adds readers, never writers.
+// (similarity.SyncAnon), so the serving layer's discipline — ingest
+// exclusive, queries shared — carries over unchanged: a World adds
+// readers, never writers.
 package shard
 
 import (
@@ -124,10 +125,10 @@ type World struct {
 	// scanTokens bounds the helper goroutines that all concurrent
 	// single-user queries on this world (and every derived view — the
 	// channel is shared) may have in flight at once, at GOMAXPROCS-1. A
-	// lone query fans out across all cores; when a caller-side pool (the
-	// serving flush, QueryBatch) already saturates the CPUs the tokens run
-	// dry and queries degrade to inline shard scans instead of stacking
-	// goroutines multiplicatively on the scheduler.
+	// lone query fans out across all cores; when the callers (concurrent
+	// served queries, QueryBatch's pool) already saturate the CPUs the
+	// tokens run dry and queries degrade to inline shard scans instead of
+	// stacking goroutines multiplicatively on the scheduler.
 	scanTokens chan struct{}
 	// prune, when non-nil, routes every query through the candidate-pruned
 	// engine under this configuration (see prune.go); pstats is the shared
@@ -350,7 +351,7 @@ func (w *World) Route(name string) int { return RouteName(name, len(w.shards)) }
 // and world rebuilds, so re-preparing the same world routes the same
 // accounts to the same shards. The assignment feeds per-shard accounting
 // (stats) and keeps ingest routing deterministic; the ingested data itself
-// lands in the single anonymized store behind the dispatcher's one writer.
+// lands in the single anonymized store, whose one writer is Ingest.
 func RouteName(name string, n int) int {
 	if n <= 1 {
 		return 0

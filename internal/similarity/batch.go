@@ -1,8 +1,8 @@
 // The range-scan kernel: the multi-query batched scorer behind every
 // whole-window walk (its one production caller is the shard scan,
 // internal/shard/batch.go). A per-query loop over ScoreWith walks the
-// aux-side flat arrays once per query; under the serving dispatcher's
-// micro-batches, or the offline Top-K phase's strips, that means Q full
+// aux-side flat arrays once per query; under the serving layer's router
+// groups, or the offline Top-K phase's strips, that means Q full
 // passes over the same SoA blocks. ScoreRangeAbove inverts the loop nest:
 // it walks each aux row once and evaluates all Q prepared queries against
 // it while the row's closeness/NCS/attribute data is hot in cache.
