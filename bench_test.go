@@ -270,7 +270,8 @@ func BenchmarkExperimentGridReuse(b *testing.B) {
 	b.Run("rebuild-per-config", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range grid {
-				p := core.NewPipeline(split.Anon, split.Aux, cfg, 50)
+				anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
+				p := core.NewPipelineFromStore(anonS, auxS, cfg)
 				p.TopK(5, core.DirectSelection, nil)
 			}
 		}

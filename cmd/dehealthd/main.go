@@ -61,7 +61,7 @@ func main() {
 		anon         = flag.String("anon", "", "optional anonymized dataset JSON to preload; default starts empty")
 		synth        = flag.Int("synth", 0, "demo mode: generate a synthetic auxiliary world with this many users instead of -aux")
 		synthAnon    = flag.Bool("synth-anon", false, "with -synth: closed-world split the synthetic data so the anonymized side starts populated (queryable out of the box)")
-		workers      = flag.Int("workers", 0, "fan-out bound of one /internal/query batch (0 = all CPUs)")
+		workers      = flag.Int("workers", 0, "worker bound of the feature-extraction pool (cold boot) and of one /internal/query batch's fan-out (0 = all CPUs)")
 		shards       = flag.Int("shards", 1, "partition-parallel auxiliary scoring shards (0 = one per CPU)")
 		prune        = flag.Bool("prune", false, "candidate-pruned queries via per-shard attribute inverted indexes (results identical; see /v1/stats prune counters)")
 		approx       = flag.Bool("approx", false, "enable the approximate retrieval tier: max-score/WAND posting cursors with exact rescore (per-query opt-in via the \"approx\" knob; see /v1/stats approx counters)")

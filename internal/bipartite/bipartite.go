@@ -183,14 +183,3 @@ func GreedyMatching(w [][]float64) []int {
 	}
 	return match
 }
-
-// MatchingWeight sums the weights of the matching (left->right) under w.
-func MatchingWeight(w [][]float64, match []int) float64 {
-	var total float64
-	for i, j := range match {
-		if j >= 0 {
-			total += w[i][j]
-		}
-	}
-	return total
-}

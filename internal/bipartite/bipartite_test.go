@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// matchingWeight sums the weights of the matching (left->right) under w.
+func matchingWeight(w [][]float64, match []int) float64 {
+	var total float64
+	for i, j := range match {
+		if j >= 0 {
+			total += w[i][j]
+		}
+	}
+	return total
+}
+
 // bruteForceBest returns the maximum total weight over all matchings that
 // saturate the smaller side (n <= 8 feasible).
 func bruteForceBest(w [][]float64) float64 {
@@ -72,8 +83,8 @@ func TestMaxWeightMatchingGreedyTrap(t *testing.T) {
 		{8, 1},
 	}
 	m := MaxWeightMatching(w)
-	if MatchingWeight(w, m) != 16 {
-		t.Errorf("exact matching weight = %v, want 16 (matching %v)", MatchingWeight(w, m), m)
+	if matchingWeight(w, m) != 16 {
+		t.Errorf("exact matching weight = %v, want 16 (matching %v)", matchingWeight(w, m), m)
 	}
 }
 
@@ -122,8 +133,8 @@ func TestNegativeWeights(t *testing.T) {
 		{-10, -1},
 	}
 	m := MaxWeightMatching(w)
-	if MatchingWeight(w, m) != -2 {
-		t.Errorf("weight = %v, want -2", MatchingWeight(w, m))
+	if matchingWeight(w, m) != -2 {
+		t.Errorf("weight = %v, want -2", matchingWeight(w, m))
 	}
 }
 
@@ -141,7 +152,7 @@ func TestMatchingOptimalProperty(t *testing.T) {
 				w[i][j] = math.Round(rng.Float64()*100) / 10
 			}
 		}
-		got := MatchingWeight(w, MaxWeightMatching(w))
+		got := matchingWeight(w, MaxWeightMatching(w))
 		want := bruteForceBest(w)
 		return math.Abs(got-want) < 1e-9
 	}
@@ -206,7 +217,7 @@ func TestGreedyHalfApproxProperty(t *testing.T) {
 				w[i][j] = rng.Float64() * 10
 			}
 		}
-		greedy := MatchingWeight(w, GreedyMatching(w))
+		greedy := matchingWeight(w, GreedyMatching(w))
 		opt := bruteForceBest(w)
 		return greedy >= opt/2-1e-9
 	}

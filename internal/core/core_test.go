@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dehealth/internal/corpus"
+	"dehealth/internal/features"
 	"dehealth/internal/ml"
 	"dehealth/internal/similarity"
 	"dehealth/internal/synth"
@@ -31,7 +32,8 @@ func world(t *testing.T, users, posts int, auxFrac float64, seed int64) *corpus.
 
 func pipelineFor(split *corpus.Split) *Pipeline {
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}
-	return NewPipeline(split.Anon, split.Aux, cfg, 50)
+	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
+	return NewPipelineFromStore(anonS, auxS, cfg)
 }
 
 func TestTopKDirect(t *testing.T) {

@@ -96,22 +96,6 @@ type Pipeline struct {
 	// pipelines; nil only on legacy literal-constructed pipelines, which
 	// fall back to an on-the-fly single-shard world).
 	world *shard.World
-	// auxStore backs re-partitioning (Sharded); nil on legacy pipelines.
-	auxStore *features.Store
-}
-
-// NewPipeline builds the UDA graphs of the anonymized and auxiliary datasets
-// and prepares the similarity scorer. The POS-bigram feature block is fitted
-// on the auxiliary texts (the adversary's data), with maxBigrams capping its
-// size (<= 0 uses the default).
-//
-// NewPipeline is a convenience wrapper that builds a throwaway feature-store
-// pair internally; callers that run more than one configuration over the
-// same split should build the stores once with features.BuildPair and use
-// NewPipelineFromStore, which skips re-extraction entirely.
-func NewPipeline(anon, aux *corpus.Dataset, simCfg similarity.Config, maxBigrams int) *Pipeline {
-	anonS, auxS := features.BuildPair(anon, aux, maxBigrams, features.Options{})
-	return NewPipelineFromStore(anonS, auxS, simCfg)
 }
 
 // NewPipelineFromStore assembles a pipeline from prebuilt feature stores,
@@ -128,13 +112,12 @@ func NewPipelineFromStore(anon, aux *features.Store, simCfg similarity.Config) *
 
 // NewShardedPipelineFromStore is NewPipelineFromStore with the auxiliary
 // side partitioned into shards partition-parallel scoring shards: each
-// shard owns a contiguous feature-store view, an induced UDA subgraph and
-// a scorer window over globally computed caches, and QueryUser/QueryBatch
-// fan out across them and merge the per-shard bounded heaps. shards <= 1
-// (or beyond the aux population, which clamps) yields the single-shard
-// engine wrapping the base scorer directly; every shard count returns
-// bit-identical query results — sharding only changes who computes what
-// where.
+// shard is a scorer window over globally computed caches, and
+// QueryUser/QueryBatch fan out across them and merge the per-shard bounded
+// heaps. shards <= 1 (or beyond the aux population, which clamps) yields
+// the single-shard engine wrapping the base scorer directly; every shard
+// count returns bit-identical query results — sharding only changes who
+// computes what where.
 func NewShardedPipelineFromStore(anon, aux *features.Store, simCfg similarity.Config, shards int) *Pipeline {
 	if anon.Extractor != aux.Extractor {
 		panic("core: stores were built with different extractors; build both with the same fitted extractor (see features.BuildPair)")
@@ -145,9 +128,8 @@ func NewShardedPipelineFromStore(anon, aux *features.Store, simCfg similarity.Co
 		Anon: anon.Dataset, Aux: aux.Dataset,
 		Extractor: aux.Extractor,
 		G1:        g1, G2: g2,
-		Scorer:   sc,
-		world:    shard.New(sc, g2, aux, shards),
-		auxStore: aux,
+		Scorer: sc,
+		world:  shard.New(sc, g2, nil, shards),
 	}
 }
 
@@ -156,31 +138,12 @@ func NewShardedPipelineFromStore(anon, aux *features.Store, simCfg similarity.Co
 // landmark count the scorer's precomputed landmark-distance caches are
 // shared too, making a similarity-weight sweep nearly free. The shard
 // world is re-derived from the re-weighted scorer, reusing every shard's
-// store view and induced subgraph.
+// bounds and index.
 func (p *Pipeline) WithSimilarity(cfg similarity.Config) *Pipeline {
 	q := *p
 	q.Scorer = p.Scorer.Reweighted(cfg)
 	if p.world != nil {
 		q.world = p.world.WithScorer(q.Scorer)
-	}
-	return &q
-}
-
-// Sharded returns a pipeline over the same artifacts whose query path is
-// re-partitioned into n shards (clamped as shard.Bounds documents). A
-// pruned pipeline stays pruned: the new partitions build their own index
-// windows under the same configuration and keep accumulating into the
-// same stats block.
-func (p *Pipeline) Sharded(n int) *Pipeline {
-	q := *p
-	q.world = shard.New(p.Scorer, p.G2, p.auxStore, n)
-	if p.world != nil {
-		if cfg, st, ok := p.world.PruneState(); ok {
-			q.world = q.world.WithPruning(cfg, st)
-		}
-		if cfg, st, ok := p.world.ApproxState(); ok {
-			q.world = q.world.WithApprox(cfg, st)
-		}
 	}
 	return &q
 }

@@ -234,7 +234,7 @@ func TestTopKMatchesOracle(t *testing.T) {
 				var appendLate func()
 				if tc.split == nil {
 					g1, g2 := synth.SparseAttrUDA(40, 5, 16384, 91), synth.SparseAttrUDA(n2, 5, 16384, 92)
-					p = (&Pipeline{G1: g1, G2: g2, Scorer: similarity.NewScorer(g1, g2, tc.cfg)}).Sharded(shards)
+					p = withShards(&Pipeline{G1: g1, G2: g2, Scorer: similarity.NewScorer(g1, g2, tc.cfg)}, shards)
 					appendLate = func() {
 						for i := 0; i < 2; i++ {
 							g1.AddEdge(g1.AppendNode(g2.Attrs[i], [][]float64{{1}}), i, 1)
@@ -299,7 +299,7 @@ func TestTopKMatchesOracle(t *testing.T) {
 func TestMatchingMatrixMatchesScore(t *testing.T) {
 	split := world(t, 16, 6, 0.5, 75)
 	for _, shards := range []int{1, 3} {
-		p := queryPipeline(split, 5).Sharded(shards)
+		p := withShards(queryPipeline(split, 5), shards)
 		rows := make([][]float64, p.G1.NumNodes())
 		for u := range rows {
 			rows[u] = make([]float64, p.G2.NumNodes())
@@ -320,7 +320,8 @@ func TestMatchingMatrixMatchesScore(t *testing.T) {
 // ranks are 0 and the extremes are zero, under both selection methods.
 func TestTopKDegenerateWorld(t *testing.T) {
 	split := world(t, 6, 4, 0.5, 77)
-	p := NewPipeline(split.Anon, &corpus.Dataset{}, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}, 50)
+	anonS, auxS := features.BuildPair(split.Anon, &corpus.Dataset{}, 50, features.Options{})
+	p := NewPipelineFromStore(anonS, auxS, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
 	if got := p.QueryUser(0, 5); len(got) != 0 {
 		t.Fatalf("QueryUser on an empty auxiliary side returned %v", got)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dehealth/internal/corpus"
 	"dehealth/internal/features"
 	"dehealth/internal/graph"
 	"dehealth/internal/ml"
@@ -12,7 +13,7 @@ import (
 
 // TestStorePipelineParity proves NewPipelineFromStore reproduces the seed
 // path bit-for-bit on a fixed-seed world: the legacy pipeline (serial
-// extractor fitting, graph.BuildUDA per side, scorer over the graphs) and
+// extractor fitting, serialUDA per side, scorer over the graphs) and
 // the store-backed pipeline must produce identical Top-K candidate sets,
 // ranks, score extremes, filtering decisions and refined-DA mappings.
 func TestStorePipelineParity(t *testing.T) {
@@ -20,11 +21,11 @@ func TestStorePipelineParity(t *testing.T) {
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}
 	const maxBigrams = 50
 
-	// Seed path: fit serially, extract per user via BuildUDA.
+	// Seed path: fit serially, extract per user via serialUDA.
 	ex := stylometry.New()
 	ex.FitBigrams(split.Aux.Texts(), maxBigrams)
-	g1 := graph.BuildUDA(split.Anon, ex)
-	g2 := graph.BuildUDA(split.Aux, ex)
+	g1 := serialUDA(split.Anon, ex)
+	g2 := serialUDA(split.Aux, ex)
 	legacy := &Pipeline{
 		Anon: split.Anon, Aux: split.Aux,
 		Extractor: ex,
@@ -64,6 +65,16 @@ func TestStorePipelineParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// serialUDA builds d's UDA graph the seed way: every user's posts
+// extracted one by one with ex, no feature store.
+func serialUDA(d *corpus.Dataset, ex *stylometry.Extractor) *graph.UDA {
+	vecs := make([][][]float64, len(d.Users))
+	for u, ts := range d.UserTexts() {
+		vecs[u] = ex.ExtractAll(ts)
+	}
+	return graph.BuildUDAFromVectors(d, vecs, nil)
 }
 
 func assertTopKEqual(t *testing.T, a, b *TopKResult) {

@@ -28,9 +28,8 @@ func NewRestoredPipeline(anon, aux *features.Store, sc *similarity.Scorer, shard
 		Anon: anon.Dataset, Aux: aux.Dataset,
 		Extractor: aux.Extractor,
 		G1:        g1, G2: g2,
-		Scorer:   sc,
-		world:    shard.New(sc, g2, aux, shards),
-		auxStore: aux,
+		Scorer: sc,
+		world:  shard.New(sc, g2, nil, shards),
 	}
 }
 

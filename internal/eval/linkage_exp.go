@@ -85,31 +85,14 @@ func LinkageExperiment(c *Corpora) Table {
 	t.AddRow("avatar link rate among usable", ratio(avTotal, len(usable)), "0.124")
 	t.AddRow("avatar link precision", ratio(avCorrect, avTotal), "manually validated (~1.0)")
 	t.AddRow("users linked by both techniques", fmt.Sprintf("%d", both), "137")
-	t.AddRow("avatar-linked users on 2+ services", ratioF(multiService, avatarDossiers), ">= 0.334")
+	t.AddRow("avatar-linked users on 2+ services", ratio(multiService, avatarDossiers), ">= 0.334")
 	t.AddRow("dossiers enriched via people search", fmt.Sprintf("%d", enriched), "Whitepages profiles (§VI-B)")
-	t.AddRow("dossiers with full name", ratioF(withName, len(dossiers)), "most of 347")
-	t.AddRow("dossiers with phone number", ratioF(withPhone, len(dossiers)), "most of 347")
+	t.AddRow("dossiers with full name", ratio(withName, len(dossiers)), "most of 347")
+	t.AddRow("dossiers with phone number", ratio(withPhone, len(dossiers)), "most of 347")
 	return t
 }
 
-// EnrichedDossiers returns the aggregated dossiers of the linkage attack,
-// for the example programs.
-func EnrichedDossiers(c *Corpora) []linkage.Dossier {
-	model := linkage.NewEntropyModel(2)
-	model.Train(c.Directory.Usernames())
-	avLinks := linkage.AvatarLink(c.WebMD, c.Directory, linkage.DefaultAvatarLinkConfig())
-	nmLinks := linkage.NameLink(c.WebMD, c.Directory, model, linkage.DefaultNameLinkConfig())
-	return linkage.Aggregate(c.WebMD, c.Directory, avLinks, nmLinks)
-}
-
 func ratio(num, den int) string {
-	if den == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.3f", float64(num)/float64(den))
-}
-
-func ratioF(num, den int) string {
 	if den == 0 {
 		return "-"
 	}

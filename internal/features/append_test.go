@@ -1,6 +1,7 @@
 package features
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,7 +51,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		t.Fatalf("NumUsers = %d, want %d", got, want)
 	}
 	for i := 0; i < s.NumPosts(); i++ {
-		a, b := s.Row(i), rebuilt.Row(i)
+		a, b := s.rows[i], rebuilt.rows[i]
 		for j := range b {
 			if a[j] != b[j] {
 				t.Fatalf("post %d dim %d: %v != %v", i, j, a[j], b[j])
@@ -58,7 +59,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		}
 	}
 	for u := 0; u < s.NumUsers(); u++ {
-		if got, want := len(s.UserVectors(u)), len(rebuilt.UserVectors(u)); got != want {
+		if got, want := len(s.perUser[u]), len(rebuilt.perUser[u]); got != want {
 			t.Fatalf("user %d: %d vectors, want %d", u, got, want)
 		}
 		ga, wa := s.Attrs()[u], rebuilt.Attrs()[u]
@@ -77,16 +78,10 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		t.Fatalf("UDA shape (%d nodes, %d edges) != rebuilt (%d nodes, %d edges)",
 			gu.NumNodes(), gu.NumEdges(), ru.NumNodes(), ru.NumEdges())
 	}
-	for u := 0; u < gu.NumNodes(); u++ {
-		ge, re := gu.Neighbors(u), ru.Neighbors(u)
-		if len(ge) != len(re) {
-			t.Fatalf("node %d: %d neighbors, want %d", u, len(ge), len(re))
-		}
-		for i := range re {
-			if ge[i] != re[i] {
-				t.Fatalf("node %d neighbor %d: %+v != %+v", u, i, ge[i], re[i])
-			}
-		}
+	goff, gto, gw := gu.AdjacencyParts()
+	roff, rto, rw := ru.AdjacencyParts()
+	if !reflect.DeepEqual(goff, roff) || !reflect.DeepEqual(gto, rto) || !reflect.DeepEqual(gw, rw) {
+		t.Fatal("appended UDA adjacency differs from the rebuilt one")
 	}
 }
 
@@ -212,7 +207,7 @@ func TestAppendConcurrentReads(t *testing.T) {
 				}
 				mu.RLock()
 				n := s.NumUsers()
-				_ = s.UserVectors(n - 1)
+				_ = s.PostVectors()[n-1]
 				_ = s.UDA().Degree(n - 1)
 				mu.RUnlock()
 			}

@@ -58,8 +58,8 @@ func (o Options) workerCount(n int) int {
 // safe. The store can grow — Append / AppendUser vectorize newly observed
 // users incrementally, extending the matrix, the per-user views and the UDA
 // graph without rebuilding anything — but growth must be serialized against
-// reads by the caller (the serving layer funnels all mutation through a
-// single batch loop).
+// reads by the caller (the serving layer ingests under its exclusive
+// lock).
 type Store struct {
 	// Dataset is the forum the features were extracted from. Append extends
 	// it in place (users, threads and posts keep dense ids).
@@ -197,17 +197,9 @@ func (s *Store) NumUsers() int { return len(s.perUser) }
 // Dim returns M, the width of the feature matrix.
 func (s *Store) Dim() int { return s.dim }
 
-// Row returns post i's feature vector (a view into the flat backing; do not
-// modify).
-func (s *Store) Row(i int) []float64 { return s.rows[i] }
-
 // PostVectors returns the per-user post vectors in post order (shared
 // views; do not modify). The shape matches graph.UDA.PostVectors.
 func (s *Store) PostVectors() [][][]float64 { return s.perUser }
-
-// UserVectors returns user u's post vectors in post order (shared views; do
-// not modify).
-func (s *Store) UserVectors(u int) [][]float64 { return s.perUser[u] }
 
 // Attrs returns the per-user attribute sets A(u)/WA(u) (shared; do not
 // modify).
@@ -221,70 +213,6 @@ func (s *Store) UDA() *graph.UDA {
 		s.uda = graph.BuildUDAFromVectors(s.Dataset, s.perUser, s.attrs)
 	})
 	return s.uda
-}
-
-// View is a contiguous user-range view [Lo, Hi) of a Store. Views never
-// copy feature data: the per-user vectors, attribute sets and post vectors
-// they expose are slice windows indexing into the store's shared backing
-// arrays (and, underneath those, the one flat feature matrix). The shard
-// engine hands each auxiliary partition its own View so per-shard scoring
-// walks a contiguous region of the shared store.
-type View struct {
-	// Store is the backing store the view windows into.
-	Store *Store
-	// Lo and Hi bound the view's global user-id range [Lo, Hi).
-	Lo, Hi int
-}
-
-// NumUsers returns the number of users in the view.
-func (v View) NumUsers() int { return v.Hi - v.Lo }
-
-// NumPosts returns the number of posts owned by the view's users.
-func (v View) NumPosts() int {
-	n := 0
-	for _, vs := range v.Store.perUser[v.Lo:v.Hi] {
-		n += len(vs)
-	}
-	return n
-}
-
-// UserVectors returns local user u's post vectors (global user v.Lo+u;
-// shared views into the flat matrix, do not modify).
-func (v View) UserVectors(u int) [][]float64 { return v.Store.perUser[v.Lo+u] }
-
-// PostVectors returns the view's per-user post vectors (a slice window of
-// the store's; do not modify). Shape matches graph.UDA.PostVectors.
-func (v View) PostVectors() [][][]float64 { return v.Store.perUser[v.Lo:v.Hi:v.Hi] }
-
-// Attrs returns the view's per-user attribute sets (a slice window of the
-// store's; do not modify).
-func (v View) Attrs() []stylometry.AttrSet { return v.Store.attrs[v.Lo:v.Hi:v.Hi] }
-
-// Slice returns the user-range view [lo, hi) of the store.
-func (s *Store) Slice(lo, hi int) View {
-	if lo < 0 || hi > s.NumUsers() || lo > hi {
-		panic(fmt.Sprintf("features: Slice [%d, %d) out of [0, %d)", lo, hi, s.NumUsers()))
-	}
-	return View{Store: s, Lo: lo, Hi: hi}
-}
-
-// Partition cuts the store's users into n contiguous views covering
-// [0, NumUsers) with sizes differing by at most one. n is clamped to
-// [1, NumUsers] (an empty store yields one empty view), so callers can pass
-// any requested shard count and always get a usable partition back.
-func (s *Store) Partition(n int) []View {
-	total := s.NumUsers()
-	if n > total {
-		n = total
-	}
-	if n < 1 {
-		n = 1
-	}
-	views := make([]View, n)
-	for i := 0; i < n; i++ {
-		views[i] = View{Store: s, Lo: i * total / n, Hi: (i + 1) * total / n}
-	}
-	return views
 }
 
 // NewThread marks an IncomingPost as starting a fresh thread rather than

@@ -37,7 +37,7 @@ func TestStoreMatchesExtractAll(t *testing.T) {
 	}
 	for u, ts := range texts {
 		want := ex.ExtractAll(ts)
-		got := s.UserVectors(u)
+		got := s.perUser[u]
 		if len(got) != len(want) {
 			t.Fatalf("user %d: %d vectors, want %d", u, len(got), len(want))
 		}
@@ -87,9 +87,9 @@ func TestStoreRowViews(t *testing.T) {
 	s := Build(d, ex, Options{})
 	byUser := d.PostsByUser()
 	for u, idxs := range byUser {
-		vs := s.UserVectors(u)
+		vs := s.perUser[u]
 		for k, i := range idxs {
-			if &vs[k][0] != &s.Row(i)[0] {
+			if &vs[k][0] != &s.rows[i][0] {
 				t.Fatalf("user %d post %d: per-user vector is a copy, not a view", u, k)
 			}
 		}
@@ -159,88 +159,7 @@ func TestBuildPairSharesExtractor(t *testing.T) {
 	if anonS.Dim() != auxS.Dim() {
 		t.Errorf("pair dims differ: %d vs %d", anonS.Dim(), auxS.Dim())
 	}
-	if auxS.Extractor.NumBigrams() == 0 {
+	if auxS.Dim() == stylometry.New().NumFeatures() {
 		t.Error("extractor bigram block not fitted")
-	}
-}
-
-// TestPartitionViews checks Partition covers the user space contiguously,
-// clamps degenerate shard counts, and that views alias (never copy) the
-// store's backing arrays.
-func TestPartitionViews(t *testing.T) {
-	d := testForum(t, 23, 4, 7)
-	s := Build(d, NewExtractor(d.Texts(), 50), Options{})
-	total := s.NumUsers()
-
-	for _, n := range []int{1, 2, 3, 7, total, total + 9, 0, -2} {
-		views := s.Partition(n)
-		wantN := n
-		if wantN > total {
-			wantN = total
-		}
-		if wantN < 1 {
-			wantN = 1
-		}
-		if len(views) != wantN {
-			t.Fatalf("Partition(%d) yielded %d views, want %d", n, len(views), wantN)
-		}
-		at, posts := 0, 0
-		for i, v := range views {
-			if v.Lo != at {
-				t.Fatalf("Partition(%d) view %d starts at %d, want %d", n, i, v.Lo, at)
-			}
-			if v.NumUsers() < total/wantN || v.NumUsers() > total/wantN+1 {
-				t.Fatalf("Partition(%d) view %d has %d users, want balanced", n, i, v.NumUsers())
-			}
-			at = v.Hi
-			posts += v.NumPosts()
-		}
-		if at != total {
-			t.Fatalf("Partition(%d) covers [0, %d), want [0, %d)", n, at, total)
-		}
-		if posts != s.NumPosts() {
-			t.Fatalf("Partition(%d) views own %d posts, want %d", n, posts, s.NumPosts())
-		}
-	}
-
-	// Views alias the store: same attribute sets, and post vectors pointing
-	// into the same flat backing rows.
-	v := s.Partition(3)[1]
-	for u := 0; u < v.NumUsers(); u++ {
-		g := v.Lo + u
-		if len(v.Attrs()[u].Idx) != len(s.Attrs()[g].Idx) {
-			t.Fatalf("view attrs of local %d differ from global %d", u, g)
-		}
-		uv, sv := v.UserVectors(u), s.UserVectors(g)
-		if len(uv) != len(sv) {
-			t.Fatalf("view vectors of local %d: %d, want %d", u, len(uv), len(sv))
-		}
-		for k := range sv {
-			if &uv[k][0] != &sv[k][0] {
-				t.Fatalf("view vector (%d, %d) is a copy, want a view into the flat matrix", u, k)
-			}
-		}
-	}
-	if got := v.PostVectors(); len(got) != v.NumUsers() {
-		t.Fatalf("PostVectors window has %d users, want %d", len(got), v.NumUsers())
-	}
-
-	// Slice validates its range.
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range Slice accepted")
-		}
-	}()
-	s.Slice(5, total+1)
-}
-
-// TestPartitionEmptyStore pins the degenerate empty-world behavior: one
-// empty view.
-func TestPartitionEmptyStore(t *testing.T) {
-	empty := &corpus.Dataset{Name: "empty"}
-	s := Build(empty, NewExtractor(nil, 10), Options{})
-	views := s.Partition(4)
-	if len(views) != 1 || views[0].Lo != 0 || views[0].Hi != 0 {
-		t.Fatalf("empty-store partition = %+v, want one empty view", views)
 	}
 }

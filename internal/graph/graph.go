@@ -13,7 +13,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -149,13 +148,6 @@ func (g *Graph) Freeze() {
 	g.building = nil
 }
 
-// Neighbors returns u's adjacency list, sorted by neighbor id (shared slice;
-// do not modify).
-func (g *Graph) Neighbors(u int) []Edge {
-	g.Freeze()
-	return g.adj[u]
-}
-
 // Degree returns d_u, the number of neighbors of u.
 func (g *Graph) Degree(u int) int {
 	g.Freeze()
@@ -170,17 +162,6 @@ func (g *Graph) WeightedDegree(u int) float64 {
 		s += e.Weight
 	}
 	return s
-}
-
-// EdgeWeight returns the weight of edge u—v, or 0 if absent.
-func (g *Graph) EdgeWeight(u, v int) float64 {
-	g.Freeze()
-	es := g.adj[u]
-	i := sort.Search(len(es), func(k int) bool { return es[k].To >= v })
-	if i < len(es) && es[i].To == v {
-		return es[i].Weight
-	}
-	return 0
 }
 
 // NCS returns u's Neighborhood Correlation Strength vector: the incident
@@ -405,44 +386,6 @@ func (g *Graph) DegreeFilter(minDeg int) (*Graph, []int) {
 	return sub, keep
 }
 
-// InducedRange returns the subgraph induced by the contiguous node range
-// [lo, hi): node j of the result corresponds to node lo+j of g, and an edge
-// survives iff both endpoints fall inside the range (edge weights are
-// preserved; edges crossing the range boundary are dropped). The result is
-// frozen. Used to give each auxiliary shard its own shard-local topology.
-func (g *Graph) InducedRange(lo, hi int) *Graph {
-	if lo < 0 || hi > g.n || lo > hi {
-		panic(fmt.Sprintf("graph: InducedRange [%d, %d) out of [0, %d)", lo, hi, g.n))
-	}
-	g.Freeze()
-	adj := make([][]Edge, hi-lo)
-	for u := lo; u < hi; u++ {
-		var es []Edge
-		for _, e := range g.adj[u] {
-			if e.To >= lo && e.To < hi {
-				es = append(es, Edge{To: e.To - lo, Weight: e.Weight})
-			}
-		}
-		adj[u-lo] = es // already sorted: the shift is monotonic
-	}
-	return &Graph{n: hi - lo, adj: adj}
-}
-
-// DegreeHistogram returns counts of nodes per degree (index = degree).
-func (g *Graph) DegreeHistogram() []int {
-	maxDeg := 0
-	for u := 0; u < g.n; u++ {
-		if d := g.Degree(u); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	hist := make([]int, maxDeg+1)
-	for u := 0; u < g.n; u++ {
-		hist[g.Degree(u)]++
-	}
-	return hist
-}
-
 // DegreeCDF returns, for each x in xs, the fraction of nodes with degree <= x
 // (Fig.7).
 func (g *Graph) DegreeCDF(xs []int) []float64 {
@@ -528,19 +471,6 @@ type UDA struct {
 	PostVectors [][][]float64
 }
 
-// BuildUDA constructs the UDA graph of a dataset with the given extractor,
-// extracting every post's feature vector serially. Callers that already hold
-// precomputed vectors (a features.Store) should use BuildUDAFromVectors,
-// which decouples graph topology from extraction.
-func BuildUDA(d *corpus.Dataset, ex *stylometry.Extractor) *UDA {
-	texts := d.UserTexts()
-	vecs := make([][][]float64, len(d.Users))
-	for u, ts := range texts {
-		vecs[u] = ex.ExtractAll(ts)
-	}
-	return BuildUDAFromVectors(d, vecs, nil)
-}
-
 // AppendNode grows the UDA graph by one user node carrying the given
 // attribute set and post vectors, returning the new node's index. The
 // caller is responsible for adding the node's co-discussion edges
@@ -551,19 +481,6 @@ func (g *UDA) AppendNode(attrs stylometry.AttrSet, vecs [][]float64) int {
 	g.Attrs = append(g.Attrs, attrs)
 	g.PostVectors = append(g.PostVectors, vecs)
 	return u
-}
-
-// InducedRange returns the UDA subgraph induced by the contiguous user
-// range [lo, hi): the induced correlation topology plus per-user attribute
-// sets and post vectors as slice views of this graph's — no vector or
-// attribute data is copied. The shard engine uses it to give each
-// auxiliary partition its own shard-local UDA.
-func (g *UDA) InducedRange(lo, hi int) *UDA {
-	return &UDA{
-		Graph:       g.Graph.InducedRange(lo, hi),
-		Attrs:       g.Attrs[lo:hi:hi],
-		PostVectors: g.PostVectors[lo:hi:hi],
-	}
 }
 
 // BuildUDAFromVectors constructs the UDA graph of a dataset from precomputed

@@ -8,8 +8,35 @@ import (
 	"testing/quick"
 
 	"dehealth/internal/corpus"
+	"dehealth/internal/nlp/lexicon"
 	"dehealth/internal/stylometry"
 )
+
+// neighbors returns u's adjacency list, sorted by neighbor id.
+func (g *Graph) neighbors(u int) []Edge {
+	g.Freeze()
+	return g.adj[u]
+}
+
+// edgeWeight returns the weight of edge u—v, or 0 if absent.
+func (g *Graph) edgeWeight(u, v int) float64 {
+	for _, e := range g.neighbors(u) {
+		if e.To == v {
+			return e.Weight
+		}
+	}
+	return 0
+}
+
+// buildUDA extracts every post of d with ex, one user at a time, and
+// builds the UDA graph over the vectors.
+func buildUDA(d *corpus.Dataset, ex *stylometry.Extractor) *UDA {
+	vecs := make([][][]float64, len(d.Users))
+	for u, ts := range d.UserTexts() {
+		vecs[u] = ex.ExtractAll(ts)
+	}
+	return BuildUDAFromVectors(d, vecs, nil)
+}
 
 // path builds 0-1-2-...-n-1 with unit weights.
 func path(n int) *Graph {
@@ -24,7 +51,7 @@ func TestAddEdgeAccumulates(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 0, 2)
-	if got := g.EdgeWeight(0, 1); got != 3 {
+	if got := g.edgeWeight(0, 1); got != 3 {
 		t.Errorf("weight = %v, want 3", got)
 	}
 	if g.NumEdges() != 1 {
@@ -137,13 +164,13 @@ func TestDegreeFilter(t *testing.T) {
 
 func TestDegreeHistogramAndCDF(t *testing.T) {
 	g := path(4) // degrees 1,2,2,1
-	h := g.DegreeHistogram()
-	if !reflect.DeepEqual(h, []int{0, 2, 2}) {
-		t.Errorf("hist = %v", h)
-	}
 	cdf := g.DegreeCDF([]int{0, 1, 2})
 	if !reflect.DeepEqual(cdf, []float64{0, 0.5, 1}) {
 		t.Errorf("cdf = %v", cdf)
+	}
+	// The degree histogram (Fig.7) is the CDF's step heights.
+	if h := []float64{cdf[0], cdf[1] - cdf[0], cdf[2] - cdf[1]}; !reflect.DeepEqual(h, []float64{0, 0.5, 0.5}) {
+		t.Errorf("hist = %v", h)
 	}
 	if g.AverageDegree() != 1.5 {
 		t.Errorf("avg degree = %v", g.AverageDegree())
@@ -189,7 +216,7 @@ func TestBuildCorrelation(t *testing.T) {
 	}
 	g := BuildCorrelation(d)
 	// Users 0 and 1 co-discussed threads 0 and 1 => weight 2.
-	if got := g.EdgeWeight(0, 1); got != 2 {
+	if got := g.edgeWeight(0, 1); got != 2 {
 		t.Errorf("weight(0,1) = %v, want 2 (distinct threads, not post pairs)", got)
 	}
 	if g.Degree(2) != 0 {
@@ -211,23 +238,19 @@ func TestBuildUDA(t *testing.T) {
 		},
 	}
 	ex := stylometry.New()
-	uda := BuildUDA(d, ex)
+	uda := buildUDA(d, ex)
 	if len(uda.Attrs) != 2 || len(uda.PostVectors) != 2 {
 		t.Fatal("missing attributes or vectors")
 	}
 	if uda.Attrs[0].Len() == 0 || uda.Attrs[1].Len() == 0 {
 		t.Error("users must have attributes")
 	}
-	if uda.EdgeWeight(0, 1) != 1 {
+	if uda.edgeWeight(0, 1) != 1 {
 		t.Error("co-thread edge missing")
 	}
-	// User 0 used a known misspelling; that attribute must be set for 0 only.
-	missIdx := -1
-	for i, f := range ex.Features() {
-		if f.Name == "misspell:beleive" {
-			missIdx = i
-		}
-	}
+	// User 0 used a known misspelling; that attribute must be set for 0
+	// only. The misspelling block is the last of the feature space.
+	missIdx := ex.NumFeatures() - len(lexicon.MisspellingList) + lexicon.MisspellingIndex("beleive")
 	if !uda.Attrs[0].Has(missIdx) {
 		t.Error("misspelling attribute missing on author")
 	}
@@ -251,7 +274,7 @@ func TestBFSRelaxationProperty(t *testing.T) {
 			if d[u] < 0 {
 				continue
 			}
-			for _, e := range g.Neighbors(u) {
+			for _, e := range g.neighbors(u) {
 				if d[e.To] < 0 || d[e.To] > d[u]+1 {
 					return false
 				}
@@ -328,8 +351,8 @@ func TestDegreeFilterProperty(t *testing.T) {
 		}
 		// Edge conservation: every subgraph edge exists in the original.
 		for su := 0; su < sub.NumNodes(); su++ {
-			for _, e := range sub.Neighbors(su) {
-				if g.EdgeWeight(kept[su], kept[e.To]) == 0 {
+			for _, e := range sub.neighbors(su) {
+				if g.edgeWeight(kept[su], kept[e.To]) == 0 {
 					return false
 				}
 			}
@@ -373,7 +396,7 @@ func TestFreezeThawRoundtrip(t *testing.T) {
 	}
 	g.AddEdge(0, 2, 4)
 	g.AddEdge(0, 3, 1)
-	es := g.Neighbors(0)
+	es := g.neighbors(0)
 	want := []Edge{{To: 1, Weight: 2}, {To: 2, Weight: 4}, {To: 3, Weight: 2}}
 	if !reflect.DeepEqual(es, want) {
 		t.Fatalf("neighbors = %v, want %v", es, want)
@@ -398,7 +421,7 @@ func TestDenseConstruction(t *testing.T) {
 		if g.Degree(u) != n-1 {
 			t.Fatalf("degree(%d) = %d, want %d", u, g.Degree(u), n-1)
 		}
-		es := g.Neighbors(u)
+		es := g.neighbors(u)
 		for i := 1; i < len(es); i++ {
 			if es[i-1].To >= es[i].To {
 				t.Fatalf("adjacency of %d not sorted at %d", u, i)
@@ -407,6 +430,10 @@ func TestDenseConstruction(t *testing.T) {
 	}
 }
 
+// TestBuildUDAFromVectorsMatchesBuildUDA checks the two ways callers hand
+// BuildUDAFromVectors its attribute sets agree: derived from the vectors
+// (nil, the one-shot path of buildUDA) and precomputed by the caller (the
+// feature store's path).
 func TestBuildUDAFromVectorsMatchesBuildUDA(t *testing.T) {
 	d := &corpus.Dataset{
 		Name: "t",
@@ -425,14 +452,16 @@ func TestBuildUDAFromVectorsMatchesBuildUDA(t *testing.T) {
 	}
 	ex := stylometry.New()
 	ex.FitBigrams(d.Texts(), 20)
-	want := BuildUDA(d, ex)
+	want := buildUDA(d, ex)
 
 	texts := d.UserTexts()
 	vecs := make([][][]float64, len(d.Users))
+	attrs := make([]stylometry.AttrSet, len(d.Users))
 	for u, ts := range texts {
 		vecs[u] = ex.ExtractAll(ts)
+		attrs[u] = stylometry.UserAttributes(vecs[u])
 	}
-	got := BuildUDAFromVectors(d, vecs, nil)
+	got := BuildUDAFromVectors(d, vecs, attrs)
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("edges %d != %d", got.NumEdges(), want.NumEdges())
 	}
@@ -473,12 +502,12 @@ func TestAddNodesFrozenGrowth(t *testing.T) {
 	want.AddEdge(4, 3, 2)
 	want.AddEdge(5, 4, 1)
 	for u := 0; u < 6; u++ {
-		if !reflect.DeepEqual(g.Neighbors(u), want.Neighbors(u)) {
-			t.Fatalf("node %d: adjacency %v, want %v", u, g.Neighbors(u), want.Neighbors(u))
+		if !reflect.DeepEqual(g.neighbors(u), want.neighbors(u)) {
+			t.Fatalf("node %d: adjacency %v, want %v", u, g.neighbors(u), want.neighbors(u))
 		}
 	}
-	// Adjacency must stay sorted for EdgeWeight's binary search.
-	if got := g.EdgeWeight(4, 1); got != 2 {
+	// The spliced edge accumulated its two weight bumps.
+	if got := g.edgeWeight(4, 1); got != 2 {
 		t.Fatalf("EdgeWeight(4,1) = %v, want 2", got)
 	}
 	if got := g.BFSDistances(5)[0]; got != 2 {
@@ -499,7 +528,7 @@ func TestUDAAppendNode(t *testing.T) {
 		},
 	}
 	ex := stylometry.New()
-	u := BuildUDA(d, ex)
+	u := buildUDA(d, ex)
 	vecs := ex.ExtractAll([]string{"a brand new user writes here"})
 	attrs := stylometry.UserAttributes(vecs)
 	id := u.AppendNode(attrs, vecs)
@@ -507,7 +536,7 @@ func TestUDAAppendNode(t *testing.T) {
 		t.Fatalf("AppendNode returned %d (nodes %d), want 2 (3)", id, u.NumNodes())
 	}
 	u.AddEdge(id, 0, 1)
-	if u.Degree(id) != 1 || u.EdgeWeight(id, 0) != 1 {
+	if u.Degree(id) != 1 || u.edgeWeight(id, 0) != 1 {
 		t.Fatal("appended node edge missing")
 	}
 	if len(u.PostVectors) != 3 || len(u.Attrs) != 3 {
@@ -515,89 +544,5 @@ func TestUDAAppendNode(t *testing.T) {
 	}
 	if len(u.PostVectors[2]) != 1 {
 		t.Fatalf("appended node has %d post vectors, want 1", len(u.PostVectors[2]))
-	}
-}
-
-// TestInducedRange checks the contiguous induced subgraph: in-range edges
-// survive with their weights under shifted ids, boundary-crossing edges are
-// dropped, and degenerate ranges work.
-func TestInducedRange(t *testing.T) {
-	g := NewGraph(6)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3) // crosses the [2, 5) boundary
-	g.AddEdge(2, 3, 5)
-	g.AddEdge(3, 4, 7)
-	g.AddEdge(4, 5, 11) // crosses the upper boundary
-	g.AddEdge(2, 4, 13)
-
-	sub := g.InducedRange(2, 5)
-	if sub.NumNodes() != 3 {
-		t.Fatalf("nodes = %d, want 3", sub.NumNodes())
-	}
-	wantEdges := map[[2]int]float64{{0, 1}: 5, {1, 2}: 7, {0, 2}: 13}
-	if sub.NumEdges() != len(wantEdges) {
-		t.Fatalf("edges = %d, want %d", sub.NumEdges(), len(wantEdges))
-	}
-	for e, w := range wantEdges {
-		if got := sub.EdgeWeight(e[0], e[1]); got != w {
-			t.Errorf("EdgeWeight(%d, %d) = %v, want %v", e[0], e[1], got, w)
-		}
-	}
-	// Adjacency stays sorted by neighbor id after the shift.
-	for u := 0; u < sub.NumNodes(); u++ {
-		es := sub.Neighbors(u)
-		for i := 1; i < len(es); i++ {
-			if es[i].To <= es[i-1].To {
-				t.Fatalf("node %d adjacency unsorted: %+v", u, es)
-			}
-		}
-	}
-
-	if empty := g.InducedRange(3, 3); empty.NumNodes() != 0 || empty.NumEdges() != 0 {
-		t.Fatal("empty range not empty")
-	}
-	if full := g.InducedRange(0, 6); full.NumEdges() != g.NumEdges() {
-		t.Fatalf("full range has %d edges, want %d", full.NumEdges(), g.NumEdges())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range InducedRange accepted")
-		}
-	}()
-	g.InducedRange(4, 7)
-}
-
-// TestUDAInducedRange checks the UDA range view shares (not copies) the
-// parent's attribute sets and post vectors.
-func TestUDAInducedRange(t *testing.T) {
-	d := &corpus.Dataset{
-		Name: "t",
-		Users: []corpus.User{
-			{ID: 0, Name: "a", TrueIdentity: -1},
-			{ID: 1, Name: "b", TrueIdentity: -1},
-			{ID: 2, Name: "c", TrueIdentity: -1},
-		},
-		Threads: []corpus.Thread{{ID: 0, Board: "x", Starter: 0}, {ID: 1, Board: "x", Starter: 1}},
-		Posts: []corpus.Post{
-			{ID: 0, User: 0, Thread: 0, Text: "shared thread post one"},
-			{ID: 1, User: 1, Thread: 0, Text: "shared thread post two"},
-			{ID: 2, User: 1, Thread: 1, Text: "another thread entirely"},
-			{ID: 3, User: 2, Thread: 1, Text: "joining the second thread"},
-		},
-	}
-	u := BuildUDA(d, stylometry.New())
-	sub := u.InducedRange(1, 3)
-	if sub.NumNodes() != 2 || len(sub.Attrs) != 2 || len(sub.PostVectors) != 2 {
-		t.Fatalf("sub sizes: nodes %d attrs %d vecs %d, want 2/2/2", sub.NumNodes(), len(sub.Attrs), len(sub.PostVectors))
-	}
-	// Edge 1-2 (users b, c) survives as 0-1; edge 0-1 is dropped.
-	if sub.EdgeWeight(0, 1) != u.EdgeWeight(1, 2) || sub.EdgeWeight(0, 1) == 0 {
-		t.Fatalf("surviving edge weight %v, want %v", sub.EdgeWeight(0, 1), u.EdgeWeight(1, 2))
-	}
-	// Post vectors are the same underlying slices, not copies.
-	for i := 0; i < 2; i++ {
-		if len(sub.PostVectors[i]) == 0 || &sub.PostVectors[i][0][0] != &u.PostVectors[1+i][0][0] {
-			t.Fatalf("post vectors of sub node %d are not views of parent node %d", i, 1+i)
-		}
 	}
 }

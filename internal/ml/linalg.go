@@ -96,12 +96,3 @@ func CholeskySolve(l *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// SolveSPD solves a·x = b for symmetric positive-definite a.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return CholeskySolve(l, b)
-}

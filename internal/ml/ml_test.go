@@ -149,19 +149,6 @@ func TestSMOMulticlass(t *testing.T) {
 	}
 }
 
-func TestSMORBF(t *testing.T) {
-	// XOR-ish data: not linearly separable, RBF handles it.
-	X := [][]float64{{0, 0}, {1, 1}, {0, 1}, {1, 0}, {0.1, 0.1}, {0.9, 0.9}, {0.1, 0.9}, {0.9, 0.1}}
-	y := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	c := NewSMO(SMOConfig{C: 10, Kernel: RBFKernel(2), Seed: 3, MaxIter: 500})
-	if err := c.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if acc := accuracy(c, X, y); acc < 0.99 {
-		t.Errorf("RBF SMO accuracy on XOR = %v", acc)
-	}
-}
-
 func TestRLSCSeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	X, y := blobs(rng, 3, 20, 4, 0.4)
@@ -174,13 +161,23 @@ func TestRLSCSeparable(t *testing.T) {
 	}
 }
 
+// solveSPD solves a·x = b for symmetric positive-definite a by Cholesky
+// factorization and substitution.
+func solveSPD(a *Matrix, b []float64) ([]float64, error) {
+	l, err := Cholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	return CholeskySolve(l, b)
+}
+
 func TestCholeskySolveKnown(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 0, 4)
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 3)
-	x, err := SolveSPD(a, []float64{2, 5})
+	x, err := solveSPD(a, []float64{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +203,7 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	}
 }
 
-// Property: SolveSPD solves random SPD systems A = BᵀB + I.
+// Property: solveSPD solves random SPD systems A = BᵀB + I.
 func TestCholeskySolveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,7 +232,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.NormFloat64()
 		}
-		x, err := SolveSPD(a, rhs)
+		x, err := solveSPD(a, rhs)
 		if err != nil {
 			return false
 		}

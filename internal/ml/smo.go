@@ -8,17 +8,6 @@ import (
 	"sync"
 )
 
-// Kernel is a Mercer kernel over feature vectors.
-type Kernel func(a, b []float64) float64
-
-// LinearKernel is the inner-product kernel.
-func LinearKernel(a, b []float64) float64 { return Dot(a, b) }
-
-// RBFKernel returns a Gaussian kernel with bandwidth parameter gamma.
-func RBFKernel(gamma float64) Kernel {
-	return func(a, b []float64) float64 { return math.Exp(-gamma * SqDist(a, b)) }
-}
-
 // SMOConfig parametrizes the SMO trainer.
 type SMOConfig struct {
 	// C is the soft-margin penalty (default 1).
@@ -30,8 +19,6 @@ type SMOConfig struct {
 	MaxPasses int
 	// MaxIter caps total optimization sweeps (default 200).
 	MaxIter int
-	// Kernel defaults to LinearKernel.
-	Kernel Kernel
 	// Seed drives the deterministic second-choice heuristic.
 	Seed int64
 }
@@ -49,53 +36,40 @@ func (c *SMOConfig) fill() {
 	if c.MaxIter <= 0 {
 		c.MaxIter = 200
 	}
-	// A nil Kernel means linear; trained machines then collapse to an
-	// explicit weight vector for O(d) prediction.
 }
 
-// kernel evaluates the configured kernel (nil = linear).
-func (c *SMOConfig) kernel(a, b []float64) float64 {
-	if c.Kernel == nil {
-		return Dot(a, b)
-	}
-	return c.Kernel(a, b)
-}
-
-// binarySMO is a two-class SVM trained with Platt's SMO (simplified
-// variant). Labels are -1/+1.
+// binarySMO is a linear two-class SVM trained with Platt's SMO
+// (simplified variant). Labels are -1/+1. Training runs in the dual over
+// the linear kernel's Gram matrix; the trained machine keeps only the
+// collapsed primal weight vector w and bias b, so decision() costs O(d).
 type binarySMO struct {
-	cfg   SMOConfig
-	x     [][]float64
-	y     []float64 // -1 / +1
-	alpha []float64
-	b     float64
-	// w is the collapsed primal weight vector, available for the linear
-	// kernel only; decision() then costs O(d) instead of O(sv·d).
 	w []float64
+	b float64
 }
 
 // trainBinarySMO fits a binary SVM on x with labels y in {-1,+1}.
 func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 	cfg.fill()
 	m := len(x)
-	s := &binarySMO{cfg: cfg, x: x, y: y, alpha: make([]float64, m)}
+	s := &binarySMO{}
+	alpha := make([]float64, m)
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(m)))
 
-	// Precompute the kernel matrix; training sets here are small (refined
-	// DA trains on candidate-set posts).
+	// Precompute the Gram matrix; training sets here are small (refined DA
+	// trains on candidate-set posts).
 	K := make([][]float64, m)
 	for i := range K {
 		K[i] = make([]float64, m)
 		for j := 0; j <= i; j++ {
-			K[i][j] = cfg.kernel(x[i], x[j])
+			K[i][j] = Dot(x[i], x[j])
 			K[j][i] = K[i][j]
 		}
 	}
 	f := func(i int) float64 {
 		var s2 float64
 		for j := 0; j < m; j++ {
-			if s.alpha[j] != 0 {
-				s2 += s.alpha[j] * y[j] * K[i][j]
+			if alpha[j] != 0 {
+				s2 += alpha[j] * y[j] * K[i][j]
 			}
 		}
 		return s2 + s.b
@@ -107,7 +81,7 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 		changed := 0
 		for i := 0; i < m; i++ {
 			Ei := f(i) - y[i]
-			if !((y[i]*Ei < -cfg.Tol && s.alpha[i] < cfg.C) || (y[i]*Ei > cfg.Tol && s.alpha[i] > 0)) {
+			if !((y[i]*Ei < -cfg.Tol && alpha[i] < cfg.C) || (y[i]*Ei > cfg.Tol && alpha[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(m - 1)
@@ -115,7 +89,7 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 				j++
 			}
 			Ej := f(j) - y[j]
-			ai, aj := s.alpha[i], s.alpha[j]
+			ai, aj := alpha[i], alpha[j]
 			var L, H float64
 			if y[i] != y[j] {
 				L = math.Max(0, aj-ai)
@@ -143,7 +117,7 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 			newAi := ai + y[i]*y[j]*(aj-newAj)
 			b1 := s.b - Ei - y[i]*(newAi-ai)*K[i][i] - y[j]*(newAj-aj)*K[i][j]
 			b2 := s.b - Ej - y[i]*(newAi-ai)*K[i][j] - y[j]*(newAj-aj)*K[j][j]
-			s.alpha[i], s.alpha[j] = newAi, newAj
+			alpha[i], alpha[j] = newAi, newAj
 			switch {
 			case newAi > 0 && newAi < cfg.C:
 				s.b = b1
@@ -160,9 +134,9 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 			passes = 0
 		}
 	}
-	if cfg.Kernel == nil && m > 0 {
+	if m > 0 {
 		s.w = make([]float64, len(x[0]))
-		for i, a := range s.alpha {
+		for i, a := range alpha {
 			if a == 0 {
 				continue
 			}
@@ -176,18 +150,7 @@ func trainBinarySMO(x [][]float64, y []float64, cfg SMOConfig) *binarySMO {
 }
 
 // decision returns the signed decision value for q.
-func (s *binarySMO) decision(q []float64) float64 {
-	if s.w != nil {
-		return Dot(s.w, q) + s.b
-	}
-	var out float64
-	for i, a := range s.alpha {
-		if a != 0 {
-			out += a * s.y[i] * s.cfg.kernel(s.x[i], q)
-		}
-	}
-	return out + s.b
-}
+func (s *binarySMO) decision(q []float64) float64 { return Dot(s.w, q) + s.b }
 
 // SMO is a multiclass SVM using one-vs-one binary SMO machines with voting,
 // the multiclass scheme of Weka's SMO that the paper's evaluation uses.

@@ -23,12 +23,6 @@ func dedupSorted(ws []string) []string {
 	return out
 }
 
-// IsFunctionWord reports whether the lowercase word w is in FunctionWords.
-func IsFunctionWord(w string) bool {
-	i := sort.SearchStrings(FunctionWords, w)
-	return i < len(FunctionWords) && FunctionWords[i] == w
-}
-
 // FunctionWordIndex returns the index of w in FunctionWords, or -1.
 func FunctionWordIndex(w string) int {
 	i := sort.SearchStrings(FunctionWords, w)
@@ -36,13 +30,6 @@ func FunctionWordIndex(w string) int {
 		return i
 	}
 	return -1
-}
-
-// IsMisspelling reports whether the lowercase word w is a known common
-// misspelling (Table I "misspelled words" features).
-func IsMisspelling(w string) bool {
-	_, ok := Misspellings[w]
-	return ok
 }
 
 // MisspellingIndex returns the stable feature index of the misspelling w in

@@ -34,13 +34,13 @@ func TestFunctionWordsLowercase(t *testing.T) {
 
 func TestIsFunctionWord(t *testing.T) {
 	for _, w := range []string{"the", "and", "of", "i", "because", "won't"} {
-		if !IsFunctionWord(w) {
-			t.Errorf("IsFunctionWord(%q) = false, want true", w)
+		if FunctionWordIndex(w) < 0 {
+			t.Errorf("%q is not a function word, want one", w)
 		}
 	}
 	for _, w := range []string{"doctor", "xyzzy", "", "medicine"} {
-		if IsFunctionWord(w) {
-			t.Errorf("IsFunctionWord(%q) = true, want false", w)
+		if FunctionWordIndex(w) >= 0 {
+			t.Errorf("%q is a function word, want none", w)
 		}
 	}
 }
@@ -90,13 +90,13 @@ func TestMisspellingsAreNotCorrections(t *testing.T) {
 
 func TestIsMisspelling(t *testing.T) {
 	for _, w := range []string{"recieve", "definately", "seperate", "wierd"} {
-		if !IsMisspelling(w) {
-			t.Errorf("IsMisspelling(%q) = false, want true", w)
+		if MisspellingIndex(w) < 0 {
+			t.Errorf("%q is not a misspelling, want one", w)
 		}
 	}
 	for _, w := range []string{"receive", "definitely", "separate", "weird", ""} {
-		if IsMisspelling(w) {
-			t.Errorf("IsMisspelling(%q) = true, want false", w)
+		if MisspellingIndex(w) >= 0 {
+			t.Errorf("%q is a misspelling, want none", w)
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestNoOverlapFunctionWordsMisspellings(t *testing.T) {
 	// A function word must never be indexed as a misspelling: the feature
 	// extractor assumes the two blocks are disjoint signals.
 	for _, w := range FunctionWords {
-		if IsMisspelling(w) {
+		if MisspellingIndex(w) >= 0 {
 			t.Errorf("%q is both a function word and a misspelling", w)
 		}
 	}

@@ -43,9 +43,6 @@ func Index(tag string) int {
 	return -1
 }
 
-// NumTags is the number of distinct tags the tagger can emit.
-func NumTags() int { return len(Tags) }
-
 // TaggedToken couples a token with its assigned Penn tag.
 type TaggedToken struct {
 	Text string

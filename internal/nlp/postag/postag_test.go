@@ -118,9 +118,6 @@ func TestIndex(t *testing.T) {
 	if Index("NOPE") != -1 {
 		t.Error("Index of unknown tag must be -1")
 	}
-	if NumTags() != len(Tags) {
-		t.Error("NumTags mismatch")
-	}
 }
 
 // Property: tagging emits exactly one known tag per token.

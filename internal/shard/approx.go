@@ -260,20 +260,6 @@ func (w *World) WithApprox(cfg index.Config, st *index.ApproxStats) *World {
 	return out
 }
 
-// Approxed reports whether the world accepts approximate queries.
-func (w *World) Approxed() bool { return w.approx != nil }
-
-// ApproxState returns the world's approximate-tier configuration and
-// shared stats block (ok false when the tier is off). Re-partitioning
-// callers use it to re-apply WithApprox so a derived world keeps the
-// tier — and keeps accumulating into the same counters.
-func (w *World) ApproxState() (cfg index.Config, st *index.ApproxStats, ok bool) {
-	if w.approx == nil {
-		return index.Config{}, nil, false
-	}
-	return *w.approx, w.astats, true
-}
-
 // ApproxStats snapshots the world's cumulative approximate-tier counters
 // (zero when the tier is off).
 func (w *World) ApproxStats() index.ApproxStats {

@@ -25,9 +25,6 @@ func TestApproxDegenerateParitySparse(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		st := &index.ApproxStats{}
 		ap := New(base, g2, nil, shards).WithApprox(index.Config{}, st)
-		if !ap.Approxed() {
-			t.Fatal("WithApprox world must report Approxed")
-		}
 		for _, k := range []int{1, 5, 17} {
 			for u := 0; u < g1.NumNodes(); u++ {
 				candidatesEqual(t, ap.QueryUserApprox(u, k, index.ApproxParams{}), full.QueryUser(u, k),
@@ -195,9 +192,6 @@ func TestApproxWithoutTierDegrades(t *testing.T) {
 	g1, g2 := sparseWorld(t, 50, 8, 250, 67)
 	base := similarity.NewScorer(g1, g2, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
 	w := New(base, g2, nil, 2)
-	if w.Approxed() {
-		t.Fatal("fresh world must not report Approxed")
-	}
 	for u := 0; u < 10; u++ {
 		candidatesEqual(t, w.QueryUserApprox(u, 5, index.ApproxParams{Theta: 3, Budget: 1}),
 			w.QueryUser(u, 5), "tier-less approx degradation")
@@ -226,7 +220,7 @@ func TestApproxBatchParity(t *testing.T) {
 // TestApproxStateCarriesThroughDerivations checks every world derivation
 // keeps the tier: re-weighting (WithScorer), adding pruning on top, and
 // WithApprox over an already-pruned world reusing its indexes — all
-// sharing one stats block.
+// sharing one stats block, read back through ApproxStats.
 func TestApproxStateCarriesThroughDerivations(t *testing.T) {
 	g1, g2 := sparseWorld(t, 90, 10, 300, 73)
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4}
@@ -236,21 +230,29 @@ func TestApproxStateCarriesThroughDerivations(t *testing.T) {
 
 	re := base.Reweighted(similarity.Config{C1: 0.2, C2: 0.2, C3: 0.6, Landmarks: 4})
 	derived := ap.WithScorer(re)
-	if !derived.Approxed() {
-		t.Fatal("WithScorer dropped the approx tier")
-	}
 	full := New(re, g2, nil, 1)
 	for u := 0; u < g1.NumNodes(); u++ {
 		candidatesEqual(t, derived.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryUser(u, 5),
 			"reweighted approx parity")
 	}
-	if _, got, ok := derived.ApproxState(); !ok || got != st {
+	// A tier-less world answers approximate queries exactly without
+	// counting them, so queries counted prove WithScorer kept the tier, and
+	// the parent reading the same counts proves the block is shared.
+	s := derived.ApproxStats()
+	if s.Queries == 0 {
+		t.Fatal("WithScorer dropped the approx tier: no queries counted")
+	}
+	if ap.ApproxStats() != s {
 		t.Fatal("derived world must share the stats block")
 	}
 
 	pruned := ap.WithPruning(index.Config{}, nil)
-	if !pruned.Approxed() || !pruned.Pruned() {
-		t.Fatal("WithPruning must keep the approx tier")
+	if !pruned.Pruned() {
+		t.Fatal("WithPruning did not prune")
+	}
+	pruned.QueryUserApprox(0, 5, index.ApproxParams{})
+	if got := ap.ApproxStats().Queries; got <= s.Queries {
+		t.Fatalf("WithPruning dropped the approx tier or its counters: %d queries counted before, %d after", s.Queries, got)
 	}
 
 	// The reverse composition reuses the pruning indexes: same pointers.

@@ -253,17 +253,6 @@ func (w *World) withIndex(cfg index.Config) *World {
 // candidate-pruning engine.
 func (w *World) Pruned() bool { return w.prune != nil }
 
-// PruneState returns the world's pruning configuration and shared stats
-// block (ok false for an unpruned world). Re-partitioning callers use it
-// to re-apply WithPruning so a derived world keeps pruning — and keeps
-// accumulating into the same counters.
-func (w *World) PruneState() (cfg index.Config, st *index.Stats, ok bool) {
-	if w.prune == nil {
-		return index.Config{}, nil, false
-	}
-	return *w.prune, w.pstats, true
-}
-
 // PruneStats snapshots the world's cumulative pruning counters (zero for
 // an unpruned world).
 func (w *World) PruneStats() index.Stats {

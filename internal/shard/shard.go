@@ -5,16 +5,16 @@
 // millions-of-users regime.
 //
 // A World cuts the global auxiliary id space [0, |aux|) into n contiguous
-// ranges. Each Shard owns the range's features.Store view (rows indexing
-// into the one shared flat feature matrix — nothing is copied), its
-// induced UDA subgraph, and a similarity.Scorer window whose aux-side
-// caches are contiguous slice views of the base scorer's globally computed
-// arrays. Because every shard scores against global values (global
-// landmarks, global degrees), the union of per-shard bounded top-K heaps
-// merged under the global selection order (score descending, global id
-// ascending) is bit-identical to the unsharded single-row path; the merge
-// is exact because any global top-K candidate is necessarily inside its
-// own shard's top-K.
+// ranges. Each Shard is a similarity.Scorer window over its range — the
+// window's aux-side caches are contiguous slice views of the base scorer's
+// globally computed arrays, so nothing is copied — plus, once pruning or
+// the approximate tier is enabled, the range's inverted index. Because
+// every shard scores against global values (global landmarks, global
+// degrees), the union of per-shard bounded top-K heaps merged under the
+// global selection order (score descending, global id ascending) is
+// bit-identical to the unsharded single-row path; the merge is exact
+// because any global top-K candidate is necessarily inside its own shard's
+// top-K.
 //
 // Mutation discipline: shards are immutable after partitioning. The
 // anonymized side grows through the base scorer family's shared caches
@@ -62,22 +62,11 @@ func worse(a, b Candidate) bool {
 }
 
 // Shard is one partition of the auxiliary world: the contiguous global id
-// range [Lo, Hi), the feature-store row-range view and induced UDA
-// subgraph backing it, and a scorer window whose aux-side caches cover
-// exactly this range.
+// range [Lo, Hi), a scorer window whose aux-side caches cover exactly this
+// range, and an optional index over the same window.
 type Shard struct {
 	// Lo and Hi bound the shard's global auxiliary id range [Lo, Hi).
 	Lo, Hi int
-	// View is the shard's window of the auxiliary feature store. Zero when
-	// the world was built without a store (legacy pipelines).
-	View features.View
-	// Sub is the shard's induced UDA subgraph: shard-local topology plus
-	// attribute/post-vector views. For a single-shard world it is the full
-	// auxiliary UDA itself. Scoring never reads it (parity requires global
-	// values, which live in the scorer window); it is the shard's ownership
-	// surface for shard-local graph work — per-shard analytics and the
-	// planned shard-by-shard landmark refresh (see ROADMAP).
-	Sub *graph.UDA
 	// Scorer scores anonymized users against the shard's aux window
 	// (local index j = global user Lo+j). For a single-shard world it is
 	// the base scorer.
@@ -145,8 +134,8 @@ type World struct {
 // Bounds returns the n+1 partition offsets that cut total users into n
 // contiguous ranges of near-equal size (shard i spans [Bounds[i],
 // Bounds[i+1])). n is clamped to [1, total] (with a floor of one shard for
-// an empty world), matching features.Store.Partition, so requesting more
-// shards than users degrades gracefully instead of minting empty shards.
+// an empty world), so requesting more shards than users degrades gracefully
+// instead of minting empty shards.
 func Bounds(total, n int) []int {
 	if n > total {
 		n = total
@@ -163,58 +152,42 @@ func Bounds(total, n int) []int {
 
 // New partitions the auxiliary world behind base into n contiguous shards
 // (n is clamped as Bounds documents). auxUDA is the full auxiliary UDA the
-// base scorer was built over; auxStore, when non-nil, supplies the
-// per-shard feature-store views. One shard wraps the base scorer and the
-// full UDA directly — the unsharded engine is literally the single-shard
-// world, which is what the sharded/unsharded parity tests pin.
+// base scorer was built over; it only sizes the world. auxStore is ignored
+// (the benchmark still passes one). One shard wraps the base scorer
+// directly — the unsharded engine is literally the single-shard world,
+// which is what the sharded/unsharded parity tests pin.
 func New(base *similarity.Scorer, auxUDA *graph.UDA, auxStore *features.Store, n int) *World {
 	total := auxUDA.NumNodes()
 	if base.AuxUsers() != total {
 		panic(fmt.Sprintf("shard: scorer covers %d aux users, graph has %d", base.AuxUsers(), total))
 	}
 	bounds := Bounds(total, n)
-	m := len(bounds) - 1
-	w := &World{shards: make([]*Shard, m), scanTokens: newScanTokens()}
-	if m == 1 {
-		sh := &Shard{Lo: 0, Hi: total, Sub: auxUDA, Scorer: base}
-		if auxStore != nil {
-			sh.View = auxStore.Slice(0, total)
-		}
-		w.shards[0] = sh
-		return w
+	w := &World{shards: make([]*Shard, len(bounds)-1), scanTokens: newScanTokens()}
+	for i := range w.shards {
+		w.shards[i] = &Shard{Lo: bounds[i], Hi: bounds[i+1]}
 	}
-	for i := 0; i < m; i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		sub := auxUDA.InducedRange(lo, hi)
-		sh := &Shard{Lo: lo, Hi: hi, Sub: sub, Scorer: base.Shard(sub, lo, hi)}
-		if auxStore != nil {
-			sh.View = auxStore.Slice(lo, hi)
-		}
-		w.shards[i] = sh
-	}
-	return w
+	return w.WithScorer(base)
 }
 
 // WithScorer re-derives every shard's scorer window from a re-weighted
-// base scorer, reusing the partition bounds, store views, induced
-// subgraphs and inverted indexes — topology and attribute postings do not
-// depend on the similarity configuration, so re-configuring a sharded
-// world costs O(shards) slice headers. A pruned world stays pruned and an
-// approximate-tier world keeps the tier, both still accumulating into the
-// same shared stats.
+// base scorer, reusing the partition bounds and inverted indexes —
+// attribute postings do not depend on the similarity configuration, so
+// re-configuring a sharded world costs O(shards) slice headers. A pruned
+// world stays pruned and an approximate-tier world keeps the tier, both
+// still accumulating into the same shared stats.
 func (w *World) WithScorer(base *similarity.Scorer) *World {
 	out := w.view()
 	for _, sh := range out.shards {
 		sh.Scorer = base
 		if len(out.shards) > 1 {
-			sh.Scorer = base.Shard(sh.Sub, sh.Lo, sh.Hi)
+			sh.Scorer = base.Shard(sh.Lo, sh.Hi)
 		}
 	}
 	return out
 }
 
 // view copies the world header and every shard header — engines, stats,
-// token budget, store views, subgraphs and indexes all carried over — so
+// token budget and indexes all carried over — so
 // a derived world can re-point its copy's scorers, indexes or engines
 // without touching w.
 func (w *World) view() *World {
@@ -342,9 +315,6 @@ func MergeTopK(parts [][]Candidate, k int) []Candidate {
 	}
 	return all[:k:k]
 }
-
-// Route returns the home shard of an account name; see RouteName.
-func (w *World) Route(name string) int { return RouteName(name, len(w.shards)) }
 
 // RouteName hashes an (anonymized) account name to a home shard in
 // [0, n): a stable FNV-1a hash, independent of process, ingestion order

@@ -65,7 +65,7 @@ func TestScoreRangeBatchWindowParity(t *testing.T) {
 	g2 := synth.SparseAttrUDA(33, 5, 120, 22)
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
 	lo, hi := 7, 29
-	w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
+	w := s.Shard(lo, hi)
 	users := []int{0, 5, 11, 3, 0, 19}
 	var b BatchProfile
 	w.PrepareBatch(users, &b)
@@ -96,7 +96,7 @@ func TestScoreRangeBatchAppended(t *testing.T) {
 	g2 := synth.SparseAttrUDA(30, 6, 150, 10)
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
 	lo, hi := 10, 25
-	w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
+	w := s.Shard(lo, hi)
 
 	rng := rand.New(rand.NewSource(11))
 	n0 := g1.NumNodes()

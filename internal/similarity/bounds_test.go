@@ -271,7 +271,7 @@ func TestAuxAccessorsMatchGraph(t *testing.T) {
 		}
 	}
 	// Accessors on a shard window must read the same global values.
-	win := s.Shard(nil, 1, 3)
+	win := s.Shard(1, 3)
 	for j := 0; j < 2; j++ {
 		if win.AuxDegree(j) != s.AuxDegree(1+j) || win.AuxWeightedDegree(j) != s.AuxWeightedDegree(1+j) {
 			t.Fatalf("window accessor %d drifted from global", j)

@@ -171,10 +171,11 @@ func attrSimOf(inter, winter, sizes, weights int) float64 {
 // ScoreSlow is the retained naive reference kernel: the pre-flat-layout
 // implementation that re-derives every invariant per pair — live graph
 // reads for the anonymized degree terms, full norm re-summation inside
-// each cosine, and two independent attribute merges with explicit tail
-// loops. It exists so the parity tests and the benchmark's correctness
-// check can prove the production kernels bit-identical to it; production
-// paths never call it.
+// each cosine, and the attribute term as the §III-B definitions
+// stylometry.Jaccard + stylometry.WeightedJaccard, two independent merges
+// counting their own unions. It exists so the parity tests and the
+// benchmark's correctness check can prove the production kernels
+// bit-identical to it; production paths never call it.
 func (s *Scorer) ScoreSlow(u, v int) float64 {
 	return s.cfg.C1*s.degreeSimSlow(u, v) + s.cfg.C2*s.distanceSimSlow(u, v) + s.cfg.C3*s.attrSimSlow(u, v)
 }
@@ -190,63 +191,6 @@ func (s *Scorer) distanceSimSlow(u, v int) float64 {
 }
 
 func (s *Scorer) attrSimSlow(u, v int) float64 {
-	return jaccardSets(s.g1.Attrs[u].Idx, s.ax.attrs[v].Idx) +
-		weightedJaccardSlow(s.g1.Attrs[u], s.ax.attrs[v])
-}
-
-func jaccardSets(a, b []int) float64 {
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-func weightedJaccardSlow(au, av stylometry.AttrSet) float64 {
-	var inter, union int
-	i, j := 0, 0
-	for i < len(au.Idx) && j < len(av.Idx) {
-		switch {
-		case au.Idx[i] == av.Idx[j]:
-			wa, wb := au.Weight[i], av.Weight[j]
-			if wa < wb {
-				inter += wa
-				union += wb
-			} else {
-				inter += wb
-				union += wa
-			}
-			i++
-			j++
-		case au.Idx[i] < av.Idx[j]:
-			union += au.Weight[i]
-			i++
-		default:
-			union += av.Weight[j]
-			j++
-		}
-	}
-	for ; i < len(au.Idx); i++ {
-		union += au.Weight[i]
-	}
-	for ; j < len(av.Idx); j++ {
-		union += av.Weight[j]
-	}
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return stylometry.Jaccard(s.g1.Attrs[u], s.ax.attrs[v]) +
+		stylometry.WeightedJaccard(s.g1.Attrs[u], s.ax.attrs[v])
 }

@@ -108,7 +108,7 @@ func TestFlatKernelParityAppended(t *testing.T) {
 	g2 := synth.SparseAttrUDA(30, 6, 150, 10)
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
 	lo, hi := 10, 25
-	w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
+	w := s.Shard(lo, hi)
 
 	rng := rand.New(rand.NewSource(11))
 	n0 := g1.NumNodes()
@@ -146,7 +146,7 @@ func TestScoreRangeWindowParity(t *testing.T) {
 	g2 := synth.SparseAttrUDA(33, 5, 120, 22)
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4})
 	lo, hi := 7, 29
-	w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
+	w := s.Shard(lo, hi)
 	out := make([]float64, hi-lo)
 	var p QueryProfile
 	for u := 0; u < g1.NumNodes(); u++ {

@@ -185,7 +185,7 @@ func TestAttrBitsetsFollowDensity(t *testing.T) {
 		}
 	}
 	lo, hi := 7, 19
-	win := dense.Shard(g2.InducedRange(lo, hi), lo, hi)
+	win := dense.Shard(lo, hi)
 	if win.ax.bitW != dense.ax.bitW || len(win.ax.attrBits) != (hi-lo)*dense.ax.bitW || &win.ax.attrBits[0] != &dense.ax.attrBits[lo*dense.ax.bitW] {
 		t.Fatalf("window bitsets are not rows [%d, %d) of the base scorer's", lo, hi)
 	}

@@ -44,8 +44,7 @@ func TestPartsRoundTripParity(t *testing.T) {
 			// Window parity: a shard over the restored scorer must agree with
 			// the same shard over the original.
 			lo, hi := n2/3, 2*n2/3
-			sub := g2.InducedRange(lo, hi)
-			sw, rw := s.Shard(sub, lo, hi), r.Shard(sub, lo, hi)
+			sw, rw := s.Shard(lo, hi), r.Shard(lo, hi)
 			for u := 0; u < n1; u++ {
 				sw.PrepareQuery(u, &wp)
 				rw.PrepareQuery(u, &gp)

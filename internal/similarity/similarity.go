@@ -226,8 +226,8 @@ func setBits(bits []uint64, ids []int) {
 // three components at Score time); otherwise the landmark vectors are
 // recomputed. A shard window cannot change its landmark count — its caches
 // are views of the base scorer's — so reweight the base and re-shard
-// instead; Reweighted panics on that misuse rather than silently scoring
-// against subgraph landmarks.
+// instead; Reweighted panics on that misuse rather than silently returning
+// a scorer over the whole auxiliary side.
 func (s *Scorer) Reweighted(cfg Config) *Scorer {
 	if cfg.Landmarks == s.cfg.Landmarks {
 		t := *s
@@ -246,11 +246,10 @@ func (s *Scorer) Reweighted(cfg Config) *Scorer {
 // aux-side cache of the window is a slice view of the base scorer's flat
 // arrays (the ragged NCS flat array is shared whole; the window's offsets
 // stay absolute), so no similarity component is recomputed from partial
-// topology. sub, the shard's induced UDA subgraph, becomes the window's G2
-// for shard-local graph access; it plays no part in scoring. The anonymized
-// side is shared by pointer, so SyncAnon through any family member extends
-// every window. Shard must be called on a base (unwindowed) scorer.
-func (s *Scorer) Shard(sub *graph.UDA, lo, hi int) *Scorer {
+// topology. The anonymized side is shared by pointer, so SyncAnon through
+// any family member extends every window. Shard must be called on a base
+// (unwindowed) scorer.
+func (s *Scorer) Shard(lo, hi int) *Scorer {
 	if s.window {
 		panic("similarity: Shard of a shard window; shard the base scorer")
 	}
@@ -259,9 +258,6 @@ func (s *Scorer) Shard(sub *graph.UDA, lo, hi int) *Scorer {
 	}
 	t := *s
 	t.window = true
-	if sub != nil {
-		t.g2 = sub
-	}
 	h := s.ax.hbar2
 	t.ax = &auxWindow{
 		deg:       s.ax.deg[lo:hi:hi],

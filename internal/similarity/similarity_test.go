@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"dehealth/internal/corpus"
+	"dehealth/internal/features"
 	"dehealth/internal/graph"
 	"dehealth/internal/stylometry"
 )
@@ -78,7 +79,7 @@ func twoForumWorld() (*graph.UDA, *graph.UDA) {
 		return d
 	}
 	ex := stylometry.New()
-	return graph.BuildUDA(mk("today"), ex), graph.BuildUDA(mk("yesterday"), ex)
+	return features.Build(mk("today"), ex, features.Options{}).UDA(), features.Build(mk("yesterday"), ex, features.Options{}).UDA()
 }
 
 func TestScoreSelfHighest(t *testing.T) {
@@ -161,7 +162,7 @@ func TestLandmarkClosenessDisconnected(t *testing.T) {
 		},
 	}
 	ex := stylometry.New()
-	uda := graph.BuildUDA(d, ex)
+	uda := features.Build(d, ex, features.Options{}).UDA()
 	s := NewScorer(uda, uda, DefaultConfig())
 	for u := 0; u < 2; u++ {
 		for v := 0; v < 2; v++ {
@@ -219,7 +220,7 @@ func TestShardWindowParity(t *testing.T) {
 	n2 := g2.NumNodes()
 	for lo := 0; lo <= n2; lo++ {
 		for hi := lo; hi <= n2; hi++ {
-			w := s.Shard(g2.InducedRange(lo, hi), lo, hi)
+			w := s.Shard(lo, hi)
 			if w.AuxUsers() != hi-lo {
 				t.Fatalf("window [%d, %d) has %d aux users", lo, hi, w.AuxUsers())
 			}
@@ -245,7 +246,7 @@ func TestShardWindowParity(t *testing.T) {
 func TestShardWindowStructuralVector(t *testing.T) {
 	g1, g2 := twoForumWorld()
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 2})
-	w := s.Shard(g2.InducedRange(1, 3), 1, 3)
+	w := s.Shard(1, 3)
 	for j := 0; j < 2; j++ {
 		got, want := w.StructuralVector(2, j), s.StructuralVector(2, 1+j)
 		if len(got) != len(want) {
@@ -265,7 +266,7 @@ func TestShardWindowStructuralVector(t *testing.T) {
 func TestShardWindowSeesSyncAnon(t *testing.T) {
 	g1, g2 := twoForumWorld()
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 2})
-	w := s.Shard(g2.InducedRange(2, 4), 2, 4)
+	w := s.Shard(2, 4)
 
 	ex := stylometry.New()
 	vecs := ex.ExtractAll([]string{"a freshly ingested account posting about headaches"})
@@ -286,7 +287,7 @@ func TestShardWindowSeesSyncAnon(t *testing.T) {
 func TestShardWindowGuards(t *testing.T) {
 	g1, g2 := twoForumWorld()
 	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 2})
-	w := s.Shard(nil, 0, 2)
+	w := s.Shard(0, 2)
 
 	// Same-landmark reweight of a window is fine and stays windowed.
 	rw := w.Reweighted(Config{C1: 1, C2: 0, C3: 0, Landmarks: 2})
@@ -302,7 +303,7 @@ func TestShardWindowGuards(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Shard of a shard", func() { w.Shard(nil, 0, 1) })
+	mustPanic("Shard of a shard", func() { w.Shard(0, 1) })
 	mustPanic("landmark reweight of a window", func() { w.Reweighted(Config{C1: 1, Landmarks: 3}) })
-	mustPanic("out-of-range window", func() { s.Shard(nil, 2, 9) })
+	mustPanic("out-of-range window", func() { s.Shard(2, 9) })
 }

@@ -88,8 +88,8 @@ func SliceForShard(full *World, i int, bounds []int) (*World, error) {
 // the per-user feature views — survive), and the threads those posts
 // belong to; the flat feature matrix keeps exactly the kept posts' rows;
 // attribute sets and CSR adjacency are window-sliced, with cross-window
-// edges dropped exactly as graph.InducedRange drops them (scoring reads
-// the scorer's precomputed arrays, never the sliced topology).
+// edges dropped (scoring reads the scorer's precomputed arrays, never
+// the sliced topology).
 func sliceAuxSide(full *Side, dim, lo, hi int) (Side, error) {
 	var s Side
 	var d corpus.Dataset

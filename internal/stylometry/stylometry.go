@@ -220,12 +220,6 @@ func (e *Extractor) FitBigrams(texts []string, maxBigrams int) {
 // NumFeatures returns M, the size of the feature space.
 func (e *Extractor) NumFeatures() int { return len(e.features) }
 
-// Features returns the feature table (shared slice; do not modify).
-func (e *Extractor) Features() []Feature { return e.features }
-
-// NumBigrams returns the size of the fitted POS-bigram block.
-func (e *Extractor) NumBigrams() int { return len(e.bigrams) }
-
 // CategoryCounts returns the number of features per Table I category.
 func (e *Extractor) CategoryCounts() map[Category]int {
 	out := map[Category]int{}

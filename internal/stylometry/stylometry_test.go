@@ -10,7 +10,7 @@ import (
 )
 
 func featureIndex(e *Extractor, name string) int {
-	for i, f := range e.Features() {
+	for i, f := range e.features {
 		if f.Name == name {
 			return i
 		}
@@ -124,7 +124,7 @@ func TestExtractNonNegativeAndFinite(t *testing.T) {
 	for _, text := range texts {
 		for i, x := range e.Extract(text) {
 			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-				t.Errorf("Extract(%q)[%d] = %v (feature %s)", text, i, x, e.Features()[i].Name)
+				t.Errorf("Extract(%q)[%d] = %v (feature %s)", text, i, x, e.features[i].Name)
 			}
 		}
 	}
@@ -138,18 +138,18 @@ func TestFitBigrams(t *testing.T) {
 		"my doctor said i can sleep now",
 	}
 	e.FitBigrams(texts, 10)
-	if e.NumBigrams() == 0 {
+	if len(e.bigrams) == 0 {
 		t.Fatal("no bigrams fitted")
 	}
-	if e.NumBigrams() > 10 {
-		t.Fatalf("fitted %d bigrams, cap was 10", e.NumBigrams())
+	if len(e.bigrams) > 10 {
+		t.Fatalf("fitted %d bigrams, cap was 10", len(e.bigrams))
 	}
-	if e.NumFeatures() != base+e.NumBigrams() {
-		t.Errorf("feature count %d, want %d", e.NumFeatures(), base+e.NumBigrams())
+	if e.NumFeatures() != base+len(e.bigrams) {
+		t.Errorf("feature count %d, want %d", e.NumFeatures(), base+len(e.bigrams))
 	}
 	// DT NN ("the doctor", "my doctor"-ish) should be among the top bigrams.
 	found := false
-	for _, f := range e.Features() {
+	for _, f := range e.features {
 		if f.Category == CatPOSBigrams && strings.Contains(f.Name, "DT_NN") {
 			found = true
 		}
@@ -160,7 +160,7 @@ func TestFitBigrams(t *testing.T) {
 	// Extraction now populates some bigram dimension.
 	v := e.Extract(texts[0])
 	any := false
-	for i, f := range e.Features() {
+	for i, f := range e.features {
 		if f.Category == CatPOSBigrams && v[i] > 0 {
 			any = true
 		}
@@ -173,8 +173,8 @@ func TestFitBigrams(t *testing.T) {
 func TestFitBigramsDefaultCap(t *testing.T) {
 	e := New()
 	e.FitBigrams([]string{"the cat sat on the mat and the dog ran"}, 0)
-	if e.NumBigrams() > DefaultMaxBigrams {
-		t.Errorf("bigrams %d exceed default cap", e.NumBigrams())
+	if len(e.bigrams) > DefaultMaxBigrams {
+		t.Errorf("bigrams %d exceed default cap", len(e.bigrams))
 	}
 }
 
@@ -190,10 +190,10 @@ func TestExtractDeterministic(t *testing.T) {
 func TestRefitReplacesBigrams(t *testing.T) {
 	e := New()
 	e.FitBigrams([]string{"a small cat sat"}, 5)
-	n1 := e.NumBigrams()
+	n1 := len(e.bigrams)
 	e.FitBigrams([]string{"the doctor prescribed the medicine for the patient"}, 3)
-	if e.NumBigrams() > 3 {
-		t.Errorf("refit kept %d bigrams, cap 3", e.NumBigrams())
+	if len(e.bigrams) > 3 {
+		t.Errorf("refit kept %d bigrams, cap 3", len(e.bigrams))
 	}
 	_ = n1
 	counts := e.CategoryCounts()

@@ -259,8 +259,8 @@ func TestAvatarKindsDistribution(t *testing.T) {
 }
 
 func TestBoardsWellFormed(t *testing.T) {
-	if NumBoards() < 10 {
-		t.Errorf("only %d boards", NumBoards())
+	if len(boards) < 10 {
+		t.Errorf("only %d boards", len(boards))
 	}
 	names := map[string]bool{}
 	for _, b := range boards {
@@ -271,9 +271,6 @@ func TestBoardsWellFormed(t *testing.T) {
 			t.Errorf("duplicate board %q", b.Name)
 		}
 		names[b.Name] = true
-	}
-	if len(BoardNames()) != NumBoards() {
-		t.Error("BoardNames length mismatch")
 	}
 }
 

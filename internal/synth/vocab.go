@@ -207,15 +207,3 @@ var (
 		"counting my blessings", "here if anyone needs to talk",
 	}
 )
-
-// NumBoards returns the number of boards the generator can draw topics from.
-func NumBoards() int { return len(boards) }
-
-// BoardNames lists the board names.
-func BoardNames() []string {
-	out := make([]string, len(boards))
-	for i, b := range boards {
-		out[i] = b.Name
-	}
-	return out
-}
