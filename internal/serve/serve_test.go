@@ -791,12 +791,10 @@ func TestQueryBatchFailureIsolation(t *testing.T) {
 	}
 }
 
-// TestFlushDropsCanceled sends a request of each kind whose client has
-// already gone: by the time it holds the lock its context is done, so it
-// is neither scored, applied nor counted. (The name predates the removal
-// of the dispatcher's flush; it is kept so the test-floor entry and its
-// history stay attached to the guarantee.)
-func TestFlushDropsCanceled(t *testing.T) {
+// TestCanceledNeverReachesBackend sends a request of each kind whose client
+// has already gone: by the time it holds the lock its context is done, so
+// it is neither scored, applied nor counted.
+func TestCanceledNeverReachesBackend(t *testing.T) {
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ name, path, body string }{

@@ -3,22 +3,31 @@
 // the offline Top-K DA phase hands it strips of anonymized users, and a lone
 // Shard.TopK is a batch of one — all three are one blocked loop (scan):
 // prepare Q query profiles at once (similarity.BatchProfile), score each
-// 512-row block against every query while it is hot in cache
+// 32-row block against every query while it is hot in cache
 // (ScoreRangeAbove — this is its one production call site), and drain Q
-// bounded heaps. When only the heaps read the scores, each full heap's
-// k-th score goes down to the kernel as that query's floor, and rows the
-// kernel can prove below it cost a popcount instead of a merge (see scan).
+// bounded heaps. When only the heaps read the scores, each query's floor —
+// its full heap's k-th score, raised by the k-th scores its other shards
+// have already published when fanOut shares a floorCell — goes down to the
+// kernel before every block, and rows the kernel can prove below it cost a
+// popcount instead of a merge (see scan).
 // Scanning queries one by one would stream each shard's flat aux-side
 // caches through memory once per query; the batch also amortizes the
 // per-query preparation (dense attribute tables, presence bitsets) the
-// batched kernel depends on. Results do not depend on the batch a query
-// travels in: per query, scores arrive in the same ascending row order — a
-// row answered with a bound is rejected exactly where its score would have
-// been — so the heap passes through identical states, and the final sort
-// is under the same total order. The per-batch scratch (profiles, block
-// buffers, heaps, floors) is pooled across calls — and therefore across
-// served requests — so a steady-state scan allocates only its result
-// slices.
+// batched kernel depends on.
+//
+// Exactness is a set argument, not a replay of heap states: every row the
+// scan rejects — answered with a bound or dropped at the drain — is
+// strictly below the k-th score of some set of k real candidates of the
+// same query (this heap's, or a sibling shard's that published it), so it
+// is strictly below the query's global k-th score and cannot be in the
+// global top-k; every row that reaches a heap carries its exact score, and
+// the heap and the final sort order candidates under the global selection
+// order, ties by id. So a shard's list holds every global top-k candidate
+// of its window, and MergeTopK recovers the same top-k whatever the batch,
+// the interleaving of the shards or the floor's staleness. The per-batch
+// scratch (profiles, block buffers, heaps, floors) is pooled across calls —
+// and therefore across served requests — so a steady-state scan allocates
+// only its result slices.
 
 package shard
 
@@ -51,6 +60,34 @@ type batchScratch struct {
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// floorCell is one query's floor shared by the shards of a fanOut: an
+// atomic float64 max over the k-th scores the shards' full heaps have
+// published, -Inf until the first. Safe for concurrent shards.
+type floorCell struct{ bits atomic.Uint64 }
+
+// newFloorCells returns n cells at -Inf, one per query of a batch.
+func newFloorCells(n int) []floorCell {
+	cells := make([]floorCell, n)
+	for i := range cells {
+		cells[i].bits.Store(math.Float64bits(math.Inf(-1)))
+	}
+	return cells
+}
+
+// raise lifts the cell to at least v and returns its value afterwards;
+// raise(-Inf) only reads it.
+func (c *floorCell) raise(v float64) float64 {
+	for {
+		old := c.bits.Load()
+		if cur := math.Float64frombits(old); cur >= v {
+			return cur
+		}
+		if c.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return v
+		}
+	}
+}
 
 // grow sizes the scratch for a Q-query batch, reusing capacity.
 func (sc *batchScratch) grow(q, k int) {
@@ -88,18 +125,27 @@ func (sc *batchScratch) grow(q, k int) {
 // lo+1, … in ascending block order, valid only during the call — and is
 // checked once per block, never per row.
 //
-// Without an observer only the heaps read the scores, and a full heap
-// rejects every score below its root, so the scan is threshold-aware: before
-// each block it hands the kernel every full heap's k-th score as that
-// query's floor, and the kernel answers a row it can prove strictly below
-// the floor with the proof (an upper bound, still below the floor) instead
-// of the score. The heaps pass through the states exact scores would drive
-// them through — a root only rises within a block, so a row below the floor
-// taken at the block's start is below the root when its turn comes — and
-// scan returns how many (query, row) pairs were answered that way. With an
-// observer no floor is set and every row is scored exactly.
-func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float64), res [][]Candidate) (skipped int) {
+// Without an observer only the heaps read the scores, so the scan is
+// threshold-aware: before each block it hands the kernel a floor per query
+// — the full heap's k-th score — and the kernel answers a row it can prove
+// strictly below the floor with the proof (an upper bound, still below the
+// floor) instead of the score. The drain drops every value strictly below
+// the block's floor, bound or score; ties are kept, because they break by
+// id. scan returns how many (query, row) pairs the kernel answered with a
+// bound. cells, when non-nil, aligns with users and shares each query's
+// floor with its other shards (fanOut): at every block boundary a full
+// heap publishes its root to the cell, and the floor is the cell's value.
+// A shard whose k was clamped to its own size neither publishes nor reads
+// the cell: its root is not the k-th of k real candidates, and its few rows
+// are scanned whole. Either way every rejected row is strictly below the
+// k-th score of some k real candidates of the query (the file comment's
+// exactness argument). With an observer no floor is set, cells are ignored
+// and every row is scored and kept.
+func (sh *Shard) scan(users []int, k int, cells []floorCell, observe func(q, lo int, scores []float64), res [][]Candidate) (skipped int) {
 	n := sh.NumUsers()
+	if k > n || observe != nil {
+		cells = nil
+	}
 	k = min(k, n)
 	if k <= 0 {
 		for q := range res {
@@ -124,6 +170,9 @@ func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float
 			if len(heaps[q]) == k {
 				floors[q] = heaps[q][0].Score
 			}
+			if cells != nil {
+				floors[q] = cells[q].raise(floors[q])
+			}
 		}
 		skipped += sh.Scorer.ScoreRangeAbove(&sc.prof, lo, hi, floors, sc.out)
 		if observe != nil {
@@ -133,7 +182,14 @@ func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float
 		}
 		for q := range heaps {
 			h := heaps[q]
+			floor := math.Inf(-1)
+			if floors != nil {
+				floor = floors[q]
+			}
 			for i, score := range sc.out[q] {
+				if score < floor {
+					continue // a bound, or a score the floor already rules out
+				}
 				c := Candidate{User: sh.Lo + lo + i, Score: score}
 				if len(h) < k {
 					h = append(h, c)
@@ -144,6 +200,11 @@ func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float
 				}
 			}
 			heaps[q] = h
+		}
+	}
+	for q := range cells {
+		if len(heaps[q]) == k {
+			cells[q].raise(heaps[q][0].Score) // the last block's gains, for shards still to start
 		}
 	}
 	for q := range heaps {
@@ -161,7 +222,7 @@ func (sh *Shard) scan(users []int, k int, observe func(q, lo int, scores []float
 // entry is bit-identical to TopK(users[q], k).
 func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
 	res := make([][]Candidate, len(users))
-	sh.scan(users, k, nil, res)
+	sh.scan(users, k, nil, nil, res)
 	return res
 }
 
@@ -227,10 +288,10 @@ func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate)
 // once, since every global top-k candidate survives its own shard's top-k.
 func (w *World) ScanBatch(users []int, k int, observe func(q, lo int, scores []float64)) [][]Candidate {
 	out := make([][]Candidate, len(users))
-	w.shards[0].scan(users, k, observe, out)
+	w.shards[0].scan(users, k, nil, observe, out)
 	part := make([][]Candidate, len(users))
 	for _, sh := range w.shards[1:] {
-		sh.scan(users, k, observe, part)
+		sh.scan(users, k, nil, observe, part)
 		for q := range out {
 			out[q] = MergeTopK([][]Candidate{out[q], part[q]}, k)
 		}

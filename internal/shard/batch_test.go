@@ -204,10 +204,10 @@ func TestScanFloorMatchesFullRows(t *testing.T) {
 							users[i] = anonN - 1 - (i*131+width)%anonN // reaches the appended users first
 						}
 						full, fast := make([][]Candidate, width), make([][]Candidate, width)
-						if n := sh.scan(users, k, noop, full); n != 0 {
+						if n := sh.scan(users, k, nil, noop, full); n != 0 {
 							t.Fatalf("%s %s shards=%d width=%d: observed scan skipped %d rows, want whole rows", stage, name, shards, width, n)
 						}
-						if n := sh.scan(users, k, nil, fast); n == 0 {
+						if n := sh.scan(users, k, nil, nil, fast); n == 0 {
 							t.Fatalf("%s %s shards=%d width=%d: the scan skipped no row of shard [%d, %d)", stage, name, shards, width, sh.Lo, sh.Hi)
 						}
 						for q := range users {
@@ -238,28 +238,90 @@ func TestScanFloorMatchesFullRows(t *testing.T) {
 	check("appended")
 }
 
-// BenchmarkShardScan times the one whole-window scan on a synthetic
-// WebMD-like world at the two widths serving uses most — a lone query and
-// a group of eight — and reports the cost per (query, row) pair next to
-// the share of pairs the floors let the kernel answer with a bound.
-func BenchmarkShardScan(b *testing.B) {
-	anonS, auxS, base := testStores(b, 3000, 0, 41)
+// scanFixture is BenchmarkShardScan's world: a synthetic WebMD-like forum
+// of 3,000 accounts with Zipf-distributed posts, split in half, so the
+// auxiliary side is one dense window of ~2,000 users.
+func scanFixture(tb testing.TB) (auxS *features.Store, base *similarity.Scorer, anonN int) {
+	anonS, auxS, base := testStores(tb, 3000, 0, 41)
+	return auxS, base, anonS.UDA().NumNodes()
+}
+
+// TestScanSkipShare pins how much of BenchmarkShardScan's world the floors
+// answer with a bound: at least 0.9 of the (query, row) pairs at widths 1
+// and 8. A floor refreshed only every few hundred rows leaves the first
+// block of every scan unfiltered and falls to ~0.73.
+func TestScanSkipShare(t *testing.T) {
+	auxS, base, anonN := scanFixture(t)
 	sh := New(base, auxS.UDA(), auxS, 1).Shards()[0]
-	anonN := anonS.UDA().NumNodes()
 	for _, width := range []int{1, 8} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			users, res := make([]int, width), make([][]Candidate, width)
-			skipped := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for q := range users {
-					users[q] = (i*width + q) % anonN
-				}
-				skipped += sh.scan(users, 10, nil, res)
+		users, res := make([]int, width), make([][]Candidate, width)
+		skipped, pairs := 0, 0
+		for i := 0; i < 16; i++ {
+			for q := range users {
+				users[q] = (i*width + q) % anonN
 			}
-			pairs := float64(b.N * width * sh.NumUsers())
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
-			b.ReportMetric(float64(skipped)/pairs, "skipped/row")
-		})
+			skipped += sh.scan(users, 10, nil, nil, res)
+			pairs += width * sh.NumUsers()
+		}
+		if share := float64(skipped) / float64(pairs); share < 0.9 {
+			t.Errorf("width=%d: the floors answered %.4f of the pairs with a bound, want >= 0.9", width, share)
+		}
 	}
+}
+
+// BenchmarkShardScan times the one whole-window scan on scanFixture's
+// world and reports the cost per (query, row) pair next to the share of
+// pairs the floors let the kernel answer with a bound:
+//   - width=Q: a lone query, a group of eight and a full kernel batch;
+//   - observed/width=Q: the same scans under an observer, which sets no
+//     floors and scores whole rows (the offline Top-K DA phase);
+//   - world/shards=2: World.QueryUser on a 2-shard world, whose shards share
+//     one floor. Its skipped/row comes from the same queries fanned out
+//     inline (shard by shard through one cell) over a fixed sample of 64
+//     users after the timer stops, so it repeats exactly.
+func BenchmarkShardScan(b *testing.B) {
+	auxS, base, anonN := scanFixture(b)
+	sh := New(base, auxS.UDA(), auxS, 1).Shards()[0]
+	noop := func(int, int, []float64) {}
+	for _, observe := range []func(int, int, []float64){nil, noop} {
+		for _, width := range []int{1, 8, maxBatchQ} {
+			name := fmt.Sprintf("width=%d", width)
+			if observe != nil {
+				name = "observed/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				users, res := make([]int, width), make([][]Candidate, width)
+				skipped := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for q := range users {
+						users[q] = (i*width + q) % anonN
+					}
+					skipped += sh.scan(users, 10, nil, observe, res)
+				}
+				pairs := float64(b.N * width * sh.NumUsers())
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pairs, "ns/pair")
+				b.ReportMetric(float64(skipped)/pairs, "skipped/row")
+			})
+		}
+	}
+	b.Run("world/shards=2", func(b *testing.B) {
+		w := New(base, auxS.UDA(), auxS, 2)
+		auxN := w.AuxUsers()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.QueryUser(i%anonN, 10)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*auxN), "ns/pair")
+		b.StopTimer()
+		const sample = 64
+		skipped, res := 0, make([][]Candidate, 1)
+		for u := 0; u < sample; u++ {
+			cells := newFloorCells(1)
+			for _, sh := range w.Shards() {
+				skipped += sh.scan([]int{u % anonN}, 10, cells, nil, res)
+			}
+		}
+		b.ReportMetric(float64(skipped)/float64(sample*auxN), "skipped/row")
+	})
 }

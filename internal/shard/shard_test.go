@@ -2,6 +2,8 @@ package shard
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"dehealth/internal/corpus"
@@ -15,20 +17,56 @@ import (
 // worlds afford.
 var testConfig = similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}
 
-// testStores builds a closed-world split of a synthetic WebMD-like forum
-// (posts per user fixed when positive, Zipf-distributed otherwise), both
-// sides' stores and the base scorer over them.
-func testStores(t testing.TB, users, posts int, seed int64) (anonS, auxS *features.Store, base *similarity.Scorer) {
-	t.Helper()
+// testSplit is a closed-world split of a synthetic WebMD-like forum (posts
+// per user fixed when positive, Zipf-distributed otherwise).
+func testSplit(users, posts int, seed int64) *corpus.Split {
 	u := synth.NewUniverse(users, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
 	members := synth.Members(u, users, rng)
 	cfg := synth.WebMDLike(users, seed+2)
 	cfg.FixedPosts = posts
 	d := synth.Generate(cfg, u, members)
-	split := corpus.SplitClosedWorld(d, 0.5, rand.New(rand.NewSource(seed+3)))
+	return corpus.SplitClosedWorld(d, 0.5, rand.New(rand.NewSource(seed+3)))
+}
+
+// testStores builds testSplit's stores on both sides and the base scorer
+// over them.
+func testStores(t testing.TB, users, posts int, seed int64) (anonS, auxS *features.Store, base *similarity.Scorer) {
+	t.Helper()
+	split := testSplit(users, posts, seed)
 	anonS, auxS = features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
 	return anonS, auxS, similarity.NewScorer(anonS.UDA(), auxS.UDA(), testConfig)
+}
+
+// withTwins returns d with every user duplicated — same posts, same
+// threads — as user id+|users|: twin columns score identically under
+// attribute-only weights, which makes every row tie-heavy.
+func withTwins(d *corpus.Dataset) *corpus.Dataset {
+	out := &corpus.Dataset{Name: d.Name, Threads: d.Threads}
+	out.Users = append(out.Users, d.Users...)
+	out.Posts = append(out.Posts, d.Posts...)
+	for _, u := range d.Users {
+		u.ID += len(d.Users)
+		u.Name += "-twin"
+		out.Users = append(out.Users, u)
+	}
+	for _, post := range d.Posts {
+		post.ID += len(d.Posts)
+		post.User += len(d.Users)
+		out.Posts = append(out.Posts, post)
+	}
+	return out
+}
+
+// oracleTopK is u's top-k by full sort over base.Score's row: score
+// descending, ties to the smaller id.
+func oracleTopK(base *similarity.Scorer, u, k int) []Candidate {
+	row := make([]Candidate, base.AuxUsers())
+	for v := range row {
+		row[v] = Candidate{User: v, Score: base.Score(u, v)}
+	}
+	sortCandidates(row)
+	return row[:min(k, len(row))]
 }
 
 // testWorld builds a small closed-world split's stores, aux UDA and base
@@ -118,6 +156,136 @@ func TestShardedQueryParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedFloorParity pins fanOut's shared floors to a full-sort oracle
+// on worlds whose shards span several score blocks, so floors engage and
+// cross shards: a dense world and its tie-heavy twin (scores land exactly
+// on a published floor), at shard counts that leave some shards one row
+// short of others, with k from one to beyond the world — including k just
+// above the smallest shard, where clamped shards (which must leave the
+// cell alone) sit beside shards that publish — and with the helper
+// goroutines on and off. It also checks that the cell really fires: a
+// shard scanned after its sibling has published skips more rows than the
+// same shard scanned alone.
+func TestSharedFloorParity(t *testing.T) {
+	split := testSplit(640, 2, 43)
+	for _, tc := range []struct {
+		name string
+		aux  *corpus.Dataset
+		cfg  similarity.Config
+	}{
+		{"dense", split.Aux, testConfig},
+		{"dense-twins", withTwins(split.Aux), similarity.Config{C3: 1, Landmarks: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			anonS, auxS := features.BuildPair(split.Anon, tc.aux, 50, features.Options{})
+			base := similarity.NewScorer(anonS.UDA(), auxS.UDA(), tc.cfg)
+			auxN, anonN := auxS.UDA().NumNodes(), anonS.UDA().NumNodes()
+			var users []int
+			for u := 0; u < anonN; u += 11 {
+				users = append(users, u)
+			}
+			want := make([][]Candidate, anonN)
+			for _, u := range users {
+				want[u] = oracleTopK(base, u, auxN)
+			}
+			mixed := false
+			for _, n := range []int{2, 3, 7, 24} {
+				w := New(base, auxS.UDA(), auxS, n)
+				smallest := auxN
+				for _, sh := range w.Shards() {
+					smallest = min(smallest, sh.NumUsers())
+				}
+				for _, sh := range w.Shards() {
+					mixed = mixed || sh.NumUsers() > smallest
+				}
+				for _, k := range []int{1, 10, smallest + 1, auxN + 5} {
+					for _, helpers := range []bool{false, true} {
+						for _, u := range users {
+							got := w.fanOut(u, k, queryMode{}, helpers)
+							if exp := want[u][:min(k, auxN)]; !slices.Equal(got, exp) {
+								t.Fatalf("shards=%d k=%d helpers=%v u=%d: %+v, oracle %+v", n, k, helpers, u, got, exp)
+							}
+						}
+					}
+				}
+			}
+			if !mixed {
+				t.Fatal("no shard count left shards of unequal size; k above the smallest shard never met a shard that publishes")
+			}
+			// Inline fan-outs in both shard orders (a helper may take either
+			// shard first; on the twin world the two shards' rows tie pair
+			// by pair, so at k = 1 the second shard's best lands exactly on
+			// the floor and must be kept): both merge to the oracle, every
+			// listed score is exact, and the second shard skips more rows
+			// than it does alone.
+			sh := New(base, auxS.UDA(), auxS, 2).Shards()
+			res, parts := make([][]Candidate, 1), make([][]Candidate, 2)
+			for _, k := range []int{1, 10} {
+				for _, order := range [][2]int{{0, 1}, {1, 0}} {
+					alone, after := 0, 0
+					for _, u := range users {
+						alone += sh[order[1]].scan([]int{u}, k, nil, nil, res)
+						cells := newFloorCells(1)
+						for i, si := range order {
+							n := sh[si].scan([]int{u}, k, cells, nil, res)
+							if i == 1 {
+								after += n
+							}
+							for _, c := range res[0] {
+								if s := base.Score(u, c.User); c.Score != s {
+									t.Fatalf("k=%d order %v u=%d: shard %d listed %+v, Score %v", k, order, u, si, c, s)
+								}
+							}
+							parts[si] = res[0]
+						}
+						if got := MergeTopK(parts, k); !slices.Equal(got, want[u][:k]) {
+							t.Fatalf("k=%d order %v u=%d: %+v, oracle %+v", k, order, u, got, want[u][:k])
+						}
+					}
+					if after <= alone {
+						t.Fatalf("k=%d order %v: the second shard skipped %d rows after its sibling published and %d alone; the shared floor never fired", k, order, after, alone)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestQueryUserConcurrentParity runs one 3-shard world's QueryUser from
+// several goroutines at once, so the helper-token budget runs dry and
+// refills and a query's shards share their floor cell both inline and
+// across goroutines, and checks every answer against the 1-shard world.
+func TestQueryUserConcurrentParity(t *testing.T) {
+	anonS, auxS, base := testStores(t, 640, 2, 47)
+	anonN, auxN := anonS.UDA().NumNodes(), auxS.UDA().NumNodes()
+	single, w := New(base, auxS.UDA(), auxS, 1), New(base, auxS.UDA(), auxS, 3)
+	ks := []int{1, 10, auxN/3 + 1}
+	want := make([][][]Candidate, len(ks))
+	for ki, k := range ks {
+		want[ki] = make([][]Candidate, anonN)
+		for u := range want[ki] {
+			want[ki][u] = single.QueryUser(u, k)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < anonN; i++ {
+				u := (i*7 + g*31) % anonN
+				for ki, k := range ks {
+					if got := w.QueryUser(u, k); !slices.Equal(got, want[ki][u]) {
+						t.Errorf("goroutine %d k=%d u=%d: %+v, 1-shard world %+v", g, k, u, got, want[ki][u])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMergeTieBreaking pins the stable global tie-break: equal scores
