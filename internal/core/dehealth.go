@@ -119,18 +119,8 @@ func NewPipelineFromStore(anon, aux *features.Store, simCfg similarity.Config) *
 // count returns bit-identical query results — sharding only changes who
 // computes what where.
 func NewShardedPipelineFromStore(anon, aux *features.Store, simCfg similarity.Config, shards int) *Pipeline {
-	if anon.Extractor != aux.Extractor {
-		panic("core: stores were built with different extractors; build both with the same fitted extractor (see features.BuildPair)")
-	}
-	g1, g2 := anon.UDA(), aux.UDA()
-	sc := similarity.NewScorer(g1, g2, simCfg)
-	return &Pipeline{
-		Anon: anon.Dataset, Aux: aux.Dataset,
-		Extractor: aux.Extractor,
-		G1:        g1, G2: g2,
-		Scorer: sc,
-		world:  shard.New(sc, g2, nil, shards),
-	}
+	checkExtractors(anon, aux) // before the cache precomputation, not after
+	return NewRestoredPipeline(anon, aux, similarity.NewScorer(anon.UDA(), aux.UDA(), simCfg), shards)
 }
 
 // WithSimilarity returns a pipeline sharing this pipeline's datasets,

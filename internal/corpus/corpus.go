@@ -8,7 +8,6 @@ package corpus
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 
@@ -174,68 +173,6 @@ func Load(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("validating %s: %w", path, err)
 	}
 	return &d, nil
-}
-
-// Subset extracts the users in keep (by index) with all their posts and the
-// threads those posts reference. User, thread and post ids are re-densified.
-// The returned mapping oldToNew maps original user indices to new ones.
-func (d *Dataset) Subset(keep []int) (*Dataset, map[int]int) {
-	oldToNew := make(map[int]int, len(keep))
-	sub := &Dataset{Name: d.Name + "-subset"}
-	for _, u := range keep {
-		oldToNew[u] = len(sub.Users)
-		nu := d.Users[u]
-		nu.ID = len(sub.Users)
-		sub.Users = append(sub.Users, nu)
-	}
-	threadMap := map[int]int{}
-	for _, p := range d.Posts {
-		nu, ok := oldToNew[p.User]
-		if !ok {
-			continue
-		}
-		nt, ok := threadMap[p.Thread]
-		if !ok {
-			nt = len(sub.Threads)
-			threadMap[p.Thread] = nt
-			t := d.Threads[p.Thread]
-			starter := 0
-			if s, ok := oldToNew[t.Starter]; ok {
-				starter = s
-			} else {
-				starter = nu // starter not kept; attribute thread to poster
-			}
-			sub.Threads = append(sub.Threads, Thread{ID: nt, Board: t.Board, Starter: starter})
-		}
-		sub.Posts = append(sub.Posts, Post{ID: len(sub.Posts), User: nu, Thread: nt, Text: p.Text})
-	}
-	return sub, oldToNew
-}
-
-// UsersWithMinPosts returns indices of users having at least minPosts posts.
-func (d *Dataset) UsersWithMinPosts(minPosts int) []int {
-	var out []int
-	for u, idxs := range d.PostsByUser() {
-		if len(idxs) >= minPosts {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// SampleUsers returns n user indices drawn uniformly without replacement
-// from candidates. It panics if n > len(candidates).
-func SampleUsers(candidates []int, n int, rng *rand.Rand) []int {
-	if n > len(candidates) {
-		panic(fmt.Sprintf("corpus: cannot sample %d users from %d candidates", n, len(candidates)))
-	}
-	perm := rng.Perm(len(candidates))
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = candidates[perm[i]]
-	}
-	sort.Ints(out)
-	return out
 }
 
 // PostLengthWords returns the length of each post in words.

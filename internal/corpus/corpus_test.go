@@ -2,11 +2,9 @@ package corpus
 
 import (
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 // tiny builds a small valid dataset: 4 users, 3 threads, 8 posts.
@@ -105,61 +103,6 @@ func TestUserTexts(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	d := tiny()
-	sub, m := d.Subset([]int{0, 2})
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("subset invalid: %v", err)
-	}
-	if sub.NumUsers() != 2 {
-		t.Fatalf("subset has %d users", sub.NumUsers())
-	}
-	// Users 0 and 2 authored posts 0,2,6 and 3,4 => 5 posts.
-	if sub.NumPosts() != 5 {
-		t.Errorf("subset has %d posts, want 5", sub.NumPosts())
-	}
-	if m[0] != 0 || m[2] != 1 {
-		t.Errorf("mapping = %v", m)
-	}
-	for _, u := range sub.Users {
-		if u.TrueIdentity != 10 && u.TrueIdentity != 12 {
-			t.Errorf("unexpected identity %d", u.TrueIdentity)
-		}
-	}
-}
-
-func TestUsersWithMinPosts(t *testing.T) {
-	d := tiny()
-	got := d.UsersWithMinPosts(2)
-	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("UsersWithMinPosts(2) = %v", got)
-	}
-	if got := d.UsersWithMinPosts(4); got != nil {
-		t.Errorf("UsersWithMinPosts(4) = %v, want none", got)
-	}
-}
-
-func TestSampleUsers(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	got := SampleUsers([]int{5, 6, 7, 8}, 2, rng)
-	if len(got) != 2 {
-		t.Fatalf("sampled %d", len(got))
-	}
-	seen := map[int]bool{}
-	for _, u := range got {
-		if u < 5 || u > 8 || seen[u] {
-			t.Errorf("bad sample %v", got)
-		}
-		seen[u] = true
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("oversampling must panic")
-		}
-	}()
-	SampleUsers([]int{1}, 2, rng)
-}
-
 func TestPostCountStats(t *testing.T) {
 	d := tiny()
 	// Post counts: u0=3, u1=2, u2=2, u3=1.
@@ -208,47 +151,6 @@ func TestPostLengthHistogramDegenerate(t *testing.T) {
 	}
 	if h := d.PostLengthHistogram(10, 0); h != nil {
 		t.Error("zero max must return nil")
-	}
-}
-
-// Property: Subset preserves per-user post multisets for the kept users.
-func TestSubsetProperty(t *testing.T) {
-	d := tiny()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var keep []int
-		for u := 0; u < d.NumUsers(); u++ {
-			if rng.Float64() < 0.5 {
-				keep = append(keep, u)
-			}
-		}
-		if len(keep) == 0 {
-			return true
-		}
-		sub, m := d.Subset(keep)
-		if sub.Validate() != nil {
-			return false
-		}
-		origTexts := d.UserTexts()
-		subTexts := sub.UserTexts()
-		for _, u := range keep {
-			nu, ok := m[u]
-			if !ok {
-				return false
-			}
-			if len(origTexts[u]) != len(subTexts[nu]) {
-				return false
-			}
-			for i := range origTexts[u] {
-				if origTexts[u][i] != subTexts[nu][i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -251,10 +252,10 @@ func TestBuildUDA(t *testing.T) {
 	// User 0 used a known misspelling; that attribute must be set for 0
 	// only. The misspelling block is the last of the feature space.
 	missIdx := ex.NumFeatures() - len(lexicon.MisspellingList) + lexicon.MisspellingIndex("beleive")
-	if !uda.Attrs[0].Has(missIdx) {
+	if !slices.Contains(uda.Attrs[0].Idx, missIdx) {
 		t.Error("misspelling attribute missing on author")
 	}
-	if uda.Attrs[1].Has(missIdx) {
+	if slices.Contains(uda.Attrs[1].Idx, missIdx) {
 		t.Error("misspelling attribute leaked to other user")
 	}
 }

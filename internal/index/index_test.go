@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestPostingsExact(t *testing.T) {
 	for a := 0; a < 50; a++ {
 		var want []int32
 		for u := 0; u < src.NumUsers(); u++ {
-			if src.attrs[u].Has(a) {
+			if slices.Contains(src.attrs[u].Idx, a) {
 				want = append(want, int32(u))
 			}
 		}

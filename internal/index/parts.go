@@ -26,7 +26,7 @@ type Parts struct {
 	BandMeta         []float64
 	BandIDs          []int32
 	// BlockSize and BlockMeta carry the id-range block-max metadata:
-	// ceil(N/BlockSize) blocks of bandMetaWidth float64 bounds each, in
+	// ceil(N/BlockSize) blocks of BandMetaWidth float64 bounds each, in
 	// the same field order as BandMeta. BlockSize 0 (a pre-block snapshot)
 	// means no block metadata; the loader rebuilds it from the restored
 	// scorer window via BuildBlocks.
@@ -34,8 +34,10 @@ type Parts struct {
 	BlockMeta []float64
 }
 
-// bandMetaWidth is the number of bound values per band in Parts.BandMeta.
-const bandMetaWidth = 10
+// BandMetaWidth is the number of bound values per band in Parts.BandMeta
+// and per block in Parts.BlockMeta; the snapshot index blob sizes both
+// arrays by it.
+const BandMetaWidth = 10
 
 // Parts returns the index's flattened state. The int32 arrays are built
 // fresh (the flattening concatenates), so the caller may retain them.
@@ -47,7 +49,7 @@ func (x *Index) Parts() Parts {
 		PostOff:          make([]int, len(x.postings)+1),
 		BandOf:           x.bandOf,
 		BandOff:          make([]int, len(x.bands)+1),
-		BandMeta:         make([]float64, 0, len(x.bands)*bandMetaWidth),
+		BandMeta:         make([]float64, 0, len(x.bands)*BandMetaWidth),
 	}
 	for a, ids := range x.postings {
 		p.PostIDs = append(p.PostIDs, ids...)
@@ -62,7 +64,7 @@ func (x *Index) Parts() Parts {
 			band.WclNormLo, band.WclNormHi)
 	}
 	p.BlockSize = x.blkSize
-	p.BlockMeta = make([]float64, 0, len(x.blocks)*bandMetaWidth)
+	p.BlockMeta = make([]float64, 0, len(x.blocks)*BandMetaWidth)
 	for _, blk := range x.blocks {
 		p.BlockMeta = append(p.BlockMeta,
 			blk.DegLo, blk.DegHi, blk.WdegLo, blk.WdegHi,
@@ -93,7 +95,7 @@ func FromParts(p Parts) (*Index, error) {
 	if len(p.BandOf) != p.N {
 		return nil, fmt.Errorf("index: band assignment covers %d users, window has %d", len(p.BandOf), p.N)
 	}
-	if len(p.BandMeta) != numBands*bandMetaWidth {
+	if len(p.BandMeta) != numBands*BandMetaWidth {
 		return nil, fmt.Errorf("index: %d band bound values for %d bands", len(p.BandMeta), numBands)
 	}
 	if p.BlockSize < 0 {
@@ -103,7 +105,7 @@ func FromParts(p Parts) (*Index, error) {
 	if p.BlockSize > 0 {
 		numBlocks = (p.N + p.BlockSize - 1) / p.BlockSize
 	}
-	if len(p.BlockMeta) != numBlocks*bandMetaWidth {
+	if len(p.BlockMeta) != numBlocks*BandMetaWidth {
 		return nil, fmt.Errorf("index: %d block bound values for %d blocks of %d ids", len(p.BlockMeta), numBlocks, p.BlockSize)
 	}
 	x := &Index{
@@ -117,8 +119,8 @@ func FromParts(p Parts) (*Index, error) {
 	if numBlocks > 0 {
 		x.blocks = make([]Block, numBlocks)
 		for b := 0; b < numBlocks; b++ {
-			m := p.BlockMeta[b*bandMetaWidth:]
-			for _, v := range m[:bandMetaWidth] {
+			m := p.BlockMeta[b*BandMetaWidth:]
+			for _, v := range m[:BandMetaWidth] {
 				if math.IsNaN(v) {
 					return nil, fmt.Errorf("index: NaN bound in block %d", b)
 				}
@@ -168,7 +170,7 @@ func FromParts(p Parts) (*Index, error) {
 				return nil, fmt.Errorf("index: user %d listed in band %d but assigned band %d", u, b, p.BandOf[u])
 			}
 		}
-		m := p.BandMeta[b*bandMetaWidth:]
+		m := p.BandMeta[b*BandMetaWidth:]
 		x.bands[b] = Band{
 			IDs:   ids,
 			DegLo: m[0], DegHi: m[1], WdegLo: m[2], WdegHi: m[3],
@@ -182,8 +184,8 @@ func FromParts(p Parts) (*Index, error) {
 		return nil, fmt.Errorf("index: bands cover %d users, window has %d", seen, p.N)
 	}
 	for b := 0; b < numBands; b++ {
-		m := p.BandMeta[b*bandMetaWidth:]
-		for _, v := range m[:bandMetaWidth] {
+		m := p.BandMeta[b*BandMetaWidth:]
+		for _, v := range m[:BandMetaWidth] {
 			if math.IsNaN(v) {
 				return nil, fmt.Errorf("index: NaN bound in band %d", b)
 			}

@@ -163,7 +163,7 @@ func checkRagged(what string, n int, flat []float64, off []int, norm []float64) 
 // checkFixed validates a row-major fixed-stride matrix and its norms.
 func checkFixed(what string, n, stride int, flat, norm []float64) error {
 	if len(flat) != n*stride || len(norm) != n {
-		return fmt.Errorf("similarity: %s matrix is %dx%d values with %d norms, want %d users x stride %d", what, len(flat), 1, len(norm), n, stride)
+		return fmt.Errorf("similarity: %s matrix has %d values with %d norms, want %d users x stride %d", what, len(flat), len(norm), n, stride)
 	}
 	return nil
 }

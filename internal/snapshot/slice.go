@@ -20,6 +20,8 @@ import (
 	"fmt"
 
 	"dehealth/internal/corpus"
+	"dehealth/internal/index"
+	"dehealth/internal/similarity"
 )
 
 // ErrAlreadySlice marks an attempt to slice a snapshot that is itself a
@@ -77,7 +79,7 @@ func SliceForShard(full *World, i int, bounds []int) (*World, error) {
 		if len(full.Indexes) != n {
 			return nil, fmt.Errorf("snapshot: %d shard index sections for %d slice bounds", len(full.Indexes), n)
 		}
-		out.Indexes = []IndexParts{full.Indexes[i]}
+		out.Indexes = []index.Parts{full.Indexes[i]}
 	}
 	return out, nil
 }
@@ -194,9 +196,9 @@ func sliceAuxSide(full *Side, dim, lo, hi int) (Side, error) {
 // [lo, hi) run — the same views similarity.Scorer.Shard hands an
 // in-process window, which is what makes slice-booted scoring
 // bit-identical to the sharded single process.
-func sliceScorer(full *ScorerState, lo, hi int) ScorerState {
+func sliceScorer(full *similarity.Parts, lo, hi int) similarity.Parts {
 	out := *full
-	h := full.AuxHbar
+	h := full.Hbar2
 	nLo, nHi := full.AuxNCSOff[lo], full.AuxNCSOff[hi]
 	out.AuxDeg = full.AuxDeg[lo:hi:hi]
 	out.AuxWdeg = full.AuxWdeg[lo:hi:hi]

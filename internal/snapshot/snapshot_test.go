@@ -6,7 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"dehealth/internal/index"
+	"dehealth/internal/similarity"
 )
 
 // fixtureWorld builds a small structurally valid world: two users per
@@ -38,7 +42,7 @@ func fixtureWorld() *World {
 			AdjTo:      []int32{1, 0},
 			AdjWeight:  []float64{0.25, 0.25},
 		},
-		Scorer: ScorerState{
+		Scorer: similarity.Parts{
 			Landmarks: []int{0},
 			NCS:       []float64{1, 2, 3},
 			NCSOff:    []int{0, 1, 3},
@@ -48,7 +52,7 @@ func fixtureWorld() *World {
 			Wcl:       []float64{0.3, 0.4},
 			WclNorm:   []float64{1, 1},
 
-			AuxHbar:      1,
+			Hbar2:        1,
 			AuxDeg:       []float64{1, 1},
 			AuxWdeg:      []float64{2, 2},
 			AuxNCS:       []float64{5},
@@ -59,7 +63,7 @@ func fixtureWorld() *World {
 			AuxWcl:       []float64{0.7, 0.8},
 			AuxWclNorm:   []float64{1, 1},
 		},
-		Indexes: []IndexParts{{
+		Indexes: []index.Parts{{
 			N: 2, Bands: 1, MaxCandidateFrac: 0.5,
 			PostOff:   []int{0, 1, 2, 2},
 			PostIDs:   []int32{0, 1},
@@ -89,6 +93,13 @@ func TestRoundTrip(t *testing.T) {
 		got, err := Load(path, Options{NoMmap: noMmap})
 		if err != nil {
 			t.Fatalf("Load(noMmap=%v): %v", noMmap, err)
+		}
+		// Every unix build maps the file (mmap_unix.go); a silent fall-back
+		// to copying there would cost the zero-copy boot without failing
+		// any content check.
+		unix := runtime.GOOS != "windows" && runtime.GOOS != "plan9" && runtime.GOOS != "js" && runtime.GOOS != "wasip1"
+		if wantMapped := !noMmap && unix && nativeLittleEndian && intIs64; got.Mapped != wantMapped {
+			t.Errorf("noMmap=%v: Mapped = %v, want %v", noMmap, got.Mapped, wantMapped)
 		}
 		got.Mapped = false // not part of the content contract
 		if !reflect.DeepEqual(&want.Meta, &got.Meta) {
@@ -200,6 +211,42 @@ func TestLoadPrunedWithoutIndexes(t *testing.T) {
 	}
 	if _, err := Load(path, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("pruned snapshot without index sections: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestLoadIndexCountOverflow feeds Load a CRC-valid file whose shard index
+// blob states 2^61 attributes. (numAttrs+1)*8 wraps to 8, so the blob's
+// length matches what its counts demand, and only bounding the count
+// itself keeps the decoder from sizing an array by it.
+func TestLoadIndexCountOverflow(t *testing.T) {
+	path, _ := saveFixture(t)
+	f, err := readRaw(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v2 header: N, bands, max candidate frac, then the counts numAttrs,
+	// numBands, postIDs, bandIDs, block size, numBlocks — all zero but
+	// numAttrs. The body is the wrapped 8-byte posting offset table plus
+	// the one-entry band offset table.
+	blob := make([]byte, 72+8+8)
+	binary.LittleEndian.PutUint64(blob[24:], 1<<61)
+	replaced := 0
+	for i := range f.secs {
+		if f.secs[i].id == secShardIndex {
+			f.secs[i].data = blob
+			replaced++
+		}
+	}
+	if replaced != 1 {
+		t.Fatalf("fixture carries %d shard index sections, want 1", replaced)
+	}
+	if err := writeRaw(path, f.secs); err != nil {
+		t.Fatal(err)
+	}
+	for _, noMmap := range []bool{false, true} {
+		if _, err := Load(path, Options{NoMmap: noMmap}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("noMmap=%v: want ErrCorrupt, got %v", noMmap, err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // The World container: the typed contents of a snapshot and their mapping
-// onto sections. This file is deliberately dumb — it knows the byte layout
-// of each logical group and validates structure (presence, lengths,
-// monotone offsets), while all semantic assembly (rebuilding stores,
-// scorers, pipelines) lives with the packages that own those types.
+// onto sections. The mapping is one table (World.layout) that Save and
+// Load both walk, so the section list exists once. This file knows the
+// byte layout of each element type and validates structure (presence,
+// lengths, monotone offsets); semantic assembly (rebuilding stores,
+// scorers, pipelines) lives with the packages that own those types, and
+// the scorer and index state is stored as those packages' own Parts.
 
 package snapshot
 
@@ -11,6 +13,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"dehealth/internal/index"
+	"dehealth/internal/similarity"
 )
 
 // Section ids. Values are part of the on-disk format: never renumber,
@@ -131,118 +136,110 @@ type Side struct {
 	AdjWeight  []float64
 }
 
-// ScorerState is the flat precomputed cache state of the pinned base
-// scorer: the anonymized-side SoA caches and the full auxiliary window,
-// exactly as similarity.Parts lays them out.
-type ScorerState struct {
-	Landmarks []int
-	NCS       []float64
-	NCSOff    []int
-	NCSNorm   []float64
-	Close     []float64
-	CloseNorm []float64
-	Wcl       []float64
-	WclNorm   []float64
-
-	AuxHbar      int
-	AuxDeg       []float64
-	AuxWdeg      []float64
-	AuxNCS       []float64
-	AuxNCSOff    []int
-	AuxNCSNorm   []float64
-	AuxClose     []float64
-	AuxCloseNorm []float64
-	AuxWcl       []float64
-	AuxWclNorm   []float64
-}
-
-// IndexParts is one shard's attribute inverted index plus degree bands in
-// flattened form, mirroring index.Parts. BandMeta carries bandMetaWidth
-// float64 values per band: DegLo, DegHi, WdegLo, WdegHi, NCSNormLo,
-// NCSNormHi, CloseNormLo, CloseNormHi, WclNormLo, WclNormHi. BlockSize
-// and BlockMeta (format v2) carry the block-max metadata — ceil(N /
-// BlockSize) id-range blocks of bandMetaWidth bounds each, same field
-// order as BandMeta; BlockSize 0 marks a format-v1 blob, whose blocks the
-// assembling layer rebuilds from the restored scorer window.
-type IndexParts struct {
-	N                int
-	Bands            int
-	MaxCandidateFrac float64
-	PostOff          []int
-	PostIDs          []int32
-	BandOf           []int32
-	BandOff          []int
-	BandMeta         []float64
-	BandIDs          []int32
-	BlockSize        int
-	BlockMeta        []float64
-}
-
-// bandMetaWidth is the number of float64 bound values stored per band.
-const bandMetaWidth = 10
-
-// World is the full typed content of a snapshot file.
+// World is the full typed content of a snapshot file. The scorer caches
+// and the shard indexes are the engines' own flattened types: the file
+// stores exactly what similarity.Scorer.Parts and index.Index.Parts hand
+// out, and hands back exactly what NewScorerFromParts and index.FromParts
+// take.
 type World struct {
-	Meta    Meta
-	Anon    Side
-	Aux     Side
-	Scorer  ScorerState
-	Indexes []IndexParts
+	Meta   Meta
+	Anon   Side
+	Aux    Side
+	Scorer similarity.Parts
+	// Indexes holds one index per shard, in shard order; empty unless the
+	// world ran candidate-pruned or approximate queries.
+	Indexes []index.Parts
 	// Mapped reports (after Load) whether the numeric slices alias a
 	// read-only memory mapping of the file.
 	Mapped bool
 }
 
+// field is one row of the section layout: a section id and the World
+// field it holds. ptr is a *[]float64, *[]int (stored as i64), *[]int32,
+// *[]byte (stored verbatim), *Meta (stored as JSON) or *[]index.Parts
+// (one shard index section per shard, see encodeIndex).
+type field struct {
+	id  uint32
+	ptr any
+}
+
+// layout is the snapshot's section table, in file order — the one place
+// the format's sections are listed. Save encodes along it and Load
+// decodes along it. Scorer.Hbar2 has no section: Load derives it from the
+// aux closeness matrix.
+func (w *World) layout() []field {
+	a, x, sc := &w.Anon, &w.Aux, &w.Scorer
+	return []field{
+		// Fixed-width numeric sections first, in id order per group.
+		{secAnonFeat, &a.Feat},
+		{secAnonAttrIdx, &a.AttrIdx},
+		{secAnonAttrWt, &a.AttrWeight},
+		{secAnonAttrOff, &a.AttrOff},
+		{secAnonAdjOff, &a.AdjOff},
+		{secAnonAdjTo, &a.AdjTo},
+		{secAnonAdjWt, &a.AdjWeight},
+		{secAuxFeat, &x.Feat},
+		{secAuxAttrIdx, &x.AttrIdx},
+		{secAuxAttrWt, &x.AttrWeight},
+		{secAuxAttrOff, &x.AttrOff},
+		{secAuxAdjOff, &x.AdjOff},
+		{secAuxAdjTo, &x.AdjTo},
+		{secAuxAdjWt, &x.AdjWeight},
+		{secLandmarks, &sc.Landmarks},
+		{secNCS, &sc.NCS},
+		{secNCSOff, &sc.NCSOff},
+		{secNCSNorm, &sc.NCSNorm},
+		{secClose, &sc.Close},
+		{secCloseNorm, &sc.CloseNorm},
+		{secWcl, &sc.Wcl},
+		{secWclNorm, &sc.WclNorm},
+		{secAuxDeg, &sc.AuxDeg},
+		{secAuxWdeg, &sc.AuxWdeg},
+		{secAuxNCS, &sc.AuxNCS},
+		{secAuxNCSOff, &sc.AuxNCSOff},
+		{secAuxNCSNorm, &sc.AuxNCSNorm},
+		{secAuxClose, &sc.AuxClose},
+		{secAuxCloseNrm, &sc.AuxCloseNorm},
+		{secAuxWcl, &sc.AuxWcl},
+		{secAuxWclNorm, &sc.AuxWclNorm},
+		{secShardIndex, &w.Indexes},
+		// Variable-length string tables at the tail: the meta document and
+		// the two dataset JSON blobs (user names, thread boards, post texts).
+		{secMeta, &w.Meta},
+		{secAnonDataset, &a.Dataset},
+		{secAuxDataset, &x.Dataset},
+	}
+}
+
 // Save writes w to path atomically in format Version.
 func Save(path string, w *World) error {
-	meta, err := json.Marshal(&w.Meta)
-	if err != nil {
-		return fmt.Errorf("snapshot: encoding meta: %v", err)
+	var secs []rawSection
+	for _, fl := range w.layout() {
+		var data []byte
+		switch p := fl.ptr.(type) {
+		case *[]float64:
+			data = f64Bytes(*p)
+		case *[]int:
+			data = i64BytesFromInts(*p)
+		case *[]int32:
+			data = i32Bytes(*p)
+		case *[]byte:
+			data = *p
+		case *Meta:
+			var err error
+			if data, err = json.Marshal(p); err != nil {
+				return fmt.Errorf("snapshot: encoding meta: %v", err)
+			}
+		case *[]index.Parts:
+			for i := range *p {
+				secs = append(secs, rawSection{fl.id, encodeIndex(&(*p)[i])})
+			}
+			continue
+		default:
+			panic(fmt.Sprintf("snapshot: section %d has unhandled type %T", fl.id, fl.ptr))
+		}
+		secs = append(secs, rawSection{fl.id, data})
 	}
-	secs := []rawSection{
-		// Fixed-width numeric sections first, in id order per group.
-		{secAnonFeat, f64Bytes(w.Anon.Feat)},
-		{secAnonAttrIdx, i32Bytes(w.Anon.AttrIdx)},
-		{secAnonAttrWt, i32Bytes(w.Anon.AttrWeight)},
-		{secAnonAttrOff, i64BytesFromInts(w.Anon.AttrOff)},
-		{secAnonAdjOff, i64BytesFromInts(w.Anon.AdjOff)},
-		{secAnonAdjTo, i32Bytes(w.Anon.AdjTo)},
-		{secAnonAdjWt, f64Bytes(w.Anon.AdjWeight)},
-		{secAuxFeat, f64Bytes(w.Aux.Feat)},
-		{secAuxAttrIdx, i32Bytes(w.Aux.AttrIdx)},
-		{secAuxAttrWt, i32Bytes(w.Aux.AttrWeight)},
-		{secAuxAttrOff, i64BytesFromInts(w.Aux.AttrOff)},
-		{secAuxAdjOff, i64BytesFromInts(w.Aux.AdjOff)},
-		{secAuxAdjTo, i32Bytes(w.Aux.AdjTo)},
-		{secAuxAdjWt, f64Bytes(w.Aux.AdjWeight)},
-		{secLandmarks, i64BytesFromInts(w.Scorer.Landmarks)},
-		{secNCS, f64Bytes(w.Scorer.NCS)},
-		{secNCSOff, i64BytesFromInts(w.Scorer.NCSOff)},
-		{secNCSNorm, f64Bytes(w.Scorer.NCSNorm)},
-		{secClose, f64Bytes(w.Scorer.Close)},
-		{secCloseNorm, f64Bytes(w.Scorer.CloseNorm)},
-		{secWcl, f64Bytes(w.Scorer.Wcl)},
-		{secWclNorm, f64Bytes(w.Scorer.WclNorm)},
-		{secAuxDeg, f64Bytes(w.Scorer.AuxDeg)},
-		{secAuxWdeg, f64Bytes(w.Scorer.AuxWdeg)},
-		{secAuxNCS, f64Bytes(w.Scorer.AuxNCS)},
-		{secAuxNCSOff, i64BytesFromInts(w.Scorer.AuxNCSOff)},
-		{secAuxNCSNorm, f64Bytes(w.Scorer.AuxNCSNorm)},
-		{secAuxClose, f64Bytes(w.Scorer.AuxClose)},
-		{secAuxCloseNrm, f64Bytes(w.Scorer.AuxCloseNorm)},
-		{secAuxWcl, f64Bytes(w.Scorer.AuxWcl)},
-		{secAuxWclNorm, f64Bytes(w.Scorer.AuxWclNorm)},
-	}
-	for i := range w.Indexes {
-		secs = append(secs, rawSection{secShardIndex, encodeIndex(&w.Indexes[i])})
-	}
-	// Variable-length string tables at the tail: the meta document and the
-	// two dataset JSON blobs (user names, thread boards, post texts).
-	secs = append(secs,
-		rawSection{secMeta, meta},
-		rawSection{secAnonDataset, w.Anon.Dataset},
-		rawSection{secAuxDataset, w.Aux.Dataset},
-	)
 	return writeRaw(path, secs)
 }
 
@@ -256,30 +253,18 @@ func Load(path string, opt Options) (*World, error) {
 		return nil, err
 	}
 	w := &World{Mapped: f.zeroCopy}
-
-	metaBytes, err := f.section(secMeta)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(metaBytes, &w.Meta); err != nil {
-		return nil, fmt.Errorf("%w: meta section: %v", ErrCorrupt, err)
-	}
-
-	if w.Anon, err = f.decodeSide(secAnonDataset); err != nil {
-		return nil, err
-	}
-	if w.Aux, err = f.decodeSide(secAuxDataset); err != nil {
-		return nil, err
-	}
-	if err = f.decodeScorer(&w.Scorer); err != nil {
-		return nil, err
-	}
-	for _, blob := range f.sections(secShardIndex) {
-		ip, err := decodeIndex(blob, f.version)
-		if err != nil {
+	for _, fl := range w.layout() {
+		if err := f.decode(fl); err != nil {
 			return nil, err
 		}
-		w.Indexes = append(w.Indexes, ip)
+	}
+	for _, s := range []*Side{&w.Anon, &w.Aux} {
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
+	}
+	if err := validateScorer(&w.Scorer); err != nil {
+		return nil, err
 	}
 	if (w.Meta.Prune || w.Meta.Approx) && len(w.Indexes) == 0 {
 		return nil, fmt.Errorf("%w: pruned/approx snapshot carries no shard index sections", ErrCorrupt)
@@ -290,115 +275,73 @@ func Load(path string, opt Options) (*World, error) {
 	return w, nil
 }
 
-// decodeSide decodes one side's sections; base is the side's dataset
-// section id (the other ids are at fixed offsets from it).
-func (f *rawFile) decodeSide(base uint32) (Side, error) {
-	var s Side
-	var err error
-	if s.Dataset, err = f.section(base); err != nil {
-		return s, err
+// decode fills one layout row from the file: the single section with the
+// row's id, or every repeated section in file order. Numeric sections
+// alias the mapping when the file allows it.
+func (f *rawFile) decode(fl field) error {
+	if p, ok := fl.ptr.(*[]index.Parts); ok {
+		for _, blob := range f.sections(fl.id) {
+			ip, err := decodeIndex(blob, f.version)
+			if err != nil {
+				return err
+			}
+			*p = append(*p, ip)
+		}
+		return nil
 	}
-	alias := f.zeroCopy
-	if s.Feat, err = f.sectionF64(base+1, alias); err != nil {
-		return s, err
+	b, err := f.section(fl.id)
+	if err != nil {
+		return err
 	}
-	if s.AttrIdx, err = f.sectionI32(base+2, alias); err != nil {
-		return s, err
+	switch p := fl.ptr.(type) {
+	case *[]float64:
+		*p, err = decodeF64(b, f.zeroCopy)
+	case *[]int:
+		*p, err = decodeInts(b, f.zeroCopy)
+	case *[]int32:
+		*p, err = decodeI32(b, f.zeroCopy)
+	case *[]byte:
+		*p = b
+	case *Meta:
+		if err = json.Unmarshal(b, p); err != nil {
+			err = fmt.Errorf("%w: meta section: %v", ErrCorrupt, err)
+		}
+	default:
+		panic(fmt.Sprintf("snapshot: section %d has unhandled type %T", fl.id, fl.ptr))
 	}
-	if s.AttrWeight, err = f.sectionI32(base+3, alias); err != nil {
-		return s, err
-	}
-	if s.AttrOff, err = f.sectionInts(base+4, alias); err != nil {
-		return s, err
-	}
-	if s.AdjOff, err = f.sectionInts(base+5, alias); err != nil {
-		return s, err
-	}
-	if s.AdjTo, err = f.sectionI32(base+6, alias); err != nil {
-		return s, err
-	}
-	if s.AdjWeight, err = f.sectionF64(base+7, alias); err != nil {
-		return s, err
-	}
-	if len(s.AttrIdx) != len(s.AttrWeight) {
-		return s, fmt.Errorf("%w: attribute idx/weight length mismatch (%d vs %d)", ErrCorrupt, len(s.AttrIdx), len(s.AttrWeight))
-	}
-	if err = checkOffsets(s.AttrOff, len(s.AttrIdx), "attr"); err != nil {
-		return s, err
-	}
-	if len(s.AdjTo) != len(s.AdjWeight) {
-		return s, fmt.Errorf("%w: adjacency to/weight length mismatch (%d vs %d)", ErrCorrupt, len(s.AdjTo), len(s.AdjWeight))
-	}
-	if err = checkOffsets(s.AdjOff, len(s.AdjTo), "adjacency"); err != nil {
-		return s, err
-	}
-	if len(s.AttrOff) != len(s.AdjOff) {
-		return s, fmt.Errorf("%w: attr table covers %d users, adjacency %d", ErrCorrupt, len(s.AttrOff)-1, len(s.AdjOff)-1)
-	}
-	return s, nil
+	return err
 }
 
-// decodeScorer decodes the scorer cache sections and validates the flat
-// layout invariants (offset monotonicity, matching row counts, stride
-// divisibility).
-func (f *rawFile) decodeScorer(sc *ScorerState) error {
-	alias := f.zeroCopy
-	var err error
-	if sc.Landmarks, err = f.sectionInts(secLandmarks, alias); err != nil {
+// validate checks one decoded side's flat layout: parallel arrays of equal
+// length, monotone offset tables spanning them, and attribute and
+// adjacency tables covering the same users.
+func (s *Side) validate() error {
+	if len(s.AttrIdx) != len(s.AttrWeight) {
+		return fmt.Errorf("%w: attribute idx/weight length mismatch (%d vs %d)", ErrCorrupt, len(s.AttrIdx), len(s.AttrWeight))
+	}
+	if err := checkOffsets(s.AttrOff, len(s.AttrIdx), "attr"); err != nil {
 		return err
 	}
-	if sc.NCS, err = f.sectionF64(secNCS, alias); err != nil {
+	if len(s.AdjTo) != len(s.AdjWeight) {
+		return fmt.Errorf("%w: adjacency to/weight length mismatch (%d vs %d)", ErrCorrupt, len(s.AdjTo), len(s.AdjWeight))
+	}
+	if err := checkOffsets(s.AdjOff, len(s.AdjTo), "adjacency"); err != nil {
 		return err
 	}
-	if sc.NCSOff, err = f.sectionInts(secNCSOff, alias); err != nil {
+	if len(s.AttrOff) != len(s.AdjOff) {
+		return fmt.Errorf("%w: attr table covers %d users, adjacency %d", ErrCorrupt, len(s.AttrOff)-1, len(s.AdjOff)-1)
+	}
+	return nil
+}
+
+// validateScorer checks the decoded scorer caches' flat layout invariants
+// (offset monotonicity, matching row counts, stride divisibility) and
+// derives sc.Hbar2, the aux closeness stride, from the matrix shape.
+func validateScorer(sc *similarity.Parts) error {
+	if err := checkOffsets(sc.NCSOff, len(sc.NCS), "anon NCS"); err != nil {
 		return err
 	}
-	if sc.NCSNorm, err = f.sectionF64(secNCSNorm, alias); err != nil {
-		return err
-	}
-	if sc.Close, err = f.sectionF64(secClose, alias); err != nil {
-		return err
-	}
-	if sc.CloseNorm, err = f.sectionF64(secCloseNorm, alias); err != nil {
-		return err
-	}
-	if sc.Wcl, err = f.sectionF64(secWcl, alias); err != nil {
-		return err
-	}
-	if sc.WclNorm, err = f.sectionF64(secWclNorm, alias); err != nil {
-		return err
-	}
-	if sc.AuxDeg, err = f.sectionF64(secAuxDeg, alias); err != nil {
-		return err
-	}
-	if sc.AuxWdeg, err = f.sectionF64(secAuxWdeg, alias); err != nil {
-		return err
-	}
-	if sc.AuxNCS, err = f.sectionF64(secAuxNCS, alias); err != nil {
-		return err
-	}
-	if sc.AuxNCSOff, err = f.sectionInts(secAuxNCSOff, alias); err != nil {
-		return err
-	}
-	if sc.AuxNCSNorm, err = f.sectionF64(secAuxNCSNorm, alias); err != nil {
-		return err
-	}
-	if sc.AuxClose, err = f.sectionF64(secAuxClose, alias); err != nil {
-		return err
-	}
-	if sc.AuxCloseNorm, err = f.sectionF64(secAuxCloseNrm, alias); err != nil {
-		return err
-	}
-	if sc.AuxWcl, err = f.sectionF64(secAuxWcl, alias); err != nil {
-		return err
-	}
-	if sc.AuxWclNorm, err = f.sectionF64(secAuxWclNorm, alias); err != nil {
-		return err
-	}
-	if err = checkOffsets(sc.NCSOff, len(sc.NCS), "anon NCS"); err != nil {
-		return err
-	}
-	if err = checkOffsets(sc.AuxNCSOff, len(sc.AuxNCS), "aux NCS"); err != nil {
+	if err := checkOffsets(sc.AuxNCSOff, len(sc.AuxNCS), "aux NCS"); err != nil {
 		return err
 	}
 	n2 := len(sc.AuxDeg)
@@ -407,9 +350,9 @@ func (f *rawFile) decodeScorer(sc *ScorerState) error {
 	}
 	if n2 > 0 {
 		if len(sc.AuxClose)%n2 != 0 || len(sc.AuxWcl) != len(sc.AuxClose) {
-			return fmt.Errorf("%w: aux closeness matrix %d x10 does not tile %d users", ErrCorrupt, len(sc.AuxClose), n2)
+			return fmt.Errorf("%w: aux closeness matrices of %d and %d values do not tile %d users", ErrCorrupt, len(sc.AuxClose), len(sc.AuxWcl), n2)
 		}
-		sc.AuxHbar = len(sc.AuxClose) / n2
+		sc.Hbar2 = len(sc.AuxClose) / n2
 	}
 	return nil
 }
@@ -431,30 +374,6 @@ func checkOffsets(off []int, flatLen int, what string) error {
 	return nil
 }
 
-func (f *rawFile) sectionF64(id uint32, alias bool) ([]float64, error) {
-	b, err := f.section(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeF64(b, alias)
-}
-
-func (f *rawFile) sectionInts(id uint32, alias bool) ([]int, error) {
-	b, err := f.section(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeInts(b, alias)
-}
-
-func (f *rawFile) sectionI32(id uint32, alias bool) ([]int32, error) {
-	b, err := f.section(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeI32(b, alias)
-}
-
 // encodeIndex serializes one shard's index parts as a self-describing
 // little-endian blob: a fixed header of counts, then the flat arrays.
 // Index sections are always decoded by copying — they are small relative
@@ -462,7 +381,7 @@ func (f *rawFile) sectionI32(id uint32, alias bool) ([]int32, error) {
 // cannot all be 8-byte aligned anyway. Format v2 extends the v1 header
 // with two words (block size and block count) and appends BlockMeta after
 // BandIDs; see docs/SNAPSHOT.md for the byte layout.
-func encodeIndex(p *IndexParts) []byte {
+func encodeIndex(p *index.Parts) []byte {
 	numAttrs := len(p.PostOff) - 1
 	if numAttrs < 0 {
 		numAttrs = 0
@@ -471,7 +390,7 @@ func encodeIndex(p *IndexParts) []byte {
 	if len(p.BandOff) > 0 {
 		numBands = len(p.BandOff) - 1
 	}
-	numBlocks := len(p.BlockMeta) / bandMetaWidth
+	numBlocks := len(p.BlockMeta) / index.BandMetaWidth
 	size := 9*8 + (numAttrs+1)*8 + len(p.PostIDs)*4 + len(p.BandOf)*4 +
 		(numBands+1)*8 + len(p.BandMeta)*8 + len(p.BandIDs)*4 + len(p.BlockMeta)*8
 	out := make([]byte, size)
@@ -527,8 +446,8 @@ func encodeIndex(p *IndexParts) []byte {
 // and no block metadata (BlockSize decodes as 0, marking the blocks for
 // rebuild), v2 blobs add the block size/count words and the trailing
 // BlockMeta array.
-func decodeIndex(b []byte, version int) (IndexParts, error) {
-	var p IndexParts
+func decodeIndex(b []byte, version int) (index.Parts, error) {
+	var p index.Parts
 	le := binary.LittleEndian
 	headerLen := 72
 	if version < 2 {
@@ -549,17 +468,25 @@ func decodeIndex(b []byte, version int) (IndexParts, error) {
 		p.BlockSize = int(int64(le.Uint64(b[56:])))
 		numBlocks = int(int64(le.Uint64(b[64:])))
 	}
-	if p.N < 0 || numAttrs < 0 || numBands < 0 || postIDs < 0 || bandIDs < 0 || p.BlockSize < 0 || numBlocks < 0 {
-		return p, fmt.Errorf("%w: negative shard index counts", ErrCorrupt)
+	// Every count sizes an array of at least one byte per element, so none
+	// can exceed the blob: bounding them first keeps the size arithmetic
+	// below from overflowing on a crafted header.
+	for _, c := range []int{p.N, numAttrs, numBands, postIDs, bandIDs, numBlocks} {
+		if c < 0 || c > len(b) {
+			return p, fmt.Errorf("%w: shard index count %d outside a %d-byte blob", ErrCorrupt, c, len(b))
+		}
+	}
+	if p.BlockSize < 0 {
+		return p, fmt.Errorf("%w: negative shard index block size %d", ErrCorrupt, p.BlockSize)
 	}
 	if p.BlockSize == 0 && numBlocks != 0 {
 		return p, fmt.Errorf("%w: %d index blocks with block size 0", ErrCorrupt, numBlocks)
 	}
-	if p.BlockSize > 0 && numBlocks != (p.N+p.BlockSize-1)/p.BlockSize {
+	if p.BlockSize > 0 && numBlocks != ceilDiv(p.N, p.BlockSize) {
 		return p, fmt.Errorf("%w: %d index blocks of %d ids do not tile %d users", ErrCorrupt, numBlocks, p.BlockSize, p.N)
 	}
 	want := headerLen + (numAttrs+1)*8 + postIDs*4 + p.N*4 + (numBands+1)*8 +
-		numBands*bandMetaWidth*8 + bandIDs*4 + numBlocks*bandMetaWidth*8
+		numBands*index.BandMetaWidth*8 + bandIDs*4 + numBlocks*index.BandMetaWidth*8
 	if len(b) != want {
 		return p, fmt.Errorf("%w: shard index blob is %d bytes, counts demand %d", ErrCorrupt, len(b), want)
 	}
@@ -592,10 +519,10 @@ func decodeIndex(b []byte, version int) (IndexParts, error) {
 	p.PostIDs = getI32(postIDs)
 	p.BandOf = getI32(p.N)
 	p.BandOff = getInts(numBands + 1)
-	p.BandMeta = getF64(numBands * bandMetaWidth)
+	p.BandMeta = getF64(numBands * index.BandMetaWidth)
 	p.BandIDs = getI32(bandIDs)
 	if numBlocks > 0 {
-		p.BlockMeta = getF64(numBlocks * bandMetaWidth)
+		p.BlockMeta = getF64(numBlocks * index.BandMetaWidth)
 	}
 	if err := checkOffsets(p.PostOff, len(p.PostIDs), "shard index postings"); err != nil {
 		return p, err
@@ -604,4 +531,13 @@ func decodeIndex(b []byte, version int) (IndexParts, error) {
 		return p, err
 	}
 	return p, nil
+}
+
+// ceilDiv is ceil(n/d) for n >= 0 and d > 0, without forming n+d-1 (a
+// crafted block size near the int limit would overflow it).
+func ceilDiv(n, d int) int {
+	if n == 0 {
+		return 0
+	}
+	return (n-1)/d + 1
 }

@@ -22,20 +22,6 @@ func (a AttrSet) TotalWeight() int {
 	return s
 }
 
-// Has reports whether attribute i is present.
-func (a AttrSet) Has(i int) bool {
-	lo, hi := 0, len(a.Idx)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.Idx[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a.Idx) && a.Idx[lo] == i
-}
-
 // UserAttributes projects a user's post feature vectors to the user-level
 // attribute set: attribute i is present with weight = number of posts whose
 // dimension i is non-zero.

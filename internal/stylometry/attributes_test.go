@@ -14,12 +14,9 @@ func TestUserAttributes(t *testing.T) {
 		{4, 0, 0, 0},
 	}
 	a := UserAttributes(posts)
-	if !a.Has(0) || a.Has(1) || !a.Has(2) || a.Has(3) {
-		t.Errorf("unexpected attribute set: %+v", a)
-	}
 	// Feature 0 fires in 2 posts, feature 2 in 2 posts.
-	if a.Len() != 2 {
-		t.Fatalf("len = %d, want 2", a.Len())
+	if a.Len() != 2 || a.Idx[0] != 0 || a.Idx[1] != 2 {
+		t.Fatalf("attribute set %+v, want features 0 and 2", a)
 	}
 	for k, idx := range a.Idx {
 		if idx == 0 && a.Weight[k] != 2 {
@@ -112,19 +109,5 @@ func TestMeanVector(t *testing.T) {
 	}
 	if MeanVector(nil) != nil {
 		t.Error("MeanVector(nil) must be nil")
-	}
-}
-
-func TestAttrSetHasBinarySearch(t *testing.T) {
-	s := AttrSet{Idx: []int{0, 5, 9, 100}, Weight: []int{1, 1, 1, 1}}
-	for _, i := range []int{0, 5, 9, 100} {
-		if !s.Has(i) {
-			t.Errorf("Has(%d) = false", i)
-		}
-	}
-	for _, i := range []int{-1, 1, 6, 99, 101} {
-		if s.Has(i) {
-			t.Errorf("Has(%d) = true", i)
-		}
 	}
 }

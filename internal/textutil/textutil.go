@@ -108,39 +108,6 @@ func WordStrings(s string) []string {
 	return out
 }
 
-// Sentences splits s into sentences on '.', '!' and '?' boundaries followed
-// by whitespace or end-of-text. Consecutive terminators ("?!", "...") end a
-// single sentence. Empty sentences are dropped.
-func Sentences(s string) []string {
-	var out []string
-	var b strings.Builder
-	runes := []rune(s)
-	flush := func() {
-		t := strings.TrimSpace(b.String())
-		if t != "" {
-			out = append(out, t)
-		}
-		b.Reset()
-	}
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		b.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' {
-			// Absorb any run of terminators.
-			for i+1 < len(runes) && (runes[i+1] == '.' || runes[i+1] == '!' || runes[i+1] == '?') {
-				i++
-				b.WriteRune(runes[i])
-			}
-			// Sentence boundary if next rune is space or end.
-			if i+1 >= len(runes) || unicode.IsSpace(runes[i+1]) {
-				flush()
-			}
-		}
-	}
-	flush()
-	return out
-}
-
 // Paragraphs splits s into paragraphs on blank lines (one or more newlines
 // separated only by whitespace). Empty paragraphs are dropped.
 func Paragraphs(s string) []string {

@@ -50,26 +50,6 @@ func TestWordsOffsets(t *testing.T) {
 	}
 }
 
-func TestSentences(t *testing.T) {
-	tests := []struct {
-		in   string
-		want []string
-	}{
-		{"One. Two. Three.", []string{"One.", "Two.", "Three."}},
-		{"No terminator", []string{"No terminator"}},
-		{"What?! Really...", []string{"What?!", "Really..."}},
-		{"", nil},
-		{"a.b is not split. but this is.", []string{"a.b is not split.", "but this is."}},
-		{"Multi\nline. sentence here!", []string{"Multi\nline.", "sentence here!"}},
-	}
-	for _, tc := range tests {
-		got := Sentences(tc.in)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("Sentences(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestParagraphs(t *testing.T) {
 	tests := []struct {
 		in   string
@@ -213,17 +193,6 @@ func TestWordsProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: concatenating sentences loses no non-space characters.
-func TestSentencesPreserveContent(t *testing.T) {
-	f := func(s string) bool {
-		joined := strings.Join(Sentences(s), " ")
-		return countNonSpace(joined) == countNonSpace(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -95,18 +95,7 @@ func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 	if sw.Aux, err = sideParts(w.Aux, w.auxStore, p.G2); err != nil {
 		return nil, err
 	}
-	sp := p.Scorer.Parts()
-	sw.Scorer = snapshot.ScorerState{
-		Landmarks: sp.Landmarks,
-		NCS:       sp.NCS, NCSOff: sp.NCSOff, NCSNorm: sp.NCSNorm,
-		Close: sp.Close, CloseNorm: sp.CloseNorm,
-		Wcl: sp.Wcl, WclNorm: sp.WclNorm,
-		AuxHbar: sp.Hbar2,
-		AuxDeg:  sp.AuxDeg, AuxWdeg: sp.AuxWdeg,
-		AuxNCS: sp.AuxNCS, AuxNCSOff: sp.AuxNCSOff, AuxNCSNorm: sp.AuxNCSNorm,
-		AuxClose: sp.AuxClose, AuxCloseNorm: sp.AuxCloseNorm,
-		AuxWcl: sp.AuxWcl, AuxWclNorm: sp.AuxWclNorm,
-	}
+	sw.Scorer = p.Scorer.Parts()
 	if w.pruneStats != nil || w.approxStats != nil {
 		var bands int
 		var frac float64
@@ -114,22 +103,9 @@ func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 			if sh.Index == nil {
 				return nil, fmt.Errorf("dehealth: indexed world shard [%d, %d) has no index to snapshot", sh.Lo, sh.Hi)
 			}
-			ip := sh.Index.Parts()
 			bc := sh.Index.BuildConfig()
 			bands, frac = bc.Bands, bc.MaxCandidateFrac
-			sw.Indexes = append(sw.Indexes, snapshot.IndexParts{
-				N:                ip.N,
-				Bands:            ip.Bands,
-				MaxCandidateFrac: ip.MaxCandidateFrac,
-				PostOff:          ip.PostOff,
-				PostIDs:          ip.PostIDs,
-				BandOf:           ip.BandOf,
-				BandOff:          ip.BandOff,
-				BandMeta:         ip.BandMeta,
-				BandIDs:          ip.BandIDs,
-				BlockSize:        ip.BlockSize,
-				BlockMeta:        ip.BlockMeta,
-			})
+			sw.Indexes = append(sw.Indexes, sh.Index.Parts())
 		}
 		sw.Meta.PruneBands = bands
 		sw.Meta.PruneMaxCandidateFrac = frac
@@ -312,17 +288,7 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 	g1, g2 := anonStore.UDA(), auxStore.UDA()
 
 	cfg := similarity.Config{C1: meta.C1, C2: meta.C2, C3: meta.C3, Landmarks: meta.Landmarks}
-	sc, err := similarity.NewScorerFromParts(g1, g2, cfg, similarity.Parts{
-		Landmarks: sw.Scorer.Landmarks,
-		NCS:       sw.Scorer.NCS, NCSOff: sw.Scorer.NCSOff, NCSNorm: sw.Scorer.NCSNorm,
-		Close: sw.Scorer.Close, CloseNorm: sw.Scorer.CloseNorm,
-		Wcl: sw.Scorer.Wcl, WclNorm: sw.Scorer.WclNorm,
-		Hbar2:  sw.Scorer.AuxHbar,
-		AuxDeg: sw.Scorer.AuxDeg, AuxWdeg: sw.Scorer.AuxWdeg,
-		AuxNCS: sw.Scorer.AuxNCS, AuxNCSOff: sw.Scorer.AuxNCSOff, AuxNCSNorm: sw.Scorer.AuxNCSNorm,
-		AuxClose: sw.Scorer.AuxClose, AuxCloseNorm: sw.Scorer.AuxCloseNorm,
-		AuxWcl: sw.Scorer.AuxWcl, AuxWclNorm: sw.Scorer.AuxWclNorm,
-	})
+	sc, err := similarity.NewScorerFromParts(g1, g2, cfg, sw.Scorer)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
@@ -336,20 +302,7 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 			return nil, fmt.Errorf("%w: %d shard index sections for %d shards", snapshot.ErrCorrupt, len(sw.Indexes), len(wins))
 		}
 		for i, sh := range wins {
-			ip := sw.Indexes[i]
-			x, err := index.FromParts(index.Parts{
-				N:                ip.N,
-				Bands:            ip.Bands,
-				MaxCandidateFrac: ip.MaxCandidateFrac,
-				PostOff:          ip.PostOff,
-				PostIDs:          ip.PostIDs,
-				BandOf:           ip.BandOf,
-				BandOff:          ip.BandOff,
-				BandMeta:         ip.BandMeta,
-				BandIDs:          ip.BandIDs,
-				BlockSize:        ip.BlockSize,
-				BlockMeta:        ip.BlockMeta,
-			})
+			x, err := index.FromParts(sw.Indexes[i])
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 			}

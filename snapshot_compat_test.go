@@ -1,8 +1,12 @@
 package dehealth
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -98,6 +102,48 @@ func TestSnapshotV1FixtureCompat(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSnapshotGoldenBytes pins the current format's bytes on disk: the
+// SHA-256 of v1FixtureWorld's full snapshot and of its two per-shard
+// slices must not move. Any change to section ids, order, element
+// encodings, padding or the meta document fails here, not in a reader in
+// the field. Restricted to amd64: other architectures may fuse
+// multiply-adds, which can change the bits of the saved scorer caches.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes were recorded on amd64, not %s", runtime.GOARCH)
+	}
+	pw, _ := v1FixtureWorld()
+	dir := t.TempDir()
+	full := filepath.Join(dir, "world.snap")
+	if err := pw.Snapshot(full); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	slices, err := pw.SnapshotSlices(filepath.Join(dir, "world"))
+	if err != nil {
+		t.Fatalf("SnapshotSlices: %v", err)
+	}
+	if len(slices) != 2 {
+		t.Fatalf("%d slices, want 2", len(slices))
+	}
+	for _, g := range []struct {
+		path, sum string
+		size      int
+	}{
+		{full, "367ed5c9f56d82baf963f0a97a1504b4c44ec6c08505e2d38cff368bc588d24a", 503928},
+		{slices[0], "18d6514c3300f0fbea80c35eaf69eb581b832481809d54313a411e575bfd0630", 362992},
+		{slices[1], "463b03f019b4f1871c0d8593add9ed30f6002db3bace72439e739959e283ab68", 352960},
+	} {
+		b, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != g.sum || len(b) != g.size {
+			t.Errorf("%s: %d bytes with SHA-256 %s, want %d bytes with %s", filepath.Base(g.path), len(b), got, g.size, g.sum)
 		}
 	}
 }

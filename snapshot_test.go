@@ -126,8 +126,8 @@ func labelOf(shards int, prune, noMmap bool) string {
 }
 
 // TestSnapshotRoundTripSecondGeneration re-snapshots a loaded world: the
-// restore must be complete enough to save again, and the grandchild must
-// still answer identically.
+// restore must be complete enough to save again — byte for byte the file
+// it was loaded from — and the grandchild must still answer identically.
 func TestSnapshotRoundTripSecondGeneration(t *testing.T) {
 	pw, opt := snapWorld(t, 16, 2000, 2, true)
 	want, _ := worldAnswers(t, pw, 4, opt)
@@ -144,6 +144,17 @@ func TestSnapshotRoundTripSecondGeneration(t *testing.T) {
 	}
 	if err := w1.Snapshot(p2); err != nil {
 		t.Fatalf("re-snapshotting a loaded world: %v", err)
+	}
+	b1, err := os.ReadFile(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := os.ReadFile(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("second-generation file differs from the first (%d vs %d bytes)", len(b2), len(b1))
 	}
 	w2, err := LoadWorld(p2, LoadOptions{})
 	if err != nil {
