@@ -7,13 +7,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"dehealth/internal/corpus"
 )
 
-// approxWorld prepares a closed-world split with the approximate tier on.
+// The retired approximate tier survives as Options.Approx, which prepares
+// a world exactly as Options.Prune does, and as the wire "approx" key,
+// answered exactly. These tests pin both against the exact answers.
+
+// approxWorld prepares a closed-world split with the deprecated
+// Options.Approx set.
 func approxWorld(t *testing.T, users int, seed int64, shards int, cfg ApproxConfig) *PreparedWorld {
 	t.Helper()
 	w := GenerateWorld(WorldConfig{WebMDUsers: users, HBUsers: users, Seed: seed})
@@ -26,10 +32,9 @@ func approxWorld(t *testing.T, users int, seed int64, shards int, cfg ApproxConf
 }
 
 // TestApproxPreparedWorldExactUnbounded is the public-layer exactness
-// guarantee: a world prepared with the approximate tier at the degenerate
-// knobs (Theta and Budget zero) answers every query — including after
-// ingestion — bit-identically to a world without the tier. The tier with
-// conservative knobs is a pure accelerator.
+// guarantee: a world prepared with Options.Approx answers every query —
+// including after ingestion — bit-identically to a world without it, and
+// runs those queries through the pruner.
 func TestApproxPreparedWorldExactUnbounded(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxBigrams = 50
@@ -87,22 +92,17 @@ func TestApproxPreparedWorldExactUnbounded(t *testing.T) {
 		}
 	}
 
-	as := approx.ApproxStats()
-	if !as.Enabled || as.Queries == 0 {
-		t.Fatalf("approx world stats inactive: %+v", as)
+	if ps := approx.PruneStats(); !ps.Enabled || ps.Queries == 0 {
+		t.Fatalf("Options.Approx world did not prune: %+v", ps)
 	}
-	if as.BudgetExhausted != 0 {
-		t.Fatalf("unbounded budget cannot exhaust: %+v", as)
-	}
-	if got := plain.ApproxStats(); got.Enabled || got.Queries != 0 {
-		t.Fatalf("tier-less world reports approx stats: %+v", got)
+	if ps := plain.PruneStats(); ps.Enabled || ps.Queries != 0 {
+		t.Fatalf("plain world reports pruning: %+v", ps)
 	}
 }
 
-// TestApproxRecallDense is the recall regression floor on a dense synth
-// text world: with an aggressive Theta the tier must still recover at
-// least 90% of the exact top-10, and every score it returns must be
-// exact.
+// TestApproxRecallDense pins recall 1.0 on a dense synth text world: a
+// world prepared with Options.Approx at 2 shards returns exactly the
+// unsharded exact world's top-10 for every user.
 func TestApproxRecallDense(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxBigrams = 50
@@ -116,58 +116,29 @@ func TestApproxRecallDense(t *testing.T) {
 		return PrepareWorld(split.Anon, split.Aux, o)
 	}
 	plain := mk(ApproxConfig{}, 1)
-	approx := mk(ApproxConfig{Enabled: true, Theta: 1.2}, 2)
+	approx := mk(ApproxConfig{Enabled: true}, 2)
 	approxOpt := opt
-	approxOpt.Approx = ApproxConfig{Enabled: true, Theta: 1.2}
+	approxOpt.Approx = ApproxConfig{Enabled: true}
 
-	anon, aux := plain.Sizes()
-	hits, want := 0, 0
+	anon, _ := plain.Sizes()
 	for u := 0; u < anon; u++ {
 		exact, err := plain.QueryUser(u, 10, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := plain.QueryUser(u, aux, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactScore := make(map[int]float64, len(all))
-		for _, c := range all {
-			exactScore[c.User] = c.Score
-		}
 		got, err := approx.QueryUser(u, 10, approxOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, c := range got {
-			if s, ok := exactScore[c.User]; !ok || s != c.Score {
-				t.Fatalf("user %d candidate %d: approximate score %v, exact %v", u, i, c.Score, s)
-			}
+		if !slices.Equal(got, exact) {
+			t.Fatalf("user %d: %+v, exact %+v", u, got, exact)
 		}
-		inGot := map[int]bool{}
-		for _, c := range got {
-			inGot[c.User] = true
-		}
-		for _, c := range exact {
-			want++
-			if inGot[c.User] {
-				hits++
-			}
-		}
-	}
-	recall := float64(hits) / float64(want)
-	if recall < 0.9 {
-		t.Fatalf("recall@10 at Theta 1.2 = %v, below the 0.9 floor", recall)
-	}
-	if as := approx.ApproxStats(); as.PostingsSkipped == 0 {
-		t.Fatalf("aggressive Theta skipped no postings: %+v", as)
 	}
 }
 
-// TestApproxSnapshotRoundTrip pins warm restart for the tier: a world
-// prepared with Approx snapshots its shard indexes, the loaded world
-// reports the tier enabled, and answers degenerate-knob approximate
-// queries bit-identically to the world that saved it.
+// TestApproxSnapshotRoundTrip pins warm restart for an Options.Approx
+// world: it snapshots its shard indexes, the loaded world keeps the flag,
+// boots pruned, and answers bit-identically to the world that saved it.
 func TestApproxSnapshotRoundTrip(t *testing.T) {
 	pw := approxWorld(t, 22, 1041, 3, ApproxConfig{Enabled: true})
 	opt := DefaultOptions()
@@ -205,27 +176,27 @@ func TestApproxSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if as := lw.ApproxStats(); !as.Enabled || as.Queries == 0 {
-			t.Fatalf("loaded world approx stats inactive: %+v", as)
+		if ps := lw.PruneStats(); !ps.Enabled || ps.Queries == 0 {
+			t.Fatalf("loaded world did not boot pruned: %+v", ps)
 		}
 	}
 }
 
 // TestStatsApproxBlock drives the full public serving stack: the wire
-// "approx" knob reaches the tier of an Approx-prepared world, and
-// /v1/stats carries its counters — while a tier-less world's stats omit
-// the block.
+// "approx" key is accepted and answered exactly — the same reply as the
+// plain query — and /v1/stats carries no approx block, only the prune
+// block of the Options.Approx world.
 func TestStatsApproxBlock(t *testing.T) {
-	pw := approxWorld(t, 20, 1061, 2, ApproxConfig{Enabled: true, Theta: 1.1})
+	pw := approxWorld(t, 20, 1061, 2, ApproxConfig{Enabled: true})
 	opt := DefaultOptions()
 	opt.Landmarks = 5
-	opt.Approx = ApproxConfig{Enabled: true, Theta: 1.1}
 	srv := NewServer(pw, ServeOptions{K: 5, Attack: opt})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, body := range []string{`{"user": 0, "k": 5, "approx": true}`, `{"user": 1, "k": 5}`} {
+	var replies []string
+	for _, body := range []string{`{"user": 3, "k": 5, "approx": true}`, `{"user": 3, "k": 5}`} {
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
@@ -233,65 +204,39 @@ func TestStatsApproxBlock(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %s: status %d", body, resp.StatusCode)
 		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
+		replies = append(replies, buf.String())
+	}
+	if replies[0] != replies[1] {
+		t.Fatalf("approx reply %s differs from the exact reply %s", replies[0], replies[1])
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Approx *struct {
-			Queries       int64 `json:"queries"`
-			CursorsOpened int64 `json:"cursors_opened"`
-			Rescored      int64 `json:"rescored"`
-			BlocksChecked int64 `json:"blocks_checked"`
-		} `json:"approx"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Approx == nil || stats.Approx.Queries == 0 {
-		t.Fatalf("stats missing approx block: %+v", stats.Approx)
-	}
-	// Exactly one of the two wire queries carried the approx knob, so the
-	// counters must show one approximate query per shard and nothing from
-	// the plain query — the tier is per-request opt-in even on a server
-	// prepared with it enabled.
-	if want := int64(2); stats.Approx.Queries != want {
-		t.Fatalf("approx queries = %d, want %d (plain wire query must stay exact)", stats.Approx.Queries, want)
-	}
-	if stats.Approx.BlocksChecked == 0 {
-		t.Fatalf("approx stats must carry block-max counters: %+v", stats.Approx)
-	}
-
-	// A world without the tier omits the block entirely.
-	w := GenerateWorld(WorldConfig{WebMDUsers: 16, HBUsers: 16, Seed: 1062})
-	split := SplitClosedWorld(w.WebMD, 0.5, 1063)
-	plainOpt := DefaultOptions()
-	plainOpt.MaxBigrams = 50
-	pw2 := PrepareWorld(split.Anon, split.Aux, plainOpt)
-	srv2 := NewServer(pw2, ServeOptions{K: 5})
-	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	resp2, err := http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var raw map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&raw); err != nil {
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := raw["approx"]; ok {
-		t.Fatal("tier-less stats must omit the approx block")
+		t.Fatal("stats must carry no approx block")
+	}
+	var prune struct {
+		Queries int64 `json:"queries"`
+	}
+	if err := json.Unmarshal(raw["prune"], &prune); err != nil || prune.Queries != 4 {
+		t.Fatalf("prune block %s: want 4 shard queries (2 queries x 2 shards), err %v", raw["prune"], err)
 	}
 }
 
-// TestConcurrentApproxQueryIngest races approximate queries (single and
-// batched, with live Theta/Budget knobs) against world growth under
-// -race: every result must come back full-length with sorted candidates.
+// TestConcurrentApproxQueryIngest races batched queries on an
+// Options.Approx world against world growth under -race: every result
+// must come back full-length with sorted candidates.
 func TestConcurrentApproxQueryIngest(t *testing.T) {
 	pw := approxWorld(t, 20, 1051, 2, ApproxConfig{Enabled: true})
 	opt := DefaultOptions()
@@ -315,17 +260,12 @@ func TestConcurrentApproxQueryIngest(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				qopt := opt
-				// Exercise the live knobs concurrently: per-call Theta and
-				// budget values must not race each other or ingestion.
-				qopt.Approx.Theta = []float64{0, 1, 1.3}[i%3]
-				qopt.Approx.Budget = []int{0, 0, 7}[g%3]
 				q := 1 + (g+i)%(anon0-1)
 				users := make([]int, q)
 				for j := range users {
 					users[j] = (g*rounds + i + j) % anon0
 				}
-				res, err := pw.QueryBatch(users, 4, qopt)
+				res, err := pw.QueryBatch(users, 4, opt)
 				if err != nil {
 					errCh <- err
 					return
@@ -368,7 +308,7 @@ func TestConcurrentApproxQueryIngest(t *testing.T) {
 	if anon1, _ := pw.Sizes(); anon1 != anon0+ingesters*rounds {
 		t.Fatalf("anon users after race: %d, want %d", anon1, anon0+ingesters*rounds)
 	}
-	if as := pw.ApproxStats(); !as.Enabled || as.Queries == 0 {
-		t.Fatalf("race left no approx activity: %+v", as)
+	if ps := pw.PruneStats(); !ps.Enabled || ps.Queries == 0 {
+		t.Fatalf("race left no pruned activity: %+v", ps)
 	}
 }

@@ -17,7 +17,6 @@
 //	dehealthd -aux aux.json -anon anon.json          # preload known anonymized accounts
 //	dehealthd -synth 300                             # demo mode: synthetic auxiliary world
 //	dehealthd -addr :8700 -workers 8 -shards 8 -prune
-//	dehealthd -synth 300 -approx -approx-theta 1.3     # approximate tier, per-query opt-in
 //	dehealthd -synth 300 -snapshot world.snap        # warm restart: load if present, write on shutdown
 //	dehealthd -snapshot world.snap -no-mmap          # warm restart with the copying loader
 //	dehealthd -synth 300 -pprof localhost:6060        # profiling listener
@@ -33,7 +32,7 @@
 //
 // API:
 //
-//	POST /v1/query    {"user": 17, "k": 10}                  # optional "approx": true with -approx
+//	POST /v1/query    {"user": 17, "k": 10}                  # "approx": true is accepted and answered exactly
 //	POST /v1/ingest   {"name": "jdoe", "posts": [{"text": "..."}, {"thread": 3, "text": "..."}]}
 //	POST /v1/snapshot                                 # write the world to -snapshot now
 //	GET  /v1/stats
@@ -56,25 +55,22 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8700", "HTTP listen address")
-		auxPath      = flag.String("aux", "", "auxiliary dataset JSON (the adversary's world; required unless -synth or a -snapshot file exists)")
-		anon         = flag.String("anon", "", "optional anonymized dataset JSON to preload; default starts empty")
-		synth        = flag.Int("synth", 0, "demo mode: generate a synthetic auxiliary world with this many users instead of -aux")
-		synthAnon    = flag.Bool("synth-anon", false, "with -synth: closed-world split the synthetic data so the anonymized side starts populated (queryable out of the box)")
-		workers      = flag.Int("workers", 0, "worker bound of the feature-extraction pool (cold boot) and of one /internal/query batch's fan-out (0 = all CPUs)")
-		shards       = flag.Int("shards", 1, "partition-parallel auxiliary scoring shards (0 = one per CPU)")
-		prune        = flag.Bool("prune", false, "candidate-pruned queries via per-shard attribute inverted indexes (results identical; see /v1/stats prune counters)")
-		approx       = flag.Bool("approx", false, "enable the approximate retrieval tier: max-score/WAND posting cursors with exact rescore (per-query opt-in via the \"approx\" knob; see /v1/stats approx counters)")
-		approxTheta  = flag.Float64("approx-theta", 0, "approx skip-threshold scale; 0 or 1 keeps the tier exact-equivalent, values above 1 (e.g. 1.3) skip more aggressively and trade recall for speed")
-		approxBudget = flag.Int("approx-budget", 0, "approx cap on exact rescores per shard-query (0 = unbounded)")
-		k            = flag.Int("k", 10, "default Top-K candidate set size")
-		hbar         = flag.Int("landmarks", 50, "landmark count for the structural similarity")
-		bigrams      = flag.Int("max-bigrams", 300, "POS-bigram feature cap (fitted on the auxiliary texts)")
-		seed         = flag.Int64("seed", 1, "seed for -synth demo worlds")
-		pprofA       = flag.String("pprof", "", "expose net/http/pprof on this separate listener (e.g. localhost:6060); off by default")
-		snapPath     = flag.String("snapshot", "", "world snapshot path: loaded on start when the file exists (warm restart), written on graceful shutdown and POST /v1/snapshot")
-		noMmap       = flag.Bool("no-mmap", false, "load -snapshot with the copying decoder instead of memory-mapping the file")
-		writeSlices  = flag.String("write-slices", "", "prepare the world, write one snapshot slice per shard as <prefix>.slice-<i>-of-<n>.snap, and exit (no server); boot each slice with -snapshot and front them with dehealth-router")
+		addr        = flag.String("addr", ":8700", "HTTP listen address")
+		auxPath     = flag.String("aux", "", "auxiliary dataset JSON (the adversary's world; required unless -synth or a -snapshot file exists)")
+		anon        = flag.String("anon", "", "optional anonymized dataset JSON to preload; default starts empty")
+		synth       = flag.Int("synth", 0, "demo mode: generate a synthetic auxiliary world with this many users instead of -aux")
+		synthAnon   = flag.Bool("synth-anon", false, "with -synth: closed-world split the synthetic data so the anonymized side starts populated (queryable out of the box)")
+		workers     = flag.Int("workers", 0, "worker bound of the feature-extraction pool (cold boot) and of one /internal/query batch's fan-out (0 = all CPUs)")
+		shards      = flag.Int("shards", 1, "partition-parallel auxiliary scoring shards (0 = one per CPU)")
+		prune       = flag.Bool("prune", false, "candidate-pruned queries via per-shard attribute inverted indexes (results identical; see /v1/stats prune counters)")
+		k           = flag.Int("k", 10, "default Top-K candidate set size")
+		hbar        = flag.Int("landmarks", 50, "landmark count for the structural similarity")
+		bigrams     = flag.Int("max-bigrams", 300, "POS-bigram feature cap (fitted on the auxiliary texts)")
+		seed        = flag.Int64("seed", 1, "seed for -synth demo worlds")
+		pprofA      = flag.String("pprof", "", "expose net/http/pprof on this separate listener (e.g. localhost:6060); off by default")
+		snapPath    = flag.String("snapshot", "", "world snapshot path: loaded on start when the file exists (warm restart), written on graceful shutdown and POST /v1/snapshot")
+		noMmap      = flag.Bool("no-mmap", false, "load -snapshot with the copying decoder instead of memory-mapping the file")
+		writeSlices = flag.String("write-slices", "", "prepare the world, write one snapshot slice per shard as <prefix>.slice-<i>-of-<n>.snap, and exit (no server); boot each slice with -snapshot and front them with dehealth-router")
 	)
 	flag.Parse()
 
@@ -97,18 +93,8 @@ func main() {
 		opt = pw.PreparedOptions()
 		opt.Workers = *workers
 		opt.K = *k
-		// The approx tier's per-query knobs are attack-phase state. Note
-		// -approx only takes effect when the snapshot carried the tier
-		// (or on cold boot); a tier-less world answers approx requests
-		// exactly.
-		if *approx {
-			opt.Approx.Enabled = true
-		}
-		opt.Approx.Theta = *approxTheta
-		opt.Approx.Budget = *approxBudget
 	} else {
-		pw, opt = coldBoot(*auxPath, *anon, *synth, *synthAnon, *seed, *hbar, *bigrams, *workers, *shards, *prune, *k,
-			dehealth.ApproxConfig{Enabled: *approx, Theta: *approxTheta, Budget: *approxBudget})
+		pw, opt = coldBoot(*auxPath, *anon, *synth, *synthAnon, *seed, *hbar, *bigrams, *workers, *shards, *prune, *k)
 	}
 
 	if *writeSlices != "" {
@@ -186,7 +172,7 @@ func warmBoot(path string, noMmap bool) *dehealth.PreparedWorld {
 
 // coldBoot prepares the world from datasets (or a synthetic demo world)
 // exactly as pre-snapshot dehealthd always did.
-func coldBoot(auxPath, anonPath string, synth int, synthAnon bool, seed int64, hbar, bigrams, workers, shards int, prune bool, k int, approx dehealth.ApproxConfig) (*dehealth.PreparedWorld, dehealth.Options) {
+func coldBoot(auxPath, anonPath string, synth int, synthAnon bool, seed int64, hbar, bigrams, workers, shards int, prune bool, k int) (*dehealth.PreparedWorld, dehealth.Options) {
 	var aux, splitAnon *dehealth.Dataset
 	switch {
 	case auxPath != "":
@@ -230,14 +216,10 @@ func coldBoot(auxPath, anonPath string, synth int, synthAnon bool, seed int64, h
 		opt.Shards = runtime.NumCPU()
 	}
 	opt.Prune = prune
-	opt.Approx = approx
 
 	pruneNote := ""
 	if opt.Prune {
 		pruneNote = ", pruned"
-	}
-	if opt.Approx.Enabled {
-		pruneNote += ", approx"
 	}
 	log.Printf("dehealthd: preparing world (aux %d users / %d posts, anon %d users, %d shards%s)...",
 		aux.NumUsers(), aux.NumPosts(), anonDS.NumUsers(), opt.Shards, pruneNote)

@@ -193,43 +193,16 @@ type Options struct {
 	// window, QueryUser gathers only the query user's attribute-overlap
 	// candidates and exact-rescores them, and zero-overlap users are
 	// skipped whenever a structural score bound proves they cannot enter
-	// the top-K — falling back to the full scan otherwise, so results are
-	// always bit-identical to Prune=false. Consulted by PrepareWorld, not
-	// per call; see PreparedWorld.PruneStats for the observed effect.
+	// the top-K. A query whose candidates cover most of a shard is handed
+	// to that shard's full scan instead, so results are always
+	// bit-identical to Prune=false. Consulted by PrepareWorld, not per
+	// call; see PreparedWorld.PruneStats for the observed effect.
 	Prune bool
-	// Approx configures the approximate retrieval tier. Approx.Enabled is
-	// consulted by PrepareWorld (the tier shares the pruning indexes, or
-	// builds its own); the Theta/Budget knobs are per query call. See
-	// ApproxConfig and PreparedWorld.ApproxStats.
+	// Deprecated: Approx.Enabled prepares the world exactly as Prune does,
+	// and every query is answered exactly.
 	Approx ApproxConfig
 	// Seed drives all randomized components.
 	Seed int64
-}
-
-// ApproxConfig tunes the opt-in approximate retrieval tier: QueryUser and
-// QueryBatch generate candidates with max-score/WAND posting cursors over
-// the attribute inverted index — skipping whole posting ranges whose
-// score upper bounds cannot beat the running K-th score — and
-// exact-rescore every survivor with the unchanged scoring kernel, so
-// scores are always exact and only candidate generation is approximate.
-// The degenerate knobs (Theta <= 1, Budget <= 0) make every skip provably
-// safe: results are then bit-identical to the exact path, just cheaper on
-// dense-attribute worlds. This tier is explicitly outside the
-// bit-identical parity contract (docs/ARCHITECTURE.md) once Theta > 1 or
-// a budget binds; BENCH_recall.json tracks its measured recall@K.
-type ApproxConfig struct {
-	// Enabled turns the tier on for this world's queries. Consulted by
-	// PrepareWorld like Prune; a world prepared without it answers
-	// approximate requests through the exact path.
-	Enabled bool
-	// Budget caps how many candidates each shard query may exact-rescore;
-	// <= 0 is unbounded. An exhausted budget returns the best candidates
-	// found so far.
-	Budget int
-	// Theta scales the skip threshold: candidate ranges whose score upper
-	// bound falls below Theta times the running K-th score are skipped.
-	// <= 0 resolves to 1.0 (exact); values above 1 trade recall for speed.
-	Theta float64
 }
 
 // DefaultOptions returns the paper's default attack configuration.
@@ -339,9 +312,6 @@ type PreparedWorld struct {
 	// pruneStats, when non-nil, enables candidate pruning on every derived
 	// pipeline; all of them accumulate into this one shared counter block.
 	pruneStats *index.Stats
-	// approxStats, when non-nil, enables the approximate retrieval tier on
-	// every derived pipeline, all sharing this one counter block.
-	approxStats *index.ApproxStats
 	// slice, when non-nil, marks a world loaded from a per-shard snapshot
 	// slice (see SnapshotSlices): it serves the global auxiliary id window
 	// [slice.Lo, slice.Hi) under local ids starting at 0.
@@ -358,8 +328,9 @@ type PreparedWorld struct {
 // PrepareWorld extracts the feature store of the dataset pair once, using
 // opt.MaxBigrams for the POS-bigram block (fitted on aux, the adversary's
 // data), opt.Workers extraction workers, opt.Shards auxiliary scoring
-// shards and opt.Prune candidate pruning. The remaining Options fields are
-// ignored here; pass them to (*PreparedWorld).Attack.
+// shards and opt.Prune (or the deprecated opt.Approx.Enabled) candidate
+// pruning. The remaining Options fields are ignored here; pass them to
+// (*PreparedWorld).Attack.
 func PrepareWorld(anon, aux *Dataset, opt Options) *PreparedWorld {
 	anonS, auxS := features.BuildPair(anon, aux, opt.MaxBigrams, features.Options{Workers: opt.Workers})
 	shards := opt.Shards
@@ -373,11 +344,8 @@ func PrepareWorld(anon, aux *Dataset, opt Options) *PreparedWorld {
 		prepOpt:   opt,
 		pipelines: map[similarity.Config]*core.Pipeline{},
 	}
-	if opt.Prune {
+	if opt.Prune || opt.Approx.Enabled {
 		w.pruneStats = &index.Stats{}
-	}
-	if opt.Approx.Enabled {
-		w.approxStats = &index.ApproxStats{}
 	}
 	return w
 }
@@ -404,11 +372,6 @@ func (w *PreparedWorld) pipeline(cfg similarity.Config) *core.Pipeline {
 		// WithSimilarity-derived pipelines inherit pruning (and the block)
 		// from their parent above.
 		p = p.Pruned(index.Config{}, w.pruneStats)
-	}
-	if w.approxStats != nil {
-		// Same index configuration as pruning, so a world with both reuses
-		// one set of shard indexes; derived pipelines inherit the tier.
-		p = p.Approx(index.Config{}, w.approxStats)
 	}
 	w.pipelines[cfg] = p
 	return p
@@ -528,7 +491,8 @@ func (w *PreparedWorld) ShardSizes() []ShardSize {
 // Queries. Pruned results are always bit-identical to unpruned ones — the
 // counters only describe how much scanning the index saved.
 type PruneStats struct {
-	// Enabled reports whether the world was prepared with Options.Prune.
+	// Enabled reports whether the world was prepared with Options.Prune
+	// (or the deprecated Options.Approx.Enabled).
 	Enabled bool
 	// Stats holds the counters, each documented on the embedded type:
 	// Queries, Fallbacks, DenseQueries, Candidates, Scanned, Skipped,
@@ -545,44 +509,11 @@ func (w *PreparedWorld) PruneStats() PruneStats {
 	return PruneStats{Enabled: true, Stats: w.pruneStats.Snapshot()}
 }
 
-// approxParams maps the options' per-call approximate knobs into the
-// index layer's parameter struct.
-func (o Options) approxParams() index.ApproxParams {
-	return index.ApproxParams{Theta: o.Approx.Theta, Budget: o.Approx.Budget}
-}
-
-// ApproxStats reports the cumulative counters of the approximate
-// retrieval tier (Options.Approx.Enabled) across every approximate query
-// served by this world. Counters are per shard-query, like PruneStats.
-// Scores returned by the tier are always exact; the counters describe how
-// much candidate generation the posting cursors skipped.
-type ApproxStats struct {
-	// Enabled reports whether the world was prepared with the tier on.
-	Enabled bool
-	// ApproxStats holds the counters, each documented on the embedded
-	// type: Queries, Fallbacks, CursorsOpened, PostingsSkipped, Rescored,
-	// BudgetExhausted, BlocksChecked, BlocksSkipped and CursorsDemoted.
-	index.ApproxStats
-}
-
-// ApproxStats snapshots the world's approximate-tier counters; the zero
-// value (with Enabled false) when the world was prepared without
-// Options.Approx.Enabled.
-func (w *PreparedWorld) ApproxStats() ApproxStats {
-	if w.approxStats == nil {
-		return ApproxStats{}
-	}
-	return ApproxStats{Enabled: true, ApproxStats: w.approxStats.Snapshot()}
-}
-
 // QueryUser returns anonymized user u's top-k auxiliary candidates in
 // decreasing similarity order under opt's similarity configuration —
 // the single-row serving path: O(|aux|·dim) time, O(k) memory, no
 // similarity-matrix allocation, and results identical to the Top-K phase of
-// a full Attack. k <= 0 uses opt.K (default 10). With opt.Approx.Enabled
-// the query runs through the approximate retrieval tier under the
-// Theta/Budget knobs (exact at the conservative defaults; see
-// ApproxConfig). Safe for concurrent use.
+// a full Attack. k <= 0 uses opt.K (default 10). Safe for concurrent use.
 func (w *PreparedWorld) QueryUser(u, k int, opt Options) ([]Candidate, error) {
 	opt = opt.normalized()
 	if k <= 0 {
@@ -593,9 +524,6 @@ func (w *PreparedWorld) QueryUser(u, k int, opt Options) ([]Candidate, error) {
 	p := w.pipeline(opt.simConfig())
 	if u < 0 || u >= p.G1.NumNodes() {
 		return nil, fmt.Errorf("dehealth: user %d out of range [0, %d)", u, p.G1.NumNodes())
-	}
-	if opt.Approx.Enabled {
-		return p.QueryUserApprox(u, k, opt.approxParams()), nil
 	}
 	return p.QueryUser(u, k), nil
 }
@@ -614,9 +542,6 @@ func (w *PreparedWorld) QueryBatch(users []int, k int, opt Options) ([][]Candida
 		if u < 0 || u >= p.G1.NumNodes() {
 			return nil, fmt.Errorf("dehealth: user %d out of range [0, %d)", u, p.G1.NumNodes())
 		}
-	}
-	if opt.Approx.Enabled {
-		return p.QueryBatchApprox(users, k, opt.Workers, opt.approxParams()), nil
 	}
 	return p.QueryBatch(users, k, opt.Workers), nil
 }
@@ -766,28 +691,6 @@ func (b serveBackend) PruneCounters() (serve.PruneCounters, bool) {
 	s := b.w.PruneStats()
 	return s.Stats, s.Enabled
 }
-func (b serveBackend) ApproxCounters() (serve.ApproxCounters, bool) {
-	s := b.w.ApproxStats()
-	return s.ApproxStats, s.Enabled
-}
-
-// QueryUserApprox answers a per-request approximate query: the attack
-// options run with the tier forced on (the prepared world must have it
-// enabled; otherwise the query degrades to the exact path).
-func (b serveBackend) QueryUserApprox(u, k int) ([]Candidate, error) {
-	opt := b.opt
-	opt.Approx.Enabled = true
-	return b.w.QueryUser(u, k, opt)
-}
-
-// QueryBatchApprox is QueryUserApprox for an /internal/query group, under
-// the serve-level worker bound.
-func (b serveBackend) QueryBatchApprox(users []int, k int) ([][]Candidate, error) {
-	opt := b.opt
-	opt.Approx.Enabled = true
-	opt.Workers = b.workers
-	return b.w.QueryBatch(users, k, opt)
-}
 
 // ShardSlice reports the world's slice identity to the serving layer (see
 // serve.SliceInfoer): a world loaded from a per-shard snapshot slice
@@ -831,15 +734,7 @@ func NewServer(pw *PreparedWorld, opt ServeOptions) *Server {
 			return info, nil
 		}
 	}
-	// The plain wire endpoints are always exact: serving a world prepared
-	// with Options.Approx only *builds* the tier, and the "approx" request
-	// knob is the per-query opt-in (it routes to the *Approx backend
-	// methods, which re-enable the flag). Without this reset a server
-	// started with an aggressive Theta would silently answer plain queries
-	// approximately.
-	backendOpt := opt.Attack
-	backendOpt.Approx.Enabled = false
-	return serve.New(serveBackend{w: pw, opt: backendOpt, workers: opt.Workers}, cfg)
+	return serve.New(serveBackend{w: pw, opt: opt.Attack, workers: opt.Workers}, cfg)
 }
 
 // Serve runs the dehealthd query service over a prepared world on

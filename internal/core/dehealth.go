@@ -161,29 +161,6 @@ func (p *Pipeline) PruneStats() index.Stats {
 	return p.world.PruneStats()
 }
 
-// Approx returns a pipeline over the same artifacts whose
-// QueryUserApprox / QueryBatchApprox path runs the approximate retrieval
-// tier: max-score/WAND posting cursors generate candidates and the flat
-// kernel exact-rescores the survivors (see internal/shard TopKApprox).
-// The tier reuses the pruning indexes when present and builds them
-// otherwise; the exact query paths stay untouched. st, when non-nil, is
-// the shared counter block the tier accumulates into; nil allocates a
-// fresh one.
-func (p *Pipeline) Approx(cfg index.Config, st *index.ApproxStats) *Pipeline {
-	q := *p
-	q.world = p.shardWorld().WithApprox(cfg, st)
-	return &q
-}
-
-// ApproxStats snapshots the approximate tier's cumulative counters (zero
-// for a pipeline without the tier).
-func (p *Pipeline) ApproxStats() index.ApproxStats {
-	if p.world == nil {
-		return index.ApproxStats{}
-	}
-	return p.world.ApproxStats()
-}
-
 // Shards returns the query path's auxiliary partition count (1 for
 // unsharded pipelines).
 func (p *Pipeline) Shards() int { return p.shardWorld().N() }

@@ -13,11 +13,7 @@
 
 package core
 
-import (
-	"fmt"
-
-	"dehealth/internal/index"
-)
+import "fmt"
 
 // checkQuery panics unless every user is an anonymized id and k is a valid
 // candidate-set size; op names the calling method in the message. The
@@ -51,26 +47,6 @@ func (p *Pipeline) QueryUser(u, k int) []Candidate {
 func (p *Pipeline) QueryBatch(users []int, k, workers int) [][]Candidate {
 	p.checkQuery("QueryBatch", k, users...)
 	return p.shardWorld().QueryBatch(users, k, workers)
-}
-
-// QueryUserApprox is QueryUser through the approximate retrieval tier
-// (see Approx) under the per-call knobs ap: Theta scales the skip
-// threshold and Budget caps the exact rescores per shard. With the
-// conservative knobs (Theta <= 1, unbounded budget) the result is
-// bit-identical to QueryUser; otherwise only candidate generation is
-// approximate — every returned score is exact. On a pipeline without the
-// tier it degrades to the exact path.
-func (p *Pipeline) QueryUserApprox(u, k int, ap index.ApproxParams) []Candidate {
-	p.checkQuery("QueryUserApprox", k, u)
-	return p.shardWorld().QueryUserApprox(u, k, ap)
-}
-
-// QueryBatchApprox answers one QueryUserApprox per entry of users over a
-// bounded worker pool (workers <= 0 uses GOMAXPROCS). Results line up
-// with users by index.
-func (p *Pipeline) QueryBatchApprox(users []int, k, workers int, ap index.ApproxParams) [][]Candidate {
-	p.checkQuery("QueryBatchApprox", k, users...)
-	return p.shardWorld().QueryBatchApprox(users, k, workers, ap)
 }
 
 // SyncAppended extends the pipeline's similarity caches over anonymized

@@ -12,11 +12,11 @@
 // only those candidates, and skip everyone else whenever the structural
 // terms alone (bounded per degree band by similarity.ScoreBoundBand)
 // provably cannot reach the current top-K threshold. When the proof fails
-// — the candidate set is too large, fewer than K candidates exist, or a
-// band's bound meets the threshold — the engine falls back to scanning
-// exactly the users the proof does not cover, so pruned results are
-// bit-identical to the full scan at every configuration (the parity
-// contract established in PRs 1–3; see docs/ARCHITECTURE.md).
+// — fewer than K candidates exist, or a band's bound meets the threshold —
+// the engine scans exactly the users the proof does not cover, and a query
+// whose candidate set is too large goes to the shard's full scan instead,
+// so pruned results are bit-identical to the full scan at every
+// configuration (see docs/ARCHITECTURE.md).
 //
 // An Index is immutable after Build: it covers the auxiliary side, which
 // never grows (only the anonymized side is ingested online), so shards
@@ -46,24 +46,19 @@ func foldRange(lo, hi *float64, v float64) {
 type Config struct {
 	// MaxCandidateFrac classifies a query as dense when its candidate set
 	// exceeds this fraction of the window (counted under
-	// Stats.DenseQueries). Dense queries still run the banded engine —
-	// since the candidates are scored either way, finishing with the band
-	// scan never exact-scores more users than the full scan the engine
-	// used to fall back to, and the per-band norm ranges can still certify
-	// partial skips over the zero-overlap remainder. Default 0.5.
+	// Stats.DenseQueries). The pruner hands a dense query to the shard's
+	// full scan: rescoring most of the window one candidate at a time costs
+	// more than the blocked scan, whose shared floors skip most rows
+	// anyway. A fraction of 1 or more never hands off. Default 0.5.
 	MaxCandidateFrac float64
 	// Bands is the number of degree bands the window is cut into for the
 	// structural-term bounds. More bands give tighter per-band degree
 	// ranges (better skipping) at a slightly higher per-query check cost.
 	// Default 16.
 	Bands int
-	// BlockSize is the width of the id-range structural blocks behind the
-	// block-max (BMW) check of the approximate tier's cursor walk: block b
-	// summarizes the degree and vector-norm ranges of window-local ids
-	// [b*BlockSize, (b+1)*BlockSize), so the walk can bound — and skip —
-	// a whole id range with one cached ScoreBoundBand call. Smaller blocks
-	// give tighter per-range bounds at more block-bound evaluations.
-	// Default 128.
+	// BlockSize is the width of the id-range structural blocks (see Block).
+	// No query engine reads them; they are built because snapshot format
+	// v2 stores them. Default 128.
 	BlockSize int
 }
 
@@ -128,14 +123,12 @@ type Band struct {
 	WclNormLo, WclNormHi float64
 }
 
-// Block summarizes one fixed-width range of consecutive window-local ids
-// for the block-max (BMW) check: block b covers ids
-// [b*BlockSize, (b+1)*BlockSize) and the ranges bound every covered id's
-// degree, weighted degree and vector norms — the same shape as a Band's
-// bounds, but keyed by id range instead of degree rank. Because posting
-// lists are ascending id sequences, one Block bounds the structural score
-// of every document a cursor can produce inside the range, which is what
-// lets the walk skip to the next block boundary without touching entries.
+// Block summarizes one fixed-width range of consecutive window-local ids:
+// block b covers ids [b*BlockSize, (b+1)*BlockSize) and the ranges bound
+// every covered id's degree, weighted degree and vector norms — a Band's
+// bounds keyed by id range instead of degree rank. The retired cursor walk
+// was their only reader; Build still computes them, and snapshot format v2
+// still stores them, so that files keep their bytes.
 type Block struct {
 	// DegLo and DegHi bound the covered ids' degrees.
 	DegLo, DegHi float64
@@ -304,11 +297,6 @@ func (x *Index) BuildBlocks(src Source, blockSize int) {
 // index carries none (a pre-v2 snapshot restore before BuildBlocks).
 func (x *Index) BlockSize() int { return x.blkSize }
 
-// Blocks returns the id-range structural blocks (shared; treat as
-// read-only): Blocks()[b] covers window-local ids
-// [b*BlockSize, (b+1)*BlockSize).
-func (x *Index) Blocks() []Block { return x.blocks }
-
 // Scratch is reusable per-query marking state: an epoch-stamped candidate
 // marker (no O(window) zeroing between queries), the per-band candidate
 // counts of the last Candidates call, and the candidate list's backing
@@ -375,13 +363,17 @@ func (x *Index) Postings(a int) []int32 {
 	return x.postings[a]
 }
 
-// Candidates returns the union of the posting lists of attrs — every
+// CandidatesUpTo returns the union of the posting lists of attrs — every
 // window-local user sharing at least one attribute with the query set —
-// marking each in s and counting them per band. The returned slice is
-// backed by s (valid until the scratch's next Candidates call or its
-// release) and is not sorted. Total cost is O(sum of visited posting
-// lengths): no per-query pass over the window.
-func (x *Index) Candidates(attrs stylometry.AttrSet, s *Scratch) []int32 {
+// marking each in s and counting them per band, unless the union exceeds
+// limit: the gather then stops at the first candidate past it and returns
+// limit+1 of them, with the marks and band counts covering only those. So
+// a caller that only needs to know the union is large pays for the posting
+// lists up to the limit, not for all of them. The returned slice is backed
+// by s (valid until the scratch's next gather or its release) and is not
+// sorted. Cost is O(visited posting lengths): no per-query pass over the
+// window.
+func (x *Index) CandidatesUpTo(attrs stylometry.AttrSet, s *Scratch, limit int) []int32 {
 	s.begin()
 	for _, a := range attrs.Idx {
 		for _, u := range x.Postings(a) {
@@ -389,19 +381,13 @@ func (x *Index) Candidates(attrs stylometry.AttrSet, s *Scratch) []int32 {
 				s.stamp[u] = s.epoch
 				s.bandCand[x.bandOf[u]]++
 				s.cands = append(s.cands, u)
+				if len(s.cands) > limit {
+					return s.cands
+				}
 			}
 		}
 	}
 	return s.cands
-}
-
-// CandidateCount returns |Candidates(attrs)| — used for stats and
-// candidate-set size distributions.
-func (x *Index) CandidateCount(attrs stylometry.AttrSet) int {
-	s := x.AcquireScratch()
-	n := len(x.Candidates(attrs, s))
-	x.ReleaseScratch(s)
-	return n
 }
 
 // Stats are the cumulative pruning counters of a query engine (one struct
@@ -416,13 +402,12 @@ type Stats struct {
 	// (no index, or a non-prune-safe similarity configuration).
 	Fallbacks int64 `json:"fallbacks"`
 	// DenseQueries counts invocations whose candidate set exceeded
-	// MaxCandidateFrac of the window. They still run the banded engine —
-	// the candidate rescore plus band scan never exact-scores more users
-	// than the full scan it would otherwise repeat — but most of their
-	// cost is the rescore, so the counter labels how often pruning ran in
-	// the dense regime where only partial band skips are available.
+	// MaxCandidateFrac of the window and were handed to the shard's full
+	// scan. Their rows are counted under neither Candidates, Scanned nor
+	// Skipped.
 	DenseQueries int64 `json:"dense_queries"`
-	// Candidates sums the candidate-set sizes of non-fallback invocations.
+	// Candidates sums the candidate-set sizes of the invocations the
+	// pruner answered itself (neither fallbacks nor hand-offs).
 	Candidates int64 `json:"candidates"`
 	// Scanned sums the band members exact-scored because their band's
 	// bound could not certify skipping (plus candidate rescores are counted

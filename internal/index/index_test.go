@@ -86,7 +86,7 @@ func TestCandidatesAreExactlyOverlapUsers(t *testing.T) {
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
 	for u := 0; u < src.NumUsers(); u++ {
-		got := x.Candidates(src.attrs[u], s)
+		got := x.CandidatesUpTo(src.attrs[u], s, src.NumUsers())
 		want := map[int32]bool{}
 		for v := 0; v < src.NumUsers(); v++ {
 			if stylometry.Jaccard(src.attrs[u], src.attrs[v]) > 0 {
@@ -124,8 +124,32 @@ func TestCandidatesAreExactlyOverlapUsers(t *testing.T) {
 				t.Fatalf("user %d band %d: BandCandidates = %d, want %d", u, bi, s.BandCandidates(bi), perBand[bi])
 			}
 		}
-		if n := x.CandidateCount(src.attrs[u]); n != len(want) {
-			t.Fatalf("CandidateCount = %d, want %d", n, len(want))
+	}
+}
+
+// TestCandidatesUpToStopsPastLimit pins the capped gather: under a limit
+// below the union it returns exactly limit+1 overlap users, each marked;
+// at or above the union's size it returns the whole union.
+func TestCandidatesUpToStopsPastLimit(t *testing.T) {
+	src := randomSource(80, 40, 3, 2)
+	x := Build(src, Config{})
+	s := x.AcquireScratch()
+	defer x.ReleaseScratch(s)
+	for u := 0; u < src.NumUsers(); u++ {
+		union := len(x.CandidatesUpTo(src.attrs[u], s, src.NumUsers()))
+		for _, limit := range []int{0, 1, union / 2, union - 1, union, union + 3} {
+			if limit < 0 {
+				continue
+			}
+			got := x.CandidatesUpTo(src.attrs[u], s, limit)
+			if want := min(limit+1, union); len(got) != want {
+				t.Fatalf("user %d limit %d: %d candidates, want %d (union %d)", u, limit, len(got), want, union)
+			}
+			for _, c := range got {
+				if !s.Marked(c) || stylometry.Jaccard(src.attrs[u], src.attrs[c]) == 0 {
+					t.Fatalf("user %d limit %d: candidate %d unmarked or sharing no attribute", u, limit, c)
+				}
+			}
 		}
 	}
 }
@@ -137,9 +161,9 @@ func TestScratchEpochWraparound(t *testing.T) {
 	x := Build(src, Config{})
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
-	x.Candidates(src.attrs[0], s) // stamp some users at epoch 1
-	s.epoch = ^uint32(0)          // next begin() wraps to 0 then resets to 1
-	got := x.Candidates(stylometry.AttrSet{}, s)
+	x.CandidatesUpTo(src.attrs[0], s, src.NumUsers()) // stamp some users at epoch 1
+	s.epoch = ^uint32(0)                              // next begin() wraps to 0 then resets to 1
+	got := x.CandidatesUpTo(stylometry.AttrSet{}, s, src.NumUsers())
 	if len(got) != 0 {
 		t.Fatalf("empty query after wraparound returned %d candidates", len(got))
 	}
@@ -248,9 +272,11 @@ func TestBuildDegenerate(t *testing.T) {
 	if empty.NumUsers() != 0 || len(empty.Bands()) != 0 {
 		t.Fatal("empty source must index nothing")
 	}
-	if got := empty.CandidateCount(stylometry.AttrSet{Idx: []int{3}}); got != 0 {
-		t.Fatalf("empty index found %d candidates", got)
+	es := empty.AcquireScratch()
+	if got := empty.CandidatesUpTo(stylometry.AttrSet{Idx: []int{3}}, es, 0); len(got) != 0 {
+		t.Fatalf("empty index found %d candidates", len(got))
 	}
+	empty.ReleaseScratch(es)
 
 	// More bands than users clamps; attribute-free users index fine.
 	src := fakeSource{
@@ -264,7 +290,7 @@ func TestBuildDegenerate(t *testing.T) {
 	}
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
-	if got := x.Candidates(stylometry.AttrSet{Idx: []int{0, 1}}, s); len(got) != 0 {
+	if got := x.CandidatesUpTo(stylometry.AttrSet{Idx: []int{0, 1}}, s, 3); len(got) != 0 {
 		t.Fatalf("attribute-free users produced candidates: %v", got)
 	}
 }

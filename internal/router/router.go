@@ -523,16 +523,6 @@ type ShardStatus struct {
 	Replicas []ReplicaStatus `json:"replicas"`
 }
 
-// ApproxAggregate is the fleet-wide roll-up of the shards' approximate-
-// tier counter blocks: every serve.ApproxCounters field summed across the
-// shards that reported one. ShardsReporting says how many shards the sum
-// covers — when it is below the shard count the block is a partial view
-// (a shard was unreachable or runs without the approximate tier).
-type ApproxAggregate struct {
-	serve.ApproxCounters
-	ShardsReporting int `json:"shards_reporting"`
-}
-
 // Stats is the router's /v1/stats payload: the live health of the
 // topology plus cumulative counters of the robustness layer. HedgeWins
 // counts hedged attempts that beat the primary; Partials counts responses
@@ -544,13 +534,9 @@ type Stats struct {
 	Hedges    int64         `json:"hedges"`
 	HedgeWins int64         `json:"hedge_wins"`
 	Partials  int64         `json:"partials"`
-	// Approx aggregates the per-shard approximate-tier counters; omitted
-	// when no shard reports an approx block.
-	Approx *ApproxAggregate `json:"approx,omitempty"`
 }
 
-// Stats snapshots the router counters and replica health, and polls each
-// shard's first healthy replica for its approximate-tier counter block.
+// Stats snapshots the router counters and replica health.
 func (r *Router) Stats() Stats {
 	st := Stats{
 		Queries:   r.queries.Load(),
@@ -566,80 +552,7 @@ func (r *Router) Stats() Stats {
 		}
 		st.Shards = append(st.Shards, ss)
 	}
-	st.Approx = r.approxAggregate()
 	return st
-}
-
-// approxAggregate fans out to every shard in parallel and sums the approx
-// counter blocks of those that report one. Counters are per replica, not
-// replicated state, so the roll-up reads one replica per shard (the first
-// healthy one, falling back to the first listed) rather than all of them:
-// the numbers describe the tier's behavior, not an exact fleet census.
-func (r *Router) approxAggregate() *ApproxAggregate {
-	var (
-		mu  sync.Mutex
-		agg ApproxAggregate
-		wg  sync.WaitGroup
-	)
-	for _, sc := range r.shards {
-		rep := sc.replicas[0]
-		for _, cand := range sc.replicas {
-			if cand.healthy.Load() {
-				rep = cand
-				break
-			}
-		}
-		wg.Add(1)
-		go func(rep *replica) {
-			defer wg.Done()
-			c, ok := r.fetchApprox(rep)
-			if !ok {
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			agg.ShardsReporting++
-			agg.Queries += c.Queries
-			agg.Fallbacks += c.Fallbacks
-			agg.CursorsOpened += c.CursorsOpened
-			agg.PostingsSkipped += c.PostingsSkipped
-			agg.Rescored += c.Rescored
-			agg.BudgetExhausted += c.BudgetExhausted
-			agg.BlocksChecked += c.BlocksChecked
-			agg.BlocksSkipped += c.BlocksSkipped
-			agg.CursorsDemoted += c.CursorsDemoted
-		}(rep)
-	}
-	wg.Wait()
-	if agg.ShardsReporting == 0 {
-		return nil
-	}
-	return &agg
-}
-
-// fetchApprox asks one replica's /v1/stats for its approx counter block.
-func (r *Router) fetchApprox(rep *replica) (serve.ApproxCounters, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+"/v1/stats", nil)
-	if err != nil {
-		return serve.ApproxCounters{}, false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return serve.ApproxCounters{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serve.ApproxCounters{}, false
-	}
-	var body struct {
-		Approx *serve.ApproxCounters `json:"approx"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Approx == nil {
-		return serve.ApproxCounters{}, false
-	}
-	return *body.Approx, true
 }
 
 // Healthy reports whether every shard currently has at least one healthy

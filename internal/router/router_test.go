@@ -574,77 +574,3 @@ func TestRouterEmptyTopology(t *testing.T) {
 		t.Fatalf("New(replica-less shard) err = %v, want ErrNoShards", err)
 	}
 }
-
-// approxStub wraps stubBackend with a fixed approximate-tier counter
-// block so router tests can exercise the /v1/stats roll-up.
-type approxStub struct {
-	stubBackend
-	counters serve.ApproxCounters
-}
-
-func (b approxStub) ApproxCounters() (serve.ApproxCounters, bool) { return b.counters, true }
-
-func newApproxShardServer(t *testing.T, slice serve.ShardSlice, c serve.ApproxCounters) string {
-	t.Helper()
-	srv := serve.New(approxStub{stubBackend{slice: slice}, c}, serve.Config{})
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		_ = srv.Close()
-	})
-	return hs.URL
-}
-
-// TestRouterStatsApproxAggregate: the router's /v1/stats rolls the
-// per-shard approx counter blocks into one fleet-wide sum, and a fleet
-// without the tier reports no block at all.
-func TestRouterStatsApproxAggregate(t *testing.T) {
-	total := 40
-	c0 := serve.ApproxCounters{Queries: 3, CursorsOpened: 12, PostingsSkipped: 100, Rescored: 6, BlocksChecked: 40, BlocksSkipped: 7, CursorsDemoted: 2}
-	c1 := serve.ApproxCounters{Queries: 5, Fallbacks: 1, CursorsOpened: 20, PostingsSkipped: 50, Rescored: 9, BudgetExhausted: 1, BlocksChecked: 60, BlocksSkipped: 11, CursorsDemoted: 4}
-	urls := []string{
-		newApproxShardServer(t, serve.ShardSlice{Shard: 0, Shards: 2, Lo: 0, Hi: 20, AuxTotal: total}, c0),
-		newApproxShardServer(t, serve.ShardSlice{Shard: 1, Shards: 2, Lo: 20, Hi: 40, AuxTotal: total}, c1),
-	}
-	r := newRouter(t, Config{Shards: [][]string{{urls[0]}, {urls[1]}}})
-	st := r.Stats()
-	if st.Approx == nil {
-		t.Fatalf("stats carries no approx aggregate: %+v", st)
-	}
-	if st.Approx.ShardsReporting != 2 {
-		t.Fatalf("shards_reporting = %d, want 2", st.Approx.ShardsReporting)
-	}
-	want := serve.ApproxCounters{Queries: 8, Fallbacks: 1, CursorsOpened: 32, PostingsSkipped: 150, Rescored: 15, BudgetExhausted: 1, BlocksChecked: 100, BlocksSkipped: 18, CursorsDemoted: 6}
-	if st.Approx.ApproxCounters != want {
-		t.Fatalf("approx aggregate = %+v, want %+v", st.Approx.ApproxCounters, want)
-	}
-
-	// The same roll-up on the wire: the front-door endpoint carries the
-	// block with its coverage count.
-	front := httptest.NewServer(r.Handler())
-	defer front.Close()
-	resp, err := http.Get(front.URL + "/v1/stats")
-	if err != nil {
-		t.Fatalf("GET /v1/stats: %v", err)
-	}
-	defer resp.Body.Close()
-	var wire struct {
-		Approx *struct {
-			serve.ApproxCounters
-			ShardsReporting int `json:"shards_reporting"`
-		} `json:"approx"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		t.Fatalf("decode /v1/stats: %v", err)
-	}
-	if wire.Approx == nil || wire.Approx.ShardsReporting != 2 || wire.Approx.ApproxCounters != want {
-		t.Fatalf("wire approx block = %+v, want %+v with 2 shards reporting", wire.Approx, want)
-	}
-
-	// A fleet whose backends lack the tier omits the block entirely.
-	plain, _ := twoShards(t)
-	r2 := newRouter(t, Config{Shards: [][]string{{plain[0]}, {plain[1]}}})
-	if st := r2.Stats(); st.Approx != nil {
-		t.Fatalf("tier-less fleet reported an approx block: %+v", st.Approx)
-	}
-}

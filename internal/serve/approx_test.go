@@ -18,33 +18,31 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// approxBackend wraps testBackend with the optional approximate-tier
-// interfaces, counting how many users each path answered so routing is
+// approxCapable wraps testBackend with the QueryUserApprox /
+// QueryBatchApprox pair of a backend written for the retired approximate
+// tier, counting how many users that pair answered so routing is
 // observable from the wire.
-type approxBackend struct {
+type approxCapable struct {
 	*testBackend
 	approxUsers int64 // users answered through the approx methods
 }
 
-func (b *approxBackend) QueryUserApprox(u, k int) ([]core.Candidate, error) {
+func (b *approxCapable) QueryUserApprox(u, k int) ([]core.Candidate, error) {
 	atomic.AddInt64(&b.approxUsers, 1)
 	return b.testBackend.QueryUser(u, k)
 }
 
-func (b *approxBackend) QueryBatchApprox(users []int, k int) ([][]core.Candidate, error) {
+func (b *approxCapable) QueryBatchApprox(users []int, k int) ([][]core.Candidate, error) {
 	atomic.AddInt64(&b.approxUsers, int64(len(users)))
 	return b.testBackend.QueryBatch(users, k)
 }
 
-func (b *approxBackend) ApproxCounters() (ApproxCounters, bool) {
-	return ApproxCounters{Queries: atomic.LoadInt64(&b.approxUsers)}, true
-}
-
-// TestQueryApproxRouting pins the wire knob: {"approx": true} requests
-// route to the backend's approximate methods and plain requests to the
-// exact ones, on /v1/query and on /internal/query alike.
+// TestQueryApproxRouting pins the compatibility dispatch: {"approx": true}
+// requests route to a backend's QueryUserApprox / QueryBatchApprox when it
+// has them and plain requests to QueryUser / QueryBatch, on /v1/query and
+// on /internal/query alike; /v1/stats carries no approx block.
 func TestQueryApproxRouting(t *testing.T) {
-	b := &approxBackend{testBackend: newTestBackend(t, 16, 81)}
+	b := &approxCapable{testBackend: newTestBackend(t, 16, 81)}
 	s := New(b, Config{DefaultK: 5})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -83,16 +81,15 @@ func TestQueryApproxRouting(t *testing.T) {
 		t.Fatalf("approx path answered %d users, want 4 (one query plus one group of three)", got)
 	}
 
-	// The stats block surfaces the backend's counters.
-	stats := decode[Stats](t, mustGet(t, ts.URL+"/v1/stats"))
-	if stats.Approx == nil || stats.Approx.Queries != 4 {
-		t.Fatalf("stats approx block = %+v, want 4 queries", stats.Approx)
+	raw := decode[map[string]any](t, mustGet(t, ts.URL+"/v1/stats"))
+	if _, ok := raw["approx"]; ok {
+		t.Fatal("stats must carry no approx block")
 	}
 }
 
-// TestQueryApproxWithoutCapableBackend pins graceful degradation: the
-// knob on a backend without the approximate interfaces answers exactly,
-// and the stats omit the approx block entirely.
+// TestQueryApproxWithoutCapableBackend pins the plain path: the knob on a
+// backend without the approximate pair answers through QueryUser, and the
+// stats omit the approx block.
 func TestQueryApproxWithoutCapableBackend(t *testing.T) {
 	b := newTestBackend(t, 14, 83)
 	s := New(b, Config{DefaultK: 5})

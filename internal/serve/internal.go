@@ -42,14 +42,13 @@ type SliceInfoer interface {
 
 // InternalQuery is the router's per-shard RPC body: one batch of
 // anonymized user ids to answer at candidate-set size K (DefaultK when
-// omitted), optionally through the approximate tier. The router sends one
-// such call per shard per client request, so the batch arrives pre-grouped
-// for the backend's multi-query kernel.
+// omitted). The router sends one such call per shard per client request,
+// so the batch arrives pre-grouped for the backend's multi-query kernel.
 type InternalQuery struct {
 	Users []int `json:"users"`
 	K     int   `json:"k,omitempty"`
-	// Approx opts the batch into the approximate retrieval tier, with the
-	// same degrade-to-exact semantics as the public query knob.
+	// Approx carries the public query's "approx" key; the answer is exact
+	// either way (see compat.go).
 	Approx bool `json:"approx,omitempty"`
 }
 
@@ -124,11 +123,7 @@ func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	if !s.do(w, r, false, len(q.Users), func() (err error) {
 		sl = s.slice()
-		if q.Approx && s.approx != nil {
-			cands, err = s.approx.QueryBatchApprox(q.Users, s.effectiveK(q.K))
-		} else {
-			cands, err = s.backend.QueryBatch(q.Users, s.effectiveK(q.K))
-		}
+		cands, err = s.queryBatch(q.Users, s.effectiveK(q.K), q.Approx)
 		return err
 	}) {
 		return

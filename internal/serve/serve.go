@@ -68,29 +68,6 @@ type PruneStatser interface {
 	PruneCounters() (PruneCounters, bool)
 }
 
-// ApproxCounters is the approximate-tier block of /v1/stats: cumulative
-// per-shard-query counters of the max-score/WAND candidate generation.
-// Returned scores are always exact; the counters describe how much
-// scanning the posting cursors skipped.
-type ApproxCounters = index.ApproxStats
-
-// ApproxStatser is the optional Backend extension for approximate-tier
-// counters, mirroring PruneStatser: backends with the tier enabled report
-// (counters, true) and /v1/stats carries an "approx" block.
-type ApproxStatser interface {
-	ApproxCounters() (ApproxCounters, bool)
-}
-
-// ApproxQueryer is the optional Backend extension behind the per-request
-// "approx" query knob: requests flagged approximate are answered through
-// these methods (under the same shared lock as the exact path). A backend
-// without the extension answers such requests exactly — the knob is an
-// opt-in accelerator, never a correctness switch.
-type ApproxQueryer interface {
-	QueryUserApprox(u, k int) ([]core.Candidate, error)
-	QueryBatchApprox(users []int, k int) ([][]core.Candidate, error)
-}
-
 // Backend is the prepared world a Server queries and grows. Implementations
 // need no locking against the Server, which holds its reader/writer lock
 // around every call: Ingest is exclusive with every other call; the query
@@ -176,9 +153,6 @@ type Stats struct {
 	// Prune carries the candidate-pruning counters when the backend
 	// prunes (see PruneStatser); omitted otherwise.
 	Prune *PruneCounters `json:"prune,omitempty"`
-	// Approx carries the approximate-tier counters when the backend has
-	// the tier enabled (see ApproxStatser); omitted otherwise.
-	Approx *ApproxCounters `json:"approx,omitempty"`
 	// Queries counts the users queried and Ingests the ingest requests
 	// applied; Batches counts the backend calls made for them and
 	// MeanBatchSize the users answered or ingested per call (1 on
@@ -203,10 +177,8 @@ type Server struct {
 	cfg     Config
 	// The backend's optional extensions, resolved once by New; each is nil
 	// when the backend does not implement it.
-	approx      ApproxQueryer
-	pruneStats  PruneStatser
-	approxStats ApproxStatser
-	slicer      SliceInfoer
+	pruneStats PruneStatser
+	slicer     SliceInfoer
 
 	// backendMu is the one exclusion between the server and its backend:
 	// queries and size reads hold it shared, Ingest exclusively, each on
@@ -230,9 +202,7 @@ type Server struct {
 // New builds a Server over the backend.
 func New(b Backend, cfg Config) *Server {
 	s := &Server{backend: b, cfg: cfg.withDefaults(), start: time.Now()}
-	s.approx, _ = b.(ApproxQueryer)
 	s.pruneStats, _ = b.(PruneStatser)
-	s.approxStats, _ = b.(ApproxStatser)
 	s.slicer, _ = b.(SliceInfoer)
 	return s
 }
@@ -303,18 +273,11 @@ func (s *Server) Stats() Stats {
 			prune = &c
 		}
 	}
-	var approx *ApproxCounters
-	if s.approxStats != nil {
-		if c, enabled := s.approxStats.ApproxCounters(); enabled {
-			approx = &c
-		}
-	}
 	return Stats{
 		AnonUsers:     anon,
 		AuxUsers:      aux,
 		Shards:        shards,
 		Prune:         prune,
-		Approx:        approx,
 		Queries:       s.queries.Load(),
 		Ingests:       s.ingests.Load(),
 		Batches:       batches,
@@ -377,9 +340,8 @@ func (s *Server) Close() error {
 type queryWire struct {
 	User int `json:"user"`
 	K    int `json:"k,omitempty"`
-	// Approx opts this query into the approximate retrieval tier (see
-	// ApproxQueryer); ignored — answered exactly — when the backend does
-	// not implement the tier.
+	// Approx is accepted for compatibility; the answer is exact either way
+	// (see compat.go).
 	Approx bool `json:"approx,omitempty"`
 }
 
@@ -488,13 +450,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var cands []core.Candidate
 	if !s.do(w, r, false, 1, func() (err error) {
-		// An approximate query degrades to the exact path on a backend
-		// without the tier — the knob accelerates, never errors.
-		if q.Approx && s.approx != nil {
-			cands, err = s.approx.QueryUserApprox(q.User, s.effectiveK(q.K))
-		} else {
-			cands, err = s.backend.QueryUser(q.User, s.effectiveK(q.K))
-		}
+		cands, err = s.queryUser(q.User, s.effectiveK(q.K), q.Approx)
 		return err
 	}) {
 		return

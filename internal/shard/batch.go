@@ -280,7 +280,7 @@ func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate)
 // ScanBatch is the scan for callers that need more of a row than its
 // top-k — the offline Top-K DA phase (internal/core). It runs users
 // through every shard in turn on the calling goroutine, always by the full
-// scan (the indexed engines skip rows), so observe (see Shard.scan) sees
+// scan (the pruner skips rows), so observe (see Shard.scan) sees
 // users[q]'s whole similarity row exactly once, in ascending global row
 // order; callers parallelize across calls, so one call's observations
 // never race. It returns each user's global top-k as QueryBatch would:
@@ -301,20 +301,14 @@ func (w *World) ScanBatch(users []int, k int, observe func(q, lo int, scores []f
 
 // QueryBatch answers one QueryUser per entry of users (workers <= 0 uses
 // GOMAXPROCS). Results align with users by index and are bit-identical to
-// len(users) independent QueryUser calls.
-func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
-	return w.queryBatch(users, k, workers, queryMode{})
-}
-
-// queryBatch is the one batch loop behind QueryBatch and QueryBatchApprox.
-// The exact mode of an unpruned world routes through the multi-query
-// blocked kernel — each shard is walked once per chunk of up to maxBatchQ
-// queries instead of once per query. The indexed engines gather per-query
-// candidate sets, which that kernel cannot batch, so pruned worlds and
-// approximate queries run one query at a time over the workers, each
+// len(users) independent QueryUser calls. An unpruned world routes the
+// batch through the multi-query blocked kernel — each shard is walked once
+// per chunk of up to maxBatchQ queries instead of once per query. The
+// pruner gathers per-query candidate sets, which that kernel cannot batch,
+// so a pruned world runs one query at a time over the workers, each
 // scanning its shards inline; when a single worker is left to run the
 // batch, each query fans out across shards itself.
-func (w *World) queryBatch(users []int, k, workers int, m queryMode) [][]Candidate {
+func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
 	out := make([][]Candidate, len(users))
 	if len(users) == 0 {
 		return out
@@ -322,11 +316,11 @@ func (w *World) queryBatch(users []int, k, workers int, m queryMode) [][]Candida
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if !m.approx && w.prune == nil {
+	if w.prune == nil {
 		w.queryBatchFanOut(users, k, workers, out)
 		return out
 	}
 	helpers := min(workers, len(users)) <= 1
-	ParallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, m, helpers) })
+	ParallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, helpers) })
 	return out
 }

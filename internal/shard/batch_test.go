@@ -54,8 +54,9 @@ func TestTopKBatchParity(t *testing.T) {
 
 // TestQueryBatchWorkerCounts checks every engine's batch loop against the
 // plain world's QueryUser, bit for bit — the batched kernel (plain world
-// QueryBatch), the pruner (WithPruning world QueryBatch) and the cursor
-// walk at theta 1 (WithApprox world QueryBatchApprox) — over every shape
+// QueryBatch), the pruner handing dense queries to the scan (WithPruning
+// world QueryBatch) and the pruner kept on its banded path
+// (MaxCandidateFrac 1) — over every shape
 // the schedule takes: worlds of 1 to 5 shards, worker budgets from
 // sequential to more workers than cells, and batches narrower than the
 // budget (widths 1 and 2, where only the shard fan-out can use the spare
@@ -69,16 +70,13 @@ func TestQueryBatchWorkerCounts(t *testing.T) {
 		for u := range want {
 			want[u] = w.QueryUser(u, 5)
 		}
-		aw := w.WithApprox(index.Config{}, nil)
 		engines := []struct {
 			name  string
 			batch func(users []int, k, workers int) [][]Candidate
 		}{
 			{"scan", w.QueryBatch},
 			{"pruned", w.WithPruning(index.Config{}, nil).QueryBatch},
-			{"approx", func(users []int, k, workers int) [][]Candidate {
-				return aw.QueryBatchApprox(users, k, workers, index.ApproxParams{Theta: 1})
-			}},
+			{"banded", w.WithPruning(index.Config{MaxCandidateFrac: 1}, nil).QueryBatch},
 		}
 		for _, workers := range []int{0, 1, 2, 7, maxBatchQ + 20} {
 			resolved := workers

@@ -9,12 +9,11 @@
 // does not cover a user — the heap is not yet full, or a band's bound
 // reaches the threshold — that user is scanned exactly, so the pruned
 // path returns results bit-identical to Shard.TopK at every
-// configuration. Dense candidate sets (above MaxCandidateFrac of the
-// window) no longer force a full-scan fallback: the candidates are scored
-// either way, so the banded remainder costs no more exact scores than the
-// fallback did while the tightened bounds can still skip zero-overlap
-// bands. Pruning is an opt-in view of a World (WithPruning); the unpruned
-// path is untouched.
+// configuration. A query whose candidate set is dense (above
+// MaxCandidateFrac of the window) is handed to the shard's full scan,
+// which answers it faster and just as exactly; so each (shard, query) runs
+// whichever of the two exact engines suits it. Pruning is an opt-in view
+// of a World (WithPruning); the unpruned path is untouched.
 
 package shard
 
@@ -53,19 +52,6 @@ func bandStats(b *index.Band) similarity.BandStats {
 	}
 }
 
-// blockStats projects an id-range block's ranges into the similarity
-// layer's bound input — the block-max walk's per-block structural bound
-// is the same ScoreBoundBand the band pruning uses, over narrower ranges.
-func blockStats(b *index.Block) similarity.BandStats {
-	return similarity.BandStats{
-		DegLo: b.DegLo, DegHi: b.DegHi,
-		WdegLo: b.WdegLo, WdegHi: b.WdegHi,
-		NCSNormLo: b.NCSNormLo, NCSNormHi: b.NCSNormHi,
-		CloseNormLo: b.CloseNormLo, CloseNormHi: b.CloseNormHi,
-		WclNormLo: b.WclNormLo, WclNormHi: b.WclNormHi,
-	}
-}
-
 // BuildIndex builds the shard's attribute inverted index and degree bands
 // over its scorer window. Idempotent in effect: the aux side is immutable,
 // so rebuilding yields an equivalent index.
@@ -73,63 +59,15 @@ func (sh *Shard) BuildIndex(cfg index.Config) {
 	sh.Index = index.Build(scorerSource{sh.Scorer}, cfg)
 }
 
-// EnsureBlocks builds the shard index's id-range block-max metadata over
-// the scorer window when missing — the restore path for snapshots written
-// before format v2, which carry no block sections. No-op when the shard
-// has no index or the index already carries blocks. Must be called before
-// the world is shared across queries: it mutates the index in place.
+// EnsureBlocks builds the shard index's id-range block metadata over the
+// scorer window when missing — the restore path for snapshots written
+// before format v2, which carry no block sections, so that a later save
+// writes them. No-op when the shard has no index or the index already
+// carries blocks. Must be called before the world is shared across
+// queries: it mutates the index in place.
 func (sh *Shard) EnsureBlocks(blockSize int) {
 	if sh.Index != nil && sh.Index.BlockSize() == 0 {
 		sh.Index.BuildBlocks(scorerSource{sh.Scorer}, blockSize)
-	}
-}
-
-// EnsureBlocks applies Shard.EnsureBlocks to every shard.
-func (w *World) EnsureBlocks(blockSize int) {
-	for _, sh := range w.shards {
-		sh.EnsureBlocks(blockSize)
-	}
-}
-
-// zeroOverlap walks the part of the window both indexed engines owe after
-// their attribute-overlap candidates: the users sharing no attribute with
-// the query. Those have s^a exactly 0 (disjoint attribute sets zero
-// both Jaccard terms), so per degree band one structural bound covers
-// every unmarked member. The caller's skip decides, from that bound and
-// its own running bar, whether the whole band can be passed over — the bar
-// only rises afterwards, so a member skipped now can never be owed later —
-// and visit receives each unmarked member of a band that was not, with the
-// band's bound. A skipped or candidate-free band is never visited, so the
-// cost is O(uncertified band members), not O(window).
-//
-// s carries the query's candidate marks. The pruner has them already (it
-// rescored the candidates) and passes its scratch; the cursor walk passes
-// nil, and the marking pass — one sweep over the query's posting lists
-// labelling every attribute-overlap user, including users the walk skipped
-// — is deferred until the first band fails its bound, so queries whose
-// bounds certify every band (the common dense case) never pay for it.
-func (sh *Shard) zeroOverlap(prof *similarity.QueryProfile, attrs stylometry.AttrSet, s *index.Scratch, skip func(bound float64) bool, visit func(j int32, bound float64)) {
-	x := sh.Index
-	bands := x.Bands()
-	for bi := range bands {
-		b := &bands[bi]
-		if s != nil && len(b.IDs) == s.BandCandidates(bi) {
-			continue
-		}
-		bound := sh.Scorer.ScoreBoundBand(prof, bandStats(b))
-		if skip(bound) {
-			continue
-		}
-		if s == nil {
-			s = x.AcquireScratch()
-			defer x.ReleaseScratch(s)
-			x.Candidates(attrs, s)
-		}
-		for _, j := range b.IDs {
-			if !s.Marked(j) {
-				visit(j, bound)
-			}
-		}
 	}
 }
 
@@ -139,40 +77,51 @@ func (sh *Shard) zeroOverlap(prof *similarity.QueryProfile, attrs stylometry.Att
 // structural bound cannot rule them out. st accumulates the pruning
 // counters (atomically; pass the world's shared stats).
 func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candidate {
+	return sh.topKPruned(u, k, cfg, st, nil)
+}
+
+// topKPruned is TopKPruned with u's floor cell from fanOut (see topK). A
+// query whose candidates exceed cfg.MaxCandidateFrac of the window is
+// dense: rescoring that many users one by one costs more than the blocked
+// scan, which shares the query's floor across shards and skips most rows
+// with a popcount, so the pruner hands it to topK. Both engines return the
+// shard's exact top-k, so the hand-off cannot change an answer. topK gets
+// the caller's k, not the heap size kh clamped to the window: scan keeps a
+// shard smaller than k away from the shared floor only when it sees the
+// real k.
+func (sh *Shard) topKPruned(u, k int, cfg index.Config, st *index.Stats, cells []floorCell) []Candidate {
 	n := sh.NumUsers()
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
+	kh := min(k, n)
+	if kh <= 0 {
 		return []Candidate{}
 	}
 	atomic.AddInt64(&st.Queries, 1)
 	x := sh.Index
 	if x == nil || !sh.Scorer.PruneSafe() {
 		atomic.AddInt64(&st.Fallbacks, 1)
-		return sh.TopK(u, k)
+		return sh.topK(u, k, cells)
 	}
 
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
 	attrs := sh.Scorer.AnonAttrs(u)
-	cands := x.Candidates(attrs, s)
-	if float64(len(cands)) > cfg.MaxCandidateFrac*float64(n) {
-		// Dense overlap: the candidate rescore is most of a full scan, so
-		// pruning can only win at the margin — but it can never lose: the
-		// banded remainder below exact-scores at most the users a full
-		// scan would, and the norm-tightened bounds may still certify
-		// skipping whole zero-overlap bands. Label the query and proceed.
+	limit := n
+	if cfg.MaxCandidateFrac < 1 {
+		limit = int(cfg.MaxCandidateFrac * float64(n))
+	}
+	cands := x.CandidatesUpTo(attrs, s, limit)
+	if len(cands) > limit {
 		atomic.AddInt64(&st.DenseQueries, 1)
+		return sh.topK(u, k, cells)
 	}
 	atomic.AddInt64(&st.Candidates, int64(len(cands)))
 
 	var prof similarity.QueryProfile
 	sh.Scorer.PrepareQuery(u, &prof)
-	h := make(candidateHeap, 0, k)
+	h := make(candidateHeap, 0, kh)
 	push := func(j int32) {
 		c := Candidate{User: sh.Lo + int(j), Score: sh.Scorer.ScoreWith(&prof, int(j))}
-		if len(h) < k {
+		if len(h) < kh {
 			h = append(h, c)
 			h.up(len(h) - 1)
 		} else if worse(h[0], c) {
@@ -184,26 +133,36 @@ func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candi
 		push(j)
 	}
 
-	// Zero-overlap remainder against the heap's current K-th score. Ties
-	// must scan — an equal-scoring smaller id would displace the heap root —
-	// so skipping demands a strict inequality; an unfilled heap skips
-	// nothing. Every zero-overlap user is either scanned or skipped, which
-	// is where the skipped count comes from.
+	// The zero-overlap remainder: users sharing no attribute with the query
+	// have s^a exactly 0 (disjoint attribute sets zero both Jaccard terms),
+	// so per degree band one structural bound covers every unmarked member.
+	// A band whose bound is strictly below the heap's K-th score is skipped
+	// whole — the K-th score only rises, so a member skipped now is never
+	// owed later. Ties must scan, since an equal-scoring smaller id would
+	// displace the heap root, and an unfilled heap skips nothing. Every
+	// zero-overlap user is either scanned or skipped, which is where the
+	// skipped count comes from; a band of candidates only is never visited.
 	var scanned, checked, bskipped int64
-	sh.zeroOverlap(&prof, attrs, s, func(bound float64) bool {
-		if len(h) < k {
-			return false
+	bands := x.Bands()
+	for bi := range bands {
+		b := &bands[bi]
+		if len(b.IDs) == s.BandCandidates(bi) {
+			continue
 		}
-		checked++
-		if bound < h[0].Score {
-			bskipped++
-			return true
+		if len(h) == kh {
+			checked++
+			if sh.Scorer.ScoreBoundBand(&prof, bandStats(b)) < h[0].Score {
+				bskipped++
+				continue
+			}
 		}
-		return false
-	}, func(j int32, _ float64) {
-		push(j)
-		scanned++
-	})
+		for _, j := range b.IDs {
+			if !s.Marked(j) {
+				push(j)
+				scanned++
+			}
+		}
+	}
 	skipped := int64(n-len(cands)) - scanned
 	atomic.AddInt64(&st.Scanned, scanned)
 	atomic.AddInt64(&st.Skipped, skipped)
@@ -216,36 +175,28 @@ func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candi
 }
 
 // WithPruning returns a world over the same shards whose queries run
-// through the candidate-pruning engine. Each shard's inverted index is
-// built (in parallel) over its scorer window unless already present —
-// the aux side is immutable, so indexes built once stay current through
-// ingestion, which only grows the anonymized side. st, when non-nil, is
-// the shared stats the pruned queries accumulate into (pass one struct
-// across every pruned world derived from the same prepared world); nil
-// allocates a fresh one. Results remain bit-identical to the unpruned
-// world: pruning only changes which users are provably not scored.
+// through the candidate-pruning engine, which hands dense queries to the
+// scan (see topKPruned). Each shard's inverted index is built (in
+// parallel) over its scorer window unless one built under the same band
+// count is present — the aux side is immutable, so indexes built once stay
+// current through ingestion, which only grows the anonymized side. st,
+// when non-nil, is the shared stats the pruned queries accumulate into
+// (pass one struct across every pruned world derived from the same
+// prepared world); nil allocates a fresh one. Results remain bit-identical
+// to the unpruned world: pruning only changes which users are provably not
+// scored.
 func (w *World) WithPruning(cfg index.Config, st *index.Stats) *World {
 	cfg = cfg.WithDefaults()
 	if st == nil {
 		st = &index.Stats{}
 	}
-	out := w.withIndex(cfg)
-	out.prune, out.pstats = &cfg, st
-	return out
-}
-
-// withIndex returns a view of w whose every shard carries an index built
-// under cfg, building the missing ones in parallel. An existing index is
-// reused only when the configuration's build-relevant part matches; a
-// different band count — or an index predating block-max metadata —
-// rebuilds, so re-indexing under a new Config is never partially applied.
-func (w *World) withIndex(cfg index.Config) *World {
 	out := w.view()
 	ParallelFor(len(out.shards), len(out.shards), func(i int) {
-		if sh := out.shards[i]; sh.Index == nil || sh.Index.BuildConfig().Bands != cfg.Bands || sh.Index.BlockSize() == 0 {
+		if sh := out.shards[i]; sh.Index == nil || sh.Index.BuildConfig().Bands != cfg.Bands {
 			sh.BuildIndex(cfg)
 		}
 	})
+	out.prune, out.pstats = &cfg, st
 	return out
 }
 

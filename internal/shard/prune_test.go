@@ -77,22 +77,19 @@ func TestPrunedParitySparse(t *testing.T) {
 	}
 }
 
-// TestPrunedParityDense drives the pruned engine over a real text world
-// where stylometric attribute overlap is dense (most queries exceed
-// MaxCandidateFrac) plus a handful of "lurker" auxiliary accounts whose
-// single empty post carries no stylometric attributes. Dense queries no
-// longer fall back to the full scan: the candidate set is rescored and
-// the zero-overlap lurkers' bands — whose norm ranges prove their NCS and
-// closeness vectors are all-zero — are skipped under the tightened band
-// bound. Parity with the full scan must hold throughout.
-func TestPrunedParityDense(t *testing.T) {
-	u := synth.NewUniverse(24, 31)
-	rng := rand.New(rand.NewSource(32))
+// denseTextWorld builds a real-text world whose stylometric attribute
+// overlap is dense (most queries' candidates exceed MaxCandidateFrac), plus
+// four "lurker" auxiliary accounts whose single empty post carries no
+// stylometric attributes. seed through seed+3 drive the generator.
+func denseTextWorld(t *testing.T, seed int64) (base *similarity.Scorer, auxS *features.Store, anonN int) {
+	t.Helper()
+	u := synth.NewUniverse(24, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
 	members := synth.Members(u, 24, rng)
-	cfg := synth.WebMDLike(24, 33)
+	cfg := synth.WebMDLike(24, seed+2)
 	cfg.FixedPosts = 6
 	d := synth.Generate(cfg, u, members)
-	split := corpus.SplitClosedWorld(d, 0.5, rand.New(rand.NewSource(34)))
+	split := corpus.SplitClosedWorld(d, 0.5, rand.New(rand.NewSource(seed+3)))
 	for i := 0; i < 4; i++ {
 		id := len(split.Aux.Users)
 		tid := len(split.Aux.Threads)
@@ -101,12 +98,17 @@ func TestPrunedParityDense(t *testing.T) {
 		split.Aux.Posts = append(split.Aux.Posts, corpus.Post{ID: len(split.Aux.Posts), User: id, Thread: tid, Text: ""})
 	}
 	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
-	base := similarity.NewScorer(anonS.UDA(), auxS.UDA(), similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
-	anonN := anonS.UDA().NumNodes()
+	base = similarity.NewScorer(anonS.UDA(), auxS.UDA(), similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
+	return base, auxS, anonS.UDA().NumNodes()
+}
 
+// TestPrunedParityDense drives the pruned engine at its default
+// configuration over the dense text world: dense queries go to the scan,
+// and parity with the unsharded full scan must hold throughout.
+func TestPrunedParityDense(t *testing.T) {
+	base, auxS, anonN := denseTextWorld(t, 31)
 	full := New(base, auxS.UDA(), auxS, 1)
-	st := &index.Stats{}
-	pruned := New(base, auxS.UDA(), auxS, 3).WithPruning(index.Config{}, st)
+	pruned := New(base, auxS.UDA(), auxS, 3).WithPruning(index.Config{}, nil)
 	for u := 0; u < anonN; u++ {
 		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "dense pruned parity")
 	}
@@ -118,10 +120,64 @@ func TestPrunedParityDense(t *testing.T) {
 		t.Fatalf("dense stylometric world should classify queries as dense: %+v", s)
 	}
 	if s.Fallbacks != 0 {
-		t.Fatalf("dense queries must run the banded engine, not fall back: %+v", s)
+		t.Fatalf("a prune-safe indexed world must not fall back: %+v", s)
+	}
+}
+
+// TestPrunedBandedDense keeps the pruner on its own path over the dense
+// text world (MaxCandidateFrac 1 never hands off): the candidate set is
+// rescored, and the zero-overlap lurkers' bands — whose norm ranges prove
+// their NCS and closeness vectors all-zero — are skipped under the
+// tightened band bound. Parity with the full scan must hold throughout.
+func TestPrunedBandedDense(t *testing.T) {
+	base, auxS, anonN := denseTextWorld(t, 31)
+	full := New(base, auxS.UDA(), auxS, 1)
+	pruned := New(base, auxS.UDA(), auxS, 3).WithPruning(index.Config{MaxCandidateFrac: 1}, nil)
+	for u := 0; u < anonN; u++ {
+		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "dense banded parity")
+	}
+	s := pruned.PruneStats()
+	if s.Queries == 0 || s.DenseQueries != 0 || s.Fallbacks != 0 {
+		t.Fatalf("MaxCandidateFrac 1 must keep every query on the banded engine: %+v", s)
 	}
 	if s.Skipped == 0 {
 		t.Fatalf("zero-attribute lurkers should be skipped under the norm-tightened band bound: %+v", s)
+	}
+}
+
+// TestDenseHandOffParity pins the pruner's hand-off to the scan on a
+// world where every query is dense, at 1, 2 and 3 shards, with the helper
+// goroutines on and off, and with k from 1 to beyond the world — including
+// k just above the smallest shard, where a shard clamped to its size sits
+// beside shards that publish to the query's shared floor. The hand-off
+// must pass the scan the caller's k: a shard scanning under the clamped k
+// would publish its last-place score as the floor and starve its siblings.
+func TestDenseHandOffParity(t *testing.T) {
+	anonS, auxS, base := testStores(t, 640, 2, 47)
+	anonN, auxN := anonS.UDA().NumNodes(), auxS.UDA().NumNodes()
+	full := New(base, auxS.UDA(), auxS, 1)
+	var users []int
+	for u := 0; u < anonN; u += 5 {
+		users = append(users, u)
+	}
+	for _, shards := range []int{1, 2, 3} {
+		pruned := New(base, auxS.UDA(), auxS, shards).WithPruning(index.Config{}, nil)
+		smallest := auxN
+		for _, sh := range pruned.Shards() {
+			smallest = min(smallest, sh.NumUsers())
+		}
+		for _, k := range []int{1, 10, smallest + 1, auxN + 5} {
+			for _, helpers := range []bool{false, true} {
+				for _, u := range users {
+					candidatesEqual(t, pruned.fanOut(u, k, helpers), full.QueryUser(u, k),
+						fmt.Sprintf("shards=%d k=%d helpers=%v u=%d hand-off parity", shards, k, helpers, u))
+				}
+			}
+		}
+		s := pruned.PruneStats()
+		if s.Queries == 0 || s.DenseQueries != s.Queries || s.Scanned != 0 {
+			t.Fatalf("shards=%d: every query must be handed to the scan: %+v", shards, s)
+		}
 	}
 }
 

@@ -7,14 +7,13 @@
 // A World cuts the global auxiliary id space [0, |aux|) into n contiguous
 // ranges. Each Shard is a similarity.Scorer window over its range — the
 // window's aux-side caches are contiguous slice views of the base scorer's
-// globally computed arrays, so nothing is copied — plus, once pruning or
-// the approximate tier is enabled, the range's inverted index. Because
-// every shard scores against global values (global landmarks, global
-// degrees), the union of per-shard bounded top-K heaps merged under the
-// global selection order (score descending, global id ascending) is
-// bit-identical to the unsharded single-row path; the merge is exact
-// because any global top-K candidate is necessarily inside its own shard's
-// top-K.
+// globally computed arrays, so nothing is copied — plus, once pruning is
+// enabled, the range's inverted index. Because every shard scores against
+// global values (global landmarks, global degrees), the union of per-shard
+// bounded top-K heaps merged under the global selection order (score
+// descending, global id ascending) is bit-identical to the unsharded
+// single-row path; the merge is exact because any global top-K candidate
+// is necessarily inside its own shard's top-K.
 //
 // Mutation discipline: shards are immutable after partitioning. The
 // anonymized side grows through the base scorer family's shared caches
@@ -71,11 +70,10 @@ type Shard struct {
 	// (local index j = global user Lo+j). For a single-shard world it is
 	// the base scorer.
 	Scorer *similarity.Scorer
-	// Index is the shard's attribute inverted index plus degree bands and
-	// id-range blocks over the same window, backing both indexed engines:
-	// the candidate pruner (TopKPruned) and the cursor walk (TopKApprox).
-	// Nil until the world enables either (WithPruning / WithApprox); the aux
-	// side is immutable, so a built index never goes stale.
+	// Index is the shard's attribute inverted index plus degree bands over
+	// the same window, backing the candidate pruner (TopKPruned). Nil until
+	// the world enables pruning (WithPruning); the aux side is immutable,
+	// so a built index never goes stale.
 	Index *index.Index
 }
 
@@ -145,11 +143,6 @@ type World struct {
 	// counter block those queries accumulate into.
 	prune  *index.Config
 	pstats *index.Stats
-	// approx, when non-nil, enables the approximate query tier
-	// (QueryUserApprox; see approx.go) under this index configuration;
-	// astats is its shared counter block. The exact paths are unaffected.
-	approx *index.Config
-	astats *index.ApproxStats
 }
 
 // Bounds returns the n+1 partition offsets that cut total users into n
@@ -194,8 +187,7 @@ func New(base *similarity.Scorer, auxUDA *graph.UDA, auxStore *features.Store, n
 // base scorer, reusing the partition bounds and inverted indexes —
 // attribute postings do not depend on the similarity configuration, so
 // re-configuring a sharded world costs O(shards) slice headers. A pruned
-// world stays pruned and an approximate-tier world keeps the tier, both
-// still accumulating into the same shared stats.
+// world stays pruned, still accumulating into the same shared stats.
 func (w *World) WithScorer(base *similarity.Scorer) *World {
 	out := w.view()
 	for _, sh := range out.shards {
@@ -245,26 +237,13 @@ func newScanTokens() chan struct{} {
 	return t
 }
 
-// queryMode names the engine a query asks for: the zero value is the
-// world's exact engine (the candidate pruner on a pruned world, the full
-// scan otherwise); approx asks for the cursor walk under ap. It travels by
-// value down to shardTopK, so selecting an engine allocates nothing.
-type queryMode struct {
-	approx bool
-	ap     index.ApproxParams
-}
-
-// shardTopK answers one shard's slice of a query with the engine the mode
-// and the world's configuration select. A world without the approximate
-// tier answers approximate queries exactly, so callers can always ask. The
-// full scan shares the query's floor through cells (see topK); the indexed
-// engines ignore them.
-func (w *World) shardTopK(sh *Shard, u, k int, m queryMode, cells []floorCell) []Candidate {
-	switch {
-	case m.approx && w.approx != nil:
-		return sh.TopKApprox(u, k, *w.approx, m.ap, w.astats)
-	case w.prune != nil:
-		return sh.TopKPruned(u, k, *w.prune, w.pstats)
+// shardTopK answers one shard's slice of a query through the world's exact
+// engine: the candidate pruner on a pruned world, which hands dense queries
+// to the scan, and the scan otherwise. The scan shares the query's floor
+// through cells (see topK).
+func (w *World) shardTopK(sh *Shard, u, k int, cells []floorCell) []Candidate {
+	if w.prune != nil {
+		return sh.topKPruned(u, k, *w.prune, w.pstats, cells)
 	}
 	return sh.topK(u, k, cells)
 }
@@ -282,16 +261,16 @@ func (w *World) shardTopK(sh *Shard, u, k int, m queryMode, cells []floorCell) [
 // rows below the k-th score the other has already reached. The outcome is
 // bit-identical to the single-shard (unsharded) path either way: same
 // candidate set, same order, same scores.
-func (w *World) fanOut(u, k int, m queryMode, helpers bool) []Candidate {
+func (w *World) fanOut(u, k int, helpers bool) []Candidate {
 	if len(w.shards) == 1 {
-		return w.shardTopK(w.shards[0], u, k, m, nil)
+		return w.shardTopK(w.shards[0], u, k, nil)
 	}
 	parts := make([][]Candidate, len(w.shards))
 	cells := newFloorCells(1)
 	var next atomic.Int64
 	scan := func() {
 		for i := int(next.Add(1)) - 1; i < len(w.shards); i = int(next.Add(1)) - 1 {
-			parts[i] = w.shardTopK(w.shards[i], u, k, m, cells)
+			parts[i] = w.shardTopK(w.shards[i], u, k, cells)
 		}
 	}
 	var wg sync.WaitGroup
@@ -317,7 +296,7 @@ spawn:
 // QueryUser computes anonymized user u's global top-k: the single row
 // fanned out across shards (see fanOut) through the world's exact engine.
 func (w *World) QueryUser(u, k int) []Candidate {
-	return w.fanOut(u, k, queryMode{}, true)
+	return w.fanOut(u, k, true)
 }
 
 // MergeTopK merges per-shard top-k lists into the global top-k under the
@@ -359,7 +338,7 @@ func RouteName(name string, n int) int {
 }
 
 // candidateHeap is a worst-first binary heap of candidates, the bounded
-// top-K accumulator of the shard scan and the indexed engines' gathers.
+// top-K accumulator of the shard scan and the pruner's gather.
 type candidateHeap []Candidate
 
 func (h candidateHeap) up(i int) {

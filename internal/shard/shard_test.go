@@ -9,6 +9,7 @@ import (
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
 	"dehealth/internal/graph"
+	"dehealth/internal/index"
 	"dehealth/internal/similarity"
 	"dehealth/internal/synth"
 )
@@ -203,7 +204,7 @@ func TestSharedFloorParity(t *testing.T) {
 				for _, k := range []int{1, 10, smallest + 1, auxN + 5} {
 					for _, helpers := range []bool{false, true} {
 						for _, u := range users {
-							got := w.fanOut(u, k, queryMode{}, helpers)
+							got := w.fanOut(u, k, helpers)
 							if exp := want[u][:min(k, auxN)]; !slices.Equal(got, exp) {
 								t.Fatalf("shards=%d k=%d helpers=%v u=%d: %+v, oracle %+v", n, k, helpers, u, got, exp)
 							}
@@ -257,10 +258,12 @@ func TestSharedFloorParity(t *testing.T) {
 // several goroutines at once, so the helper-token budget runs dry and
 // refills and a query's shards share their floor cell both inline and
 // across goroutines, and checks every answer against the 1-shard world.
+// It runs the plain world and the same world pruned, where every query of
+// this dense world reaches the floor cells through the pruner's hand-off.
 func TestQueryUserConcurrentParity(t *testing.T) {
 	anonS, auxS, base := testStores(t, 640, 2, 47)
 	anonN, auxN := anonS.UDA().NumNodes(), auxS.UDA().NumNodes()
-	single, w := New(base, auxS.UDA(), auxS, 1), New(base, auxS.UDA(), auxS, 3)
+	single, plain := New(base, auxS.UDA(), auxS, 1), New(base, auxS.UDA(), auxS, 3)
 	ks := []int{1, 10, auxN/3 + 1}
 	want := make([][][]Candidate, len(ks))
 	for ki, k := range ks {
@@ -269,23 +272,28 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 			want[ki][u] = single.QueryUser(u, k)
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < anonN; i++ {
-				u := (i*7 + g*31) % anonN
-				for ki, k := range ks {
-					if got := w.QueryUser(u, k); !slices.Equal(got, want[ki][u]) {
-						t.Errorf("goroutine %d k=%d u=%d: %+v, 1-shard world %+v", g, k, u, got, want[ki][u])
-						return
+	for _, w := range []*World{plain, plain.WithPruning(index.Config{}, nil)} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < anonN; i++ {
+					u := (i*7 + g*31) % anonN
+					for ki, k := range ks {
+						if got := w.QueryUser(u, k); !slices.Equal(got, want[ki][u]) {
+							t.Errorf("pruned=%v goroutine %d k=%d u=%d: %+v, 1-shard world %+v", w.Pruned(), g, k, u, got, want[ki][u])
+							return
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+		if s := w.PruneStats(); s.DenseQueries != s.Queries {
+			t.Fatalf("every query of the dense pruned world must be handed to the scan: %+v", s)
+		}
 	}
-	wg.Wait()
 }
 
 // TestMergeTieBreaking pins the stable global tie-break: equal scores

@@ -159,44 +159,6 @@ func (s *Scorer) ScoreBoundBand(p *QueryProfile, b BandStats) float64 {
 	return inflate(s.cfg.C1*degSim + s.cfg.C2*distSim)
 }
 
-// AttrScoreBounds fills ub (reusing its capacity; pass nil to allocate)
-// with one admissible upper bound per query attribute: ub[i] bounds the
-// attribute-similarity contribution that attribute p.attrs.Idx[i] alone
-// can add to Score(p.User(), v) for any auxiliary v, weighted by C3.
-// Writing A for the query's attribute set, I for the overlap with v's
-// set B, and w for the query-side weights:
-//
-//	Jaccard  = |I| / (|A| + |B| - |I|)           <= sum over I of 1/|A|
-//	WJaccard = w(I) / (W_A + W_B - w(I))         <= sum over I of w(a)/W_A
-//
-// since the intersection never exceeds either side (|I| <= |B| and the
-// min-weight overlap never exceeds W_B keep both denominators >= the
-// query-side totals). Summing ub[i] over any candidate attribute subset
-// therefore bounds the candidate's whole s^a term, which is what the
-// max-score/WAND pivot walk accumulates per posting cursor. Each bound
-// carries the safety margin, so a strict comparison against a sum of
-// these bounds can never lose an exact-path candidate to rounding. The
-// weighted term drops out for a query with zero total attribute weight.
-func (s *Scorer) AttrScoreBounds(p *QueryProfile, ub []float64) []float64 {
-	n := len(p.attrs.Idx)
-	if cap(ub) < n {
-		ub = make([]float64, n)
-	}
-	ub = ub[:n]
-	inv := 0.0
-	if n > 0 {
-		inv = 1 / float64(n)
-	}
-	for i := range ub {
-		raw := inv
-		if p.attrTotW > 0 {
-			raw += float64(p.attrs.Weight[i]) / float64(p.attrTotW)
-		}
-		ub[i] = inflate(s.cfg.C3 * raw)
-	}
-	return ub
-}
-
 // attrSimBound returns an upper bound on the attribute similarity
 // (Jaccard + weighted Jaccard) of two attribute sets A and B given inter =
 // |A∩B| exactly — the batched kernel reads it off two presence bitsets by

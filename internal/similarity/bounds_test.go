@@ -176,79 +176,6 @@ func TestPruneSafe(t *testing.T) {
 	}
 }
 
-// TestAttrScoreBoundsAdmissible is the safety property the WAND tier
-// rests on: for EVERY pair (u, v) — attribute overlap included — the
-// exact score must not exceed the singleton band bound of v (covering the
-// structural terms) plus the sum of the per-attribute bounds of the query
-// attributes v shares (covering the C3·AttrSim term). This is exactly the
-// bound sum the cursor walk computes for v, so the walk can only skip
-// pairs scoring below its threshold.
-func TestAttrScoreBoundsAdmissible(t *testing.T) {
-	g1, g2 := twoForumWorld()
-	for _, cfg := range []Config{
-		{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 2},
-		{C1: 0, C2: 0, C3: 1, Landmarks: 2},
-		{C1: 0.3, C2: 0.3, C3: 0.4, Landmarks: 2},
-		{C1: 1, C2: 0, C3: 0, Landmarks: 2},
-	} {
-		s := NewScorer(g1, g2, cfg)
-		var p QueryProfile
-		var ubs []float64
-		for u := 0; u < g1.NumNodes(); u++ {
-			s.PrepareQuery(u, &p)
-			ubs = s.AttrScoreBounds(&p, ubs)
-			qa := s.AnonAttrs(u)
-			if len(ubs) != len(qa.Idx) {
-				t.Fatalf("user %d: %d bounds for %d query attributes", u, len(ubs), len(qa.Idx))
-			}
-			for i, b := range ubs {
-				if b <= 0 {
-					t.Fatalf("user %d attribute %d: non-positive bound %v", u, qa.Idx[i], b)
-				}
-			}
-			for v := 0; v < g2.NumNodes(); v++ {
-				va := s.AuxAttrs(v)
-				shared := map[int]bool{}
-				for _, a := range va.Idx {
-					shared[a] = true
-				}
-				d, wd := s.AuxDegree(v), s.AuxWeightedDegree(v)
-				bound := s.ScoreBoundBand(&p, BandStats{
-					DegLo: d, DegHi: d, WdegLo: wd, WdegHi: wd,
-					NCSNormLo: s.AuxNCSNorm(v), NCSNormHi: s.AuxNCSNorm(v),
-					CloseNormLo: s.AuxCloseNorm(v), CloseNormHi: s.AuxCloseNorm(v),
-					WclNormLo: s.AuxWclNorm(v), WclNormHi: s.AuxWclNorm(v),
-				})
-				for i, a := range qa.Idx {
-					if shared[a] {
-						bound += ubs[i]
-					}
-				}
-				if got := s.Score(u, v); got > bound {
-					t.Fatalf("cfg %+v: Score(%d,%d) = %v above cursor bound sum %v", cfg, u, v, got, bound)
-				}
-			}
-		}
-	}
-}
-
-// TestAttrScoreBoundsBufferReuse pins the scratch contract: a capacious
-// buffer is reused in place, an undersized one reallocated.
-func TestAttrScoreBoundsBufferReuse(t *testing.T) {
-	g1, g2 := twoForumWorld()
-	s := NewScorer(g1, g2, Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 2})
-	var p QueryProfile
-	s.PrepareQuery(0, &p)
-	buf := make([]float64, 0, 1024)
-	out := s.AttrScoreBounds(&p, buf)
-	if len(out) > 0 && &out[0] != &buf[:1][0] {
-		t.Fatal("capacious buffer was not reused")
-	}
-	if got := s.AttrScoreBounds(&p, nil); len(got) != len(out) {
-		t.Fatalf("nil-buffer call returned %d bounds, want %d", len(got), len(out))
-	}
-}
-
 // TestAuxAccessorsMatchGraph pins the accessor contract: the frozen
 // aux-side reads the index is built from must equal live graph reads.
 func TestAuxAccessorsMatchGraph(t *testing.T) {

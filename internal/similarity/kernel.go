@@ -11,8 +11,7 @@
 //     kernel without floors.
 //   - per-pair gather: ScoreWith scores one prepared query against one
 //     auxiliary user, for callers that visit scattered rows — the pruner's
-//     and the cursor walk's exact rescores, refined-DA verification and
-//     Score. ScoreRange is the same expression looped over a range; no
+//     exact rescores, refined-DA verification and Score. ScoreRange is the same expression looped over a range; no
 //     production path calls it (the benchmark's per-layer probe does).
 //   - oracle: ScoreSlow re-derives everything per pair from the graphs;
 //     tests and the benchmark's correctness check compare against it.

@@ -100,11 +100,10 @@ type Meta struct {
 	Prune                 bool    `json:"prune"`
 	PruneBands            int     `json:"prune_bands,omitempty"`
 	PruneMaxCandidateFrac float64 `json:"prune_max_candidate_frac,omitempty"`
-	// Approx records whether the world had the approximate retrieval tier
-	// enabled; it reuses the secShardIndex sections (and the Prune* build
-	// configuration fields) so an approx-only world still carries its
-	// shard indexes. A JSON field addition: older files simply load with
-	// the tier off, no format version bump.
+	// Approx records the deprecated Options.Approx.Enabled, which prepares
+	// a world exactly as Prune does: the file carries the secShardIndex
+	// sections (and the Prune* build configuration fields), and the loader
+	// boots such a world pruned.
 	Approx bool `json:"approx,omitempty"`
 	// C1, C2, C3 and Landmarks pin the similarity configuration the saved
 	// scorer caches were computed under.

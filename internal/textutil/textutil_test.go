@@ -209,12 +209,50 @@ func countNonSpace(s string) int {
 	return n
 }
 
-// Property: letter frequencies are case-insensitive.
+// asciiCase maps s's ASCII letters with to and leaves every other rune.
+func asciiCase(s string, to func(rune) rune) string {
+	return strings.Map(func(r rune) rune {
+		if r < 0x80 {
+			return to(r)
+		}
+		return r
+	}, s)
+}
+
+// Property: letter frequencies are insensitive to ASCII case. LetterFreq
+// counts the 26 ASCII letters only, so the property is stated over ASCII
+// case mapping: Unicode's maps some non-ASCII letters onto ASCII ones (see
+// TestLetterFreqNonASCIICaseMapping).
 func TestLetterFreqCaseInsensitive(t *testing.T) {
 	f := func(s string) bool {
-		return LetterFreq(strings.ToUpper(s)) == LetterFreq(strings.ToLower(s))
+		upper, lower := asciiCase(s, unicode.ToUpper), asciiCase(s, unicode.ToLower)
+		return LetterFreq(upper) == LetterFreq(lower) && LetterFreq(lower) == LetterFreq(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLetterFreqNonASCIICaseMapping pins the three runes whose Unicode
+// case mapping crosses into ASCII: each counts as no letter itself, while
+// its ASCII image counts as one.
+func TestLetterFreqNonASCIICaseMapping(t *testing.T) {
+	for _, tc := range []struct {
+		name, s string
+		to      func(string) string
+		letter  byte
+	}{
+		{"dotless i (U+0131)", "\u0131", strings.ToUpper, 'i'},
+		{"long s (U+017F)", "\u017f", strings.ToUpper, 's'},
+		{"Kelvin sign (U+212A)", "\u212a", strings.ToLower, 'k'},
+	} {
+		if got := LetterFreq(tc.s); got != ([26]int{}) {
+			t.Errorf("%s: LetterFreq = %v, want no ASCII letter", tc.name, got)
+		}
+		var want [26]int
+		want[tc.letter-'a'] = 1
+		if got := LetterFreq(tc.to(tc.s)); got != want {
+			t.Errorf("%s: LetterFreq of its case mapping %q = %v, want one %c", tc.name, tc.to(tc.s), got, tc.letter)
+		}
 	}
 }

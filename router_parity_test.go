@@ -2,8 +2,9 @@
 // router scatter-gathering over 1, 2 and 4 shard servers — real
 // dehealth.NewServer instances, each booted from its own snapshot slice —
 // must answer QueryUser and QueryBatch bit-identically to the
-// single-process PreparedWorld fan-out, in exact, pruned and approximate
-// modes alike. Every float crosses two JSON hops (router → shard server →
+// single-process PreparedWorld fan-out, in exact, pruned and "approx"
+// modes alike (the last prepares with the deprecated Options.Approx and
+// sends the wire "approx" key, both answered exactly). Every float crosses two JSON hops (router → shard server →
 // router); Go marshals float64 round-trip exactly, so bit-identity is
 // required, not approximated.
 
@@ -20,14 +21,11 @@ import (
 
 // routerOver boots one serve.Server per slice world and a router over
 // them, in shard order.
-func routerOver(t *testing.T, slices []*PreparedWorld, approxKnobs ApproxConfig) *router.Router {
+func routerOver(t *testing.T, slices []*PreparedWorld) *router.Router {
 	t.Helper()
 	topo := make([][]string, len(slices))
 	for i, sw := range slices {
-		opt := sw.PreparedOptions()
-		opt.Approx.Theta = approxKnobs.Theta
-		opt.Approx.Budget = approxKnobs.Budget
-		srv := NewServer(sw, ServeOptions{Attack: opt})
+		srv := NewServer(sw, ServeOptions{Attack: sw.PreparedOptions()})
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() {
 			hs.Close()
@@ -52,7 +50,7 @@ func TestRouterParity(t *testing.T) {
 	}{
 		{name: "exact"},
 		{name: "pruned", prune: true},
-		{name: "approx", approx: ApproxConfig{Enabled: true, Theta: 0.6}},
+		{name: "approx", approx: ApproxConfig{Enabled: true}},
 	}
 	for mi, mode := range modes {
 		for _, shards := range []int{1, 2, 4} {
@@ -71,7 +69,7 @@ func TestRouterParity(t *testing.T) {
 			if len(slices) != shards {
 				t.Fatalf("%s: %d slices", label, len(slices))
 			}
-			r := routerOver(t, slices, mode.approx)
+			r := routerOver(t, slices)
 
 			anon, _ := pw.Sizes()
 			allUsers := make([]int, anon)

@@ -5,8 +5,10 @@
 # name anywhere but on its own definition lines. Dead names are allowed
 # only when scripts/surface_allowlist.txt lists them with a reason; an
 # allowlist entry that gains a caller or no longer exists fails too, so the
-# list — and the dead surface with it — can only shrink. Used by the CI
-# lint job and runnable locally:
+# list — and the dead surface with it — can only shrink. Names tagged
+# compat in scripts/benchmark_names.txt need no entry: they are forwards
+# kept for the frozen benchmark alone, and TestBenchmarkNames proves the
+# benchmark uses each. Used by the CI lint job and runnable locally:
 #
 #   ./scripts/check_surface.sh
 #
@@ -33,6 +35,12 @@ dead=$(awk 'NR == FNR { seen[$1] = $2; next }
     { k = split($0, p, "."); nm[++n] = p[k]; key[n] = $0; nd[p[k]]++ }
     END { for (i = 1; i <= n; i++) if (seen[nm[i]] <= nd[nm[i]]) print key[i] }' \
     <(echo "$mentions") <(echo "$defs") | sort)
+
+# Drop the compat forwards: "internal/shard.Shard.TopKApprox" is listed
+# as "shard.Shard.TopKApprox".
+dead=$(awk 'NR == FNR { if ($2 == "compat") compat[$1] = 1; next }
+    { k = $0; sub(/^([^\/.]*\/)*/, "", k); if (!(k in compat)) print }' \
+    scripts/benchmark_names.txt <(echo "$dead"))
 
 entries=$(grep -vE '^[[:space:]]*(#|$)' "$allow" || true)
 listed=$(echo "$entries" | awk 'NF { print $1 }' | sort)

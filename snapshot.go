@@ -73,8 +73,8 @@ func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 	sw := &snapshot.World{
 		Meta: snapshot.Meta{
 			Shards:    w.shards,
-			Prune:     w.pruneStats != nil,
-			Approx:    w.approxStats != nil,
+			Prune:     w.prepOpt.Prune,
+			Approx:    w.prepOpt.Approx.Enabled,
 			C1:        cfg.C1,
 			C2:        cfg.C2,
 			C3:        cfg.C3,
@@ -96,7 +96,7 @@ func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 		return nil, err
 	}
 	sw.Scorer = p.Scorer.Parts()
-	if w.pruneStats != nil || w.approxStats != nil {
+	if w.pruneStats != nil {
 		var bands int
 		var frac float64
 		for _, sh := range p.ShardWindows() {
@@ -295,7 +295,6 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 
 	p := core.NewRestoredPipeline(anonStore, auxStore, sc, meta.Shards)
 	var stats *index.Stats
-	var astats *index.ApproxStats
 	if meta.Prune || meta.Approx {
 		wins := p.ShardWindows()
 		if len(sw.Indexes) != len(wins) {
@@ -310,25 +309,17 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 				return nil, fmt.Errorf("%w: shard %d index covers %d users, window has %d", snapshot.ErrCorrupt, i, x.NumUsers(), sh.NumUsers())
 			}
 			sh.Index = x
-			// Format-v1 blobs carry no block-max metadata (BlockSize 0):
+			// Format-v1 blobs carry no block metadata (BlockSize 0):
 			// rebuild it from the restored scorer window at the default
-			// block size, so a pre-v2 snapshot gains the block-max walk
-			// without an index rebuild — and without bumping what the walk
-			// may skip, since block bounds only ever tighten the global base.
+			// block size, so the next save writes a complete v2 blob.
 			sh.EnsureBlocks(0)
 		}
-		// WithPruning/WithApprox reuse the installed indexes: the
-		// configuration's build-relevant part (Bands) matches by
-		// construction. Both tiers share the same index sections.
+		// WithPruning reuses the installed indexes: the configuration's
+		// build-relevant part (Bands) matches by construction. A world
+		// saved with the retired approximate tier boots pruned.
 		icfg := index.Config{Bands: meta.PruneBands, MaxCandidateFrac: meta.PruneMaxCandidateFrac}
-		if meta.Prune {
-			stats = &index.Stats{}
-			p = p.Pruned(icfg, stats)
-		}
-		if meta.Approx {
-			astats = &index.ApproxStats{}
-			p = p.Approx(icfg, astats)
-		}
+		stats = &index.Stats{}
+		p = p.Pruned(icfg, stats)
 	}
 
 	prepOpt := Options{
@@ -353,12 +344,11 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 	return &PreparedWorld{
 		Anon: anonData, Aux: auxData,
 		anonStore: anonStore, auxStore: auxStore,
-		shards:      meta.Shards,
-		prepOpt:     prepOpt,
-		pruneStats:  stats,
-		approxStats: astats,
-		slice:       slice,
-		pipelines:   map[similarity.Config]*core.Pipeline{cfg: p},
+		shards:     meta.Shards,
+		prepOpt:    prepOpt,
+		pruneStats: stats,
+		slice:      slice,
+		pipelines:  map[similarity.Config]*core.Pipeline{cfg: p},
 	}, nil
 }
 

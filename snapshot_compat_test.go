@@ -50,8 +50,9 @@ func TestWriteSnapshotFixture(t *testing.T) {
 }
 
 // TestSnapshotV1FixtureCompat loads the committed format-v1 snapshot and
-// demands bit-identical answers — exact and approximate (theta 1,
-// unbounded budget) — against a freshly prepared copy of the same world.
+// demands bit-identical answers — with and without the deprecated
+// Options.Approx — against a freshly prepared copy of the same world, from
+// a restored world that runs pruned.
 // The header check guards the fixture itself: if a writer ever rewrote it
 // at a newer version, the compat coverage would silently vanish.
 func TestSnapshotV1FixtureCompat(t *testing.T) {
@@ -102,6 +103,9 @@ func TestSnapshotV1FixtureCompat(t *testing.T) {
 					}
 				}
 			}
+		}
+		if ps := lw.PruneStats(); !ps.Enabled || ps.Queries == 0 {
+			t.Fatalf("noMmap=%v: restored world did not run pruned: %+v", noMmap, ps)
 		}
 	}
 }
