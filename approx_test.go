@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -14,9 +15,9 @@ import (
 	"dehealth/internal/corpus"
 )
 
-// The retired approximate tier survives as Options.Approx, which prepares
-// a world exactly as Options.Prune does, and as the wire "approx" key,
-// answered exactly. These tests pin both against the exact answers.
+// The retired approximate tier survives as Options.Approx, which is
+// ignored, and as the wire "approx" key, answered exactly. These tests pin
+// both against the ScoreSlow oracle.
 
 // approxWorld prepares a closed-world split with the deprecated
 // Options.Approx set.
@@ -33,159 +34,100 @@ func approxWorld(t *testing.T, users int, seed int64, shards int, cfg ApproxConf
 
 // TestApproxPreparedWorldExactUnbounded is the public-layer exactness
 // guarantee: a world prepared with Options.Approx answers every query —
-// including after ingestion — bit-identically to a world without it, and
-// runs those queries through the pruner.
+// including after ingestion — bit-identically to the ScoreSlow oracle.
 func TestApproxPreparedWorldExactUnbounded(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxBigrams = 50
 	opt.Landmarks = 5
-
-	mkSplit := func() *Split {
-		w := GenerateWorld(WorldConfig{WebMDUsers: 26, HBUsers: 26, Seed: 1021})
-		return SplitClosedWorld(w.WebMD, 0.5, 1022)
-	}
-	plainSplit, approxSplit := mkSplit(), mkSplit()
-	plain := PrepareWorld(plainSplit.Anon, plainSplit.Aux, opt)
-	approxOpt := opt
-	approxOpt.Approx = ApproxConfig{Enabled: true}
-	approxOpt.Shards = 3
-	approx := PrepareWorld(approxSplit.Anon, approxSplit.Aux, approxOpt)
+	opt.Approx = ApproxConfig{Enabled: true}
+	opt.Shards = 3
+	w := GenerateWorld(WorldConfig{WebMDUsers: 26, HBUsers: 26, Seed: 1021})
+	split := SplitClosedWorld(w.WebMD, 0.5, 1022)
+	approx := PrepareWorld(split.Anon, split.Aux, opt)
 
 	ingest := []UserPosts{
 		{User: corpus.User{Name: "late-arrival", TrueIdentity: -1}, Posts: []IngestPost{
 			{Thread: 0, Text: "the new medication finally started working for me"},
 		}},
 	}
-	if _, err := plain.Ingest(ingest); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := approx.Ingest(ingest); err != nil {
 		t.Fatal(err)
 	}
-
-	anon, _ := plain.Sizes()
-	users := make([]int, anon)
-	for i := range users {
-		users[i] = i
-	}
-	wantBatch, err := plain.QueryBatch(users, 6, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBatch, err := approx.QueryBatch(users, 6, approxOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < anon; u++ {
-		got, err := approx.QueryUser(u, 6, approxOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := wantBatch[u]
-		if len(got) != len(want) || len(gotBatch[u]) != len(want) {
-			t.Fatalf("user %d: lengths %d/%d, want %d", u, len(got), len(gotBatch[u]), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] || gotBatch[u][i] != want[i] {
-				t.Fatalf("user %d candidate %d: %+v / %+v, want %+v", u, i, got[i], gotBatch[u][i], want[i])
-			}
-		}
-	}
-
-	if ps := approx.PruneStats(); !ps.Enabled || ps.Queries == 0 {
-		t.Fatalf("Options.Approx world did not prune: %+v", ps)
-	}
-	if ps := plain.PruneStats(); ps.Enabled || ps.Queries != 0 {
-		t.Fatalf("plain world reports pruning: %+v", ps)
-	}
+	single, batch := worldAnswers(t, approx, 6, opt)
+	oracle := oracleAnswers(t, approx, 6, opt)
+	sameCandidates(t, "QueryUser", oracle, single)
+	sameCandidates(t, "QueryBatch", oracle, batch)
 }
 
 // TestApproxRecallDense pins recall 1.0 on a dense synth text world: a
 // world prepared with Options.Approx at 2 shards returns exactly the
-// unsharded exact world's top-10 for every user.
+// oracle's top-10 for every user.
 func TestApproxRecallDense(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxBigrams = 50
 	opt.Landmarks = 5
+	opt.Shards = 2
+	opt.Approx = ApproxConfig{Enabled: true}
 	w := GenerateWorld(WorldConfig{WebMDUsers: 40, HBUsers: 40, Seed: 1031})
-	mk := func(cfg ApproxConfig, shards int) *PreparedWorld {
-		split := SplitClosedWorld(w.WebMD, 0.5, 1032)
-		o := opt
-		o.Shards = shards
-		o.Approx = cfg
-		return PrepareWorld(split.Anon, split.Aux, o)
-	}
-	plain := mk(ApproxConfig{}, 1)
-	approx := mk(ApproxConfig{Enabled: true}, 2)
-	approxOpt := opt
-	approxOpt.Approx = ApproxConfig{Enabled: true}
+	split := SplitClosedWorld(w.WebMD, 0.5, 1032)
+	approx := PrepareWorld(split.Anon, split.Aux, opt)
 
-	anon, _ := plain.Sizes()
-	for u := 0; u < anon; u++ {
-		exact, err := plain.QueryUser(u, 10, opt)
+	oracle := oracleAnswers(t, approx, 10, opt)
+	for u := range oracle {
+		got, err := approx.QueryUser(u, 10, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := approx.QueryUser(u, 10, approxOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, exact) {
-			t.Fatalf("user %d: %+v, exact %+v", u, got, exact)
+		if !slices.Equal(got, oracle[u]) {
+			t.Fatalf("user %d: %+v, oracle %+v", u, got, oracle[u])
 		}
 	}
 }
 
 // TestApproxSnapshotRoundTrip pins warm restart for an Options.Approx
-// world: it snapshots its shard indexes, the loaded world keeps the flag,
-// boots pruned, and answers bit-identically to the world that saved it.
+// world: the flag leaves no trace in the file — its bytes are those of the
+// same world prepared without it — and the loaded world answers
+// bit-identically to the world that saved it.
 func TestApproxSnapshotRoundTrip(t *testing.T) {
 	pw := approxWorld(t, 22, 1041, 3, ApproxConfig{Enabled: true})
+	plain := approxWorld(t, 22, 1041, 3, ApproxConfig{})
 	opt := DefaultOptions()
 	opt.Landmarks = 5
 	opt.Approx = ApproxConfig{Enabled: true}
 
-	path := filepath.Join(t.TempDir(), "approx.snap")
+	dir := t.TempDir()
+	path, plainPath := filepath.Join(dir, "approx.snap"), filepath.Join(dir, "plain.snap")
 	if err := pw.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
+	if err := plain.Snapshot(plainPath); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(plainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("Options.Approx changed the snapshot: %d bytes, %d without it", len(a), len(b))
+	}
+	want, _ := worldAnswers(t, pw, 5, opt)
 	for _, noMmap := range []bool{false, true} {
 		lw, err := LoadWorld(path, LoadOptions{NoMmap: noMmap})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !lw.PreparedOptions().Approx.Enabled {
-			t.Fatal("loaded world lost the approximate tier")
-		}
-		anon, _ := pw.Sizes()
-		for u := 0; u < anon; u++ {
-			want, err := pw.QueryUser(u, 5, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := lw.QueryUser(u, 5, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("noMmap %v user %d: %d candidates, want %d", noMmap, u, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("noMmap %v user %d candidate %d: %+v, want %+v", noMmap, u, i, got[i], want[i])
-				}
-			}
-		}
-		if ps := lw.PruneStats(); !ps.Enabled || ps.Queries == 0 {
-			t.Fatalf("loaded world did not boot pruned: %+v", ps)
-		}
+		got, _ := worldAnswers(t, lw, 5, opt)
+		sameCandidates(t, fmt.Sprintf("noMmap=%v", noMmap), want, got)
 	}
 }
 
 // TestStatsApproxBlock drives the full public serving stack: the wire
 // "approx" key is accepted and answered exactly — the same reply as the
-// plain query — and /v1/stats carries no approx block, only the prune
-// block of the Options.Approx world.
+// plain query — and /v1/stats carries no approx block.
 func TestStatsApproxBlock(t *testing.T) {
 	pw := approxWorld(t, 20, 1061, 2, ApproxConfig{Enabled: true})
 	opt := DefaultOptions()
@@ -225,12 +167,6 @@ func TestStatsApproxBlock(t *testing.T) {
 	}
 	if _, ok := raw["approx"]; ok {
 		t.Fatal("stats must carry no approx block")
-	}
-	var prune struct {
-		Queries int64 `json:"queries"`
-	}
-	if err := json.Unmarshal(raw["prune"], &prune); err != nil || prune.Queries != 4 {
-		t.Fatalf("prune block %s: want 4 shard queries (2 queries x 2 shards), err %v", raw["prune"], err)
 	}
 }
 
@@ -307,8 +243,5 @@ func TestConcurrentApproxQueryIngest(t *testing.T) {
 	}
 	if anon1, _ := pw.Sizes(); anon1 != anon0+ingesters*rounds {
 		t.Fatalf("anon users after race: %d, want %d", anon1, anon0+ingesters*rounds)
-	}
-	if ps := pw.PruneStats(); !ps.Enabled || ps.Queries == 0 {
-		t.Fatalf("race left no pruned activity: %+v", ps)
 	}
 }

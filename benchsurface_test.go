@@ -2,12 +2,16 @@ package dehealth
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -53,6 +57,80 @@ func TestBenchmarkNames(t *testing.T) {
 			t.Errorf("%s is tagged compat but is neither in a compat.go nor a Deprecated field (%s)", name, decl[name])
 		}
 	}
+}
+
+// TestNoCompatCalls keeps the compat names quarantined: no non-test file
+// of the module outside benchmark/ and the compat.go files may reference a
+// name tagged compat in scripts/benchmark_names.txt. It type-checks every
+// such package from source and matches each resolved reference to a
+// compat name's declaration by position — object identity, so a live
+// field or method that merely shares a compat name's spelling (a
+// Candidates field, a Snapshot method) never trips it.
+func TestNoCompatCalls(t *testing.T) {
+	_, decl := benchmarkSurface(t)
+	compat := map[token.Position]string{}
+	for name, tag := range readBenchmarkNames(t) {
+		if tag == "compat" {
+			compat[absPosition(t, decl[name])] = name
+		}
+	}
+
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	err := filepath.WalkDir(".", func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			var none *build.NoGoError
+			if errors.As(err, &none) {
+				return nil
+			}
+			return err
+		}
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp}
+		if _, err := conf.Check(path.Join("dehealth", filepath.ToSlash(dir)), fset, files, info); err != nil {
+			return fmt.Errorf("type-checking %s: %v", dir, err)
+		}
+		for id, obj := range info.Uses {
+			at := fset.Position(id.Pos())
+			if filepath.Base(at.Filename) == "compat.go" || !obj.Pos().IsValid() {
+				continue
+			}
+			if name, ok := compat[absPosition(t, fset.Position(obj.Pos()))]; ok {
+				t.Errorf("%s references %s, which is kept only for benchmark/; call the live name instead", at, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// absPosition is pos with an absolute file name, so declarations found by
+// separate type-checks compare equal.
+func absPosition(t *testing.T, pos token.Position) token.Position {
+	t.Helper()
+	abs, err := filepath.Abs(pos.Filename)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos.Filename, pos.Offset = abs, 0
+	return pos
 }
 
 // benchmarkSurface type-checks the benchmark package and returns the

@@ -16,7 +16,7 @@
 //	dehealthd -aux aux.json                          # start with an empty anonymized side
 //	dehealthd -aux aux.json -anon anon.json          # preload known anonymized accounts
 //	dehealthd -synth 300                             # demo mode: synthetic auxiliary world
-//	dehealthd -addr :8700 -workers 8 -shards 8 -prune
+//	dehealthd -addr :8700 -workers 8 -shards 8
 //	dehealthd -synth 300 -snapshot world.snap        # warm restart: load if present, write on shutdown
 //	dehealthd -snapshot world.snap -no-mmap          # warm restart with the copying loader
 //	dehealthd -synth 300 -pprof localhost:6060        # profiling listener
@@ -62,7 +62,6 @@ func main() {
 		synthAnon   = flag.Bool("synth-anon", false, "with -synth: closed-world split the synthetic data so the anonymized side starts populated (queryable out of the box)")
 		workers     = flag.Int("workers", 0, "worker bound of the feature-extraction pool (cold boot) and of one /internal/query batch's fan-out (0 = all CPUs)")
 		shards      = flag.Int("shards", 1, "partition-parallel auxiliary scoring shards (0 = one per CPU)")
-		prune       = flag.Bool("prune", false, "candidate-pruned queries via per-shard attribute inverted indexes (results identical; see /v1/stats prune counters)")
 		k           = flag.Int("k", 10, "default Top-K candidate set size")
 		hbar        = flag.Int("landmarks", 50, "landmark count for the structural similarity")
 		bigrams     = flag.Int("max-bigrams", 300, "POS-bigram feature cap (fitted on the auxiliary texts)")
@@ -88,13 +87,13 @@ func main() {
 	var opt dehealth.Options
 	if pw = warmBoot(*snapPath, *noMmap); pw != nil {
 		// The snapshot pins the world's preparation-time configuration
-		// (shards, pruning, landmarks, similarity weights); only the
+		// (shards, landmarks, similarity weights); only the
 		// attack-phase knobs come from this process's flags.
 		opt = pw.PreparedOptions()
 		opt.Workers = *workers
 		opt.K = *k
 	} else {
-		pw, opt = coldBoot(*auxPath, *anon, *synth, *synthAnon, *seed, *hbar, *bigrams, *workers, *shards, *prune, *k)
+		pw, opt = coldBoot(*auxPath, *anon, *synth, *synthAnon, *seed, *hbar, *bigrams, *workers, *shards, *k)
 	}
 
 	if *writeSlices != "" {
@@ -172,7 +171,7 @@ func warmBoot(path string, noMmap bool) *dehealth.PreparedWorld {
 
 // coldBoot prepares the world from datasets (or a synthetic demo world)
 // exactly as pre-snapshot dehealthd always did.
-func coldBoot(auxPath, anonPath string, synth int, synthAnon bool, seed int64, hbar, bigrams, workers, shards int, prune bool, k int) (*dehealth.PreparedWorld, dehealth.Options) {
+func coldBoot(auxPath, anonPath string, synth int, synthAnon bool, seed int64, hbar, bigrams, workers, shards, k int) (*dehealth.PreparedWorld, dehealth.Options) {
 	var aux, splitAnon *dehealth.Dataset
 	switch {
 	case auxPath != "":
@@ -215,13 +214,7 @@ func coldBoot(auxPath, anonPath string, synth int, synthAnon bool, seed int64, h
 	if opt.Shards <= 0 {
 		opt.Shards = runtime.NumCPU()
 	}
-	opt.Prune = prune
-
-	pruneNote := ""
-	if opt.Prune {
-		pruneNote = ", pruned"
-	}
-	log.Printf("dehealthd: preparing world (aux %d users / %d posts, anon %d users, %d shards%s)...",
-		aux.NumUsers(), aux.NumPosts(), anonDS.NumUsers(), opt.Shards, pruneNote)
+	log.Printf("dehealthd: preparing world (aux %d users / %d posts, anon %d users, %d shards)...",
+		aux.NumUsers(), aux.NumPosts(), anonDS.NumUsers(), opt.Shards)
 	return dehealth.PrepareWorld(anonDS, aux, opt), opt
 }

@@ -5,8 +5,7 @@ package dehealth
 
 // ApproxConfig configured the retired approximate retrieval tier.
 //
-// Deprecated: Enabled prepares the world exactly as Options.Prune does,
-// and every query is answered exactly.
+// Deprecated: Enabled is ignored. Every world runs the exact scan.
 type ApproxConfig struct {
 	Enabled bool
 }

@@ -56,7 +56,6 @@ import (
 	"dehealth/internal/core"
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
-	"dehealth/internal/index"
 	"dehealth/internal/linkage"
 	"dehealth/internal/ml"
 	"dehealth/internal/serve"
@@ -188,18 +187,8 @@ type Options struct {
 	// Attack/Query call. <= 1 disables sharding; counts beyond the
 	// auxiliary population are clamped.
 	Shards int
-	// Prune enables candidate-pruned queries: each shard builds an
-	// attribute inverted index (plus degree bands) over its auxiliary
-	// window, QueryUser gathers only the query user's attribute-overlap
-	// candidates and exact-rescores them, and zero-overlap users are
-	// skipped whenever a structural score bound proves they cannot enter
-	// the top-K. A query whose candidates cover most of a shard is handed
-	// to that shard's full scan instead, so results are always
-	// bit-identical to Prune=false. Consulted by PrepareWorld, not per
-	// call; see PreparedWorld.PruneStats for the observed effect.
-	Prune bool
-	// Deprecated: Approx.Enabled prepares the world exactly as Prune does,
-	// and every query is answered exactly.
+	// Deprecated: Approx is ignored. Every query is answered by the exact
+	// scan.
 	Approx ApproxConfig
 	// Seed drives all randomized components.
 	Seed int64
@@ -306,12 +295,9 @@ type PreparedWorld struct {
 	anonStore, auxStore *features.Store
 	shards              int
 	// prepOpt preserves the preparation-time options (MaxBigrams, Workers,
-	// Shards, Prune plus the attack defaults in force), pinning the
-	// configuration Snapshot captures and LoadWorld restores.
+	// Shards plus the attack defaults in force), pinning the configuration
+	// Snapshot captures and LoadWorld restores.
 	prepOpt Options
-	// pruneStats, when non-nil, enables candidate pruning on every derived
-	// pipeline; all of them accumulate into this one shared counter block.
-	pruneStats *index.Stats
 	// slice, when non-nil, marks a world loaded from a per-shard snapshot
 	// slice (see SnapshotSlices): it serves the global auxiliary id window
 	// [slice.Lo, slice.Hi) under local ids starting at 0.
@@ -327,9 +313,8 @@ type PreparedWorld struct {
 
 // PrepareWorld extracts the feature store of the dataset pair once, using
 // opt.MaxBigrams for the POS-bigram block (fitted on aux, the adversary's
-// data), opt.Workers extraction workers, opt.Shards auxiliary scoring
-// shards and opt.Prune (or the deprecated opt.Approx.Enabled) candidate
-// pruning. The remaining Options fields are ignored here; pass them to
+// data), opt.Workers extraction workers and opt.Shards auxiliary scoring
+// shards. The remaining Options fields are ignored here; pass them to
 // (*PreparedWorld).Attack.
 func PrepareWorld(anon, aux *Dataset, opt Options) *PreparedWorld {
 	anonS, auxS := features.BuildPair(anon, aux, opt.MaxBigrams, features.Options{Workers: opt.Workers})
@@ -337,17 +322,13 @@ func PrepareWorld(anon, aux *Dataset, opt Options) *PreparedWorld {
 	if shards < 1 {
 		shards = 1
 	}
-	w := &PreparedWorld{
+	return &PreparedWorld{
 		Anon: anon, Aux: aux,
 		anonStore: anonS, auxStore: auxS,
 		shards:    shards,
 		prepOpt:   opt,
 		pipelines: map[similarity.Config]*core.Pipeline{},
 	}
-	if opt.Prune || opt.Approx.Enabled {
-		w.pruneStats = &index.Stats{}
-	}
-	return w
 }
 
 // pipeline returns the cached pipeline for cfg, deriving it from an
@@ -367,12 +348,6 @@ func (w *PreparedWorld) pipeline(cfg similarity.Config) *core.Pipeline {
 		}
 	}
 	p := core.NewShardedPipelineFromStore(w.anonStore, w.auxStore, cfg, w.shards)
-	if w.pruneStats != nil {
-		// Every pruned pipeline of this world shares one counter block;
-		// WithSimilarity-derived pipelines inherit pruning (and the block)
-		// from their parent above.
-		p = p.Pruned(index.Config{}, w.pruneStats)
-	}
 	w.pipelines[cfg] = p
 	return p
 }
@@ -483,30 +458,6 @@ func (w *PreparedWorld) ShardSizes() []ShardSize {
 		out[shard.RouteName(u.Name, n)].AnonUsers++
 	}
 	return out
-}
-
-// PruneStats reports the cumulative effect of candidate pruning
-// (Options.Prune) across every query served by this world. Counters are
-// per shard-query: a QueryUser over an N-shard world contributes N to
-// Queries. Pruned results are always bit-identical to unpruned ones — the
-// counters only describe how much scanning the index saved.
-type PruneStats struct {
-	// Enabled reports whether the world was prepared with Options.Prune
-	// (or the deprecated Options.Approx.Enabled).
-	Enabled bool
-	// Stats holds the counters, each documented on the embedded type:
-	// Queries, Fallbacks, DenseQueries, Candidates, Scanned, Skipped,
-	// BandsChecked and BandsSkipped.
-	index.Stats
-}
-
-// PruneStats snapshots the world's pruning counters; the zero value (with
-// Enabled false) when the world was prepared without Options.Prune.
-func (w *PreparedWorld) PruneStats() PruneStats {
-	if w.pruneStats == nil {
-		return PruneStats{}
-	}
-	return PruneStats{Enabled: true, Stats: w.pruneStats.Snapshot()}
 }
 
 // QueryUser returns anonymized user u's top-k auxiliary candidates in
@@ -687,10 +638,6 @@ func (b serveBackend) QueryBatch(users []int, k int) ([][]Candidate, error) {
 	return b.w.QueryBatch(users, k, opt)
 }
 func (b serveBackend) Sizes() (int, int) { return b.w.Sizes() }
-func (b serveBackend) PruneCounters() (serve.PruneCounters, bool) {
-	s := b.w.PruneStats()
-	return s.Stats, s.Enabled
-}
 
 // ShardSlice reports the world's slice identity to the serving layer (see
 // serve.SliceInfoer): a world loaded from a per-shard snapshot slice

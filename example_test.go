@@ -48,8 +48,7 @@ func ExamplePreparedWorld_QueryUser() {
 	opt := dehealth.DefaultOptions()
 	opt.MaxBigrams = 50
 	opt.Landmarks = 5
-	opt.Shards = 2   // partition-parallel scoring ...
-	opt.Prune = true // ... with candidate pruning; results are identical either way
+	opt.Shards = 2 // partition-parallel scoring; results are identical at any count
 	pw := dehealth.PrepareWorld(split.Anon, split.Aux, opt)
 
 	candidates, err := pw.QueryUser(0, 3, opt)

@@ -3,6 +3,8 @@ package analysis
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -171,7 +173,7 @@ func TestPairwiseBoundProperty(t *testing.T) {
 		sim := NewSimulator(p, seed)
 		return sim.EstimatePairwise(1500) >= PairwiseSuccessLB(p)-0.05
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, quickConfig(30)); err != nil {
 		t.Error(err)
 	}
 }
@@ -225,4 +227,16 @@ func TestGroupTopKConditionMonotone(t *testing.T) {
 	if !satisfied {
 		t.Error("condition never satisfied even at huge gaps")
 	}
+}
+
+// quickConfig is the configuration of this package's testing/quick
+// properties: maxCount inputs drawn from a fixed seed, so every run checks
+// the same ones. DEHEALTH_QUICK_SEED names another seed; CI reruns the
+// properties under a fresh, printed one.
+func quickConfig(maxCount int) *quick.Config {
+	seed, err := strconv.ParseInt(os.Getenv("DEHEALTH_QUICK_SEED"), 10, 64)
+	if err != nil {
+		seed = 1
+	}
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
 }

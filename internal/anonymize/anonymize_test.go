@@ -1,6 +1,9 @@
 package anonymize
 
 import (
+	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,7 +124,7 @@ func TestScrubKillsAllMisspellingsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, quickConfig(30)); err != nil {
 		t.Error(err)
 	}
 }
@@ -142,4 +145,16 @@ func TestScrubIdempotentProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// quickConfig is the configuration of this package's testing/quick
+// properties: maxCount inputs drawn from a fixed seed, so every run checks
+// the same ones. DEHEALTH_QUICK_SEED names another seed; CI reruns the
+// properties under a fresh, printed one.
+func quickConfig(maxCount int) *quick.Config {
+	seed, err := strconv.ParseInt(os.Getenv("DEHEALTH_QUICK_SEED"), 10, 64)
+	if err != nil {
+		seed = 1
+	}
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
 }

@@ -143,22 +143,15 @@ func (p *Pipeline) WithSimilarity(cfg similarity.Config) *Pipeline {
 // indexes and exact-rescores only them, falling back to the full scan
 // whenever the structural score bounds cannot certify top-K correctness
 // — results stay bit-identical to the unpruned path at every
-// configuration (see internal/index). st, when non-nil, is the shared
-// counter block the pruned queries accumulate into; nil allocates a
-// fresh one. The offline TopK phase always runs the full scan.
+// configuration (see internal/index). It pays only on graph-level worlds
+// with sparse attribute sets; a text world's queries would all be handed
+// to the scan, so the public layer never builds one. st, when non-nil, is
+// the shared counter block the pruned queries accumulate into; nil
+// allocates a fresh one. The offline TopK phase always runs the full scan.
 func (p *Pipeline) Pruned(cfg index.Config, st *index.Stats) *Pipeline {
 	q := *p
 	q.world = p.shardWorld().WithPruning(cfg, st)
 	return &q
-}
-
-// PruneStats snapshots the query path's cumulative pruning counters
-// (zero for an unpruned pipeline).
-func (p *Pipeline) PruneStats() index.Stats {
-	if p.world == nil {
-		return index.Stats{}
-	}
-	return p.world.PruneStats()
 }
 
 // Shards returns the query path's auxiliary partition count (1 for

@@ -37,10 +37,3 @@ func checkExtractors(anon, aux *features.Store) {
 		panic("core: stores were built with different extractors; build both with the same fitted extractor (see features.BuildPair)")
 	}
 }
-
-// ShardWindows returns the query path's shards in partition order (shared;
-// treat as read-only). Snapshotting reads each shard's index through it,
-// and restoring installs loaded indexes on the windows before deriving the
-// pruned world — WithPruning reuses an installed index whose build
-// configuration matches instead of rebuilding it.
-func (p *Pipeline) ShardWindows() []*shard.Shard { return p.shardWorld().Shards() }

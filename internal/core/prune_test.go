@@ -32,7 +32,8 @@ func TestPipelinePrunedParity(t *testing.T) {
 	anonS, auxS := pruneTestStores(t, 22, 6, 41)
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5}
 	plain := NewPipelineFromStore(anonS, auxS, cfg)
-	pruned := NewShardedPipelineFromStore(anonS, auxS, cfg, 3).Pruned(index.Config{}, nil)
+	st := &index.Stats{}
+	pruned := NewShardedPipelineFromStore(anonS, auxS, cfg, 3).Pruned(index.Config{}, st)
 
 	n1 := plain.G1.NumNodes()
 	users := make([]int, n1)
@@ -60,11 +61,8 @@ func TestPipelinePrunedParity(t *testing.T) {
 			}
 		}
 	}
-	if pruned.PruneStats().Queries == 0 {
+	if st.Snapshot().Queries == 0 {
 		t.Fatal("pruned pipeline did not count queries")
-	}
-	if plain.PruneStats() != (index.Stats{}) {
-		t.Fatal("unpruned pipeline must report zero prune stats")
 	}
 
 	re := pruned.WithSimilarity(similarity.Config{C1: 0.2, C2: 0.2, C3: 0.6, Landmarks: 5})
@@ -82,7 +80,7 @@ func TestPipelinePrunedParity(t *testing.T) {
 // TestShardedKeepsPruning pins pruning across partitionings: pipelines cut
 // into different shard counts over the same stores, pruned into one shared
 // stats block, each build their own index windows, stay bit-identical to
-// the unpruned path and count into the one block.
+// the unpruned path and count every shard-query into the one block.
 func TestShardedKeepsPruning(t *testing.T) {
 	anonS, auxS := pruneTestStores(t, 20, 5, 47)
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4}
@@ -90,7 +88,11 @@ func TestShardedKeepsPruning(t *testing.T) {
 	st := &index.Stats{}
 	pruned := NewShardedPipelineFromStore(anonS, auxS, cfg, 2).Pruned(index.Config{}, st)
 
-	before := pruned.PruneStats().Queries
+	pruned.QueryUser(0, 5)
+	if got := st.Snapshot().Queries; got != 2 {
+		t.Fatalf("one query over the 2-shard pruned world counted %d shard-queries, want 2", got)
+	}
+	before := st.Snapshot().Queries
 	resharded := NewShardedPipelineFromStore(anonS, auxS, cfg, 4).Pruned(index.Config{}, st)
 	for u := 0; u < plain.G1.NumNodes(); u++ {
 		got, want := resharded.QueryUser(u, 5), plain.QueryUser(u, 5)
@@ -103,11 +105,7 @@ func TestShardedKeepsPruning(t *testing.T) {
 			}
 		}
 	}
-	after := resharded.PruneStats()
-	if after.Queries == before {
-		t.Fatal("no queries counted through the 4-shard pruned world")
-	}
-	if pruned.PruneStats().Queries != after.Queries {
-		t.Fatal("the 4-shard pruned world must accumulate into the shared stats block")
+	if got, want := st.Snapshot().Queries-before, int64(4*plain.G1.NumNodes()); got != want {
+		t.Fatalf("the 4-shard pruned world counted %d shard-queries into the shared block, want %d", got, want)
 	}
 }

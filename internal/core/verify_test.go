@@ -55,7 +55,7 @@ func TestSigmaVerifyProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }

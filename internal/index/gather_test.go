@@ -1,8 +1,9 @@
 // Property tests over arbitrary window shapes for the two per-window
-// structures the engines and the snapshot format rely on: the capped
-// posting-list gather (CandidatesUpTo) and the id-range block metadata
-// (BuildBlocks). The Cursors names are those of the posting-cursor walk
-// these targets used to drive; the gather walks the same posting lists.
+// structures the pruner relies on: the capped posting-list gather
+// (CandidatesUpTo) and the degree bands whose bounds certify its skips.
+// The Cursors names are those of the posting-cursor walk these targets
+// used to drive; the gather walks the same posting lists, and the bands
+// are the block-max bounds that are left.
 
 package index
 
@@ -165,62 +166,73 @@ func TestCursorsAddDropsEmpty(t *testing.T) {
 	}
 }
 
-// FuzzCursorsBlockMax fuzzes the id-range block metadata: a block per
-// BlockSize ids (a width <= 0 resolves to the default), each block's
-// ranges exactly the min and max of its ids' degrees and norms — unknown
-// ([0, +Inf]) without a NormSource — and a rebuild at the same width over
-// an index built at another one reproduces a fresh build's blocks, which
-// is the restore path of snapshots that carry none.
+// FuzzCursorsBlockMax fuzzes the degree bands, the bounds the pruner
+// skips zero-overlap users by: min(Bands, n) non-empty bands that
+// partition the window, each band's ids ascending and recorded in bandOf,
+// the bands ordered by degree, and each band's ranges
+// exactly the min and max of its members' degrees and norms — unknown
+// ([0, +Inf]) without a NormSource, so the bound never tightens on norms
+// it was not given.
 func FuzzCursorsBlockMax(f *testing.F) {
 	f.Add(int64(1), uint16(100), int16(16), true)
 	f.Add(int64(9), uint16(250), int16(1), false)
 	f.Add(int64(-3), uint16(60), int16(0), true)
-	f.Fuzz(func(t *testing.T, seed int64, nU uint16, bs int16, normed bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nU uint16, bands int16, normed bool) {
 		n := int(nU) % 400
 		rng := rand.New(rand.NewSource(seed))
 		src := sparseSource(rng, n, 8, normed)
-		x := Build(src, Config{BlockSize: int(bs)})
-		want := Config{BlockSize: int(bs)}.WithDefaults().BlockSize
-		if x.BlockSize() != want {
-			t.Fatalf("block size %d resolved to %d, want %d", bs, x.BlockSize(), want)
+		x := Build(src, Config{Bands: int(bands)})
+		want := min(Config{Bands: int(bands)}.WithDefaults().Bands, n)
+		if len(x.Bands()) != want {
+			t.Fatalf("n %d bands %d: %d bands, want %d", n, bands, len(x.Bands()), want)
 		}
-		if nb := (n + want - 1) / want; len(x.blocks) != nb {
-			t.Fatalf("n %d width %d: %d blocks, want %d", n, want, len(x.blocks), nb)
-		}
+		seen := make([]bool, n)
 		norms, _ := src.(NormSource)
-		for b, blk := range x.blocks {
-			lo, hi := b*want, min((b+1)*want, n)
+		prevDeg := math.Inf(-1)
+		for b, band := range x.Bands() {
+			if len(band.IDs) == 0 {
+				t.Fatalf("band %d is empty", b)
+			}
+			for i, u := range band.IDs {
+				if i > 0 && band.IDs[i-1] >= u {
+					t.Fatalf("band %d ids not strictly ascending", b)
+				}
+				if seen[u] {
+					t.Fatalf("user %d in two bands", u)
+				}
+				seen[u] = true
+				if int(x.bandOf[u]) != b {
+					t.Fatalf("user %d in band %d but bandOf says %d", u, b, x.bandOf[u])
+				}
+			}
+			if band.DegLo < prevDeg {
+				t.Fatalf("band %d starts at degree %v, below the previous band's top %v", b, band.DegLo, prevDeg)
+			}
+			prevDeg = band.DegHi
 			check := func(name string, gotLo, gotHi float64, val func(int) float64) {
 				mn, mx := math.Inf(1), math.Inf(-1)
-				for u := lo; u < hi; u++ {
-					mn, mx = math.Min(mn, val(u)), math.Max(mx, val(u))
+				for _, u := range band.IDs {
+					mn, mx = math.Min(mn, val(int(u))), math.Max(mx, val(int(u)))
 				}
 				if gotLo != mn || gotHi != mx {
-					t.Fatalf("block %d %s range [%v, %v], want [%v, %v]", b, name, gotLo, gotHi, mn, mx)
+					t.Fatalf("band %d %s range [%v, %v], want [%v, %v]", b, name, gotLo, gotHi, mn, mx)
 				}
 			}
-			check("deg", blk.DegLo, blk.DegHi, src.Degree)
-			check("wdeg", blk.WdegLo, blk.WdegHi, src.WeightedDegree)
+			check("deg", band.DegLo, band.DegHi, src.Degree)
+			check("wdeg", band.WdegLo, band.WdegHi, src.WeightedDegree)
 			if norms != nil {
-				check("ncs", blk.NCSNormLo, blk.NCSNormHi, norms.NCSNorm)
-				check("close", blk.CloseNormLo, blk.CloseNormHi, norms.CloseNorm)
-				check("wcl", blk.WclNormLo, blk.WclNormHi, norms.WclNorm)
-			} else if blk.NCSNormLo != 0 || !math.IsInf(blk.NCSNormHi, 1) ||
-				blk.CloseNormLo != 0 || !math.IsInf(blk.CloseNormHi, 1) ||
-				blk.WclNormLo != 0 || !math.IsInf(blk.WclNormHi, 1) {
-				t.Fatalf("block %d: norm-less build must record unknown ranges: %+v", b, blk)
+				check("ncs", band.NCSNormLo, band.NCSNormHi, norms.NCSNorm)
+				check("close", band.CloseNormLo, band.CloseNormHi, norms.CloseNorm)
+				check("wcl", band.WclNormLo, band.WclNormHi, norms.WclNorm)
+			} else if band.NCSNormLo != 0 || !math.IsInf(band.NCSNormHi, 1) ||
+				band.CloseNormLo != 0 || !math.IsInf(band.CloseNormHi, 1) ||
+				band.WclNormLo != 0 || !math.IsInf(band.WclNormHi, 1) {
+				t.Fatalf("band %d: norm-less build must record unknown ranges: %+v", b, band)
 			}
 		}
-
-		other := Build(src, Config{BlockSize: want + 1})
-		other.BuildBlocks(src, int(bs))
-		if other.BlockSize() != want || len(other.blocks) != len(x.blocks) {
-			t.Fatalf("rebuild at %d: width %d, %d blocks; fresh build width %d, %d blocks",
-				bs, other.BlockSize(), len(other.blocks), want, len(x.blocks))
-		}
-		for b := range x.blocks {
-			if other.blocks[b] != x.blocks[b] {
-				t.Fatalf("rebuilt block %d = %+v, fresh build %+v", b, other.blocks[b], x.blocks[b])
+		for u, ok := range seen {
+			if !ok {
+				t.Fatalf("user %d in no band", u)
 			}
 		}
 	})

@@ -56,10 +56,6 @@ type Config struct {
 	// ranges (better skipping) at a slightly higher per-query check cost.
 	// Default 16.
 	Bands int
-	// BlockSize is the width of the id-range structural blocks (see Block).
-	// No query engine reads them; they are built because snapshot format
-	// v2 stores them. Default 128.
-	BlockSize int
 }
 
 // WithDefaults resolves zero fields to the default configuration.
@@ -69,9 +65,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Bands <= 0 {
 		c.Bands = 16
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 128
 	}
 	return c
 }
@@ -123,26 +116,6 @@ type Band struct {
 	WclNormLo, WclNormHi float64
 }
 
-// Block summarizes one fixed-width range of consecutive window-local ids:
-// block b covers ids [b*BlockSize, (b+1)*BlockSize) and the ranges bound
-// every covered id's degree, weighted degree and vector norms — a Band's
-// bounds keyed by id range instead of degree rank. The retired cursor walk
-// was their only reader; Build still computes them, and snapshot format v2
-// still stores them, so that files keep their bytes.
-type Block struct {
-	// DegLo and DegHi bound the covered ids' degrees.
-	DegLo, DegHi float64
-	// WdegLo and WdegHi bound the covered ids' weighted degrees.
-	WdegLo, WdegHi float64
-	// NCSNormLo and NCSNormHi bound the covered ids' NCS vector L2 norms;
-	// [0, +Inf] when the build source carried no norms.
-	NCSNormLo, NCSNormHi float64
-	// CloseNormLo and CloseNormHi bound the hop-closeness vector norms.
-	CloseNormLo, CloseNormHi float64
-	// WclNormLo and WclNormHi bound the weighted-closeness vector norms.
-	WclNormLo, WclNormHi float64
-}
-
 // Index is the frozen per-window pruning structure: attribute postings
 // and degree bands. Safe for concurrent queries.
 type Index struct {
@@ -151,8 +124,6 @@ type Index struct {
 	postings [][]int32 // postings[attr] = ascending window-local ids with attr
 	bands    []Band
 	bandOf   []int32 // bandOf[u] = index into bands of u's band
-	blkSize  int     // id-range width of blocks; 0 = no block metadata
-	blocks   []Block // blocks[b] covers ids [b*blkSize, (b+1)*blkSize)
 	scratch  sync.Pool
 }
 
@@ -204,7 +175,6 @@ func Build(src Source, cfg Config) *Index {
 		nb = 1
 	}
 	if n == 0 {
-		x.BuildBlocks(src, cfg.BlockSize)
 		return x
 	}
 	norms, _ := src.(NormSource)
@@ -244,58 +214,8 @@ func Build(src Source, cfg Config) *Index {
 			x.bandOf[id] = int32(bi)
 		}
 	}
-	x.BuildBlocks(src, cfg.BlockSize)
 	return x
 }
-
-// BuildBlocks (re)computes the id-range block metadata from src at the
-// given block width (<= 0 resolves to the default). Build calls it with
-// the configured width; it is also the restore path for snapshots written
-// before the block-max format (v1), whose indexes carry no block sections
-// — the caller rebuilds them from the restored scorer window. Not safe
-// concurrently with queries: install blocks before serving.
-func (x *Index) BuildBlocks(src Source, blockSize int) {
-	if blockSize <= 0 {
-		blockSize = Config{BlockSize: blockSize}.WithDefaults().BlockSize
-	}
-	x.cfg.BlockSize = blockSize
-	x.blkSize = blockSize
-	nb := (x.n + blockSize - 1) / blockSize
-	x.blocks = make([]Block, nb)
-	norms, _ := src.(NormSource)
-	for b := 0; b < nb; b++ {
-		lo, hi := b*blockSize, (b+1)*blockSize
-		if hi > x.n {
-			hi = x.n
-		}
-		blk := Block{
-			DegLo: src.Degree(lo), DegHi: src.Degree(lo),
-			WdegLo: src.WeightedDegree(lo), WdegHi: src.WeightedDegree(lo),
-		}
-		if norms != nil {
-			blk.NCSNormLo, blk.NCSNormHi = norms.NCSNorm(lo), norms.NCSNorm(lo)
-			blk.CloseNormLo, blk.CloseNormHi = norms.CloseNorm(lo), norms.CloseNorm(lo)
-			blk.WclNormLo, blk.WclNormHi = norms.WclNorm(lo), norms.WclNorm(lo)
-		} else {
-			inf := math.Inf(1)
-			blk.NCSNormHi, blk.CloseNormHi, blk.WclNormHi = inf, inf, inf
-		}
-		for u := lo + 1; u < hi; u++ {
-			foldRange(&blk.DegLo, &blk.DegHi, src.Degree(u))
-			foldRange(&blk.WdegLo, &blk.WdegHi, src.WeightedDegree(u))
-			if norms != nil {
-				foldRange(&blk.NCSNormLo, &blk.NCSNormHi, norms.NCSNorm(u))
-				foldRange(&blk.CloseNormLo, &blk.CloseNormHi, norms.CloseNorm(u))
-				foldRange(&blk.WclNormLo, &blk.WclNormHi, norms.WclNorm(u))
-			}
-		}
-		x.blocks[b] = blk
-	}
-}
-
-// BlockSize returns the id-range width of the block metadata, 0 when the
-// index carries none (a pre-v2 snapshot restore before BuildBlocks).
-func (x *Index) BlockSize() int { return x.blkSize }
 
 // Scratch is reusable per-query marking state: an epoch-stamped candidate
 // marker (no O(window) zeroing between queries), the per-band candidate
@@ -391,38 +311,38 @@ func (x *Index) CandidatesUpTo(attrs stylometry.AttrSet, s *Scratch, limit int) 
 }
 
 // Stats are the cumulative pruning counters of a query engine (one struct
-// per shard world, aggregated across shards and queries). All fields are
-// monotone counts; see shard.World.PruneStats for the read side. This is
-// the one declaration of the block: the public PruneStats embeds it and
-// /v1/stats marshals it as its "prune" object under these JSON keys.
+// per pruned shard world, shared by the worlds derived from it and
+// aggregated across shards and queries). All fields are monotone counts,
+// updated atomically; the caller that hands the struct to
+// shard.World.WithPruning reads it through Snapshot.
 type Stats struct {
 	// Queries counts per-shard pruned-path invocations.
-	Queries int64 `json:"queries"`
+	Queries int64
 	// Fallbacks counts invocations that bailed to the full window scan
 	// (no index, or a non-prune-safe similarity configuration).
-	Fallbacks int64 `json:"fallbacks"`
+	Fallbacks int64
 	// DenseQueries counts invocations whose candidate set exceeded
 	// MaxCandidateFrac of the window and were handed to the shard's full
 	// scan. Their rows are counted under neither Candidates, Scanned nor
 	// Skipped.
-	DenseQueries int64 `json:"dense_queries"`
+	DenseQueries int64
 	// Candidates sums the candidate-set sizes of the invocations the
 	// pruner answered itself (neither fallbacks nor hand-offs).
-	Candidates int64 `json:"candidates"`
+	Candidates int64
 	// Scanned sums the band members exact-scored because their band's
 	// bound could not certify skipping (plus candidate rescores are counted
 	// under Candidates, not here).
-	Scanned int64 `json:"scanned"`
+	Scanned int64
 	// Skipped sums the users never scored: their band's structural bound
 	// proved they cannot enter the top-K.
-	Skipped int64 `json:"skipped"`
+	Skipped int64
 	// BandsChecked counts band bounds compared against a full heap's K-th
 	// score; BandsSkipped counts how many of those certified a skip. Their
 	// ratio is the direct read on how tight the band bounds are.
-	BandsChecked int64 `json:"bands_checked"`
+	BandsChecked int64
 	// BandsSkipped counts bound evaluations that certified skipping the
 	// band's zero-overlap members.
-	BandsSkipped int64 `json:"bands_skipped"`
+	BandsSkipped int64
 }
 
 // Snapshot returns an atomically read copy of the counters, safe to take

@@ -51,7 +51,7 @@ func TestEntropyCaseInsensitive(t *testing.T) {
 func TestEntropyNonNegativeProperty(t *testing.T) {
 	m := trainedModel()
 	f := func(s string) bool { return m.Entropy(s) >= 0 }
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }

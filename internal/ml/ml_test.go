@@ -3,6 +3,8 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -244,7 +246,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }
@@ -327,4 +329,16 @@ func TestNaiveBayesScoresFinite(t *testing.T) {
 			t.Errorf("non-finite score %v", s)
 		}
 	}
+}
+
+// quickConfig is the configuration of this package's testing/quick
+// properties: maxCount inputs drawn from a fixed seed, so every run checks
+// the same ones. DEHEALTH_QUICK_SEED names another seed; CI reruns the
+// properties under a fresh, printed one.
+func quickConfig(maxCount int) *quick.Config {
+	seed, err := strconv.ParseInt(os.Getenv("DEHEALTH_QUICK_SEED"), 10, 64)
+	if err != nil {
+		seed = 1
+	}
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
 }

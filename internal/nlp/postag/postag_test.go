@@ -1,7 +1,10 @@
 package postag
 
 import (
+	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -138,7 +141,19 @@ func TestTagCoversAllTokens(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Error(err)
 	}
+}
+
+// quickConfig is the configuration of this package's testing/quick
+// properties: maxCount inputs drawn from a fixed seed, so every run checks
+// the same ones. DEHEALTH_QUICK_SEED names another seed; CI reruns the
+// properties under a fresh, printed one.
+func quickConfig(maxCount int) *quick.Config {
+	seed, err := strconv.ParseInt(os.Getenv("DEHEALTH_QUICK_SEED"), 10, 64)
+	if err != nil {
+		seed = 1
+	}
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
 }

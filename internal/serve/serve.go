@@ -36,7 +36,6 @@ import (
 	"dehealth/internal/core"
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
-	"dehealth/internal/index"
 )
 
 // corpusUser builds the user record of an ingested anonymous account: no
@@ -52,20 +51,6 @@ type ShardCount struct {
 	Shard     int `json:"shard"`
 	AuxUsers  int `json:"aux_users"`
 	AnonUsers int `json:"anon_users"`
-}
-
-// PruneCounters is the candidate-pruning block of /v1/stats: cumulative
-// per-shard-query counters describing how much of the auxiliary
-// population the attribute inverted index let queries skip. Pruning never
-// changes results — only the amount of scanning.
-type PruneCounters = index.Stats
-
-// PruneStatser is the optional Backend extension for candidate-pruning
-// counters: backends that prune report (counters, true); /v1/stats then
-// carries a "prune" block. Backends without pruning simply do not
-// implement it (or return false).
-type PruneStatser interface {
-	PruneCounters() (PruneCounters, bool)
 }
 
 // Backend is the prepared world a Server queries and grows. Implementations
@@ -150,9 +135,6 @@ type Stats struct {
 	AnonUsers int          `json:"anon_users"`
 	AuxUsers  int          `json:"aux_users"`
 	Shards    []ShardCount `json:"shards"`
-	// Prune carries the candidate-pruning counters when the backend
-	// prunes (see PruneStatser); omitted otherwise.
-	Prune *PruneCounters `json:"prune,omitempty"`
 	// Queries counts the users queried and Ingests the ingest requests
 	// applied; Batches counts the backend calls made for them and
 	// MeanBatchSize the users answered or ingested per call (1 on
@@ -175,10 +157,9 @@ type Stats struct {
 type Server struct {
 	backend Backend
 	cfg     Config
-	// The backend's optional extensions, resolved once by New; each is nil
-	// when the backend does not implement it.
-	pruneStats PruneStatser
-	slicer     SliceInfoer
+	// slicer is the backend's optional slice identity, resolved once by
+	// New; nil when the backend does not implement it.
+	slicer SliceInfoer
 
 	// backendMu is the one exclusion between the server and its backend:
 	// queries and size reads hold it shared, Ingest exclusively, each on
@@ -202,7 +183,6 @@ type Server struct {
 // New builds a Server over the backend.
 func New(b Backend, cfg Config) *Server {
 	s := &Server{backend: b, cfg: cfg.withDefaults(), start: time.Now()}
-	s.pruneStats, _ = b.(PruneStatser)
 	s.slicer, _ = b.(SliceInfoer)
 	return s
 }
@@ -267,17 +247,10 @@ func (s *Server) Stats() Stats {
 	if batches > 0 {
 		mean = float64(s.batched.Load()) / float64(batches)
 	}
-	var prune *PruneCounters
-	if s.pruneStats != nil {
-		if c, enabled := s.pruneStats.PruneCounters(); enabled {
-			prune = &c
-		}
-	}
 	return Stats{
 		AnonUsers:     anon,
 		AuxUsers:      aux,
 		Shards:        shards,
-		Prune:         prune,
 		Queries:       s.queries.Load(),
 		Ingests:       s.ingests.Load(),
 		Batches:       batches,

@@ -35,7 +35,7 @@ func TestApproxDegenerateParitySparse(t *testing.T) {
 				}
 			}
 		}
-		s := ap.PruneStats()
+		s := ap.pruneStats()
 		if s.Queries == 0 {
 			t.Fatalf("WithApprox world did not prune: %+v", s)
 		}
@@ -56,7 +56,7 @@ func TestApproxDegenerateParityDense(t *testing.T) {
 		candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryUser(u, 5),
 			"dense approx degenerate parity")
 	}
-	if s := ap.PruneStats(); s.Queries == 0 || s.Fallbacks != 0 {
+	if s := ap.pruneStats(); s.Queries == 0 || s.Fallbacks != 0 {
 		t.Fatalf("dense approx queries must run the pruned world's engine: %+v", s)
 	}
 }
@@ -100,7 +100,7 @@ func TestApproxUnsafeConfigFallsBack(t *testing.T) {
 		candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{Theta: 2}), full.QueryUser(u, 5),
 			"unsafe config approx parity")
 	}
-	if s := ap.PruneStats(); s.Fallbacks != s.Queries {
+	if s := ap.pruneStats(); s.Fallbacks != s.Queries {
 		t.Fatalf("unsafe config must always fall back: %+v", s)
 	}
 }
@@ -115,7 +115,7 @@ func TestApproxWithoutTierDegrades(t *testing.T) {
 		candidatesEqual(t, w.QueryUserApprox(u, 5, index.ApproxParams{Theta: 3, Budget: 1}),
 			w.QueryUser(u, 5), "tier-less approx degradation")
 	}
-	if w.Pruned() {
+	if w.pruned() {
 		t.Fatal("approximate queries must not prune a tier-less world")
 	}
 }
@@ -145,7 +145,7 @@ func TestApproxStateCarriesThroughDerivations(t *testing.T) {
 	cfg := similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 4}
 	base := similarity.NewScorer(g1, g2, cfg)
 	ap := New(base, g2, nil, 3).WithApprox(index.Config{}, nil)
-	if !ap.Pruned() {
+	if !ap.pruned() {
 		t.Fatal("WithApprox did not prune")
 	}
 
@@ -156,11 +156,11 @@ func TestApproxStateCarriesThroughDerivations(t *testing.T) {
 		candidatesEqual(t, derived.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryUser(u, 5),
 			"reweighted approx parity")
 	}
-	s := derived.PruneStats()
+	s := derived.pruneStats()
 	if s.Queries == 0 {
 		t.Fatal("WithScorer dropped pruning: no queries counted")
 	}
-	if ap.PruneStats() != s {
+	if ap.pruneStats() != s {
 		t.Fatal("derived world must share the stats block")
 	}
 

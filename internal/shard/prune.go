@@ -13,7 +13,10 @@
 // MaxCandidateFrac of the window) is handed to the shard's full scan,
 // which answers it faster and just as exactly; so each (shard, query) runs
 // whichever of the two exact engines suits it. Pruning is an opt-in view
-// of a World (WithPruning); the unpruned path is untouched.
+// of a World (WithPruning); the unpruned path is untouched. It pays on
+// graph-level worlds with sparse attribute sets (synth.SparseAttrUDA).
+// Text worlds never take it: stylometric attribute sets reach nearly every
+// user, so every query of theirs would be handed to the scan.
 
 package shard
 
@@ -57,18 +60,6 @@ func bandStats(b *index.Band) similarity.BandStats {
 // so rebuilding yields an equivalent index.
 func (sh *Shard) BuildIndex(cfg index.Config) {
 	sh.Index = index.Build(scorerSource{sh.Scorer}, cfg)
-}
-
-// EnsureBlocks builds the shard index's id-range block metadata over the
-// scorer window when missing — the restore path for snapshots written
-// before format v2, which carry no block sections, so that a later save
-// writes them. No-op when the shard has no index or the index already
-// carries blocks. Must be called before the world is shared across
-// queries: it mutates the index in place.
-func (sh *Shard) EnsureBlocks(blockSize int) {
-	if sh.Index != nil && sh.Index.BlockSize() == 0 {
-		sh.Index.BuildBlocks(scorerSource{sh.Scorer}, blockSize)
-	}
 }
 
 // TopKPruned is Shard.TopK through the candidate-pruning engine: same
@@ -198,17 +189,4 @@ func (w *World) WithPruning(cfg index.Config, st *index.Stats) *World {
 	})
 	out.prune, out.pstats = &cfg, st
 	return out
-}
-
-// Pruned reports whether the world's queries run through the
-// candidate-pruning engine.
-func (w *World) Pruned() bool { return w.prune != nil }
-
-// PruneStats snapshots the world's cumulative pruning counters (zero for
-// an unpruned world).
-func (w *World) PruneStats() index.Stats {
-	if w.pstats == nil {
-		return index.Stats{}
-	}
-	return w.pstats.Snapshot()
 }

@@ -22,6 +22,18 @@ func sparseWorld(t *testing.T, n, comm, dim int, seed int64) (g1, g2 *graph.UDA)
 	return synth.SparseAttrUDA(n, comm, dim, seed), synth.SparseAttrUDA(n, comm, dim, seed+1000)
 }
 
+// pruned reports whether the world's queries run through the pruner.
+func (w *World) pruned() bool { return w.prune != nil }
+
+// pruneStats snapshots the world's shared pruning counters (zero for an
+// unpruned world).
+func (w *World) pruneStats() index.Stats {
+	if w.pstats == nil {
+		return index.Stats{}
+	}
+	return w.pstats.Snapshot()
+}
+
 func candidatesEqual(t *testing.T, got, want []Candidate, ctx string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -57,7 +69,7 @@ func TestPrunedParitySparse(t *testing.T) {
 		for _, shards := range []int{1, 3, 8} {
 			st := &index.Stats{}
 			pruned := New(base, g2, nil, shards).WithPruning(index.Config{}, st)
-			if !pruned.Pruned() {
+			if !pruned.pruned() {
 				t.Fatal("WithPruning world must report Pruned")
 			}
 			for _, k := range []int{1, 5, 17} {
@@ -66,7 +78,7 @@ func TestPrunedParitySparse(t *testing.T) {
 						world.name+" pruned parity")
 				}
 			}
-			s := pruned.PruneStats()
+			s := pruned.pruneStats()
 			if s.Queries == 0 {
 				t.Fatalf("%s: pruned queries not counted", world.name)
 			}
@@ -112,7 +124,7 @@ func TestPrunedParityDense(t *testing.T) {
 	for u := 0; u < anonN; u++ {
 		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "dense pruned parity")
 	}
-	s := pruned.PruneStats()
+	s := pruned.pruneStats()
 	if s.Queries == 0 {
 		t.Fatal("pruned queries not counted")
 	}
@@ -136,7 +148,7 @@ func TestPrunedBandedDense(t *testing.T) {
 	for u := 0; u < anonN; u++ {
 		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "dense banded parity")
 	}
-	s := pruned.PruneStats()
+	s := pruned.pruneStats()
 	if s.Queries == 0 || s.DenseQueries != 0 || s.Fallbacks != 0 {
 		t.Fatalf("MaxCandidateFrac 1 must keep every query on the banded engine: %+v", s)
 	}
@@ -174,7 +186,7 @@ func TestDenseHandOffParity(t *testing.T) {
 				}
 			}
 		}
-		s := pruned.PruneStats()
+		s := pruned.pruneStats()
 		if s.Queries == 0 || s.DenseQueries != s.Queries || s.Scanned != 0 {
 			t.Fatalf("shards=%d: every query must be handed to the scan: %+v", shards, s)
 		}
@@ -210,7 +222,7 @@ func TestPrunedUnsafeConfigFallsBack(t *testing.T) {
 	for u := 0; u < g1.NumNodes(); u++ {
 		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "unsafe config parity")
 	}
-	s := pruned.PruneStats()
+	s := pruned.pruneStats()
 	if s.Fallbacks != s.Queries {
 		t.Fatalf("unsafe config must always fall back: %+v", s)
 	}
@@ -229,7 +241,7 @@ func TestWithScorerKeepsPruning(t *testing.T) {
 
 	re := base.Reweighted(similarity.Config{C1: 0.2, C2: 0.2, C3: 0.6, Landmarks: 4})
 	derived := pruned.WithScorer(re)
-	if !derived.Pruned() {
+	if !derived.pruned() {
 		t.Fatal("WithScorer dropped pruning")
 	}
 	for i, sh := range derived.Shards() {
@@ -241,7 +253,7 @@ func TestWithScorerKeepsPruning(t *testing.T) {
 	for u := 0; u < g1.NumNodes(); u++ {
 		candidatesEqual(t, derived.QueryUser(u, 5), full.QueryUser(u, 5), "reweighted pruned parity")
 	}
-	if derived.PruneStats().Queries != pruned.PruneStats().Queries {
+	if derived.pruneStats().Queries != pruned.pruneStats().Queries {
 		t.Fatal("derived world must share the stats block")
 	}
 }
@@ -256,4 +268,40 @@ func TestPrunedDegenerateK(t *testing.T) {
 		t.Fatalf("k beyond population returned %d candidates, want %d", len(got), g2.NumNodes())
 	}
 	candidatesEqual(t, pruned.QueryUser(0, g2.NumNodes()+50), full.QueryUser(0, g2.NumNodes()+50), "k clamp parity")
+}
+
+// TestTextWorldsAreDense pins the traffic the public layer's lack of
+// candidate pruning relies on: on synthetic WebMD-like and
+// HealthBoards-like text worlds, every anonymized user's attribute-overlap
+// candidates cover more than half of every shard, so the pruner would hand
+// each query to the scan. If the stylometric extractor ever yields sparse
+// text attributes, this fails, and serving text worlds through the pruner
+// (WithPruning) is the decision to revisit.
+func TestTextWorldsAreDense(t *testing.T) {
+	for _, forum := range []struct {
+		name string
+		cfg  func(int, int64) synth.ForumConfig
+	}{{"webmd", synth.WebMDLike}, {"healthboards", synth.HBLike}} {
+		for _, users := range []int{100, 300} {
+			const seed = 4242
+			u := synth.NewUniverse(users, seed)
+			members := synth.Members(u, users, rand.New(rand.NewSource(seed+1)))
+			d := synth.Generate(forum.cfg(users, seed+2), u, members)
+			split := corpus.SplitClosedWorld(d, 0.5, rand.New(rand.NewSource(seed+3)))
+			anonS, auxS := features.BuildPair(split.Anon, split.Aux, 0, features.Options{})
+			base := similarity.NewScorer(anonS.UDA(), auxS.UDA(), testConfig)
+			for i, sh := range New(base, auxS.UDA(), auxS, 2).Shards() {
+				x := index.Build(scorerSource{sh.Scorer}, index.Config{})
+				s := x.AcquireScratch()
+				limit := sh.NumUsers() / 2
+				for q := 0; q < anonS.NumUsers(); q++ {
+					if c := x.CandidatesUpTo(sh.Scorer.AnonAttrs(q), s, limit); len(c) <= limit {
+						t.Errorf("%s %d users, shard %d: user %d overlaps %d of %d auxiliary users",
+							forum.name, users, i, q, len(c), sh.NumUsers())
+					}
+				}
+				x.ReleaseScratch(s)
+			}
+		}
+	}
 }

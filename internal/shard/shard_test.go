@@ -282,7 +282,7 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 					u := (i*7 + g*31) % anonN
 					for ki, k := range ks {
 						if got := w.QueryUser(u, k); !slices.Equal(got, want[ki][u]) {
-							t.Errorf("pruned=%v goroutine %d k=%d u=%d: %+v, 1-shard world %+v", w.Pruned(), g, k, u, got, want[ki][u])
+							t.Errorf("pruned=%v goroutine %d k=%d u=%d: %+v, 1-shard world %+v", w.pruned(), g, k, u, got, want[ki][u])
 							return
 						}
 					}
@@ -290,7 +290,7 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if s := w.PruneStats(); s.DenseQueries != s.Queries {
+		if s := w.pruneStats(); s.DenseQueries != s.Queries {
 			t.Fatalf("every query of the dense pruned world must be handed to the scan: %+v", s)
 		}
 	}

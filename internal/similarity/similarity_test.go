@@ -51,7 +51,7 @@ func TestCosineProperties(t *testing.T) {
 		}
 		return math.Abs(Cosine(a, b)-Cosine(b, a)) < 1e-12
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,9 +3,9 @@
 // carries the full anonymized side (every shard scores the same queries)
 // but only the shard's auxiliary window [lo, hi): its users, their posts
 // and feature rows, the induced adjacency, the scorer's aux-side cache
-// arrays restricted to the window, and the shard's inverted index. Loaded
-// back, the slice is an ordinary single-shard world whose local auxiliary
-// id j corresponds to global id lo+j — because the in-process shard
+// arrays restricted to the window. Loaded back, the slice is an ordinary
+// single-shard world whose local auxiliary id j corresponds to global id
+// lo+j — because the in-process shard
 // engine scores windows against globally computed values (the scorer
 // window arrays ARE contiguous views of the global arrays), a slice-booted
 // server answers its window bit-identically to the in-process shard, and
@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"dehealth/internal/corpus"
-	"dehealth/internal/index"
 	"dehealth/internal/similarity"
 )
 
@@ -37,9 +36,9 @@ var ErrAlreadySlice = errors.New("snapshot: world is already a shard slice")
 // policy. The returned World is self-contained: Save it and a shard server
 // boots from the file mapping only its own partition (plus the shared
 // anonymized side). The slice's Meta keeps the prepare-time configuration
-// (similarity weights, pruning/approx tier and build knobs) with Shards
-// forced to 1 and Meta.Slice recording the shard identity; slicing a slice
-// is rejected with ErrAlreadySlice.
+// (similarity weights, landmarks, feature space) with Shards forced to 1
+// and Meta.Slice recording the shard identity; slicing a slice is
+// rejected with ErrAlreadySlice.
 func SliceForShard(full *World, i int, bounds []int) (*World, error) {
 	if full.Meta.Slice != nil {
 		s := full.Meta.Slice
@@ -74,13 +73,6 @@ func SliceForShard(full *World, i int, bounds []int) (*World, error) {
 	}
 	out.Aux = aux
 	out.Scorer = sliceScorer(&full.Scorer, lo, hi)
-
-	if len(full.Indexes) > 0 {
-		if len(full.Indexes) != n {
-			return nil, fmt.Errorf("snapshot: %d shard index sections for %d slice bounds", len(full.Indexes), n)
-		}
-		out.Indexes = []index.Parts{full.Indexes[i]}
-	}
 	return out, nil
 }
 

@@ -2,9 +2,8 @@
 // on-disk format for a prepared De-Health world — the artifact behind the
 // warm-restart path (docs/SNAPSHOT.md): the offline prepare pipeline runs
 // once, Save freezes its outputs (feature matrices, UDA adjacency, scorer
-// SoA caches, per-shard inverted indexes, datasets), and Load maps the
-// file back so a query server boots in milliseconds instead of replaying
-// minutes of extraction.
+// SoA caches, datasets), and Load maps the file back so a query server
+// boots in milliseconds instead of replaying minutes of extraction.
 //
 // A snapshot file is a header (magic, format version, section count, CRCs)
 // followed by a section table and 8-byte-aligned little-endian sections.
@@ -38,9 +37,9 @@ import (
 // layout change, and Load rejects files whose version it does not
 // implement (no forward compatibility: a reader never guesses at sections
 // it does not understand). Older versions back to minVersion stay
-// readable: version 1 differs from 2 only in the shard-index blob layout
-// (no block-max metadata), which decodeIndex handles per version and the
-// assembling layer compensates for by rebuilding the blocks on load.
+// readable: version 1 differs from 2 only in the layout of the legacy
+// shard-index blob (no block-max metadata), which checkIndexBlob
+// validates per version and no current writer emits.
 const (
 	// Version is the snapshot format version this package writes.
 	Version = 2
@@ -184,14 +183,21 @@ type rawFile struct {
 	secs    []rawSection // data fields alias rawFile.data
 }
 
-// readRaw opens, (optionally) maps and fully validates a snapshot file:
-// magic, version, size, table checksum, per-section bounds, alignment and
-// checksums. Any failure returns a typed error and no data.
+// readRaw opens, (optionally) maps and fully validates a snapshot file
+// (see parseRaw).
 func readRaw(path string, noMmap bool) (*rawFile, error) {
 	data, mapped, err := readFileBytes(path, noMmap)
 	if err != nil {
 		return nil, err
 	}
+	return parseRaw(data, mapped)
+}
+
+// parseRaw validates a snapshot file's bytes: magic, version, size, table
+// checksum, per-section bounds, alignment and checksums. mapped reports
+// that data is a read-only mapping the sections may alias. Any failure
+// returns a typed error and no data.
+func parseRaw(data []byte, mapped bool) (*rawFile, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerSize)
 	}
@@ -221,6 +227,7 @@ func readRaw(path string, noMmap bool) (*rawFile, error) {
 	}
 	f := &rawFile{data: data, zeroCopy: mapped && nativeLittleEndian && intIs64, version: version}
 	f.secs = make([]rawSection, count)
+	covered := uint64(0) // section bytes so far; sections never overlap
 	for i := range f.secs {
 		e := table[i*entrySize:]
 		id := binary.LittleEndian.Uint32(e[0:])
@@ -229,6 +236,11 @@ func readRaw(path string, noMmap bool) (*rawFile, error) {
 		n := binary.LittleEndian.Uint64(e[16:])
 		if off%8 != 0 || off < tableEnd || off+n < off || off+n > stated {
 			return nil, fmt.Errorf("%w: section %d spans [%d, %d) outside the file", ErrCorrupt, id, off, off+n)
+		}
+		// Bounding the total keeps the checksum work linear in the file
+		// size: a crafted table cannot name the same bytes over and over.
+		if covered += n; covered > stated-tableEnd {
+			return nil, fmt.Errorf("%w: sections claim more bytes than the file holds", ErrCorrupt)
 		}
 		body := data[off : off+n]
 		if crc32.Checksum(body, castagnoli) != crc {

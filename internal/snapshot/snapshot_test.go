@@ -3,23 +3,23 @@ package snapshot
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"dehealth/internal/index"
 	"dehealth/internal/similarity"
 )
 
 // fixtureWorld builds a small structurally valid world: two users per
-// side, one landmark, one pruning shard index.
+// side, one landmark.
 func fixtureWorld() *World {
 	return &World{
 		Meta: Meta{
-			Shards: 1, Prune: true, PruneBands: 16, PruneMaxCandidateFrac: 0.5,
-			C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 1,
+			Shards: 1,
+			C1:     0.05, C2: 0.05, C3: 0.9, Landmarks: 1,
 			Dim: 3, Bigrams: [][2]int{{0, 1}, {2, 3}},
 		},
 		Anon: Side{
@@ -63,17 +63,6 @@ func fixtureWorld() *World {
 			AuxWcl:       []float64{0.7, 0.8},
 			AuxWclNorm:   []float64{1, 1},
 		},
-		Indexes: []index.Parts{{
-			N: 2, Bands: 1, MaxCandidateFrac: 0.5,
-			PostOff:   []int{0, 1, 2, 2},
-			PostIDs:   []int32{0, 1},
-			BandOf:    []int32{0, 0},
-			BandOff:   []int{0, 2},
-			BandMeta:  []float64{1, 1, 2, 2, 1, 1, 1, 1, 1, 1},
-			BandIDs:   []int32{0, 1},
-			BlockSize: 1,
-			BlockMeta: []float64{1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1},
-		}},
 	}
 }
 
@@ -113,9 +102,6 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(&want.Scorer, &got.Scorer) {
 			t.Errorf("noMmap=%v scorer mismatch:\n want %+v\n got  %+v", noMmap, want.Scorer, got.Scorer)
-		}
-		if !reflect.DeepEqual(want.Indexes, got.Indexes) {
-			t.Errorf("noMmap=%v indexes mismatch:\n want %+v\n got  %+v", noMmap, want.Indexes, got.Indexes)
 		}
 	}
 }
@@ -202,10 +188,12 @@ func TestLoadGrownFile(t *testing.T) {
 	}
 }
 
+// TestLoadPrunedWithoutIndexes feeds Load a file whose meta says it was
+// written with pruning on but that carries no shard index sections.
 func TestLoadPrunedWithoutIndexes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "world.snap")
 	w := fixtureWorld()
-	w.Indexes = nil // Meta.Prune stays true
+	w.Meta.Prune = true
 	if err := Save(path, w); err != nil {
 		t.Fatal(err)
 	}
@@ -214,35 +202,46 @@ func TestLoadPrunedWithoutIndexes(t *testing.T) {
 	}
 }
 
-// TestLoadIndexCountOverflow feeds Load a CRC-valid file whose shard index
-// blob states 2^61 attributes. (numAttrs+1)*8 wraps to 8, so the blob's
-// length matches what its counts demand, and only bounding the count
-// itself keeps the decoder from sizing an array by it.
-func TestLoadIndexCountOverflow(t *testing.T) {
-	path, _ := saveFixture(t)
+// overflowIndexBlob is a v2 shard index blob stating 2^61 attributes.
+// (numAttrs+1)*8 wraps to 8, so the blob's length matches what its counts
+// demand, and only bounding the count itself keeps the validator from
+// sizing anything by it. The v2 header is N, bands, max candidate frac,
+// then the counts numAttrs, numBands, postIDs, bandIDs, block size and
+// numBlocks — all zero but numAttrs. The body is the wrapped 8-byte
+// posting offset table plus the one-entry band offset table.
+func overflowIndexBlob() []byte {
+	blob := make([]byte, 72+8+8)
+	binary.LittleEndian.PutUint64(blob[24:], 1<<61)
+	return blob
+}
+
+// saveWithIndex saves the fixture world, marked as written with pruning
+// on, plus the given legacy shard index sections.
+func saveWithIndex(t testing.TB, blobs ...[]byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "world.snap")
+	w := fixtureWorld()
+	w.Meta.Prune = true
+	if err := Save(path, w); err != nil {
+		t.Fatal(err)
+	}
 	f, err := readRaw(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// v2 header: N, bands, max candidate frac, then the counts numAttrs,
-	// numBands, postIDs, bandIDs, block size, numBlocks — all zero but
-	// numAttrs. The body is the wrapped 8-byte posting offset table plus
-	// the one-entry band offset table.
-	blob := make([]byte, 72+8+8)
-	binary.LittleEndian.PutUint64(blob[24:], 1<<61)
-	replaced := 0
-	for i := range f.secs {
-		if f.secs[i].id == secShardIndex {
-			f.secs[i].data = blob
-			replaced++
-		}
-	}
-	if replaced != 1 {
-		t.Fatalf("fixture carries %d shard index sections, want 1", replaced)
+	for _, b := range blobs {
+		f.secs = append(f.secs, rawSection{secShardIndex, b})
 	}
 	if err := writeRaw(path, f.secs); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestLoadIndexCountOverflow feeds Load a CRC-valid file whose shard index
+// blob states 2^61 attributes (see overflowIndexBlob).
+func TestLoadIndexCountOverflow(t *testing.T) {
+	path := saveWithIndex(t, overflowIndexBlob())
 	for _, noMmap := range []bool{false, true} {
 		if _, err := Load(path, Options{NoMmap: noMmap}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("noMmap=%v: want ErrCorrupt, got %v", noMmap, err)
@@ -260,5 +259,35 @@ func mutate(t *testing.T, path string, fn func([]byte)) {
 	fn(b)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadOverlappingSections feeds the raw reader a table whose two
+// entries name the same bytes. Sections never overlap in a written file,
+// and a table that repeats one span many times would make the checksum
+// pass quadratic in the file size, so the reader refuses section lengths
+// that sum past the file.
+func TestLoadOverlappingSections(t *testing.T) {
+	const tableEnd = headerSize + 2*entrySize
+	b := make([]byte, tableEnd+8)
+	copy(b, magic)
+	le := binary.LittleEndian
+	le.PutUint16(b[6:], Version)
+	le.PutUint32(b[8:], 2)
+	le.PutUint64(b[16:], uint64(len(b)))
+	for i, id := range []uint32{98, 99} {
+		e := b[headerSize+i*entrySize:]
+		le.PutUint32(e[0:], id)
+		le.PutUint32(e[4:], crc32.Checksum(b[tableEnd:], castagnoli))
+		le.PutUint64(e[8:], tableEnd)
+		le.PutUint64(e[16:], 8)
+	}
+	le.PutUint32(b[12:], crc32.Checksum(b[headerSize:tableEnd], castagnoli))
+	path := filepath.Join(t.TempDir(), "overlap.snap")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readRaw(path, true); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overlapping sections: want ErrCorrupt, got %v", err)
 	}
 }

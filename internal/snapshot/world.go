@@ -4,7 +4,7 @@
 // byte layout of each element type and validates structure (presence,
 // lengths, monotone offsets); semantic assembly (rebuilding stores,
 // scorers, pipelines) lives with the packages that own those types, and
-// the scorer and index state is stored as those packages' own Parts.
+// the scorer state is stored as that package's own Parts.
 
 package snapshot
 
@@ -12,15 +12,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 
-	"dehealth/internal/index"
 	"dehealth/internal/similarity"
 )
 
 // Section ids. Values are part of the on-disk format: never renumber,
 // only append. Repeated ids are only legal for secShardIndex (one section
-// per shard, in shard order).
+// per shard, in shard order), which no current writer emits: files written
+// with pruning on by older versions carry it, and Load validates those
+// sections, then ignores them.
 const (
 	secMeta uint32 = 1
 
@@ -94,16 +94,11 @@ type Meta struct {
 	// A JSON field addition: older full-world files load with Slice nil,
 	// no format version bump.
 	Slice *SliceMeta `json:"slice,omitempty"`
-	// Prune records whether the world ran candidate-pruned queries; when
-	// true the file carries Shards secShardIndex sections and the two
-	// Prune* fields echo the indexes' resolved build configuration.
-	Prune                 bool    `json:"prune"`
-	PruneBands            int     `json:"prune_bands,omitempty"`
-	PruneMaxCandidateFrac float64 `json:"prune_max_candidate_frac,omitempty"`
-	// Approx records the deprecated Options.Approx.Enabled, which prepares
-	// a world exactly as Prune does: the file carries the secShardIndex
-	// sections (and the Prune* build configuration fields), and the loader
-	// boots such a world pruned.
+	// Prune and Approx are read from files that older versions wrote with
+	// candidate pruning (or the retired approximate tier) on: either one
+	// set means the file must carry secShardIndex sections. The writer
+	// always leaves both false.
+	Prune  bool `json:"prune"`
 	Approx bool `json:"approx,omitempty"`
 	// C1, C2, C3 and Landmarks pin the similarity configuration the saved
 	// scorer caches were computed under.
@@ -136,18 +131,14 @@ type Side struct {
 }
 
 // World is the full typed content of a snapshot file. The scorer caches
-// and the shard indexes are the engines' own flattened types: the file
-// stores exactly what similarity.Scorer.Parts and index.Index.Parts hand
-// out, and hands back exactly what NewScorerFromParts and index.FromParts
-// take.
+// are the engine's own flattened type: the file stores exactly what
+// similarity.Scorer.Parts hands out, and hands back exactly what
+// NewScorerFromParts takes.
 type World struct {
 	Meta   Meta
 	Anon   Side
 	Aux    Side
 	Scorer similarity.Parts
-	// Indexes holds one index per shard, in shard order; empty unless the
-	// world ran candidate-pruned or approximate queries.
-	Indexes []index.Parts
 	// Mapped reports (after Load) whether the numeric slices alias a
 	// read-only memory mapping of the file.
 	Mapped bool
@@ -155,8 +146,7 @@ type World struct {
 
 // field is one row of the section layout: a section id and the World
 // field it holds. ptr is a *[]float64, *[]int (stored as i64), *[]int32,
-// *[]byte (stored verbatim), *Meta (stored as JSON) or *[]index.Parts
-// (one shard index section per shard, see encodeIndex).
+// *[]byte (stored verbatim) or *Meta (stored as JSON).
 type field struct {
 	id  uint32
 	ptr any
@@ -201,7 +191,6 @@ func (w *World) layout() []field {
 		{secAuxCloseNrm, &sc.AuxCloseNorm},
 		{secAuxWcl, &sc.AuxWcl},
 		{secAuxWclNorm, &sc.AuxWclNorm},
-		{secShardIndex, &w.Indexes},
 		// Variable-length string tables at the tail: the meta document and
 		// the two dataset JSON blobs (user names, thread boards, post texts).
 		{secMeta, &w.Meta},
@@ -229,11 +218,6 @@ func Save(path string, w *World) error {
 			if data, err = json.Marshal(p); err != nil {
 				return fmt.Errorf("snapshot: encoding meta: %v", err)
 			}
-		case *[]index.Parts:
-			for i := range *p {
-				secs = append(secs, rawSection{fl.id, encodeIndex(&(*p)[i])})
-			}
-			continue
 		default:
 			panic(fmt.Sprintf("snapshot: section %d has unhandled type %T", fl.id, fl.ptr))
 		}
@@ -251,6 +235,12 @@ func Load(path string, opt Options) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
+	return f.world()
+}
+
+// world decodes the World a validated file holds and validates its
+// structure.
+func (f *rawFile) world() (*World, error) {
 	w := &World{Mapped: f.zeroCopy}
 	for _, fl := range w.layout() {
 		if err := f.decode(fl); err != nil {
@@ -265,29 +255,23 @@ func Load(path string, opt Options) (*World, error) {
 	if err := validateScorer(&w.Scorer); err != nil {
 		return nil, err
 	}
-	if (w.Meta.Prune || w.Meta.Approx) && len(w.Indexes) == 0 {
+	// Legacy shard index sections: nothing reads them any more, but a file
+	// that carries them must still be well formed.
+	indexes := f.sections(secShardIndex)
+	for _, blob := range indexes {
+		if err := checkIndexBlob(blob, f.version); err != nil {
+			return nil, err
+		}
+	}
+	if (w.Meta.Prune || w.Meta.Approx) && len(indexes) == 0 {
 		return nil, fmt.Errorf("%w: pruned/approx snapshot carries no shard index sections", ErrCorrupt)
 	}
-	// The exact section count is validated against the reconstructed shard
-	// partition by the assembling layer — Meta.Shards is the requested
-	// count, which the partitioner clamps to the auxiliary population.
 	return w, nil
 }
 
-// decode fills one layout row from the file: the single section with the
-// row's id, or every repeated section in file order. Numeric sections
-// alias the mapping when the file allows it.
+// decode fills one layout row from the single section with the row's id.
+// Numeric sections alias the mapping when the file allows it.
 func (f *rawFile) decode(fl field) error {
-	if p, ok := fl.ptr.(*[]index.Parts); ok {
-		for _, blob := range f.sections(fl.id) {
-			ip, err := decodeIndex(blob, f.version)
-			if err != nil {
-				return err
-			}
-			*p = append(*p, ip)
-		}
-		return nil
-	}
 	b, err := f.section(fl.id)
 	if err != nil {
 		return err
@@ -373,163 +357,69 @@ func checkOffsets(off []int, flatLen int, what string) error {
 	return nil
 }
 
-// encodeIndex serializes one shard's index parts as a self-describing
-// little-endian blob: a fixed header of counts, then the flat arrays.
-// Index sections are always decoded by copying — they are small relative
-// to the feature and cache sections, and the sub-arrays inside a blob
-// cannot all be 8-byte aligned anyway. Format v2 extends the v1 header
-// with two words (block size and block count) and appends BlockMeta after
-// BandIDs; see docs/SNAPSHOT.md for the byte layout.
-func encodeIndex(p *index.Parts) []byte {
-	numAttrs := len(p.PostOff) - 1
-	if numAttrs < 0 {
-		numAttrs = 0
-	}
-	numBands := 0
-	if len(p.BandOff) > 0 {
-		numBands = len(p.BandOff) - 1
-	}
-	numBlocks := len(p.BlockMeta) / index.BandMetaWidth
-	size := 9*8 + (numAttrs+1)*8 + len(p.PostIDs)*4 + len(p.BandOf)*4 +
-		(numBands+1)*8 + len(p.BandMeta)*8 + len(p.BandIDs)*4 + len(p.BlockMeta)*8
-	out := make([]byte, size)
-	le := binary.LittleEndian
-	le.PutUint64(out[0:], uint64(p.N))
-	le.PutUint64(out[8:], uint64(p.Bands))
-	le.PutUint64(out[16:], math.Float64bits(p.MaxCandidateFrac))
-	le.PutUint64(out[24:], uint64(numAttrs))
-	le.PutUint64(out[32:], uint64(numBands))
-	le.PutUint64(out[40:], uint64(len(p.PostIDs)))
-	le.PutUint64(out[48:], uint64(len(p.BandIDs)))
-	le.PutUint64(out[56:], uint64(p.BlockSize))
-	le.PutUint64(out[64:], uint64(numBlocks))
-	pos := 72
-	putInts := func(v []int) {
-		for _, x := range v {
-			le.PutUint64(out[pos:], uint64(int64(x)))
-			pos += 8
-		}
-	}
-	putI32 := func(v []int32) {
-		for _, x := range v {
-			le.PutUint32(out[pos:], uint32(x))
-			pos += 4
-		}
-	}
-	putF64 := func(v []float64) {
-		for _, x := range v {
-			le.PutUint64(out[pos:], math.Float64bits(x))
-			pos += 8
-		}
-	}
-	if numAttrs == 0 && len(p.PostOff) == 0 {
-		putInts([]int{0})
-	} else {
-		putInts(p.PostOff)
-	}
-	putI32(p.PostIDs)
-	putI32(p.BandOf)
-	if numBands == 0 && len(p.BandOff) == 0 {
-		putInts([]int{0})
-	} else {
-		putInts(p.BandOff)
-	}
-	putF64(p.BandMeta)
-	putI32(p.BandIDs)
-	putF64(p.BlockMeta)
-	return out
-}
+// indexBoundWidth is the number of float64 bounds a legacy index blob
+// stores per degree band and per id-range block.
+const indexBoundWidth = 10
 
-// decodeIndex is encodeIndex's inverse, with full structural validation.
-// version selects the blob layout: format v1 blobs have a 7-word header
-// and no block metadata (BlockSize decodes as 0, marking the blocks for
-// rebuild), v2 blobs add the block size/count words and the trailing
-// BlockMeta array.
-func decodeIndex(b []byte, version int) (index.Parts, error) {
-	var p index.Parts
-	le := binary.LittleEndian
+// checkIndexBlob validates one legacy shard index section structurally,
+// without decoding it for use: a header of counts, then flat arrays whose
+// sizes the counts fix, two of them offset tables that must be monotone
+// and span their arrays. version selects the layout: format v1 blobs have
+// a 7-word header; v2 adds a block size and a block count and appends
+// that many blocks of bounds. See docs/SNAPSHOT.md for the byte layout.
+func checkIndexBlob(b []byte, version int) error {
 	headerLen := 72
 	if version < 2 {
 		headerLen = 56
 	}
 	if len(b) < headerLen {
-		return p, fmt.Errorf("%w: shard index blob of %d bytes", ErrCorrupt, len(b))
+		return fmt.Errorf("%w: shard index blob of %d bytes", ErrCorrupt, len(b))
 	}
-	p.N = int(int64(le.Uint64(b[0:])))
-	p.Bands = int(int64(le.Uint64(b[8:])))
-	p.MaxCandidateFrac = math.Float64frombits(le.Uint64(b[16:]))
-	numAttrs := int(int64(le.Uint64(b[24:])))
-	numBands := int(int64(le.Uint64(b[32:])))
-	postIDs := int(int64(le.Uint64(b[40:])))
-	bandIDs := int(int64(le.Uint64(b[48:])))
-	numBlocks := 0
+	word := func(i int) int { return int(int64(binary.LittleEndian.Uint64(b[8*i:]))) }
+	n, numAttrs, numBands, postIDs, bandIDs := word(0), word(3), word(4), word(5), word(6)
+	blockSize, numBlocks := 0, 0
 	if version >= 2 {
-		p.BlockSize = int(int64(le.Uint64(b[56:])))
-		numBlocks = int(int64(le.Uint64(b[64:])))
+		blockSize, numBlocks = word(7), word(8)
 	}
 	// Every count sizes an array of at least one byte per element, so none
 	// can exceed the blob: bounding them first keeps the size arithmetic
 	// below from overflowing on a crafted header.
-	for _, c := range []int{p.N, numAttrs, numBands, postIDs, bandIDs, numBlocks} {
+	for _, c := range []int{n, numAttrs, numBands, postIDs, bandIDs, numBlocks} {
 		if c < 0 || c > len(b) {
-			return p, fmt.Errorf("%w: shard index count %d outside a %d-byte blob", ErrCorrupt, c, len(b))
+			return fmt.Errorf("%w: shard index count %d outside a %d-byte blob", ErrCorrupt, c, len(b))
 		}
 	}
-	if p.BlockSize < 0 {
-		return p, fmt.Errorf("%w: negative shard index block size %d", ErrCorrupt, p.BlockSize)
+	if blockSize < 0 {
+		return fmt.Errorf("%w: negative shard index block size %d", ErrCorrupt, blockSize)
 	}
-	if p.BlockSize == 0 && numBlocks != 0 {
-		return p, fmt.Errorf("%w: %d index blocks with block size 0", ErrCorrupt, numBlocks)
+	if blockSize == 0 && numBlocks != 0 {
+		return fmt.Errorf("%w: %d index blocks with block size 0", ErrCorrupt, numBlocks)
 	}
-	if p.BlockSize > 0 && numBlocks != ceilDiv(p.N, p.BlockSize) {
-		return p, fmt.Errorf("%w: %d index blocks of %d ids do not tile %d users", ErrCorrupt, numBlocks, p.BlockSize, p.N)
+	if blockSize > 0 && numBlocks != ceilDiv(n, blockSize) {
+		return fmt.Errorf("%w: %d index blocks of %d ids do not tile %d users", ErrCorrupt, numBlocks, blockSize, n)
 	}
-	want := headerLen + (numAttrs+1)*8 + postIDs*4 + p.N*4 + (numBands+1)*8 +
-		numBands*index.BandMetaWidth*8 + bandIDs*4 + numBlocks*index.BandMetaWidth*8
+	postOff := headerLen
+	bandOff := postOff + (numAttrs+1)*8 + postIDs*4 + n*4
+	want := bandOff + (numBands+1)*8 + numBands*indexBoundWidth*8 + bandIDs*4 + numBlocks*indexBoundWidth*8
 	if len(b) != want {
-		return p, fmt.Errorf("%w: shard index blob is %d bytes, counts demand %d", ErrCorrupt, len(b), want)
+		return fmt.Errorf("%w: shard index blob is %d bytes, counts demand %d", ErrCorrupt, len(b), want)
 	}
-	pos := headerLen
-	getInts := func(n int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = int(int64(le.Uint64(b[pos:])))
-			pos += 8
+	for _, t := range []struct {
+		at, entries, span int
+		what              string
+	}{
+		{postOff, numAttrs + 1, postIDs, "shard index postings"},
+		{bandOff, numBands + 1, bandIDs, "shard index bands"},
+	} {
+		off, err := decodeInts(b[t.at:t.at+t.entries*8], false)
+		if err != nil {
+			return err
 		}
-		return out
-	}
-	getI32 := func(n int) []int32 {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(le.Uint32(b[pos:]))
-			pos += 4
+		if err := checkOffsets(off, t.span, t.what); err != nil {
+			return err
 		}
-		return out
 	}
-	getF64 := func(n int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(le.Uint64(b[pos:]))
-			pos += 8
-		}
-		return out
-	}
-	p.PostOff = getInts(numAttrs + 1)
-	p.PostIDs = getI32(postIDs)
-	p.BandOf = getI32(p.N)
-	p.BandOff = getInts(numBands + 1)
-	p.BandMeta = getF64(numBands * index.BandMetaWidth)
-	p.BandIDs = getI32(bandIDs)
-	if numBlocks > 0 {
-		p.BlockMeta = getF64(numBlocks * index.BandMetaWidth)
-	}
-	if err := checkOffsets(p.PostOff, len(p.PostIDs), "shard index postings"); err != nil {
-		return p, err
-	}
-	if err := checkOffsets(p.BandOff, len(p.BandIDs), "shard index bands"); err != nil {
-		return p, err
-	}
-	return p, nil
+	return nil
 }
 
 // ceilDiv is ceil(n/d) for n >= 0 and d > 0, without forming n+d-1 (a

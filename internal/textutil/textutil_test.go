@@ -1,7 +1,10 @@
 package textutil
 
 import (
+	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,7 +197,7 @@ func TestWordsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }
@@ -228,7 +231,7 @@ func TestLetterFreqCaseInsensitive(t *testing.T) {
 		upper, lower := asciiCase(s, unicode.ToUpper), asciiCase(s, unicode.ToLower)
 		return LetterFreq(upper) == LetterFreq(lower) && LetterFreq(lower) == LetterFreq(s)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Error(err)
 	}
 }
@@ -255,4 +258,16 @@ func TestLetterFreqNonASCIICaseMapping(t *testing.T) {
 			t.Errorf("%s: LetterFreq of its case mapping %q = %v, want one %c", tc.name, tc.to(tc.s), got, tc.letter)
 		}
 	}
+}
+
+// quickConfig is the configuration of this package's testing/quick
+// properties: maxCount inputs drawn from a fixed seed, so every run checks
+// the same ones. DEHEALTH_QUICK_SEED names another seed; CI reruns the
+// properties under a fresh, printed one.
+func quickConfig(maxCount int) *quick.Config {
+	seed, err := strconv.ParseInt(os.Getenv("DEHEALTH_QUICK_SEED"), 10, 64)
+	if err != nil {
+		seed = 1
+	}
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
 }

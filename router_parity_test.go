@@ -2,11 +2,12 @@
 // router scatter-gathering over 1, 2 and 4 shard servers — real
 // dehealth.NewServer instances, each booted from its own snapshot slice —
 // must answer QueryUser and QueryBatch bit-identically to the
-// single-process PreparedWorld fan-out, in exact, pruned and "approx"
-// modes alike (the last prepares with the deprecated Options.Approx and
-// sends the wire "approx" key, both answered exactly). Every float crosses two JSON hops (router → shard server →
-// router); Go marshals float64 round-trip exactly, so bit-identity is
-// required, not approximated.
+// single-process PreparedWorld fan-out and the ScoreSlow oracle, in exact
+// and "approx" modes alike (the latter prepares with the deprecated
+// Options.Approx and sends the wire "approx" key, both answered exactly).
+// Every float crosses two JSON hops (router → shard server → router); Go
+// marshals float64 round-trip exactly, so bit-identity is required, not
+// approximated.
 
 package dehealth
 
@@ -45,24 +46,25 @@ func TestRouterParity(t *testing.T) {
 	const users, k = 20, 5
 	modes := []struct {
 		name   string
-		prune  bool
+		mi     int // picks the mode's worlds
 		approx ApproxConfig
 	}{
-		{name: "exact"},
-		{name: "pruned", prune: true},
-		{name: "approx", approx: ApproxConfig{Enabled: true}},
+		{name: "exact", mi: 0},
+		{name: "approx", mi: 2, approx: ApproxConfig{Enabled: true}},
 	}
-	for mi, mode := range modes {
+	for _, mode := range modes {
+		mi := mode.mi
 		for _, shards := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%s shards=%d", mode.name, shards)
 
 			// Reference: the single-process world at the same shard count.
 			w := GenerateWorld(WorldConfig{WebMDUsers: users, HBUsers: users, Seed: int64(8000 + 100*mi + shards)})
 			split := SplitClosedWorld(w.WebMD, 0.5, int64(8001+100*mi+shards))
-			opt := snapOptions(shards, mode.prune)
+			opt := snapOptions(shards)
 			opt.Approx = mode.approx
 			pw := PrepareWorld(split.Anon, split.Aux, opt)
 			wantSingle, wantBatch := worldAnswers(t, pw, k, opt)
+			sameCandidates(t, label+" oracle", oracleAnswers(t, pw, k, opt), wantSingle)
 
 			// Distributed: slice servers under a router.
 			slices := loadSlices(t, pw, t.TempDir())

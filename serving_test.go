@@ -352,77 +352,42 @@ func TestIngestRoutingStableAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestPrunedPreparedWorldParity is the public-layer pruning guarantee:
-// a world prepared with Options.Prune answers every query — including
-// after ingestion and across sharded/unsharded variants — bit-identically
-// to the unpruned world, while PruneStats records the activity.
-func TestPrunedPreparedWorldParity(t *testing.T) {
+// TestPreparedWorldOracleParity is the public-layer exactness guarantee:
+// sharded and unsharded worlds answer every QueryUser and QueryBatch —
+// including after ingestion — bit-identically to the ScoreSlow oracle.
+func TestPreparedWorldOracleParity(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxBigrams = 50
 	opt.Landmarks = 5
-
-	mkSplit := func() *Split {
-		w := GenerateWorld(WorldConfig{WebMDUsers: 26, HBUsers: 26, Seed: 961})
-		return SplitClosedWorld(w.WebMD, 0.5, 962)
-	}
-	plainSplit, prunedSplit := mkSplit(), mkSplit()
-	plain := PrepareWorld(plainSplit.Anon, plainSplit.Aux, opt)
-	prunedOpt := opt
-	prunedOpt.Prune = true
-	prunedOpt.Shards = 3
-	pruned := PrepareWorld(prunedSplit.Anon, prunedSplit.Aux, prunedOpt)
-
 	ingest := []UserPosts{
 		{User: corpus.User{Name: "late-arrival", TrueIdentity: -1}, Posts: []IngestPost{
 			{Thread: 0, Text: "the new medication finally started working for me"},
 		}},
 	}
-	if _, err := plain.Ingest(ingest); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pruned.Ingest(ingest); err != nil {
-		t.Fatal(err)
-	}
-
-	anon, _ := plain.Sizes()
-	for u := 0; u < anon; u++ {
-		want, err := plain.QueryUser(u, 6, opt)
-		if err != nil {
+	for _, shards := range []int{1, 3} {
+		w := GenerateWorld(WorldConfig{WebMDUsers: 26, HBUsers: 26, Seed: 961})
+		split := SplitClosedWorld(w.WebMD, 0.5, 962)
+		o := opt
+		o.Shards = shards
+		pw := PrepareWorld(split.Anon, split.Aux, o)
+		if _, err := pw.Ingest(ingest); err != nil {
 			t.Fatal(err)
 		}
-		got, err := pruned.QueryUser(u, 6, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("user %d: %d candidates, want %d", u, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("user %d candidate %d: %+v, want %+v", u, i, got[i], want[i])
-			}
-		}
-	}
-
-	ps := pruned.PruneStats()
-	if !ps.Enabled || ps.Queries == 0 {
-		t.Fatalf("pruned world stats inactive: %+v", ps)
-	}
-	if got := plain.PruneStats(); got.Enabled || got.Queries != 0 {
-		t.Fatalf("unpruned world reports prune stats: %+v", got)
+		single, batch := worldAnswers(t, pw, 6, o)
+		oracle := oracleAnswers(t, pw, 6, o)
+		label := fmt.Sprintf("shards=%d", shards)
+		sameCandidates(t, label+" QueryUser", oracle, single)
+		sameCandidates(t, label+" QueryBatch", oracle, batch)
 	}
 }
 
-// TestStatsPruneBlock checks /v1/stats carries the prune counters exactly
-// when the backend prunes.
+// TestStatsPruneBlock checks /v1/stats on a sharded text world counts the
+// query it served and carries no prune block: text worlds always scan, so
+// no backend reports candidate-pruning counters.
 func TestStatsPruneBlock(t *testing.T) {
+	pw := servingWorldSharded(t, 20, 971, 2)
 	opt := DefaultOptions()
-	opt.MaxBigrams = 50
-	opt.Prune = true
-	w := GenerateWorld(WorldConfig{WebMDUsers: 20, HBUsers: 20, Seed: 971})
-	split := SplitClosedWorld(w.WebMD, 0.5, 972)
-	pw := PrepareWorld(split.Anon, split.Aux, opt)
-
+	opt.Landmarks = 5
 	srv := NewServer(pw, ServeOptions{K: 5, Attack: opt})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -433,42 +398,24 @@ func TestStatsPruneBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	qresp.Body.Close()
+	if qresp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d", qresp.StatusCode)
+	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		Prune *struct {
-			Queries   int64 `json:"queries"`
-			Fallbacks int64 `json:"fallbacks"`
-			Skipped   int64 `json:"skipped"`
-		} `json:"prune"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	var raw map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Prune == nil || stats.Prune.Queries == 0 {
-		t.Fatalf("stats missing prune block: %+v", stats.Prune)
-	}
-
-	// An unpruned world's stats must omit the block entirely.
-	pw2 := servingWorld(t, 20, 973)
-	srv2 := NewServer(pw2, ServeOptions{K: 5})
-	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	resp2, err := http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var raw map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
+	var queries int64
+	if err := json.Unmarshal(raw["queries"], &queries); err != nil || queries != 1 {
+		t.Fatalf("stats queries = %s (%v), want 1", raw["queries"], err)
 	}
 	if _, ok := raw["prune"]; ok {
-		t.Fatal("unpruned stats must omit the prune block")
+		t.Fatal("stats must carry no prune block")
 	}
 }
 

@@ -38,65 +38,61 @@ func loadSlices(t *testing.T, pw *PreparedWorld, dir string) []*PreparedWorld {
 // (rebased) answer under the global order reproduces the full world's
 // QueryUser exactly.
 func TestSliceRoundTrip(t *testing.T) {
-	for _, prune := range []bool{false, true} {
-		pw, opt := snapWorld(t, 20, 7000, 3, prune)
-		slices := loadSlices(t, pw, t.TempDir())
-		if len(slices) != 3 {
-			t.Fatalf("prune=%v: %d slices, want 3", prune, len(slices))
-		}
+	pw, opt := snapWorld(t, 20, 7000, 3)
+	slices := loadSlices(t, pw, t.TempDir())
+	if len(slices) != 3 {
+		t.Fatalf("%d slices, want 3", len(slices))
+	}
 
-		anonWant, auxWant := pw.Sizes()
-		coverage := 0
+	anonWant, auxWant := pw.Sizes()
+	coverage := 0
+	for i, sw := range slices {
+		info, ok := sw.SliceInfo()
+		if !ok {
+			t.Fatalf("slice %d lost its SliceInfo", i)
+		}
+		if info.Shard != i || info.Shards != 3 || info.AuxTotal != auxWant {
+			t.Fatalf("slice %d identity %+v", i, info)
+		}
+		anon, aux := sw.Sizes()
+		if anon != anonWant {
+			t.Fatalf("slice %d has %d anon users, want %d", i, anon, anonWant)
+		}
+		if aux != info.Hi-info.Lo {
+			t.Fatalf("slice %d has %d aux users, window is [%d, %d)", i, aux, info.Lo, info.Hi)
+		}
+		coverage += aux
+	}
+	if coverage != auxWant {
+		t.Fatalf("slices cover %d aux users, want %d", coverage, auxWant)
+	}
+
+	// Bit-identity: merge the slices' rebased answers and compare with
+	// the full world and the ScoreSlow oracle, for every anonymized user.
+	k := 5
+	oracle := oracleAnswers(t, pw, k, opt)
+	for u := 0; u < anonWant; u++ {
+		want, err := pw.QueryUser(u, k, opt)
+		if err != nil {
+			t.Fatalf("full QueryUser(%d): %v", u, err)
+		}
+		parts := make([][]shard.Candidate, len(slices))
 		for i, sw := range slices {
-			info, ok := sw.SliceInfo()
-			if !ok {
-				t.Fatalf("prune=%v: slice %d lost its SliceInfo", prune, i)
-			}
-			if info.Shard != i || info.Shards != 3 || info.AuxTotal != auxWant {
-				t.Fatalf("prune=%v: slice %d identity %+v", prune, i, info)
-			}
-			anon, aux := sw.Sizes()
-			if anon != anonWant {
-				t.Fatalf("prune=%v: slice %d has %d anon users, want %d", prune, i, anon, anonWant)
-			}
-			if aux != info.Hi-info.Lo {
-				t.Fatalf("prune=%v: slice %d has %d aux users, window is [%d, %d)", prune, i, aux, info.Lo, info.Hi)
-			}
-			coverage += aux
-			if prune {
-				if s := sw.PruneStats(); !s.Enabled {
-					t.Fatalf("slice %d of a pruned world lost its index", i)
-				}
-			}
-		}
-		if coverage != auxWant {
-			t.Fatalf("prune=%v: slices cover %d aux users, want %d", prune, coverage, auxWant)
-		}
-
-		// Bit-identity: merge the slices' rebased answers and compare with
-		// the full world, for every anonymized user.
-		k := 5
-		for u := 0; u < anonWant; u++ {
-			want, err := pw.QueryUser(u, k, opt)
+			info, _ := sw.SliceInfo()
+			cands, err := sw.QueryUser(u, k, sw.PreparedOptions())
 			if err != nil {
-				t.Fatalf("full QueryUser(%d): %v", u, err)
+				t.Fatalf("slice %d QueryUser(%d): %v", i, u, err)
 			}
-			parts := make([][]shard.Candidate, len(slices))
-			for i, sw := range slices {
-				info, _ := sw.SliceInfo()
-				cands, err := sw.QueryUser(u, k, sw.PreparedOptions())
-				if err != nil {
-					t.Fatalf("slice %d QueryUser(%d): %v", i, u, err)
-				}
-				rebased := make([]shard.Candidate, len(cands))
-				for j, c := range cands {
-					rebased[j] = shard.Candidate{User: c.User + info.Lo, Score: c.Score}
-				}
-				parts[i] = rebased
+			rebased := make([]shard.Candidate, len(cands))
+			for j, c := range cands {
+				rebased[j] = shard.Candidate{User: c.User + info.Lo, Score: c.Score}
 			}
-			got := shard.MergeTopK(parts, k)
-			sameCandidates(t, fmt.Sprintf("prune=%v user %d", prune, u), [][]Candidate{want}, [][]Candidate{got})
+			parts[i] = rebased
 		}
+		got := shard.MergeTopK(parts, k)
+		label := fmt.Sprintf("user %d", u)
+		sameCandidates(t, label, [][]Candidate{want}, [][]Candidate{got})
+		sameCandidates(t, label+" oracle", oracle[u:u+1], [][]Candidate{got})
 	}
 }
 
@@ -104,7 +100,7 @@ func TestSliceRoundTrip(t *testing.T) {
 // again — cutting an already-local id space would corrupt the global
 // numbering the router merges under.
 func TestSliceOfSliceRejected(t *testing.T) {
-	pw, _ := snapWorld(t, 16, 7100, 2, false)
+	pw, _ := snapWorld(t, 16, 7100, 2)
 	dir := t.TempDir()
 	slices := loadSlices(t, pw, dir)
 	_, err := slices[0].SnapshotSlices(filepath.Join(dir, "again"))
@@ -117,7 +113,7 @@ func TestSliceOfSliceRejected(t *testing.T) {
 // slice-loaded world must still be that slice — identity preserved across
 // snapshot generations.
 func TestSliceResnapshotKeepsWindow(t *testing.T) {
-	pw, _ := snapWorld(t, 16, 7200, 2, false)
+	pw, _ := snapWorld(t, 16, 7200, 2)
 	dir := t.TempDir()
 	slices := loadSlices(t, pw, dir)
 	info1, _ := slices[1].SliceInfo()
@@ -139,7 +135,7 @@ func TestSliceResnapshotKeepsWindow(t *testing.T) {
 // TestSliceFileFailurePaths: damaged slice files fail with the same typed
 // errors as full snapshots, and never yield a world.
 func TestSliceFileFailurePaths(t *testing.T) {
-	pw, _ := snapWorld(t, 14, 7300, 2, true)
+	pw, _ := snapWorld(t, 14, 7300, 2)
 	dir := t.TempDir()
 	paths, err := pw.SnapshotSlices(filepath.Join(dir, "world"))
 	if err != nil {

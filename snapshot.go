@@ -1,9 +1,9 @@
 // Snapshot and warm restart: the conversions between a PreparedWorld and
 // the internal/snapshot on-disk format (docs/SNAPSHOT.md). Snapshot
 // freezes everything the offline prepare pipeline computed — feature
-// matrices, UDA adjacency, scorer caches, per-shard pruning indexes,
-// datasets — and LoadWorld rebuilds a PreparedWorld from the file without
-// re-running extraction or precomputation. The contract is bit-identity:
+// matrices, UDA adjacency, scorer caches, datasets — and LoadWorld
+// rebuilds a PreparedWorld from the file without re-running extraction or
+// precomputation. The contract is bit-identity:
 // the loaded world answers QueryUser/QueryBatch/Attack byte-for-byte like
 // the world that saved it, because every float the scoring kernel reads is
 // carried through the file verbatim and only exactly-reproducible integer
@@ -19,7 +19,6 @@ import (
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
 	"dehealth/internal/graph"
-	"dehealth/internal/index"
 	"dehealth/internal/shard"
 	"dehealth/internal/similarity"
 	"dehealth/internal/snapshot"
@@ -48,10 +47,9 @@ var (
 // Snapshot writes the prepared world to path in the versioned snapshot
 // format (atomically: temp file + rename), capturing the world under its
 // preparation-time configuration — feature matrices, frozen UDA
-// adjacency, the scorer's precomputed caches, the per-shard pruning
-// indexes when the world was prepared with Options.Prune, and both
-// datasets. The write takes the world's read lock, so it excludes
-// concurrent ingestion but not queries; a world snapshotted after an
+// adjacency, the scorer's precomputed caches and both datasets. The write
+// takes the world's read lock, so it excludes concurrent ingestion but not
+// queries; a world snapshotted after an
 // ingest batch includes the ingested users. LoadWorld restores the file
 // to a world answering queries bit-identically.
 func (w *PreparedWorld) Snapshot(path string) error {
@@ -68,13 +66,11 @@ func (w *PreparedWorld) Snapshot(path string) error {
 // holds the world read lock.
 func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 	cfg := w.prepOpt.normalized().simConfig()
-	p := w.pipeline(cfg) // materializes scorer caches (and indexes when pruned)
+	p := w.pipeline(cfg) // materializes the scorer caches
 
 	sw := &snapshot.World{
 		Meta: snapshot.Meta{
 			Shards:    w.shards,
-			Prune:     w.prepOpt.Prune,
-			Approx:    w.prepOpt.Approx.Enabled,
 			C1:        cfg.C1,
 			C2:        cfg.C2,
 			C3:        cfg.C3,
@@ -96,20 +92,6 @@ func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 		return nil, err
 	}
 	sw.Scorer = p.Scorer.Parts()
-	if w.pruneStats != nil {
-		var bands int
-		var frac float64
-		for _, sh := range p.ShardWindows() {
-			if sh.Index == nil {
-				return nil, fmt.Errorf("dehealth: indexed world shard [%d, %d) has no index to snapshot", sh.Lo, sh.Hi)
-			}
-			bc := sh.Index.BuildConfig()
-			bands, frac = bc.Bands, bc.MaxCandidateFrac
-			sw.Indexes = append(sw.Indexes, sh.Index.Parts())
-		}
-		sw.Meta.PruneBands = bands
-		sw.Meta.PruneMaxCandidateFrac = frac
-	}
 	return sw, nil
 }
 
@@ -254,11 +236,12 @@ type LoadOptions struct {
 // LoadWorld restores a PreparedWorld from a snapshot written by
 // (*PreparedWorld).Snapshot. The restored world answers QueryUser,
 // QueryBatch and Attack bit-identically to the world that saved it, at
-// the same shard count and pruning configuration; it can keep ingesting
-// (growth reallocates — the mapped file is never written). Failures
-// return typed errors: ErrNotSnapshot, ErrSnapshotVersion,
-// ErrSnapshotTruncated or ErrSnapshotCorrupt, and never a partially
-// loaded world.
+// the same shard count; it can keep ingesting (growth reallocates — the
+// mapped file is never written). Files written with pruning on, by older
+// versions, carry per-shard index sections: they are validated, then
+// ignored, and the restored world runs the exact scan. Failures return
+// typed errors: ErrNotSnapshot, ErrSnapshotVersion, ErrSnapshotTruncated
+// or ErrSnapshotCorrupt, and never a partially loaded world.
 func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 	sw, err := snapshot.Load(path, snapshot.Options{NoMmap: opt.NoMmap})
 	if err != nil {
@@ -294,40 +277,10 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 	}
 
 	p := core.NewRestoredPipeline(anonStore, auxStore, sc, meta.Shards)
-	var stats *index.Stats
-	if meta.Prune || meta.Approx {
-		wins := p.ShardWindows()
-		if len(sw.Indexes) != len(wins) {
-			return nil, fmt.Errorf("%w: %d shard index sections for %d shards", snapshot.ErrCorrupt, len(sw.Indexes), len(wins))
-		}
-		for i, sh := range wins {
-			x, err := index.FromParts(sw.Indexes[i])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
-			}
-			if x.NumUsers() != sh.NumUsers() {
-				return nil, fmt.Errorf("%w: shard %d index covers %d users, window has %d", snapshot.ErrCorrupt, i, x.NumUsers(), sh.NumUsers())
-			}
-			sh.Index = x
-			// Format-v1 blobs carry no block metadata (BlockSize 0):
-			// rebuild it from the restored scorer window at the default
-			// block size, so the next save writes a complete v2 blob.
-			sh.EnsureBlocks(0)
-		}
-		// WithPruning reuses the installed indexes: the configuration's
-		// build-relevant part (Bands) matches by construction. A world
-		// saved with the retired approximate tier boots pruned.
-		icfg := index.Config{Bands: meta.PruneBands, MaxCandidateFrac: meta.PruneMaxCandidateFrac}
-		stats = &index.Stats{}
-		p = p.Pruned(icfg, stats)
-	}
-
 	prepOpt := Options{
 		C1: meta.C1, C2: meta.C2, C3: meta.C3,
 		Landmarks: meta.Landmarks,
 		Shards:    meta.Shards,
-		Prune:     meta.Prune,
-		Approx:    ApproxConfig{Enabled: meta.Approx},
 	}
 	var slice *SliceInfo
 	if s := meta.Slice; s != nil {
@@ -344,11 +297,10 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 	return &PreparedWorld{
 		Anon: anonData, Aux: auxData,
 		anonStore: anonStore, auxStore: auxStore,
-		shards:     meta.Shards,
-		prepOpt:    prepOpt,
-		pruneStats: stats,
-		slice:      slice,
-		pipelines:  map[similarity.Config]*core.Pipeline{cfg: p},
+		shards:    meta.Shards,
+		prepOpt:   prepOpt,
+		slice:     slice,
+		pipelines: map[similarity.Config]*core.Pipeline{cfg: p},
 	}, nil
 }
 

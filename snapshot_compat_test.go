@@ -4,22 +4,28 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 )
 
-// v1FixturePath is a committed snapshot written by the format-v1 code
-// before the v2 (block-max metadata) bump. It exists to pin backward read
-// compatibility: every future reader must keep loading it and answering
-// bit-identically to a freshly prepared world, with the missing block
-// metadata rebuilt on load.
-const v1FixturePath = "testdata/v1_world.snap"
+// The committed fixtures pin backward read compatibility: both were
+// written from v1FixtureWorld with pruning and the approximate tier on, so
+// each carries one shard index section per shard, the v1 one by the
+// format-v1 writer and the v2 one by the last writer that emitted index
+// sections (block metadata included). Every future reader must keep
+// loading both — validating the index sections, then ignoring them — and
+// answering bit-identically to a freshly prepared world. No current writer
+// can regenerate them.
+const (
+	v1FixturePath = "testdata/v1_world.snap"
+	v2FixturePath = "testdata/v2_world.snap"
+)
 
-// v1FixtureWorld prepares the exact world the committed v1 fixture was
-// written from: deterministic generation, two shards, pruning and the
-// approximate tier both on (so the file carries shard index sections).
+// v1FixtureWorld prepares the world the committed fixtures were written
+// from: deterministic generation, two shards.
 func v1FixtureWorld() (*PreparedWorld, Options) {
 	w := GenerateWorld(WorldConfig{WebMDUsers: 24, HBUsers: 24, Seed: 4242})
 	split := SplitClosedWorld(w.WebMD, 0.5, 4243)
@@ -27,87 +33,62 @@ func v1FixtureWorld() (*PreparedWorld, Options) {
 	opt.MaxBigrams = 50
 	opt.Landmarks = 5
 	opt.Shards = 2
-	opt.Prune = true
-	opt.Approx = ApproxConfig{Enabled: true}
 	return PrepareWorld(split.Anon, split.Aux, opt), opt
 }
 
-// TestWriteSnapshotFixture regenerates the committed fixture. It is
-// deliberately env-guarded: the point of the file is that it was written
-// by the *old* format version, so regenerating it under a newer writer
-// would destroy exactly what TestSnapshotV1FixtureCompat pins.
-func TestWriteSnapshotFixture(t *testing.T) {
-	if os.Getenv("DEHEALTH_WRITE_FIXTURE") == "" {
-		t.Skip("set DEHEALTH_WRITE_FIXTURE=1 to (re)write testdata fixtures")
-	}
-	pw, _ := v1FixtureWorld()
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := pw.Snapshot(v1FixturePath); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-}
-
-// TestSnapshotV1FixtureCompat loads the committed format-v1 snapshot and
+// checkFixtureCompat loads a committed fixture on both load paths and
 // demands bit-identical answers — with and without the deprecated
-// Options.Approx — against a freshly prepared copy of the same world, from
-// a restored world that runs pruned.
-// The header check guards the fixture itself: if a writer ever rewrote it
-// at a newer version, the compat coverage would silently vanish.
-func TestSnapshotV1FixtureCompat(t *testing.T) {
-	raw, err := os.ReadFile(v1FixturePath)
+// Options.Approx — against a freshly prepared copy of the same world. The
+// header check guards the fixture itself: if a writer ever rewrote it at
+// another version, the compat coverage would silently vanish.
+func checkFixtureCompat(t *testing.T, path string, version uint16) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading committed fixture: %v (regenerate only with a format-v1 writer)", err)
+		t.Fatalf("reading committed fixture: %v (no current writer can regenerate it)", err)
 	}
 	if len(raw) < 8 {
 		t.Fatalf("fixture is %d bytes", len(raw))
 	}
-	if v := binary.LittleEndian.Uint16(raw[6:]); v != 1 {
-		t.Fatalf("fixture header claims format version %d, the committed fixture must stay version 1", v)
+	if v := binary.LittleEndian.Uint16(raw[6:]); v != version {
+		t.Fatalf("%s header claims format version %d, the committed fixture must stay version %d", path, v, version)
 	}
 
 	want, opt := v1FixtureWorld()
+	aopt := opt
+	aopt.Approx.Enabled = true
 	for _, noMmap := range []bool{false, true} {
-		lw, err := LoadWorld(v1FixturePath, LoadOptions{NoMmap: noMmap})
+		lw, err := LoadWorld(path, LoadOptions{NoMmap: noMmap})
 		if err != nil {
-			t.Fatalf("noMmap=%v: LoadWorld(v1 fixture): %v", noMmap, err)
+			t.Fatalf("noMmap=%v: LoadWorld(%s): %v", noMmap, path, err)
 		}
 		la, lx := lw.Sizes()
 		wa, wx := want.Sizes()
 		if la != wa || lx != wx {
 			t.Fatalf("noMmap=%v: restored sizes (%d, %d), want (%d, %d)", noMmap, la, lx, wa, wx)
 		}
-		aopt := opt
-		aopt.Approx.Enabled = true
-		for u := 0; u < la; u++ {
-			for _, mode := range []struct {
-				name string
-				opt  Options
-			}{{"exact", opt}, {"approx-degenerate", aopt}} {
-				w, err := want.QueryUser(u, 5, mode.opt)
-				if err != nil {
-					t.Fatalf("fresh QueryUser(%d) %s: %v", u, mode.name, err)
-				}
-				g, err := lw.QueryUser(u, 5, mode.opt)
-				if err != nil {
-					t.Fatalf("restored QueryUser(%d) %s: %v", u, mode.name, err)
-				}
-				if len(w) != len(g) {
-					t.Fatalf("noMmap=%v user %d %s: %d candidates, want %d", noMmap, u, mode.name, len(g), len(w))
-				}
-				for i := range w {
-					if w[i] != g[i] {
-						t.Fatalf("noMmap=%v user %d %s candidate %d: got %+v, want %+v",
-							noMmap, u, mode.name, i, g[i], w[i])
-					}
-				}
-			}
-		}
-		if ps := lw.PruneStats(); !ps.Enabled || ps.Queries == 0 {
-			t.Fatalf("noMmap=%v: restored world did not run pruned: %+v", noMmap, ps)
+		for _, mode := range []struct {
+			name string
+			opt  Options
+		}{{"exact", opt}, {"approx-degenerate", aopt}} {
+			w, wb := worldAnswers(t, want, 5, mode.opt)
+			g, gb := worldAnswers(t, lw, 5, mode.opt)
+			label := fmt.Sprintf("%s noMmap=%v %s", path, noMmap, mode.name)
+			sameCandidates(t, label+" QueryUser", w, g)
+			sameCandidates(t, label+" QueryBatch", wb, gb)
 		}
 	}
+}
+
+// TestSnapshotV1FixtureCompat loads the committed format-v1 snapshot.
+func TestSnapshotV1FixtureCompat(t *testing.T) {
+	checkFixtureCompat(t, v1FixturePath, 1)
+}
+
+// TestSnapshotV2FixtureCompat loads the committed format-v2 snapshot,
+// whose index sections carry the block metadata v1's lack.
+func TestSnapshotV2FixtureCompat(t *testing.T) {
+	checkFixtureCompat(t, v2FixturePath, 2)
 }
 
 // TestSnapshotGoldenBytes pins the current format's bytes on disk: the
@@ -137,9 +118,9 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		path, sum string
 		size      int
 	}{
-		{full, "367ed5c9f56d82baf963f0a97a1504b4c44ec6c08505e2d38cff368bc588d24a", 503928},
-		{slices[0], "18d6514c3300f0fbea80c35eaf69eb581b832481809d54313a411e575bfd0630", 362992},
-		{slices[1], "463b03f019b4f1871c0d8593add9ed30f6002db3bace72439e739959e283ab68", 352960},
+		{full, "e786a870bf0fed62be3dd6282ecbc9d0f1391abaa7822f2e52caf55315e9c33c", 480760},
+		{slices[0], "e5c62975b5778d38682b7225f4af5a0eefa36f362bafab4e30ff376b5a92e825", 351424},
+		{slices[1], "e1fd2d21fc2cfe38b8e01cf6b2b66d80e318041e702f946aced0a49276bcf1f6", 341312},
 	} {
 		b, err := os.ReadFile(g.path)
 		if err != nil {

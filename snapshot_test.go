@@ -5,30 +5,31 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
 // snapOptions is the preparation configuration the snapshot tests pin:
-// small enough to keep the matrix fast, with every subsystem the snapshot
-// must carry (sharding, pruning) toggled by the caller.
-func snapOptions(shards int, prune bool) Options {
+// small enough to keep the matrix fast, with the shard count the snapshot
+// must carry chosen by the caller.
+func snapOptions(shards int) Options {
 	opt := DefaultOptions()
 	opt.MaxBigrams = 50
 	opt.Landmarks = 5
 	opt.Shards = shards
-	opt.Prune = prune
 	return opt
 }
 
-func snapWorld(t *testing.T, users int, seed int64, shards int, prune bool) (*PreparedWorld, Options) {
+func snapWorld(t *testing.T, users int, seed int64, shards int) (*PreparedWorld, Options) {
 	t.Helper()
 	w := GenerateWorld(WorldConfig{WebMDUsers: users, HBUsers: users, Seed: seed})
 	split := SplitClosedWorld(w.WebMD, 0.5, seed+1)
-	opt := snapOptions(shards, prune)
+	opt := snapOptions(shards)
 	return PrepareWorld(split.Anon, split.Aux, opt), opt
 }
 
@@ -54,6 +55,31 @@ func worldAnswers(t *testing.T, pw *PreparedWorld, k int, opt Options) ([][]Cand
 	return single, batch
 }
 
+// oracleAnswers is every anonymized user's top-k by ScoreSlow over the
+// whole auxiliary side and a full sort (score descending, ties to the
+// smaller id) — the reference the exact engines are held to.
+func oracleAnswers(t *testing.T, pw *PreparedWorld, k int, opt Options) [][]Candidate {
+	t.Helper()
+	pw.world.RLock()
+	defer pw.world.RUnlock()
+	p := pw.pipeline(opt.normalized().simConfig())
+	out := make([][]Candidate, p.G1.NumNodes())
+	for u := range out {
+		row := make([]Candidate, p.G2.NumNodes())
+		for v := range row {
+			row[v] = Candidate{User: v, Score: p.Scorer.ScoreSlow(u, v)}
+		}
+		sort.Slice(row, func(a, b int) bool {
+			if row[a].Score != row[b].Score {
+				return row[a].Score > row[b].Score
+			}
+			return row[a].User < row[b].User
+		})
+		out[u] = row[:min(k, len(row))]
+	}
+	return out
+}
+
 // sameCandidates demands bit-identity: same users in the same order with
 // exactly equal float64 scores.
 func sameCandidates(t *testing.T, label string, want, got [][]Candidate) {
@@ -74,62 +100,42 @@ func sameCandidates(t *testing.T, label string, want, got [][]Candidate) {
 }
 
 // TestSnapshotRoundTripParity is the PR's acceptance contract: across
-// shard counts, pruning on and off, and both load paths (mmap and
-// copying), a saved-and-reloaded world answers QueryUser and QueryBatch
-// byte-for-byte identically to the world that saved it.
+// shard counts and both load paths (mmap and copying), a saved-and-reloaded
+// world answers QueryUser and QueryBatch byte-for-byte identically to the
+// world that saved it, and both match the ScoreSlow oracle.
 func TestSnapshotRoundTripParity(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		for _, prune := range []bool{false, true} {
-			pw, opt := snapWorld(t, 20, int64(1000+10*shards), shards, prune)
-			wantSingle, wantBatch := worldAnswers(t, pw, 5, opt)
+		pw, opt := snapWorld(t, 20, int64(1000+10*shards), shards)
+		wantSingle, wantBatch := worldAnswers(t, pw, 5, opt)
+		sameCandidates(t, fmt.Sprintf("shards=%d oracle", shards), oracleAnswers(t, pw, 5, opt), wantSingle)
 
-			path := filepath.Join(t.TempDir(), "world.snap")
-			if err := pw.Snapshot(path); err != nil {
-				t.Fatalf("shards=%d prune=%v: Snapshot: %v", shards, prune, err)
+		path := filepath.Join(t.TempDir(), "world.snap")
+		if err := pw.Snapshot(path); err != nil {
+			t.Fatalf("shards=%d: Snapshot: %v", shards, err)
+		}
+		for _, noMmap := range []bool{false, true} {
+			lw, err := LoadWorld(path, LoadOptions{NoMmap: noMmap})
+			if err != nil {
+				t.Fatalf("shards=%d noMmap=%v: LoadWorld: %v", shards, noMmap, err)
 			}
-			for _, noMmap := range []bool{false, true} {
-				lw, err := LoadWorld(path, LoadOptions{NoMmap: noMmap})
-				if err != nil {
-					t.Fatalf("shards=%d prune=%v noMmap=%v: LoadWorld: %v", shards, prune, noMmap, err)
-				}
-				la, lx := lw.Sizes()
-				wa, wx := pw.Sizes()
-				if la != wa || lx != wx {
-					t.Fatalf("restored sizes (%d, %d), want (%d, %d)", la, lx, wa, wx)
-				}
-				gotSingle, gotBatch := worldAnswers(t, lw, 5, lw.PreparedOptions())
-				label := labelOf(shards, prune, noMmap)
-				sameCandidates(t, label+" QueryUser", wantSingle, gotSingle)
-				sameCandidates(t, label+" QueryBatch", wantBatch, gotBatch)
-				if prune {
-					if s := lw.PruneStats(); !s.Enabled || s.Queries == 0 {
-						t.Fatalf("%s: pruning inactive on the restored world: %+v", label, s)
-					}
-				}
+			la, lx := lw.Sizes()
+			wa, wx := pw.Sizes()
+			if la != wa || lx != wx {
+				t.Fatalf("restored sizes (%d, %d), want (%d, %d)", la, lx, wa, wx)
 			}
+			gotSingle, gotBatch := worldAnswers(t, lw, 5, lw.PreparedOptions())
+			label := fmt.Sprintf("shards=%d noMmap=%v", shards, noMmap)
+			sameCandidates(t, label+" QueryUser", wantSingle, gotSingle)
+			sameCandidates(t, label+" QueryBatch", wantBatch, gotBatch)
 		}
 	}
-}
-
-func labelOf(shards int, prune, noMmap bool) string {
-	l := "shards=1"
-	if shards != 1 {
-		l = "shards=n"
-	}
-	if prune {
-		l += " pruned"
-	}
-	if noMmap {
-		l += " no-mmap"
-	}
-	return l
 }
 
 // TestSnapshotRoundTripSecondGeneration re-snapshots a loaded world: the
 // restore must be complete enough to save again — byte for byte the file
 // it was loaded from — and the grandchild must still answer identically.
 func TestSnapshotRoundTripSecondGeneration(t *testing.T) {
-	pw, opt := snapWorld(t, 16, 2000, 2, true)
+	pw, opt := snapWorld(t, 16, 2000, 2)
 	want, _ := worldAnswers(t, pw, 4, opt)
 
 	dir := t.TempDir()
@@ -168,7 +174,7 @@ func TestSnapshotRoundTripSecondGeneration(t *testing.T) {
 // anonymized side accepts new accounts (appends must reallocate, never
 // write the read-only mapping) and both old and new users stay queryable.
 func TestSnapshotIngestAfterLoad(t *testing.T) {
-	pw, opt := snapWorld(t, 16, 3000, 2, false)
+	pw, opt := snapWorld(t, 16, 3000, 2)
 	path := filepath.Join(t.TempDir(), "world.snap")
 	if err := pw.Snapshot(path); err != nil {
 		t.Fatal(err)
@@ -206,7 +212,7 @@ func TestSnapshotIngestAfterLoad(t *testing.T) {
 // grown through the live HTTP ingest path, drained, then snapshotted must
 // restore with the ingested accounts included and answering identically.
 func TestSnapshotAfterIngestDrain(t *testing.T) {
-	pw, opt := snapWorld(t, 16, 4000, 1, false)
+	pw, opt := snapWorld(t, 16, 4000, 1)
 	dir := t.TempDir()
 	endpointPath := filepath.Join(dir, "endpoint.snap")
 	shutdownPath := filepath.Join(dir, "shutdown.snap")
@@ -273,7 +279,7 @@ func TestSnapshotAfterIngestDrain(t *testing.T) {
 // TestSnapshotEndpointUnconfigured pins the admin endpoint's disabled
 // state: without a snapshot path the request fails cleanly.
 func TestSnapshotEndpointUnconfigured(t *testing.T) {
-	pw, opt := snapWorld(t, 12, 5000, 1, false)
+	pw, opt := snapWorld(t, 12, 5000, 1)
 	srv := NewServer(pw, ServeOptions{Attack: opt})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -292,7 +298,7 @@ func TestSnapshotEndpointUnconfigured(t *testing.T) {
 // rejection: wrong file, future version, truncation, corruption. None may
 // return a world.
 func TestLoadWorldFailurePaths(t *testing.T) {
-	pw, _ := snapWorld(t, 12, 6000, 1, true)
+	pw, _ := snapWorld(t, 12, 6000, 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "world.snap")
 	if err := pw.Snapshot(path); err != nil {
