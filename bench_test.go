@@ -356,17 +356,26 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkStylometryExtract measures single-post feature extraction, the
-// pipeline's hot path.
+// BenchmarkStylometryExtract measures feature extraction, the pipeline's
+// set-up hot path, over a WebMD-like mix of about 3,600 posts: each op
+// extracts the next post of the mix, and us/post and allocs/post are
+// reported beside ns/op.
 func BenchmarkStylometryExtract(b *testing.B) {
-	w := GenerateWorld(WorldConfig{WebMDUsers: 30, HBUsers: 30, Seed: 5})
+	w := GenerateWorld(WorldConfig{WebMDUsers: 800, HBUsers: 200, Seed: 5})
 	ex := stylometry.New()
-	ex.FitBigrams(w.WebMD.Texts()[:20], 100)
-	text := w.WebMD.Posts[0].Text
+	ex.FitBigrams(w.WebMD.Texts(), 0)
+	posts := w.WebMD.Posts
+	row := make([]float64, ex.NumFeatures())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex.Extract(text)
+		ex.ExtractInto(row, posts[i%len(posts)].Text)
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/post")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/post")
 }
 
 // BenchmarkDefenseScrubbing evaluates the style-scrubbing defense (the

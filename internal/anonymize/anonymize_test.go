@@ -117,8 +117,8 @@ func TestScrubKillsAllMisspellingsProperty(t *testing.T) {
 		}
 		i++
 		got := Scrub(strings.Join(words, " "), LevelLight)
-		for _, w := range textutil.WordStrings(got) {
-			if lexicon.MisspellingIndex(strings.ToLower(w)) >= 0 {
+		for _, w := range textutil.Words(got) {
+			if _, ms := lexicon.Lookup(strings.ToLower(w.Text)); ms >= 0 {
 				return false
 			}
 		}

@@ -5,9 +5,9 @@ package lexicon
 // function-word lists (articles, pronouns, prepositions, conjunctions,
 // auxiliaries, quantifiers, common adverbs and discourse particles).
 //
-// The list is sorted and deduplicated at init time; its length is asserted by
-// tests to match the Table I count.
-var FunctionWords = []string{
+// The list is sorted and deduplicated when the package is initialized; its
+// length is asserted by tests to match the Table I count.
+var FunctionWords = dedupSorted([]string{
 	// Articles & determiners.
 	"a", "an", "the", "this", "that", "these", "those", "each", "every",
 	"either", "neither", "some", "any", "no", "all", "both", "half", "such",
@@ -68,8 +68,4 @@ var FunctionWords = []string{
 	"plus", "pro", "qua", "re", "sans", "save", "worth", "pending",
 	"barring", "excepting", "excluding", "including", "failing", "following",
 	"given", "granted", "respecting", "touching", "wanting", "considering",
-}
-
-func init() {
-	FunctionWords = dedupSorted(FunctionWords)
-}
+})

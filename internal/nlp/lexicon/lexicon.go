@@ -23,21 +23,44 @@ func dedupSorted(ws []string) []string {
 	return out
 }
 
-// FunctionWordIndex returns the index of w in FunctionWords, or -1.
-func FunctionWordIndex(w string) int {
-	i := sort.SearchStrings(FunctionWords, w)
-	if i < len(FunctionWords) && FunctionWords[i] == w {
-		return i
-	}
-	return -1
+// entry is a word of FunctionWords or MisspellingList, with its index in
+// each list (-1 where absent).
+type entry struct {
+	word                  string
+	function, misspelling int16
 }
 
-// MisspellingIndex returns the stable feature index of the misspelling w in
-// MisspellingList, or -1 if w is not a known misspelling.
-func MisspellingIndex(w string) int {
-	i := sort.SearchStrings(MisspellingList, w)
-	if i < len(MisspellingList) && MisspellingList[i] == w {
-		return i
+var entries = func() map[string]entry {
+	m := make(map[string]entry, len(FunctionWords)+len(MisspellingList))
+	for i, w := range FunctionWords {
+		m[w] = entry{w, int16(i), -1}
 	}
-	return -1
+	for i, w := range MisspellingList {
+		e, ok := m[w]
+		if !ok {
+			e = entry{w, -1, -1}
+		}
+		e.misspelling = int16(i)
+		m[w] = e
+	}
+	return m
+}()
+
+// Lookup returns the index of w in FunctionWords and its index in
+// MisspellingList, -1 for each list w is not in, with one map lookup.
+func Lookup(w string) (function, misspelling int) {
+	if e, ok := entries[w]; ok {
+		return int(e.function), int(e.misspelling)
+	}
+	return -1, -1
+}
+
+// Intern returns b as a string. When b spells a function word or a
+// misspelling the string is the list's own, so a caller that lower-cases
+// words into a reused buffer allocates only for words outside the lists.
+func Intern(b []byte) string {
+	if e, ok := entries[string(b)]; ok {
+		return e.word
+	}
+	return string(b)
 }

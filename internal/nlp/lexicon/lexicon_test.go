@@ -32,14 +32,25 @@ func TestFunctionWordsLowercase(t *testing.T) {
 	}
 }
 
+// functionWordIndex and misspellingIndex are Lookup's two halves.
+func functionWordIndex(w string) int {
+	i, _ := Lookup(w)
+	return i
+}
+
+func misspellingIndex(w string) int {
+	_, i := Lookup(w)
+	return i
+}
+
 func TestIsFunctionWord(t *testing.T) {
 	for _, w := range []string{"the", "and", "of", "i", "because", "won't"} {
-		if FunctionWordIndex(w) < 0 {
+		if functionWordIndex(w) < 0 {
 			t.Errorf("%q is not a function word, want one", w)
 		}
 	}
 	for _, w := range []string{"doctor", "xyzzy", "", "medicine"} {
-		if FunctionWordIndex(w) >= 0 {
+		if functionWordIndex(w) >= 0 {
 			t.Errorf("%q is a function word, want none", w)
 		}
 	}
@@ -47,12 +58,12 @@ func TestIsFunctionWord(t *testing.T) {
 
 func TestFunctionWordIndex(t *testing.T) {
 	for i, w := range FunctionWords {
-		if got := FunctionWordIndex(w); got != i {
-			t.Fatalf("FunctionWordIndex(%q) = %d, want %d", w, got, i)
+		if got := functionWordIndex(w); got != i {
+			t.Fatalf("function-word index of %q = %d, want %d", w, got, i)
 		}
 	}
-	if FunctionWordIndex("not-a-word") != -1 {
-		t.Error("FunctionWordIndex of unknown word must be -1")
+	if functionWordIndex("not-a-word") != -1 {
+		t.Error("function-word index of unknown word must be -1")
 	}
 }
 
@@ -90,12 +101,12 @@ func TestMisspellingsAreNotCorrections(t *testing.T) {
 
 func TestIsMisspelling(t *testing.T) {
 	for _, w := range []string{"recieve", "definately", "seperate", "wierd"} {
-		if MisspellingIndex(w) < 0 {
+		if misspellingIndex(w) < 0 {
 			t.Errorf("%q is not a misspelling, want one", w)
 		}
 	}
 	for _, w := range []string{"receive", "definitely", "separate", "weird", ""} {
-		if MisspellingIndex(w) >= 0 {
+		if misspellingIndex(w) >= 0 {
 			t.Errorf("%q is a misspelling, want none", w)
 		}
 	}
@@ -103,12 +114,25 @@ func TestIsMisspelling(t *testing.T) {
 
 func TestMisspellingIndex(t *testing.T) {
 	for i, w := range MisspellingList {
-		if got := MisspellingIndex(w); got != i {
-			t.Fatalf("MisspellingIndex(%q) = %d, want %d", w, got, i)
+		if got := misspellingIndex(w); got != i {
+			t.Fatalf("misspelling index of %q = %d, want %d", w, got, i)
 		}
 	}
-	if MisspellingIndex("correct") != -1 {
-		t.Error("MisspellingIndex of unknown word must be -1")
+	if misspellingIndex("correct") != -1 {
+		t.Error("misspelling index of unknown word must be -1")
+	}
+}
+
+func TestIntern(t *testing.T) {
+	for _, w := range []string{FunctionWords[0], FunctionWords[len(FunctionWords)-1], MisspellingList[7], "doctor", ""} {
+		b := []byte(w)
+		if got := Intern(b); got != w {
+			t.Errorf("Intern(%q) = %q", w, got)
+		}
+	}
+	b := []byte("because")
+	if n := testing.AllocsPerRun(10, func() { Intern(b) }); n != 0 {
+		t.Errorf("interning a function word allocates %v times, want 0", n)
 	}
 }
 
@@ -116,7 +140,7 @@ func TestNoOverlapFunctionWordsMisspellings(t *testing.T) {
 	// A function word must never be indexed as a misspelling: the feature
 	// extractor assumes the two blocks are disjoint signals.
 	for _, w := range FunctionWords {
-		if MisspellingIndex(w) >= 0 {
+		if misspellingIndex(w) >= 0 {
 			t.Errorf("%q is both a function word and a misspelling", w)
 		}
 	}

@@ -1,10 +1,13 @@
 package postag
 
-// closedClass maps closed-class words (determiners, pronouns, prepositions,
+// ClosedClass maps closed-class words (determiners, pronouns, prepositions,
 // conjunctions, modals, particles, wh-words, common interjections) to their
 // Penn tags. Closed classes carry most of the authorial syntax signal, so
 // they are enumerated exhaustively rather than guessed from morphology.
-var closedClass = map[string]string{
+//
+// ClosedClass and OpenClass are read-only data: the tagger compiles both
+// into one lookup table when the package is initialized.
+var ClosedClass = map[string]string{
 	// Determiners.
 	"the": "DT", "a": "DT", "an": "DT", "this": "DT", "that": "DT",
 	"these": "DT", "those": "DT", "each": "DT", "every": "DT", "either": "DT",
@@ -89,10 +92,10 @@ var closedClass = map[string]string{
 	"'s": "POS",
 }
 
-// openClass resolves frequent ambiguous open-class words that the suffix
+// OpenClass resolves frequent ambiguous open-class words that the suffix
 // rules would otherwise mis-tag. Mostly high-frequency medical-forum
 // vocabulary: verbs without inflectional suffixes and irregular forms.
-var openClass = map[string]string{
+var OpenClass = map[string]string{
 	// Frequent base verbs.
 	"go": "VBP", "get": "VBP", "know": "VBP", "think": "VBP", "take": "VBP",
 	"see": "VBP", "feel": "VBP", "want": "VBP", "say": "VBP", "make": "VBP",

@@ -5,17 +5,28 @@ import (
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dehealth/internal/textutil"
 )
 
+// tagIndices tags the tokens of text.
+func tagIndices(text string) []int8 {
+	toks := textutil.Words(text)
+	lower := make([]string, len(toks))
+	for i, t := range toks {
+		lower[i] = strings.ToLower(t.Text)
+	}
+	return TagTokens(nil, toks, lower)
+}
+
+// tagsOf returns the tag names of the tokens of text.
 func tagsOf(text string) []string {
-	tagged := Tag(text)
-	out := make([]string, len(tagged))
-	for i, t := range tagged {
-		out[i] = t.Tag
+	var out []string
+	for _, i := range tagIndices(text) {
+		out = append(out, Tags[i])
 	}
 	return out
 }
@@ -74,39 +85,45 @@ func TestNumbersAndSymbols(t *testing.T) {
 }
 
 func TestProperNounMidSentence(t *testing.T) {
-	got := Tag("i asked Wilson about it")
-	if got[2].Tag != "NNP" {
-		t.Errorf("mid-sentence capitalized word tagged %s, want NNP", got[2].Tag)
+	got := tagsOf("i asked Wilson about it")
+	if got[2] != "NNP" {
+		t.Errorf("mid-sentence capitalized word tagged %s, want NNP", got[2])
+	}
+	if got := tagsOf("i asked Nurses"); got[2] != "NNPS" {
+		t.Errorf("mid-sentence capitalized plural tagged %s, want NNPS", got[2])
 	}
 	// Sentence-initial capitalization is NOT treated as a proper noun.
-	got = Tag("Wilson asked me. The doctor agreed.")
-	if got[4].Tag == "NNP" {
+	got = tagsOf("Wilson asked me. The doctor agreed.")
+	if got[3] == "NNP" {
 		t.Errorf("sentence-initial 'The' tagged NNP")
 	}
 }
 
 func TestContextRules(t *testing.T) {
-	// have + VBD -> VBN
-	got := Tag("i have walked there")
-	if got[2].Tag != "VBN" {
-		t.Errorf("'have walked' => %s, want VBN", got[2].Tag)
-	}
-	// be + VBD -> VBN (passive)
-	got = Tag("i was told about it")
-	if got[2].Tag != "VBN" {
-		t.Errorf("'was told' => %s, want VBN", got[2].Tag)
-	}
-	// MD + inflected verb -> VB
-	got = Tag("she can walked there")
-	if got[2].Tag != "VB" {
-		t.Errorf("'can walked' => %s, want VB", got[2].Tag)
+	for _, tc := range []struct {
+		rule, text string
+		at         int
+		want       string
+	}{
+		{"have + VBD -> VBN", "i have walked there", 2, "VBN"},
+		{"be + VBD -> VBN (passive)", "i was told about it", 2, "VBN"},
+		{"MD + inflected verb -> VB", "she can walked there", 2, "VB"},
+		{"MD + VBZ -> VB", "she should does it", 2, "VB"},
+		{"TO + ambiguous noun -> VB", "i want to sleep", 3, "VB"},
+		{"PRP$ + verb -> NN", "my cold is worse", 1, "NN"},
+		{"DT + verb -> NN", "a need for it", 1, "NN"},
+		{"DT + verb before a noun stays", "the need people feel", 1, "VBP"},
+	} {
+		if got := tagsOf(tc.text); got[tc.at] != tc.want {
+			t.Errorf("%s: %q tags %v, want %s at %d", tc.rule, tc.text, got, tc.want, tc.at)
+		}
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	text := "My doctor prescribed 50mg of metformin because my blood test came back abnormal."
-	a := Tag(text)
-	b := Tag(text)
+	a := tagIndices(text)
+	b := tagIndices(text)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("tagger is not deterministic")
 	}
@@ -114,28 +131,37 @@ func TestDeterminism(t *testing.T) {
 
 func TestIndex(t *testing.T) {
 	for i, tag := range Tags {
-		if Index(tag) != i {
-			t.Fatalf("Index(%q) = %d, want %d", tag, Index(tag), i)
+		if got := index(tag); got != int8(i) {
+			t.Fatalf("index(%q) = %d, want %d", tag, got, i)
 		}
 	}
-	if Index("NOPE") != -1 {
-		t.Error("Index of unknown tag must be -1")
+	if index("NOPE") != noTag {
+		t.Error("index of unknown tag must be noTag")
+	}
+	// The named tag constants follow Tags.
+	named := map[int8]string{
+		tagCC: "CC", tagCD: "CD", tagDT: "DT", tagJJ: "JJ", tagJJR: "JJR",
+		tagJJS: "JJS", tagMD: "MD", tagNN: "NN", tagNNS: "NNS", tagNNP: "NNP",
+		tagNNPS: "NNPS", tagPRPS: "PRP$", tagRB: "RB", tagTO: "TO", tagVB: "VB",
+		tagVBD: "VBD", tagVBG: "VBG", tagVBN: "VBN", tagVBP: "VBP", tagVBZ: "VBZ",
+		tagWPS: "WP$", tagSYM: "SYM",
+	}
+	for i, tag := range named {
+		if Tags[i] != tag {
+			t.Errorf("constant for %s is %d, which Tags names %s", tag, i, Tags[i])
+		}
 	}
 }
 
 // Property: tagging emits exactly one known tag per token.
 func TestTagCoversAllTokens(t *testing.T) {
 	f := func(s string) bool {
-		words := textutil.Words(s)
-		tagged := Tag(s)
-		if len(tagged) != len(words) {
+		tags := tagIndices(s)
+		if len(tags) != len(textutil.Words(s)) {
 			return false
 		}
-		for i, tt := range tagged {
-			if tt.Text != words[i].Text {
-				return false
-			}
-			if Index(tt.Tag) < 0 {
+		for _, tag := range tags {
+			if tag < 0 || int(tag) >= len(Tags) {
 				return false
 			}
 		}

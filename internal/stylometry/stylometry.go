@@ -15,8 +15,11 @@ package stylometry
 
 import (
 	"fmt"
+	"hash/maphash"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"dehealth/internal/nlp/lexicon"
 	"dehealth/internal/nlp/postag"
@@ -61,9 +64,11 @@ const DefaultMaxBigrams = 300
 // Extractor owns a concrete feature space and converts posts to vectors.
 // The zero value is not usable; construct with New and optionally FitBigrams.
 type Extractor struct {
-	features  []Feature
-	bigrams   [][2]int       // pairs of postag.Tags indices, feature-ordered
-	bigramIdx map[[2]int]int // bigram -> absolute feature index
+	features []Feature
+	bigrams  [][2]int // pairs of postag.Tags indices, feature-ordered
+	// bigramTab[a*numTags+b] is the feature index of the bigram (a, b), or
+	// -1 when it is not a feature.
+	bigramTab [numTags * numTags]int32
 
 	// Offsets of each block in the feature vector.
 	offLength, offWordLen, offVocab, offLetter, offDigit, offUpper int
@@ -74,19 +79,30 @@ type Extractor struct {
 // New creates an Extractor with the fixed Table I feature blocks and no
 // POS-bigram features. Call FitBigrams to add the data-driven block.
 func New() *Extractor {
-	e := &Extractor{bigramIdx: map[[2]int]int{}}
+	e := &Extractor{}
 	e.rebuild()
 	return e
 }
 
+// numTags is the size of the POS tagset.
+const numTags = len(postag.Tags)
+
 // shapes tracked by the word-shape block.
-var shapes = []textutil.Shape{
+var shapes = [...]textutil.Shape{
 	textutil.ShapeAllUpper,
 	textutil.ShapeAllLower,
 	textutil.ShapeInitialUpper,
 	textutil.ShapeCamel,
 	textutil.ShapeOther,
 }
+
+// shapeSlot[s] is the position of shape s in shapes.
+var shapeSlot = func() (slot [len(shapes)]int) {
+	for i, s := range shapes {
+		slot[s] = i
+	}
+	return slot
+}()
 
 // rebuild recomputes the feature table and block offsets.
 func (e *Extractor) rebuild() {
@@ -166,9 +182,11 @@ func (e *Extractor) rebuild() {
 	e.offMisspell = add(CatMisspellings, ms...)
 
 	e.features = fs
-	e.bigramIdx = make(map[[2]int]int, len(e.bigrams))
+	for i := range e.bigramTab {
+		e.bigramTab[i] = -1
+	}
 	for i, b := range e.bigrams {
-		e.bigramIdx[b] = e.offBigram + i
+		e.bigramTab[b[0]*numTags+b[1]] = int32(e.offBigram + i)
 	}
 }
 
@@ -180,23 +198,16 @@ func (e *Extractor) FitBigrams(texts []string, maxBigrams int) {
 	if maxBigrams <= 0 {
 		maxBigrams = DefaultMaxBigrams
 	}
-	counts := map[[2]int]int{}
-	for _, t := range texts {
-		tagged := postag.Tag(t)
-		for i := 1; i < len(tagged); i++ {
-			a, b := postag.Index(tagged[i-1].Tag), postag.Index(tagged[i].Tag)
-			if a >= 0 && b >= 0 {
-				counts[[2]int{a, b}]++
-			}
-		}
-	}
+	counts := countBigrams(texts)
 	type bc struct {
 		bg [2]int
 		n  int
 	}
-	all := make([]bc, 0, len(counts))
-	for bg, n := range counts {
-		all = append(all, bc{bg, n})
+	var all []bc
+	for i, n := range counts {
+		if n > 0 {
+			all = append(all, bc{[2]int{i / numTags, i % numTags}, n})
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].n != all[j].n {
@@ -215,6 +226,90 @@ func (e *Extractor) FitBigrams(texts []string, maxBigrams int) {
 		e.bigrams[i] = b.bg
 	}
 	e.rebuild()
+}
+
+// countBigrams counts the POS-tag bigrams of texts, indexed a*numTags+b.
+// The texts are split into GOMAXPROCS contiguous parts counted in parallel,
+// each into its own table; summing the integer tables makes the result
+// independent of the split.
+func countBigrams(texts []string) *[numTags * numTags]int {
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(texts)/minFitTexts))
+	tables := make([][numTags * numTags]int, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		part := texts[len(texts)*w/workers : len(texts)*(w+1)/workers]
+		table := &tables[w]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc scratch
+			for _, t := range part {
+				sc.tag(t)
+				for i := 1; i < len(sc.tags); i++ {
+					table[int(sc.tags[i-1])*numTags+int(sc.tags[i])]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, t := range tables[1:] {
+		for i, n := range t {
+			tables[0][i] += n
+		}
+	}
+	return &tables[0]
+}
+
+// minFitTexts is the fewest texts worth a countBigrams goroutine of their
+// own.
+const minFitTexts = 64
+
+// scratch is the per-post working state of an extraction: the post's
+// character counts, tokens, their lower-case forms and tags, and the word
+// counter of the vocabulary block. Extractions reuse it through
+// scratchPool, so a post allocates only the lower-case forms of its
+// capitalized tokens that are neither function words nor misspellings, and
+// of its non-ASCII tokens.
+type scratch struct {
+	counts textutil.Counts
+	toks   []textutil.Token
+	lower  []string
+	tags   []int8
+	vocab  wordCounts
+	buf    []byte // lower-case bytes of one ASCII token
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// tag scans text, lower-cases each token once and tags the tokens.
+func (sc *scratch) tag(text string) {
+	sc.toks = textutil.Scan(text, sc.toks, &sc.counts)
+	sc.lower = sc.lower[:0]
+	for i := range sc.toks {
+		sc.lower = append(sc.lower, sc.toLower(&sc.toks[i]))
+	}
+	sc.tags = postag.TagTokens(sc.tags, sc.toks, sc.lower)
+}
+
+// toLower returns strings.ToLower(t.Text). An ASCII token (as many runes
+// as bytes) with capitals is lowered through buf and interned.
+func (sc *scratch) toLower(t *textutil.Token) string {
+	w := t.Text
+	if t.Runes != len(w) {
+		return strings.ToLower(w)
+	}
+	if t.Upper == 0 {
+		return w
+	}
+	sc.buf = sc.buf[:0]
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		sc.buf = append(sc.buf, c)
+	}
+	return lexicon.Intern(sc.buf)
 }
 
 // NumFeatures returns M, the size of the feature space.
@@ -246,151 +341,167 @@ func (e *Extractor) ExtractInto(v []float64, text string) {
 	if len(v) != len(e.features) {
 		panic(fmt.Sprintf("stylometry: ExtractInto dst has %d dims, want %d", len(v), len(e.features)))
 	}
-	for i := range v {
-		v[i] = 0
-	}
+	clear(v)
+	sc := scratchPool.Get().(*scratch)
+	sc.tag(text)
+	e.extract(v, sc)
+	scratchPool.Put(sc)
+}
 
-	words := textutil.WordStrings(text)
-	nWords := float64(len(words))
-	chars := textutil.CountChars(text)
-	paragraphs := textutil.Paragraphs(text)
+// extract fills the zeroed v from the scanned and tagged post in sc.
+func (e *Extractor) extract(v []float64, sc *scratch) {
+	c := &sc.counts
+	n := len(sc.toks)
+	nWords := float64(n)
+	chars := float64(c.Chars)
 
-	// Length block.
-	v[e.offLength] = float64(chars)
-	v[e.offLength+1] = float64(len(paragraphs))
-	if nWords > 0 {
-		totalWordChars := 0
-		for _, w := range words {
-			totalWordChars += len([]rune(w))
-		}
-		v[e.offLength+2] = float64(totalWordChars) / nWords
-	}
+	v[e.offLength] = chars
+	v[e.offLength+1] = float64(c.Paragraphs)
 
-	// Word-length block.
-	if nWords > 0 {
-		for _, w := range words {
-			l := len([]rune(w))
-			if l >= 1 {
-				if l > MaxWordLength {
-					l = MaxWordLength
-				}
-				v[e.offWordLen+l-1]++
+	// Word-level blocks: length, word length, shape, function words and
+	// misspellings. The relative frequencies of the last two are sums of
+	// 1/nWords, one per occurrence, as they have always been summed: a
+	// count times 1/nWords rounds differently.
+	if n > 0 {
+		var totalRunes int
+		var wordLen [MaxWordLength]int
+		var shape [len(shapes)]int
+		inv := 1 / nWords
+		for i := range sc.toks {
+			t := &sc.toks[i]
+			totalRunes += t.Runes
+			wordLen[min(t.Runes, MaxWordLength)-1]++
+			shape[shapeSlot[t.Shape()]]++
+			fw, ms := lexicon.Lookup(sc.lower[i])
+			if fw >= 0 {
+				v[e.offFunc+fw] += inv
+			}
+			if ms >= 0 {
+				v[e.offMisspell+ms] += inv
 			}
 		}
-		for i := 0; i < MaxWordLength; i++ {
-			v[e.offWordLen+i] /= nWords
+		v[e.offLength+2] = float64(totalRunes) / nWords
+		for i, k := range wordLen {
+			v[e.offWordLen+i] = float64(k) / nWords
 		}
+		for i, k := range shape {
+			v[e.offShape+i] = float64(k) / nWords
+		}
+		e.vocabulary(v, sc)
 	}
 
-	// Vocabulary richness block.
-	if nWords > 0 {
-		freq := map[string]int{}
-		for _, w := range words {
-			freq[strings.ToLower(w)]++
-		}
-		var legomena [5]float64 // index i => words occurring exactly i times (1..4)
-		sumI2Vi := 0.0
-		for _, n := range freq {
-			if n >= 1 && n <= 4 {
-				legomena[n]++
-			}
-			sumI2Vi += float64(n) * float64(n)
-		}
-		n := nWords
-		v[e.offVocab] = 1e4 * (sumI2Vi - n) / (n * n) // Yule's K
-		for i := 1; i <= 4; i++ {
-			v[e.offVocab+i] = legomena[i] / n
-		}
-	}
-
-	// Letter block.
-	lf := textutil.LetterFreq(text)
+	// Character blocks.
 	totalLetters := 0
-	for _, n := range lf {
-		totalLetters += n
+	for _, k := range c.Letters {
+		totalLetters += k
 	}
 	if totalLetters > 0 {
-		for i, n := range lf {
-			v[e.offLetter+i] = float64(n) / float64(totalLetters)
+		for i, k := range c.Letters {
+			v[e.offLetter+i] = float64(k) / float64(totalLetters)
+		}
+	}
+	v[e.offUpper] = c.UppercaseRatio()
+	if c.Chars > 0 {
+		for i, k := range c.Digits {
+			v[e.offDigit+i] = float64(k) / chars
+		}
+		for i, k := range c.Special {
+			v[e.offSpecial+i] = float64(k) / chars
+		}
+		for i, k := range c.Punct {
+			v[e.offPunct+i] = float64(k) / chars
 		}
 	}
 
-	// Digit block.
-	df := textutil.DigitFreq(text)
-	if chars > 0 {
-		for i, n := range df {
-			v[e.offDigit+i] = float64(n) / float64(chars)
+	// POS tags and bigrams, again as sums of 1/count per occurrence.
+	tags := sc.tags
+	if len(tags) > 0 {
+		inv := 1 / float64(len(tags))
+		for _, t := range tags {
+			v[e.offPOS+int(t)] += inv
 		}
-	}
-
-	// Uppercase percentage.
-	v[e.offUpper] = textutil.UppercaseRatio(text)
-
-	// Special characters.
-	sf := textutil.SpecialCharFreq(text)
-	if chars > 0 {
-		for i, n := range sf {
-			v[e.offSpecial+i] = float64(n) / float64(chars)
-		}
-	}
-
-	// Word shapes.
-	if nWords > 0 {
-		shapeIdx := map[textutil.Shape]int{}
-		for i, s := range shapes {
-			shapeIdx[s] = i
-		}
-		for _, w := range words {
-			v[e.offShape+shapeIdx[textutil.WordShape(w)]]++
-		}
-		for i := range shapes {
-			v[e.offShape+i] /= nWords
-		}
-	}
-
-	// Punctuation.
-	pf := textutil.PunctuationFreq(text)
-	if chars > 0 {
-		for i, n := range pf {
-			v[e.offPunct+i] = float64(n) / float64(chars)
-		}
-	}
-
-	// Function words and misspellings.
-	if nWords > 0 {
-		for _, w := range words {
-			lw := strings.ToLower(w)
-			if i := lexicon.FunctionWordIndex(lw); i >= 0 {
-				v[e.offFunc+i] += 1 / nWords
-			}
-			if i := lexicon.MisspellingIndex(lw); i >= 0 {
-				v[e.offMisspell+i] += 1 / nWords
-			}
-		}
-	}
-
-	// POS tags and bigrams.
-	tagged := postag.Tag(text)
-	if len(tagged) > 0 {
-		nt := float64(len(tagged))
-		for _, t := range tagged {
-			if i := postag.Index(t.Tag); i >= 0 {
-				v[e.offPOS+i] += 1 / nt
-			}
-		}
-		if len(e.bigrams) > 0 && len(tagged) > 1 {
-			nbg := float64(len(tagged) - 1)
-			for i := 1; i < len(tagged); i++ {
-				a, b := postag.Index(tagged[i-1].Tag), postag.Index(tagged[i].Tag)
-				if a < 0 || b < 0 {
-					continue
-				}
-				if idx, ok := e.bigramIdx[[2]int{a, b}]; ok {
-					v[idx] += 1 / nbg
+		if len(e.bigrams) > 0 && len(tags) > 1 {
+			inv := 1 / float64(len(tags)-1)
+			for i := 1; i < len(tags); i++ {
+				if idx := e.bigramTab[int(tags[i-1])*numTags+int(tags[i])]; idx >= 0 {
+					v[idx] += inv
 				}
 			}
 		}
 	}
+}
+
+// vocabulary fills the vocabulary-richness block: Yule's K and the shares
+// of words occurring exactly once to four times, over lower-case forms.
+func (e *Extractor) vocabulary(v []float64, sc *scratch) {
+	wc := &sc.vocab
+	wc.count(sc.lower)
+	var legomena [5]int // index i => words occurring exactly i times (1..4)
+	sumI2Vi := 0
+	for _, i := range wc.used {
+		k := int(wc.slots[i].n)
+		if k <= 4 {
+			legomena[k]++
+		}
+		sumI2Vi += k * k
+	}
+	wc.clear()
+	n := float64(len(sc.lower))
+	v[e.offVocab] = 1e4 * (float64(sumI2Vi) - n) / (n * n) // Yule's K
+	for i := 1; i <= 4; i++ {
+		v[e.offVocab+i] = float64(legomena[i]) / n
+	}
+}
+
+// wordCounts counts the occurrences of equal words in an open-addressing
+// table that is reused across posts: clearing it touches only the slots
+// the last count used.
+type wordCounts struct {
+	seed  maphash.Seed
+	slots []wordSlot // power-of-two length, at most half full
+	used  []int32    // indices of the filled slots, in fill order
+}
+
+type wordSlot struct {
+	w string
+	n int32
+}
+
+// count tallies words into the cleared table.
+func (wc *wordCounts) count(words []string) {
+	if len(wc.slots) < 2*len(words) {
+		size := 64
+		for size < 2*len(words) {
+			size *= 2
+		}
+		if wc.slots == nil {
+			wc.seed = maphash.MakeSeed()
+		}
+		wc.slots = make([]wordSlot, size)
+	}
+	mask := uint64(len(wc.slots) - 1)
+	for _, w := range words {
+		for i := maphash.String(wc.seed, w) & mask; ; i = (i + 1) & mask {
+			s := &wc.slots[i]
+			if s.n == 0 {
+				*s = wordSlot{w, 1}
+				wc.used = append(wc.used, int32(i))
+				break
+			}
+			if s.w == w {
+				s.n++
+				break
+			}
+		}
+	}
+}
+
+// clear empties the slots the last count filled.
+func (wc *wordCounts) clear() {
+	for _, i := range wc.used {
+		wc.slots[i] = wordSlot{}
+	}
+	wc.used = wc.used[:0]
 }
 
 // ExtractAll extracts feature vectors for every text.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dehealth/internal/nlp/lexicon"
+	"dehealth/internal/nlp/postag"
 )
 
 func featureIndex(e *Extractor, name string) int {
@@ -224,5 +225,50 @@ func TestShapeFeatures(t *testing.T) {
 	}
 	if got := v[featureIndex(e, "shape:camel")]; got != 0.25 {
 		t.Errorf("shape:camel = %v", got)
+	}
+}
+
+func TestSetBigrams(t *testing.T) {
+	fitted := New()
+	fitted.FitBigrams([]string{"the doctor said i should sleep more", "my doctor said i can sleep now"}, 10)
+	last := len(postag.Tags) - 1
+	tests := []struct {
+		name  string
+		pairs [][2]int
+		ok    bool
+	}{
+		{"none", nil, true},
+		{"fitted", fitted.Bigrams(), true},
+		{"corner tags", [][2]int{{0, 0}, {last, last}, {0, last}}, true},
+		{"negative tag", [][2]int{{0, 1}, {-1, 2}}, false},
+		{"tag past the set", [][2]int{{len(postag.Tags), 0}}, false},
+		{"repeated pair", [][2]int{{2, 10}, {16, 28}, {2, 10}}, false},
+		{"repeated adjacent pair", [][2]int{{5, 5}, {5, 5}}, false},
+	}
+	for _, tc := range tests {
+		e := New()
+		err := e.SetBigrams(tc.pairs)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: SetBigrams error %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			if len(e.Bigrams()) != 0 || e.NumFeatures() != New().NumFeatures() {
+				t.Errorf("%s: a rejected list changed the extractor", tc.name)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(e.Bigrams(), tc.pairs) || e.NumFeatures() != New().NumFeatures()+len(tc.pairs) {
+			t.Errorf("%s: installed %v (%d features)", tc.name, e.Bigrams(), e.NumFeatures())
+		}
+	}
+	// A restored extractor extracts exactly like the fitted one.
+	restored := New()
+	if err := restored.SetBigrams(fitted.Bigrams()); err != nil {
+		t.Fatal(err)
+	}
+	text := "the doctor said i should sleep more"
+	if !reflect.DeepEqual(restored.Extract(text), fitted.Extract(text)) {
+		t.Error("restored extractor disagrees with the fitted one")
 	}
 }

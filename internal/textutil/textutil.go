@@ -1,6 +1,8 @@
-// Package textutil provides the low-level text segmentation primitives used
-// by the stylometric feature extractors: word tokenization, sentence and
-// paragraph splitting, character classification, and word-shape analysis.
+// Package textutil provides the low-level text primitive used by the
+// stylometric feature extractors: Scan, one pass over a post that splits it
+// into word tokens, classifies each token's capitalization shape and
+// sentence position, and counts the post's characters, paragraphs and the
+// Table I punctuation and special characters.
 //
 // The tokenizer is deliberately simple and deterministic: stylometry cares
 // about stable per-author statistics, not linguistic perfection, so the same
@@ -8,16 +10,28 @@
 package textutil
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// Token is a single word-like unit extracted from a post.
+// Token is a single word-like unit extracted from a post: a maximal run of
+// letters, digits and apostrophes with its leading and trailing apostrophes
+// trimmed. It carries what the feature blocks need of it, gathered while
+// the token was scanned.
 type Token struct {
 	// Text is the raw token text, including any internal apostrophes.
 	Text string
 	// Start is the byte offset of the token in the original string.
 	Start int
+	// Runes is the number of runes in Text; Letters counts its letters and
+	// Upper the upper-case ones among them.
+	Runes, Letters, Upper int
+	// UpperFirst reports an upper-case first rune, UpperInside an
+	// upper-case letter at any later rune.
+	UpperFirst, UpperInside bool
+	// SentenceStart reports that no token precedes this one, or that a
+	// '.', '!' or '?' lies between the previous token and this one.
+	SentenceStart bool
 }
 
 // Shape classifies the capitalization pattern of a word (Table I, "word
@@ -53,224 +67,227 @@ func (s Shape) String() string {
 	}
 }
 
-// isWordRune reports whether r can be part of a word token.
-func isWordRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\''
-}
-
-// Words tokenizes s into word tokens. A word is a maximal run of letters,
-// digits and internal apostrophes. Leading/trailing apostrophes are trimmed.
-func Words(s string) []Token {
-	var toks []Token
-	start := -1
-	for i, r := range s {
-		if isWordRune(r) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			emitWord(&toks, s, start, i)
-			start = -1
-		}
-	}
-	if start >= 0 {
-		emitWord(&toks, s, start, len(s))
-	}
-	return toks
-}
-
-func emitWord(toks *[]Token, s string, start, end int) {
-	w := s[start:end]
-	// Trim apostrophes that are really quotes.
-	trimmedFront := 0
-	for strings.HasPrefix(w, "'") {
-		w = w[1:]
-		trimmedFront++
-	}
-	for strings.HasSuffix(w, "'") {
-		w = w[:len(w)-1]
-	}
-	if w == "" {
-		return
-	}
-	*toks = append(*toks, Token{Text: w, Start: start + trimmedFront})
-}
-
-// WordStrings returns just the token texts of Words(s).
-func WordStrings(s string) []string {
-	toks := Words(s)
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
-	}
-	return out
-}
-
-// Paragraphs splits s into paragraphs on blank lines (one or more newlines
-// separated only by whitespace). Empty paragraphs are dropped.
-func Paragraphs(s string) []string {
-	var out []string
-	for _, p := range strings.Split(normalizeNewlines(s), "\n\n") {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func normalizeNewlines(s string) string {
-	s = strings.ReplaceAll(s, "\r\n", "\n")
-	s = strings.ReplaceAll(s, "\r", "\n")
-	// Collapse runs of 2+ newlines (possibly with interior spaces) to exactly
-	// one blank-line separator.
-	var b strings.Builder
-	lines := strings.Split(s, "\n")
-	blank := false
-	first := true
-	for _, ln := range lines {
-		if strings.TrimSpace(ln) == "" {
-			blank = true
-			continue
-		}
-		if !first {
-			if blank {
-				b.WriteString("\n\n")
-			} else {
-				b.WriteString("\n")
-			}
-		}
-		b.WriteString(ln)
-		first = false
-		blank = false
-	}
-	return b.String()
-}
-
-// WordShape classifies the capitalization shape of w.
-func WordShape(w string) Shape {
-	runes := []rune(w)
-	if len(runes) == 0 {
-		return ShapeOther
-	}
-	var letters, uppers, lowers int
-	internalUpper := false
-	for i, r := range runes {
-		if !unicode.IsLetter(r) {
-			continue
-		}
-		letters++
-		if unicode.IsUpper(r) {
-			uppers++
-			if i > 0 {
-				internalUpper = true
-			}
-		} else {
-			lowers++
-		}
-	}
+// Shape classifies the token's capitalization.
+func (t *Token) Shape() Shape {
+	lowers := t.Letters - t.Upper
 	switch {
-	case letters == 0:
+	case t.Letters == 0:
 		return ShapeOther
-	case uppers == 0:
+	case t.Upper == 0:
 		return ShapeAllLower
-	case lowers == 0 && letters >= 2:
+	case lowers == 0 && t.Letters >= 2:
 		return ShapeAllUpper
-	case unicode.IsUpper(runes[0]) && internalUpper && lowers > 0:
+	case t.UpperFirst && t.UpperInside && lowers > 0:
 		return ShapeCamel
-	case unicode.IsUpper(runes[0]) && !internalUpper:
+	case t.UpperFirst && !t.UpperInside:
 		return ShapeInitialUpper
-	case internalUpper && lowers > 0:
+	case t.UpperInside && lowers > 0:
 		return ShapeCamel
 	default:
 		return ShapeOther
 	}
 }
 
-// CountChars returns the number of Unicode characters (runes) in s.
-func CountChars(s string) int { return len([]rune(s)) }
-
-// LetterFreq returns a 26-element count of ASCII letters (case-folded).
-func LetterFreq(s string) [26]int {
-	var freq [26]int
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z':
-			freq[r-'a']++
-		case r >= 'A' && r <= 'Z':
-			freq[r-'A']++
-		}
-	}
-	return freq
-}
-
-// DigitFreq returns a 10-element count of ASCII digits.
-func DigitFreq(s string) [10]int {
-	var freq [10]int
-	for _, r := range s {
-		if r >= '0' && r <= '9' {
-			freq[r-'0']++
-		}
-	}
-	return freq
-}
-
-// UppercaseRatio returns the fraction of letters in s that are uppercase.
-// It returns 0 for strings with no letters.
-func UppercaseRatio(s string) float64 {
-	var letters, uppers int
-	for _, r := range s {
-		if unicode.IsLetter(r) {
-			letters++
-			if unicode.IsUpper(r) {
-				uppers++
-			}
-		}
-	}
-	if letters == 0 {
-		return 0
-	}
-	return float64(uppers) / float64(letters)
-}
-
 // Punctuation is the set of punctuation marks counted by the Table I
 // "punctuation frequency" features, in a stable order.
-var Punctuation = []rune{'.', ',', ';', ':', '!', '?', '\'', '"', '-', '('}
-
-// PunctuationFreq counts the Table I punctuation marks in s, indexed in the
-// order of Punctuation.
-func PunctuationFreq(s string) []int {
-	idx := make(map[rune]int, len(Punctuation))
-	for i, r := range Punctuation {
-		idx[r] = i
-	}
-	freq := make([]int, len(Punctuation))
-	for _, r := range s {
-		if i, ok := idx[r]; ok {
-			freq[i]++
-		}
-	}
-	return freq
-}
+var Punctuation = [...]rune{'.', ',', ';', ':', '!', '?', '\'', '"', '-', '('}
 
 // SpecialChars is the set of special characters counted by the Table I
 // "special characters" features (21 characters).
-var SpecialChars = []rune{'@', '#', '$', '%', '^', '&', '*', '+', '=', '<', '>', '/', '\\', '|', '~', '`', '_', '{', '}', '[', ']'}
+var SpecialChars = [...]rune{'@', '#', '$', '%', '^', '&', '*', '+', '=', '<', '>', '/', '\\', '|', '~', '`', '_', '{', '}', '[', ']'}
 
-// SpecialCharFreq counts the Table I special characters in s, indexed in the
-// order of SpecialChars.
-func SpecialCharFreq(s string) []int {
-	idx := make(map[rune]int, len(SpecialChars))
-	for i, r := range SpecialChars {
-		idx[r] = i
+// Counts holds the character statistics of a post, gathered by Scan.
+type Counts struct {
+	// Chars is the number of runes (an invalid UTF-8 byte counts as one).
+	Chars int
+	// Paragraphs is the number of runs of non-blank lines. Lines end at
+	// "\r\n", "\r" or "\n"; a blank line holds only white space.
+	Paragraphs int
+	// Letters counts the ASCII letters, case-folded; Digits the ASCII
+	// digits.
+	Letters [26]int
+	Digits  [10]int
+	// Alpha counts the letters of any script, Upper the upper-case ones
+	// among them.
+	Alpha, Upper int
+	// Punct and Special count the runes of Punctuation and SpecialChars,
+	// indexed in their order.
+	Punct   [len(Punctuation)]int
+	Special [len(SpecialChars)]int
+}
+
+// UppercaseRatio returns the fraction of letters that are upper-case, or 0
+// when there are no letters.
+func (c *Counts) UppercaseRatio() float64 {
+	if c.Alpha == 0 {
+		return 0
 	}
-	freq := make([]int, len(SpecialChars))
-	for _, r := range s {
-		if i, ok := idx[r]; ok {
-			freq[i]++
+	return float64(c.Upper) / float64(c.Alpha)
+}
+
+// Classes of a rune, as Scan sees it.
+const (
+	classLetter uint8 = 1 << iota
+	classUpper
+	classDigit
+	classApostrophe
+	classSpace
+	classNewline    // '\n' or '\r'
+	classTerminator // '.', '!' or '?': ends a sentence
+
+	classWord = classLetter | classDigit | classApostrophe
+)
+
+// asciiClass holds the classes of the ASCII runes.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for r := range t {
+		switch {
+		case 'a' <= r && r <= 'z':
+			t[r] = classLetter
+		case 'A' <= r && r <= 'Z':
+			t[r] = classLetter | classUpper
+		case '0' <= r && r <= '9':
+			t[r] = classDigit
+		case r == '\'':
+			t[r] = classApostrophe
+		case r == '\n' || r == '\r':
+			t[r] = classSpace | classNewline
+		case unicode.IsSpace(rune(r)):
+			t[r] = classSpace
+		case r == '.' || r == '!' || r == '?':
+			t[r] = classTerminator
 		}
 	}
-	return freq
+	return t
+}()
+
+// classOf returns the classes of a non-ASCII rune.
+func classOf(r rune) uint8 {
+	switch {
+	case unicode.IsUpper(r):
+		return classLetter | classUpper
+	case unicode.IsLetter(r):
+		return classLetter
+	case unicode.IsDigit(r):
+		return classDigit
+	case unicode.IsSpace(r):
+		return classSpace
+	}
+	return 0
+}
+
+// Scan splits s into word tokens and counts its characters in a single pass
+// over its runes. It overwrites *c, appends the tokens to toks[:0] and
+// returns the result, so a caller can reuse one token slice across posts.
+//
+// A word is a maximal run of letters, digits and apostrophes, with leading
+// and trailing apostrophes trimmed; a run of apostrophes alone is no word.
+func Scan(s string, toks []Token, c *Counts) []Token {
+	toks = toks[:0]
+	var (
+		ascii        [utf8.RuneSelf]int // occurrences of each ASCII rune
+		chars        int
+		alpha, upper int // non-ASCII letters; the ASCII ones come from ascii
+		paragraphs   int
+		inPara       bool // the last non-blank line belongs to an open paragraph
+		lineText     bool // the current line holds a non-space rune
+		prevCR       bool
+		sentence     = true // no token yet, or a terminator since the last one
+		tok          Token
+		inTok        bool // tok holds a letter or digit of the current run
+		tokRunes     int  // runes of the current run since tok started
+		tokEnd       int  // byte end of tok's last letter or digit
+	)
+	for i, r := range s {
+		chars++
+		var cls uint8
+		size := 1
+		if r < utf8.RuneSelf {
+			ascii[r]++
+			cls = asciiClass[r]
+		} else {
+			cls = classOf(r)
+			size = utf8.RuneLen(r)
+			if cls&classLetter != 0 {
+				alpha++
+				if cls&classUpper != 0 {
+					upper++
+				}
+			}
+		}
+
+		if cls&classNewline != 0 {
+			if !(r == '\n' && prevCR) { // "\r\n" ends one line
+				if !lineText {
+					inPara = false
+				}
+				lineText = false
+			}
+		} else if cls&classSpace == 0 && !lineText {
+			lineText = true
+			if !inPara {
+				inPara = true
+				paragraphs++
+			}
+		}
+		prevCR = r == '\r'
+
+		if cls&classWord == 0 {
+			if inTok {
+				tok.Text = s[tok.Start:tokEnd]
+				toks = append(toks, tok)
+				inTok = false
+			}
+			if cls&classTerminator != 0 {
+				sentence = true
+			}
+			continue
+		}
+		if cls&classApostrophe != 0 {
+			tokRunes++
+			continue
+		}
+		if !inTok {
+			tok = Token{Start: i, SentenceStart: sentence, UpperFirst: cls&classUpper != 0}
+			inTok, tokRunes, sentence = true, 0, false
+		} else if cls&classUpper != 0 {
+			tok.UpperInside = true
+		}
+		tokRunes++
+		tok.Runes = tokRunes
+		tokEnd = i + size
+		if cls&classLetter != 0 {
+			tok.Letters++
+			if cls&classUpper != 0 {
+				tok.Upper++
+			}
+		}
+	}
+	if inTok {
+		tok.Text = s[tok.Start:tokEnd]
+		toks = append(toks, tok)
+	}
+
+	*c = Counts{Chars: chars, Paragraphs: paragraphs, Alpha: alpha, Upper: upper}
+	for i := range c.Letters {
+		c.Letters[i] = ascii['a'+i] + ascii['A'+i]
+		c.Alpha += c.Letters[i]
+		c.Upper += ascii['A'+i]
+	}
+	for i := range c.Digits {
+		c.Digits[i] = ascii['0'+i]
+	}
+	for i, r := range Punctuation {
+		c.Punct[i] = ascii[r]
+	}
+	for i, r := range SpecialChars {
+		c.Special[i] = ascii[r]
+	}
+	return toks
+}
+
+// Words returns the word tokens of s (see Scan).
+func Words(s string) []Token {
+	var c Counts
+	return Scan(s, nil, &c)
 }

@@ -11,6 +11,36 @@ import (
 	"unicode"
 )
 
+// wordStrings returns the texts of the word tokens of s.
+func wordStrings(s string) []string {
+	var out []string
+	for _, t := range Words(s) {
+		out = append(out, t.Text)
+	}
+	return out
+}
+
+// counts returns the character counts of s.
+func counts(s string) Counts {
+	var c Counts
+	Scan(s, nil, &c)
+	return c
+}
+
+// shapeOf returns the shape of w's only token, or ShapeOther when w holds
+// no token.
+func shapeOf(t *testing.T, w string) Shape {
+	toks := Words(w)
+	switch len(toks) {
+	case 0:
+		return ShapeOther
+	case 1:
+		return toks[0].Shape()
+	}
+	t.Fatalf("%q is %d tokens, want one", w, len(toks))
+	return ShapeOther
+}
+
 func TestWords(t *testing.T) {
 	tests := []struct {
 		in   string
@@ -30,7 +60,7 @@ func TestWords(t *testing.T) {
 		{"'''", nil},
 	}
 	for _, tc := range tests {
-		got := WordStrings(tc.in)
+		got := wordStrings(tc.in)
 		if len(got) == 0 && len(tc.want) == 0 {
 			continue
 		}
@@ -53,6 +83,41 @@ func TestWordsOffsets(t *testing.T) {
 	}
 }
 
+func TestScanTokenFields(t *testing.T) {
+	toks := Words("'Héllo' world. Bye!? 'x ''' ok, 3'4")
+	type fields struct {
+		text          string
+		runes         int
+		sentenceStart bool
+	}
+	want := []fields{
+		{"Héllo", 5, true}, {"world", 5, false}, {"Bye", 3, true},
+		{"x", 1, true}, {"ok", 2, false}, {"3'4", 3, false},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens, want %d", len(toks), len(want))
+	}
+	for i, w := range want {
+		got := fields{toks[i].Text, toks[i].Runes, toks[i].SentenceStart}
+		if got != w {
+			t.Errorf("token %d = %+v, want %+v", i, got, w)
+		}
+	}
+}
+
+func TestScanCounts(t *testing.T) {
+	c := counts("Ab 1!\n\nÉ\xff")
+	if c.Chars != 9 {
+		t.Errorf("Chars = %d, want 9 (one per invalid byte)", c.Chars)
+	}
+	if c.Alpha != 3 || c.Upper != 2 {
+		t.Errorf("Alpha, Upper = %d, %d, want 3, 2", c.Alpha, c.Upper)
+	}
+	if c.Paragraphs != 2 {
+		t.Errorf("Paragraphs = %d, want 2", c.Paragraphs)
+	}
+}
+
 func TestParagraphs(t *testing.T) {
 	tests := []struct {
 		in   string
@@ -65,11 +130,14 @@ func TestParagraphs(t *testing.T) {
 		{"\n\n\n", 0},
 		{"a\nb\nc", 1},
 		{"a\r\n\r\nb", 2},
+		{"a\rb\r\rc", 2},
+		{"a\r\r\nb", 2},
+		{"a\n \t\u00a0\nb", 2},
+		{"a\u2028\u2028b", 1},
 	}
 	for _, tc := range tests {
-		got := Paragraphs(tc.in)
-		if len(got) != tc.want {
-			t.Errorf("Paragraphs(%q) = %d paragraphs %q, want %d", tc.in, len(got), got, tc.want)
+		if got := counts(tc.in).Paragraphs; got != tc.want {
+			t.Errorf("Paragraphs(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -89,9 +157,13 @@ func TestWordShape(t *testing.T) {
 		{"", ShapeOther},
 		{"can't", ShapeAllLower},
 		{"McDonald", ShapeCamel},
+		{"'Hello'", ShapeInitialUpper},
+		{"1A", ShapeOther},
+		{"ǅemal", ShapeAllLower},
+		{"ÉCOLE", ShapeAllUpper},
 	}
 	for _, tc := range tests {
-		if got := WordShape(tc.in); got != tc.want {
+		if got := shapeOf(t, tc.in); got != tc.want {
 			t.Errorf("WordShape(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
@@ -112,7 +184,7 @@ func TestShapeString(t *testing.T) {
 }
 
 func TestLetterFreq(t *testing.T) {
-	f := LetterFreq("Abcz! ZZ")
+	f := counts("Abcz! ZZ").Letters
 	if f[0] != 1 || f[1] != 1 || f[2] != 1 || f[25] != 3 {
 		t.Errorf("unexpected letter freq: %v", f)
 	}
@@ -126,7 +198,7 @@ func TestLetterFreq(t *testing.T) {
 }
 
 func TestDigitFreq(t *testing.T) {
-	f := DigitFreq("a1b22c9")
+	f := counts("a1b22c9").Digits
 	if f[1] != 1 || f[2] != 2 || f[9] != 1 {
 		t.Errorf("unexpected digit freq: %v", f)
 	}
@@ -142,16 +214,18 @@ func TestUppercaseRatio(t *testing.T) {
 		{"AbCd", 0.5},
 		{"1234", 0},
 		{"", 0},
+		{"ÀÉ àé", 0.5},
 	}
 	for _, tc := range tests {
-		if got := UppercaseRatio(tc.in); got != tc.want {
+		c := counts(tc.in)
+		if got := c.UppercaseRatio(); got != tc.want {
 			t.Errorf("UppercaseRatio(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestPunctuationFreq(t *testing.T) {
-	f := PunctuationFreq("Hi! How are you? Fine, fine; really.")
+	f := counts("Hi! How are you? Fine, fine; really.").Punct
 	idx := map[rune]int{}
 	for i, r := range Punctuation {
 		idx[r] = i
@@ -162,7 +236,7 @@ func TestPunctuationFreq(t *testing.T) {
 }
 
 func TestSpecialCharFreq(t *testing.T) {
-	f := SpecialCharFreq("50% of $10 #cool @you")
+	f := counts("50% of $10 #cool @you").Special
 	idx := map[rune]int{}
 	for i, r := range SpecialChars {
 		idx[r] = i
@@ -222,14 +296,14 @@ func asciiCase(s string, to func(rune) rune) string {
 	}, s)
 }
 
-// Property: letter frequencies are insensitive to ASCII case. LetterFreq
-// counts the 26 ASCII letters only, so the property is stated over ASCII
+// Property: letter frequencies are insensitive to ASCII case. Counts.Letters
+// holds the 26 ASCII letters only, so the property is stated over ASCII
 // case mapping: Unicode's maps some non-ASCII letters onto ASCII ones (see
 // TestLetterFreqNonASCIICaseMapping).
 func TestLetterFreqCaseInsensitive(t *testing.T) {
 	f := func(s string) bool {
 		upper, lower := asciiCase(s, unicode.ToUpper), asciiCase(s, unicode.ToLower)
-		return LetterFreq(upper) == LetterFreq(lower) && LetterFreq(lower) == LetterFreq(s)
+		return counts(upper).Letters == counts(lower).Letters && counts(lower).Letters == counts(s).Letters
 	}
 	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Error(err)
@@ -249,13 +323,13 @@ func TestLetterFreqNonASCIICaseMapping(t *testing.T) {
 		{"long s (U+017F)", "\u017f", strings.ToUpper, 's'},
 		{"Kelvin sign (U+212A)", "\u212a", strings.ToLower, 'k'},
 	} {
-		if got := LetterFreq(tc.s); got != ([26]int{}) {
-			t.Errorf("%s: LetterFreq = %v, want no ASCII letter", tc.name, got)
+		if got := counts(tc.s).Letters; got != ([26]int{}) {
+			t.Errorf("%s: Letters = %v, want no ASCII letter", tc.name, got)
 		}
 		var want [26]int
 		want[tc.letter-'a'] = 1
-		if got := LetterFreq(tc.to(tc.s)); got != want {
-			t.Errorf("%s: LetterFreq of its case mapping %q = %v, want one %c", tc.name, tc.to(tc.s), got, tc.letter)
+		if got := counts(tc.to(tc.s)).Letters; got != want {
+			t.Errorf("%s: Letters of its case mapping %q = %v, want one %c", tc.name, tc.to(tc.s), got, tc.letter)
 		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"dehealth/internal/snapshot"
 )
 
 // snapOptions is the preparation configuration the snapshot tests pin:
@@ -309,12 +311,8 @@ func TestLoadWorldFailurePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(name string, wantErr error, mutate func([]byte) []byte) {
+	load := func(name, p string, wantErr error) {
 		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, mutate(append([]byte{}, blob...)), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		for _, noMmap := range []bool{false, true} {
 			w, err := LoadWorld(p, LoadOptions{NoMmap: noMmap})
 			if !errors.Is(err, wantErr) {
@@ -324,6 +322,14 @@ func TestLoadWorldFailurePaths(t *testing.T) {
 				t.Fatalf("%s: got a partially loaded world alongside the error", name)
 			}
 		}
+	}
+	check := func(name string, wantErr error, mutate func([]byte) []byte) {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, mutate(append([]byte{}, blob...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		load(name, p, wantErr)
 	}
 
 	check("not-a-snapshot", ErrNotSnapshot, func(b []byte) []byte {
@@ -342,4 +348,25 @@ func TestLoadWorldFailurePaths(t *testing.T) {
 		b[off] ^= 0xff
 		return b
 	})
+
+	// A well-formed file whose bigram list repeats a pair: the feature
+	// count still matches the matrices, but the space has a dimension no
+	// post can fill and matches no fitted extractor.
+	pw.world.RLock()
+	sw, err := pw.snapshotWorld()
+	pw.world.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigrams := append([][2]int(nil), sw.Meta.Bigrams...)
+	if len(bigrams) < 2 {
+		t.Fatalf("world fitted %d bigrams, want at least 2", len(bigrams))
+	}
+	bigrams[1] = bigrams[0]
+	sw.Meta.Bigrams = bigrams
+	repeated := filepath.Join(dir, "repeated-bigram")
+	if err := snapshot.Save(repeated, sw); err != nil {
+		t.Fatal(err)
+	}
+	load("repeated-bigram", repeated, ErrSnapshotCorrupt)
 }
