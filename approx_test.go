@@ -55,7 +55,7 @@ func TestApproxPreparedWorldExactUnbounded(t *testing.T) {
 	}
 	single, batch := worldAnswers(t, approx, 6, opt)
 	oracle := oracleAnswers(t, approx, 6, opt)
-	sameCandidates(t, "QueryUser", oracle, single)
+	sameCandidates(t, "lone", oracle, single)
 	sameCandidates(t, "QueryBatch", oracle, batch)
 }
 
@@ -74,10 +74,11 @@ func TestApproxRecallDense(t *testing.T) {
 
 	oracle := oracleAnswers(t, approx, 10, opt)
 	for u := range oracle {
-		got, err := approx.QueryUser(u, 10, opt)
+		rows, err := approx.QueryBatch([]int{u}, 10, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := rows[0]
 		if !slices.Equal(got, oracle[u]) {
 			t.Fatalf("user %d: %+v, oracle %+v", u, got, oracle[u])
 		}
@@ -180,7 +181,7 @@ func TestConcurrentApproxQueryIngest(t *testing.T) {
 	opt.Workers = 3
 	opt.Approx = ApproxConfig{Enabled: true}
 	anon0, _ := pw.Sizes()
-	if _, err := pw.QueryUser(0, 3, opt); err != nil { // warm the pipeline
+	if _, err := pw.QueryBatch([]int{0}, 3, opt); err != nil { // warm the pipeline
 		t.Fatal(err)
 	}
 

@@ -282,10 +282,11 @@ func BenchmarkExperimentGridReuse(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryUser measures the online single-user query path against
-// the full-matrix Top-K phase it replaces, and asserts its allocation
-// guarantee: per query, the bounded-heap path must stay far below one
-// similarity-matrix row (|aux| float64s), i.e. it never materializes rows.
+// BenchmarkQueryUser measures the online lone-query path (a one-user
+// QueryBatch) against the full-matrix Top-K phase it replaces, and asserts
+// its allocation guarantee: per query, the bounded-heap path must stay far
+// below one similarity-matrix row (|aux| float64s), i.e. it never
+// materializes rows.
 func BenchmarkQueryUser(b *testing.B) {
 	w := GenerateWorld(WorldConfig{WebMDUsers: 400, HBUsers: 400, Seed: 91})
 	split := SplitClosedWorld(w.WebMD, 0.5, 92)
@@ -294,14 +295,14 @@ func BenchmarkQueryUser(b *testing.B) {
 	opt.Landmarks = 10
 	pw := PrepareWorld(split.Anon, split.Aux, opt)
 	anonN, auxN := pw.Sizes()
-	if _, err := pw.QueryUser(0, 10, opt); err != nil { // warm the pipeline cache
+	if _, err := pw.QueryBatch([]int{0}, 10, opt); err != nil { // warm the pipeline cache
 		b.Fatal(err)
 	}
 
 	b.Run("query-user", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := pw.QueryUser(i%anonN, 10, opt); err != nil {
+			if _, err := pw.QueryBatch([]int{i % anonN}, 10, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -322,14 +323,14 @@ func BenchmarkQueryUser(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		if _, err := pw.QueryUser(i%anonN, 10, opt); err != nil {
+		if _, err := pw.QueryBatch([]int{i % anonN}, 10, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
 	if rowBytes := uint64(auxN) * 8; perOp >= rowBytes {
-		b.Fatalf("QueryUser allocates %d B/op, not below one similarity row (%d B): the no-matrix guarantee is broken", perOp, rowBytes)
+		b.Fatalf("a lone query allocates %d B/op, not below one similarity row (%d B): the no-matrix guarantee is broken", perOp, rowBytes)
 	}
 }
 
@@ -342,7 +343,7 @@ func BenchmarkIngest(b *testing.B) {
 	opt.MaxBigrams = 100
 	opt.Landmarks = 10
 	pw := PrepareWorld(split.Anon, split.Aux, opt)
-	if _, err := pw.QueryUser(0, 10, opt); err != nil {
+	if _, err := pw.QueryBatch([]int{0}, 10, opt); err != nil {
 		b.Fatal(err)
 	}
 	text := split.Anon.Posts[0].Text

@@ -9,3 +9,14 @@ package dehealth
 type ApproxConfig struct {
 	Enabled bool
 }
+
+// QueryUser is a one-user QueryBatch.
+//
+// Deprecated: use QueryBatch.
+func (w *PreparedWorld) QueryUser(u, k int, opt Options) ([]Candidate, error) {
+	res, err := w.QueryBatch([]int{u}, k, opt)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}

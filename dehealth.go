@@ -180,8 +180,8 @@ type Options struct {
 	// preparing the attack's feature store (<= 0 uses all CPUs).
 	Workers int
 	// Shards partitions the auxiliary side of a prepared world into this
-	// many partition-parallel scoring shards: QueryUser/QueryBatch fan each
-	// query's O(|aux|) row out across the shards and merge the per-shard
+	// many partition-parallel scoring shards: QueryBatch fans each
+	// query's O(|aux|) row out across the shards and merges the per-shard
 	// bounded heaps, with results bit-identical to the unsharded path.
 	// Consulted by PrepareWorld (like MaxBigrams and Workers), not per
 	// Attack/Query call. <= 1 disables sharding; counts beyond the
@@ -460,27 +460,14 @@ func (w *PreparedWorld) ShardSizes() []ShardSize {
 	return out
 }
 
-// QueryUser returns anonymized user u's top-k auxiliary candidates in
-// decreasing similarity order under opt's similarity configuration —
-// the single-row serving path: O(|aux|·dim) time, O(k) memory, no
-// similarity-matrix allocation, and results identical to the Top-K phase of
-// a full Attack. k <= 0 uses opt.K (default 10). Safe for concurrent use.
-func (w *PreparedWorld) QueryUser(u, k int, opt Options) ([]Candidate, error) {
-	opt = opt.normalized()
-	if k <= 0 {
-		k = opt.K
-	}
-	w.world.RLock()
-	defer w.world.RUnlock()
-	p := w.pipeline(opt.simConfig())
-	if u < 0 || u >= p.G1.NumNodes() {
-		return nil, fmt.Errorf("dehealth: user %d out of range [0, %d)", u, p.G1.NumNodes())
-	}
-	return p.QueryUser(u, k), nil
-}
-
-// QueryBatch answers one QueryUser per entry of users, amortizing the
-// batch over opt.Workers-bounded parallelism. Results align with users.
+// QueryBatch returns each entry of users' top-k auxiliary candidates in
+// decreasing similarity order under opt's similarity configuration, with
+// results aligned with users — the serving path: O(|aux|·dim) time and
+// O(k) memory per user, no similarity-matrix allocation, and results
+// identical to the Top-K phase of a full Attack. A lone query is a
+// one-user batch, fanned out across the shards; a wider batch is spread
+// over opt.Workers-bounded parallelism. k <= 0 uses opt.K (default 10).
+// Safe for concurrent use.
 func (w *PreparedWorld) QueryBatch(users []int, k int, opt Options) ([][]Candidate, error) {
 	opt = opt.normalized()
 	if k <= 0 {
@@ -502,7 +489,7 @@ func (w *PreparedWorld) QueryBatch(users []int, k int, opt Options) ([][]Candida
 // extractor, the UDA graph gains one node per user plus the co-discussion
 // edges their posts imply, and every cached pipeline's similarity caches
 // are extended in place — nothing is re-extracted or rebuilt. Returns the
-// new user indices, usable with QueryUser immediately. Safe for concurrent
+// new user indices, usable with QueryBatch immediately. Safe for concurrent
 // use with queries and attacks (ingestion takes the write lock).
 func (w *PreparedWorld) Ingest(batch []UserPosts) ([]int, error) {
 	w.world.Lock()
@@ -584,9 +571,10 @@ type ServeOptions struct {
 	// Addr is the listen address (default ":8700"); used by Serve, ignored
 	// by NewServer.
 	Addr string
-	// Workers bounds the fan-out of one /internal/query batch — how many
-	// goroutines share the router's group (<= 0 uses all CPUs). A /v1/query
-	// is one backend call on its own request goroutine and ignores it.
+	// Workers bounds how many goroutines share every multi-user batch —
+	// an /internal/query group from the router (<= 0 uses all CPUs). A
+	// one-user batch, such as a /v1/query, ignores it: it fans out across
+	// the shards over the world's shared scan tokens.
 	Workers int
 	// Deprecated: Batch is ignored. Every request is answered on its own
 	// goroutine; nothing batches across requests.
@@ -618,24 +606,16 @@ type Server = serve.Server
 
 // serveBackend adapts a PreparedWorld to the serving layer.
 type serveBackend struct {
-	w       *PreparedWorld
-	opt     Options
-	workers int // ServeOptions.Workers: bounds an /internal/query batch's fan-out
+	w   *PreparedWorld
+	opt Options // Workers is ServeOptions.Workers: bounds a multi-user batch
 }
 
 func (b serveBackend) Ingest(batch []UserPosts) ([]int, error) { return b.w.Ingest(batch) }
-func (b serveBackend) QueryUser(u, k int) ([]Candidate, error) {
-	return b.w.QueryUser(u, k, b.opt)
-}
 
-// QueryBatch routes an /internal/query group through the world's
-// batched query path — the multi-query blocked scoring kernel — under the
-// serve-level worker bound rather than the attack options' extraction
-// worker count.
+// QueryBatch answers a /v1/query (a one-user batch) or an /internal/query
+// group through the world's one query path.
 func (b serveBackend) QueryBatch(users []int, k int) ([][]Candidate, error) {
-	opt := b.opt
-	opt.Workers = b.workers
-	return b.w.QueryBatch(users, k, opt)
+	return b.w.QueryBatch(users, k, b.opt)
 }
 func (b serveBackend) Sizes() (int, int) { return b.w.Sizes() }
 
@@ -681,7 +661,9 @@ func NewServer(pw *PreparedWorld, opt ServeOptions) *Server {
 			return info, nil
 		}
 	}
-	return serve.New(serveBackend{w: pw, opt: opt.Attack, workers: opt.Workers}, cfg)
+	attack := opt.Attack
+	attack.Workers = opt.Workers
+	return serve.New(serveBackend{w: pw, opt: attack}, cfg)
 }
 
 // Serve runs the dehealthd query service over a prepared world on

@@ -39,8 +39,9 @@ func ExamplePrepareWorld() {
 	// K=5: one candidate set per anonymized user: true, each of size 5
 }
 
-// ExamplePreparedWorld_QueryUser serves a single-user query — the online
-// hot path — and shows that k bounds the candidate set.
+// ExamplePreparedWorld_QueryUser serves a lone query — a one-user
+// QueryBatch, the online hot path — and shows that k bounds the candidate
+// set.
 func ExamplePreparedWorld_QueryUser() {
 	world := dehealth.GenerateWorld(dehealth.WorldConfig{WebMDUsers: 24, HBUsers: 24, Seed: 2})
 	split := dehealth.SplitClosedWorld(world.WebMD, 0.5, 9)
@@ -51,10 +52,11 @@ func ExamplePreparedWorld_QueryUser() {
 	opt.Shards = 2 // partition-parallel scoring; results are identical at any count
 	pw := dehealth.PrepareWorld(split.Anon, split.Aux, opt)
 
-	candidates, err := pw.QueryUser(0, 3, opt)
+	rows, err := pw.QueryBatch([]int{0}, 3, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	candidates := rows[0]
 	fmt.Printf("user 0: %d candidates\n", len(candidates))
 	fmt.Printf("sorted by score: %v\n", candidates[0].Score >= candidates[1].Score)
 	// Output:
@@ -85,10 +87,11 @@ func ExamplePreparedWorld_Ingest() {
 	fmt.Printf("new user id is the next dense id: %v\n", id == before)
 	fmt.Printf("world grew by %d user\n", after-before)
 
-	candidates, err := pw.QueryUser(id, 5, opt)
+	rows, err := pw.QueryBatch([]int{id}, 5, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	candidates := rows[0]
 	fmt.Printf("queryable immediately: %d candidates\n", len(candidates))
 	// Output:
 	// new user id is the next dense id: true
@@ -124,14 +127,15 @@ func ExamplePreparedWorld_Snapshot() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := pw.QueryUser(0, 3, opt)
+	rows, err := pw.QueryBatch([]int{0}, 3, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := warm.QueryUser(0, 3, opt)
-	if err != nil {
+	want := rows[0]
+	if rows, err = warm.QueryBatch([]int{0}, 3, opt); err != nil {
 		log.Fatal(err)
 	}
+	got := rows[0]
 	same := len(got) == len(want)
 	for i := range got {
 		same = same && got[i] == want[i] // exact struct equality: bit-identical scores

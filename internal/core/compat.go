@@ -1,7 +1,8 @@
 // Names kept only because the frozen benchmark program (benchmark/) still
 // uses them; scripts/benchmark_names.txt tags each one compat. The
-// approximate tier they named is retired: each forwards to the pipeline's
-// exact engine, and the tier's knobs and counters are ignored.
+// single-user names forward to a one-user batch. The approximate tier the
+// others named is retired: each forwards to the pipeline's exact engine,
+// and the tier's knobs and counters are ignored.
 
 package core
 
@@ -14,11 +15,16 @@ func (p *Pipeline) Approx(cfg index.Config, _ *index.ApproxStats) *Pipeline {
 	return p.Pruned(cfg, nil)
 }
 
-// QueryUserApprox is QueryUser.
+// QueryUser is a one-user QueryBatch.
 //
-// Deprecated: use QueryUser.
+// Deprecated: use QueryBatch.
+func (p *Pipeline) QueryUser(u, k int) []Candidate { return p.QueryBatch([]int{u}, k, 0)[0] }
+
+// QueryUserApprox is a one-user QueryBatch.
+//
+// Deprecated: use QueryBatch.
 func (p *Pipeline) QueryUserApprox(u, k int, _ index.ApproxParams) []Candidate {
-	return p.QueryUser(u, k)
+	return p.QueryBatch([]int{u}, k, 0)[0]
 }
 
 // QueryBatchApprox is QueryBatch.

@@ -82,7 +82,7 @@ func (t *TopKResult) Contains(u, v int) bool {
 
 // Pipeline owns the artifacts shared by both DA phases: the fitted feature
 // extractor, the two UDA graphs and the structural similarity scorer. The
-// serving-path queries (QueryUser / QueryBatch) are coordinated through a
+// serving-path queries (QueryBatch) are coordinated through a
 // shard.World — the auxiliary side partitioned into one or more
 // partition-parallel scoring shards — for which Pipeline is a thin router:
 // it validates, fans out, and returns the merged global top-K.
@@ -113,7 +113,7 @@ func NewPipelineFromStore(anon, aux *features.Store, simCfg similarity.Config) *
 // NewShardedPipelineFromStore is NewPipelineFromStore with the auxiliary
 // side partitioned into shards partition-parallel scoring shards: each
 // shard is a scorer window over globally computed caches, and
-// QueryUser/QueryBatch fan out across them and merge the per-shard bounded
+// QueryBatch fans out across them and merges the per-shard bounded
 // heaps. shards <= 1 (or beyond the aux population, which clamps) yields
 // the single-shard engine wrapping the base scorer directly; every shard
 // count returns bit-identical query results — sharding only changes who
@@ -138,8 +138,8 @@ func (p *Pipeline) WithSimilarity(cfg similarity.Config) *Pipeline {
 	return &q
 }
 
-// Pruned returns a pipeline over the same artifacts whose QueryUser /
-// QueryBatch path gathers candidates from per-shard attribute inverted
+// Pruned returns a pipeline over the same artifacts whose QueryBatch
+// path gathers candidates from per-shard attribute inverted
 // indexes and exact-rescores only them, falling back to the full scan
 // whenever the structural score bounds cannot certify top-K correctness
 // — results stay bit-identical to the unpruned path at every

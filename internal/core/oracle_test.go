@@ -126,7 +126,7 @@ func assertMatchesOracle(t *testing.T, p *Pipeline, k int, truth map[int]int) {
 	want := oracleTopK(p, k, truth)
 	assertTopKEqual(t, want, p.TopK(k, DirectSelection, truth))
 	for u, cs := range want.Candidates {
-		assertSameCandidates(t, u, p.QueryUser(u, k), cs)
+		assertSameCandidates(t, u, p.QueryBatch([]int{u}, k, 0)[0], cs)
 	}
 	m := p.TopK(k, GraphMatchingSelection, truth)
 	if m.MaxScore != want.MaxScore || m.MinScore != want.MinScore {
@@ -166,7 +166,7 @@ func assertServedMatchesRows(t *testing.T, p *Pipeline, users []int, k int) {
 	batch := p.QueryBatch(users, k, 0)
 	for i, u := range users {
 		want := topCandidates(oracleRow(p, u), k)
-		assertSameCandidates(t, u, p.QueryUser(u, k), want)
+		assertSameCandidates(t, u, p.QueryBatch([]int{u}, k, 0)[0], want)
 		assertSameCandidates(t, u, batch[i], want)
 	}
 }
@@ -322,8 +322,8 @@ func TestTopKDegenerateWorld(t *testing.T) {
 	split := world(t, 6, 4, 0.5, 77)
 	anonS, auxS := features.BuildPair(split.Anon, &corpus.Dataset{}, 50, features.Options{})
 	p := NewPipelineFromStore(anonS, auxS, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 5})
-	if got := p.QueryUser(0, 5); len(got) != 0 {
-		t.Fatalf("QueryUser on an empty auxiliary side returned %v", got)
+	if got := p.QueryBatch([]int{0}, 5, 0)[0]; len(got) != 0 {
+		t.Fatalf("a lone query on an empty auxiliary side returned %v", got)
 	}
 	for _, sel := range []SelectionMethod{DirectSelection, GraphMatchingSelection} {
 		tk := p.TopK(5, sel, nil)

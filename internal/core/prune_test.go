@@ -25,7 +25,7 @@ func pruneTestStores(t *testing.T, users, posts int, seed int64) (*features.Stor
 }
 
 // TestPipelinePrunedParity pins the core-layer guarantee: a pruned
-// pipeline's QueryUser and QueryBatch are bit-identical to the unsharded
+// pipeline's lone and batched queries are bit-identical to the unsharded
 // unpruned pipeline, and WithSimilarity keeps both the pruning and the
 // parity.
 func TestPipelinePrunedParity(t *testing.T) {
@@ -42,7 +42,7 @@ func TestPipelinePrunedParity(t *testing.T) {
 	}
 	for _, k := range []int{1, 4, 9} {
 		for u := 0; u < n1; u++ {
-			got, want := pruned.QueryUser(u, k), plain.QueryUser(u, k)
+			got, want := pruned.QueryBatch([]int{u}, k, 0)[0], plain.QueryBatch([]int{u}, k, 0)[0]
 			if len(got) != len(want) {
 				t.Fatalf("user %d k %d: %d candidates, want %d", u, k, len(got), len(want))
 			}
@@ -68,7 +68,7 @@ func TestPipelinePrunedParity(t *testing.T) {
 	re := pruned.WithSimilarity(similarity.Config{C1: 0.2, C2: 0.2, C3: 0.6, Landmarks: 5})
 	rePlain := plain.WithSimilarity(similarity.Config{C1: 0.2, C2: 0.2, C3: 0.6, Landmarks: 5})
 	for u := 0; u < n1; u++ {
-		got, want := re.QueryUser(u, 5), rePlain.QueryUser(u, 5)
+		got, want := re.QueryBatch([]int{u}, 5, 0)[0], rePlain.QueryBatch([]int{u}, 5, 0)[0]
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("reweighted user %d candidate %d mismatch", u, i)
@@ -88,14 +88,14 @@ func TestShardedKeepsPruning(t *testing.T) {
 	st := &index.Stats{}
 	pruned := NewShardedPipelineFromStore(anonS, auxS, cfg, 2).Pruned(index.Config{}, st)
 
-	pruned.QueryUser(0, 5)
+	pruned.QueryBatch([]int{0}, 5, 0)
 	if got := st.Snapshot().Queries; got != 2 {
 		t.Fatalf("one query over the 2-shard pruned world counted %d shard-queries, want 2", got)
 	}
 	before := st.Snapshot().Queries
 	resharded := NewShardedPipelineFromStore(anonS, auxS, cfg, 4).Pruned(index.Config{}, st)
 	for u := 0; u < plain.G1.NumNodes(); u++ {
-		got, want := resharded.QueryUser(u, 5), plain.QueryUser(u, 5)
+		got, want := resharded.QueryBatch([]int{u}, 5, 0)[0], plain.QueryBatch([]int{u}, 5, 0)[0]
 		if len(got) != len(want) {
 			t.Fatalf("user %d: %d candidates, want %d", u, len(got), len(want))
 		}

@@ -1,15 +1,16 @@
-// Online single-user query path. Serving a newly observed account needs
-// exactly one row's top-K, so QueryUser routes the query through the
-// pipeline's shard world: each auxiliary shard streams its slice of the
-// row through a bounded min-heap (O(shard size) time, O(K) memory, no row
-// or matrix allocation) and the per-shard heaps merge into the global
-// top-K under the stable selection order (score descending, global
-// auxiliary id ascending). The offline Top-K phase (TopK) runs strips of
-// users through the same shard scan, so the serving path, the sharded
-// serving path and the offline evaluation share one engine and cannot
-// drift; what pins all of them is the sort-based ScoreSlow oracle in
-// oracle_test.go. Pipeline is deliberately a thin coordinator here:
-// validation lives below, scoring and merging live in internal/shard.
+// Online query path. Serving a newly observed account needs exactly one
+// row's top-K, and a lone query is a batch of one: QueryBatch routes every
+// query through the pipeline's shard world, where each auxiliary shard
+// streams its slice of the rows through bounded min-heaps (O(shard size)
+// time, O(K) memory per query, no row or matrix allocation) and the
+// per-shard heaps merge into the global top-K under the stable selection
+// order (score descending, global auxiliary id ascending). The offline
+// Top-K phase (TopK) runs strips of users through the same shard scan, so
+// the serving path, the sharded serving path and the offline evaluation
+// share one engine and cannot drift; what pins all of them is the
+// sort-based ScoreSlow oracle in oracle_test.go. Pipeline is deliberately a
+// thin coordinator here: validation lives below, scoring and merging live
+// in internal/shard.
 
 package core
 
@@ -31,19 +32,13 @@ func (p *Pipeline) checkQuery(op string, k int, users ...int) {
 	}
 }
 
-// QueryUser computes anonymized user u's top-k auxiliary candidates in
+// QueryBatch computes each entry of users' top-k auxiliary candidates in
 // decreasing score order (ties by smaller auxiliary index), exactly as
-// TopK(k, DirectSelection, nil).Candidates[u] would. On a sharded pipeline
-// the row fans out across shards in parallel. Safe for concurrent use with
-// other queries; not with ingestion (the serving layer serializes the two).
-func (p *Pipeline) QueryUser(u, k int) []Candidate {
-	p.checkQuery("QueryUser", k, u)
-	return p.shardWorld().QueryUser(u, k)
-}
-
-// QueryBatch answers one QueryUser per entry of users, fanning the batch
-// out over a bounded worker pool (workers <= 0 uses GOMAXPROCS). Results
-// line up with users by index.
+// TopK(k, DirectSelection, nil).Candidates[u] would, with results lined
+// up with users by index. A one-user batch fans out across the shards in
+// parallel; a wider one is spread over a bounded worker pool (workers <= 0
+// uses GOMAXPROCS). Safe for concurrent use with other queries; not with
+// ingestion (the serving layer serializes the two).
 func (p *Pipeline) QueryBatch(users []int, k, workers int) [][]Candidate {
 	p.checkQuery("QueryBatch", k, users...)
 	return p.shardWorld().QueryBatch(users, k, workers)

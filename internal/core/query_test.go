@@ -39,9 +39,9 @@ func assertSameCandidates(t *testing.T, u int, got, want []Candidate) {
 	}
 }
 
-// TestQueryUserMatchesTopK proves the served single-user path returns
-// exactly the oracle's sort-based direct selection — candidate set and
-// ordering — for every user, across closed- and open-world splits and
+// TestQueryUserMatchesTopK proves the served lone query (a one-user batch)
+// returns exactly the oracle's sort-based direct selection — candidate set
+// and ordering — for every user, across closed- and open-world splits and
 // several K, including K > |V2|.
 func TestQueryUserMatchesTopK(t *testing.T) {
 	d := fixedForum(24, 8, 21)
@@ -74,7 +74,7 @@ func TestQueryUserMatchesTopK(t *testing.T) {
 			for _, k := range []int{1, 3, 10, split.Aux.NumUsers() + 5} {
 				tk := oracleTopK(p, k, nil)
 				for u := 0; u < split.Anon.NumUsers(); u++ {
-					assertSameCandidates(t, u, p.QueryUser(u, k), tk.Candidates[u])
+					assertSameCandidates(t, u, p.QueryBatch([]int{u}, k, 0)[0], tk.Candidates[u])
 				}
 			}
 		})
@@ -82,7 +82,8 @@ func TestQueryUserMatchesTopK(t *testing.T) {
 }
 
 // TestQueryBatchMatchesQueryUser proves the batched fan-out is a pure
-// reordering of independent single queries, at several pool widths.
+// reordering of independent lone queries (one-user batches, which take the
+// per-query fan-out instead of the blocked kernel), at several pool widths.
 func TestQueryBatchMatchesQueryUser(t *testing.T) {
 	split := world(t, 18, 6, 0.5, 31)
 	p := queryPipeline(split, 5)
@@ -93,7 +94,7 @@ func TestQueryBatchMatchesQueryUser(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		got := p.QueryBatch(users, 4, workers)
 		for i, u := range users {
-			assertSameCandidates(t, u, got[i], p.QueryUser(u, 4))
+			assertSameCandidates(t, u, got[i], p.QueryBatch([]int{u}, 4, 0)[0])
 		}
 	}
 	if got := p.QueryBatch(nil, 4, 8); len(got) != 0 {
@@ -104,7 +105,8 @@ func TestQueryBatchMatchesQueryUser(t *testing.T) {
 // TestQueryBatchShardedAfterIngest drives the batched fan-out through its
 // serving shape: a sharded pipeline answers mixed batches — repeats, an
 // appended user, batches wider and narrower than the kernel chunk —
-// bit-identically to per-user QueryUser, before and after SyncAppended.
+// bit-identically to per-user one-user batches, before and after
+// SyncAppended.
 func TestQueryBatchShardedAfterIngest(t *testing.T) {
 	split := world(t, 20, 6, 0.5, 33)
 	anonS, auxS := features.BuildPair(split.Anon, split.Aux, 50, features.Options{})
@@ -117,7 +119,7 @@ func TestQueryBatchShardedAfterIngest(t *testing.T) {
 		for _, workers := range []int{1, 2, 5} {
 			got := p.QueryBatch(users, k, workers)
 			for i, u := range users {
-				assertSameCandidates(t, u, got[i], p.QueryUser(u, k))
+				assertSameCandidates(t, u, got[i], p.QueryBatch([]int{u}, k, 0)[0])
 			}
 		}
 	}
@@ -175,19 +177,19 @@ func TestQueryAppendedUserMatchesTopK(t *testing.T) {
 	}
 	tk := oracleTopK(p, 5, nil)
 	for u := 0; u < n0+2; u++ {
-		assertSameCandidates(t, u, p.QueryUser(u, 5), tk.Candidates[u])
+		assertSameCandidates(t, u, p.QueryBatch([]int{u}, 5, 0)[0], tk.Candidates[u])
 	}
 }
 
-// TestQueryUserAllocBounds verifies the serving guarantee behind QueryUser:
-// per-query heap allocation is O(K) and in particular far below one
-// similarity-matrix row (|V2| float64s), so the hot path cannot silently
-// regress into materializing rows. The allocation *count* is pinned too:
-// the scan is the batched one at width one, whose profile, block buffer
-// and heap live in pooled scratch and whose kernel (PrepareBatch + blocked
-// ScoreRangeBatch) allocates nothing per row, leaving only the result
-// slice and the final sort — at most 4 allocs/op on a single-shard
-// pipeline.
+// TestQueryUserAllocBounds verifies the serving guarantee behind a lone
+// query (a one-user QueryBatch): per-query heap allocation is O(K) and in
+// particular far below one similarity-matrix row (|V2| float64s), so the
+// hot path cannot silently regress into materializing rows. The allocation
+// *count* is pinned too: the scan's profile, block buffer and heap live in
+// pooled scratch, its kernel (PrepareBatch + blocked ScoreRangeBatch)
+// allocates nothing per row and the final sort allocates nothing, leaving
+// the one-user batch's users and result slices and the result row — at
+// most 3 allocs/op on a single-shard pipeline.
 func TestQueryUserAllocBounds(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts at random")
@@ -195,24 +197,24 @@ func TestQueryUserAllocBounds(t *testing.T) {
 	split := world(t, 60, 6, 0.5, 51)
 	p := queryPipeline(split, 5)
 	n2 := p.G2.NumNodes()
-	p.QueryUser(0, 10) // warm any lazy state
+	p.QueryBatch([]int{0}, 10, 0) // warm any lazy state
 
 	const rounds = 50
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		p.QueryUser(i%p.G1.NumNodes(), 10)
+		p.QueryBatch([]int{i % p.G1.NumNodes()}, 10, 0)
 	}
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
 	rowBytes := uint64(n2) * 8
 	if perOp >= rowBytes {
-		t.Fatalf("QueryUser allocates %d B/op, not below one matrix row (%d B)", perOp, rowBytes)
+		t.Fatalf("a lone query allocates %d B/op, not below one matrix row (%d B)", perOp, rowBytes)
 	}
 	perOpAllocs := (after.Mallocs - before.Mallocs) / rounds
-	if perOpAllocs > 4 {
-		t.Fatalf("QueryUser allocates %d times/op, want <= 4 (heap, result, sort bookkeeping; the scoring kernel itself must allocate nothing)", perOpAllocs)
+	if perOpAllocs > 3 {
+		t.Fatalf("a lone query allocates %d times/op, want <= 3 (users, results, row; the scan, kernel and sort must allocate nothing)", perOpAllocs)
 	}
 }
 
@@ -237,8 +239,8 @@ func TestShardedQueryMatchesTopK(t *testing.T) {
 		for _, k := range []int{1, 5, auxN + 3} {
 			tk := oracleTopK(base, k, nil)
 			for u := 0; u < split.Anon.NumUsers(); u++ {
-				assertSameCandidates(t, u, p.QueryUser(u, k), tk.Candidates[u])
-				assertSameCandidates(t, u, derived.QueryUser(u, k), tk.Candidates[u])
+				assertSameCandidates(t, u, p.QueryBatch([]int{u}, k, 0)[0], tk.Candidates[u])
+				assertSameCandidates(t, u, derived.QueryBatch([]int{u}, k, 0)[0], tk.Candidates[u])
 			}
 		}
 	}
@@ -271,7 +273,7 @@ func TestShardedIngestThenQueryParity(t *testing.T) {
 	}
 	tk := oracleTopK(sharded, 5, nil)
 	for u := 0; u < n0+2; u++ {
-		assertSameCandidates(t, u, sharded.QueryUser(u, 5), tk.Candidates[u])
+		assertSameCandidates(t, u, sharded.QueryBatch([]int{u}, 5, 0)[0], tk.Candidates[u])
 	}
 }
 
@@ -289,13 +291,13 @@ func TestShardedWithSimilarity(t *testing.T) {
 	}
 	fresh := NewShardedPipelineFromStore(anonS, auxS, target, 4)
 	for u := 0; u < split.Anon.NumUsers(); u++ {
-		assertSameCandidates(t, u, rw.QueryUser(u, 4), fresh.QueryUser(u, 4))
+		assertSameCandidates(t, u, rw.QueryBatch([]int{u}, 4, 0)[0], fresh.QueryBatch([]int{u}, 4, 0)[0])
 	}
 
 	// Landmark-count changes rebuild the base scorer and re-shard.
 	lm := base.WithSimilarity(similarity.Config{C1: 0.3, C2: 0.3, C3: 0.4, Landmarks: 3})
 	lmFresh := NewShardedPipelineFromStore(anonS, auxS, similarity.Config{C1: 0.3, C2: 0.3, C3: 0.4, Landmarks: 3}, 4)
 	for u := 0; u < split.Anon.NumUsers(); u++ {
-		assertSameCandidates(t, u, lm.QueryUser(u, 4), lmFresh.QueryUser(u, 4))
+		assertSameCandidates(t, u, lm.QueryBatch([]int{u}, 4, 0)[0], lmFresh.QueryBatch([]int{u}, 4, 0)[0])
 	}
 }

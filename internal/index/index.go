@@ -7,7 +7,7 @@
 // The De-Health similarity (§III-B) is dominated by attribute overlap —
 // the paper's default weighting puts 0.9 of the score on the Jaccard
 // terms — and both Jaccard terms are exactly zero for an auxiliary user
-// who shares no attribute with the query user. QueryUser can therefore
+// who shares no attribute with the query user. A query can therefore
 // gather the union of the query user's attribute postings, exact-rescore
 // only those candidates, and skip everyone else whenever the structural
 // terms alone (bounded per degree band by similarity.ScoreBoundBand)

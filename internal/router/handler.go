@@ -1,7 +1,10 @@
 // The router's public HTTP surface. It mirrors the shard servers' /v1
 // query shapes (a router drop-in replaces a single dehealthd for query
 // traffic) and adds the degradation report: partial responses carry
-// "partial": true plus the missing shard list. Ingestion is not routed —
+// "partial": true plus the missing shard list. /v1/query and /v1/batch are
+// two decodings of one request: both end in Router.QueryBatch, the query as
+// a batch of one. The "approx" key of the shard servers' wire is accepted
+// and ignored, since every answer is exact. Ingestion is not routed —
 // the auxiliary world is immutable at serving time and anonymized-side
 // growth belongs to the offline prepare → slice → redeploy cycle — so the
 // router exposes no /v1/ingest.
@@ -19,15 +22,13 @@ import (
 )
 
 type queryWire struct {
-	User   int  `json:"user"`
-	K      int  `json:"k,omitempty"`
-	Approx bool `json:"approx,omitempty"`
+	User int `json:"user"`
+	K    int `json:"k,omitempty"`
 }
 
 type batchWire struct {
-	Users  []int `json:"users"`
-	K      int   `json:"k,omitempty"`
-	Approx bool  `json:"approx,omitempty"`
+	Users []int `json:"users"`
+	K     int   `json:"k,omitempty"`
 }
 
 type candidateWire struct {
@@ -87,13 +88,13 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	if !serve.DecodeBody(w, req, "query", &q) {
 		return
 	}
-	res, err := r.QueryUser(req.Context(), q.User, q.K, q.Approx)
+	res, err := r.QueryBatch(req.Context(), []int{q.User}, q.K)
 	if err != nil {
 		writeJSON(w, errorStatus(err), errorWire{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, queryReplyWire{
-		User: q.User, Candidates: wireCandidates(res.Candidates),
+		User: q.User, Candidates: wireCandidates(res.Results[0]),
 		Partial: res.Partial, Missing: res.Missing,
 	})
 }
@@ -107,7 +108,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, batchReplyWire{Results: [][]candidateWire{}})
 		return
 	}
-	res, err := r.QueryBatch(req.Context(), q.Users, q.K, q.Approx)
+	res, err := r.QueryBatch(req.Context(), q.Users, q.K)
 	if err != nil {
 		writeJSON(w, errorStatus(err), errorWire{Error: err.Error()})
 		return

@@ -1,5 +1,5 @@
 // Package router is the distributed scatter-gather tier of the De-Health
-// serving system: a thin HTTP router that fans QueryUser/QueryBatch out to
+// serving system: a thin HTTP router that fans every query batch out to
 // N shard servers — dehealthd processes each booted from a per-shard
 // snapshot slice (dehealth.SnapshotSlices) — and merges their replies
 // under the global selection order (score descending, global id
@@ -224,47 +224,29 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
-// Result is one routed query's answer: the merged global top-k, plus the
-// degradation report. Partial is true when at least one shard missed its
+// BatchResult is one routed batch's answer: the merged global top-k of
+// each user, aligned with the request, plus one shared degradation report
+// (the scatter is per shard, not per user, so a missing shard is missing
+// for the whole batch). Partial is true when at least one shard missed its
 // deadline or exhausted its attempts; Missing lists those shards in
 // ascending order. A partial answer is exact over the shards that
 // answered — candidates from missing shards are absent, never replaced.
-type Result struct {
-	Candidates []shard.Candidate
-	Partial    bool
-	Missing    []int
-}
-
-// BatchResult is Result for a query batch: per-user candidate lists
-// aligned with the request, under one shared degradation report (the
-// scatter is per shard, not per user, so a missing shard is missing for
-// the whole batch).
 type BatchResult struct {
 	Results [][]shard.Candidate
 	Partial bool
 	Missing []int
 }
 
-// QueryUser scatter-gathers the top-k candidates of anonymized user u
-// across all shards.
-func (r *Router) QueryUser(ctx context.Context, u, k int, approx bool) (Result, error) {
-	br, err := r.QueryBatch(ctx, []int{u}, k, approx)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Candidates: br.Results[0], Partial: br.Partial, Missing: br.Missing}, nil
-}
-
-// QueryBatch scatter-gathers a whole query batch: one /internal/query
-// call per shard carrying every user (each shard server answers it as one
-// pre-grouped kernel batch), merged per user under the global selection
-// order.
-func (r *Router) QueryBatch(ctx context.Context, users []int, k int, approx bool) (BatchResult, error) {
+// QueryBatch scatter-gathers a whole query batch — a lone query is a
+// batch of one: one /internal/query call per shard carrying every user
+// (each shard server answers it as one pre-grouped batch), merged per user
+// under the global selection order. k <= 0 uses Config.K.
+func (r *Router) QueryBatch(ctx context.Context, users []int, k int) (BatchResult, error) {
 	if k <= 0 {
 		k = r.cfg.K
 	}
 	r.queries.Add(int64(len(users)))
-	q := &serve.InternalQuery{Users: users, K: k, Approx: approx}
+	q := &serve.InternalQuery{Users: users, K: k}
 
 	type shardOut struct {
 		id  int

@@ -51,7 +51,8 @@ func (b stubBackend) Ingest([]features.UserPosts) ([]int, error) {
 	return nil, errors.New("stub: no ingest")
 }
 
-func (b stubBackend) QueryUser(u, k int) ([]core.Candidate, error) {
+// topK answers one user of a QueryBatch.
+func (b stubBackend) topK(u, k int) ([]core.Candidate, error) {
 	if u < 0 || u >= stubAnonUsers {
 		return nil, fmt.Errorf("stub: user %d out of range [0, %d)", u, stubAnonUsers)
 	}
@@ -67,7 +68,7 @@ func (b stubBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) 
 	out := make([][]core.Candidate, len(users))
 	for i, u := range users {
 		var err error
-		if out[i], err = b.QueryUser(u, k); err != nil {
+		if out[i], err = b.topK(u, k); err != nil {
 			return nil, err
 		}
 	}
@@ -253,26 +254,98 @@ func sameCandidates(t *testing.T, label string, want, got []shard.Candidate) {
 }
 
 // TestRouterHappyPath: both shards answer, the merge matches the
-// independently computed global top-k, and nothing is partial.
+// independently computed global top-k, and nothing is partial. Over HTTP,
+// every variant in the table — "approx": true (which the router ignores),
+// k omitted, 0, -1 or past the auxiliary side — gets the status and the
+// candidate bytes of its plain request, and a /v1/query answers user u
+// with the bytes of u's row of a /v1/batch.
 func TestRouterHappyPath(t *testing.T) {
 	urls, total := twoShards(t)
 	r := newRouter(t, Config{Shards: [][]string{{urls[0]}, {urls[1]}}})
 	for u := 0; u < 5; u++ {
-		res, err := r.QueryUser(context.Background(), u, 7, false)
+		res, err := r.QueryBatch(context.Background(), []int{u}, 7)
 		if err != nil {
-			t.Fatalf("QueryUser(%d): %v", u, err)
+			t.Fatalf("QueryBatch([%d]): %v", u, err)
 		}
 		if res.Partial || len(res.Missing) != 0 {
-			t.Fatalf("QueryUser(%d): unexpected degradation: %+v", u, res)
+			t.Fatalf("QueryBatch([%d]): unexpected degradation: %+v", u, res)
 		}
-		sameCandidates(t, fmt.Sprintf("user %d", u), expectTopK(u, 7, total), res.Candidates)
+		sameCandidates(t, fmt.Sprintf("user %d", u), expectTopK(u, 7, total), res.Results[0])
 	}
-	br, err := r.QueryBatch(context.Background(), []int{1, 3, 4}, 5, false)
+	br, err := r.QueryBatch(context.Background(), []int{1, 3, 4}, 5)
 	if err != nil {
 		t.Fatalf("QueryBatch: %v", err)
 	}
 	for i, u := range []int{1, 3, 4} {
 		sameCandidates(t, fmt.Sprintf("batch user %d", u), expectTopK(u, 5, total), br.Results[i])
+	}
+
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	post := func(path, body string) (int, map[string]json.RawMessage) {
+		t.Helper()
+		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s %s: %v", path, body, err)
+		}
+		defer resp.Body.Close()
+		var reply map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("POST %s %s: reply: %v", path, body, err)
+		}
+		return resp.StatusCode, reply
+	}
+	// Users 3 and 1 at the default k (10), at 5, and past the 40 aux users.
+	for _, tc := range []struct {
+		path, body, plain string
+		field             string // the reply's candidate bytes
+		k                 int    // the plain request's candidate-set size
+	}{
+		{"/v1/query", `{"user": 3, "k": 5, "approx": true}`, `{"user": 3, "k": 5}`, "candidates", 5},
+		{"/v1/query", `{"user": 3}`, `{"user": 3, "k": 10}`, "candidates", 10},
+		{"/v1/query", `{"user": 3, "k": 0}`, `{"user": 3, "k": 10}`, "candidates", 10},
+		{"/v1/query", `{"user": 3, "k": -1, "approx": true}`, `{"user": 3, "k": 10}`, "candidates", 10},
+		{"/v1/query", `{"user": 3, "k": 100}`, `{"user": 3, "k": 40}`, "candidates", 40},
+		{"/v1/batch", `{"users": [3, 1], "k": 5, "approx": true}`, `{"users": [3, 1], "k": 5}`, "results", 5},
+		{"/v1/batch", `{"users": [3, 1]}`, `{"users": [3, 1], "k": 10}`, "results", 10},
+		{"/v1/batch", `{"users": [3, 1], "k": 0}`, `{"users": [3, 1], "k": 10}`, "results", 10},
+		{"/v1/batch", `{"users": [3, 1], "k": -1, "approx": true}`, `{"users": [3, 1], "k": 10}`, "results", 10},
+		{"/v1/batch", `{"users": [3, 1], "k": 100}`, `{"users": [3, 1], "k": 40}`, "results", 40},
+	} {
+		wantStatus, want := post(tc.path, tc.plain)
+		status, got := post(tc.path, tc.body)
+		if wantStatus != http.StatusOK || status != wantStatus {
+			t.Fatalf("%s %s: status %d, plain %s: %d, want both 200", tc.path, tc.body, status, tc.plain, wantStatus)
+		}
+		if !bytes.Equal(got[tc.field], want[tc.field]) {
+			t.Fatalf("%s %s: %s\n%s\nwant (as %s)\n%s", tc.path, tc.body, tc.field, got[tc.field], tc.plain, want[tc.field])
+		}
+		var rows [][]shard.Candidate
+		if tc.field == "candidates" {
+			rows = make([][]shard.Candidate, 1)
+			err = json.Unmarshal(want[tc.field], &rows[0])
+		} else {
+			err = json.Unmarshal(want[tc.field], &rows)
+		}
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.path, tc.plain, err)
+		}
+		for i, u := range []int{3, 1}[:len(rows)] {
+			sameCandidates(t, tc.path+" "+tc.plain, expectTopK(u, tc.k, total), rows[i])
+		}
+	}
+	for _, k := range []int{5, 10, 100} {
+		_, batch := post("/v1/batch", fmt.Sprintf(`{"users": [3, 1], "k": %d}`, k))
+		var rows []json.RawMessage
+		if err := json.Unmarshal(batch["results"], &rows); err != nil || len(rows) != 2 {
+			t.Fatalf("batch at k=%d: results %s (%v)", k, batch["results"], err)
+		}
+		for i, u := range []int{3, 1} {
+			_, query := post("/v1/query", fmt.Sprintf(`{"user": %d, "k": %d}`, u, k))
+			if !bytes.Equal(query["candidates"], rows[i]) {
+				t.Fatalf("k=%d: /v1/query of user %d\n%s\nwant row %d of /v1/batch\n%s", k, u, query["candidates"], i, rows[i])
+			}
+		}
 	}
 }
 
@@ -285,14 +358,14 @@ func TestRouterFailoverRetry(t *testing.T) {
 		Shards:  [][]string{{bad.URL(), urls[0]}, {urls[1]}},
 		Retries: 2,
 	})
-	res, err := r.QueryUser(context.Background(), 3, 6, false)
+	res, err := r.QueryBatch(context.Background(), []int{3}, 6)
 	if err != nil {
-		t.Fatalf("QueryUser: %v", err)
+		t.Fatalf("QueryBatch: %v", err)
 	}
 	if res.Partial {
 		t.Fatalf("failover produced a partial result: %+v", res)
 	}
-	sameCandidates(t, "failover", expectTopK(3, 6, total), res.Candidates)
+	sameCandidates(t, "failover", expectTopK(3, 6, total), res.Results[0])
 	st := r.Stats()
 	if st.Retries < 1 {
 		t.Fatalf("retries = %d, want >= 1", st.Retries)
@@ -309,22 +382,22 @@ func TestRouterDropFailover(t *testing.T) {
 	urls, total := twoShards(t)
 	bad := newFlakyShard(t, urls[0], modeDrop, 0)
 	r := newRouter(t, Config{Shards: [][]string{{bad.URL(), urls[0]}, {urls[1]}}, Retries: 2})
-	res, err := r.QueryUser(context.Background(), 2, 4, false)
+	res, err := r.QueryBatch(context.Background(), []int{2}, 4)
 	if err != nil {
-		t.Fatalf("QueryUser: %v", err)
+		t.Fatalf("QueryBatch: %v", err)
 	}
-	sameCandidates(t, "drop failover", expectTopK(2, 4, total), res.Candidates)
+	sameCandidates(t, "drop failover", expectTopK(2, 4, total), res.Results[0])
 }
 
 func TestRouterTruncateFailover(t *testing.T) {
 	urls, total := twoShards(t)
 	bad := newFlakyShard(t, urls[0], modeTruncate, 0)
 	r := newRouter(t, Config{Shards: [][]string{{bad.URL(), urls[0]}, {urls[1]}}, Retries: 2})
-	res, err := r.QueryUser(context.Background(), 9, 4, false)
+	res, err := r.QueryBatch(context.Background(), []int{9}, 4)
 	if err != nil {
-		t.Fatalf("QueryUser: %v", err)
+		t.Fatalf("QueryBatch: %v", err)
 	}
-	sameCandidates(t, "truncate failover", expectTopK(9, 4, total), res.Candidates)
+	sameCandidates(t, "truncate failover", expectTopK(9, 4, total), res.Results[0])
 	if bad.forwarded.Load() < 1 {
 		t.Fatal("truncating proxy never forwarded — mode not exercised")
 	}
@@ -339,11 +412,11 @@ func TestRouterBloatedReplyFailover(t *testing.T) {
 	urls, total := twoShards(t)
 	bad := newFlakyShard(t, urls[0], modeBloat, 0)
 	r := newRouter(t, Config{Shards: [][]string{{bad.URL(), urls[0]}, {urls[1]}}, Retries: 2, ShardTimeout: 30 * time.Second})
-	res, err := r.QueryUser(context.Background(), 9, 4, false)
+	res, err := r.QueryBatch(context.Background(), []int{9}, 4)
 	if err != nil {
-		t.Fatalf("QueryUser: %v", err)
+		t.Fatalf("QueryBatch: %v", err)
 	}
-	sameCandidates(t, "bloat failover", expectTopK(9, 4, total), res.Candidates)
+	sameCandidates(t, "bloat failover", expectTopK(9, 4, total), res.Results[0])
 	st := r.Stats()
 	if st.Retries < 1 {
 		t.Fatalf("retries = %d, want >= 1", st.Retries)
@@ -393,14 +466,14 @@ func TestRouterRejectedRequest(t *testing.T) {
 		if !r.Healthy() {
 			t.Fatalf("%s: a rejected request marked replicas unhealthy: %+v", tc.path, after.Shards)
 		}
-		res, err := r.QueryUser(context.Background(), 3, 6, false)
+		res, err := r.QueryBatch(context.Background(), []int{3}, 6)
 		if err != nil {
 			t.Fatalf("%s: valid query after the rejection: %v", tc.path, err)
 		}
 		if res.Partial {
 			t.Fatalf("%s: valid query after the rejection came back partial: %+v", tc.path, res)
 		}
-		sameCandidates(t, tc.path+" then valid", expectTopK(3, 6, total), res.Candidates)
+		sameCandidates(t, tc.path+" then valid", expectTopK(3, 6, total), res.Results[0])
 	}
 }
 
@@ -449,14 +522,14 @@ func TestRouterHedgeWinnerCancelsLoser(t *testing.T) {
 		Retries:      2,
 	})
 	start := time.Now()
-	res, err := r.QueryUser(context.Background(), 4, 6, false)
+	res, err := r.QueryBatch(context.Background(), []int{4}, 6)
 	if err != nil {
-		t.Fatalf("QueryUser: %v", err)
+		t.Fatalf("QueryBatch: %v", err)
 	}
 	if res.Partial {
 		t.Fatalf("hedged query degraded to partial: %+v", res)
 	}
-	sameCandidates(t, "hedged", expectTopK(4, 6, total), res.Candidates)
+	sameCandidates(t, "hedged", expectTopK(4, 6, total), res.Results[0])
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("hedged query took %v — the stalled primary was awaited, not raced", took)
 	}
@@ -464,7 +537,7 @@ func TestRouterHedgeWinnerCancelsLoser(t *testing.T) {
 	if st.Hedges < 1 || st.HedgeWins < 1 {
 		t.Fatalf("hedges = %d, hedge wins = %d, want both >= 1", st.Hedges, st.HedgeWins)
 	}
-	// The loser's cancellation propagates asynchronously after QueryUser
+	// The loser's cancellation propagates asynchronously after QueryBatch
 	// returns; give it a moment.
 	deadline := time.Now().Add(2 * time.Second)
 	for slow.canceled.Load() == 0 && time.Now().Before(deadline) {
@@ -486,9 +559,9 @@ func TestRouterDeadlinePartial(t *testing.T) {
 		ShardTimeout: 100 * time.Millisecond,
 		Retries:      -1, // no retries: one doomed attempt, then the deadline
 	})
-	res, err := r.QueryUser(context.Background(), 6, 5, false)
+	res, err := r.QueryBatch(context.Background(), []int{6}, 5)
 	if err != nil {
-		t.Fatalf("QueryUser: %v", err)
+		t.Fatalf("QueryBatch: %v", err)
 	}
 	if !res.Partial {
 		t.Fatal("deadline exceeded but result not marked partial")
@@ -501,7 +574,7 @@ func TestRouterDeadlinePartial(t *testing.T) {
 	for g := 0; g < 20; g++ {
 		want[g] = shard.Candidate{User: g, Score: stubScore(6, g)}
 	}
-	sameCandidates(t, "partial", shard.MergeTopK([][]shard.Candidate{want}, 5), res.Candidates)
+	sameCandidates(t, "partial", shard.MergeTopK([][]shard.Candidate{want}, 5), res.Results[0])
 	if st := r.Stats(); st.Partials < 1 {
 		t.Fatalf("partials = %d, want >= 1", st.Partials)
 	}
@@ -518,7 +591,7 @@ func TestRouterAllShardsDown(t *testing.T) {
 		ShardTimeout: 500 * time.Millisecond,
 		Retries:      1,
 	})
-	_, err := r.QueryUser(context.Background(), 1, 5, false)
+	_, err := r.QueryBatch(context.Background(), []int{1}, 5)
 	if !errors.Is(err, ErrAllShardsDown) {
 		t.Fatalf("err = %v, want ErrAllShardsDown", err)
 	}

@@ -61,7 +61,7 @@ func TestRouterReplicaChurnStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				u := (w*perWorker + i) % 16
-				res, err := r.QueryUser(context.Background(), u, 5, false)
+				res, err := r.QueryBatch(context.Background(), []int{u}, 5)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d query %d: %v", w, i, err)
 					return
@@ -72,8 +72,8 @@ func TestRouterReplicaChurnStress(t *testing.T) {
 				}
 				want := expectTopK(u, 5, total)
 				for j := range want {
-					if res.Candidates[j] != want[j] {
-						errs <- fmt.Errorf("worker %d query %d: candidate %d = %+v, want %+v", w, i, j, res.Candidates[j], want[j])
+					if res.Results[0][j] != want[j] {
+						errs <- fmt.Errorf("worker %d query %d: candidate %d = %+v, want %+v", w, i, j, res.Results[0][j], want[j])
 						return
 					}
 				}

@@ -18,18 +18,12 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-// approxCapable wraps testBackend with the QueryUserApprox /
-// QueryBatchApprox pair of a backend written for the retired approximate
-// tier, counting how many users that pair answered so routing is
-// observable from the wire.
+// approxCapable wraps testBackend with the QueryBatchApprox method of a
+// backend written for the retired approximate tier, counting how many
+// users it answered so routing is observable from the wire.
 type approxCapable struct {
 	*testBackend
-	approxUsers int64 // users answered through the approx methods
-}
-
-func (b *approxCapable) QueryUserApprox(u, k int) ([]core.Candidate, error) {
-	atomic.AddInt64(&b.approxUsers, 1)
-	return b.testBackend.QueryUser(u, k)
+	approxUsers int64 // users answered through QueryBatchApprox
 }
 
 func (b *approxCapable) QueryBatchApprox(users []int, k int) ([][]core.Candidate, error) {
@@ -38,9 +32,9 @@ func (b *approxCapable) QueryBatchApprox(users []int, k int) ([][]core.Candidate
 }
 
 // TestQueryApproxRouting pins the compatibility dispatch: {"approx": true}
-// requests route to a backend's QueryUserApprox / QueryBatchApprox when it
-// has them and plain requests to QueryUser / QueryBatch, on /v1/query and
-// on /internal/query alike; /v1/stats carries no approx block.
+// requests route to a backend's QueryBatchApprox when it has one and plain
+// requests to QueryBatch, on /v1/query (a one-user batch) and on
+// /internal/query alike; /v1/stats carries no approx block.
 func TestQueryApproxRouting(t *testing.T) {
 	b := &approxCapable{testBackend: newTestBackend(t, 16, 81)}
 	s := New(b, Config{DefaultK: 5})
@@ -88,7 +82,7 @@ func TestQueryApproxRouting(t *testing.T) {
 }
 
 // TestQueryApproxWithoutCapableBackend pins the plain path: the knob on a
-// backend without the approximate pair answers through QueryUser, and the
+// backend without QueryBatchApprox answers through QueryBatch, and the
 // stats omit the approx block.
 func TestQueryApproxWithoutCapableBackend(t *testing.T) {
 	b := newTestBackend(t, 14, 83)

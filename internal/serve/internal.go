@@ -47,14 +47,15 @@ type SliceInfoer interface {
 type InternalQuery struct {
 	Users []int `json:"users"`
 	K     int   `json:"k,omitempty"`
-	// Approx carries the public query's "approx" key; the answer is exact
-	// either way (see compat.go).
+	// Approx is accepted for compatibility and the answer is exact either
+	// way (see compat.go); the router does not set it.
 	Approx bool `json:"approx,omitempty"`
 }
 
-// WireCandidate is one scored candidate on the internal wire. User is a
-// GLOBAL auxiliary id (already rebased for slice backends); Score crosses
-// as float64 text that Go JSON round-trips bit-exactly.
+// WireCandidate is one scored candidate on the wire, /v1/query's too. On
+// /internal/query User is a GLOBAL auxiliary id (already rebased for slice
+// backends); Score crosses as float64 text that Go JSON round-trips
+// bit-exactly.
 type WireCandidate struct {
 	User  int     `json:"user"`
 	Score float64 `json:"score"`
@@ -123,18 +124,23 @@ func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	if !s.do(w, r, false, len(q.Users), func() (err error) {
 		sl = s.slice()
-		cands, err = s.queryBatch(q.Users, s.effectiveK(q.K), q.Approx)
+		cands, err = s.query(q.Users, s.effectiveK(q.K), q.Approx)
 		return err
 	}) {
 		return
 	}
 	reply := InternalQueryReply{Shard: sl.Shard, Lo: sl.Lo, Results: make([][]WireCandidate, len(cands))}
 	for i, cs := range cands {
-		out := make([]WireCandidate, len(cs))
-		for j, c := range cs {
-			out[j] = WireCandidate{User: c.User + sl.Lo, Score: c.Score}
-		}
-		reply.Results[i] = out
+		reply.Results[i] = wireCandidates(cs, sl.Lo)
 	}
 	writeJSON(w, http.StatusOK, reply)
+}
+
+// wireCandidates puts a candidate list on the wire, adding lo to every id.
+func wireCandidates(cs []core.Candidate, lo int) []WireCandidate {
+	out := make([]WireCandidate, len(cs))
+	for j, c := range cs {
+		out[j] = WireCandidate{User: c.User + lo, Score: c.Score}
+	}
+	return out
 }

@@ -1,6 +1,6 @@
 // Package serve is the online query layer of the De-Health reproduction:
 // an HTTP service that owns a prepared (anonymized, auxiliary) world,
-// answers single-user de-anonymization queries and ingests newly observed
+// answers de-anonymization queries and ingests newly observed
 // anonymous accounts as they appear — the continuous-tracking threat model
 // behind the paper, rather than the offline batch experiments.
 //
@@ -12,13 +12,13 @@
 // read), and there is no queue, dispatcher goroutine or cross-request
 // batching between a connection and the backend: a lone query is answered
 // with no wait, and what a loaded server's requests wait for is the lock —
-// that is, for an ingest to finish. /v1/query is one Backend.QueryUser
-// call; /internal/query, whose batch the router already grouped, is one
-// Backend.QueryBatch call driving the backend's multi-query blocked
-// scoring kernel. A sharded backend changes none of this: per-shard state
-// is immutable after partitioning and a query fans out across shards
-// inside the backend, scanning inline when no core is idle; /v1/stats
-// additionally reports the per-shard breakdown.
+// that is, for an ingest to finish. Every query is one call of the
+// backend's one query method, Backend.QueryBatch: /v1/query a one-user
+// batch, /internal/query the group the router already built, which drives
+// the backend's multi-query blocked scoring kernel. A sharded backend
+// changes none of this: per-shard state is immutable after partitioning
+// and a query fans out across shards inside the backend, scanning inline
+// when no core is idle; /v1/stats adds the per-shard breakdown.
 package serve
 
 import (
@@ -63,13 +63,12 @@ type Backend interface {
 	// Ingest appends newly observed anonymous users and returns their new
 	// user indices, aligned with the batch.
 	Ingest(batch []features.UserPosts) ([]int, error)
-	// QueryUser returns the top-k auxiliary candidates of anonymized user u.
-	QueryUser(u, k int) ([]core.Candidate, error)
-	// QueryBatch answers one QueryUser per entry of users, bit-identically,
-	// with results aligned by index. /internal/query hands it the router's
-	// whole group at once so the backend can score all of it per pass over
-	// its auxiliary data (the multi-query blocked kernel). An error fails
-	// the whole group.
+	// QueryBatch returns the top-k auxiliary candidates of each anonymized
+	// user, with results aligned by index and each one bit-identical
+	// whatever the batch around it. /v1/query hands it a one-user batch;
+	// /internal/query hands it the router's whole group at once so the
+	// backend can score all of it per pass over its auxiliary data (the
+	// multi-query blocked kernel). An error fails the whole batch.
 	QueryBatch(users []int, k int) ([][]core.Candidate, error)
 	// Sizes reports the current aggregate world sizes (for /v1/stats).
 	Sizes() (anonUsers, auxUsers int)
@@ -318,14 +317,9 @@ type queryWire struct {
 	Approx bool `json:"approx,omitempty"`
 }
 
-type candidateWire struct {
-	User  int     `json:"user"`
-	Score float64 `json:"score"`
-}
-
 type queryReplyWire struct {
 	User       int             `json:"user"`
-	Candidates []candidateWire `json:"candidates"`
+	Candidates []WireCandidate `json:"candidates"`
 }
 
 type ingestPostWire struct {
@@ -421,18 +415,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, "query", &q) {
 		return
 	}
-	var cands []core.Candidate
+	var cands [][]core.Candidate
 	if !s.do(w, r, false, 1, func() (err error) {
-		cands, err = s.queryUser(q.User, s.effectiveK(q.K), q.Approx)
+		cands, err = s.query([]int{q.User}, s.effectiveK(q.K), q.Approx)
 		return err
 	}) {
 		return
 	}
-	reply := queryReplyWire{User: q.User, Candidates: make([]candidateWire, len(cands))}
-	for i, c := range cands {
-		reply.Candidates[i] = candidateWire{User: c.User, Score: c.Score}
-	}
-	writeJSON(w, http.StatusOK, reply)
+	writeJSON(w, http.StatusOK, queryReplyWire{User: q.User, Candidates: wireCandidates(cands[0], 0)})
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -62,15 +62,6 @@ func (b *testBackend) Ingest(batch []features.UserPosts) ([]int, error) {
 	return ids, nil
 }
 
-func (b *testBackend) QueryUser(u, k int) ([]core.Candidate, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if u < 0 || u >= b.p.G1.NumNodes() {
-		return nil, fmt.Errorf("user %d out of range", u)
-	}
-	return b.p.QueryUser(u, k), nil
-}
-
 func (b *testBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -136,10 +127,10 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if q.User != 2 || len(q.Candidates) != 3 {
 		t.Fatalf("query reply %+v, want user 2 with 3 candidates", q)
 	}
-	want, _ := b.QueryUser(2, 3)
+	want, _ := b.QueryBatch([]int{2}, 3)
 	for i, c := range q.Candidates {
-		if c.User != want[i].User || c.Score != want[i].Score {
-			t.Fatalf("candidate %d = %+v, want %+v", i, c, want[i])
+		if c.User != want[0][i].User || c.Score != want[0][i].Score {
+			t.Fatalf("candidate %d = %+v, want %+v", i, c, want[0][i])
 		}
 	}
 	for i := 1; i < len(q.Candidates); i++ {
@@ -397,11 +388,6 @@ func (b *gateBackend) Ingest(batch []features.UserPosts) ([]int, error) {
 	return b.testBackend.Ingest(batch)
 }
 
-func (b *gateBackend) QueryUser(u, k int) ([]core.Candidate, error) {
-	b.call("user:%d", u)
-	return b.testBackend.QueryUser(u, k)
-}
-
 func (b *gateBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
 	b.call("batch:%d@%d", len(users), k)
 	return b.testBackend.QueryBatch(users, k)
@@ -492,18 +478,18 @@ func TestLoneQueryNoWait(t *testing.T) {
 	}
 }
 
-// meetBackend makes every QueryUser wait inside the backend until `want`
-// of them are there together — possible only if the server lets queries
+// meetBackend makes every query wait inside the backend until `want` of
+// them are there together — possible only if the server lets queries
 // overlap.
 type meetBackend struct {
 	*testBackend
 	inside sync.WaitGroup
 }
 
-func (b *meetBackend) QueryUser(u, k int) ([]core.Candidate, error) {
+func (b *meetBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
 	b.inside.Done()
 	b.inside.Wait()
-	return b.testBackend.QueryUser(u, k)
+	return b.testBackend.QueryBatch(users, k)
 }
 
 // TestQueriesOverlap issues two queries that each block in the backend
@@ -536,20 +522,13 @@ func (b *bareBackend) Ingest(batch []features.UserPosts) ([]int, error) {
 	return ids, nil
 }
 
-func (b *bareBackend) QueryUser(u, k int) ([]core.Candidate, error) {
-	if u < 0 || u >= len(b.users) {
-		return nil, fmt.Errorf("user %d out of range", u)
-	}
-	return []core.Candidate{{User: b.users[u], Score: 1}}, nil
-}
-
 func (b *bareBackend) QueryBatch(users []int, k int) ([][]core.Candidate, error) {
 	out := make([][]core.Candidate, len(users))
 	for i, u := range users {
-		var err error
-		if out[i], err = b.QueryUser(u, k); err != nil {
-			return nil, err
+		if u < 0 || u >= len(b.users) {
+			return nil, fmt.Errorf("user %d out of range", u)
 		}
+		out[i] = []core.Candidate{{User: b.users[u], Score: 1}}
 	}
 	return out, nil
 }
@@ -704,7 +683,7 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		t.Fatalf("Close = %v, want nil (drained)", err)
 	}
 	if got := b.log(); len(got) != 1 {
-		t.Fatalf("backend calls %v, want only the in-flight user:0", got)
+		t.Fatalf("backend calls %v, want only the in-flight query of user 0", got)
 	}
 }
 
@@ -783,10 +762,11 @@ func TestQueryBatchFailureIsolation(t *testing.T) {
 	singles := postEach(ts.URL+"/v1/query", queryWire{User: 0, K: 4}, queryWire{User: 9999, K: 4})
 	wantStatuses(t, groups(), http.StatusBadRequest, http.StatusOK)
 	wantStatuses(t, singles(), http.StatusOK, http.StatusBadRequest)
-	// One backend call per request: nothing is regrouped or retried.
+	// One backend call per request: nothing is regrouped or retried; each
+	// /v1/query is a one-user batch.
 	got := b.log()
 	slices.Sort(got)
-	if want := []string{"batch:2@4", "batch:3@4", "user:0", "user:9999"}; !slices.Equal(got, want) {
+	if want := []string{"batch:1@4", "batch:1@4", "batch:2@4", "batch:3@4"}; !slices.Equal(got, want) {
 		t.Fatalf("backend calls %v, want %v", got, want)
 	}
 }

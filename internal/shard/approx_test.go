@@ -27,10 +27,10 @@ func TestApproxDegenerateParitySparse(t *testing.T) {
 		ap := New(base, g2, nil, shards).WithApprox(index.Config{}, &index.ApproxStats{})
 		for _, k := range []int{1, 5, 17} {
 			for u := 0; u < g1.NumNodes(); u++ {
-				candidatesEqual(t, ap.QueryUserApprox(u, k, index.ApproxParams{}), full.QueryUser(u, k),
+				candidatesEqual(t, ap.QueryUserApprox(u, k, index.ApproxParams{}), full.QueryBatch([]int{u}, k, 0)[0],
 					"sparse approx degenerate parity")
 				for _, sh := range ap.Shards() {
-					candidatesEqual(t, sh.TopKApprox(u, k, index.Config{}, index.ApproxParams{Theta: 2}, nil), sh.TopK(u, k),
+					candidatesEqual(t, sh.TopKApprox(u, k, index.Config{}, index.ApproxParams{Theta: 2}, nil), sh.TopKBatch([]int{u}, k)[0],
 						"shard approx parity")
 				}
 			}
@@ -53,7 +53,7 @@ func TestApproxDegenerateParityDense(t *testing.T) {
 	full := New(base, auxS.UDA(), auxS, 1)
 	ap := New(base, auxS.UDA(), auxS, 3).WithApprox(index.Config{}, nil)
 	for u := 0; u < anonN; u++ {
-		candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryUser(u, 5),
+		candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryBatch([]int{u}, 5, 0)[0],
 			"dense approx degenerate parity")
 	}
 	if s := ap.pruneStats(); s.Queries == 0 || s.Fallbacks != 0 {
@@ -69,7 +69,7 @@ func TestApproxThetaRecallDense(t *testing.T) {
 	ap := New(base, auxS.UDA(), auxS, 2).WithApprox(index.Config{}, nil)
 	for _, theta := range []float64{1.2, 2} {
 		for u := 0; u < anonN; u++ {
-			candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{Theta: theta}), full.QueryUser(u, 5),
+			candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{Theta: theta}), full.QueryBatch([]int{u}, 5, 0)[0],
 				fmt.Sprintf("theta %v", theta))
 		}
 	}
@@ -83,7 +83,7 @@ func TestApproxBudget(t *testing.T) {
 	full := New(base, g2, nil, 1)
 	ap := New(base, g2, nil, 1).WithApprox(index.Config{}, nil)
 	for u := 0; u < g1.NumNodes(); u++ {
-		candidatesEqual(t, ap.QueryUserApprox(u, 10, index.ApproxParams{Budget: 3}), full.QueryUser(u, 10), "budget 3")
+		candidatesEqual(t, ap.QueryUserApprox(u, 10, index.ApproxParams{Budget: 3}), full.QueryBatch([]int{u}, 10, 0)[0], "budget 3")
 	}
 }
 
@@ -97,7 +97,7 @@ func TestApproxUnsafeConfigFallsBack(t *testing.T) {
 	full := New(base, g2, nil, 1)
 	ap := New(base, g2, nil, 2).WithApprox(index.Config{}, nil)
 	for u := 0; u < g1.NumNodes(); u++ {
-		candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{Theta: 2}), full.QueryUser(u, 5),
+		candidatesEqual(t, ap.QueryUserApprox(u, 5, index.ApproxParams{Theta: 2}), full.QueryBatch([]int{u}, 5, 0)[0],
 			"unsafe config approx parity")
 	}
 	if s := ap.pruneStats(); s.Fallbacks != s.Queries {
@@ -113,7 +113,7 @@ func TestApproxWithoutTierDegrades(t *testing.T) {
 	w := New(base, g2, nil, 2)
 	for u := 0; u < 10; u++ {
 		candidatesEqual(t, w.QueryUserApprox(u, 5, index.ApproxParams{Theta: 3, Budget: 1}),
-			w.QueryUser(u, 5), "tier-less approx degradation")
+			w.QueryBatch([]int{u}, 5, 0)[0], "tier-less approx degradation")
 	}
 	if w.pruned() {
 		t.Fatal("approximate queries must not prune a tier-less world")
@@ -132,7 +132,7 @@ func TestApproxBatchParity(t *testing.T) {
 	}
 	got := ap.QueryBatchApprox(users, 6, 3, index.ApproxParams{})
 	for i, u := range users {
-		candidatesEqual(t, got[i], full.QueryUser(u, 6), "approx batch parity")
+		candidatesEqual(t, got[i], full.QueryBatch([]int{u}, 6, 0)[0], "approx batch parity")
 	}
 }
 
@@ -153,7 +153,7 @@ func TestApproxStateCarriesThroughDerivations(t *testing.T) {
 	derived := ap.WithScorer(re)
 	full := New(re, g2, nil, 1)
 	for u := 0; u < g1.NumNodes(); u++ {
-		candidatesEqual(t, derived.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryUser(u, 5),
+		candidatesEqual(t, derived.QueryUserApprox(u, 5, index.ApproxParams{}), full.QueryBatch([]int{u}, 5, 0)[0],
 			"reweighted approx parity")
 	}
 	s := derived.pruneStats()
@@ -193,7 +193,7 @@ func TestApproxRandomizedDegenerateParity(t *testing.T) {
 			full := New(base, g2, nil, 1)
 			ap := New(base, g2, nil, 2).WithApprox(index.Config{}, nil)
 			for u := 0; u < g1.NumNodes(); u++ {
-				candidatesEqual(t, ap.QueryUserApprox(u, 7, index.ApproxParams{}), full.QueryUser(u, 7),
+				candidatesEqual(t, ap.QueryUserApprox(u, 7, index.ApproxParams{}), full.QueryBatch([]int{u}, 7, 0)[0],
 					shape.name+" randomized degenerate parity")
 			}
 		}
@@ -212,12 +212,12 @@ func TestApproxBudgetDeterministic(t *testing.T) {
 	for _, budget := range []int{1, 5, 20} {
 		p := index.ApproxParams{Theta: 1.3, Budget: budget}
 		for rep := 0; rep < 3; rep++ {
-			candidatesEqual(t, ap.QueryUserApprox(3, 10, p), full.QueryUser(3, 10), "budget determinism")
+			candidatesEqual(t, ap.QueryUserApprox(3, 10, p), full.QueryBatch([]int{3}, 10, 0)[0], "budget determinism")
 		}
 	}
 	ample := index.ApproxParams{Budget: g2.NumNodes() + 1}
 	for u := 0; u < g1.NumNodes(); u++ {
-		candidatesEqual(t, ap.QueryUserApprox(u, 8, ample), full.QueryUser(u, 8), "ample budget parity")
+		candidatesEqual(t, ap.QueryUserApprox(u, 8, ample), full.QueryBatch([]int{u}, 8, 0)[0], "ample budget parity")
 	}
 }
 
@@ -231,5 +231,5 @@ func TestApproxDegenerateK(t *testing.T) {
 		t.Fatalf("k beyond population returned %d candidates, want %d", len(got), g2.NumNodes())
 	}
 	candidatesEqual(t, ap.QueryUserApprox(0, g2.NumNodes()+50, index.ApproxParams{}),
-		full.QueryUser(0, g2.NumNodes()+50), "k clamp approx parity")
+		full.QueryBatch([]int{0}, g2.NumNodes()+50, 0)[0], "k clamp approx parity")
 }

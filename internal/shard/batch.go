@@ -1,7 +1,7 @@
 // The shard scan: the only code that walks a whole auxiliary window. A
 // served /internal/query hands the world the router's group of queries,
 // the offline Top-K DA phase hands it strips of anonymized users, and a lone
-// Shard.TopK is a batch of one — all three are one blocked loop (scan):
+// query is a batch of one — all three are one blocked loop (scan):
 // prepare Q query profiles at once (similarity.BatchProfile), score each
 // 32-row block against every query while it is hot in cache
 // (ScoreRangeAbove — this is its one production call site), and drain Q
@@ -218,8 +218,9 @@ func (sh *Shard) scan(users []int, k int, cells []floorCell, observe func(q, lo 
 }
 
 // TopKBatch answers a whole batch of anonymized users from one blocked
-// scan of the shard (see scan). Results align with users by index; each
-// entry is bit-identical to TopK(users[q], k).
+// scan of the shard (see scan). Results align with users by index and
+// are sorted under the global selection order; k is clamped to the shard
+// size. Each entry is bit-identical whatever the batch around it.
 func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
 	res := make([][]Candidate, len(users))
 	sh.scan(users, k, nil, nil, res)
@@ -299,28 +300,30 @@ func (w *World) ScanBatch(users []int, k int, observe func(q, lo int, scores []f
 	return out
 }
 
-// QueryBatch answers one QueryUser per entry of users (workers <= 0 uses
-// GOMAXPROCS). Results align with users by index and are bit-identical to
-// len(users) independent QueryUser calls. An unpruned world routes the
-// batch through the multi-query blocked kernel — each shard is walked once
-// per chunk of up to maxBatchQ queries instead of once per query. The
-// pruner gathers per-query candidate sets, which that kernel cannot batch,
-// so a pruned world runs one query at a time over the workers, each
-// scanning its shards inline; when a single worker is left to run the
-// batch, each query fans out across shards itself.
+// QueryBatch answers each entry of users with its global top-k (workers
+// <= 0 uses GOMAXPROCS); a lone query is a batch of one. Results align
+// with users by index, each bit-identical whatever the batch. This is the
+// one place that sees a batch's width, so it picks the engine: a one-user
+// batch fans its shards out over the shared scan tokens (fanOut); a wider
+// unpruned batch goes through the multi-query blocked kernel
+// (queryBatchFanOut), each shard walked once per chunk of up to maxBatchQ
+// queries; a wider pruned batch runs one query per worker, since the
+// pruner's per-query candidate sets cannot be batched, each scanning its
+// shards inline unless a single worker is left to fan them out.
 func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
 	out := make([][]Candidate, len(users))
-	if len(users) == 0 {
+	if len(users) == 1 {
+		out[0] = w.fanOut(users[0], k, true)
 		return out
 	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = runtime.GOMAXPROCS(0) // takes the scheduler lock: only for wider batches
 	}
 	if w.prune == nil {
 		w.queryBatchFanOut(users, k, workers, out)
 		return out
 	}
-	helpers := min(workers, len(users)) <= 1
+	helpers := workers <= 1
 	ParallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, helpers) })
 	return out
 }

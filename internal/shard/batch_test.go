@@ -34,7 +34,7 @@ func TestTopKBatchParity(t *testing.T) {
 						t.Fatalf("TopKBatch returned %d results for %d users", len(got), len(users))
 					}
 					for qi, u := range users {
-						want := sh.TopK(u, k)
+						want := sh.TopKBatch([]int{u}, k)[0]
 						if len(got[qi]) != len(want) {
 							t.Fatalf("shards=%d k=%d Q=%d u=%d: batch len %d, TopK len %d",
 								shards, k, len(users), u, len(got[qi]), len(want))
@@ -53,7 +53,7 @@ func TestTopKBatchParity(t *testing.T) {
 }
 
 // TestQueryBatchWorkerCounts checks every engine's batch loop against the
-// plain world's QueryUser, bit for bit — the batched kernel (plain world
+// plain world's one-user batches, bit for bit — the batched kernel (plain world
 // QueryBatch), the pruner handing dense queries to the scan (WithPruning
 // world QueryBatch) and the pruner kept on its banded path
 // (MaxCandidateFrac 1) — over every shape
@@ -68,7 +68,7 @@ func TestQueryBatchWorkerCounts(t *testing.T) {
 		w := New(base, auxUDA, auxS, shards)
 		want := make([][]Candidate, anonN)
 		for u := range want {
-			want[u] = w.QueryUser(u, 5)
+			want[u] = w.QueryBatch([]int{u}, 5, 0)[0]
 		}
 		engines := []struct {
 			name  string
@@ -273,10 +273,10 @@ func TestScanSkipShare(t *testing.T) {
 //   - width=Q: a lone query, a group of eight and a full kernel batch;
 //   - observed/width=Q: the same scans under an observer, which sets no
 //     floors and scores whole rows (the offline Top-K DA phase);
-//   - world/shards=2: World.QueryUser on a 2-shard world, whose shards share
-//     one floor. Its skipped/row comes from the same queries fanned out
-//     inline (shard by shard through one cell) over a fixed sample of 64
-//     users after the timer stops, so it repeats exactly.
+//   - world/shards=2: a one-user World.QueryBatch on a 2-shard world, whose
+//     shards share one floor. Its skipped/row comes from the same queries
+//     fanned out inline (shard by shard through one cell) over a fixed
+//     sample of 64 users after the timer stops, so it repeats exactly.
 func BenchmarkShardScan(b *testing.B) {
 	auxS, base, anonN := scanFixture(b)
 	sh := New(base, auxS.UDA(), auxS, 1).Shards()[0]
@@ -308,7 +308,7 @@ func BenchmarkShardScan(b *testing.B) {
 		auxN := w.AuxUsers()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.QueryUser(i%anonN, 10)
+			w.QueryBatch([]int{i % anonN}, 10, 0)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*auxN), "ns/pair")
 		b.StopTimer()

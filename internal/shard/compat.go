@@ -1,7 +1,8 @@
 // Names kept only because the frozen benchmark program (benchmark/) still
 // uses them; scripts/benchmark_names.txt tags each one compat. The
-// approximate tier they named is retired: each forwards to the world's
-// exact engine, and the tier's knobs and counters are ignored.
+// single-user names forward to a one-user batch. The approximate tier the
+// others named is retired: each forwards to the world's exact engine, and
+// the tier's knobs and counters are ignored.
 
 package shard
 
@@ -21,11 +22,21 @@ func (w *World) WithApprox(cfg index.Config, _ *index.ApproxStats) *World {
 	return w.WithPruning(cfg, nil)
 }
 
-// QueryUserApprox is QueryUser.
+// TopK is a one-user TopKBatch.
 //
-// Deprecated: use QueryUser.
+// Deprecated: use TopKBatch.
+func (sh *Shard) TopK(u, k int) []Candidate { return sh.TopKBatch([]int{u}, k)[0] }
+
+// QueryUser is a one-user QueryBatch.
+//
+// Deprecated: use QueryBatch.
+func (w *World) QueryUser(u, k int) []Candidate { return w.QueryBatch([]int{u}, k, 0)[0] }
+
+// QueryUserApprox is a one-user QueryBatch.
+//
+// Deprecated: use QueryBatch.
 func (w *World) QueryUserApprox(u, k int, _ index.ApproxParams) []Candidate {
-	return w.QueryUser(u, k)
+	return w.QueryBatch([]int{u}, k, 0)[0]
 }
 
 // QueryBatchApprox is QueryBatch.

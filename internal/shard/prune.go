@@ -8,7 +8,7 @@
 // ranges) provably falls below the current K-th score. Whenever the proof
 // does not cover a user — the heap is not yet full, or a band's bound
 // reaches the threshold — that user is scanned exactly, so the pruned
-// path returns results bit-identical to Shard.TopK at every
+// path returns results bit-identical to Shard.TopKBatch at every
 // configuration. A query whose candidate set is dense (above
 // MaxCandidateFrac of the window) is handed to the shard's full scan,
 // which answers it faster and just as exactly; so each (shard, query) runs
@@ -62,10 +62,10 @@ func (sh *Shard) BuildIndex(cfg index.Config) {
 	sh.Index = index.Build(scorerSource{sh.Scorer}, cfg)
 }
 
-// TopKPruned is Shard.TopK through the candidate-pruning engine: same
-// candidates, same order, same scores — bit-identical — with the scan
-// restricted to attribute-overlap candidates plus the degree bands whose
-// structural bound cannot rule them out. st accumulates the pruning
+// TopKPruned is a one-user Shard.TopKBatch through the candidate-pruning
+// engine: same candidates, same order, same scores — bit-identical — with
+// the scan restricted to attribute-overlap candidates plus the degree
+// bands whose structural bound cannot rule them out. st accumulates the pruning
 // counters (atomically; pass the world's shared stats).
 func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candidate {
 	return sh.topKPruned(u, k, cfg, st, nil)

@@ -74,7 +74,7 @@ func TestPrunedParitySparse(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, 17} {
 				for u := 0; u < g1.NumNodes(); u++ {
-					candidatesEqual(t, pruned.QueryUser(u, k), full.QueryUser(u, k),
+					candidatesEqual(t, pruned.QueryBatch([]int{u}, k, 0)[0], full.QueryBatch([]int{u}, k, 0)[0],
 						world.name+" pruned parity")
 				}
 			}
@@ -122,7 +122,7 @@ func TestPrunedParityDense(t *testing.T) {
 	full := New(base, auxS.UDA(), auxS, 1)
 	pruned := New(base, auxS.UDA(), auxS, 3).WithPruning(index.Config{}, nil)
 	for u := 0; u < anonN; u++ {
-		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "dense pruned parity")
+		candidatesEqual(t, pruned.QueryBatch([]int{u}, 5, 0)[0], full.QueryBatch([]int{u}, 5, 0)[0], "dense pruned parity")
 	}
 	s := pruned.pruneStats()
 	if s.Queries == 0 {
@@ -146,7 +146,7 @@ func TestPrunedBandedDense(t *testing.T) {
 	full := New(base, auxS.UDA(), auxS, 1)
 	pruned := New(base, auxS.UDA(), auxS, 3).WithPruning(index.Config{MaxCandidateFrac: 1}, nil)
 	for u := 0; u < anonN; u++ {
-		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "dense banded parity")
+		candidatesEqual(t, pruned.QueryBatch([]int{u}, 5, 0)[0], full.QueryBatch([]int{u}, 5, 0)[0], "dense banded parity")
 	}
 	s := pruned.pruneStats()
 	if s.Queries == 0 || s.DenseQueries != 0 || s.Fallbacks != 0 {
@@ -181,7 +181,7 @@ func TestDenseHandOffParity(t *testing.T) {
 		for _, k := range []int{1, 10, smallest + 1, auxN + 5} {
 			for _, helpers := range []bool{false, true} {
 				for _, u := range users {
-					candidatesEqual(t, pruned.fanOut(u, k, helpers), full.QueryUser(u, k),
+					candidatesEqual(t, pruned.fanOut(u, k, helpers), full.QueryBatch([]int{u}, k, 0)[0],
 						fmt.Sprintf("shards=%d k=%d helpers=%v u=%d hand-off parity", shards, k, helpers, u))
 				}
 			}
@@ -205,7 +205,7 @@ func TestPrunedQueryBatch(t *testing.T) {
 	}
 	got := pruned.QueryBatch(users, 6, 3)
 	for i, u := range users {
-		candidatesEqual(t, got[i], full.QueryUser(u, 6), "pruned batch parity")
+		candidatesEqual(t, got[i], full.QueryBatch([]int{u}, 6, 0)[0], "pruned batch parity")
 	}
 }
 
@@ -220,7 +220,7 @@ func TestPrunedUnsafeConfigFallsBack(t *testing.T) {
 	st := &index.Stats{}
 	pruned := New(base, g2, nil, 2).WithPruning(index.Config{}, st)
 	for u := 0; u < g1.NumNodes(); u++ {
-		candidatesEqual(t, pruned.QueryUser(u, 5), full.QueryUser(u, 5), "unsafe config parity")
+		candidatesEqual(t, pruned.QueryBatch([]int{u}, 5, 0)[0], full.QueryBatch([]int{u}, 5, 0)[0], "unsafe config parity")
 	}
 	s := pruned.pruneStats()
 	if s.Fallbacks != s.Queries {
@@ -251,7 +251,7 @@ func TestWithScorerKeepsPruning(t *testing.T) {
 	}
 	full := New(re, g2, nil, 1)
 	for u := 0; u < g1.NumNodes(); u++ {
-		candidatesEqual(t, derived.QueryUser(u, 5), full.QueryUser(u, 5), "reweighted pruned parity")
+		candidatesEqual(t, derived.QueryBatch([]int{u}, 5, 0)[0], full.QueryBatch([]int{u}, 5, 0)[0], "reweighted pruned parity")
 	}
 	if derived.pruneStats().Queries != pruned.pruneStats().Queries {
 		t.Fatal("derived world must share the stats block")
@@ -264,10 +264,10 @@ func TestPrunedDegenerateK(t *testing.T) {
 	base := similarity.NewScorer(g1, g2, similarity.Config{C1: 0.05, C2: 0.05, C3: 0.9, Landmarks: 3})
 	pruned := New(base, g2, nil, 2).WithPruning(index.Config{}, nil)
 	full := New(base, g2, nil, 1)
-	if got := pruned.QueryUser(0, g2.NumNodes()+50); len(got) != g2.NumNodes() {
+	if got := pruned.QueryBatch([]int{0}, g2.NumNodes()+50, 0)[0]; len(got) != g2.NumNodes() {
 		t.Fatalf("k beyond population returned %d candidates, want %d", len(got), g2.NumNodes())
 	}
-	candidatesEqual(t, pruned.QueryUser(0, g2.NumNodes()+50), full.QueryUser(0, g2.NumNodes()+50), "k clamp parity")
+	candidatesEqual(t, pruned.QueryBatch([]int{0}, g2.NumNodes()+50, 0)[0], full.QueryBatch([]int{0}, g2.NumNodes()+50, 0)[0], "k clamp parity")
 }
 
 // TestTextWorldsAreDense pins the traffic the public layer's lack of

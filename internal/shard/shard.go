@@ -23,10 +23,11 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,17 +43,9 @@ type Candidate struct {
 	Score float64
 }
 
-// better reports whether a ranks before b under the global selection
-// order: higher score first, ties to the smaller global id.
-func better(a, b Candidate) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.User < b.User
-}
-
 // worse is the heap order of the bounded top-K heap (worst candidate at
-// the root): the exact inverse of better.
+// the root): the exact inverse of the global selection order (see
+// sortCandidates).
 func worse(a, b Candidate) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
@@ -100,26 +93,22 @@ func (sh *Shard) NumUsers() int { return sh.Hi - sh.Lo }
 // widths 1, 8 and 64, so both kinds share the one stride.
 const scoreBlock = 32
 
-// TopK returns the shard's k best candidates for anonymized user u with
-// global auxiliary ids, sorted under the global selection order; k is
-// clamped to the shard size. It is the batched scan (see scan in batch.go)
-// at width one — the single-user and batched paths share one loop.
-func (sh *Shard) TopK(u, k int) []Candidate {
-	return sh.topK(u, k, nil)
-}
-
-// topK is TopK sharing u's floor with the query's other shards through
-// cells (one cell; nil shares nothing). Its list may then omit rows another
-// shard has already outranked k times over, but never a global top-k one.
+// topK is TopKBatch at width one for anonymized user u, sharing u's floor
+// with the query's other shards through cells (one cell; nil shares
+// nothing). Its list may then omit rows another shard has already
+// outranked k times over, but never a global top-k one.
 func (sh *Shard) topK(u, k int, cells []floorCell) []Candidate {
 	users, res := [1]int{u}, [1][]Candidate{}
 	sh.scan(users[:], k, cells, nil, res[:])
 	return res[0]
 }
 
-// sortCandidates orders candidates under the global selection order.
+// sortCandidates orders candidates under the global selection order —
+// higher score first, ties to the smaller global id — without allocating.
 func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(a, b int) bool { return better(cs[a], cs[b]) })
+	slices.SortFunc(cs, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.User, b.User))
+	})
 }
 
 // World is the shard router: the auxiliary world cut into contiguous
@@ -131,10 +120,10 @@ func sortCandidates(cs []Candidate) {
 type World struct {
 	shards []*Shard
 	// scanTokens bounds the helper goroutines that all concurrent
-	// single-user queries on this world (and every derived view — the
+	// one-user batches on this world (and every derived view — the
 	// channel is shared) may have in flight at once, at GOMAXPROCS-1. A
 	// lone query fans out across all cores; when the callers (concurrent
-	// served queries, QueryBatch's pool) already saturate the CPUs the
+	// served queries, a pruned batch's pool) already saturate the CPUs the
 	// tokens run dry and queries degrade to inline shard scans instead of
 	// stacking goroutines multiplicatively on the scheduler.
 	scanTokens chan struct{}
@@ -293,12 +282,6 @@ spawn:
 	return MergeTopK(parts, k)
 }
 
-// QueryUser computes anonymized user u's global top-k: the single row
-// fanned out across shards (see fanOut) through the world's exact engine.
-func (w *World) QueryUser(u, k int) []Candidate {
-	return w.fanOut(u, k, true)
-}
-
 // MergeTopK merges per-shard top-k lists into the global top-k under the
 // global selection order (score descending, id ascending). Exact: every
 // global top-k candidate appears in its own shard's top-k, so sorting the
@@ -315,7 +298,7 @@ func MergeTopK(parts [][]Candidate, k int) []Candidate {
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(a, b int) bool { return better(all[a], all[b]) })
+	sortCandidates(all)
 	if k > len(all) {
 		k = len(all)
 	}

@@ -104,8 +104,8 @@ func TestBounds(t *testing.T) {
 }
 
 // TestShardedQueryParity is the package's core guarantee: for every shard
-// count — including 1, non-divisors, |aux| and beyond — QueryUser and
-// QueryBatch return bit-identical candidates to the single-shard world.
+// count — including 1, non-divisors, |aux| and beyond — lone and batched
+// queries return bit-identical candidates to the single-shard world.
 func TestShardedQueryParity(t *testing.T) {
 	auxS, auxUDA, base, anonN := testWorld(t, 26, 6, 11)
 	auxN := auxUDA.NumNodes()
@@ -133,8 +133,8 @@ func TestShardedQueryParity(t *testing.T) {
 		for _, k := range []int{1, 4, auxN + 5} {
 			batch := w.QueryBatch(users, k, 3)
 			for u := 0; u < anonN; u++ {
-				want := single.QueryUser(u, k)
-				got := w.QueryUser(u, k)
+				want := single.QueryBatch([]int{u}, k, 0)[0]
+				got := w.QueryBatch([]int{u}, k, 0)[0]
 				if len(got) != len(want) || len(batch[u]) != len(want) {
 					t.Fatalf("shards=%d k=%d user %d: lengths %d/%d, want %d", n, k, u, len(got), len(batch[u]), len(want))
 				}
@@ -254,7 +254,7 @@ func TestSharedFloorParity(t *testing.T) {
 	}
 }
 
-// TestQueryUserConcurrentParity runs one 3-shard world's QueryUser from
+// TestQueryUserConcurrentParity runs one 3-shard world's lone queries from
 // several goroutines at once, so the helper-token budget runs dry and
 // refills and a query's shards share their floor cell both inline and
 // across goroutines, and checks every answer against the 1-shard world.
@@ -269,7 +269,7 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 	for ki, k := range ks {
 		want[ki] = make([][]Candidate, anonN)
 		for u := range want[ki] {
-			want[ki][u] = single.QueryUser(u, k)
+			want[ki][u] = single.QueryBatch([]int{u}, k, 0)[0]
 		}
 	}
 	for _, w := range []*World{plain, plain.WithPruning(index.Config{}, nil)} {
@@ -281,7 +281,7 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 				for i := 0; i < anonN; i++ {
 					u := (i*7 + g*31) % anonN
 					for ki, k := range ks {
-						if got := w.QueryUser(u, k); !slices.Equal(got, want[ki][u]) {
+						if got := w.QueryBatch([]int{u}, k, 0)[0]; !slices.Equal(got, want[ki][u]) {
 							t.Errorf("pruned=%v goroutine %d k=%d u=%d: %+v, 1-shard world %+v", w.pruned(), g, k, u, got, want[ki][u])
 							return
 						}
@@ -335,7 +335,7 @@ func TestWithScorerReshard(t *testing.T) {
 		}
 	}
 	for u := 0; u < anonN; u++ {
-		a, b := got.QueryUser(u, 5), fresh.QueryUser(u, 5)
+		a, b := got.QueryBatch([]int{u}, 5, 0)[0], fresh.QueryBatch([]int{u}, 5, 0)[0]
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("user %d cand %d: %+v != %+v", u, i, a[i], b[i])
@@ -381,7 +381,7 @@ func TestEmptyWorld(t *testing.T) {
 	if w.N() != 1 || w.AuxUsers() != 0 {
 		t.Fatalf("empty world: %d shards over %d users, want 1 over 0", w.N(), w.AuxUsers())
 	}
-	if got := w.QueryUser(0, 5); len(got) != 0 {
+	if got := w.QueryBatch([]int{0}, 5, 0)[0]; len(got) != 0 {
 		t.Fatalf("query against empty aux world returned %v", got)
 	}
 }

@@ -1,10 +1,11 @@
 // Distributed parity: the acceptance contract of the router tier. A
 // router scatter-gathering over 1, 2 and 4 shard servers — real
 // dehealth.NewServer instances, each booted from its own snapshot slice —
-// must answer QueryUser and QueryBatch bit-identically to the
+// must answer lone queries and batches bit-identically to the
 // single-process PreparedWorld fan-out and the ScoreSlow oracle, in exact
 // and "approx" modes alike (the latter prepares with the deprecated
-// Options.Approx and sends the wire "approx" key, both answered exactly).
+// Options.Approx, answered exactly; the router ignores the wire "approx"
+// key, which internal/router's TestRouterHappyPath pins).
 // Every float crosses two JSON hops (router → shard server → router); Go
 // marshals float64 round-trip exactly, so bit-identity is required, not
 // approximated.
@@ -78,18 +79,18 @@ func TestRouterParity(t *testing.T) {
 			gotSingle := make([][]Candidate, anon)
 			for u := 0; u < anon; u++ {
 				allUsers[u] = u
-				res, err := r.QueryUser(context.Background(), u, k, mode.approx.Enabled)
+				res, err := r.QueryBatch(context.Background(), []int{u}, k)
 				if err != nil {
-					t.Fatalf("%s: router QueryUser(%d): %v", label, u, err)
+					t.Fatalf("%s: router QueryBatch([%d]): %v", label, u, err)
 				}
 				if res.Partial {
 					t.Fatalf("%s: healthy fleet answered partially (missing %v)", label, res.Missing)
 				}
-				gotSingle[u] = res.Candidates
+				gotSingle[u] = res.Results[0]
 			}
-			sameCandidates(t, label+" QueryUser", wantSingle, gotSingle)
+			sameCandidates(t, label+" lone", wantSingle, gotSingle)
 
-			br, err := r.QueryBatch(context.Background(), allUsers, k, mode.approx.Enabled)
+			br, err := r.QueryBatch(context.Background(), allUsers, k)
 			if err != nil {
 				t.Fatalf("%s: router QueryBatch: %v", label, err)
 			}

@@ -3,8 +3,11 @@
 # dehealth-router, cut a synthetic world into two snapshot slices, boot
 # one shard server per slice, front them with the router, and assert the
 # routed /v1/query and /v1/batch answers are complete (partial=false),
-# well-formed, and ordered score-desc/id-asc. Exercises the same
-# binaries and wire path an operator deploys, not the test harness.
+# well-formed, and ordered score-desc/id-asc; that a /v1/query answers
+# user 0 exactly as row 0 of a /v1/batch (the router sends both as one
+# batch); and that an "approx": true query gets the plain query's reply.
+# Exercises the same binaries and wire path an operator deploys, not the
+# test harness.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,13 +62,16 @@ echo "== routed queries"
 curl -fsS -X POST http://127.0.0.1:8800/v1/query \
   -d '{"user": 0, "k": 5}' | tee "$WORK/query.json"
 echo
+curl -fsS -X POST http://127.0.0.1:8800/v1/query \
+  -d '{"user": 0, "k": 5, "approx": true}' | tee "$WORK/query_approx.json"
+echo
 curl -fsS -X POST http://127.0.0.1:8800/v1/batch \
   -d '{"users": [0, 1, 2, 3], "k": 5}' | tee "$WORK/batch.json"
 echo
 curl -fsS http://127.0.0.1:8800/v1/stats
 echo
 
-python3 - "$WORK/query.json" "$WORK/batch.json" <<'PY'
+python3 - "$WORK/query.json" "$WORK/batch.json" "$WORK/query_approx.json" <<'PY'
 import json, sys
 
 def check_order(cands, label):
@@ -85,7 +91,12 @@ assert len(b["results"]) == 4, f"expected 4 result lists: {b}"
 for i, r in enumerate(b["results"]):
     assert len(r) == 5, f"batch user {i}: {len(r)} candidates, want 5"
     check_order(r, f"batch user {i}")
-assert b["results"][0] == q["candidates"], \
-    "batch and single answers for user 0 disagree"
-print("router smoke OK: complete, ordered, batch/single consistent")
+# Exactly: the same users and float bits (json.dumps tells -0.0 from 0.0).
+assert json.dumps(b["results"][0]) == json.dumps(q["candidates"]), \
+    f"user 0: query {q['candidates']} != batch row 0 {b['results'][0]}"
+
+qa = json.load(open(sys.argv[3]))
+assert json.dumps(qa) == json.dumps(q), \
+    f"approx query reply {qa} != plain query reply {q}"
+print("router smoke OK: complete, ordered, query == batch row 0, approx == plain")
 PY

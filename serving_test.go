@@ -22,8 +22,9 @@ func servingWorld(t *testing.T, users int, seed int64) *PreparedWorld {
 	return PrepareWorld(split.Anon, split.Aux, opt)
 }
 
-// TestQueryUserMatchesAttackTopK proves the public serving path returns
-// exactly the Top-K phase's candidate sets.
+// TestQueryUserMatchesAttackTopK proves the public serving path — lone
+// queries (one-user batches) and a full batch — returns exactly the Top-K
+// phase's candidate sets.
 func TestQueryUserMatchesAttackTopK(t *testing.T) {
 	pw := servingWorld(t, 30, 901)
 	opt := DefaultOptions()
@@ -44,10 +45,11 @@ func TestQueryUserMatchesAttackTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < anon; u++ {
-		single, err := pw.QueryUser(u, 5, opt)
+		rows, err := pw.QueryBatch([]int{u}, 5, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		single := rows[0]
 		want := res.TopK.Candidates[u]
 		if len(single) != len(want) || len(batch[u]) != len(want) {
 			t.Fatalf("user %d: lengths %d/%d, want %d", u, len(single), len(batch[u]), len(want))
@@ -58,10 +60,10 @@ func TestQueryUserMatchesAttackTopK(t *testing.T) {
 			}
 		}
 	}
-	if _, err := pw.QueryUser(-1, 5, opt); err == nil {
+	if _, err := pw.QueryBatch([]int{-1}, 5, opt); err == nil {
 		t.Fatal("negative user accepted")
 	}
-	if _, err := pw.QueryUser(anon, 5, opt); err == nil {
+	if _, err := pw.QueryBatch([]int{anon}, 5, opt); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
 }
@@ -75,7 +77,7 @@ func TestIngestThenQuery(t *testing.T) {
 	anon0, aux := pw.Sizes()
 
 	// Warm a pipeline first so ingestion exercises the incremental sync.
-	if _, err := pw.QueryUser(0, 3, opt); err != nil {
+	if _, err := pw.QueryBatch([]int{0}, 3, opt); err != nil {
 		t.Fatal(err)
 	}
 	id, err := pw.IngestUser("fresh-account", []IngestPost{
@@ -91,10 +93,11 @@ func TestIngestThenQuery(t *testing.T) {
 	if a, x := pw.Sizes(); a != anon0+1 || x != aux {
 		t.Fatalf("Sizes() = (%d, %d), want (%d, %d)", a, x, anon0+1, aux)
 	}
-	cands, err := pw.QueryUser(id, 7, opt)
+	rows, err := pw.QueryBatch([]int{id}, 7, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := rows[0]
 	if len(cands) != 7 {
 		t.Fatalf("ingested user got %d candidates, want 7", len(cands))
 	}
@@ -191,7 +194,7 @@ func TestServeConcurrentQueryIngest(t *testing.T) {
 }
 
 // TestShardedPreparedWorldParity proves Options.Shards is invisible in
-// results: a sharded prepared world answers QueryUser/QueryBatch with
+// results: a sharded prepared world answers lone and batched queries with
 // bit-identical candidates to an unsharded world over the same datasets,
 // including for users ingested after preparation.
 func TestShardedPreparedWorldParity(t *testing.T) {
@@ -241,10 +244,11 @@ func TestShardedPreparedWorldParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < anon; u++ {
-		single, err := sharded.QueryUser(u, 6, opt)
+		rows, err := sharded.QueryBatch([]int{u}, 6, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		single := rows[0]
 		for i := range flatBatch[u] {
 			if single[i] != flatBatch[u][i] || shardBatch[u][i] != flatBatch[u][i] {
 				t.Fatalf("user %d candidate %d: sharded %+v / batch %+v, want %+v",
@@ -353,7 +357,7 @@ func TestIngestRoutingStableAcrossRestarts(t *testing.T) {
 }
 
 // TestPreparedWorldOracleParity is the public-layer exactness guarantee:
-// sharded and unsharded worlds answer every QueryUser and QueryBatch —
+// sharded and unsharded worlds answer every lone and batched query —
 // including after ingestion — bit-identically to the ScoreSlow oracle.
 func TestPreparedWorldOracleParity(t *testing.T) {
 	opt := DefaultOptions()
@@ -376,7 +380,7 @@ func TestPreparedWorldOracleParity(t *testing.T) {
 		single, batch := worldAnswers(t, pw, 6, o)
 		oracle := oracleAnswers(t, pw, 6, o)
 		label := fmt.Sprintf("shards=%d", shards)
-		sameCandidates(t, label+" QueryUser", oracle, single)
+		sameCandidates(t, label+" lone", oracle, single)
 		sameCandidates(t, label+" QueryBatch", oracle, batch)
 	}
 }
@@ -430,7 +434,7 @@ func TestConcurrentQueryBatchIngest(t *testing.T) {
 	opt.Landmarks = 5
 	opt.Workers = 3
 	anon0, _ := pw.Sizes()
-	if _, err := pw.QueryUser(0, 3, opt); err != nil { // warm the pipeline
+	if _, err := pw.QueryBatch([]int{0}, 3, opt); err != nil { // warm the pipeline
 		t.Fatal(err)
 	}
 

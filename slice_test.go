@@ -36,7 +36,7 @@ func loadSlices(t *testing.T, pw *PreparedWorld, dir string) []*PreparedWorld {
 // full anonymized side over its own auxiliary partition, and answers its
 // window bit-identically to the full world — merging every slice's
 // (rebased) answer under the global order reproduces the full world's
-// QueryUser exactly.
+// answer exactly.
 func TestSliceRoundTrip(t *testing.T) {
 	pw, opt := snapWorld(t, 20, 7000, 3)
 	slices := loadSlices(t, pw, t.TempDir())
@@ -72,17 +72,19 @@ func TestSliceRoundTrip(t *testing.T) {
 	k := 5
 	oracle := oracleAnswers(t, pw, k, opt)
 	for u := 0; u < anonWant; u++ {
-		want, err := pw.QueryUser(u, k, opt)
+		rows, err := pw.QueryBatch([]int{u}, k, opt)
 		if err != nil {
-			t.Fatalf("full QueryUser(%d): %v", u, err)
+			t.Fatalf("full QueryBatch([%d]): %v", u, err)
 		}
+		want := rows[0]
 		parts := make([][]shard.Candidate, len(slices))
 		for i, sw := range slices {
 			info, _ := sw.SliceInfo()
-			cands, err := sw.QueryUser(u, k, sw.PreparedOptions())
+			rows, err := sw.QueryBatch([]int{u}, k, sw.PreparedOptions())
 			if err != nil {
-				t.Fatalf("slice %d QueryUser(%d): %v", i, u, err)
+				t.Fatalf("slice %d QueryBatch([%d]): %v", i, u, err)
 			}
+			cands := rows[0]
 			rebased := make([]shard.Candidate, len(cands))
 			for j, c := range cands {
 				rebased[j] = shard.Candidate{User: c.User + info.Lo, Score: c.Score}

@@ -4,7 +4,7 @@
 // matrices, UDA adjacency, scorer caches, datasets — and LoadWorld
 // rebuilds a PreparedWorld from the file without re-running extraction or
 // precomputation. The contract is bit-identity:
-// the loaded world answers QueryUser/QueryBatch/Attack byte-for-byte like
+// the loaded world answers QueryBatch/Attack byte-for-byte like
 // the world that saved it, because every float the scoring kernel reads is
 // carried through the file verbatim and only exactly-reproducible integer
 // state is re-derived on load.
@@ -234,10 +234,10 @@ type LoadOptions struct {
 }
 
 // LoadWorld restores a PreparedWorld from a snapshot written by
-// (*PreparedWorld).Snapshot. The restored world answers QueryUser,
-// QueryBatch and Attack bit-identically to the world that saved it, at
-// the same shard count; it can keep ingesting (growth reallocates — the
-// mapped file is never written). Files written with pruning on, by older
+// (*PreparedWorld).Snapshot. The restored world answers QueryBatch and
+// Attack bit-identically to the world that saved it, at the same shard
+// count; it can keep ingesting (growth reallocates — the mapped file is
+// never written). Files written with pruning on, by older
 // versions, carry per-shard index sections: they are validated, then
 // ignored, and the restored world runs the exact scan. Failures return
 // typed errors: ErrNotSnapshot, ErrSnapshotVersion, ErrSnapshotTruncated

@@ -74,7 +74,7 @@ func checkFixtureCompat(t *testing.T, path string, version uint16) {
 			w, wb := worldAnswers(t, want, 5, mode.opt)
 			g, gb := worldAnswers(t, lw, 5, mode.opt)
 			label := fmt.Sprintf("%s noMmap=%v %s", path, noMmap, mode.name)
-			sameCandidates(t, label+" QueryUser", w, g)
+			sameCandidates(t, label+" lone", w, g)
 			sameCandidates(t, label+" QueryBatch", wb, gb)
 		}
 	}

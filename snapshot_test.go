@@ -35,8 +35,8 @@ func snapWorld(t *testing.T, users int, seed int64, shards int) (*PreparedWorld,
 	return PrepareWorld(split.Anon, split.Aux, opt), opt
 }
 
-// worldAnswers collects every user's QueryUser answer plus one full
-// QueryBatch — the complete query surface the parity tests compare.
+// worldAnswers collects every user's lone-query answer (a one-user batch)
+// plus one full QueryBatch — both engines the parity tests compare.
 func worldAnswers(t *testing.T, pw *PreparedWorld, k int, opt Options) ([][]Candidate, [][]Candidate) {
 	t.Helper()
 	anon, _ := pw.Sizes()
@@ -44,10 +44,11 @@ func worldAnswers(t *testing.T, pw *PreparedWorld, k int, opt Options) ([][]Cand
 	single := make([][]Candidate, anon)
 	for u := 0; u < anon; u++ {
 		users[u] = u
-		cands, err := pw.QueryUser(u, k, opt)
+		rows, err := pw.QueryBatch([]int{u}, k, opt)
 		if err != nil {
-			t.Fatalf("QueryUser(%d): %v", u, err)
+			t.Fatalf("QueryBatch([%d]): %v", u, err)
 		}
+		cands := rows[0]
 		single[u] = cands
 	}
 	batch, err := pw.QueryBatch(users, k, opt)
@@ -103,7 +104,7 @@ func sameCandidates(t *testing.T, label string, want, got [][]Candidate) {
 
 // TestSnapshotRoundTripParity is the PR's acceptance contract: across
 // shard counts and both load paths (mmap and copying), a saved-and-reloaded
-// world answers QueryUser and QueryBatch byte-for-byte identically to the
+// world answers lone and batched queries byte-for-byte identically to the
 // world that saved it, and both match the ScoreSlow oracle.
 func TestSnapshotRoundTripParity(t *testing.T) {
 	for _, shards := range []int{1, 3} {
@@ -127,7 +128,7 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 			}
 			gotSingle, gotBatch := worldAnswers(t, lw, 5, lw.PreparedOptions())
 			label := fmt.Sprintf("shards=%d noMmap=%v", shards, noMmap)
-			sameCandidates(t, label+" QueryUser", wantSingle, gotSingle)
+			sameCandidates(t, label+" lone", wantSingle, gotSingle)
 			sameCandidates(t, label+" QueryBatch", wantBatch, gotBatch)
 		}
 	}
@@ -188,7 +189,7 @@ func TestSnapshotIngestAfterLoad(t *testing.T) {
 	anon0, _ := lw.Sizes()
 	// Warm a pipeline first so ingestion exercises the incremental sync
 	// against the restored scorer caches.
-	if _, err := lw.QueryUser(0, 3, opt); err != nil {
+	if _, err := lw.QueryBatch([]int{0}, 3, opt); err != nil {
 		t.Fatal(err)
 	}
 	id, err := lw.IngestUser("post-restart-account", []IngestPost{
@@ -201,10 +202,11 @@ func TestSnapshotIngestAfterLoad(t *testing.T) {
 	if id != anon0 {
 		t.Fatalf("ingested id %d, want %d", id, anon0)
 	}
-	cands, err := lw.QueryUser(id, 5, opt)
+	rows, err := lw.QueryBatch([]int{id}, 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := rows[0]
 	if len(cands) != 5 {
 		t.Fatalf("ingested user got %d candidates, want 5", len(cands))
 	}
@@ -273,7 +275,7 @@ func TestSnapshotAfterIngestDrain(t *testing.T) {
 			t.Fatalf("%s: restored %d anon users, want %d (ingested account lost)", path, la, wa)
 		}
 		got, gotBatch := worldAnswers(t, lw, 5, lw.PreparedOptions())
-		sameCandidates(t, path+" QueryUser", want, got)
+		sameCandidates(t, path+" lone", want, got)
 		sameCandidates(t, path+" QueryBatch", wantBatch, gotBatch)
 	}
 }
