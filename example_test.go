@@ -64,6 +64,41 @@ func ExamplePreparedWorld_QueryUser() {
 	// sorted by score: true
 }
 
+// ExamplePreparedWorld_QueryBatch answers three anonymized users in one
+// call: QueryBatch is the one query method, and row i of its answer is
+// exactly what a lone query (a one-user batch) for users[i] returns.
+func ExamplePreparedWorld_QueryBatch() {
+	world := dehealth.GenerateWorld(dehealth.WorldConfig{WebMDUsers: 24, HBUsers: 24, Seed: 5})
+	split := dehealth.SplitClosedWorld(world.WebMD, 0.5, 15)
+
+	opt := dehealth.DefaultOptions()
+	opt.MaxBigrams = 50
+	opt.Landmarks = 5
+	pw := dehealth.PrepareWorld(split.Anon, split.Aux, opt)
+
+	users := []int{0, 3, 7}
+	rows, err := pw.QueryBatch(users, 4, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, u := range users {
+		lone, err := pw.QueryBatch([]int{u}, 4, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		same := len(lone[0]) == len(rows[i])
+		for j := range rows[i] {
+			same = same && rows[i][j] == lone[0][j] // bit-identical scores
+		}
+		fmt.Printf("user %d: %d candidates, best first: %v, same as a lone query: %v\n",
+			u, len(rows[i]), rows[i][0].Score >= rows[i][len(rows[i])-1].Score, same)
+	}
+	// Output:
+	// user 0: 4 candidates, best first: true, same as a lone query: true
+	// user 3: 4 candidates, best first: true, same as a lone query: true
+	// user 7: 4 candidates, best first: true, same as a lone query: true
+}
+
 // ExamplePreparedWorld_Ingest grows a live world with a newly observed
 // anonymous account and immediately queries it.
 func ExamplePreparedWorld_Ingest() {

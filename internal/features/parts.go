@@ -1,9 +1,8 @@
-// Snapshot support: FromParts rebuilds a Store from a saved flat feature
-// matrix, attribute sets and correlation topology — skipping extraction,
-// the cost that warm restart exists to avoid — and Matrix exposes the
-// post-major matrix for saving. Per-user views and the thread-participant
-// index are cheap derivations from the dataset and are rebuilt, not
-// serialized.
+// Snapshot support: Rows exposes the post-major feature rows for saving,
+// and FromParts rebuilds a Store from saved rows, attribute sets and
+// correlation topology — skipping extraction, the cost that warm restart
+// exists to avoid. Per-user views and the thread-participant index are
+// cheap derivations from the dataset and are rebuilt, not serialized.
 
 package features
 
@@ -15,34 +14,29 @@ import (
 	"dehealth/internal/stylometry"
 )
 
-// Matrix returns the store's post-major feature matrix as one flat array
-// of NumPosts() x Dim() values (row i is post i's vector). Before any
-// Append this is the Build-time backing array itself (do not modify);
-// after growth it is a fresh concatenation of every row.
-func (s *Store) Matrix() []float64 {
-	if len(s.flat) == s.dim*len(s.rows) {
-		return s.flat
-	}
-	out := make([]float64, 0, s.dim*len(s.rows))
-	for _, r := range s.rows {
-		out = append(out, r...)
-	}
-	return out
-}
+// Rows returns the store's post-major feature rows: row i is post i's
+// vector of Dim() values, a view of the Build-time matrix or of an Append
+// block (shared; do not modify).
+func (s *Store) Rows() [][]float64 { return s.rows }
 
-// FromParts rebuilds a Store over d from a saved feature matrix and
-// attribute sets, adopting flat as the backing matrix without copying (it
-// may be a read-only snapshot mapping: the store never writes Build-time
-// rows, and Append blocks are freshly allocated). topo, when non-nil, is
-// the saved correlation topology and is installed as the UDA graph's
-// Graph — the lazy UDA build is pre-satisfied, so no topology pass runs at
-// load time. The per-user views are re-derived from the dataset exactly as
-// Build derives them.
-func FromParts(d *corpus.Dataset, ex *stylometry.Extractor, flat []float64, attrs []stylometry.AttrSet, topo *graph.Graph, opt Options) (*Store, error) {
+// FromParts rebuilds a Store over d from saved feature rows and attribute
+// sets, adopting rows and their backing without copying (it may be a
+// read-only snapshot mapping: the store never writes existing rows, and
+// Append blocks are freshly allocated). topo, when non-nil, is the saved
+// correlation topology and is installed as the UDA graph's Graph — the
+// lazy UDA build is pre-satisfied, so no topology pass runs at load time.
+// The per-user views are re-derived from the dataset exactly as Build
+// derives them. No row value is read.
+func FromParts(d *corpus.Dataset, ex *stylometry.Extractor, rows [][]float64, attrs []stylometry.AttrSet, topo *graph.Graph, opt Options) (*Store, error) {
 	dim := ex.NumFeatures()
 	n := len(d.Posts)
-	if len(flat) != n*dim {
-		return nil, fmt.Errorf("features: matrix of %d values for %d posts x %d features", len(flat), n, dim)
+	if len(rows) != n {
+		return nil, fmt.Errorf("features: %d feature rows for %d posts", len(rows), n)
+	}
+	for i, r := range rows {
+		if len(r) != dim {
+			return nil, fmt.Errorf("features: row %d has %d values, want %d features", i, len(r), dim)
+		}
 	}
 	if len(attrs) != len(d.Users) {
 		return nil, fmt.Errorf("features: %d attribute sets for %d users", len(attrs), len(d.Users))
@@ -55,11 +49,7 @@ func FromParts(d *corpus.Dataset, ex *stylometry.Extractor, flat []float64, attr
 		Extractor: ex,
 		opt:       opt,
 		dim:       dim,
-		flat:      flat,
-		rows:      make([][]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		s.rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		rows:      rows,
 	}
 	byUser := d.PostsByUser()
 	s.perUser = make([][][]float64, len(d.Users))

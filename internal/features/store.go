@@ -71,8 +71,7 @@ type Store struct {
 
 	opt     Options
 	dim     int
-	flat    []float64     // Build-time |posts| × dim feature matrix, post-major
-	rows    [][]float64   // rows[i] = post i's vector (views into flat or append blocks)
+	rows    [][]float64   // rows[i] = post i's vector (views into the Build-time matrix or append blocks)
 	perUser [][][]float64 // perUser[u] = u's post vectors in post order
 	attrs   []stylometry.AttrSet
 
@@ -107,11 +106,11 @@ func Build(d *corpus.Dataset, ex *stylometry.Extractor, opt Options) *Store {
 		Extractor: ex,
 		opt:       opt,
 		dim:       dim,
-		flat:      make([]float64, n*dim),
 		rows:      make([][]float64, n),
 	}
+	flat := make([]float64, n*dim) // |posts| × dim, post-major
 	parallelFor(n, opt.workerCount(n), func(i int) {
-		row := s.flat[i*dim : (i+1)*dim : (i+1)*dim]
+		row := flat[i*dim : (i+1)*dim : (i+1)*dim]
 		ex.ExtractInto(row, d.Posts[i].Text)
 		s.rows[i] = row
 	})

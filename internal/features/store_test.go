@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -62,21 +63,30 @@ func TestStoreMatchesExtractAll(t *testing.T) {
 	}
 }
 
-// TestStoreWorkerCountIrrelevant proves the flat matrix does not depend on
-// the worker-pool size.
+// sameRows fails t unless got holds exactly want's feature rows, bit for
+// bit.
+func sameRows(t *testing.T, label string, want, got *Store) {
+	t.Helper()
+	if len(want.rows) != len(got.rows) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got.rows), len(want.rows))
+	}
+	for i, row := range want.rows {
+		for j, v := range row {
+			if got.rows[i][j] != v {
+				t.Fatalf("%s: row %d value %d = %v, want %v", label, i, j, got.rows[i][j], v)
+			}
+		}
+	}
+}
+
+// TestStoreWorkerCountIrrelevant proves the feature matrix does not depend
+// on the worker-pool size.
 func TestStoreWorkerCountIrrelevant(t *testing.T) {
 	d := testForum(t, 30, 6, 9)
 	ex := NewExtractor(d.Texts(), 50)
 	serial := Build(d, ex, Options{Workers: 1})
 	parallel := Build(d, ex, Options{Workers: 8})
-	if len(serial.flat) != len(parallel.flat) {
-		t.Fatalf("flat sizes differ: %d vs %d", len(serial.flat), len(parallel.flat))
-	}
-	for i := range serial.flat {
-		if serial.flat[i] != parallel.flat[i] {
-			t.Fatalf("flat[%d]: %v != %v", i, serial.flat[i], parallel.flat[i])
-		}
-	}
+	sameRows(t, "8 workers", serial, parallel)
 }
 
 // TestStoreRowViews checks that per-post rows and per-user slices are views
@@ -115,11 +125,7 @@ func TestConcurrentBuild(t *testing.T) {
 	}
 	wg.Wait()
 	for g, s := range stores {
-		for i := range ref.flat {
-			if s.flat[i] != ref.flat[i] {
-				t.Fatalf("goroutine %d: flat[%d] = %v, want %v", g, i, s.flat[i], ref.flat[i])
-			}
-		}
+		sameRows(t, fmt.Sprintf("goroutine %d", g), ref, s)
 	}
 }
 

@@ -100,6 +100,24 @@ func decodeF64(b []byte, alias bool) ([]float64, error) {
 	return out, nil
 }
 
+// decodeRows decodes a float64 matrix section into row views of dim
+// values each, all over the one decoded array; alias permits that array
+// to be a zero-copy view.
+func decodeRows(b []byte, dim int, alias bool) ([][]float64, error) {
+	flat, err := decodeF64(b, alias)
+	if err != nil || len(flat) == 0 {
+		return nil, err
+	}
+	if dim <= 0 || len(flat)%dim != 0 {
+		return nil, fmt.Errorf("%w: matrix of %d values does not tile rows of %d", ErrCorrupt, len(flat), dim)
+	}
+	rows := make([][]float64, len(flat)/dim)
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows, nil
+}
+
 // decodeInts decodes an int64 section into []int; alias permits a
 // zero-copy view on 64-bit hosts. The copying path rejects values that do
 // not fit the host int.

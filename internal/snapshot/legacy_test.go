@@ -127,7 +127,7 @@ func TestLegacyIndexBlobRejectsMalformed(t *testing.T) {
 // CI-length run shrinking the first mutant of one. Inputs go through
 // parseRaw and world, which is Load minus the file read: a file per input
 // would make every run (and the minimizer's many) pay for the file
-// system, and a mapping is never unmapped (see readFileBytes).
+// system, and a mapping is never unmapped (see mapFile).
 func FuzzLoad(f *testing.F) {
 	seed := func(path string, version uint16) {
 		b, err := os.ReadFile(path)
@@ -149,7 +149,7 @@ func FuzzLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, rechecksummed(b)} {
-			raw, err := parseRaw(in, false)
+			raw, err := parseRaw(in, nil)
 			var w *World
 			if err == nil {
 				w, err = raw.world()

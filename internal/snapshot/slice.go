@@ -15,7 +15,6 @@
 package snapshot
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -67,7 +66,7 @@ func SliceForShard(full *World, i int, bounds []int) (*World, error) {
 	out.Meta.Slice = &SliceMeta{Shard: i, Shards: n, Lo: lo, Hi: hi, AuxTotal: total}
 	out.Anon = full.Anon
 
-	aux, err := sliceAuxSide(&full.Aux, full.Meta.Dim, lo, hi)
+	aux, err := sliceAuxSide(&full.Aux, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -76,26 +75,24 @@ func SliceForShard(full *World, i int, bounds []int) (*World, error) {
 	return out, nil
 }
 
-// sliceAuxSide restricts one dataset side to the user window [lo, hi):
-// the dataset keeps the window's users (re-densified to local ids), their
-// posts (global post order preserved, so per-user post order — and hence
-// the per-user feature views — survive), and the threads those posts
-// belong to; the flat feature matrix keeps exactly the kept posts' rows;
-// attribute sets and CSR adjacency are window-sliced, with cross-window
-// edges dropped (scoring reads the scorer's precomputed arrays, never
-// the sliced topology).
-func sliceAuxSide(full *Side, dim, lo, hi int) (Side, error) {
+// sliceAuxSide restricts one dataset side to the user window [lo, hi),
+// cut from the side's in-memory dataset: the dataset keeps the window's
+// users (re-densified to local ids), their posts (global post order
+// preserved, so per-user post order — and hence the per-user feature
+// views — survive), and the threads those posts belong to; the feature
+// matrix keeps exactly the kept posts' rows, as views of the full side's
+// rows; attribute sets and CSR adjacency are window-sliced, with
+// cross-window edges dropped (scoring reads the scorer's precomputed
+// arrays, never the sliced topology).
+func sliceAuxSide(full *Side, lo, hi int) (Side, error) {
 	var s Side
-	var d corpus.Dataset
-	if err := json.Unmarshal(full.Dataset, &d); err != nil {
-		return s, fmt.Errorf("%w: aux dataset blob: %v", ErrCorrupt, err)
-	}
-	if hi > len(d.Users) {
-		return s, fmt.Errorf("snapshot: slice [%d, %d) exceeds dataset of %d users", lo, hi, len(d.Users))
+	d := full.Dataset
+	if d == nil || hi > len(d.Users) {
+		return s, fmt.Errorf("snapshot: slice [%d, %d) exceeds the aux dataset", lo, hi)
 	}
 	m := hi - lo
-	if len(full.Feat) != len(d.Posts)*dim {
-		return s, fmt.Errorf("%w: aux matrix of %d values for %d posts x %d features", ErrCorrupt, len(full.Feat), len(d.Posts), dim)
+	if len(full.Feat) != len(d.Posts) {
+		return s, fmt.Errorf("snapshot: aux matrix of %d rows for %d posts", len(full.Feat), len(d.Posts))
 	}
 
 	// Threads are looked up by id (ids need not be dense in a split
@@ -113,7 +110,6 @@ func sliceAuxSide(full *Side, dim, lo, hi int) (Side, error) {
 	}
 	threadLocal := map[int]int{} // global thread id -> local thread index
 	starterOf := map[int]int{}   // local thread index -> original starter
-	var keptRows []int           // global post indices kept, in order
 	for pi, p := range d.Posts {
 		if p.User < lo || p.User >= hi {
 			continue
@@ -131,7 +127,7 @@ func sliceAuxSide(full *Side, dim, lo, hi int) (Side, error) {
 		sliced.Posts = append(sliced.Posts, corpus.Post{
 			ID: len(sliced.Posts), User: p.User - lo, Thread: tl, Text: p.Text,
 		})
-		keptRows = append(keptRows, pi)
+		s.Feat = append(s.Feat, full.Feat[pi])
 	}
 	// A thread's starter stays when it is inside the window; otherwise the
 	// thread's first in-window poster stands in (the field only matters
@@ -144,17 +140,7 @@ func sliceAuxSide(full *Side, dim, lo, hi int) (Side, error) {
 	if err := sliced.Validate(); err != nil {
 		return s, fmt.Errorf("snapshot: sliced aux dataset invalid: %v", err)
 	}
-	blob, err := json.Marshal(&sliced)
-	if err != nil {
-		return s, fmt.Errorf("snapshot: encoding sliced aux dataset: %v", err)
-	}
-	s.Dataset = blob
-
-	feat := make([]float64, 0, len(keptRows)*dim)
-	for _, pi := range keptRows {
-		feat = append(feat, full.Feat[pi*dim:(pi+1)*dim]...)
-	}
-	s.Feat = feat
+	s.Dataset = &sliced
 
 	// Attribute sets: one contiguous run of the flat arrays, offsets
 	// rebased to the window.

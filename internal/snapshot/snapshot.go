@@ -22,14 +22,18 @@
 // alias the mapping zero-copy; otherwise each section is decoded into
 // fresh heap memory. Aliased memory is read-only: every consumer of the
 // restored arrays only reads them (growth of the anonymized side appends,
-// which reallocates), per the contract in docs/SNAPSHOT.md.
+// which reallocates), per the contract in docs/SNAPSHOT.md. A mapped
+// file's checksums are read through its descriptor, not the mapping, so
+// loading leaves the sections' pages on disk until something reads them.
 package snapshot
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -79,11 +83,36 @@ type Options struct {
 	NoMmap bool
 }
 
-// rawSection is one section: a typed id and its raw little-endian bytes.
+// rawSection is one section: a typed id and its raw little-endian bytes,
+// held as runs laid end to end. The writer takes a matrix as one run per
+// row, so it writes row views without first copying them into one array;
+// a section of a loaded file is always a single run over the file's bytes.
 type rawSection struct {
 	id   uint32
-	data []byte
+	runs [][]byte
 }
+
+// size returns the section's length in bytes.
+func (s rawSection) size() uint64 {
+	n := uint64(0)
+	for _, r := range s.runs {
+		n += uint64(len(r))
+	}
+	return n
+}
+
+// checksum returns the CRC-32C of the section's bytes.
+func (s rawSection) checksum() uint32 {
+	crc := uint32(0)
+	for _, r := range s.runs {
+		crc = crc32.Update(crc, castagnoli, r)
+	}
+	return crc
+}
+
+// ioBufSize is the size of the buffer a snapshot is written through and
+// of the one a mapped snapshot's sections are checksummed through.
+const ioBufSize = 1 << 20
 
 // align8 rounds n up to the next multiple of 8 — the section alignment
 // that makes zero-copy float64/int64 views safe on the mapped file.
@@ -98,7 +127,7 @@ func writeRaw(path string, secs []rawSection) (err error) {
 	offs := make([]uint64, len(secs))
 	for i, s := range secs {
 		offs[i] = off
-		off = align8(off + uint64(len(s.data)))
+		off = align8(off + s.size())
 	}
 	total := off
 
@@ -110,9 +139,9 @@ func writeRaw(path string, secs []rawSection) (err error) {
 	for i, s := range secs {
 		e := header[headerSize+i*entrySize:]
 		binary.LittleEndian.PutUint32(e[0:], s.id)
-		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(s.data, castagnoli))
+		binary.LittleEndian.PutUint32(e[4:], s.checksum())
 		binary.LittleEndian.PutUint64(e[8:], offs[i])
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
+		binary.LittleEndian.PutUint64(e[16:], s.size())
 	}
 	binary.LittleEndian.PutUint32(header[12:], crc32.Checksum(header[headerSize:], castagnoli))
 
@@ -126,27 +155,35 @@ func writeRaw(path string, secs []rawSection) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if _, err = tmp.Write(header); err != nil {
+	// Runs shorter than the buffer are gathered into it; longer ones go
+	// straight to the file.
+	bw := bufio.NewWriterSize(tmp, ioBufSize)
+	if _, err = bw.Write(header); err != nil {
 		return err
 	}
 	pos := uint64(len(header))
 	var pad [8]byte
 	for i, s := range secs {
 		if offs[i] > pos {
-			if _, err = tmp.Write(pad[:offs[i]-pos]); err != nil {
+			if _, err = bw.Write(pad[:offs[i]-pos]); err != nil {
 				return err
 			}
 			pos = offs[i]
 		}
-		if _, err = tmp.Write(s.data); err != nil {
-			return err
+		for _, r := range s.runs {
+			if _, err = bw.Write(r); err != nil {
+				return err
+			}
 		}
-		pos += uint64(len(s.data))
+		pos += s.size()
 	}
 	if total > pos { // trailing alignment of the last section
-		if _, err = tmp.Write(pad[:total-pos]); err != nil {
+		if _, err = bw.Write(pad[:total-pos]); err != nil {
 			return err
 		}
+	}
+	if err = bw.Flush(); err != nil {
+		return err
 	}
 	if err = tmp.Sync(); err != nil {
 		return err
@@ -180,24 +217,37 @@ type rawFile struct {
 	// version is the file's stated format version, in [minVersion, Version];
 	// decoders with per-version layouts branch on it.
 	version int
-	secs    []rawSection // data fields alias rawFile.data
+	secs    []rawSection // each one run, aliasing rawFile.data
 }
 
 // readRaw opens, (optionally) maps and fully validates a snapshot file
-// (see parseRaw).
+// (see parseRaw). The descriptor stays open until validation ends: a
+// mapped file's checksums are read through it.
 func readRaw(path string, noMmap bool) (*rawFile, error) {
-	data, mapped, err := readFileBytes(path, noMmap)
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return parseRaw(data, mapped)
+	defer file.Close() // a mapping outlives the descriptor
+	data, mapped, err := mapFile(file, noMmap)
+	if err != nil {
+		return nil, err
+	}
+	if !mapped {
+		return parseRaw(data, nil)
+	}
+	return parseRaw(data, file)
 }
 
 // parseRaw validates a snapshot file's bytes: magic, version, size, table
-// checksum, per-section bounds, alignment and checksums. mapped reports
-// that data is a read-only mapping the sections may alias. Any failure
+// checksum, per-section bounds, alignment and checksums. A non-nil file
+// means data is a read-only mapping of it that the sections may alias;
+// the sections' checksums are then read through file into one reused
+// buffer, not through the mapping, so validation leaves no section page
+// resident and a loaded world's resident set is what its queries read.
+// The header and the table are read from data either way. Any failure
 // returns a typed error and no data.
-func parseRaw(data []byte, mapped bool) (*rawFile, error) {
+func parseRaw(data []byte, file io.ReaderAt) (*rawFile, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerSize)
 	}
@@ -225,7 +275,11 @@ func parseRaw(data []byte, mapped bool) (*rawFile, error) {
 	if crc32.Checksum(table, castagnoli) != tableCRC {
 		return nil, fmt.Errorf("%w: section table checksum mismatch", ErrCorrupt)
 	}
-	f := &rawFile{data: data, zeroCopy: mapped && nativeLittleEndian && intIs64, version: version}
+	var buf []byte
+	if file != nil {
+		buf = make([]byte, min(ioBufSize, stated))
+	}
+	f := &rawFile{data: data, zeroCopy: file != nil && nativeLittleEndian && intIs64, version: version}
 	f.secs = make([]rawSection, count)
 	covered := uint64(0) // section bytes so far; sections never overlap
 	for i := range f.secs {
@@ -242,13 +296,39 @@ func parseRaw(data []byte, mapped bool) (*rawFile, error) {
 		if covered += n; covered > stated-tableEnd {
 			return nil, fmt.Errorf("%w: sections claim more bytes than the file holds", ErrCorrupt)
 		}
-		body := data[off : off+n]
-		if crc32.Checksum(body, castagnoli) != crc {
+		got, err := sectionCRC(data, file, buf, off, n)
+		if err != nil {
+			return nil, err
+		}
+		if got != crc {
 			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id)
 		}
-		f.secs[i] = rawSection{id: id, data: body}
+		f.secs[i] = rawSection{id: id, runs: [][]byte{data[off : off+n]}}
 	}
 	return f, nil
+}
+
+// sectionCRC returns the CRC-32C of data[off:off+n]. When data maps file,
+// the bytes are read through file into buf a chunk at a time instead, and
+// data is never touched. A short read fails typed.
+func sectionCRC(data []byte, file io.ReaderAt, buf []byte, off, n uint64) (uint32, error) {
+	if file == nil {
+		return crc32.Checksum(data[off:off+n], castagnoli), nil
+	}
+	crc := uint32(0)
+	for end := off + n; off < end; {
+		chunk := buf[:min(end-off, uint64(len(buf)))]
+		got, err := file.ReadAt(chunk, int64(off))
+		if got < len(chunk) {
+			if err == nil || errors.Is(err, io.EOF) {
+				return 0, fmt.Errorf("%w: file ends inside a section, at %d", ErrTruncated, off+uint64(got))
+			}
+			return 0, fmt.Errorf("%w: reading section bytes at %d: %v", ErrCorrupt, off, err)
+		}
+		crc = crc32.Update(crc, castagnoli, chunk)
+		off += uint64(got)
+	}
+	return crc, nil
 }
 
 // section returns the single section with the given id, or an ErrCorrupt
@@ -261,7 +341,7 @@ func (f *rawFile) section(id uint32) ([]byte, error) {
 			if seen {
 				return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
 			}
-			found, seen = s.data, true
+			found, seen = s.runs[0], true
 		}
 	}
 	if !seen {
@@ -276,7 +356,7 @@ func (f *rawFile) sections(id uint32) [][]byte {
 	var out [][]byte
 	for _, s := range f.secs {
 		if s.id == id {
-			out = append(out, s.data)
+			out = append(out, s.runs[0])
 		}
 	}
 	return out

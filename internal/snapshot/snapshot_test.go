@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dehealth/internal/corpus"
 	"dehealth/internal/similarity"
 )
 
@@ -23,8 +25,8 @@ func fixtureWorld() *World {
 			Dim: 3, Bigrams: [][2]int{{0, 1}, {2, 3}},
 		},
 		Anon: Side{
-			Dataset:    []byte(`{"name":"anon"}`),
-			Feat:       []float64{1, 2, 3, 4, 5, 6},
+			Dataset:    &corpus.Dataset{Name: "anon"},
+			Feat:       [][]float64{{1, 2, 3}, {4, 5, 6}},
 			AttrIdx:    []int32{0, 2, 3},
 			AttrWeight: []int32{1, 1, 2},
 			AttrOff:    []int{0, 1, 3},
@@ -33,8 +35,8 @@ func fixtureWorld() *World {
 			AdjWeight:  []float64{0.5, 0.5},
 		},
 		Aux: Side{
-			Dataset:    []byte(`{"name":"aux"}`),
-			Feat:       []float64{6, 5, 4, 3, 2, 1},
+			Dataset:    &corpus.Dataset{Name: "aux"},
+			Feat:       [][]float64{{6, 5, 4}, {3, 2, 1}},
 			AttrIdx:    []int32{1, 0, 2},
 			AttrWeight: []int32{2, 1, 1},
 			AttrOff:    []int{0, 1, 3},
@@ -164,6 +166,33 @@ func TestLoadSectionCorruption(t *testing.T) {
 	}
 }
 
+// TestMappedChecksumShortRead pins the mapped path's checksum reads: the
+// sum read through the descriptor equals the sum of the bytes, a file
+// that ends inside a section fails ErrTruncated, and a failing read fails
+// ErrCorrupt.
+func TestMappedChecksumShortRead(t *testing.T) {
+	data := make([]byte, 3000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	buf := make([]byte, 256) // several chunks per section
+	want := crc32.Checksum(data[40:2900], castagnoli)
+	if got, err := sectionCRC(data, bytes.NewReader(data), buf, 40, 2860); err != nil || got != want {
+		t.Fatalf("CRC through the reader = %08x, %v; want %08x", got, err, want)
+	}
+	if _, err := sectionCRC(data, bytes.NewReader(data[:1000]), buf, 40, 2860); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("reader ending inside the section: want ErrTruncated, got %v", err)
+	}
+	if _, err := sectionCRC(data, failingReader{}, buf, 40, 2860); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("failing reader: want ErrCorrupt, got %v", err)
+	}
+}
+
+// failingReader fails every read.
+type failingReader struct{}
+
+func (failingReader) ReadAt([]byte, int64) (int, error) { return 0, errors.New("input/output error") }
+
 func TestLoadTableCorruption(t *testing.T) {
 	path, _ := saveFixture(t)
 	// Flip a byte inside the section table: its own CRC must catch it.
@@ -230,7 +259,7 @@ func saveWithIndex(t testing.TB, blobs ...[]byte) string {
 		t.Fatal(err)
 	}
 	for _, b := range blobs {
-		f.secs = append(f.secs, rawSection{secShardIndex, b})
+		f.secs = append(f.secs, rawSection{secShardIndex, [][]byte{b}})
 	}
 	if err := writeRaw(path, f.secs); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dehealth/internal/corpus"
 	"dehealth/internal/similarity"
 )
 
@@ -114,14 +115,17 @@ type Meta struct {
 	Bigrams [][2]int `json:"bigrams"`
 }
 
-// Side is one dataset side of the world: the corpus (JSON), its flat
-// post-major feature matrix, the per-user attribute sets in flattened
-// sparse form (Idx/Weight split, AttrOff has users+1 entries), and the
-// frozen UDA adjacency in CSR form (AdjOff has users+1 entries; AdjTo and
-// AdjWeight are sorted per user).
+// Side is one dataset side of the world: the corpus (stored as JSON), its
+// post-major feature matrix as one row of Meta.Dim values per post, the
+// per-user attribute sets in flattened sparse form (Idx/Weight split,
+// AttrOff has users+1 entries), and the frozen UDA adjacency in CSR form
+// (AdjOff has users+1 entries; AdjTo and AdjWeight are sorted per user).
+// Save writes the rows where they lie, without gathering them into one
+// array; Load hands back rows that view one array (the mapping, on the
+// zero-copy path).
 type Side struct {
-	Dataset    []byte
-	Feat       []float64
+	Dataset    *corpus.Dataset
+	Feat       [][]float64
 	AttrIdx    []int32
 	AttrWeight []int32
 	AttrOff    []int
@@ -145,8 +149,9 @@ type World struct {
 }
 
 // field is one row of the section layout: a section id and the World
-// field it holds. ptr is a *[]float64, *[]int (stored as i64), *[]int32,
-// *[]byte (stored verbatim) or *Meta (stored as JSON).
+// field it holds. ptr is a *[]float64, *[][]float64 (a matrix of Meta.Dim
+// wide rows, stored row after row), *[]int (stored as i64), *[]int32,
+// *Meta or **corpus.Dataset (both stored as JSON).
 type field struct {
 	id  uint32
 	ptr any
@@ -204,24 +209,35 @@ func Save(path string, w *World) error {
 	var secs []rawSection
 	for _, fl := range w.layout() {
 		var data []byte
+		var err error
 		switch p := fl.ptr.(type) {
 		case *[]float64:
 			data = f64Bytes(*p)
+		case *[][]float64:
+			runs := make([][]byte, len(*p))
+			for i, row := range *p {
+				if len(row) != w.Meta.Dim {
+					return fmt.Errorf("snapshot: section %d row %d has %d values, meta dim is %d", fl.id, i, len(row), w.Meta.Dim)
+				}
+				runs[i] = f64Bytes(row)
+			}
+			secs = append(secs, rawSection{fl.id, runs})
+			continue
 		case *[]int:
 			data = i64BytesFromInts(*p)
 		case *[]int32:
 			data = i32Bytes(*p)
-		case *[]byte:
-			data = *p
 		case *Meta:
-			var err error
-			if data, err = json.Marshal(p); err != nil {
-				return fmt.Errorf("snapshot: encoding meta: %v", err)
-			}
+			data, err = json.Marshal(p)
+		case **corpus.Dataset:
+			data, err = json.Marshal(*p)
 		default:
 			panic(fmt.Sprintf("snapshot: section %d has unhandled type %T", fl.id, fl.ptr))
 		}
-		secs = append(secs, rawSection{fl.id, data})
+		if err != nil {
+			return fmt.Errorf("snapshot: encoding section %d: %v", fl.id, err)
+		}
+		secs = append(secs, rawSection{fl.id, [][]byte{data}})
 	}
 	return writeRaw(path, secs)
 }
@@ -242,8 +258,15 @@ func Load(path string, opt Options) (*World, error) {
 // structure.
 func (f *rawFile) world() (*World, error) {
 	w := &World{Mapped: f.zeroCopy}
+	// The meta document sizes the feature rows, so it is decoded first.
+	if err := f.decode(field{secMeta, &w.Meta}, 0); err != nil {
+		return nil, err
+	}
 	for _, fl := range w.layout() {
-		if err := f.decode(fl); err != nil {
+		if fl.id == secMeta {
+			continue
+		}
+		if err := f.decode(fl, w.Meta.Dim); err != nil {
 			return nil, err
 		}
 	}
@@ -269,9 +292,10 @@ func (f *rawFile) world() (*World, error) {
 	return w, nil
 }
 
-// decode fills one layout row from the single section with the row's id.
-// Numeric sections alias the mapping when the file allows it.
-func (f *rawFile) decode(fl field) error {
+// decode fills one layout row from the single section with the row's id;
+// dim is the width of a matrix row. Numeric sections alias the mapping
+// when the file allows it.
+func (f *rawFile) decode(fl field, dim int) error {
 	b, err := f.section(fl.id)
 	if err != nil {
 		return err
@@ -279,16 +303,22 @@ func (f *rawFile) decode(fl field) error {
 	switch p := fl.ptr.(type) {
 	case *[]float64:
 		*p, err = decodeF64(b, f.zeroCopy)
+	case *[][]float64:
+		*p, err = decodeRows(b, dim, f.zeroCopy)
 	case *[]int:
 		*p, err = decodeInts(b, f.zeroCopy)
 	case *[]int32:
 		*p, err = decodeI32(b, f.zeroCopy)
-	case *[]byte:
-		*p = b
 	case *Meta:
 		if err = json.Unmarshal(b, p); err != nil {
 			err = fmt.Errorf("%w: meta section: %v", ErrCorrupt, err)
 		}
+	case **corpus.Dataset:
+		d := &corpus.Dataset{}
+		if err = json.Unmarshal(b, d); err != nil {
+			err = fmt.Errorf("%w: dataset section %d: %v", ErrCorrupt, fl.id, err)
+		}
+		*p = d
 	default:
 		panic(fmt.Sprintf("snapshot: section %d has unhandled type %T", fl.id, fl.ptr))
 	}

@@ -12,11 +12,9 @@
 package dehealth
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dehealth/internal/core"
-	"dehealth/internal/corpus"
 	"dehealth/internal/features"
 	"dehealth/internal/graph"
 	"dehealth/internal/shard"
@@ -153,17 +151,12 @@ func (w *PreparedWorld) SnapshotSlices(prefix string) ([]string, error) {
 	return paths, nil
 }
 
-// sideParts gathers one dataset side's snapshot sections: the dataset
-// JSON, the flat feature matrix, the flattened attribute sets, and the
-// frozen adjacency in CSR form.
+// sideParts gathers one dataset side's snapshot sections: the dataset,
+// the store's feature rows (views, not a copy), the flattened attribute
+// sets, and the frozen adjacency in CSR form.
 func sideParts(d *Dataset, st *features.Store, g *graph.UDA) (snapshot.Side, error) {
-	var s snapshot.Side
-	blob, err := json.Marshal(d)
-	if err != nil {
-		return s, fmt.Errorf("dehealth: encoding dataset %q: %v", d.Name, err)
-	}
-	s.Dataset = blob
-	s.Feat = st.Matrix()
+	s := snapshot.Side{Dataset: d, Feat: st.Rows()}
+	var err error
 	if s.AttrIdx, s.AttrWeight, s.AttrOff, err = flattenAttrs(st.Attrs()); err != nil {
 		return s, err
 	}
@@ -304,14 +297,11 @@ func LoadWorld(path string, opt LoadOptions) (*PreparedWorld, error) {
 	}, nil
 }
 
-// restoreSide rebuilds one dataset side: the dataset from its JSON blob,
-// the correlation topology from CSR adjacency, the attribute sets, and
-// the feature store adopting the snapshot's flat matrix.
+// restoreSide rebuilds one dataset side: the correlation topology from
+// CSR adjacency, the attribute sets, and the feature store adopting the
+// snapshot's dataset and feature rows.
 func restoreSide(s snapshot.Side, ex *stylometry.Extractor) (*Dataset, *features.Store, error) {
-	d := &corpus.Dataset{}
-	if err := json.Unmarshal(s.Dataset, d); err != nil {
-		return nil, nil, fmt.Errorf("%w: dataset blob: %v", snapshot.ErrCorrupt, err)
-	}
+	d := s.Dataset
 	attrs, err := unflattenAttrs(s.AttrIdx, s.AttrWeight, s.AttrOff)
 	if err != nil {
 		return nil, nil, err

@@ -351,6 +351,53 @@ func TestLoadWorldFailurePaths(t *testing.T) {
 		return b
 	})
 
+	// A mapped file's checksums are read through the descriptor a buffer
+	// (1 MiB) at a time, so flip a byte of a larger world's largest section
+	// past the first buffer, and the last byte of the last section. The
+	// format reader and the public loader must both refuse either file.
+	big, _ := snapWorld(t, 200, 6100, 1)
+	bigPath := filepath.Join(dir, "big.snap")
+	if err := big.Snapshot(bigPath); err != nil {
+		t.Fatal(err)
+	}
+	bigBlob, err := os.ReadFile(bigPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest, last [2]uint64 // offset, length
+	for i := uint32(0); i < binary.LittleEndian.Uint32(bigBlob[8:]); i++ {
+		e := bigBlob[24+24*i:]
+		sec := [2]uint64{binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])}
+		if sec[1] > largest[1] {
+			largest = sec
+		}
+		if sec[0] > last[0] {
+			last = sec
+		}
+	}
+	const verifyBuf = 1 << 20
+	if largest[1] < 2*verifyBuf {
+		t.Fatalf("largest section is %d bytes, want at least %d", largest[1], 2*verifyBuf)
+	}
+	for name, at := range map[string]uint64{
+		"deep-in-largest-section": largest[0] + verifyBuf + (largest[1]-verifyBuf)/2,
+		"end-of-last-section":     last[0] + last[1] - 1,
+	} {
+		b := append([]byte{}, bigBlob...)
+		b[at] ^= 0xff
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, noMmap := range []bool{false, true} {
+			sw, err := snapshot.Load(p, snapshot.Options{NoMmap: noMmap})
+			if !errors.Is(err, ErrSnapshotCorrupt) || sw != nil {
+				t.Fatalf("%s (noMmap=%v): snapshot.Load returned %v with world %v, want ErrSnapshotCorrupt and none", name, noMmap, err, sw != nil)
+			}
+		}
+		load(name, p, ErrSnapshotCorrupt)
+	}
+
 	// A well-formed file whose bigram list repeats a pair: the feature
 	// count still matches the matrices, but the space has a dimension no
 	// post can fill and matches no fitted extractor.
