@@ -254,7 +254,7 @@ func TestBuildUDA(t *testing.T) {
 	// User 0 used a known misspelling; that attribute must be set for 0
 	// only. The misspelling block is the last of the feature space.
 	_, beleive := lexicon.Lookup("beleive")
-	missIdx := ex.NumFeatures() - len(lexicon.MisspellingList) + beleive
+	missIdx := int32(ex.NumFeatures() - len(lexicon.MisspellingList) + beleive)
 	if !slices.Contains(uda.Attrs[0].Idx, missIdx) {
 		t.Error("misspelling attribute missing on author")
 	}

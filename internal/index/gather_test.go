@@ -10,7 +10,7 @@ package index
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"dehealth/internal/stylometry"
@@ -27,11 +27,13 @@ func sparseSource(rng *rand.Rand, n, dim int, normed bool) Source {
 	}
 	for u := 0; u < n; u++ {
 		per := rng.Intn(min(dim, 3) + 1)
-		idx := append([]int(nil), rng.Perm(dim)[:per]...)
-		sort.Ints(idx)
-		var w []int
+		var idx, w []int32
+		for _, a := range rng.Perm(dim)[:per] {
+			idx = append(idx, int32(a))
+		}
+		slices.Sort(idx)
 		for range idx {
-			w = append(w, 1+rng.Intn(4))
+			w = append(w, int32(1+rng.Intn(4)))
 		}
 		f.attrs[u] = stylometry.AttrSet{Idx: idx, Weight: w}
 		f.deg[u] = float64(rng.Intn(30))
@@ -52,7 +54,7 @@ func sparseSource(rng *rand.Rand, n, dim int, normed bool) Source {
 // overlapUnion returns the brute-force candidate set of a query: every
 // window user sharing at least one attribute with attrs.
 func overlapUnion(src Source, attrs stylometry.AttrSet) map[int32]bool {
-	q := map[int]bool{}
+	q := map[int32]bool{}
 	for _, a := range attrs.Idx {
 		q[a] = true
 	}
@@ -121,13 +123,13 @@ func FuzzCursorsInvariants(f *testing.F) {
 		defer x.ReleaseScratch(s)
 
 		query := func() stylometry.AttrSet {
-			var idx []int
-			for a := 0; a < dim+2; a++ {
+			var idx []int32
+			for a := int32(0); a < int32(dim)+2; a++ {
 				if rng.Intn(3) == 0 {
 					idx = append(idx, a)
 				}
 			}
-			return stylometry.AttrSet{Idx: idx, Weight: make([]int, len(idx))}
+			return stylometry.AttrSet{Idx: idx, Weight: make([]int32, len(idx))}
 		}
 		q1, q2 := query(), query()
 		limit := int(limitB) * (n + 1) / 255
@@ -143,10 +145,10 @@ func FuzzCursorsInvariants(f *testing.F) {
 func TestCursorsAddDropsEmpty(t *testing.T) {
 	src := fakeSource{
 		attrs: []stylometry.AttrSet{
-			{Idx: []int{0, 2}, Weight: []int{1, 1}},
-			{Idx: []int{2}, Weight: []int{1}},
+			{Idx: []int32{0, 2}, Weight: []int32{1, 1}},
+			{Idx: []int32{2}, Weight: []int32{1}},
 			{},
-			{Idx: []int{0}, Weight: []int{1}},
+			{Idx: []int32{0}, Weight: []int32{1}},
 		},
 		deg:  []float64{1, 2, 3, 4},
 		wdeg: []float64{1, 2, 3, 4},
@@ -155,11 +157,11 @@ func TestCursorsAddDropsEmpty(t *testing.T) {
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
 
-	empty := stylometry.AttrSet{Idx: []int{1, 3, 50}, Weight: []int{1, 1, 1}}
+	empty := stylometry.AttrSet{Idx: []int32{1, 3, 50}, Weight: []int32{1, 1, 1}}
 	if got := x.CandidatesUpTo(empty, s, 0); len(got) != 0 {
 		t.Fatalf("attributes without carriers produced candidates %v", got)
 	}
-	mixed := stylometry.AttrSet{Idx: []int{1, 2, 3, 50}, Weight: []int{1, 1, 1, 1}}
+	mixed := stylometry.AttrSet{Idx: []int32{1, 2, 3, 50}, Weight: []int32{1, 1, 1, 1}}
 	for _, limit := range []int{1, 2, 4} {
 		got := x.CandidatesUpTo(mixed, s, limit)
 		checkGather(t, x, s, got, map[int32]bool{0: true, 1: true}, limit)

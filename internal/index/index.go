@@ -141,7 +141,7 @@ func Build(src Source, cfg Config) *Index {
 	n := src.NumUsers()
 	x := &Index{n: n, cfg: cfg}
 
-	maxAttr := -1
+	maxAttr := int32(-1)
 	for u := 0; u < n; u++ {
 		if idx := src.Attrs(u).Idx; len(idx) > 0 && idx[len(idx)-1] > maxAttr {
 			maxAttr = idx[len(idx)-1]
@@ -296,7 +296,7 @@ func (x *Index) Postings(a int) []int32 {
 func (x *Index) CandidatesUpTo(attrs stylometry.AttrSet, s *Scratch, limit int) []int32 {
 	s.begin()
 	for _, a := range attrs.Idx {
-		for _, u := range x.Postings(a) {
+		for _, u := range x.Postings(int(a)) {
 			if s.stamp[u] != s.epoch {
 				s.stamp[u] = s.epoch
 				s.bandCand[x.bandOf[u]]++

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"dehealth/internal/stylometry"
@@ -37,14 +36,14 @@ func randomSource(n, dim, attrsPer int, seed int64) fakeSource {
 		for len(seen) < attrsPer {
 			seen[rng.Intn(dim)] = true
 		}
-		idx := make([]int, 0, attrsPer)
+		idx := make([]int32, 0, attrsPer)
 		for a := range seen {
-			idx = append(idx, a)
+			idx = append(idx, int32(a))
 		}
-		sort.Ints(idx)
-		w := make([]int, len(idx))
+		slices.Sort(idx)
+		w := make([]int32, len(idx))
 		for i := range w {
-			w[i] = 1 + rng.Intn(4)
+			w[i] = int32(1 + rng.Intn(4))
 		}
 		f.attrs[u] = stylometry.AttrSet{Idx: idx, Weight: w}
 		f.deg[u] = float64(rng.Intn(40))
@@ -59,7 +58,7 @@ func TestPostingsExact(t *testing.T) {
 	for a := 0; a < 50; a++ {
 		var want []int32
 		for u := 0; u < src.NumUsers(); u++ {
-			if slices.Contains(src.attrs[u].Idx, a) {
+			if slices.Contains(src.attrs[u].Idx, int32(a)) {
 				want = append(want, int32(u))
 			}
 		}
@@ -273,7 +272,7 @@ func TestBuildDegenerate(t *testing.T) {
 		t.Fatal("empty source must index nothing")
 	}
 	es := empty.AcquireScratch()
-	if got := empty.CandidatesUpTo(stylometry.AttrSet{Idx: []int{3}}, es, 0); len(got) != 0 {
+	if got := empty.CandidatesUpTo(stylometry.AttrSet{Idx: []int32{3}}, es, 0); len(got) != 0 {
 		t.Fatalf("empty index found %d candidates", len(got))
 	}
 	empty.ReleaseScratch(es)
@@ -290,7 +289,7 @@ func TestBuildDegenerate(t *testing.T) {
 	}
 	s := x.AcquireScratch()
 	defer x.ReleaseScratch(s)
-	if got := x.CandidatesUpTo(stylometry.AttrSet{Idx: []int{0, 1}}, s, 3); len(got) != 0 {
+	if got := x.CandidatesUpTo(stylometry.AttrSet{Idx: []int32{0, 1}}, s, 3); len(got) != 0 {
 		t.Fatalf("attribute-free users produced candidates: %v", got)
 	}
 }

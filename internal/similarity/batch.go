@@ -126,8 +126,8 @@ func (s *Scorer) PrepareBatch(users []int, b *BatchProfile) {
 		}
 		wts := p.attrs.Weight[:len(p.attrs.Idx)]
 		for t, id := range p.attrs.Idx {
-			if uint(id) < uint(len(tab)) {
-				tab[id] = int32(wts[t])
+			if i := int(id); uint(i) < uint(len(tab)) {
+				tab[i] = wts[t]
 			}
 		}
 		setBits(b.bits[i*b.bitW:(i+1)*b.bitW], p.attrs.Idx)
@@ -252,13 +252,13 @@ func (s *Scorer) ScoreRangeAbove(b *BatchProfile, lo, hi int, floors []float64, 
 // body they spill to the stack on every iteration.
 //
 //go:noinline
-func tableMerge(tab []int32, ids, wts []int) (inter, winter int) {
+func tableMerge(tab []int32, ids, wts []int32) (inter, winter int) {
 	wts = wts[:len(ids)]
 	for t, id := range ids {
-		if uint(id) < uint(len(tab)) { // always true: tables span the aux id space
-			wq := int(tab[id])
+		if i := int(id); uint(i) < uint(len(tab)) { // always true: tables span the aux id space
+			wq := int(tab[i])
 			mask := ^(wq >> 63) // all-ones when present (wq >= 1), 0 when absent (-1)
-			if x := wts[t]; x < wq {
+			if x := int(wts[t]); x < wq {
 				wq = x
 			}
 			inter += mask & 1

@@ -101,7 +101,7 @@ func TestScoreRangeBatchAppended(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n0 := g1.NumNodes()
 	for i := 0; i < 3; i++ {
-		attrs := stylometry.AttrSet{Idx: []int{i, 50 + i}, Weight: []int{1 + i, 2}}
+		attrs := stylometry.AttrSet{Idx: []int32{int32(i), int32(50 + i)}, Weight: []int32{int32(1 + i), 2}}
 		u := g1.AppendNode(attrs, [][]float64{{1}})
 		for e := 0; e < 1+i; e++ {
 			g1.AddEdge(u, rng.Intn(n0), 1+float64(rng.Intn(3)))

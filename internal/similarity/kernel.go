@@ -136,8 +136,8 @@ func attrSimFused(a stylometry.AttrSet, atot int, b stylometry.AttrSet, btot int
 		switch {
 		case ai[i] == bi[j]:
 			inter++
-			w := a.Weight[i]
-			if bw := b.Weight[j]; bw < w {
+			w := int(a.Weight[i])
+			if bw := int(b.Weight[j]); bw < w {
 				w = bw
 			}
 			winter += w

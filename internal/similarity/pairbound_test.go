@@ -3,7 +3,7 @@ package similarity
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"dehealth/internal/graph"
@@ -15,9 +15,9 @@ import (
 // twins it adds ids 7 and 7+512, a pair any bitset folded modulo 512 (or a
 // divisor of it) maps to one bit.
 func randomAttrs(rng *rand.Rand, dim, per, maxW int, twins bool) stylometry.AttrSet {
-	picked := map[int]bool{}
+	picked := map[int32]bool{}
 	for i := 0; i < per; i++ {
-		picked[rng.Intn(dim)] = true
+		picked[int32(rng.Intn(dim))] = true
 	}
 	if twins {
 		picked[7], picked[7+512] = true, true
@@ -26,9 +26,9 @@ func randomAttrs(rng *rand.Rand, dim, per, maxW int, twins bool) stylometry.Attr
 	for id := range picked {
 		a.Idx = append(a.Idx, id)
 	}
-	sort.Ints(a.Idx)
+	slices.Sort(a.Idx)
 	for range a.Idx {
-		a.Weight = append(a.Weight, 1+rng.Intn(maxW))
+		a.Weight = append(a.Weight, int32(1+rng.Intn(maxW)))
 	}
 	return a
 }
@@ -197,8 +197,8 @@ func TestAttrBitsetsFollowDensity(t *testing.T) {
 // short — what a folded bitset reports when two shared ids collide — gives
 // a value below it, which is no bound at all.
 func TestAttrSimBoundNeedsExactIntersection(t *testing.T) {
-	a := stylometry.AttrSet{Idx: []int{3, 7, 7 + 512, 900}, Weight: []int{1, 1, 1, 1}}
-	b := stylometry.AttrSet{Idx: []int{7, 7 + 512, 40}, Weight: []int{1, 1, 1}}
+	a := stylometry.AttrSet{Idx: []int32{3, 7, 7 + 512, 900}, Weight: []int32{1, 1, 1, 1}}
+	b := stylometry.AttrSet{Idx: []int32{7, 7 + 512, 40}, Weight: []int32{1, 1, 1}}
 	sim := attrSimFused(a, a.TotalWeight(), b, b.TotalWeight())
 	if got := attrSimBound(2, a.Len(), b.Len(), a.TotalWeight(), b.TotalWeight()); got != sim {
 		t.Fatalf("attrSimBound at the true intersection = %v, attrSim %v", got, sim)

@@ -194,8 +194,8 @@ func (ax *auxWindow) freezeAttrs(attrs []stylometry.AttrSet) {
 	for v, a := range attrs {
 		ax.attrTotW[v] = a.TotalWeight()
 		total += a.Len()
-		if n := a.Len(); n > 0 && a.Idx[n-1]+1 > ax.attrW {
-			ax.attrW = a.Idx[n-1] + 1 // Idx is sorted: the last entry is the max
+		if n := a.Len(); n > 0 && int(a.Idx[n-1])+1 > ax.attrW {
+			ax.attrW = int(a.Idx[n-1]) + 1 // Idx is sorted: the last entry is the max
 		}
 	}
 	w := (ax.attrW + 63) / 64
@@ -212,7 +212,7 @@ func (ax *auxWindow) freezeAttrs(attrs []stylometry.AttrSet) {
 // setBits sets bit id of bits for every id it spans; ids beyond it (a
 // query attribute no auxiliary user carries) cannot intersect and are left
 // out, exactly as PrepareBatch leaves them out of the weight table.
-func setBits(bits []uint64, ids []int) {
+func setBits(bits []uint64, ids []int32) {
 	for _, id := range ids {
 		if w := uint(id) >> 6; w < uint(len(bits)) {
 			bits[w] |= 1 << (uint(id) & 63)

@@ -217,7 +217,7 @@ type rawFile struct {
 	// version is the file's stated format version, in [minVersion, Version];
 	// decoders with per-version layouts branch on it.
 	version int
-	secs    []rawSection // each one run, aliasing rawFile.data
+	secs    []rawSection // each one run, aliasing rawFile.data (a mapped file's JSON sections excepted)
 }
 
 // readRaw opens, (optionally) maps and fully validates a snapshot file
@@ -245,8 +245,11 @@ func readRaw(path string, noMmap bool) (*rawFile, error) {
 // the sections' checksums are then read through file into one reused
 // buffer, not through the mapping, so validation leaves no section page
 // resident and a loaded world's resident set is what its queries read.
-// The header and the table are read from data either way. Any failure
-// returns a typed error and no data.
+// The JSON sections, which Load decodes into fresh heap values, are read
+// through file whole into their own buffer and handed on from there, so
+// their pages are never mapped in either. The header and the table are
+// read from data either way. Any failure returns a typed error and no
+// data.
 func parseRaw(data []byte, file io.ReaderAt) (*rawFile, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(data), headerSize)
@@ -296,14 +299,19 @@ func parseRaw(data []byte, file io.ReaderAt) (*rawFile, error) {
 		if covered += n; covered > stated-tableEnd {
 			return nil, fmt.Errorf("%w: sections claim more bytes than the file holds", ErrCorrupt)
 		}
-		got, err := sectionCRC(data, file, buf, off, n)
+		run, chunk := data[off:off+n], buf
+		if file != nil && (id == secMeta || id == secAnonDataset || id == secAuxDataset) {
+			run = make([]byte, n)
+			chunk = run
+		}
+		got, err := sectionCRC(data, file, chunk, off, n)
 		if err != nil {
 			return nil, err
 		}
 		if got != crc {
 			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id)
 		}
-		f.secs[i] = rawSection{id: id, runs: [][]byte{data[off : off+n]}}
+		f.secs[i] = rawSection{id: id, runs: [][]byte{run}}
 	}
 	return f, nil
 }

@@ -6,8 +6,8 @@ package stylometry
 //
 // The set is stored sparsely as parallel slices sorted by feature index.
 type AttrSet struct {
-	Idx    []int // sorted feature indices present
-	Weight []int // Weight[k] = l_u(A_Idx[k]) >= 1
+	Idx    []int32 // sorted feature indices present
+	Weight []int32 // Weight[k] = l_u(A_Idx[k]) >= 1
 }
 
 // Len returns |A(u)|, the number of attributes the user has.
@@ -17,7 +17,7 @@ func (a AttrSet) Len() int { return len(a.Idx) }
 func (a AttrSet) TotalWeight() int {
 	s := 0
 	for _, w := range a.Weight {
-		s += w
+		s += int(w)
 	}
 	return s
 }
@@ -30,7 +30,7 @@ func UserAttributes(postVectors [][]float64) AttrSet {
 		return AttrSet{}
 	}
 	m := len(postVectors[0])
-	counts := make([]int, m)
+	counts := make([]int32, m)
 	for _, v := range postVectors {
 		for i, x := range v {
 			if x > 0 {
@@ -41,7 +41,7 @@ func UserAttributes(postVectors [][]float64) AttrSet {
 	var set AttrSet
 	for i, c := range counts {
 		if c > 0 {
-			set.Idx = append(set.Idx, i)
+			set.Idx = append(set.Idx, int32(i))
 			set.Weight = append(set.Weight, c)
 		}
 	}
@@ -84,7 +84,7 @@ func WeightedJaccard(a, b AttrSet) float64 {
 	for i < len(a.Idx) && j < len(b.Idx) {
 		switch {
 		case a.Idx[i] == b.Idx[j]:
-			wa, wb := a.Weight[i], b.Weight[j]
+			wa, wb := int(a.Weight[i]), int(b.Weight[j])
 			if wa < wb {
 				inter += wa
 				union += wb
@@ -95,18 +95,18 @@ func WeightedJaccard(a, b AttrSet) float64 {
 			i++
 			j++
 		case a.Idx[i] < b.Idx[j]:
-			union += a.Weight[i]
+			union += int(a.Weight[i])
 			i++
 		default:
-			union += b.Weight[j]
+			union += int(b.Weight[j])
 			j++
 		}
 	}
 	for ; i < len(a.Idx); i++ {
-		union += a.Weight[i]
+		union += int(a.Weight[i])
 	}
 	for ; j < len(b.Idx); j++ {
-		union += b.Weight[j]
+		union += int(b.Weight[j])
 	}
 	if union == 0 {
 		return 0

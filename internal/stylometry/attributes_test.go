@@ -41,16 +41,16 @@ func TestUserAttributesEmpty(t *testing.T) {
 }
 
 func TestJaccardKnown(t *testing.T) {
-	a := AttrSet{Idx: []int{1, 2, 3}, Weight: []int{1, 1, 1}}
-	b := AttrSet{Idx: []int{2, 3, 4}, Weight: []int{1, 1, 1}}
+	a := AttrSet{Idx: []int32{1, 2, 3}, Weight: []int32{1, 1, 1}}
+	b := AttrSet{Idx: []int32{2, 3, 4}, Weight: []int32{1, 1, 1}}
 	if got := Jaccard(a, b); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Jaccard = %v, want 0.5", got)
 	}
 }
 
 func TestWeightedJaccardKnown(t *testing.T) {
-	a := AttrSet{Idx: []int{1, 2}, Weight: []int{3, 1}}
-	b := AttrSet{Idx: []int{2, 3}, Weight: []int{2, 4}}
+	a := AttrSet{Idx: []int32{1, 2}, Weight: []int32{3, 1}}
+	b := AttrSet{Idx: []int32{2, 3}, Weight: []int32{2, 4}}
 	// inter = min over shared {2}: 1; union = 3 + 2 + 4 = 9.
 	if got := WeightedJaccard(a, b); math.Abs(got-1.0/9) > 1e-12 {
 		t.Errorf("WeightedJaccard = %v, want 1/9", got)
@@ -70,11 +70,11 @@ func TestJaccardEmpty(t *testing.T) {
 func randomAttrSet(rng *rand.Rand) AttrSet {
 	n := rng.Intn(12)
 	var s AttrSet
-	idx := 0
+	idx := int32(0)
 	for i := 0; i < n; i++ {
-		idx += 1 + rng.Intn(4)
+		idx += int32(1 + rng.Intn(4))
 		s.Idx = append(s.Idx, idx)
-		s.Weight = append(s.Weight, 1+rng.Intn(5))
+		s.Weight = append(s.Weight, int32(1+rng.Intn(5)))
 	}
 	return s
 }

@@ -41,11 +41,11 @@ func SparseAttrUDA(n, comm, dim int, seed int64) *graph.UDA {
 		for len(picked) < attrsPer {
 			picked[base+rng.Intn(poolSize)] = true
 		}
-		set := stylometry.AttrSet{Idx: make([]int, 0, attrsPer), Weight: make([]int, 0, attrsPer)}
+		set := stylometry.AttrSet{Idx: make([]int32, 0, attrsPer), Weight: make([]int32, 0, attrsPer)}
 		for a := base; a < base+poolSize; a++ { // ascending, as AttrSet requires
 			if picked[a] {
-				set.Idx = append(set.Idx, a)
-				set.Weight = append(set.Weight, 1+rng.Intn(3))
+				set.Idx = append(set.Idx, int32(a))
+				set.Weight = append(set.Weight, int32(1+rng.Intn(3)))
 			}
 		}
 		attrs[u] = set

@@ -2,6 +2,7 @@ package dehealth
 
 import (
 	"bufio"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -66,6 +67,97 @@ func TestLoadWorldMapsLazily(t *testing.T) {
 		t.Fatalf("resident %d bytes of the mapping, want at most %d (the %d non-matrix bytes plus %d of fault-around slack)",
 			rss, limit, rest, faultAroundSlack)
 	}
+}
+
+// TestLoadWorldDatasetsStayCold checks, page by page, that a mapped load
+// decodes the two dataset JSON sections (ids 10 and 20) from bytes read
+// through the descriptor, not from the mapping: after LoadWorld, at most
+// one page cache folio of them — the start of section 10, which follows
+// the last numeric section the load reads — may be present in the
+// process's page tables (/proc/self/pagemap bit 63).
+func TestLoadWorldDatasetsStayCold(t *testing.T) {
+	if os.Getpagesize() != 4096 {
+		t.Skipf("the folio slack assumes 4 KiB pages, this host has %d", os.Getpagesize())
+	}
+	const folio = 2 << 20
+	pw, _ := snapWorld(t, 1500, 9200, 1)
+	path := filepath.Join(t.TempDir(), "world.snap")
+	if err := pw.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranges [][2]uint64 // offset, length of sections 10 and 20
+	for i := uint32(0); i < binary.LittleEndian.Uint32(blob[8:]); i++ {
+		e := blob[24+24*i:]
+		if id := binary.LittleEndian.Uint32(e); id == 10 || id == 20 {
+			ranges = append(ranges, [2]uint64{binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])})
+		}
+	}
+	total := uint64(0)
+	for _, r := range ranges {
+		total += r[1]
+	}
+	if len(ranges) != 2 || total < 2*folio {
+		t.Fatalf("dataset sections %v: want two, over %d bytes, for the check to mean anything", ranges, 2*folio)
+	}
+
+	if _, err := LoadWorld(path, LoadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	start, ok := mappingStart(t, path)
+	if !ok {
+		t.Fatalf("no mapping of %s in /proc/self/maps: the load did not map the file", path)
+	}
+	pm, err := os.Open("/proc/self/pagemap")
+	if err != nil {
+		t.Skipf("pagemap unreadable: %v", err)
+	}
+	defer pm.Close()
+	present := uint64(0)
+	var entry [8]byte
+	for _, r := range ranges {
+		for page := r[0] / 4096; page*4096 < r[0]+r[1]; page++ {
+			if _, err := pm.ReadAt(entry[:], int64((start/4096+page)*8)); err != nil {
+				t.Fatal(err)
+			}
+			if binary.LittleEndian.Uint64(entry[:])>>63 == 1 {
+				present += 4096
+			}
+		}
+	}
+	t.Logf("dataset sections %d bytes; %d bytes of their pages present", total, present)
+	if present > folio {
+		t.Fatalf("%d bytes of the dataset sections' pages present after a mapped load, want at most %d", present, folio)
+	}
+}
+
+// mappingStart returns the start address of the mapping of path at file
+// offset 0 in /proc/self/maps; ok is false when none maps it.
+func mappingStart(t *testing.T, path string) (start uint64, ok bool) {
+	t.Helper()
+	path, err := filepath.EvalSymlinks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("maps unreadable: %v", err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 6 || strings.Join(fields[5:], " ") != path || strings.Trim(fields[2], "0") != "" {
+			continue
+		}
+		start, err := strconv.ParseUint(strings.SplitN(fields[0], "-", 2)[0], 16, 64)
+		if err != nil {
+			t.Fatalf("maps line %q: %v", line, err)
+		}
+		return start, true
+	}
+	return 0, false
 }
 
 // mappingRSS sums the Rss of every mapping of path in /proc/self/smaps;

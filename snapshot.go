@@ -53,16 +53,12 @@ var (
 func (w *PreparedWorld) Snapshot(path string) error {
 	w.world.RLock()
 	defer w.world.RUnlock()
-	sw, err := w.snapshotWorld()
-	if err != nil {
-		return err
-	}
-	return snapshot.Save(path, sw)
+	return snapshot.Save(path, w.snapshotWorld())
 }
 
 // snapshotWorld builds the typed snapshot content of the world; the caller
 // holds the world read lock.
-func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
+func (w *PreparedWorld) snapshotWorld() *snapshot.World {
 	cfg := w.prepOpt.normalized().simConfig()
 	p := w.pipeline(cfg) // materializes the scorer caches
 
@@ -82,15 +78,10 @@ func (w *PreparedWorld) snapshotWorld() (*snapshot.World, error) {
 		// shard server's shutdown snapshot must not forget its window).
 		sw.Meta.Slice = &snapshot.SliceMeta{Shard: s.Shard, Shards: s.Shards, Lo: s.Lo, Hi: s.Hi, AuxTotal: s.AuxTotal}
 	}
-	var err error
-	if sw.Anon, err = sideParts(w.Anon, w.anonStore, p.G1); err != nil {
-		return nil, err
-	}
-	if sw.Aux, err = sideParts(w.Aux, w.auxStore, p.G2); err != nil {
-		return nil, err
-	}
+	sw.Anon = sideParts(w.Anon, w.anonStore, p.G1)
+	sw.Aux = sideParts(w.Aux, w.auxStore, p.G2)
 	sw.Scorer = p.Scorer.Parts()
-	return sw, nil
+	return sw
 }
 
 // SliceInfo identifies the partition a slice-loaded world serves: shard
@@ -130,10 +121,7 @@ func (w *PreparedWorld) SnapshotSlices(prefix string) ([]string, error) {
 	if w.slice != nil {
 		return nil, fmt.Errorf("dehealth: %w", ErrAlreadySlice)
 	}
-	sw, err := w.snapshotWorld()
-	if err != nil {
-		return nil, err
-	}
+	sw := w.snapshotWorld()
 	bounds := shard.Bounds(len(w.Aux.Users), w.shards)
 	n := len(bounds) - 1 // Bounds clamps n to the population
 	paths := make([]string, 0, n)
@@ -154,21 +142,16 @@ func (w *PreparedWorld) SnapshotSlices(prefix string) ([]string, error) {
 // sideParts gathers one dataset side's snapshot sections: the dataset,
 // the store's feature rows (views, not a copy), the flattened attribute
 // sets, and the frozen adjacency in CSR form.
-func sideParts(d *Dataset, st *features.Store, g *graph.UDA) (snapshot.Side, error) {
+func sideParts(d *Dataset, st *features.Store, g *graph.UDA) snapshot.Side {
 	s := snapshot.Side{Dataset: d, Feat: st.Rows()}
-	var err error
-	if s.AttrIdx, s.AttrWeight, s.AttrOff, err = flattenAttrs(st.Attrs()); err != nil {
-		return s, err
-	}
+	s.AttrIdx, s.AttrWeight, s.AttrOff = flattenAttrs(st.Attrs())
 	s.AdjOff, s.AdjTo, s.AdjWeight = g.AdjacencyParts()
-	return s, nil
+	return s
 }
 
 // flattenAttrs packs per-user attribute sets into parallel int32 arrays
-// behind a users+1 offset table. Attribute ids are feature indices and
-// weights are post counts, so int32 overflow indicates a broken world and
-// fails the save.
-func flattenAttrs(attrs []stylometry.AttrSet) (idx, weight []int32, off []int, err error) {
+// behind a users+1 offset table.
+func flattenAttrs(attrs []stylometry.AttrSet) (idx, weight []int32, off []int) {
 	total := 0
 	for _, a := range attrs {
 		total += len(a.Idx)
@@ -177,42 +160,31 @@ func flattenAttrs(attrs []stylometry.AttrSet) (idx, weight []int32, off []int, e
 	weight = make([]int32, 0, total)
 	off = make([]int, len(attrs)+1)
 	for u, a := range attrs {
-		for k, i := range a.Idx {
-			v := a.Weight[k]
-			if int(int32(i)) != i || int(int32(v)) != v {
-				return nil, nil, nil, fmt.Errorf("dehealth: attribute (%d, weight %d) of user %d overflows int32", i, v, u)
-			}
-			idx = append(idx, int32(i))
-			weight = append(weight, int32(v))
-		}
+		idx = append(idx, a.Idx...)
+		weight = append(weight, a.Weight...)
 		off[u+1] = len(idx)
 	}
-	return idx, weight, off, nil
+	return idx, weight, off
 }
 
-// unflattenAttrs is flattenAttrs' inverse: two backing []int arrays with
-// per-user capacity-clamped views. Each set's indices must be strictly
-// ascending (the sparse-merge kernels and the max-id derivations rely on
-// it) with positive weights.
+// unflattenAttrs is flattenAttrs' inverse: per-user views of the decoded
+// sections — of the file's own pages on a mapped load — clamped to their
+// length, so an append reallocates instead of writing through. Each set's
+// ids must be strictly ascending and non-negative (the sparse-merge
+// kernels and the max-id derivations rely on it) with positive weights.
 func unflattenAttrs(idx, weight []int32, off []int) ([]stylometry.AttrSet, error) {
-	bi := make([]int, len(idx))
-	bw := make([]int, len(weight))
-	for k := range idx {
-		bi[k] = int(idx[k])
-		bw[k] = int(weight[k])
-	}
 	out := make([]stylometry.AttrSet, len(off)-1)
 	for u := range out {
 		lo, hi := off[u], off[u+1]
 		for k := lo; k < hi; k++ {
-			if bi[k] < 0 || (k > lo && bi[k-1] >= bi[k]) {
+			if idx[k] < 0 || (k > lo && idx[k-1] >= idx[k]) {
 				return nil, fmt.Errorf("%w: attribute set of user %d not strictly ascending", snapshot.ErrCorrupt, u)
 			}
-			if bw[k] < 1 {
-				return nil, fmt.Errorf("%w: attribute weight %d of user %d", snapshot.ErrCorrupt, bw[k], u)
+			if weight[k] < 1 {
+				return nil, fmt.Errorf("%w: attribute weight %d of user %d", snapshot.ErrCorrupt, weight[k], u)
 			}
 		}
-		out[u] = stylometry.AttrSet{Idx: bi[lo:hi:hi], Weight: bw[lo:hi:hi]}
+		out[u] = stylometry.AttrSet{Idx: idx[lo:hi:hi], Weight: weight[lo:hi:hi]}
 	}
 	return out, nil
 }

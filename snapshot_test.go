@@ -12,8 +12,10 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"dehealth/internal/snapshot"
+	"dehealth/internal/stylometry"
 )
 
 // snapOptions is the preparation configuration the snapshot tests pin:
@@ -402,11 +404,8 @@ func TestLoadWorldFailurePaths(t *testing.T) {
 	// count still matches the matrices, but the space has a dimension no
 	// post can fill and matches no fitted extractor.
 	pw.world.RLock()
-	sw, err := pw.snapshotWorld()
+	sw := pw.snapshotWorld()
 	pw.world.RUnlock()
-	if err != nil {
-		t.Fatal(err)
-	}
 	bigrams := append([][2]int(nil), sw.Meta.Bigrams...)
 	if len(bigrams) < 2 {
 		t.Fatalf("world fitted %d bigrams, want at least 2", len(bigrams))
@@ -418,4 +417,82 @@ func TestLoadWorldFailurePaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	load("repeated-bigram", repeated, ErrSnapshotCorrupt)
+
+	// Well-formed files whose attribute sets break what the kernels assume
+	// of them: the checks LoadWorld makes on the file's ids and weights are
+	// all that stands between those bytes and the sparse merges. Each set
+	// is mutated at a user with at least two attributes, on either side.
+	for name, mutate := range map[string]func(idx, wt []int32, k int){
+		"descending-attr-ids":  func(idx, _ []int32, k int) { idx[k], idx[k+1] = idx[k+1], idx[k] },
+		"repeated-attr-id":     func(idx, _ []int32, k int) { idx[k+1] = idx[k] },
+		"negative-attr-id":     func(idx, _ []int32, k int) { idx[k] = -1 },
+		"zero-attr-weight":     func(_, wt []int32, k int) { wt[k] = 0 },
+		"negative-attr-weight": func(_, wt []int32, k int) { wt[k] = -3 },
+	} {
+		for _, aux := range []bool{false, true} {
+			pw.world.RLock()
+			sw := pw.snapshotWorld()
+			pw.world.RUnlock()
+			side := &sw.Anon
+			if aux {
+				side = &sw.Aux
+			}
+			u := 0
+			for u < len(side.AttrOff)-1 && side.AttrOff[u+1]-side.AttrOff[u] < 2 {
+				u++
+			}
+			if u == len(side.AttrOff)-1 {
+				t.Fatalf("no user with two attributes (aux=%v)", aux)
+			}
+			mutate(side.AttrIdx, side.AttrWeight, side.AttrOff[u])
+			p := filepath.Join(dir, fmt.Sprintf("%s-aux-%v", name, aux))
+			if err := snapshot.Save(p, sw); err != nil {
+				t.Fatal(err)
+			}
+			load(filepath.Base(p), p, ErrSnapshotCorrupt)
+		}
+	}
+}
+
+// TestLoadWorldAttrsViewFile pins that a mapped load hands the stores the
+// file's own attribute pages: every user's Idx and Weight start at that
+// user's offset in the decoded AttrIdx and AttrWeight sections (which
+// alias the mapping), and each view's capacity ends at its length, so an
+// append can never write through into the next user's set or the file.
+func TestLoadWorldAttrsViewFile(t *testing.T) {
+	pw, _ := snapWorld(t, 40, 6200, 1)
+	path := filepath.Join(t.TempDir(), "world.snap")
+	if err := pw.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := snapshot.Load(path, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sw.Mapped {
+		t.Skip("the platform offers no zero-copy load")
+	}
+	ex := stylometry.New()
+	if err := ex.SetBigrams(sw.Meta.Bigrams); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []snapshot.Side{sw.Anon, sw.Aux} {
+		_, st, err := restoreSide(side, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, a := range st.Attrs() {
+			lo, n := side.AttrOff[u], a.Len()
+			if n == 0 {
+				continue
+			}
+			if unsafe.Pointer(unsafe.SliceData(a.Idx)) != unsafe.Pointer(&side.AttrIdx[lo]) ||
+				unsafe.Pointer(unsafe.SliceData(a.Weight)) != unsafe.Pointer(&side.AttrWeight[lo]) {
+				t.Fatalf("user %d: attribute set is not a view of its sections at offset %d", u, lo)
+			}
+			if cap(a.Idx) != n || cap(a.Weight) != n || len(a.Weight) != n {
+				t.Fatalf("user %d: views of len %d/%d, cap %d/%d; want len == cap", u, n, len(a.Weight), cap(a.Idx), cap(a.Weight))
+			}
+		}
+	}
 }
