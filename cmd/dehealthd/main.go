@@ -60,7 +60,7 @@ func main() {
 		anon        = flag.String("anon", "", "optional anonymized dataset JSON to preload; default starts empty")
 		synth       = flag.Int("synth", 0, "demo mode: generate a synthetic auxiliary world with this many users instead of -aux")
 		synthAnon   = flag.Bool("synth-anon", false, "with -synth: closed-world split the synthetic data so the anonymized side starts populated (queryable out of the box)")
-		workers     = flag.Int("workers", 0, "worker bound of the feature-extraction pool (cold boot) and of every multi-user query batch, such as a router's /internal/query group; a one-user batch (a /v1/query) fans out over the shared scan tokens instead (0 = all CPUs)")
+		workers     = flag.Int("workers", 0, "worker bound of the feature-extraction pool (cold boot) and of every query batch, a /v1/query and a router's /internal/query group alike; helper goroutines come only from the world's idle scan tokens (0 = all CPUs)")
 		shards      = flag.Int("shards", 1, "partition-parallel auxiliary scoring shards (0 = one per CPU)")
 		k           = flag.Int("k", 10, "default Top-K candidate set size")
 		hbar        = flag.Int("landmarks", 50, "landmark count for the structural similarity")

@@ -465,8 +465,9 @@ func (w *PreparedWorld) ShardSizes() []ShardSize {
 // results aligned with users — the serving path: O(|aux|·dim) time and
 // O(k) memory per user, no similarity-matrix allocation, and results
 // identical to the Top-K phase of a full Attack. A lone query is a
-// one-user batch, fanned out across the shards; a wider batch is spread
-// over opt.Workers-bounded parallelism. k <= 0 uses opt.K (default 10).
+// one-user batch; every batch spreads its (chunk, shard) scans over at
+// most opt.Workers goroutines, taking helpers only from the world's idle
+// scan tokens. k <= 0 uses opt.K (default 10).
 // Safe for concurrent use.
 func (w *PreparedWorld) QueryBatch(users []int, k int, opt Options) ([][]Candidate, error) {
 	opt = opt.normalized()
@@ -571,10 +572,10 @@ type ServeOptions struct {
 	// Addr is the listen address (default ":8700"); used by Serve, ignored
 	// by NewServer.
 	Addr string
-	// Workers bounds how many goroutines share every multi-user batch —
-	// an /internal/query group from the router (<= 0 uses all CPUs). A
-	// one-user batch, such as a /v1/query, ignores it: it fans out across
-	// the shards over the world's shared scan tokens.
+	// Workers bounds how many goroutines share every query batch — a
+	// /v1/query's one-user batch and an /internal/query group from the
+	// router alike (<= 0 uses all CPUs). Helper goroutines beyond the
+	// request's own are taken only from the world's idle scan tokens.
 	Workers int
 	// Deprecated: Batch is ignored. Every request is answered on its own
 	// goroutine; nothing batches across requests.
@@ -607,7 +608,7 @@ type Server = serve.Server
 // serveBackend adapts a PreparedWorld to the serving layer.
 type serveBackend struct {
 	w   *PreparedWorld
-	opt Options // Workers is ServeOptions.Workers: bounds a multi-user batch
+	opt Options // Workers is ServeOptions.Workers: bounds every query batch
 }
 
 func (b serveBackend) Ingest(batch []UserPosts) ([]int, error) { return b.w.Ingest(batch) }

@@ -35,9 +35,10 @@ func (p *Pipeline) checkQuery(op string, k int, users ...int) {
 // QueryBatch computes each entry of users' top-k auxiliary candidates in
 // decreasing score order (ties by smaller auxiliary index), exactly as
 // TopK(k, DirectSelection, nil).Candidates[u] would, with results lined
-// up with users by index. A one-user batch fans out across the shards in
-// parallel; a wider one is spread over a bounded worker pool (workers <= 0
-// uses GOMAXPROCS). Safe for concurrent use with other queries; not with
+// up with users by index. Every batch, a lone query included, spreads its
+// (chunk, shard) scans over at most workers goroutines, helpers taken only
+// from the shard world's idle scan tokens (workers <= 0 allows one per
+// core). Safe for concurrent use with other queries; not with
 // ingestion (the serving layer serializes the two).
 func (p *Pipeline) QueryBatch(users []int, k, workers int) [][]Candidate {
 	p.checkQuery("QueryBatch", k, users...)

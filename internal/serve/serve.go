@@ -16,9 +16,10 @@
 // backend's one query method, Backend.QueryBatch: /v1/query a one-user
 // batch, /internal/query the group the router already built, which drives
 // the backend's multi-query blocked scoring kernel. A sharded backend
-// changes none of this: per-shard state is immutable after partitioning
-// and a query fans out across shards inside the backend, scanning inline
-// when no core is idle; /v1/stats adds the per-shard breakdown.
+// changes none of this: per-shard state is immutable after partitioning,
+// and every batch, one user or a group, spreads its shard scans inside the
+// backend over the scan tokens of idle cores, scanning inline when none
+// is idle; /v1/stats adds the per-shard breakdown.
 package serve
 
 import (

@@ -7,9 +7,9 @@
 // (ScoreRangeAbove — this is its one production call site), and drain Q
 // bounded heaps. When only the heaps read the scores, each query's floor —
 // its full heap's k-th score, raised by the k-th scores its other shards
-// have already published when fanOut shares a floorCell — goes down to the
-// kernel before every block, and rows the kernel can prove below it cost a
-// popcount instead of a merge (see scan).
+// have already published to the floorCell QueryBatch shares — goes down
+// to the kernel before every block, and rows the kernel can prove below it
+// cost a popcount instead of a merge (see scan).
 // Scanning queries one by one would stream each shard's flat aux-side
 // caches through memory once per query; the batch also amortizes the
 // per-query preparation (dense attribute tables, presence bitsets) the
@@ -33,7 +33,6 @@ package shard
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +60,7 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// floorCell is one query's floor shared by the shards of a fanOut: an
+// floorCell is one query's floor shared by its shards in QueryBatch: an
 // atomic float64 max over the k-th scores the shards' full heaps have
 // published, -Inf until the first. Safe for concurrent shards.
 type floorCell struct{ bits atomic.Uint64 }
@@ -133,7 +132,7 @@ func (sc *batchScratch) grow(q, k int) {
 // the block's floor, bound or score; ties are kept, because they break by
 // id. scan returns how many (query, row) pairs the kernel answered with a
 // bound. cells, when non-nil, aligns with users and shares each query's
-// floor with its other shards (fanOut): at every block boundary a full
+// floor with its other shards (QueryBatch): at every block boundary a full
 // heap publishes its root to the cell, and the floor is the cell's value.
 // A shard whose k was clamped to its own size neither publishes nor reads
 // the cell: its root is not the k-th of k real candidates, and its few rows
@@ -249,35 +248,6 @@ func ParallelFor(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// queryBatchFanOut answers a whole batch through the batched shard scan:
-// users are cut into contiguous chunks of at most maxBatchQ (balanced
-// across the worker budget), and every (chunk, shard) cell is one
-// TopKBatch scheduled over the workers, so a batch narrower than the
-// worker budget still scans its shards in parallel. The per-shard lists
-// are merged per user once every cell is in. The across-query cache reuse
-// lives inside the scan; workers only decide which cells run side by
-// side, so results are identical at every worker count.
-func (w *World) queryBatchFanOut(users []int, k, workers int, out [][]Candidate) {
-	chunk := min(max((len(users)+workers-1)/workers, 1), maxBatchQ)
-	ns := len(w.shards)
-	cells := make([][][]Candidate, (len(users)+chunk-1)/chunk*ns)
-	ParallelFor(len(cells), workers, func(i int) {
-		lo := i / ns * chunk
-		cells[i] = w.shards[i%ns].TopKBatch(users[lo:min(lo+chunk, len(users))], k)
-	})
-	parts := make([][]Candidate, ns)
-	for qi := range users {
-		if ns == 1 {
-			out[qi] = cells[qi/chunk][qi%chunk]
-			continue
-		}
-		for si := range parts {
-			parts[si] = cells[qi/chunk*ns+si][qi%chunk]
-		}
-		out[qi] = MergeTopK(parts, k)
-	}
-}
-
 // ScanBatch is the scan for callers that need more of a row than its
 // top-k — the offline Top-K DA phase (internal/core). It runs users
 // through every shard in turn on the calling goroutine, always by the full
@@ -300,30 +270,82 @@ func (w *World) ScanBatch(users []int, k int, observe func(q, lo int, scores []f
 	return out
 }
 
-// QueryBatch answers each entry of users with its global top-k (workers
-// <= 0 uses GOMAXPROCS); a lone query is a batch of one. Results align
-// with users by index, each bit-identical whatever the batch. This is the
-// one place that sees a batch's width, so it picks the engine: a one-user
-// batch fans its shards out over the shared scan tokens (fanOut); a wider
-// unpruned batch goes through the multi-query blocked kernel
-// (queryBatchFanOut), each shard walked once per chunk of up to maxBatchQ
-// queries; a wider pruned batch runs one query per worker, since the
-// pruner's per-query candidate sets cannot be batched, each scanning its
-// shards inline unless a single worker is left to fan them out.
+// QueryBatch answers each entry of users with its global top-k; a lone
+// query is a batch of one. Results align with users by index, each
+// bit-identical whatever the batch, the worker count or the schedule.
+// It is the one loop that spends cores on a query: users are cut into
+// chunks of at most maxBatchQ, balanced across the workers (one user each
+// on a pruned world, whose per-query candidate sets do not batch), and
+// each (chunk, shard) cell is one call of cell. The cells run on the
+// caller plus at most workers-1 helper goroutines (workers <= 0 means one
+// per scan token plus the caller), each claimed from scanTokens without
+// blocking, so concurrent callers that find the tokens spent cover their
+// cells inline. A chunk's cells are adjacent and each user's shards share
+// one floorCell, whether they run side by side or one after another. A
+// one-cell batch (one shard, one chunk) calls its cell directly, without
+// the closure.
 func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
-	out := make([][]Candidate, len(users))
-	if len(users) == 1 {
-		out[0] = w.fanOut(users[0], k, true)
-		return out
-	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) // takes the scheduler lock: only for wider batches
+		workers = cap(w.scanTokens) + 1
 	}
-	if w.prune == nil {
-		w.queryBatchFanOut(users, k, workers, out)
-		return out
+	n, ns := len(users), len(w.shards)
+	chunk := min(max((n+workers-1)/workers, 1), maxBatchQ)
+	if w.prune != nil {
+		chunk = 1
 	}
-	helpers := workers <= 1
-	ParallelFor(len(users), workers, func(i int) { out[i] = w.fanOut(users[i], k, helpers) })
+	cells := (n + chunk - 1) / chunk * ns
+	parts := make([][]Candidate, ns*n) // parts[s*n+q]: shard s's list for users[q]
+	if cells == 1 {
+		w.cell(w.shards[0], users, k, nil, parts)
+		return parts
+	}
+	floors := newFloorCells(n)
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < cells; i = int(next.Add(1)) - 1 {
+			s, lo := i%ns, i/ns*chunk
+			hi := min(lo+chunk, n)
+			w.cell(w.shards[s], users[lo:hi], k, floors[lo:hi], parts[s*n+lo:s*n+hi])
+		}
+	}
+	var wg sync.WaitGroup
+spawn:
+	for h := 1; h < min(workers, cells); h++ {
+		select {
+		case <-w.scanTokens:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { w.scanTokens <- struct{}{} }()
+				run()
+			}()
+		default:
+			break spawn // no idle core; the caller covers the rest
+		}
+	}
+	run()
+	wg.Wait()
+	if ns == 1 {
+		return parts
+	}
+	out, ps := make([][]Candidate, n), make([][]Candidate, ns)
+	for q := range out {
+		for s := range ps {
+			ps[s] = parts[s*n+q]
+		}
+		out[q] = MergeTopK(ps, k)
+	}
 	return out
+}
+
+// cell answers one chunk of users on shard sh into res, sharing each
+// user's floor with its other shards through floors (nil shares nothing):
+// the scan, or on a pruned world the candidate pruner, whose chunks hold
+// one user.
+func (w *World) cell(sh *Shard, users []int, k int, floors []floorCell, res [][]Candidate) {
+	if w.prune != nil {
+		res[0] = sh.topKPruned(users[0], k, *w.prune, w.pstats, floors)
+		return
+	}
+	sh.scan(users, k, floors, nil, res)
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -52,23 +51,30 @@ func TestTopKBatchParity(t *testing.T) {
 	}
 }
 
-// TestQueryBatchWorkerCounts checks every engine's batch loop against the
-// plain world's one-user batches, bit for bit — the batched kernel (plain world
+// TestQueryBatchWorkerCounts checks every engine's batch loop against a
+// full-sort oracle, bit for bit — the batched kernel (plain world
 // QueryBatch), the pruner handing dense queries to the scan (WithPruning
 // world QueryBatch) and the pruner kept on its banded path
-// (MaxCandidateFrac 1) — over every shape
-// the schedule takes: worlds of 1 to 5 shards, worker budgets from
-// sequential to more workers than cells, and batches narrower than the
-// budget (widths 1 and 2, where only the shard fan-out can use the spare
-// workers), one wider than it, one of many chunks per worker, and one
-// wider than a kernel pass (maxBatchQ).
+// (MaxCandidateFrac 1) — over every shape the schedule takes: worlds of 1
+// to 5 shards, worker budgets from sequential to more workers than cells,
+// batches narrower than the budget (widths 1 and 2, where only the shards
+// can use the spare workers), one wider than it, one of many chunks per
+// worker, and one wider than a kernel pass (maxBatchQ). At workers 0 and 1
+// k also runs from one to beyond the world, including k just above the
+// smallest shard, where clamped shards sit beside shards that publish to
+// the shared floors.
 func TestQueryBatchWorkerCounts(t *testing.T) {
 	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 19)
+	auxN := auxUDA.NumNodes()
+	oracle := make([][]Candidate, anonN)
+	for u := range oracle {
+		oracle[u] = oracleTopK(base, u, auxN)
+	}
 	for _, shards := range []int{1, 2, 3, 4, 5} {
 		w := New(base, auxUDA, auxS, shards)
-		want := make([][]Candidate, anonN)
-		for u := range want {
-			want[u] = w.QueryBatch([]int{u}, 5, 0)[0]
+		smallest := auxN
+		for _, sh := range w.Shards() {
+			smallest = min(smallest, sh.NumUsers())
 		}
 		engines := []struct {
 			name  string
@@ -81,22 +87,28 @@ func TestQueryBatchWorkerCounts(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 7, maxBatchQ + 20} {
 			resolved := workers
 			if resolved <= 0 {
-				resolved = runtime.GOMAXPROCS(0)
+				resolved = cap(w.scanTokens) + 1
 			}
 			for _, width := range []int{1, 2, resolved + 1, 2*anonN + 3, maxBatchQ + 5} {
 				users := make([]int, width)
 				for i := range users {
 					users[i] = (i + width) % anonN
 				}
-				for _, e := range engines {
-					got := e.batch(users, 5, workers)
-					if len(got) != width {
-						t.Fatalf("%s shards=%d workers=%d width=%d: %d results", e.name, shards, workers, width, len(got))
-					}
-					for i, u := range users {
-						if !slices.Equal(got[i], want[u]) {
-							t.Fatalf("%s shards=%d workers=%d width=%d u=%d: %+v, want %+v",
-								e.name, shards, workers, width, u, got[i], want[u])
+				ks := []int{5}
+				if workers <= 1 { // both schedules: helper goroutines and every cell inline
+					ks = []int{1, 5, smallest + 1, auxN + 5}
+				}
+				for _, k := range ks {
+					for _, e := range engines {
+						got := e.batch(users, k, workers)
+						if len(got) != width {
+							t.Fatalf("%s shards=%d workers=%d width=%d k=%d: %d results", e.name, shards, workers, width, k, len(got))
+						}
+						for i, u := range users {
+							if want := oracle[u][:min(k, auxN)]; !slices.Equal(got[i], want) {
+								t.Fatalf("%s shards=%d workers=%d width=%d k=%d u=%d: %+v, oracle %+v",
+									e.name, shards, workers, width, k, u, got[i], want)
+							}
 						}
 					}
 				}
@@ -275,7 +287,7 @@ func TestScanSkipShare(t *testing.T) {
 //     floors and scores whole rows (the offline Top-K DA phase);
 //   - world/shards=2: a one-user World.QueryBatch on a 2-shard world, whose
 //     shards share one floor. Its skipped/row comes from the same queries
-//     fanned out inline (shard by shard through one cell) over a fixed
+//     scanned inline (shard by shard through one cell) over a fixed
 //     sample of 64 users after the timer stops, so it repeats exactly.
 func BenchmarkShardScan(b *testing.B) {
 	auxS, base, anonN := scanFixture(b)

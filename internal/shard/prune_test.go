@@ -158,8 +158,9 @@ func TestPrunedBandedDense(t *testing.T) {
 }
 
 // TestDenseHandOffParity pins the pruner's hand-off to the scan on a
-// world where every query is dense, at 1, 2 and 3 shards, with the helper
-// goroutines on and off, and with k from 1 to beyond the world — including
+// world where every query is dense, at 1, 2 and 3 shards, at workers 1
+// (every shard inline, in index order) and 0 (helper goroutines from the
+// world's scan tokens), and with k from 1 to beyond the world — including
 // k just above the smallest shard, where a shard clamped to its size sits
 // beside shards that publish to the query's shared floor. The hand-off
 // must pass the scan the caller's k: a shard scanning under the clamped k
@@ -179,10 +180,10 @@ func TestDenseHandOffParity(t *testing.T) {
 			smallest = min(smallest, sh.NumUsers())
 		}
 		for _, k := range []int{1, 10, smallest + 1, auxN + 5} {
-			for _, helpers := range []bool{false, true} {
+			for _, workers := range []int{1, 0} {
 				for _, u := range users {
-					candidatesEqual(t, pruned.fanOut(u, k, helpers), full.QueryBatch([]int{u}, k, 0)[0],
-						fmt.Sprintf("shards=%d k=%d helpers=%v u=%d hand-off parity", shards, k, helpers, u))
+					candidatesEqual(t, pruned.QueryBatch([]int{u}, k, workers)[0], full.QueryBatch([]int{u}, k, 0)[0],
+						fmt.Sprintf("shards=%d k=%d workers=%d u=%d hand-off parity", shards, k, workers, u))
 				}
 			}
 		}

@@ -28,8 +28,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"dehealth/internal/features"
 	"dehealth/internal/graph"
@@ -120,12 +118,11 @@ func sortCandidates(cs []Candidate) {
 type World struct {
 	shards []*Shard
 	// scanTokens bounds the helper goroutines that all concurrent
-	// one-user batches on this world (and every derived view — the
-	// channel is shared) may have in flight at once, at GOMAXPROCS-1. A
-	// lone query fans out across all cores; when the callers (concurrent
-	// served queries, a pruned batch's pool) already saturate the CPUs the
-	// tokens run dry and queries degrade to inline shard scans instead of
-	// stacking goroutines multiplicatively on the scheduler.
+	// batches on this world (and every derived view — the channel is
+	// shared) may have in flight at once, at GOMAXPROCS-1. A lone batch
+	// spreads its cells across all cores; when concurrent callers already
+	// saturate the CPUs the tokens run dry and each batch covers its cells
+	// inline instead of stacking goroutines on the scheduler.
 	scanTokens chan struct{}
 	// prune, when non-nil, routes every query through the candidate-pruned
 	// engine under this configuration (see prune.go); pstats is the shared
@@ -213,7 +210,7 @@ func (w *World) Shards() []*Shard { return w.shards }
 func (w *World) AuxUsers() int { return w.shards[len(w.shards)-1].Hi }
 
 // newScanTokens builds the world's helper-goroutine budget: GOMAXPROCS-1
-// tokens (a single-core machine gets none and every query scans inline).
+// tokens (a single-core machine gets none and every batch runs inline).
 func newScanTokens() chan struct{} {
 	n := runtime.GOMAXPROCS(0) - 1
 	if n < 0 {
@@ -226,69 +223,13 @@ func newScanTokens() chan struct{} {
 	return t
 }
 
-// shardTopK answers one shard's slice of a query through the world's exact
-// engine: the candidate pruner on a pruned world, which hands dense queries
-// to the scan, and the scan otherwise. The scan shares the query's floor
-// through cells (see topK).
-func (w *World) shardTopK(sh *Shard, u, k int, cells []floorCell) []Candidate {
-	if w.prune != nil {
-		return sh.topKPruned(u, k, *w.prune, w.pstats, cells)
-	}
-	return sh.topK(u, k, cells)
-}
-
-// fanOut answers one query on every shard and merges the per-shard results
-// under the global selection order. With helpers set, workers are claimed
-// from the world's shared token budget (GOMAXPROCS-1): a standalone query
-// parallelizes across all cores, while queries arriving from an
-// already-parallel caller find no idle capacity and scan their shards on
-// the calling goroutine — the fan-out adapts to load instead of
-// multiplying goroutines. Batch workers pass helpers false: across-query
-// parallelism already saturates the pool and per-query fan-out would only
-// add scheduling churn. The shards' scans share one floorCell, so a shard
-// that starts after another (inline) or beside it (on a helper) rejects
-// rows below the k-th score the other has already reached. The outcome is
-// bit-identical to the single-shard (unsharded) path either way: same
-// candidate set, same order, same scores.
-func (w *World) fanOut(u, k int, helpers bool) []Candidate {
-	if len(w.shards) == 1 {
-		return w.shardTopK(w.shards[0], u, k, nil)
-	}
-	parts := make([][]Candidate, len(w.shards))
-	cells := newFloorCells(1)
-	var next atomic.Int64
-	scan := func() {
-		for i := int(next.Add(1)) - 1; i < len(w.shards); i = int(next.Add(1)) - 1 {
-			parts[i] = w.shardTopK(w.shards[i], u, k, cells)
-		}
-	}
-	var wg sync.WaitGroup
-spawn:
-	for h := 1; helpers && h < len(w.shards); h++ {
-		select {
-		case <-w.scanTokens:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { w.scanTokens <- struct{}{} }()
-				scan()
-			}()
-		default:
-			break spawn // no idle cores; the caller covers the rest
-		}
-	}
-	scan()
-	wg.Wait()
-	return MergeTopK(parts, k)
-}
-
 // MergeTopK merges per-shard top-k lists into the global top-k under the
 // global selection order (score descending, id ascending). Exact: every
 // global top-k candidate appears in its own shard's top-k, so sorting the
 // union and truncating loses nothing. Exported as the single merge-order
 // source for out-of-process scatter-gather: the distributed router merges
 // shard-server replies through this exact function, which is what makes
-// its results bit-identical to the in-process fan-out.
+// its results bit-identical to the in-process QueryBatch.
 func MergeTopK(parts [][]Candidate, k int) []Candidate {
 	total := 0
 	for _, p := range parts {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -159,14 +160,15 @@ func TestShardedQueryParity(t *testing.T) {
 	}
 }
 
-// TestSharedFloorParity pins fanOut's shared floors to a full-sort oracle
-// on worlds whose shards span several score blocks, so floors engage and
-// cross shards: a dense world and its tie-heavy twin (scores land exactly
-// on a published floor), at shard counts that leave some shards one row
-// short of others, with k from one to beyond the world — including k just
-// above the smallest shard, where clamped shards (which must leave the
-// cell alone) sit beside shards that publish — and with the helper
-// goroutines on and off. It also checks that the cell really fires: a
+// TestSharedFloorParity pins QueryBatch's shared floors to a full-sort
+// oracle on worlds whose shards span several score blocks, so floors
+// engage and cross shards: a dense world and its tie-heavy twin (scores
+// land exactly on a published floor), at shard counts that leave some
+// shards one row short of others, with k from one to beyond the world —
+// including k just above the smallest shard, where clamped shards (which
+// must leave the cell alone) sit beside shards that publish — at workers 1
+// (every shard inline, in index order) and 0 (helper goroutines from the
+// world's scan tokens). It also checks that the cell really fires: a
 // shard scanned after its sibling has published skips more rows than the
 // same shard scanned alone.
 func TestSharedFloorParity(t *testing.T) {
@@ -202,11 +204,11 @@ func TestSharedFloorParity(t *testing.T) {
 					mixed = mixed || sh.NumUsers() > smallest
 				}
 				for _, k := range []int{1, 10, smallest + 1, auxN + 5} {
-					for _, helpers := range []bool{false, true} {
+					for _, workers := range []int{1, 0} {
 						for _, u := range users {
-							got := w.fanOut(u, k, helpers)
+							got := w.QueryBatch([]int{u}, k, workers)[0]
 							if exp := want[u][:min(k, auxN)]; !slices.Equal(got, exp) {
-								t.Fatalf("shards=%d k=%d helpers=%v u=%d: %+v, oracle %+v", n, k, helpers, u, got, exp)
+								t.Fatalf("shards=%d k=%d workers=%d u=%d: %+v, oracle %+v", n, k, workers, u, got, exp)
 							}
 						}
 					}
@@ -215,8 +217,8 @@ func TestSharedFloorParity(t *testing.T) {
 			if !mixed {
 				t.Fatal("no shard count left shards of unequal size; k above the smallest shard never met a shard that publishes")
 			}
-			// Inline fan-outs in both shard orders (a helper may take either
-			// shard first; on the twin world the two shards' rows tie pair
+			// Inline scans in both shard orders (a helper goroutine may take
+			// either shard first; on the twin world the two shards' rows tie pair
 			// by pair, so at k = 1 the second shard's best lands exactly on
 			// the floor and must be kept): both merge to the oracle, every
 			// listed score is exact, and the second shard skips more rows
@@ -254,12 +256,16 @@ func TestSharedFloorParity(t *testing.T) {
 	}
 }
 
-// TestQueryUserConcurrentParity runs one 3-shard world's lone queries from
-// several goroutines at once, so the helper-token budget runs dry and
-// refills and a query's shards share their floor cell both inline and
-// across goroutines, and checks every answer against the 1-shard world.
-// It runs the plain world and the same world pruned, where every query of
-// this dense world reaches the floor cells through the pruner's hand-off.
+// TestQueryUserConcurrentParity runs one 3-shard world's lone queries and
+// width-8 batches from several goroutines at once, so they contend for the
+// world's scan tokens: the tokens run dry and refill, and each user's
+// shards share their floor cell both inline and across helper goroutines.
+// Every answer is checked against the 1-shard world, on the plain world
+// and on the same world pruned, where every query of this dense world
+// reaches the floor cells through the pruner's hand-off. Then, with every
+// token drained, a workers-84 batch of every fifth user must run inline to
+// the same answers, and with the tokens back the same batch must return every
+// token it claims.
 func TestQueryUserConcurrentParity(t *testing.T) {
 	anonS, auxS, base := testStores(t, 640, 2, 47)
 	anonN, auxN := anonS.UDA().NumNodes(), auxS.UDA().NumNodes()
@@ -272,17 +278,33 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 			want[ki][u] = single.QueryBatch([]int{u}, k, 0)[0]
 		}
 	}
-	for _, w := range []*World{plain, plain.WithPruning(index.Config{}, nil)} {
+	// check reports whether w's batch of users at ks[ki] matches the
+	// 1-shard world, failing the test (without stopping it) if not.
+	check := func(w *World, what string, users []int, ki, workers int) bool {
+		for i, got := range w.QueryBatch(users, ks[ki], workers) {
+			if u := users[i]; !slices.Equal(got, want[ki][u]) {
+				t.Errorf("pruned=%v %s k=%d u=%d: %+v, 1-shard world %+v", w.pruned(), what, ks[ki], u, got, want[ki][u])
+				return false
+			}
+		}
+		return true
+	}
+	worlds := []*World{plain, plain.WithPruning(index.Config{}, nil)}
+	for _, w := range worlds {
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				batch := make([]int, 8)
 				for i := 0; i < anonN; i++ {
 					u := (i*7 + g*31) % anonN
-					for ki, k := range ks {
-						if got := w.QueryBatch([]int{u}, k, 0)[0]; !slices.Equal(got, want[ki][u]) {
-							t.Errorf("pruned=%v goroutine %d k=%d u=%d: %+v, 1-shard world %+v", w.pruned(), g, k, u, got, want[ki][u])
+					for j := range batch {
+						batch[j] = (u + j*13) % anonN
+					}
+					for ki := range ks {
+						if !check(w, fmt.Sprintf("goroutine %d lone", g), []int{u}, ki, 0) ||
+							i%32 == 0 && !check(w, fmt.Sprintf("goroutine %d width 8", g), batch, ki, 0) {
 							return
 						}
 					}
@@ -292,6 +314,35 @@ func TestQueryUserConcurrentParity(t *testing.T) {
 		wg.Wait()
 		if s := w.pruneStats(); s.DenseQueries != s.Queries {
 			t.Fatalf("every query of the dense pruned world must be handed to the scan: %+v", s)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	tokens := plain.scanTokens // shared by the pruned view
+	if len(tokens) != cap(tokens) {
+		t.Fatalf("%d of %d scan tokens idle after the concurrent queries", len(tokens), cap(tokens))
+	}
+	var all []int
+	for u := 0; u < anonN; u += 5 {
+		all = append(all, u)
+	}
+	for range cap(tokens) {
+		<-tokens
+	}
+	for _, w := range worlds {
+		check(w, "drained tokens", all, 1, maxBatchQ+20)
+		if len(tokens) != 0 {
+			t.Fatalf("pruned=%v: a batch on drained tokens left %d behind", w.pruned(), len(tokens))
+		}
+	}
+	for range cap(tokens) {
+		tokens <- struct{}{}
+	}
+	for _, w := range worlds {
+		check(w, "refilled tokens", all, 1, maxBatchQ+20)
+		if len(tokens) != cap(tokens) {
+			t.Fatalf("pruned=%v: %d of %d scan tokens idle after a workers-%d batch", w.pruned(), len(tokens), cap(tokens), maxBatchQ+20)
 		}
 	}
 }
