@@ -11,8 +11,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dehealth/internal/core"
+	"dehealth/internal/corpus"
 	"dehealth/internal/eval"
 	"dehealth/internal/features"
 	"dehealth/internal/similarity"
@@ -334,26 +336,55 @@ func BenchmarkQueryUser(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest measures incremental single-user ingestion into a live
-// prepared world — extraction, graph extension and similarity-cache sync.
+// BenchmarkIngest measures incremental ingestion into a live prepared world
+// at two sizes of the anonymized side, with the paper's 50 landmarks. Each
+// op ingests one two-post account — a reply under an existing anonymized
+// thread and a new thread — and the ingest is reported per account in
+// three parts: extract-us (the stylometric extraction of its posts, timed
+// alone), splice-us (the store append, which extracts again and grows the
+// dataset and the UDA graph, minus that extraction) and sync-us (the scorer
+// cache sync). The sync is the part whose cost used to grow with the world.
 func BenchmarkIngest(b *testing.B) {
-	w := GenerateWorld(WorldConfig{WebMDUsers: 250, HBUsers: 250, Seed: 95})
-	split := SplitClosedWorld(w.WebMD, 0.5, 96)
-	opt := DefaultOptions()
-	opt.MaxBigrams = 100
-	opt.Landmarks = 10
-	pw := PrepareWorld(split.Anon, split.Aux, opt)
-	if _, err := pw.QueryBatch([]int{0}, 10, opt); err != nil {
-		b.Fatal(err)
-	}
-	text := split.Anon.Posts[0].Text
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pw.IngestUser(fmt.Sprintf("bench-%d", i), []IngestPost{
-			{Thread: i % 3, Text: text},
-		}); err != nil {
+	for _, accounts := range []int{2000, 8000} {
+		w := GenerateWorld(WorldConfig{WebMDUsers: accounts, HBUsers: accounts / 4, Seed: 95})
+		split := SplitClosedWorld(w.WebMD, 0.5, 96)
+		opt := DefaultOptions()
+		opt.MaxBigrams = 100
+		pw := PrepareWorld(split.Anon, split.Aux, opt)
+		if _, err := pw.QueryBatch([]int{0}, 10, opt); err != nil {
 			b.Fatal(err)
 		}
+		p := pw.pipeline(opt.normalized().simConfig())
+		anonN, _ := pw.Sizes()
+		threads, texts := len(pw.Anon.Threads), split.Aux.Posts
+		row := make([]float64, pw.anonStore.Dim())
+		b.Run(fmt.Sprintf("anon=%d", anonN), func(b *testing.B) {
+			var extract, appendT, syncT time.Duration
+			for i := 0; i < b.N; i++ {
+				posts := []IngestPost{
+					{Thread: (i * 7919) % threads, Text: texts[(2*i)%len(texts)].Text},
+					{Thread: NewThread, Text: texts[(2*i+1)%len(texts)].Text},
+				}
+				t0 := time.Now()
+				for _, post := range posts {
+					pw.anonStore.Extractor.ExtractInto(row, post.Text)
+				}
+				t1 := time.Now()
+				if _, err := pw.anonStore.Append([]UserPosts{{
+					User:  corpus.User{Name: fmt.Sprintf("bench-%d", i), TrueIdentity: -1},
+					Posts: posts,
+				}}); err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				p.SyncAppended()
+				extract, appendT, syncT = extract+t1.Sub(t0), appendT+t2.Sub(t1), syncT+time.Since(t2)
+			}
+			us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(us(extract), "extract-us/account")
+			b.ReportMetric(us(appendT-extract), "splice-us/account")
+			b.ReportMetric(us(syncT), "sync-us/account")
+		})
 	}
 }
 

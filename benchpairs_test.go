@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -167,5 +168,70 @@ func TestBenchPairsSchema(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBenchPairsTreeID runs scripts/bench_pairs.sh's tree_id, lifted out of
+// the script with the script's shell options, in a scratch repository on
+// a commit whose README.md differs from both the index and HEAD: it must
+// print that commit's tree without the documents and BENCH_*.json, and a
+// tree_id that fails must fail the command substitution's caller.
+func TestBenchPairsTreeID(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("no git")
+	}
+	script, err := os.ReadFile("scripts/bench_pairs.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := regexp.MustCompile(`(?ms)^tree_id\(\) \{$.*?^\}$`).Find(script)
+	opts := regexp.MustCompile(`(?m)^(set|shopt) .*$`).FindAll(script, -1)
+	if fn == nil || len(opts) == 0 {
+		t.Fatalf("scripts/bench_pairs.sh: tree_id or its shell options not found (%d option lines)", len(opts))
+	}
+	dir, scratch := t.TempDir(), t.TempDir()
+	run := func(args ...string) (string, error) {
+		cmd := exec.Command(args[0], args[1:]...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "TMPDIR="+scratch, "GIT_CONFIG_GLOBAL=/dev/null", "GIT_CONFIG_NOSYSTEM=1",
+			"GIT_AUTHOR_NAME=t", "GIT_AUTHOR_EMAIL=t@t", "GIT_COMMITTER_NAME=t", "GIT_COMMITTER_EMAIL=t@t")
+		out, err := cmd.CombinedOutput()
+		return strings.TrimSpace(string(out)), err
+	}
+	write := func(name, body string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(args ...string) string {
+		out, err := run(args...)
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		return out
+	}
+	must("git", "init", "-q")
+	write("a.go", "package a\n")
+	must("git", "add", "-A")
+	must("git", "commit", "-q", "-m", "code")
+	want := must("git", "rev-parse", "HEAD^{tree}")
+	write("README.md", "one\n")
+	write("BENCH_x.json", "[]\n")
+	must("git", "add", "-A")
+	must("git", "commit", "-q", "-m", "documents")
+	rev := must("git", "rev-parse", "HEAD")
+	write("README.md", "two\n")
+	must("git", "commit", "-q", "-am", "edit")
+	write("README.md", "three\n") // differs from the index and HEAD
+
+	shell := func(arg string) (string, error) {
+		return run("bash", "-c", string(bytes.Join(opts, []byte("\n")))+"\ntmp=$(mktemp -d)\n"+string(fn)+
+			"\nid=$(tree_id "+arg+")\nrm -rf \"$tmp\"\necho \"$id\"")
+	}
+	if got, err := shell(rev); err != nil || got != want {
+		t.Fatalf("tree_id %s = %q (%v), want %s", rev, got, err, want)
+	}
+	if got, err := shell("no-such-rev"); err == nil {
+		t.Fatalf("tree_id of a missing revision succeeded with %q", got)
 	}
 }

@@ -164,6 +164,13 @@ func (g *Graph) WeightedDegree(u int) float64 {
 	return s
 }
 
+// Neighbors returns u's adjacency, sorted by neighbor id. The slice is the
+// graph's own: do not modify it, and do not keep it past the next AddEdge.
+func (g *Graph) Neighbors(u int) []Edge {
+	g.Freeze()
+	return g.adj[u]
+}
+
 // NCS returns u's Neighborhood Correlation Strength vector: the incident
 // edge weights in decreasing order (§II-B).
 func (g *Graph) NCS(u int) []float64 {

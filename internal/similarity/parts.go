@@ -18,7 +18,8 @@ import (
 // Parts is the serializable precomputed state of a base scorer: the
 // anonymized-side SoA caches and the full auxiliary window, in the flat
 // layouts the kernel walks. Slices are the scorer's own backing arrays —
-// treat them as read-only.
+// treat them as read-only, and as valid only until the next SyncAnon, which
+// rewrites grown rows in place.
 type Parts struct {
 	// Anonymized side (scorerCaches). Hbar1 is len(Landmarks).
 	Landmarks []int
@@ -77,7 +78,8 @@ func (s *Scorer) Parts() Parts {
 // NewScorerFromParts rebuilds a base scorer over g1 and g2 from saved
 // parts, adopting the part slices as its caches (no copies: callers
 // restoring from a read-only mapping rely on the arrays being read-only in
-// operation — SyncAnon appends, which reallocates). The auxiliary
+// operation — the first SyncAnon rebuilds the anonymized side into fresh
+// arrays and never writes the adopted ones). The auxiliary
 // attribute state is re-derived from g2.Attrs exactly as NewScorer derives
 // it. Every part is validated against the graphs' dimensions; a mismatch
 // returns an error rather than a scorer that would index out of bounds.

@@ -70,6 +70,17 @@ type scorerCaches struct {
 	landmarks1 []int // anon-side landmark nodes, pinned at construction
 	hbar1      int   // len(landmarks1): row stride of close1/wcl1
 
+	// hop1[li] and wd1[li] hold landmark li's BFS hop count (-1 when
+	// unreachable) and weighted distance (+Inf when unreachable) to every
+	// node: the state SyncAnon repairs, ħ × |V1| × 12 B.
+	hop1 [][]int32
+	wd1  [][]float64
+	// owned is true when every array here is heap memory these caches built
+	// and hop1/wd1 match the closeness rows. Caches adopted from Parts (the
+	// arrays may be views of a read-only mapping) start false, and their
+	// first SyncAnon rebuilds them.
+	owned bool
+
 	// NCS vectors are ragged (one entry per incident edge); they live in
 	// one flat array indexed by per-node offsets: node u's vector is
 	// ncs1[ncsOff1[u]:ncsOff1[u+1]].
@@ -156,12 +167,7 @@ func (ax *auxWindow) wclVec(v int) []float64 {
 
 // NewScorer builds a Scorer over the two UDA graphs.
 func NewScorer(g1, g2 *graph.UDA, cfg Config) *Scorer {
-	landmarks1 := g1.TopDegreeNodes(cfg.Landmarks)
-	c := &scorerCaches{landmarks1: landmarks1, hbar1: len(landmarks1)}
-	c.ncs1, c.ncsOff1, c.ncsNorm1 = flattenRagged(cacheNCS(g1))
-	hop1, w1 := landmarkCloseness(g1, landmarks1)
-	c.close1, c.closeNorm1 = flattenFixed(hop1, c.hbar1)
-	c.wcl1, c.wclNorm1 = flattenFixed(w1, c.hbar1)
+	c := newAnonCaches(g1, g1.TopDegreeNodes(cfg.Landmarks))
 
 	n2 := g2.NumNodes()
 	landmarks2 := g2.TopDegreeNodes(cfg.Landmarks)
@@ -176,9 +182,8 @@ func NewScorer(g1, g2 *graph.UDA, cfg Config) *Scorer {
 	}
 	ax.freezeAttrs(g2.Attrs)
 	ax.ncs, ax.ncsOff, ax.ncsNorm = flattenRagged(cacheNCS(g2))
-	hop2, w2 := landmarkCloseness(g2, landmarks2)
-	ax.close, ax.closeNorm = flattenFixed(hop2, ax.hbar2)
-	ax.wcl, ax.wclNorm = flattenFixed(w2, ax.hbar2)
+	hop2, wd2 := landmarkDistances(g2, landmarks2)
+	ax.close, ax.closeNorm, ax.wcl, ax.wclNorm = closenessRows(hop2, wd2, n2)
 	return &Scorer{cfg: cfg, g1: g1, g2: g2, c: c, ax: ax}
 }
 
@@ -284,35 +289,6 @@ func (s *Scorer) Shard(lo, hi int) *Scorer {
 // shard window.
 func (s *Scorer) AuxUsers() int { return len(s.ax.deg) }
 
-// SyncAnon extends the anonymized-side caches over nodes appended to G1
-// after the scorer was built (features.Store.Append): each new node gets
-// its NCS vector, its closeness to the landmark set pinned at construction
-// time, and their precomputed norms, via one BFS and one Dijkstra from the
-// node (the graph is undirected, so node→landmark distances equal
-// landmark→node ones). It returns the number of nodes added. Existing
-// nodes' cached vectors are deliberately not recomputed — new edges can
-// shorten old nodes' landmark distances; rebuild the scorer to refresh
-// them, and to re-pin landmarks. Every scorer sharing these caches through
-// Reweighted observes the extension. Not safe to run concurrently with
-// Score; the serving layer serializes ingestion against queries.
-func (s *Scorer) SyncAnon() int {
-	c := s.c
-	n, added := s.g1.NumNodes(), 0
-	for u := c.numAnon(); u < n; u++ {
-		ncs := s.g1.NCS(u)
-		c.ncs1 = append(c.ncs1, ncs...)
-		c.ncsOff1 = append(c.ncsOff1, len(c.ncs1))
-		c.ncsNorm1 = append(c.ncsNorm1, l2norm(ncs))
-		hop, w := nodeLandmarkCloseness(s.g1, u, c.landmarks1)
-		c.close1 = append(c.close1, hop...)
-		c.closeNorm1 = append(c.closeNorm1, l2norm(hop))
-		c.wcl1 = append(c.wcl1, w...)
-		c.wclNorm1 = append(c.wclNorm1, l2norm(w))
-		added++
-	}
-	return added
-}
-
 func cacheNCS(g *graph.UDA) [][]float64 {
 	out := make([][]float64, g.NumNodes())
 	for u := 0; u < g.NumNodes(); u++ {
@@ -339,18 +315,6 @@ func flattenRagged(rows [][]float64) (flat []float64, off []int, norm []float64)
 	return flat, off, norm
 }
 
-// flattenFixed packs fixed-width per-node vectors into one row-major
-// matrix of the given stride, with precomputed per-node L2 norms.
-func flattenFixed(rows [][]float64, stride int) (flat []float64, norm []float64) {
-	flat = make([]float64, 0, len(rows)*stride)
-	norm = make([]float64, len(rows))
-	for u, r := range rows {
-		flat = append(flat, r...)
-		norm[u] = l2norm(r)
-	}
-	return flat, norm
-}
-
 // l2norm returns sqrt(Σx²), accumulated in index order — exactly how
 // Cosine computes its norm factors, so precomputed norms are bit-identical
 // to recomputed ones.
@@ -360,52 +324,6 @@ func l2norm(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// landmarkCloseness computes, for every node, the closeness 1/(1+h) to each
-// landmark — 0 when unreachable — for both hop distances and weighted
-// distances. Landmarks are the ħ top-degree users (sorted by decreasing
-// degree, as §III-B prescribes), selected by the caller.
-func landmarkCloseness(g *graph.UDA, landmarks []int) (hop, weighted [][]float64) {
-	n := g.NumNodes()
-	hop = make([][]float64, n)
-	weighted = make([][]float64, n)
-	for u := 0; u < n; u++ {
-		hop[u] = make([]float64, len(landmarks))
-		weighted[u] = make([]float64, len(landmarks))
-	}
-	for li, l := range landmarks {
-		hd := g.BFSDistances(l)
-		wd := g.WeightedDistances(l)
-		for u := 0; u < n; u++ {
-			if hd[u] >= 0 {
-				hop[u][li] = 1 / (1 + float64(hd[u]))
-			}
-			if !math.IsInf(wd[u], 1) {
-				weighted[u][li] = 1 / (1 + wd[u])
-			}
-		}
-	}
-	return hop, weighted
-}
-
-// nodeLandmarkCloseness is the single-node counterpart of
-// landmarkCloseness, used when extending the caches incrementally: one BFS
-// and one Dijkstra from u yield its distances to every landmark.
-func nodeLandmarkCloseness(g *graph.UDA, u int, landmarks []int) (hop, weighted []float64) {
-	hd := g.BFSDistances(u)
-	wd := g.WeightedDistances(u)
-	hop = make([]float64, len(landmarks))
-	weighted = make([]float64, len(landmarks))
-	for li, l := range landmarks {
-		if hd[l] >= 0 {
-			hop[li] = 1 / (1 + float64(hd[l]))
-		}
-		if !math.IsInf(wd[l], 1) {
-			weighted[li] = 1 / (1 + wd[l])
-		}
-	}
-	return hop, weighted
 }
 
 // Cosine returns the cosine similarity of a and b; the shorter vector is

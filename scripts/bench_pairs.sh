@@ -25,6 +25,9 @@
 # under .bench_build/pairs/. Nothing under benchmark/ is edited; the script
 # only calls benchmark/run.sh on each side.
 set -euo pipefail
+# A failing step inside $(...) fails the script too, not just the
+# substitution: a tree_id that fails must not record a wrong tree.
+shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
 root=$PWD
 
@@ -52,7 +55,9 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # tree_id REV prints the git tree of REV, or with "-" of the working tree
-# as `git add -A` would stage it, leaving out *.md and BENCH_*.json.
+# as `git add -A` would stage it, leaving out *.md and BENCH_*.json. The
+# removal is forced: a REV's documents may differ from both the working
+# tree and HEAD, and `git rm --cached` refuses those without -f.
 tree_id() {
   local idx=$tmp/index
   rm -f "$idx"
@@ -62,7 +67,7 @@ tree_id() {
   else
     GIT_INDEX_FILE=$idx git read-tree "$1"
   fi
-  GIT_INDEX_FILE=$idx git rm -r --cached -q --ignore-unmatch -- '*.md' 'BENCH_*.json'
+  GIT_INDEX_FILE=$idx git rm -r --cached -f -q --ignore-unmatch -- '*.md' 'BENCH_*.json'
   GIT_INDEX_FILE=$idx git write-tree
 }
 
