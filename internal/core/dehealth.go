@@ -178,19 +178,14 @@ var ErrMatchingTooLarge = errors.New("core: world too large for graph-matching s
 // alone would be 64 GB, so the selection refuses instead of thrashing.
 const maxMatchingCells = 1 << 28
 
-// scanStrip is how many anonymized users one offline scan pass scores
-// together: each strip is one shard.World.ScanBatch call, so the Top-K
-// phase holds workers × scanStrip block buffers instead of full rows.
-const scanStrip = 8
-
 // TopK runs the Top-K DA phase (Algorithm 1, lines 2–5). trueMapping is
 // optional evaluation ground truth (anon user -> aux user) used only to
 // compute TrueRank; pass nil in attack settings. It panics on arguments
 // CheckTopK rejects.
 //
-// The phase runs on the served engine: strips of anonymized users stream
-// through the blocked batched shard scan, which keeps the candidates while
-// an observer folds each scored block into the row statistics, so memory
+// The phase runs on the served engine: every anonymized user streams
+// through the shard world's scan loop, which keeps the candidates while an
+// observer folds each scored block into the row statistics, so memory
 // stays O(|V1|·K) for direct selection. GraphMatchingSelection
 // materializes the full matrix and is intended for the small refined-DA
 // datasets.
@@ -250,7 +245,8 @@ type rowStats struct {
 	above      int
 }
 
-// observe is the row's shard.World.ScanBatch observer.
+// observe folds the row's scores from global row lo on; scanRows hands it
+// every block of the row once, in ascending order, on one goroutine.
 func (r *rowStats) observe(lo int, scores []float64) {
 	if lo == 0 {
 		r.min, r.max = scores[0], scores[0]
@@ -269,53 +265,53 @@ func (r *rowStats) observe(lo int, scores []float64) {
 	}
 }
 
-// topKDirect is the whole-matrix pass behind both selection methods:
-// strips of scanStrip anonymized users run through the shard world's
-// batched scan in parallel, the scan's heaps yield each user's K best
-// candidates, and a rowStats observer per user yields the row minimum, the
-// score extremes and the true mapping's rank. rows, when non-nil, also
-// receives every score (rows[u][v] = s_uv) for the graph-matching rounds.
+// scanRows is one batched pass over every anonymized user on the shard
+// world's scan loop, under its scan tokens: it returns each user's k best
+// candidates while stats[u] folds user u's whole row, and rows, when
+// non-nil, also receives every score (rows[u][v] = s_uv).
+func (p *Pipeline) scanRows(k int, stats []rowStats, rows [][]float64) [][]Candidate {
+	users := make([]int, len(stats))
+	for u := range users {
+		users[u] = u
+	}
+	return p.shardWorld().ScanBatch(users, k, 0, func(u, lo int, scores []float64) {
+		stats[u].observe(lo, scores)
+		if rows != nil {
+			copy(rows[u][lo:], scores)
+		}
+	})
+}
+
+// topKDirect is the whole-matrix pass behind both selection methods: one
+// scanRows call yields each user's K best candidates, the row minimum, the
+// score extremes and the true mapping's rank. rows, when non-nil, receives
+// every score for the graph-matching rounds.
 func (p *Pipeline) topKDirect(k int, trueMapping map[int]int, rows [][]float64) *TopKResult {
 	n1 := p.G1.NumNodes()
 	res := &TopKResult{
-		K:          k,
-		Candidates: make([][]Candidate, n1),
-		TrueRank:   make([]int, n1),
-		MeanScore:  make([]float64, n1),
-		RowMin:     make([]float64, n1),
+		K:         k,
+		TrueRank:  make([]int, n1),
+		MeanScore: make([]float64, n1),
+		RowMin:    make([]float64, n1),
 	}
-	maxs := make([]float64, n1)
-	world := p.shardWorld()
-	shard.ParallelFor((n1+scanStrip-1)/scanStrip, runtime.GOMAXPROCS(0), func(strip int) {
-		var users [scanStrip]int
-		var stats [scanStrip]rowStats
-		first := strip * scanStrip
-		n := min(scanStrip, n1-first)
-		for i := 0; i < n; i++ {
-			u := first + i
-			users[i], stats[i] = u, rowStats{truthScore: math.Inf(1)}
-			if tv, ok := trueMapping[u]; ok {
-				// Read up front: the parity contract makes Score bit-identical
-				// to the score the scan will produce for the same pair.
-				stats[i].truth, stats[i].truthScore = tv, p.Scorer.Score(u, tv)
-			}
+	stats := make([]rowStats, n1)
+	for u := range stats {
+		stats[u].truthScore = math.Inf(1)
+		if tv, ok := trueMapping[u]; ok {
+			// Read up front: the parity contract makes Score bit-identical
+			// to the score the scan will produce for the same pair.
+			stats[u].truth, stats[u].truthScore = tv, p.Scorer.Score(u, tv)
 		}
-		cands := world.ScanBatch(users[:n], k, func(q, lo int, scores []float64) {
-			stats[q].observe(lo, scores)
-			if rows != nil {
-				copy(rows[users[q]][lo:], scores)
-			}
-		})
-		for i, u := range users[:n] {
-			res.Candidates[u] = cands[i]
-			res.MeanScore[u] = meanScore(cands[i])
-			res.RowMin[u], maxs[u] = stats[i].min, stats[i].max
-			if _, ok := trueMapping[u]; ok {
-				res.TrueRank[u] = stats[i].above + 1
-			}
+	}
+	res.Candidates = p.scanRows(k, stats, rows)
+	for u, cs := range res.Candidates {
+		res.MeanScore[u] = meanScore(cs)
+		res.RowMin[u] = stats[u].min
+		if _, ok := trueMapping[u]; ok {
+			res.TrueRank[u] = stats[u].above + 1
 		}
-	})
-	res.MaxScore, res.MinScore = extremes(maxs, res.RowMin)
+	}
+	res.MaxScore, res.MinScore = extremes(stats)
 	return res
 }
 
@@ -331,17 +327,18 @@ func meanScore(cs []Candidate) float64 {
 	return s / float64(len(cs))
 }
 
-func extremes(maxs, mins []float64) (mx, mn float64) {
-	if len(maxs) == 0 {
+// extremes returns the largest row maximum and the smallest row minimum.
+func extremes(stats []rowStats) (mx, mn float64) {
+	if len(stats) == 0 {
 		return 0, 0
 	}
-	mx, mn = maxs[0], mins[0]
-	for i := 1; i < len(maxs); i++ {
-		if maxs[i] > mx {
-			mx = maxs[i]
+	mx, mn = stats[0].max, stats[0].min
+	for _, r := range stats[1:] {
+		if r.max > mx {
+			mx = r.max
 		}
-		if mins[i] < mn {
-			mn = mins[i]
+		if r.min < mn {
+			mn = r.min
 		}
 	}
 	return mx, mn
@@ -673,17 +670,22 @@ func (p *Pipeline) StylometryBaseline(opt RefineOptions) (*DAResult, error) {
 		return nil, fmt.Errorf("core: training stylometry baseline: %w", err)
 	}
 
+	var rows []rowStats // each user's whole row, for mean-verification
+	if opt.Scheme == MeanVerification {
+		rows = make([]rowStats, n1)
+		p.scanRows(1, rows, nil)
+	}
 	res := &DAResult{Mapping: make([]int, n1)}
 	shard.ParallelFor(n1, runtime.GOMAXPROCS(0), func(u int) {
-		res.Mapping[u] = p.baselineUser(u, clf, n2, opt)
+		res.Mapping[u] = p.baselineUser(u, clf, n2, opt, rows)
 	})
 	return res, nil
 }
 
 // baselineUser classifies one anonymized user with the shared baseline
 // classifier, applying mean-verification over the whole auxiliary set when
-// requested.
-func (p *Pipeline) baselineUser(u int, clf ml.Classifier, n2 int, opt RefineOptions) int {
+// requested (rows holds every user's row statistics then).
+func (p *Pipeline) baselineUser(u int, clf ml.Classifier, n2 int, opt RefineOptions, rows []rowStats) int {
 	if len(p.G1.PostVectors[u]) == 0 {
 		return -1
 	}
@@ -691,12 +693,8 @@ func (p *Pipeline) baselineUser(u int, clf ml.Classifier, n2 int, opt RefineOpti
 	if best < 0 {
 		return -1
 	}
-	if opt.Scheme == MeanVerification {
-		row := rowStats{truthScore: math.Inf(1)}
-		p.shardWorld().ScanBatch([]int{u}, 1, func(_, lo int, scores []float64) { row.observe(lo, scores) })
-		if !verifyMean(p.Scorer.Score(u, best), row.sum/float64(n2), row.min, opt.R) {
-			return -1
-		}
+	if opt.Scheme == MeanVerification && !verifyMean(p.Scorer.Score(u, best), rows[u].sum/float64(n2), rows[u].min, opt.R) {
+		return -1
 	}
 	return best
 }

@@ -8,6 +8,7 @@ import (
 
 	"dehealth/internal/corpus"
 	"dehealth/internal/features"
+	"dehealth/internal/ml"
 	"dehealth/internal/similarity"
 	"dehealth/internal/synth"
 )
@@ -360,5 +361,62 @@ func TestCheckMatchingSize(t *testing.T) {
 		if tc.refuse != errors.Is(err, ErrMatchingTooLarge) || tc.refuse != (err != nil) {
 			t.Errorf("checkMatchingSize(%d, %d) = %v, want refusal %v", tc.n1, tc.n2, err, tc.refuse)
 		}
+	}
+}
+
+// TestStylometryBaselineMeanVerification pins the baseline's
+// mean-verification to the oracle on a 1-shard and a 3-shard world whose
+// rows span several score blocks: the unverified baseline names each
+// user's best auxiliary user, and the verified one must keep exactly those
+// whose ScoreSlow score passes verifyMean against the row's ScoreSlow sum,
+// taken in ascending auxiliary order, and minimum. The margins must both
+// accept and reject someone, or the check proves nothing.
+func TestStylometryBaselineMeanVerification(t *testing.T) {
+	split := world(t, 160, 4, 0.5, 79)
+	base := pipelineFor(split)
+	n2 := base.G2.NumNodes()
+	if n2 <= 2*32 {
+		t.Fatalf("%d auxiliary users fit two score blocks", n2)
+	}
+	rows := make([][]float64, base.G1.NumNodes())
+	sums, mins := make([]float64, len(rows)), make([]float64, len(rows))
+	for u := range rows {
+		rows[u] = oracleRow(base, u)
+		for _, s := range rows[u] {
+			sums[u] += s
+		}
+		_, mins[u] = rowExtremes(rows[u])
+	}
+	newClf := func() ml.Classifier { return ml.NewKNN(3) }
+	accepted, rejected := 0, 0
+	for _, shards := range []int{1, 3} {
+		p := withShards(base, shards)
+		plain, err := p.StylometryBaseline(RefineOptions{NewClassifier: newClf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []float64{0.05, 0.2} {
+			got, err := p.StylometryBaseline(RefineOptions{NewClassifier: newClf, Scheme: MeanVerification, R: r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, best := range plain.Mapping {
+				want := best
+				if best >= 0 {
+					if verifyMean(rows[u][best], sums[u]/float64(n2), mins[u], r) {
+						accepted++
+					} else {
+						want = -1
+						rejected++
+					}
+				}
+				if got.Mapping[u] != want {
+					t.Fatalf("shards=%d r=%v user %d: mapped to %d, oracle %d", shards, r, u, got.Mapping[u], want)
+				}
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("the oracle accepted %d and rejected %d users; the margins must do both", accepted, rejected)
 	}
 }

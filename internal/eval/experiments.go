@@ -232,8 +232,8 @@ type RefinedConfig struct {
 	MaxBigrams int
 	// R is the mean-verification margin for Fig.6. The paper uses r = 0.25
 	// on the WebMD similarity scale; on the synthetic corpora's compressed
-	// score scale the equivalent operating point is r ≈ 0.06 (see
-	// EXPERIMENTS.md), which is the default here.
+	// score scale the equivalent operating point is r ≈ 0.06, which is the
+	// default here.
 	R float64
 }
 

@@ -1,13 +1,14 @@
-// The shard scan: the only code that walks a whole auxiliary window. A
-// served /internal/query hands the world the router's group of queries,
-// the offline Top-K DA phase hands it strips of anonymized users, and a lone
-// query is a batch of one — all three are one blocked loop (scan):
+// The shard scan: the only code that walks a whole auxiliary window, and
+// ScanBatch, the one loop that schedules it. A served /internal/query hands
+// the world the router's group of queries, the offline Top-K DA phase hands
+// it every anonymized user with a row observer, and a lone query is a batch
+// of one — all three are one blocked loop (scan):
 // prepare Q query profiles at once (similarity.BatchProfile), score each
 // 32-row block against every query while it is hot in cache
 // (ScoreRangeAbove — this is its one production call site), and drain Q
 // bounded heaps. When only the heaps read the scores, each query's floor —
 // its full heap's k-th score, raised by the k-th scores its other shards
-// have already published to the floorCell QueryBatch shares — goes down
+// have already published to the floorCell ScanBatch shares — goes down
 // to the kernel before every block, and rows the kernel can prove below it
 // cost a popcount instead of a merge (see scan).
 // Scanning queries one by one would stream each shard's flat aux-side
@@ -60,7 +61,7 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// floorCell is one query's floor shared by its shards in QueryBatch: an
+// floorCell is one query's floor shared by its shards in ScanBatch: an
 // atomic float64 max over the k-th scores the shards' full heaps have
 // published, -Inf until the first. Safe for concurrent shards.
 type floorCell struct{ bits atomic.Uint64 }
@@ -132,7 +133,7 @@ func (sc *batchScratch) grow(q, k int) {
 // the block's floor, bound or score; ties are kept, because they break by
 // id. scan returns how many (query, row) pairs the kernel answered with a
 // bound. cells, when non-nil, aligns with users and shares each query's
-// floor with its other shards (QueryBatch): at every block boundary a full
+// floor with its other shards (ScanBatch): at every block boundary a full
 // heap publishes its root to the cell, and the floor is the cell's value.
 // A shard whose k was clamped to its own size neither publishes nor reads
 // the cell: its root is not the k-th of k real candidates, and its few rows
@@ -229,7 +230,14 @@ func (sh *Shard) TopKBatch(users []int, k int) [][]Candidate {
 // ParallelFor calls fn(0) … fn(n-1) on at most workers goroutines — the
 // caller is one of them, so one worker spawns nothing — each taking the
 // next index off a shared counter.
-func ParallelFor(n, workers int, fn func(i int)) {
+func ParallelFor(n, workers int, fn func(i int)) { spread(n, workers, nil, fn) }
+
+// spread is the one loop that spends goroutines: fn(0) … fn(n-1) run on the
+// caller plus at most workers-1 helpers, each taking the next index off a
+// shared counter. With tokens non-nil every helper is claimed from tokens
+// without blocking and hands its token back when done; once none is idle
+// the caller covers the rest.
+func spread(n, workers int, tokens chan struct{}, fn func(i int)) {
 	var next atomic.Int64
 	run := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
@@ -237,10 +245,21 @@ func ParallelFor(n, workers int, fn func(i int)) {
 		}
 	}
 	var wg sync.WaitGroup
+spawn:
 	for h := 1; h < min(workers, n); h++ {
+		if tokens != nil {
+			select {
+			case <-tokens:
+			default:
+				break spawn
+			}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if tokens != nil {
+				defer func() { tokens <- struct{}{} }()
+			}
 			run()
 		}()
 	}
@@ -248,83 +267,57 @@ func ParallelFor(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ScanBatch is the scan for callers that need more of a row than its
-// top-k — the offline Top-K DA phase (internal/core). It runs users
-// through every shard in turn on the calling goroutine, always by the full
-// scan (the pruner skips rows), so observe (see Shard.scan) sees
-// users[q]'s whole similarity row exactly once, in ascending global row
-// order; callers parallelize across calls, so one call's observations
-// never race. It returns each user's global top-k as QueryBatch would:
-// folding the shards' lists in pairwise is as exact as merging them at
-// once, since every global top-k candidate survives its own shard's top-k.
-func (w *World) ScanBatch(users []int, k int, observe func(q, lo int, scores []float64)) [][]Candidate {
-	out := make([][]Candidate, len(users))
-	w.shards[0].scan(users, k, nil, observe, out)
-	part := make([][]Candidate, len(users))
-	for _, sh := range w.shards[1:] {
-		sh.scan(users, k, nil, observe, part)
-		for q := range out {
-			out[q] = MergeTopK([][]Candidate{out[q], part[q]}, k)
-		}
-	}
-	return out
-}
-
-// QueryBatch answers each entry of users with its global top-k; a lone
-// query is a batch of one. Results align with users by index, each
-// bit-identical whatever the batch, the worker count or the schedule.
-// It is the one loop that spends cores on a query: users are cut into
-// chunks of at most maxBatchQ, balanced across the workers (one user each
-// on a pruned world, whose per-query candidate sets do not batch), and
-// each (chunk, shard) cell is one call of cell. The cells run on the
-// caller plus at most workers-1 helper goroutines (workers <= 0 means one
-// per scan token plus the caller), each claimed from scanTokens without
-// blocking, so concurrent callers that find the tokens spent cover their
-// cells inline. A chunk's cells are adjacent and each user's shards share
-// one floorCell, whether they run side by side or one after another. A
-// one-cell batch (one shard, one chunk) calls its cell directly, without
-// the closure.
-func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
+// ScanBatch answers each entry of users with its global top-k and, when
+// observe is non-nil, hands it users[q]'s whole similarity row as
+// observe(q, lo, scores) (see Shard.scan): every row exactly once, in
+// ascending global order, never from two goroutines at once. The offline
+// Top-K DA phase (internal/core) folds its row statistics from it. Results
+// align with users by index, each bit-identical whatever the batch, the
+// worker count or the schedule.
+//
+// It schedules every scan of the world. Users are cut into chunks of at
+// most maxBatchQ, balanced across the workers (one user each on a pruned
+// world, whose per-query candidate sets do not batch). A cell is a
+// (chunk, shard) pair, and each user's shards share one floorCell, whether
+// they run side by side or one after another; under an observer a cell is
+// a chunk walking every shard in turn by the full scan, with no floors and
+// no pruner. The cells run on the caller plus at most workers-1 helper
+// goroutines (workers <= 0 means one per scan token plus the caller), each
+// claimed from scanTokens without blocking (spread), so concurrent callers
+// that find the tokens spent cover their cells inline. A one-cell batch
+// runs without the closure.
+func (w *World) ScanBatch(users []int, k, workers int, observe func(q, lo int, scores []float64)) [][]Candidate {
 	if workers <= 0 {
 		workers = cap(w.scanTokens) + 1
 	}
 	n, ns := len(users), len(w.shards)
 	chunk := min(max((n+workers-1)/workers, 1), maxBatchQ)
-	if w.prune != nil {
+	per := ns // cells per chunk: one per shard, or one walking them all
+	if observe != nil {
+		per = 1
+	} else if w.prune != nil {
 		chunk = 1
 	}
-	cells := (n + chunk - 1) / chunk * ns
+	cells := (n + chunk - 1) / chunk * per
 	parts := make([][]Candidate, ns*n) // parts[s*n+q]: shard s's list for users[q]
 	if cells == 1 {
-		w.cell(w.shards[0], users, k, nil, parts)
-		return parts
-	}
-	floors := newFloorCells(n)
-	var next atomic.Int64
-	run := func() {
-		for i := int(next.Add(1)) - 1; i < cells; i = int(next.Add(1)) - 1 {
-			s, lo := i%ns, i/ns*chunk
+		for s, sh := range w.shards {
+			w.cell(sh, users, k, nil, observe, parts[s*n:s*n+n])
+		}
+	} else {
+		floors := newFloorCells(n)
+		spread(cells, workers, w.scanTokens, func(i int) {
+			lo := i / per * chunk
 			hi := min(lo+chunk, n)
-			w.cell(w.shards[s], users[lo:hi], k, floors[lo:hi], parts[s*n+lo:s*n+hi])
-		}
+			obs := observe
+			if observe != nil {
+				obs = func(q, row int, scores []float64) { observe(lo+q, row, scores) }
+			}
+			for s := i % per; s < ns; s += per {
+				w.cell(w.shards[s], users[lo:hi], k, floors[lo:hi], obs, parts[s*n+lo:s*n+hi])
+			}
+		})
 	}
-	var wg sync.WaitGroup
-spawn:
-	for h := 1; h < min(workers, cells); h++ {
-		select {
-		case <-w.scanTokens:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { w.scanTokens <- struct{}{} }()
-				run()
-			}()
-		default:
-			break spawn // no idle core; the caller covers the rest
-		}
-	}
-	run()
-	wg.Wait()
 	if ns == 1 {
 		return parts
 	}
@@ -338,14 +331,20 @@ spawn:
 	return out
 }
 
+// QueryBatch is ScanBatch without an observer: the served path, where a
+// lone query is a batch of one.
+func (w *World) QueryBatch(users []int, k, workers int) [][]Candidate {
+	return w.ScanBatch(users, k, workers, nil)
+}
+
 // cell answers one chunk of users on shard sh into res, sharing each
 // user's floor with its other shards through floors (nil shares nothing):
-// the scan, or on a pruned world the candidate pruner, whose chunks hold
-// one user.
-func (w *World) cell(sh *Shard, users []int, k int, floors []floorCell, res [][]Candidate) {
-	if w.prune != nil {
+// the scan, or on a pruned world without an observer the candidate pruner,
+// whose chunks hold one user.
+func (w *World) cell(sh *Shard, users []int, k int, floors []floorCell, observe func(q, lo int, scores []float64), res [][]Candidate) {
+	if w.prune != nil && observe == nil {
 		res[0] = sh.topKPruned(users[0], k, *w.prune, w.pstats, floors)
 		return
 	}
-	sh.scan(users, k, floors, nil, res)
+	sh.scan(users, k, floors, observe, res)
 }

@@ -2,7 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dehealth/internal/corpus"
@@ -146,24 +150,52 @@ func TestTopKBatchAllocs(t *testing.T) {
 	}
 }
 
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine 7 [running]:").
+func goid() string {
+	var buf [32]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
 // TestScanBatchObserver pins the observer contract the offline Top-K phase
-// builds on: every query's whole similarity row arrives exactly once, in
-// ascending global row order, with the scores the gather kernel computes,
-// and the returned candidates are QueryBatch's — at one shard and several.
+// builds on, at workers 1, 2 and 0 on a world with idle scan tokens, on one
+// shard, three and one per auxiliary user: every query's whole similarity
+// row arrives exactly once, in ascending global row order, with the scores
+// the gather kernel computes, never from two goroutines at once (q counts
+// the caller's users, so the duplicate user 2 is two rows), and the
+// returned lists are QueryBatch's. Then, with every token drained, a
+// workers-0 call must observe every row on the caller's goroutine.
 func TestScanBatchObserver(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // three scan tokens
 	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 29)
 	auxN := auxUDA.NumNodes()
-	users := []int{2, 0, anonN - 1, 2}
-	for _, shards := range []int{1, 3, auxN} {
-		w := New(base, auxUDA, auxS, shards)
-		next := make([]int, len(users))
-		got := w.ScanBatch(users, 4, func(q, lo int, scores []float64) {
+	users := make([]int, 2*maxBatchQ+3) // three chunks at workers 1
+	for i := range users {
+		users[i] = (i * 5) % anonN
+	}
+	users[0], users[1] = 2, 2
+	// scan runs one ScanBatch and checks the rows it observes, returning
+	// the goroutines they were observed on.
+	scan := func(w *World, what string, workers int) map[string]bool {
+		next, busy := make([]int, len(users)), make([]atomic.Bool, len(users))
+		var mu sync.Mutex
+		seen := map[string]bool{}
+		got := w.ScanBatch(users, 4, workers, func(q, lo int, scores []float64) {
+			if !busy[q].CompareAndSwap(false, true) {
+				t.Errorf("%s: query %d observed from two goroutines at once", what, q)
+				return
+			}
+			defer busy[q].Store(false)
+			mu.Lock()
+			seen[goid()] = true
+			mu.Unlock()
 			if lo != next[q] || len(scores) == 0 {
-				t.Fatalf("shards=%d query %d: block at row %d (%d scores), want row %d", shards, q, lo, len(scores), next[q])
+				t.Errorf("%s query %d: block at row %d (%d scores), want row %d", what, q, lo, len(scores), next[q])
+				return
 			}
 			for i, s := range scores {
 				if want := base.Score(users[q], lo+i); s != want {
-					t.Fatalf("shards=%d query %d row %d: observed %v, Score %v", shards, q, lo+i, s, want)
+					t.Errorf("%s query %d row %d: observed %v, Score %v", what, q, lo+i, s, want)
 				}
 			}
 			next[q] += len(scores)
@@ -171,10 +203,74 @@ func TestScanBatchObserver(t *testing.T) {
 		want := w.QueryBatch(users, 4, 1)
 		for q := range users {
 			if next[q] != auxN {
-				t.Fatalf("shards=%d query %d: observed %d rows, want %d", shards, q, next[q], auxN)
+				t.Fatalf("%s query %d: observed %d rows, want %d", what, q, next[q], auxN)
 			}
 			if !slices.Equal(got[q], want[q]) {
-				t.Fatalf("shards=%d query %d: %+v, QueryBatch %+v", shards, q, got[q], want[q])
+				t.Fatalf("%s query %d: %+v, QueryBatch %+v", what, q, got[q], want[q])
+			}
+		}
+		return seen
+	}
+	for _, shards := range []int{1, 3, auxN} {
+		w := New(base, auxUDA, auxS, shards)
+		for _, workers := range []int{1, 2, 0} {
+			scan(w, fmt.Sprintf("shards=%d workers=%d", shards, workers), workers)
+		}
+	}
+	w := New(base, auxUDA, auxS, 3)
+	for range cap(w.scanTokens) {
+		<-w.scanTokens
+	}
+	if seen := scan(w, "drained tokens", 0); len(seen) != 1 || !seen[goid()] {
+		t.Fatalf("a batch on drained tokens observed rows on goroutines %v, want only the caller's %s", seen, goid())
+	}
+}
+
+// TestScanBatchWorkersBound pins ScanBatch's core budget through the
+// observer: on a world built with three scan tokens, every observation
+// reads how many tokens the call holds (the channel's cap-len less any the
+// test holds back). workers 1 must claim none; no call may hold more than
+// min(workers-1, idle tokens); and every token must be back when the call
+// returns. The batch has four chunks at every budget, so a loop that
+// spawned a helper per spare cell regardless of workers would be seen.
+func TestScanBatchWorkersBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	auxS, auxUDA, base, anonN := testWorld(t, 24, 6, 31)
+	users := make([]int, 4*maxBatchQ)
+	for i := range users {
+		users[i] = i % anonN
+	}
+	for _, shards := range []int{1, 3} {
+		w := New(base, auxUDA, auxS, shards)
+		tokens := w.scanTokens
+		if cap(tokens) != 3 {
+			t.Fatalf("a world built at GOMAXPROCS 4 has %d scan tokens, want 3", cap(tokens))
+		}
+		for _, tc := range []struct{ workers, held int }{
+			{1, 0}, {2, 0}, {3, 0}, {0, 0}, {0, 2}, {3, 2}, {2, 3},
+		} {
+			for range tc.held {
+				<-tokens
+			}
+			resolved := tc.workers
+			if resolved <= 0 {
+				resolved = cap(tokens) + 1
+			}
+			bound := min(resolved-1, cap(tokens)-tc.held)
+			var most atomic.Int64
+			w.ScanBatch(users, 3, tc.workers, func(int, int, []float64) {
+				claimed := int64(cap(tokens) - len(tokens) - tc.held)
+				for m := most.Load(); claimed > m && !most.CompareAndSwap(m, claimed); m = most.Load() {
+				}
+			})
+			if got := most.Load(); got > int64(bound) {
+				t.Errorf("shards=%d workers=%d with %d tokens held: the call held %d tokens, want at most %d", shards, tc.workers, tc.held, got, bound)
+			}
+			if idle := len(tokens); idle != cap(tokens)-tc.held {
+				t.Fatalf("shards=%d workers=%d: %d of %d tokens idle after the call, want %d", shards, tc.workers, idle, cap(tokens), cap(tokens)-tc.held)
+			}
+			for range tc.held {
+				tokens <- struct{}{}
 			}
 		}
 	}

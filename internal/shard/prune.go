@@ -71,7 +71,7 @@ func (sh *Shard) TopKPruned(u, k int, cfg index.Config, st *index.Stats) []Candi
 	return sh.topKPruned(u, k, cfg, st, nil)
 }
 
-// topKPruned is TopKPruned with u's floor cell from QueryBatch (see topK). A
+// topKPruned is TopKPruned with u's floor cell from ScanBatch (see topK). A
 // query whose candidates exceed cfg.MaxCandidateFrac of the window is
 // dense: rescoring that many users one by one costs more than the blocked
 // scan, which shares the query's floor across shards and skips most rows
